@@ -279,7 +279,7 @@ func runOneKill(grid Config, dir string, fi int, f chaos.Fault,
 			return fmt.Errorf("snapshotting recovered state: %w", err)
 		}
 		stray := filepath.Join(dir, ".snap-123.tmp")
-		if err := os.WriteFile(stray, []byte(`{"version":1,"config":{"trunc`), 0o644); err != nil {
+		if err := os.WriteFile(stray, []byte(`{"version":2,"config":{"trunc`), 0o644); err != nil {
 			return err
 		}
 		g2, info, err := RecoverGrid(grid, snap, path)

@@ -38,6 +38,19 @@
 // snapshot + same event log ⇒ bit-identical schedule trajectory, the
 // operational form of the repo's trajectory-compatibility discipline.
 //
+// # State digest
+//
+// Grid.Digest names the whole value state in 64 hex characters: a
+// homomorphic set hash over keyed records — one per job slot, one per
+// machine slot, one per position of the free and pending lists — plus
+// the scalar fields (digest.go). The grid keeps the running sum and
+// re-hashes only the records changed since the previous call: the slots
+// and list positions its transitions touch, every machine whose
+// schedule.State epoch moved, and the jobs that local search moved onto
+// those machines. A digest therefore costs O(changed + MachCap), so the
+// replication ring can record one after every event.
+// Snapshots embed it (format version 2) and verify it on restore.
+//
 // # Failure model and durability
 //
 // The daemon assumes fail-stop crashes (power loss, OOM kill, SIGKILL)
@@ -101,9 +114,6 @@
 package daemon
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 
@@ -266,6 +276,11 @@ type Grid struct {
 	// daemon reads it for latency accounting and API responses. Not part
 	// of the replayed state.
 	lastPlaced []Placement
+
+	// dig is the incremental state digest (digest.go): nil until the
+	// first Digest call and again after grow. Transitions mark the
+	// records they change through the touch methods.
+	dig *setDigest
 }
 
 // NewGrid builds an empty grid: all job slots free and parked, all
@@ -479,9 +494,12 @@ func (g *Grid) applySubmit(e eventlog.Event) error {
 	}
 	s := g.free[len(g.free)-1]
 	g.free = g.free[:len(g.free)-1]
+	g.touchFree(len(g.free))
 	g.nextJobID++
+	g.touchJob(s)
 	g.jobs[s] = jobSlot{id: e.Job, base: e.Base, state: slotPending}
 	g.byID[e.Job] = s
+	g.touchPending(len(g.pending))
 	g.pending = append(g.pending, s)
 	// Fill the row for the machines alive now; later joins rewrite their
 	// column. The parking column keeps the slot's park key until
@@ -545,6 +563,10 @@ func (g *Grid) applyLeave(e eventlog.Event) error {
 	}
 	g.machs[slot].alive = false
 	g.machs[slot].departed = true
+	// The contents stay put, but the flags changed: a fresh epoch tells
+	// epoch observers (the state digest) to re-read the machine.
+	g.st.InvalidateMachine(slot)
+	g.st.SyncScans()
 	delete(g.machByID, e.Mach)
 	if e.Type == eventlog.Fail {
 		g.counters.Restarts += uint64(len(g.st.JobsOn(slot)))
@@ -561,6 +583,7 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 	if !ok {
 		return fmt.Errorf("daemon: job %d not live", e.Job)
 	}
+	g.touchJob(s)
 	js := &g.jobs[s]
 	p := g.park()
 	if js.state == slotPlaced {
@@ -580,6 +603,7 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 		for i, ps := range g.pending {
 			if ps == s {
 				g.pending = append(g.pending[:i], g.pending[i+1:]...)
+				g.touchPending(i)
 				break
 			}
 		}
@@ -601,6 +625,7 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 	}
 	delete(g.byID, e.Job)
 	g.jobs[s] = jobSlot{}
+	g.touchFree(len(g.free))
 	g.free = append(g.free, s)
 	g.counters.Completed++
 	return nil
@@ -627,7 +652,9 @@ func (g *Grid) applyAdmit() error {
 			if g.jobs[s].state == slotPending {
 				continue
 			}
+			g.touchJob(s)
 			g.jobs[s].state = slotPending
+			g.touchPending(len(g.pending))
 			g.pending = append(g.pending, s)
 			g.counters.Rebalance++
 		}
@@ -662,6 +689,7 @@ func (g *Grid) applyAdmit() error {
 			}
 			cand[s] = best
 			comp[best] += g.inst.At(int(s), best)
+			g.touchJob(s)
 			g.jobs[s].state = slotPlaced
 		}
 		g.st.SetScheduleDiff(cand)
@@ -673,6 +701,7 @@ func (g *Grid) applyAdmit() error {
 		}
 		g.counters.Placed += uint64(len(g.pending))
 		g.pending = nil // placed aliases the old backing array until the window ends
+		g.touchPending(0)
 	}
 
 	// Departed slots are empty now; block their columns and invalidate.
@@ -748,57 +777,9 @@ func (g *Grid) grow() {
 		g.free = append(g.free, int32(s))
 	}
 	g.counters.Grows++
-}
-
-// Digest returns a hex SHA-256 over the grid's canonical value state:
-// counters, job and machine records, the assignment vector and the raw
-// float bits of every real machine completion and the state flowtime.
-// Two grids with equal digests are bit-identical as schedulers; the
-// replay tests compare digest trajectories.
-func (g *Grid) Digest() string {
-	h := sha256.New()
-	var buf [8]byte
-	u := func(v uint64) { binary.LittleEndian.PutUint64(buf[:], v); h.Write(buf[:]) }
-	f := func(v float64) { u(math.Float64bits(v)) }
-	u(g.nextJobID)
-	u(g.nextMachID)
-	u(g.applied)
-	u(g.counters.Admits)
-	u(g.parkSeq)
-	u(uint64(len(g.jobs)))
-	for s := range g.jobs {
-		u(g.jobs[s].id)
-		u(uint64(g.jobs[s].state))
-		u(g.parkKeys[s])
-		f(g.jobs[s].base)
-	}
-	for m := range g.machs {
-		u(g.machs[m].id)
-		f(g.machs[m].mult)
-		b := uint64(0)
-		if g.machs[m].alive {
-			b = 1
-		}
-		if g.machs[m].departed {
-			b |= 2
-		}
-		u(b)
-	}
-	for _, s := range g.pending {
-		u(uint64(s))
-	}
-	for _, s := range g.free {
-		u(uint64(s))
-	}
-	view := g.st.ScheduleView()
-	for _, m := range view {
-		u(uint64(m))
-	}
-	for m := 0; m <= g.cfg.MachCap; m++ {
-		f(g.st.Completion(m))
-	}
-	f(g.st.Flowtime())
-	return hex.EncodeToString(h.Sum(nil))
+	// Every slot record and the new state's epochs are new: the next
+	// Digest folds from scratch.
+	g.dig = nil
 }
 
 // PendingCount returns the number of jobs awaiting admission — the

@@ -172,9 +172,11 @@ func (r *digestRing) get(seq uint64) (string, bool) {
 // --- Daemon replication surface ---------------------------------------
 
 // EnableReplication arms the daemon for serving followers: every
-// applied event records its digest in a bounded ring and flushes the
-// WAL so a tailing reader sees it immediately. ringSize bounds the
-// digest window (0 = 8192). Idempotent.
+// applied event records its digest in a bounded ring. The WAL is
+// flushed once here and then by every pull (ReplServer.pull), so under
+// FsyncNever a replicated primary's log is buffered until the next
+// admission, pull or Stop, exactly like a non-replicated one. ringSize
+// bounds the digest window (0 = 8192). Idempotent.
 func (d *Daemon) EnableReplication(ringSize int) {
 	if ringSize <= 0 {
 		ringSize = 8192
@@ -193,17 +195,16 @@ func (d *Daemon) EnableReplication(ringSize int) {
 	}
 }
 
-// recordDigestLocked stamps the digest ring after a successful apply
-// and flushes the WAL so followers can pull the event; d.mu held, no-op
-// until EnableReplication.
+// recordDigestLocked stamps the digest ring after a successful apply;
+// d.mu held, no-op until EnableReplication. It does not flush the WAL:
+// ReplServer.pull flushes before every read, so a pull always ships the
+// events applied before it, and a replicated primary buffers its log
+// between flushes exactly like a non-replicated one.
 func (d *Daemon) recordDigestLocked() {
 	if d.digests == nil {
 		return
 	}
 	d.digests.put(d.g.Applied(), d.g.Digest())
-	if d.wal != nil {
-		d.wal.Flush()
-	}
 }
 
 // DigestAt returns the recorded digest after event seq, if it is still
@@ -368,12 +369,23 @@ func (d *Daemon) CommitReplicated() error {
 
 // FlushWAL makes every applied event visible to WAL readers.
 func (d *Daemon) FlushWAL() error {
+	_, err := d.flushApplied()
+	return err
+}
+
+// flushApplied flushes the WAL and returns the applied sequence number
+// read under the same lock, so every event it counts is in the file. A
+// separate AppliedSeq call could count an event applied after the flush
+// and still sitting in the write buffer.
+func (d *Daemon) flushApplied() (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.wal == nil || d.closed {
-		return nil
+	if d.wal != nil && !d.closed {
+		if err := d.wal.Flush(); err != nil {
+			return 0, err
+		}
 	}
-	return d.wal.Flush()
+	return d.g.Applied(), nil
 }
 
 // ReplaceGrid swaps in a bootstrap-restored grid and restarts the WAL
@@ -585,10 +597,10 @@ func (s *ReplServer) pull(pull *ReplPull) (*ReplBatch, error) {
 	if reject := s.checkTerm(pull.Term); reject != "" {
 		return &ReplBatch{Term: myTerm, Reject: reject}, nil
 	}
-	if err := s.d.FlushWAL(); err != nil {
+	applied, err := s.d.flushApplied()
+	if err != nil {
 		return nil, err
 	}
-	applied := s.d.AppliedSeq()
 	if pull.After > applied {
 		return &ReplBatch{Term: myTerm, Reject: RejectAhead, Applied: applied}, nil
 	}
@@ -600,8 +612,8 @@ func (s *ReplServer) pull(pull *ReplPull) (*ReplBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Gap detection: the WAL was flushed above, so if the follower sits
-	// below the primary's applied position the log must be able to serve
+	// Gap detection: applied was read under the lock that flushed the
+	// WAL, so if the follower sits below it the log must be able to serve
 	// After+1. When it starts later (this primary was itself born from a
 	// snapshot and its log is truncated below that point), log shipping
 	// cannot bridge the gap — bootstrap instead.

@@ -579,6 +579,97 @@ func newReplRigTCP(t *testing.T) *replRig {
 	return rig
 }
 
+// TestReplPullShipsBufferedEvent: a replicated primary buffers its WAL
+// between flushes like any other (no flush per event), yet a pull issued
+// right after a non-admit event ships it, because pull flushes first.
+func TestReplPullShipsBufferedEvent(t *testing.T) {
+	rig := newReplRig(t, ReplicatorConfig{ID: "f1"})
+	rig.drive(t, rig.script(14, 40))
+	rig.catchUp(t)
+	size := func() int64 {
+		t.Helper()
+		st, err := os.Stat(rig.pLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	for _, typ := range []eventlog.Type{eventlog.Submit, eventlog.Join, eventlog.Complete} {
+		e := eventlog.Event{Type: typ}
+		switch typ {
+		case eventlog.Submit:
+			e.Job, e.Base = rig.primary.g.NextJobID(), 3
+		case eventlog.Join:
+			e.Mach, e.Mult = rig.primary.g.NextMachID(), 2
+		case eventlog.Complete:
+			e.Job = rig.primary.g.NextJobID() - 1
+		}
+		before := size()
+		stamped, err := rig.primary.ApplyEvent(e)
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		if got := size(); got != before {
+			t.Fatalf("%s: WAL grew from %d to %d bytes before any pull: flushed per event", typ, before, got)
+		}
+		batch, err := rig.srv.pull(&ReplPull{ID: "probe", Term: 1, After: stamped.Seq - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch.Events) != 1 || batch.Events[0].Seq != stamped.Seq || batch.Events[0].Type != typ {
+			t.Fatalf("%s: pull after event %d shipped %+v", typ, stamped.Seq, batch.Events)
+		}
+	}
+}
+
+// TestReplPullConcurrentWithApply: a caught-up follower pulling while
+// the primary applies events concurrently is never sent to bootstrap.
+// The applied position a pull reports must be read under the lock that
+// flushed the WAL; otherwise an event applied in between counts as
+// applied while still buffered, and the empty read looks like a gap.
+func TestReplPullConcurrentWithApply(t *testing.T) {
+	rig := newReplRig(t, ReplicatorConfig{ID: "f1"})
+	events := rig.script(16, 3000)
+	done := make(chan error, 1)
+	go func() {
+		for _, e := range events {
+			if _, err := rig.primary.ApplyEvent(e); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var after uint64
+	finished := false
+	for !finished || after < uint64(len(events)) {
+		if !finished {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				finished = true
+			default:
+			}
+		}
+		batch, err := rig.srv.pull(&ReplPull{ID: "race", Term: 1, After: after})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch.NeedSnapshot || batch.Reject != "" {
+			t.Fatalf("pull after %d (primary applied %d): need snapshot %v, reject %q",
+				after, batch.Applied, batch.NeedSnapshot, batch.Reject)
+		}
+		for _, e := range batch.Events {
+			if e.Seq != after+1 {
+				t.Fatalf("pull shipped seq %d after %d", e.Seq, after)
+			}
+			after = e.Seq
+		}
+	}
+}
+
 // TestReplPullAheadRejected: a puller claiming more applied events than
 // the primary has is irreconcilable — reject, don't ship.
 func TestReplPullAheadRejected(t *testing.T) {

@@ -28,7 +28,9 @@ const (
 	// 100ms): a crash loses at most one interval of acknowledged events.
 	FsyncInterval = "interval"
 	// FsyncNever (the default) flushes at admission boundaries and on
-	// stop but leaves syncing to the OS page cache.
+	// stop but leaves syncing to the OS page cache. A replicated primary
+	// also flushes before each follower pull (ReplServer.pull), not per
+	// event.
 	FsyncNever = "never"
 )
 
@@ -223,7 +225,7 @@ func (d *Daemon) Start() {
 					continue // admissions replicate from the primary
 				}
 				d.mu.Lock()
-				if _, pending, _ := d.g.Live(); pending > 0 {
+				if d.g.PendingCount() > 0 {
 					d.applyLocked(eventlog.Event{Type: eventlog.Admit})
 				}
 				d.mu.Unlock()
@@ -367,7 +369,7 @@ func (d *Daemon) maybeAdmitLocked() bool {
 	if d.cfg.AdmitPending <= 0 {
 		return false
 	}
-	if _, pending, _ := d.g.Live(); pending >= d.cfg.AdmitPending {
+	if d.g.PendingCount() >= d.cfg.AdmitPending {
 		d.applyLocked(eventlog.Event{Type: eventlog.Admit})
 		return true
 	}
@@ -649,7 +651,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.cfg.MaxPending > 0 {
-		if _, pending, _ := d.g.Live(); pending+len(bases) > d.cfg.MaxPending {
+		if pending := d.g.PendingCount(); pending+len(bases) > d.cfg.MaxPending {
 			d.rej429.Add(1)
 			w.Header().Set("Retry-After", d.retryAfter())
 			httpError(w, http.StatusTooManyRequests,
@@ -713,7 +715,7 @@ func (d *Daemon) handleEvent(w http.ResponseWriter, r *http.Request) {
 				nSubmit++
 			}
 		}
-		if _, pending, _ := d.g.Live(); nSubmit > 0 && pending+nSubmit > d.cfg.MaxPending {
+		if pending := d.g.PendingCount(); nSubmit > 0 && pending+nSubmit > d.cfg.MaxPending {
 			d.rej429.Add(1)
 			w.Header().Set("Retry-After", d.retryAfter())
 			httpError(w, http.StatusTooManyRequests,

@@ -11,7 +11,9 @@ import (
 )
 
 // snapshotVersion guards the wire format; Restore rejects anything else.
-const snapshotVersion = 1
+// Version 2 embeds the set-hash digest (digest.go); the digest of a
+// version-1 document cannot be verified, so it is refused too.
+const snapshotVersion = 2
 
 // SnapJob is one occupied job slot in a snapshot.
 type SnapJob struct {
@@ -61,7 +63,8 @@ type Snapshot struct {
 }
 
 // Snapshot externalises the grid. The result is self-verifying: Digest is
-// the grid's state digest, and Restore recomputes and checks it.
+// the grid's state digest, the set hash over its slot, machine and list
+// records (digest.go), and Restore recomputes and checks it.
 func (g *Grid) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version:  snapshotVersion,
@@ -118,7 +121,9 @@ func (g *Grid) WriteSnapshot(w io.Writer) error {
 
 // Restore rebuilds a grid from a snapshot and verifies the stored digest
 // against the rebuilt state — a restore that would diverge from the
-// snapshotted grid fails loudly instead of drifting silently.
+// snapshotted grid fails loudly instead of drifting silently. The check
+// folds every record from scratch, which also seeds the restored grid's
+// digest cache: its later digests cost O(changed) like the live grid's.
 //
 // The ETC matrix is reconstructed from the deterministic value formula:
 // occupied rows get real values on every alive column and on the row's
