@@ -7,31 +7,26 @@
 //	gridd -addr :8437 -log gridd.log           # with a write-ahead event log
 //	gridd -log gridd.log -fsync always         # durable acknowledgements
 //	gridd -snapshot snap.json -log gridd.log   # restore + replay, then serve
-//	gridd -load -jobs 1000000 -machines 64     # million-job load harness
-//	gridd -load -fsync-sweep                   # fsync policy ladder rows
-//	gridd -crashtest -kills 256                # WAL crash-recovery torture
-//	gridd -selfcheck                           # snapshot/restart/replay smoke
 //
 // Replication (see the "Replication & failover" section of the README):
 //
 //	gridd -log p.log -replicate-listen :8438   # primary: ship the WAL to followers
 //	gridd -log f.log -replica-of host:8438     # hot standby; POST /promote to take over
-//	gridd -failovertest -cases 8 -faults 12    # seeded kill-and-promote torture
+//
+// gridd is only the server. Its load harness, crash and failover
+// tortures and restart self-check are tests of internal/daemon
+// (go test ./internal/daemon/); its measured workloads live in
+// benchmark/ (bash benchmark/run.sh).
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -59,31 +54,10 @@ func main() {
 		maxBody    = flag.Int64("max-body", 1<<20, "request body cap in bytes (413 beyond it)")
 		reqTimeout = flag.Duration("req-timeout", 30*time.Second, "per-request handler deadline (0 disables)")
 
-		load       = flag.Bool("load", false, "run the load harness against an in-process daemon")
-		jobs       = flag.Int("jobs", 1_000_000, "load: total submissions")
-		machines   = flag.Int("machines", 64, "load: machines joined at start")
-		live       = flag.Int("live", 2048, "load: steady-state in-flight jobs")
-		batch      = flag.Int("batch", 512, "load: submissions per HTTP request")
-		coldEvery  = flag.Int("cold-every", 25, "load: sample a cold re-solve every N batches")
-		cvb        = flag.String("cvb", "", "load: CVB gamma task bases, \"hi\" or \"lo\" (default: uniform integers)")
-		failEvery  = flag.Int("fail-every", 0, "load: machine-failure storm every N batches (0 disables)")
-		fsyncSweep = flag.Bool("fsync-sweep", false, "load: one row per fsync policy (never, interval, always) with a WAL")
-		out        = flag.String("out", "BENCH_gridd.json", "load: benchmark report path")
-
-		crashtest = flag.Bool("crashtest", false, "run the WAL crash-recovery torture and exit")
-		kills     = flag.Int("kills", 256, "crashtest: fault points to torture")
-		ctEvents  = flag.Int("events", 400, "crashtest/failovertest: reference script length")
-
-		selfcheck = flag.Bool("selfcheck", false, "run the snapshot/restart/replay smoke check and exit")
-
 		replListen = flag.String("replicate-listen", "", "serve WAL-shipping replication to followers on this TCP address (requires -log)")
 		replicaOf  = flag.String("replica-of", "", "run as a hot standby pulling from this primary replication address")
 		replID     = flag.String("replica-id", "", "follower identity reported to the primary (default: the listen address)")
 		maxLag     = flag.Uint64("max-lag", 4096, "replica: /readyz flips to 503 replica-lag beyond this many events behind")
-
-		failovertest = flag.Bool("failovertest", false, "run the seeded replication failover torture and exit")
-		ftCases      = flag.Int("cases", 8, "failovertest: independent kill-and-promote scenarios")
-		ftFaults     = flag.Int("faults", 12, "failovertest: chaos fault budget per case")
 	)
 	flag.Parse()
 
@@ -105,47 +79,14 @@ func main() {
 		RequestTimeout: *reqTimeout,
 	}
 
-	switch {
-	case *selfcheck:
-		if err := runSelfcheck(scfg); err != nil {
-			fatal(err)
-		}
-	case *failovertest:
-		if err := runFailoverTest(gcfg, *seed, *ftCases, *ctEvents, *ftFaults); err != nil {
-			fatal(err)
-		}
-	case *crashtest:
-		if err := runCrashTest(gcfg, *seed, *ctEvents, *kills); err != nil {
-			fatal(err)
-		}
-	case *load:
-		lcfg := daemon.LoadConfig{
-			Jobs:       *jobs,
-			Machines:   *machines,
-			LiveTarget: *live,
-			Batch:      *batch,
-			ColdEvery:  *coldEvery,
-			Seed:       gcfg.Seed,
-			CVB:        *cvb,
-			FailEvery:  *failEvery,
-		}
-		policies := []string{*fsync}
-		if *fsyncSweep {
-			policies = []string{daemon.FsyncNever, daemon.FsyncInterval, daemon.FsyncAlways}
-		}
-		if err := runLoad(scfg, lcfg, policies, *fsyncSweep, *out); err != nil {
-			fatal(err)
-		}
-	default:
-		ropts := replOptions{
-			Listen:  *replListen,
-			Primary: *replicaOf,
-			ID:      *replID,
-			MaxLag:  *maxLag,
-		}
-		if err := serve(scfg, *addr, *snapPath, ropts); err != nil {
-			fatal(err)
-		}
+	ropts := replOptions{
+		Listen:  *replListen,
+		Primary: *replicaOf,
+		ID:      *replID,
+		MaxLag:  *maxLag,
+	}
+	if err := serve(scfg, *addr, *snapPath, ropts); err != nil {
+		fatal(err)
 	}
 }
 
@@ -301,261 +242,4 @@ func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions) er
 		return nil
 	}
 	return err
-}
-
-// runFailoverTest runs the seeded replication failover torture and
-// prints its summary.
-func runFailoverTest(gcfg daemon.Config, seed uint64, cases, events, faults int) error {
-	res, err := daemon.FailoverTest(daemon.FailoverTestConfig{
-		Grid:   gcfg,
-		Seed:   seed,
-		Cases:  cases,
-		Events: events,
-		Faults: faults,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	b, jerr := json.MarshalIndent(res, "", "  ")
-	if jerr != nil {
-		return jerr
-	}
-	faultTotal := 0
-	for _, n := range res.Faults {
-		faultTotal += n
-	}
-	fmt.Printf("gridd failovertest: ok — %d promotions survived %d injected faults (%d snapshot boots, %d fenced, %d stale-term), promoted digests bit-identical to the dead primaries\n%s\n",
-		res.Promotions, faultTotal, res.SnapshotBoots, res.Fenced, res.StaleTerm, b)
-	return nil
-}
-
-// runCrashTest runs the durability torture and prints its summary.
-func runCrashTest(gcfg daemon.Config, seed uint64, events, kills int) error {
-	res, err := daemon.CrashTest(daemon.CrashTestConfig{
-		Grid:   gcfg,
-		Seed:   seed,
-		Events: events,
-		Kills:  kills,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	b, jerr := json.MarshalIndent(res, "", "  ")
-	if jerr != nil {
-		return jerr
-	}
-	fmt.Printf("gridd crashtest: ok — %d kills survived (%d torn tails, %d clean, %d via snapshot), every recovery bit-identical\n%s\n",
-		res.Kills, res.TornTails, res.CleanTails, res.SnapshotRuns, b)
-	return nil
-}
-
-// runLoadRow spins an in-process daemon on a loopback port and drives
-// it with the HTTP load harness, returning one benchmark row.
-func runLoadRow(cfg daemon.ServerConfig, lcfg daemon.LoadConfig) (*daemon.LoadRow, error) {
-	cfg.Window = 0 // admissions purely threshold-driven: deterministic event stream
-	d, err := daemon.NewDaemon(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: d.Handler()}
-	go srv.Serve(ln)
-	defer func() {
-		srv.Close()
-		d.Stop()
-	}()
-
-	lcfg.BaseURL = "http://" + ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "gridd: load harness → %s (%d jobs, %d machines, live %d, fsync %s)\n",
-		lcfg.BaseURL, lcfg.Jobs, lcfg.Machines, lcfg.LiveTarget, cfg.Fsync)
-	lastTick := time.Now()
-	return daemon.RunLoad(lcfg, cfg.AdmitPending, func(done int) {
-		if time.Since(lastTick) > 5*time.Second {
-			lastTick = time.Now()
-			fmt.Fprintf(os.Stderr, "gridd: %d/%d submitted\n", done, lcfg.Jobs)
-		}
-	})
-}
-
-// runLoad produces the benchmark report: one row per fsync policy. In
-// sweep mode each row writes a real WAL (a scratch file when -log is
-// unset) so the ladder measures actual durability cost.
-func runLoad(cfg daemon.ServerConfig, lcfg daemon.LoadConfig, policies []string, sweep bool, out string) error {
-	var scratch string
-	if sweep && cfg.LogPath == "" {
-		dir, err := os.MkdirTemp("", "gridd-load-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		scratch = dir
-	}
-	var rows []daemon.LoadRow
-	for i, policy := range policies {
-		rcfg := cfg
-		rcfg.Fsync = policy
-		if scratch != "" {
-			rcfg.LogPath = filepath.Join(scratch, fmt.Sprintf("wal-%d.log", i))
-		}
-		row, err := runLoadRow(rcfg, lcfg)
-		if err != nil {
-			return fmt.Errorf("load row (fsync %s): %w", policy, err)
-		}
-		fmt.Printf("gridd load [fsync %s]: %d jobs, %.0f jobs/s, p50 %.3fms p99 %.3fms, warm %.3fms vs cold %.3fms (%.1fx), makespan ratio %.3f\n",
-			row.Fsync, row.Jobs, row.ThroughputPS, row.LatP50Ms, row.LatP99Ms,
-			row.WarmAdmitMeanMs, row.ColdMeanMs, row.WarmSpeedup, row.MakespanRatio)
-		rows = append(rows, *row)
-	}
-	report := daemon.LoadReport{
-		Name:      "gridd-load",
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoArch:    runtime.GOARCH,
-		Rows:      rows,
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("gridd load: %d row(s) → %s\n", len(rows), out)
-	return nil
-}
-
-// runSelfcheck exercises the full restart contract over real HTTP and the
-// real filesystem: serve (with durable acknowledgements), submit,
-// snapshot to disk, keep going, kill, recover through the shared
-// restart entry point, and require the restored snapshot to be
-// byte-identical to the live one. CI runs this against a race-enabled
-// build.
-func runSelfcheck(cfg daemon.ServerConfig) error {
-	dir, err := os.MkdirTemp("", "gridd-selfcheck")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	cfg.Window = 0
-	cfg.AdmitPending = 16
-	cfg.LogPath = dir + "/gridd.log"
-	cfg.Fsync = daemon.FsyncAlways
-
-	d, err := daemon.NewDaemon(cfg)
-	if err != nil {
-		return err
-	}
-	d.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: d.Handler()}
-	go srv.Serve(ln)
-	base := "http://" + ln.Addr().String()
-
-	post := func(path string, body any) error {
-		b, _ := json.Marshal(body)
-		resp, err := http.Post(base+path, "application/json", bytes.NewReader(b))
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST %s: %s", path, resp.Status)
-		}
-		return nil
-	}
-	getBytes := func(path string) ([]byte, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		return io.ReadAll(resp.Body)
-	}
-
-	joins := []map[string]any{}
-	for i := 0; i < 4; i++ {
-		joins = append(joins, map[string]any{"type": "join", "mult": float64(1 + i%3)})
-	}
-	if err := post("/event", joins); err != nil {
-		return err
-	}
-	for b := 0; b < 5; b++ {
-		bases := make([]float64, 24)
-		for i := range bases {
-			bases[i] = float64(1 + (b+i)%8)
-		}
-		if err := post("/submit", daemon.SubmitRequest{Bases: bases}); err != nil {
-			return err
-		}
-	}
-	midSnap, err := getBytes("/snapshot")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(dir+"/snap.json", midSnap, 0o644); err != nil {
-		return err
-	}
-	// Keep going past the snapshot: completes, a failure, more load.
-	if err := post("/event", []map[string]any{
-		{"type": "complete", "job": 1}, {"type": "complete", "job": 2},
-		{"type": "fail", "mach": 2},
-	}); err != nil {
-		return err
-	}
-	if err := post("/submit", daemon.SubmitRequest{Bases: []float64{3, 1, 4, 1, 5}}); err != nil {
-		return err
-	}
-	if err := post("/admit", struct{}{}); err != nil {
-		return err
-	}
-	finalSnap, err := getBytes("/snapshot")
-	if err != nil {
-		return err
-	}
-	srv.Close()
-	if err := d.Stop(); err != nil {
-		return err
-	}
-
-	// "Restart": recover through the shared entry point — snapshot plus
-	// log suffix, exactly what serve does after a crash.
-	g, info, err := daemon.RecoverGrid(cfg.Grid, dir+"/snap.json", cfg.LogPath)
-	if err != nil {
-		return err
-	}
-	if info.Replayed == 0 {
-		return fmt.Errorf("selfcheck: no events to replay past the snapshot")
-	}
-	if info.TornTail {
-		return fmt.Errorf("selfcheck: clean shutdown left a torn WAL tail")
-	}
-	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
-		return err
-	}
-	if !bytes.Equal(buf.Bytes(), finalSnap) {
-		return fmt.Errorf("selfcheck FAILED: restored snapshot differs from live\nlive:     %s\nrestored: %s",
-			finalSnap, buf.Bytes())
-	}
-	fmt.Printf("gridd selfcheck: ok (snapshot seq %d + %d replayed events, %d snapshot bytes byte-identical)\n",
-		info.FromSnapshot, info.Replayed, len(finalSnap))
-	return nil
 }

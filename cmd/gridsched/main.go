@@ -29,7 +29,6 @@ import (
 	"gridcma"
 	"gridcma/internal/config"
 	"gridcma/internal/etc"
-	"gridcma/internal/island/dist"
 	"gridcma/internal/schedule"
 	"gridcma/internal/stats"
 )
@@ -52,17 +51,8 @@ func main() {
 		gantt    = flag.Bool("gantt", false, "render an ASCII gantt of the best schedule")
 		export   = flag.String("export", "", "write the best schedule's assignments as CSV to this file")
 		cfgPath  = flag.String("config", "", "JSON cMA configuration file (only with -alg cma)")
-
-		distTorture   = flag.Bool("disttorture", false, "run the distributed-island chaos torture and exit")
-		tortureFaults = flag.Int("torture-faults", 64, "disttorture: total seeded faults to inject")
-		tortureSeed   = flag.Uint64("torture-seed", 0x7041, "disttorture: fault-plan base seed")
 	)
 	flag.Parse()
-
-	if *distTorture {
-		runDistTorture(*tortureFaults, *tortureSeed)
-		return
-	}
 
 	if *list {
 		fmt.Println("metaheuristics:", strings.Join(gridcma.Algorithms(), " "))
@@ -274,25 +264,4 @@ func budgetString(b gridcma.Budget) string {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "gridsched:", err)
 	os.Exit(1)
-}
-
-// runDistTorture drives the deterministic chaos torture of the
-// distributed island engine: seeded fault plans (message drops, delays,
-// duplicates, worker kills, permanent deaths), every faulted run executed
-// twice and required to reproduce the predicted survivor set and digest
-// trajectory bit for bit.
-func runDistTorture(faults int, seed uint64) {
-	fmt.Printf("distributed-island chaos torture: %d faults, seed %#x\n", faults, seed)
-	rep, err := dist.Torture(dist.TortureConfig{
-		Faults: faults,
-		Seed:   seed,
-		Logf: func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("disttorture PASS: %d cases, %d faults, %d degraded, %d restarts, %.1fs\n",
-		rep.Cases, rep.Faults, rep.Degraded, rep.Restarts, rep.Elapsed.Seconds())
 }

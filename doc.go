@@ -140,19 +140,16 @@
 // generator: the same spec yields a byte-identical ETC matrix in every
 // process, entries are streamed row by row with no intermediate
 // allocations, and the :f32 suffix selects a float32 matrix backing —
-// half the bytes of the only jobs×machines structure. The evaluator's
-// State stays ~65 bytes per job at any scale (State.MemStats): its
-// per-machine lists and prefix sums live in shared backing arrays and
-// are rebuilt by an allocation-free bucket sort that is byte-identical
-// to the historical path, ETC ties included. cmd/gridsched -gen runs
-// any algorithm on a generated instance, cmd/experiments -run frontier
-// prints the scaling-ladder table, cmd/bench -frontier measures the
-// ladder up to 100000×1000 into the committed BENCH_frontier.json, and
-// cmd/gridd -load -cvb streams CVB task bases through the daemon. At
-// the 100k×1k rung a full LMCTS-driven cMA run completes in tens of
-// seconds per ten iterations on one core, with steady-state scans
-// costing microseconds — the cached-scan layer's O(changed) fold grows
-// with machine count, not matrix size.
+// half the bytes of the only jobs×machines structure. Everything the
+// evaluator's State owns is O(jobs + machines): its per-machine lists
+// and prefix sums live in shared backing arrays and are rebuilt by an
+// allocation-free bucket sort that is byte-identical to the historical
+// path, ETC ties included. cmd/gridsched -gen runs any algorithm on a
+// generated instance, cmd/experiments -run frontier prints the
+// scaling-ladder table, and the benchmark's batch-large workload
+// (benchmark/) runs the wave-parallel cMA on a 16384×256 instance.
+// Steady-state scans are the cached-scan layer's O(changed) fold, which
+// grows with machine count, not matrix size.
 //
 // # Online scheduling
 //
@@ -168,8 +165,10 @@
 // same event log reproduces the same schedule trajectory, byte for byte.
 // The simulator exports its event stream in the daemon's log format
 // (SimConfig.Record, gridsim -trace-out), so simulated workloads replay
-// through the daemon directly. BENCH_gridd.json holds the committed
-// million-job load-harness artifact.
+// through the daemon directly. GET /stats reports submit→placement and
+// admission latencies from fixed-memory histograms; the benchmark's
+// gridd-ingest and gridd-repl workloads (benchmark/) measure the daemon
+// over HTTP and under replication.
 //
 // # Distributed islands & failure model
 //
@@ -187,8 +186,8 @@
 // JSONL framing (one JSON header line plus one zero-allocation
 // population payload line) dialed against cmd/islandd worker daemons.
 // Every call carries a timeout and a jittered exponential retry policy
-// (internal/retry, the same client the gridd load harness uses to honour
-// 429 backpressure); transport failures mark the worker dead and the
+// (internal/retry, the same policy the daemon's load test uses to
+// honour 429 backpressure); transport failures mark the worker dead and the
 // supervisor lazily restarts it through the worker factory at the next
 // call, re-sending the population. A heartbeat loop (detection only)
 // notices silently hung workers between rounds. When a worker exhausts
@@ -204,10 +203,10 @@
 // (drops, delays, duplicates, kills with successful restart) are fully
 // absorbed by retry and reproduce the failure-free bytes, while
 // permanent deaths reproduce a predictable survivor set and per-round
-// digest trajectory. gridsched -disttorture replays dozens of seeded
-// message-level fault plans twice each and enforces all of it
-// bit-for-bit; BENCH_island_dist.json holds the committed round-latency,
-// recovery-time and degraded-quality numbers.
+// digest trajectory. The chaos torture (TestTortureSmall in
+// internal/island/dist) replays seeded message-level fault plans twice
+// each and enforces all of it bit-for-bit; the benchmark's island-tcp
+// workload (benchmark/) measures migration rounds over loopback TCP.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record.

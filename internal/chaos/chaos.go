@@ -183,7 +183,7 @@ func Plan(seed uint64, n int, size int64) []Fault {
 // dropped, delayed past timeouts, delivered twice, or the worker process
 // dies — once (the supervisor restarts it) or for good (the migration
 // ring must heal around it). Plans are again pure functions of the seed,
-// so a disttorture case that fails names the exact fault schedule.
+// so a chaos-torture case that fails names the exact fault schedule.
 
 // MsgKind enumerates the injected message/worker fault types.
 type MsgKind int

@@ -168,37 +168,6 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 }
 
-// TestRunLoadWithStormsAndBackpressure drives the harness against a
-// daemon with a bounded pending queue while machine-failure storms hit
-// every few batches: the client must ride out 429s via Retry-After and
-// still place every submission.
-func TestRunLoadWithStormsAndBackpressure(t *testing.T) {
-	cfg := ServerConfig{Grid: testConfig(), AdmitPending: 24, MaxPending: 48, Window: 20 * time.Millisecond}
-	cfg.Grid.JobCap = 256
-	_, srv := newTestDaemon(t, cfg)
-
-	row, err := RunLoad(LoadConfig{
-		BaseURL:    srv.URL,
-		Jobs:       1200,
-		Machines:   6,
-		LiveTarget: 32,
-		Batch:      16,
-		Seed:       9,
-		FailEvery:  5,
-	}, cfg.AdmitPending, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Placed < uint64(row.Jobs) {
-		t.Fatalf("placed %d of %d submissions", row.Placed, row.Jobs)
-	}
-	if row.Storms == 0 {
-		t.Fatal("no storms injected despite FailEvery")
-	}
-	t.Logf("stormy load: %.0f jobs/s, %d storms, %d backpressure retries",
-		row.ThroughputPS, row.Storms, row.Rejected429)
-}
-
 // TestStopDrainsBeforeWALClose pins the shutdown ordering: a stopped
 // daemon's log replays to exactly the digest the live daemon reported,
 // i.e. the final flush happened after the last acknowledged request.

@@ -71,10 +71,10 @@
 // snapshot and a stray temp file, never a half-document.
 //
 // RecoverGrid is the single restart entry point — snapshot (if any)
-// plus log suffix — used by the daemon binary, the selfcheck and the
-// CrashTest torture, which kills the write path at hundreds of seeded
-// byte offsets (internal/chaos) and requires every recovery to
-// reproduce the reference digest trajectory bit for bit.
+// plus log suffix — used by the daemon binary, the restart test and the
+// crash torture (crashtest_test.go), which kills the write path at
+// dozens of seeded byte offsets (internal/chaos) and requires every
+// recovery to reproduce the reference digest trajectory bit for bit.
 //
 // Under overload the daemon degrades instead of falling over: a bounded
 // pending queue pushes back with 429 + Retry-After, request bodies and
@@ -105,12 +105,12 @@
 // caught-up pull and "replica-lag" beyond ReplicatorConfig.MaxLag, so
 // a balancer never routes reads to a stale standby.
 //
-// FailoverTest is the seeded torture for exactly this path: chaos on
-// the replication stream (drops, delays, duplicates, partitions,
-// connection kills), then a mid-stream primary kill and a promotion
-// per case, with the promoted node's digest trajectory required to be
-// bit-identical to the dead primary's acked prefix and the whole run a
-// pure function of its seed.
+// The failover torture (failover_test.go) is the seeded torture for
+// exactly this path: chaos on the replication stream (drops, delays,
+// duplicates, partitions, connection kills), then a mid-stream primary
+// kill and a promotion per case, with the promoted node's digest
+// trajectory required to be bit-identical to the dead primary's acked
+// prefix and the whole run a pure function of its seed.
 package daemon
 
 import (

@@ -9,7 +9,7 @@ import (
 // BenchmarkAdmitSteady measures one steady-state admission window at the
 // 2048-live x 64-machine ladder point: 512 completes drain, 512 fresh
 // submissions, one admit — only the admit is timed. This is the warm
-// half of the BENCH_gridd warm-vs-cold comparison.
+// half of the warm-vs-cold comparison GET /coldcheck reports.
 func BenchmarkAdmitSteady(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.JobCap = 8192

@@ -16,8 +16,16 @@ func testConfig() Config {
 	return cfg
 }
 
-// driver is the tests' name for the deterministic event generator the
-// crash-torture harness owns (crashtest.go).
+// griddConfig is the grid cmd/gridd serves when no flag is set:
+// DefaultConfig with 4096 initial job slots.
+func griddConfig() Config {
+	cfg := DefaultConfig()
+	cfg.JobCap = 4096
+	return cfg
+}
+
+// driver is the tests' name for the deterministic event generator
+// behind Script (script.go).
 type driver = scriptGen
 
 func newDriver(seed uint64, machCap int) *driver {

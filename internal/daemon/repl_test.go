@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -681,5 +682,122 @@ func TestReplPullAheadRejected(t *testing.T) {
 	}
 	if batch.Reject != RejectAhead {
 		t.Fatalf("ahead pull reject %q, want %q", batch.Reject, RejectAhead)
+	}
+}
+
+// TestReplicationTwoFollowersThenPromote streams one primary to two
+// followers over TCP, each with its own pull loop, while the primary
+// takes a script; both must converge to the primary's digest and WAL
+// bytes. Then the primary dies mid-script and follower 0 is promoted:
+// its term moves to 2, it takes the next write, and the dead primary's
+// WAL is a byte prefix of its own.
+func TestReplicationTwoFollowersThenPromote(t *testing.T) {
+	dir := t.TempDir()
+	gcfg := DefaultConfig()
+	pLog := filepath.Join(dir, "primary.log")
+	primary, err := NewDaemon(ServerConfig{Grid: gcfg, LogPath: pLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Stop() })
+	rs, err := NewReplServer(primary, ReplConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsrv := transport.NewServer(rs)
+	go tsrv.Serve(ln)
+	kill := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		tsrv.Shutdown(ctx)
+	}
+	t.Cleanup(kill)
+
+	var fLogs []string
+	var followers []*Daemon
+	var repls []*Replicator
+	for i := 0; i < 2; i++ {
+		fLogs = append(fLogs, filepath.Join(dir, fmt.Sprintf("follower-%d.log", i)))
+		f, err := NewDaemon(ServerConfig{Grid: gcfg, LogPath: fLogs[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Stop() })
+		r, err := NewReplicator(f, ReplicatorConfig{
+			Primary: ln.Addr().String(),
+			ID:      fmt.Sprintf("follower-%d", i),
+			Poll:    time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Stop)
+		r.Run()
+		followers, repls = append(followers, f), append(repls, r)
+	}
+
+	script := Script(3, gcfg.MachCap, 400)
+	half := len(script) / 2
+	for i, e := range script[:half] {
+		if _, err := primary.ApplyEvent(e); err != nil {
+			t.Fatalf("primary apply %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for _, f := range followers {
+		for f.AppliedSeq() != primary.AppliedSeq() || f.ReplicaLag() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower stuck at %d of %d", f.AppliedSeq(), primary.AppliedSeq())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	if err := primary.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	pWAL, err := os.ReadFile(pLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range followers {
+		if fd, pd := f.GridDigest(), primary.GridDigest(); fd != pd {
+			t.Fatalf("follower %d digest %s, primary %s", i, fd, pd)
+		}
+		if err := f.FlushWAL(); err != nil {
+			t.Fatal(err)
+		}
+		if fWAL, err := os.ReadFile(fLogs[i]); err != nil || !bytes.Equal(fWAL, pWAL) {
+			t.Fatalf("follower %d WAL differs from the primary's (%v)", i, err)
+		}
+	}
+
+	// Kill the primary: the replication listener drops and the daemon
+	// stops. Promote follower 0 and write the next scripted event.
+	kill()
+	primary.Stop()
+	term, err := repls[0].Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if term != 2 {
+		t.Fatalf("promoted to term %d, want 2", term)
+	}
+	if _, err := followers[0].ApplyEvent(script[half]); err != nil {
+		t.Fatalf("first write on the promoted node: %v", err)
+	}
+	if err := followers[0].FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	fWAL, err := os.ReadFile(fLogs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fWAL) <= len(pWAL) || !bytes.Equal(fWAL[:len(pWAL)], pWAL) {
+		t.Fatalf("dead primary's WAL (%d bytes) is not a strict prefix of the promoted node's (%d bytes)", len(pWAL), len(fWAL))
 	}
 }

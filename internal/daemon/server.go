@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -87,8 +86,8 @@ type Daemon struct {
 
 	// Latency accounting (wall clock; observability only, never state).
 	submitAt  map[uint64]time.Time
-	placeLat  []float64 // submit→placement seconds, one per placed job
-	admitWall []float64 // wall seconds per admission window
+	placeLat  latHist // submit→placement, one sample per placed job
+	admitWall latHist // wall time of each admission window
 	started   time.Time
 
 	stop     chan struct{}
@@ -350,10 +349,10 @@ func (d *Daemon) applyLocked(e eventlog.Event) (eventlog.Event, error) {
 		d.submitAt[e.Job] = time.Now()
 	case eventlog.Admit:
 		now := time.Now()
-		d.admitWall = append(d.admitWall, now.Sub(t0).Seconds())
+		d.admitWall.record(now.Sub(t0))
 		for _, p := range d.g.LastPlacements() {
 			if at, ok := d.submitAt[p.Job]; ok {
-				d.placeLat = append(d.placeLat, now.Sub(at).Seconds())
+				d.placeLat.record(now.Sub(at))
 				delete(d.submitAt, p.Job)
 			}
 		}
@@ -830,34 +829,14 @@ type Stats struct {
 	ReplicaLag uint64 `json:"replica_lag,omitempty"`
 }
 
-// LatStats summarises a wall-clock sample set in milliseconds.
+// LatStats summarises a wall-clock sample set in milliseconds; the
+// percentiles come from a fixed-memory histogram (latency.go) and are
+// within 1/64 relative error.
 type LatStats struct {
 	Count  int     `json:"count"`
 	P50Ms  float64 `json:"p50_ms"`
 	P99Ms  float64 `json:"p99_ms"`
 	MeanMs float64 `json:"mean_ms"`
-}
-
-// summarize computes count/mean/p50/p99 over seconds samples.
-func summarize(samples []float64) LatStats {
-	s := LatStats{Count: len(samples)}
-	if s.Count == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	q := func(p float64) float64 {
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i] * 1e3
-	}
-	s.P50Ms = q(0.50)
-	s.P99Ms = q(0.99)
-	s.MeanMs = sum / float64(len(sorted)) * 1e3
-	return s
 }
 
 // StatsNow builds the current stats under the daemon lock.
@@ -874,8 +853,8 @@ func (d *Daemon) StatsNow() Stats {
 		Machines:  machines,
 		Makespan:  mk,
 		Flowtime:  fl,
-		Latency:   summarize(d.placeLat),
-		AdmitWall: summarize(d.admitWall),
+		Latency:   d.placeLat.stats(),
+		AdmitWall: d.admitWall.stats(),
 		UptimeS:   time.Since(d.started).Seconds(),
 
 		Fsync:       cmp.Or(d.cfg.Fsync, FsyncNever),

@@ -116,15 +116,19 @@ func TestServerSubmitQueryStats(t *testing.T) {
 	}
 }
 
-// TestServerRestartReplaysByteIdentical is the CI smoke contract: run a
-// daemon with a write-ahead log, snapshot mid-stream, keep running, then
-// build a second daemon from the snapshot plus the log suffix and compare
-// full snapshots byte for byte.
+// TestServerRestartReplaysByteIdentical is the restart contract: run a
+// daemon with a write-ahead log and durable acknowledgements, snapshot
+// mid-stream to disk, keep running, then rebuild the grid from the
+// snapshot plus the log suffix and compare full snapshots byte for
+// byte — once replaying the log by hand while the daemon runs, once
+// through RecoverGrid (the entry point gridd restarts through) after
+// the daemon stopped.
 func TestServerRestartReplaysByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "gridd.log")
-	cfg := ServerConfig{Grid: testConfig(), AdmitPending: 3, LogPath: logPath}
-	_, srv := newTestDaemon(t, cfg)
+	snapPath := filepath.Join(dir, "snap.json")
+	cfg := ServerConfig{Grid: testConfig(), AdmitPending: 3, LogPath: logPath, Fsync: FsyncAlways}
+	d, srv := newTestDaemon(t, cfg)
 
 	postJSON(t, srv.URL+"/event", []map[string]any{
 		{"type": "join", "mult": 1}, {"type": "join", "mult": 2}, {"type": "join", "mult": 1},
@@ -141,6 +145,9 @@ func TestServerRestartReplaysByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if err := os.WriteFile(snapPath, midSnap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Keep going: complete, fail a machine, more submissions, admissions.
 	postJSON(t, srv.URL+"/event", []map[string]any{
@@ -193,6 +200,27 @@ func TestServerRestartReplaysByteIdentical(t *testing.T) {
 	if !bytes.Equal(finalLive.Bytes(), restoredSnap.Bytes()) {
 		t.Fatalf("restored snapshot differs from live:\nlive     %s\nrestored %s",
 			strings.TrimSpace(finalLive.String()), strings.TrimSpace(restoredSnap.String()))
+	}
+
+	// Restart: stop the daemon, recover from the snapshot file plus the
+	// log suffix.
+	srv.Close()
+	if err := d.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	g, info, err := RecoverGrid(cfg.Grid, snapPath, logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed == 0 || info.TornTail {
+		t.Fatalf("recovery replayed %d events (torn tail %v), want > 0 and a clean tail", info.Replayed, info.TornTail)
+	}
+	restoredSnap.Reset()
+	if err := g.WriteSnapshot(&restoredSnap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(finalLive.Bytes(), restoredSnap.Bytes()) {
+		t.Fatal("snapshot recovered after the restart differs from live")
 	}
 }
 
@@ -325,40 +353,4 @@ func TestServerColdCheck(t *testing.T) {
 	if d.g.Digest() != before {
 		t.Fatal("cold re-solve mutated the live grid")
 	}
-}
-
-// TestRunLoadSmall runs the load harness end to end against an in-process
-// daemon: real HTTP, thousands of submissions, steady-state completions,
-// cold sampling — the same path the million-job artifact uses.
-func TestRunLoadSmall(t *testing.T) {
-	cfg := ServerConfig{Grid: testConfig(), AdmitPending: 32}
-	cfg.Grid.JobCap = 256
-	_, srv := newTestDaemon(t, cfg)
-
-	row, err := RunLoad(LoadConfig{
-		BaseURL:    srv.URL,
-		Jobs:       3000,
-		Machines:   8,
-		LiveTarget: 128,
-		Batch:      64,
-		ColdEvery:  10,
-		Seed:       5,
-	}, cfg.AdmitPending, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Placed < uint64(row.Jobs) {
-		t.Fatalf("placed %d of %d submissions", row.Placed, row.Jobs)
-	}
-	if row.LatP50Ms <= 0 || row.LatP99Ms < row.LatP50Ms {
-		t.Fatalf("latency percentiles p50=%v p99=%v", row.LatP50Ms, row.LatP99Ms)
-	}
-	if row.ColdSamples == 0 || row.ColdMeanMs <= 0 {
-		t.Fatalf("no cold samples in %+v", row)
-	}
-	if row.WarmMakespan <= 0 || row.ColdMakespan <= 0 {
-		t.Fatalf("missing quality columns in %+v", row)
-	}
-	t.Logf("small load: %.0f jobs/s, p50 %.2fms p99 %.2fms, warm %.3fms cold %.3fms (%.1fx), mk ratio %.3f",
-		row.ThroughputPS, row.LatP50Ms, row.LatP99Ms, row.WarmAdmitMeanMs, row.ColdMeanMs, row.WarmSpeedup, row.MakespanRatio)
 }

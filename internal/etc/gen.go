@@ -270,9 +270,9 @@ func sortEven[E interface{ ~float32 | ~float64 }](row, scratch []E) {
 // BaseStream returns a deterministic stream of CVB task base times — the
 // per-task mean draw of the generator's two-level gamma model (mean
 // GenTaskMean, CV of the given heterogeneity level, clamped ≥ 1). The
-// online daemon's load harness draws submission bases from it, so a
-// streamed workload carries the same task heterogeneity as a generated
-// frontier matrix instead of small uniform integers.
+// benchmark's gridd-ingest workload draws submission bases from it, so
+// a streamed workload carries the same task heterogeneity as a
+// generated frontier matrix instead of small uniform integers.
 func BaseStream(seed uint64, het Heterogeneity) func() float64 {
 	v := cv(het)
 	alpha := 1 / (v * v)

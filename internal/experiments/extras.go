@@ -60,7 +60,7 @@ type FrontierRow struct {
 
 // DefaultFrontierSpecs is the ladder Frontier walks when the caller has
 // no explicit specs — sized so an iteration-bounded run finishes in
-// table time, not bench time (cmd/bench -frontier owns the 100k×1k rung).
+// table time; gridsched -gen runs the 100k×1k rung.
 var DefaultFrontierSpecs = []string{
 	"4096x64:c_hihi:s1", "8192x128:c_hihi:s1", "16384x128:c_hihi:s1",
 }

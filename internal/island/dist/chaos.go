@@ -113,39 +113,3 @@ func (p *ChaosPlan) allowRestart(w, r int) bool {
 	dr, ok := p.downFrom[w]
 	return !ok || r < dr
 }
-
-// PredictSurvivors returns the island ids expected alive after a run of
-// `rounds` rounds under the fault plan: an island dies exactly when its
-// pinned worker (island i → worker i % workers) has a permanent death
-// scheduled before the final round completes. This is the oracle the
-// disttorture harness checks every faulted run against.
-func PredictSurvivors(faults []chaos.MsgFault, islands, workers, rounds int) []int {
-	downFrom := make(map[int]int)
-	for _, f := range faults {
-		if f.Kind != chaos.MsgDown {
-			continue
-		}
-		if cur, ok := downFrom[f.Worker]; !ok || f.Round < cur {
-			downFrom[f.Worker] = f.Round
-		}
-	}
-	var out []int
-	for i := 0; i < islands; i++ {
-		if dr, ok := downFrom[i%workers]; ok && dr < rounds {
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// HasPermanentDeath reports whether the plan contains any MsgDown fault
-// (i.e. whether a run under it is expected to degrade).
-func HasPermanentDeath(faults []chaos.MsgFault) bool {
-	for _, f := range faults {
-		if f.Kind == chaos.MsgDown {
-			return true
-		}
-	}
-	return false
-}

@@ -199,7 +199,7 @@ func New(cfg Config, factory WorkerFactory) (*Coordinator, error) {
 	return c, nil
 }
 
-// SetChaos installs a fault plan (disttorture only).
+// SetChaos installs a fault plan (the chaos torture only).
 func (c *Coordinator) SetChaos(p *ChaosPlan) { c.chaos = p }
 
 // Close releases every worker client.

@@ -165,7 +165,7 @@ func TestPermanentDeathDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded run should complete, got %v", err)
 	}
-	want := PredictSurvivors(plan, rig.dcfg.Islands, rig.dcfg.Workers, rig.rounds)
+	want := predictSurvivors(plan, rig.dcfg.Islands, rig.dcfg.Workers, rig.rounds)
 	if !sameInts(rep.Survivors, want) {
 		t.Fatalf("survivors %v, oracle predicted %v", rep.Survivors, want)
 	}
@@ -285,22 +285,5 @@ func TestBudgetMustBeIterationOnly(t *testing.T) {
 	defer coord.Close()
 	if _, _, err := coord.Run(rig.in, run.Budget{MaxTime: time.Second}, 1); err == nil {
 		t.Fatal("expected an error for a wall-clock budget")
-	}
-}
-
-// TestTortureSmall runs the full torture harness at CI scale.
-func TestTortureSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("torture is not a -short test")
-	}
-	rep, err := Torture(TortureConfig{Faults: 16, Timeout: time.Minute, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Faults < 16 {
-		t.Fatalf("torture stopped early: %+v", rep)
-	}
-	if rep.Degraded == 0 {
-		t.Fatalf("fault mix never exercised permanent death: %+v", rep)
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"testing"
 	"time"
 
 	"gridcma/internal/chaos"
@@ -15,28 +16,26 @@ import (
 	"gridcma/internal/transport"
 )
 
-// TortureConfig parameterises the deterministic chaos torture
-// (gridsched -disttorture). Zero values take the documented defaults.
-type TortureConfig struct {
-	// Faults is the total seeded-fault budget across all cases (0 = 64).
+// tortureConfig parameterises the deterministic chaos torture.
+type tortureConfig struct {
+	// Faults is the total seeded-fault budget across all cases.
 	Faults int
 	// Seed derives every case's fault plan; the same seed reproduces the
 	// same torture bit for bit.
 	Seed uint64
-	// Timeout bounds each individual run (0 = 60s): a hung barrier is a
-	// failure, not a wait.
+	// Timeout bounds each individual run: a hung barrier is a failure,
+	// not a wait.
 	Timeout time.Duration
 	// Logf receives per-case progress (nil = silent).
 	Logf func(format string, args ...any)
 }
 
-// TortureReport summarises a completed torture.
-type TortureReport struct {
-	Cases    int           `json:"cases"`
-	Faults   int           `json:"faults"`
-	Degraded int           `json:"degraded"` // cases that lost islands (and still finished)
-	Restarts int           `json:"restarts"` // supervisor restarts across all runs
-	Elapsed  time.Duration `json:"elapsed"`
+// tortureReport summarises a completed torture.
+type tortureReport struct {
+	Cases    int
+	Faults   int
+	Degraded int // cases that lost islands (and still finished)
+	Restarts int // supervisor restarts across all runs
 }
 
 // faultsPerCase is how many seeded faults each torture case carries —
@@ -108,36 +107,25 @@ func (r *tortureRig) runOnce(plan []chaos.MsgFault, seed uint64, heartbeat bool,
 	return coord.Run(r.in, budget, seed)
 }
 
-// Torture is the deterministic chaos harness behind gridsched
-// -disttorture. For every case it draws a seeded fault plan
+// torture is the deterministic chaos harness. For every case it draws a seeded fault plan
 // (chaos.MsgPlan), runs the distributed engine under it twice, and
 // requires:
 //
 //   - bit-equality between the two runs: identical digest trajectories,
 //     survivor sets and best schedules — a faulted run is a pure function
 //     of (seed, plan);
-//   - the survivor set predicted by the PredictSurvivors oracle;
+//   - the survivor set predicted by the predictSurvivors oracle;
 //   - for plans with no permanent death, bit-equality with the
 //     failure-free distributed run AND the in-process island scheduler —
 //     transient faults (drops, delays, duplicates, kills with successful
 //     restart) are fully absorbed by retry and supervision;
 //   - completion within the per-run timeout — degraded runs heal the
 //     ring and finish on the survivors instead of hanging the barrier.
-func Torture(tc TortureConfig) (*TortureReport, error) {
-	if tc.Faults <= 0 {
-		tc.Faults = 64
-	}
-	if tc.Timeout <= 0 {
-		tc.Timeout = 60 * time.Second
-	}
-	if tc.Seed == 0 {
-		tc.Seed = 0x7041
-	}
+func torture(tc tortureConfig) (*tortureReport, error) {
 	logf := tc.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	start := time.Now()
 
 	rig, err := newTortureRig()
 	if err != nil {
@@ -166,58 +154,57 @@ func Torture(tc TortureConfig) (*TortureReport, error) {
 	// trajectory.
 	cleanRes, cleanRep, err := rig.runOnce(nil, runSeed, false, tc.Timeout, 0)
 	if err != nil {
-		return nil, fmt.Errorf("disttorture: failure-free run: %w", err)
+		return nil, fmt.Errorf("torture: failure-free run: %w", err)
 	}
 	if err := sameResult(cleanRes, ref); err != nil {
-		return nil, fmt.Errorf("disttorture: failure-free dist run diverged from in-process island scheduler: %w", err)
+		return nil, fmt.Errorf("torture: failure-free dist run diverged from in-process island scheduler: %w", err)
 	}
-	logf("disttorture: failure-free run matches in-process scheduler (fitness %.4f, %d rounds)", cleanRes.Fitness, cleanRep.Rounds)
+	logf("torture: failure-free run matches in-process scheduler (fitness %.4f, %d rounds)", cleanRes.Fitness, cleanRep.Rounds)
 
-	rep := &TortureReport{}
+	rep := &tortureReport{}
 	for caseIdx := 0; rep.Faults < tc.Faults; caseIdx++ {
 		planSeed := tc.Seed + uint64(caseIdx)*0x9e3779b97f4a7c15
 		plan := chaos.MsgPlan(planSeed, faultsPerCase, rig.dcfg.Workers, rig.rounds)
-		degraded := HasPermanentDeath(plan)
-		want := PredictSurvivors(plan, rig.dcfg.Islands, rig.dcfg.Workers, rig.rounds)
+		degraded := hasPermanentDeath(plan)
+		want := predictSurvivors(plan, rig.dcfg.Islands, rig.dcfg.Workers, rig.rounds)
 		hb := caseIdx%2 == 1
 
 		res1, rep1, err := rig.runOnce(plan, runSeed, hb, tc.Timeout, time.Millisecond)
 		if err != nil {
-			return nil, fmt.Errorf("disttorture: case %d (plan %v): %w", caseIdx, plan, err)
+			return nil, fmt.Errorf("torture: case %d (plan %v): %w", caseIdx, plan, err)
 		}
 		res2, rep2, err := rig.runOnce(plan, runSeed, hb, tc.Timeout, time.Millisecond)
 		if err != nil {
-			return nil, fmt.Errorf("disttorture: case %d replay (plan %v): %w", caseIdx, plan, err)
+			return nil, fmt.Errorf("torture: case %d replay (plan %v): %w", caseIdx, plan, err)
 		}
 
 		if !sameInts(rep1.Survivors, want) {
-			return nil, fmt.Errorf("disttorture: case %d: survivors %v, oracle predicted %v (plan %v)", caseIdx, rep1.Survivors, want, plan)
+			return nil, fmt.Errorf("torture: case %d: survivors %v, oracle predicted %v (plan %v)", caseIdx, rep1.Survivors, want, plan)
 		}
 		if !sameInts(rep1.Survivors, rep2.Survivors) {
-			return nil, fmt.Errorf("disttorture: case %d: survivor sets differ between identical runs: %v vs %v", caseIdx, rep1.Survivors, rep2.Survivors)
+			return nil, fmt.Errorf("torture: case %d: survivor sets differ between identical runs: %v vs %v", caseIdx, rep1.Survivors, rep2.Survivors)
 		}
 		if !sameStrings(rep1.Digests, rep2.Digests) {
-			return nil, fmt.Errorf("disttorture: case %d: digest trajectories differ between identical runs", caseIdx)
+			return nil, fmt.Errorf("torture: case %d: digest trajectories differ between identical runs", caseIdx)
 		}
 		if err := sameResult(res1, res2); err != nil {
-			return nil, fmt.Errorf("disttorture: case %d: results differ between identical runs: %w", caseIdx, err)
+			return nil, fmt.Errorf("torture: case %d: results differ between identical runs: %w", caseIdx, err)
 		}
 		if degraded {
 			rep.Degraded++
 		} else {
 			if !sameStrings(rep1.Digests, cleanRep.Digests) {
-				return nil, fmt.Errorf("disttorture: case %d: transient-only plan %v changed the digest trajectory", caseIdx, plan)
+				return nil, fmt.Errorf("torture: case %d: transient-only plan %v changed the digest trajectory", caseIdx, plan)
 			}
 			if err := sameResult(res1, ref); err != nil {
-				return nil, fmt.Errorf("disttorture: case %d: transient-only plan %v changed the result: %w", caseIdx, plan, err)
+				return nil, fmt.Errorf("torture: case %d: transient-only plan %v changed the result: %w", caseIdx, plan, err)
 			}
 		}
 		rep.Cases++
 		rep.Faults += len(plan)
 		rep.Restarts += rep1.Restarts + rep2.Restarts
-		logf("disttorture: case %2d ok: %d faults, survivors %v, degraded=%v, restarts=%d", caseIdx, len(plan), rep1.Survivors, degraded, rep1.Restarts)
+		logf("torture: case %2d ok: %d faults, survivors %v, degraded=%v, restarts=%d", caseIdx, len(plan), rep1.Survivors, degraded, rep1.Restarts)
 	}
-	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
@@ -272,4 +259,58 @@ func sameStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// predictSurvivors returns the island ids expected alive after a run of
+// `rounds` rounds under the fault plan: an island dies exactly when its
+// pinned worker (island i → worker i % workers) has a permanent death
+// scheduled before the final round completes. This is the oracle the
+// torture checks every faulted run against.
+func predictSurvivors(faults []chaos.MsgFault, islands, workers, rounds int) []int {
+	downFrom := make(map[int]int)
+	for _, f := range faults {
+		if f.Kind != chaos.MsgDown {
+			continue
+		}
+		if cur, ok := downFrom[f.Worker]; !ok || f.Round < cur {
+			downFrom[f.Worker] = f.Round
+		}
+	}
+	var out []int
+	for i := 0; i < islands; i++ {
+		if dr, ok := downFrom[i%workers]; ok && dr < rounds {
+			continue
+		}
+		out = append(out, i)
+	}
+	return out
+}
+
+// hasPermanentDeath reports whether the plan contains any MsgDown fault
+// (i.e. whether a run under it is expected to degrade).
+func hasPermanentDeath(faults []chaos.MsgFault) bool {
+	for _, f := range faults {
+		if f.Kind == chaos.MsgDown {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTortureSmall runs the full torture harness at its CI budget:
+// 16 faults from the base seed 0x7041.
+func TestTortureSmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("torture is not a -short test")
+	}
+	rep, err := torture(tortureConfig{Faults: 16, Seed: 0x7041, Timeout: time.Minute, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Faults < 16 {
+		t.Fatalf("torture stopped early: %+v", rep)
+	}
+	if rep.Degraded == 0 {
+		t.Fatalf("fault mix never exercised permanent death: %+v", rep)
+	}
 }

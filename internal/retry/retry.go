@@ -1,7 +1,7 @@
 // Package retry provides the context-aware retry policy shared by every
-// client-side call path that must survive transient failure: the gridd
-// load harness honouring 429 backpressure and the distributed island
-// engine's RPC transport. One vocabulary covers both: capped attempts,
+// client-side call path that must survive transient failure: the
+// daemon's load-test client honouring 429 backpressure and the
+// distributed island engine's RPC transport. One vocabulary covers both: capped attempts,
 // jittered exponential backoff between them, and server-advertised delays
 // (Retry-After) that override the computed backoff for one round.
 //
@@ -27,8 +27,8 @@ import (
 type Policy struct {
 	// MaxAttempts bounds the total number of calls. 0 means the default
 	// (4); a negative value retries without bound (the caller's context
-	// is then the only way out — the load harness uses this to wait out
-	// backpressure however long an admission window takes).
+	// is then the only way out — the daemon's load test uses this to
+	// wait out backpressure however long an admission window takes).
 	MaxAttempts int
 	// Initial is the backoff before the second attempt (0 = 50ms).
 	Initial time.Duration

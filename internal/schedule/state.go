@@ -727,48 +727,3 @@ func (st *State) CopyFrom(src *State) {
 	st.top.copyFrom(&src.top)
 	st.copyListsFrom(src)
 }
-
-// MemStats is the state's resident footprint by component, counting
-// capacities (pooled headroom included) but not the shared ETC instance —
-// that is etc.Instance.Bytes. BytesPerJob is the scale-governing ratio
-// the frontier benchmark reports: everything here is O(J + M), so the
-// ratio must stay a small constant as instances grow.
-type MemStats struct {
-	Jobs, Machs  int
-	AssignBytes  int // schedule vector, slot table, rebuild key cache
-	ListBytes    int // per-machine job-id lists (shared region backing)
-	PrefixBytes  int // per-slot completion/flowtime prefix sums
-	MachineBytes int // per-machine scalars, epochs, tournament tree, carve scratch
-	ScratchBytes int // sweep/diff/sample scratch and the scan-cache memo
-	TotalBytes   int
-	BytesPerJob  float64
-}
-
-// MemStats gauges the state's current memory footprint. Per-machine lists
-// are accounted through the shared backing arrays; a list that outgrew
-// its region (rare, reabsorbed at the next carve) carries a private
-// allocation this gauge does not see.
-func (st *State) MemStats() MemStats {
-	ms := MemStats{Jobs: len(st.assign), Machs: len(st.machJobs)}
-	ms.AssignBytes = cap(st.assign)*8 + cap(st.slot)*4 + cap(st.jobKey)*8
-	ms.ListBytes = cap(st.backing) * 4
-	ms.PrefixBytes = (cap(st.backCumC) + cap(st.backCumF)) * 8
-	ms.MachineBytes = (cap(st.completion)+cap(st.machFlow))*8 +
-		cap(st.machEpoch)*8 + cap(st.dirtyIDs)*4 + cap(st.dirtyMark) +
-		(cap(st.counts)+cap(st.regOff))*4 +
-		cap(st.top.win)*4 + cap(st.top.val)*8 +
-		(len(st.machJobs)+len(st.machCumC)+len(st.machCumF))*24 // slice headers
-	ms.ScratchBytes = (cap(st.sweepFit)+cap(st.sweepA)+cap(st.sweepB))*8 +
-		(cap(st.diffJobs)+cap(st.diffMachs))*4 + cap(st.diffMark) +
-		cap(st.scanExempt) + cap(st.sampleIDs)*4 +
-		(cap(st.swapScan.u)+cap(st.swapScan.v))*8 +
-		(cap(st.swapScan.ids)+cap(st.swapScan.segM)+cap(st.swapScan.off))*4 +
-		cap(st.scanCache.entryEpoch)*8 + cap(st.scanCache.entryVal)*8 +
-		(cap(st.scanCache.entryAPos)+cap(st.scanCache.entryB))*4
-	ms.TotalBytes = ms.AssignBytes + ms.ListBytes + ms.PrefixBytes +
-		ms.MachineBytes + ms.ScratchBytes
-	if ms.Jobs > 0 {
-		ms.BytesPerJob = float64(ms.TotalBytes) / float64(ms.Jobs)
-	}
-	return ms
-}
