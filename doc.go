@@ -67,8 +67,11 @@
 //
 // The evaluation layer (internal/schedule) works at five temperatures.
 // Scratch evaluation (Objective.Evaluate, NewState, State.SetSchedule)
-// rebuilds everything from a genotype — the entry point for crossover
-// offspring and external schedules. Incremental evaluation (State.Move,
+// rebuilds everything from a genotype — the entry point for external
+// schedules. The cMA rebuilds a crossover child from its first parent
+// with State.SetScheduleFrom, which copies the parent's evaluation and
+// re-lists only the jobs whose machine differs instead of sorting every
+// list, bit-identical to SetSchedule. Incremental evaluation (State.Move,
 // State.Swap) maintains per-machine completions, flowtime and an indexed
 // tournament tree over the completions, making Makespan, MakespanMachine
 // and the scalarised fitness O(1) reads with O(log M) maintenance —
@@ -91,7 +94,13 @@
 // each machine's scan result so a query re-sweeps only the machines that
 // changed and folds the rest from the memo — O(changed) per iteration
 // instead of O(M) machines, bit-identical to a full rescan, collapsing
-// steady-state LMCTS scans by orders of magnitude. The local searches
+// steady-state LMCTS scans by orders of magnitude. A re-swept entry's
+// pair scan is pruned but exact: both job lists are in SPT order, so
+// visiting them from their tails lets a lower bound stop each row at the
+// first pair that provably loses, and a lexicographic (value, SPT
+// position, id) update keeps the winner independent of the visiting
+// order — an LMCTS step that commits a swap and re-sweeps every entry
+// costs about a tenth of the full pair sweep. The local searches
 // (LM, SLM, LMCTS), SA and tabu search score candidates with the hottest
 // applicable mode and commit only accepted steps — their hot loops
 // allocate nothing and run several times faster than the historical

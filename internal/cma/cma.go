@@ -502,7 +502,7 @@ func (e *engine) recombineInto(c int, s *evalpool.Scratch, popAt func(int) *sche
 		}
 	}
 	e.cfg.Crossover.Cross(popAt(p1).ScheduleView(), popAt(p2).ScheduleView(), s.Buf, r)
-	s.St.SetSchedule(s.Buf)
+	s.St.SetScheduleFrom(popAt(p1), s.Buf)
 	e.cfg.LocalSearch.Improve(s.St, e.cfg.Objective, e.cfg.LSIterations, r)
 	return e.cfg.Objective.Of(s.St)
 }

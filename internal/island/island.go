@@ -179,95 +179,12 @@ func (s *Scheduler) RunPooled(in *etc.Instance, budget run.Budget, seed uint64, 
 	return best
 }
 
-// runPooledWholesale is the historical schedule-resume loop: every
-// segment exports populations as plain schedules and the next rebuilds
-// each State from scratch. It is the reference the cache-aware RunPooled
-// is pinned bit-identical against (TestStatesPathMatchesWholesale) and
-// the baseline of the migration benchmark; the distributed workers run
-// the equivalent of this path one segment at a time.
-func (s *Scheduler) runPooledWholesale(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, pool *evalpool.Pool) run.Result {
-	if !budget.Bounded() {
-		panic("island: unbounded budget")
-	}
-	if pool == nil || pool.Instance() != in {
-		pool = evalpool.New(in)
-	}
-	start := time.Now()
-	n := s.cfg.Islands
-	pops := make([][]schedule.Schedule, n) // nil until first segment
-	results := make([]run.Result, n)
-
-	var best run.Result
-	totalIters := 0
-	var totalEvals int64
-
-	for !budget.Done(totalIters, start) {
-		segIters := s.cfg.MigrationEvery
-		if budget.MaxIterations > 0 && totalIters+segIters > budget.MaxIterations {
-			segIters = budget.MaxIterations - totalIters
-		}
-		segBudget := run.Budget{MaxIterations: segIters}.WithContext(budget.Context())
-		if budget.MaxTime > 0 {
-			remaining := budget.MaxTime - time.Since(start)
-			if remaining <= 0 {
-				break
-			}
-			segBudget.MaxTime = remaining
-		}
-
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				defer wg.Done()
-				islandSeed := SegmentSeed(seed, i, totalIters)
-				res, pop := s.inner.RunWithPopulationPooled(in, segBudget, islandSeed, nil, pops[i], pool)
-				results[i] = res
-				pops[i] = pop
-			}(i)
-		}
-		wg.Wait()
-
-		for i := 0; i < n; i++ {
-			totalEvals += results[i].Evals
-			if results[i].Better(best) {
-				best = results[i]
-			}
-		}
-		totalIters += segIters
-		s.migrate(in, pops)
-	}
-
-	best.Iterations = totalIters
-	best.Evals = totalEvals
-	best.Elapsed = time.Since(start)
-	best.Algorithm = s.Name()
-	return best
-}
-
-// migrate copies each island's Migrants best individuals to its ring
-// successor, replacing the successor's worst individuals. This is the
-// wholesale-schedule form of the exchange, shared with the distributed
-// coordinator via PlanMigration/ApplyMigration.
-func (s *Scheduler) migrate(in *etc.Instance, pops [][]schedule.Schedule) {
-	o := s.cfg.Base.Objective
-	fits := make([][]float64, len(pops))
-	for i, pop := range pops {
-		f := make([]float64, len(pop))
-		for k, sched := range pop {
-			f[k] = o.Evaluate(in, sched)
-		}
-		fits[i] = f
-	}
-	ApplyMigration(pops, PlanMigration(fits, s.cfg.Migrants, nil))
-}
-
 // migrateStates is the cache-aware exchange over live States: migrants
 // are applied through SetScheduleDiff, dirtying only the machines whose
 // job sets actually changed, so the destination island's next local
 // search warm-starts instead of re-scanning every machine.
 //
-// Fitness ranking must be bit-identical to migrate's fresh
+// Fitness ranking must be bit-identical to the wholesale exchange's fresh
 // Objective.Evaluate: per-machine completions already are (incremental
 // maintenance refreshes whole machines), but a State's flowtime
 // accumulator drifts in the low bits under subtract-then-add updates, so

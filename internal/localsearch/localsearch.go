@@ -299,10 +299,10 @@ func tryCommitSwap(st *schedule.State, o schedule.Objective, cur float64, a, b i
 // neighborhood through the state's event-driven scan cache: the memoized
 // per-machine bests answer the scan in O(changed) re-swept machines plus
 // an O(M) fold, and the winner — value and (a, b) pair — is the exact
-// swap bestCriticalSwap's full sweep finds. The accept logic is
-// unchanged: the swap must reduce the critical completion pair strictly,
-// and the scalarised fitness must improve (checked with the speculative
-// probe before any state churn).
+// swap the uncached full sweep finds (sweepCriticalSwap, the test
+// reference). The accept logic is unchanged: the swap must reduce the
+// critical completion pair strictly, and the scalarised fitness must
+// improve (checked with the speculative probe before any state churn).
 func cachedCriticalSwap(st *schedule.State, sc *schedule.ScanCache, o schedule.Objective, cur float64) (float64, bool) {
 	v, a, b := sc.BestCriticalSwap()
 	if b < 0 || v >= st.Completion(st.MakespanMachine()) {
@@ -312,22 +312,11 @@ func cachedCriticalSwap(st *schedule.State, sc *schedule.ScanCache, o schedule.O
 }
 
 // bestCriticalSwap performs one steepest swap step between the critical
-// machine and the rest, given the state's current fitness cur. samples > 0
-// examines that many random partner jobs per critical job (drawn from r,
-// one at a time, so sampling allocates nothing) — the SampledLMCTS path.
-// samples == 0 scans all jobs, batched machine by machine over the swap
-// sweep: since the event-driven rewrite this uncached full scan is kept
-// as the reference formulation the cached LMCTS is differentially tested
-// and benchmarked against. Returns the fitness after the step and whether
-// a swap was applied.
-//
-// The historical full scan walked every partner job in ascending id order
-// with a strict-< fold, so among candidates tied on max(aC, bC) the first
-// critical job in SPT order won, and for that job the smallest partner id.
-// The batched scan reproduces that winner exactly: per critical job it
-// keeps the minimum with an explicit smallest-id tie-break across the
-// machine-grouped sweeps, then folds per-job minima strictly — pinned by
-// the tie-heavy trajectory differentials in localsearch_test.go.
+// machine and samples random partner jobs per critical job (drawn from r,
+// one at a time, so sampling allocates nothing) — the SampledLMCTS path,
+// given the state's current fitness cur. Returns the fitness after the
+// step and whether a swap was applied. Candidates fold strict-<, so among
+// ties the first draw wins.
 func bestCriticalSwap(st *schedule.State, o schedule.Objective, cur float64, samples int, r *rng.Source) (float64, bool) {
 	in := st.Instance()
 	crit := st.MakespanMachine()
@@ -335,37 +324,19 @@ func bestCriticalSwap(st *schedule.State, o schedule.Objective, cur float64, sam
 	if len(critJobs) == 0 {
 		return cur, false
 	}
-	critC := st.Completion(crit)
-
 	bestA, bestB := -1, -1
-	bestMax := critC // any accepted swap must reduce the critical completion pair
-
-	if samples <= 0 {
-		// The partner-side invariants are cached once per step
-		// (BeginSwapScan) and every critical job folds its best partner
-		// from the flat cache — the per-job minimum with the smallest-id
-		// tie-break, then a strict fold across critical jobs, reproduces
-		// the historical ascending-id scan's winner exactly.
-		scan := st.BeginSwapScan(crit)
-		for _, a := range critJobs {
-			v, b := scan.BestPartner(int(a))
-			if b >= 0 && v < bestMax {
-				bestMax, bestA, bestB = v, int(a), b
+	bestMax := st.Completion(crit) // any accepted swap must reduce the critical completion pair
+	for _, a := range critJobs {
+		for k := 0; k < samples; k++ {
+			// The candidate order is the RNG stream itself, so the
+			// sampled scan stays on the scalar pair query.
+			b := r.Intn(in.Jobs)
+			if st.Assign(b) == crit {
+				continue
 			}
-		}
-	} else {
-		for _, a := range critJobs {
-			for k := 0; k < samples; k++ {
-				// The candidate order is the RNG stream itself, so the
-				// sampled scan stays on the scalar pair query.
-				b := r.Intn(in.Jobs)
-				if st.Assign(b) == crit {
-					continue
-				}
-				aC, bC := st.CompletionAfterSwap(int(a), b)
-				if v := math.Max(aC, bC); v < bestMax {
-					bestMax, bestA, bestB = v, int(a), b
-				}
+			aC, bC := st.CompletionAfterSwap(int(a), b)
+			if v := math.Max(aC, bC); v < bestMax {
+				bestMax, bestA, bestB = v, int(a), b
 			}
 		}
 	}

@@ -6,10 +6,13 @@ import "math"
 // (etc.GenSpec.Float32, halving a frontier matrix's footprint): the few
 // evaluation loops hot enough to read the flat matrix directly dispatch
 // once on the backing and run these stencils under ETC32, mirroring the
-// hand-written float64 loops at their call sites line for line. (The
+// hand-written float64 loops at their call sites line for line. (Those
 // float64 originals stay hand-written rather than instantiating these
 // with E = float64: the generic instantiation measured 10–40% slower on
 // the scan benchmarks, and those loops carry the bit-identity contract.)
+// gatherPartners is the exception: a plain gather, it serves both
+// backings for the cached scan (whose pair loop is then shared) and for
+// BeginSwapScan.
 // Entries are widened to float64 at the load; all arithmetic downstream
 // of the load is identical for both backings.
 //
@@ -29,39 +32,21 @@ func swapSweepFill[E etcElem](etc []E, machs, ma, m int, caBase, w, cm float64, 
 	}
 }
 
-// appendPartnerInvariants is BeginSwapScan's per-machine capture: partner
-// job b contributes u = ETC[b][crit] and v = completion[m] − ETC[b][m].
-func appendPartnerInvariants[E etcElem](etc []E, machs, crit, m int, cm float64, jobs []int32, u, v []float64, ids []int32) ([]float64, []float64, []int32) {
-	for _, b := range jobs {
+// gatherPartners captures the partner side of critical-machine swaps
+// for partner machine m's list: u[k] = ETC[b][crit] and v[k] =
+// completion[m] − ETC[b][m] for the job b at slot k. It returns the
+// minimum u. ScanCache.bestOn gathers one memo entry's list with it and
+// BeginSwapScan each machine's segment.
+func gatherPartners[E etcElem](etc []E, machs, crit, m int, cm float64, jobs []int32, u, v []float64) float64 {
+	minU := math.Inf(1)
+	for k, b := range jobs {
 		row := int(b) * machs
-		u = append(u, float64(etc[row+crit]))
-		v = append(v, cm-float64(etc[row+m]))
-		ids = append(ids, b)
-	}
-	return u, v, ids
-}
-
-// bestOnKernel is ScanCache.bestOn's pair scan: the minimum over critical
-// jobs a and partner jobs b on machine m of max(aC, bC), with bestOn's
-// lexicographic (value, aPos, b) tie-break. See bestOn for the exactness
-// argument; this is the same loop parameterised over the matrix element.
-func bestOnKernel[E etcElem](etc []E, machs int, critC, cm float64, critJobs, jobs []int32, crit, m int) (float64, int32, int32) {
-	best := math.Inf(1)
-	bestAPos, bestB := int32(-1), int32(-1)
-	for apos, a := range critJobs {
-		aRow := etc[int(a)*machs : int(a)*machs+machs]
-		ca := critC - float64(aRow[crit])
-		w := float64(aRow[m])
-		for _, b := range jobs {
-			row := int(b) * machs
-			x := ca + float64(etc[row+crit])
-			if y := (cm - float64(etc[row+m])) + w; y > x {
-				x = y
-			}
-			if x < best || (x == best && int32(apos) == bestAPos && b < bestB) {
-				best, bestAPos, bestB = x, int32(apos), b
-			}
+		x := float64(etc[row+crit])
+		if x < minU {
+			minU = x
 		}
+		u[k] = x
+		v[k] = cm - float64(etc[row+m])
 	}
-	return best, bestAPos, bestB
+	return minU
 }

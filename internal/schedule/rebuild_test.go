@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -160,5 +161,58 @@ func BenchmarkRebuildBucket(b *testing.B) {
 		} else {
 			st.SetSchedule(c)
 		}
+	}
+}
+
+// BenchmarkOffspringRebuild is the cMA's per-offspring rebuild on
+// 512x16: one-point crossover children of parents drawn from a
+// population of 25, each the same random schedule with the given share of
+// its jobs reassigned at random (the cMA seeds its population with share
+// 0.3). "parent" rebuilds from the first parent (SetScheduleFrom), as
+// the cMA does; "full" sorts every list (SetSchedule). Warm, neither may allocate (CI's
+// allocation guard runs this at -benchtime 1x).
+func BenchmarkOffspringRebuild(b *testing.B) {
+	for _, share := range []float64{0.05, 0.3} {
+		in := randInstance(1, 512, 16)
+		r := rng.New(2)
+		seed := NewRandom(in, r)
+		pop := make([]*State, 25)
+		for i := range pop {
+			s := seed.Clone()
+			Perturb(s, in, r, share)
+			pop[i] = NewState(in, s)
+		}
+		type cross struct {
+			parent *State
+			child  Schedule
+		}
+		crosses := make([]cross, 64)
+		for i := range crosses {
+			p1, p2 := pop[r.Intn(len(pop))], pop[r.Intn(len(pop))]
+			cut := r.Intn(in.Jobs)
+			crosses[i] = cross{p1, append(p1.Schedule()[:cut], p2.ScheduleView()[cut:]...)}
+		}
+		st := NewState(in, seed)
+		b.Run(fmt.Sprintf("share=%g/parent", share), func(b *testing.B) {
+			for _, c := range crosses {
+				st.SetScheduleFrom(c.parent, c.child)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := crosses[i%len(crosses)]
+				st.SetScheduleFrom(c.parent, c.child)
+			}
+		})
+		b.Run(fmt.Sprintf("share=%g/full", share), func(b *testing.B) {
+			for _, c := range crosses {
+				st.SetSchedule(c.child)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.SetSchedule(crosses[i%len(crosses)].child)
+			}
+		})
 	}
 }

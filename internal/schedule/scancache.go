@@ -22,13 +22,14 @@ import (
 // drops from O(M) machines to O(changed), and to a plain O(M) fold of
 // cached scalars once the cache is warm.
 //
-// Exactness. Every memoized entry is produced by the same arithmetic, in
-// the same order, as SwapScan.BestPartner's flat scan, and an entry is
-// reused only while both its machine's epoch and the critical machine's
-// (identity, epoch) pair are unchanged — the inputs of every float in the
-// entry. The per-machine/fold decomposition reproduces the historical
-// ascending-id scan's winner exactly (see bestOn for the tie-break
-// argument), so a cached query equals a full rescan bit for bit; the
+// Exactness. Every memoized entry scores its pairs with the same
+// arithmetic as SwapScan.BestPartner's flat scan, skipping only pairs it
+// can prove lose, and an entry is reused only while both its machine's
+// epoch and the critical machine's (identity, epoch) pair are unchanged —
+// the inputs of every float in the entry. The per-machine/fold
+// decomposition reproduces the historical ascending-id scan's winner
+// exactly (see bestOn for the tie-break and pruning arguments), so a
+// cached query equals a full rescan bit for bit; the
 // differential fuzz in scancache_test.go pins this across thousands of
 // random commit/invalidate sequences, tie-heavy integer instances
 // included.
@@ -197,48 +198,79 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 // bestOn computes partner machine m's memo entry: the minimum over
 // critical jobs a and jobs b on m of max(aC, bC) — the completion pair
 // CompletionAfterSwap(a, b) reports — with the winning critical job's SPT
-// position and partner id. Same arithmetic, same order as
-// SwapScan.BestPartner's flat scan, so every emitted float is
-// bit-identical to the full-sweep path.
+// position and partner id.
 //
-// The tie-break makes the per-machine/fold decomposition exact. The
-// historical scan folds strict-< across critical jobs (first a in SPT
-// order wins a tie) and smallest-id within one (per-a BestPartner).
-// bestOn keeps the lexicographic minimum of (value, aPos, b): a later
-// critical job never displaces an equal value, and a smaller partner id
-// only displaces within the same critical job. Folding the per-machine
-// entries by the same lexicographic order then yields the global
-// (value, aPos, b) minimum — the exact winner of the flat scan, because
-// no machine can hold a pair lexicographically below its own entry.
+// Exactness. Every pair that is scored uses the arithmetic of
+// SwapScan.BestPartner's flat scan, aC = (critC − ETC[a][crit]) +
+// ETC[b][crit] and bC = (cm − ETC[b][m]) + ETC[a][m], so every emitted
+// float is bit-identical to the full-sweep path. The entry is the
+// lexicographic minimum of (value, aPos, b): the historical scan folds
+// strict-< across critical jobs (first a in SPT order wins a tie) and
+// smallest-id within one (per-a BestPartner), so folding the per-machine
+// entries by the same lexicographic order (BestCriticalSwap) yields the
+// exact winner of the flat scan — no machine holds a pair
+// lexicographically below its own entry.
+//
+// Pruning. The scan skips pairs it can prove lose, and stays exact
+// because of four facts:
+//   - Both lists are in SPT order: critJobs ascends in ETC[a][crit] and
+//     m's list in ETC[b][m] (ties by id, state.go).
+//   - Round-to-nearest addition and subtraction are monotone, so
+//     ca = critC − ETC[a][crit] never increases along critJobs, and
+//     v[k] = cm − ETC[b_k][m] never increases along m's list.
+//   - ETC entries are finite and non-negative, so no NaN arises and every
+//     comparison below is a total order on the values compared.
+//   - The update compares (value, aPos, b) lexicographically, so the
+//     winner does not depend on the order pairs are visited in.
+//
+// Critical jobs are visited from the tail of their list, where ca is
+// smallest: ca + minU bounds every value of row a from below and never
+// decreases in this order, so the scan stops once it exceeds best. A row
+// whose smallest bC, v[n−1] + w, exceeds best is skipped, and partners
+// are visited from the tail of m's list, where bC = v[k] + w is smallest
+// and grows, so each row stops at the first bC above best. Every cut is
+// on a strict >: a pair tying best may still win on (aPos, b) and is
+// always scored.
 func (st *State) bestOn(m, crit int, critJobs []int32) (float64, int32, int32) {
 	jobs := st.machJobs[m]
-	if len(jobs) == 0 {
+	n := len(jobs)
+	if n == 0 {
 		return math.Inf(1), -1, -1
 	}
-	machs := st.inst.Machs
-	cm := st.completion[m]
+	in := st.inst
 	critC := st.completion[crit]
-	etcs := st.inst.ETC
-	if etcs == nil {
-		// Narrow frontier backing: same loop, stenciled over float32
-		// (kernels.go). The float64 path below stays hand-written — this
-		// scan is the hottest loop in the engine and the generic
-		// instantiation measures ~40ns/query slower.
-		return bestOnKernel(st.inst.ETC32, machs, critC, cm, critJobs, jobs, crit, m)
+	st.scanU, st.scanV = grown(st.scanU, n), grown(st.scanV, n)
+	u, v := st.scanU, st.scanV
+	var minU float64
+	if etcs := in.ETC; etcs != nil {
+		minU = gatherPartners(etcs, in.Machs, crit, m, st.completion[m], jobs, u, v)
+	} else {
+		minU = gatherPartners(in.ETC32, in.Machs, crit, m, st.completion[m], jobs, u, v)
 	}
+	minV := v[n-1]
 	best := math.Inf(1)
 	bestAPos, bestB := int32(-1), int32(-1)
-	for apos, a := range critJobs {
-		aRow := etcs[int(a)*machs : int(a)*machs+machs]
-		ca := critC - aRow[crit]
-		w := aRow[m]
-		for _, b := range jobs {
-			row := int(b) * machs
-			x := ca + etcs[row+crit]
-			if y := (cm - etcs[row+m]) + w; y > x {
+	for apos := len(critJobs) - 1; apos >= 0; apos-- {
+		a := int(critJobs[apos])
+		ca := critC - in.At(a, crit)
+		if ca+minU > best {
+			break
+		}
+		w := in.At(a, m)
+		if minV+w > best {
+			continue
+		}
+		for k := n - 1; k >= 0; k-- {
+			y := v[k] + w
+			if y > best {
+				break
+			}
+			x := ca + u[k]
+			if y > x {
 				x = y
 			}
-			if x < best || (x == best && int32(apos) == bestAPos && b < bestB) {
+			if b := jobs[k]; x < best || (x == best &&
+				(int32(apos) < bestAPos || (int32(apos) == bestAPos && b < bestB))) {
 				best, bestAPos, bestB = x, int32(apos), b
 			}
 		}

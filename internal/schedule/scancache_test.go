@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -99,6 +100,173 @@ func TestCachedScanMatchesFullSweep(t *testing.T) {
 			t.Fatalf("instance %d: only %d differential queries", i, queries)
 		}
 	}
+}
+
+// bruteCriticalSwap is the brute-force oracle of BestCriticalSwap,
+// computed without the swap scan: the lexicographic (value, aPos, b)
+// minimum over every pair of a critical job (at SPT position aPos) and a
+// job b on a non-critical, non-exempt machine, each scored by the scalar
+// pair query CompletionAfterSwap.
+func bruteCriticalSwap(st *State) (float64, int, int) {
+	exempt := func(m int) bool { return st.scanExempt != nil && st.scanExempt[m] }
+	crit := st.MakespanMachine()
+	if exempt(crit) {
+		return math.Inf(1), -1, -1
+	}
+	critJobs := st.JobsOn(crit)
+	best, bestAPos, bestB := math.Inf(1), -1, -1
+	for apos, a := range critJobs {
+		for b := 0; b < st.inst.Jobs; b++ {
+			if m := st.Assign(b); m == crit || exempt(m) {
+				continue
+			}
+			v, bC := st.CompletionAfterSwap(int(a), b)
+			if bC > v {
+				v = bC
+			}
+			if v < best || (v == best && (apos < bestAPos || (apos == bestAPos && b < bestB))) {
+				best, bestAPos, bestB = v, apos, b
+			}
+		}
+	}
+	if bestB < 0 {
+		return math.Inf(1), -1, -1
+	}
+	return best, int(critJobs[bestAPos]), bestB
+}
+
+// checkBruteCriticalSwap compares the cached query with the brute-force
+// oracle bit for bit, twice: the second query folds a warm cache.
+func checkBruteCriticalSwap(t *testing.T, st *State, what string) {
+	t.Helper()
+	wv, wa, wb := bruteCriticalSwap(st)
+	for q := 0; q < 2; q++ {
+		gv, ga, gb := st.Scans(DefaultObjective).BestCriticalSwap()
+		if math.Float64bits(gv) != math.Float64bits(wv) || ga != wa || gb != wb {
+			t.Fatalf("%s: cached scan (%x,%d,%d) != brute force (%x,%d,%d)", what, gv, ga, gb, wv, wa, wb)
+		}
+	}
+}
+
+// f32Instance is a generated instance on the float32 ETC backing.
+func f32Instance(jobs, machs int, seed uint64) *etc.Instance {
+	in, err := etc.GenSpec{Jobs: jobs, Machs: machs,
+		Class: etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
+		Seed:  seed, Float32: true}.Generate()
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
+
+// bruteInstances is scanInstances plus float32-backed and tiny ones; the
+// tiny shapes make empty, single-job and one-job-critical machines
+// common.
+func bruteInstances() []*etc.Instance {
+	return append(scanInstances(),
+		f32Instance(64, 8, 87),
+		f32Instance(7, 5, 88),
+		tieInstance(6, 5, 89),
+		tieInstance(12, 6, 90),
+	)
+}
+
+// runBruteProgram drives a state over in through a byte program — three
+// bytes per step: an opcode and two operands — and checks the cached
+// query against the brute-force oracle after every step. Steps are
+// moves, swaps, scan-exemption toggles and drains that pile one
+// machine's jobs onto another (emptying it).
+func runBruteProgram(t *testing.T, in *etc.Instance, seed uint64, prog []byte) {
+	st := NewState(in, NewRandom(in, rng.New(seed)))
+	checkBruteCriticalSwap(t, st, "start")
+	for i := 0; i+2 < len(prog); i += 3 {
+		x, y := int(prog[i+1]), int(prog[i+2])
+		switch prog[i] % 8 {
+		case 0, 1, 2:
+			st.Move(x%in.Jobs, y%in.Machs)
+		case 3, 4:
+			st.Swap(x%in.Jobs, y%in.Jobs)
+		case 5:
+			m := x % in.Machs
+			st.SetScanExempt(m, st.scanExempt == nil || !st.scanExempt[m])
+		case 6:
+			from, to := x%in.Machs, y%in.Machs
+			for len(st.JobsOn(from)) > 0 && from != to {
+				st.Move(int(st.JobsOn(from)[0]), to)
+			}
+		default:
+			st.SetSchedule(NewRandom(in, rng.New(seed+uint64(x))))
+		}
+		checkBruteCriticalSwap(t, st, fmt.Sprintf("%s step %d (op %d %d %d)", in.Name, i/3, prog[i], x, y))
+	}
+}
+
+// TestBestCriticalSwapMatchesBruteForce pins the pruned cached scan
+// against the brute-force oracle: random byte programs over random,
+// tie-heavy integer (duplicate partner invariants, where the (aPos, b)
+// tie-break binds) and float32-backed instances, plus hand-built
+// schedules with empty machines, single-job machines and a critical
+// machine holding one job.
+func TestBestCriticalSwapMatchesBruteForce(t *testing.T) {
+	for i, in := range bruteInstances() {
+		r := rng.New(uint64(i) + 1000)
+		prog := make([]byte, 3*400)
+		for k := range prog {
+			prog[k] = byte(r.Intn(256))
+		}
+		runBruteProgram(t, in, uint64(i)+1100, prog)
+	}
+	for _, in := range bruteInstances() {
+		// Everything on machine 0 but one job per other machine: single-job
+		// partners, and the same with every other machine empty.
+		s := make(Schedule, in.Jobs)
+		for j := 1; j < in.Jobs && j < in.Machs; j++ {
+			s[j] = j
+		}
+		st := NewState(in, s)
+		checkBruteCriticalSwap(t, st, in.Name+" single-job partners")
+		st.SetSchedule(make(Schedule, in.Jobs))
+		checkBruteCriticalSwap(t, st, in.Name+" all on one machine")
+		// A critical machine with one job: the job with the largest
+		// ETC alone on machine 0, the rest spread over the others.
+		if in.Machs < 2 {
+			continue
+		}
+		big := 0
+		for j := range s {
+			if in.At(j, 0) > in.At(big, 0) {
+				big = j
+			}
+		}
+		for j := range s {
+			s[j] = 1 + j%(in.Machs-1)
+		}
+		s[big] = 0
+		st.SetSchedule(s)
+		checkBruteCriticalSwap(t, st, in.Name+" one-job critical machine")
+	}
+}
+
+// FuzzBestCriticalSwap runs byte programs (runBruteProgram) over the
+// instances of bruteInstances, checking the cached critical-swap query
+// against the brute-force oracle after every step. The corpus is seeded
+// with one program per scanInstances instance.
+func FuzzBestCriticalSwap(f *testing.F) {
+	instances := bruteInstances()
+	for i := range scanInstances() {
+		r := rng.New(uint64(i) + 1200)
+		prog := make([]byte, 3*40)
+		for k := range prog {
+			prog[k] = byte(r.Intn(256))
+		}
+		f.Add(uint8(i), uint64(i)+1300, prog)
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, seed uint64, prog []byte) {
+		if len(prog) > 3*128 {
+			return // longer programs only repeat the same checks
+		}
+		runBruteProgram(t, instances[int(pick)%len(instances)], seed, prog)
+	})
 }
 
 // TestCachedMoveProbesMatchScalar pins the cache's move-side context:
@@ -330,10 +498,11 @@ func BenchmarkCachedScanQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkCachedScanRevalidate measures the event-driven path: one
-// committed move dirties two machines, the next query re-sweeps exactly
-// those and folds the rest from the memo — the O(changed) cost the delta
-// engine replaces the O(M) full sweep with. 0 allocs/op, CI-guarded.
+// BenchmarkCachedScanRevalidate measures the query after one random
+// committed move. A move always re-sweeps its source and target machines,
+// and most random moves also change the critical machine's contents (or
+// which machine is critical), which invalidates every entry: the query
+// then re-sweeps all partner machines. 0 allocs/op, CI-guarded.
 func BenchmarkCachedScanRevalidate(b *testing.B) {
 	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
 		0, etc.GenerateOptions{Seed: 1, Jobs: 512, Machs: 16})
@@ -346,5 +515,45 @@ func BenchmarkCachedScanRevalidate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
 		sc.BestCriticalSwap()
+	}
+}
+
+// BenchmarkCachedScanCritSwap measures the path LMCTS pays: commit the
+// query's own winning swap, which changes the critical machine's contents
+// and so invalidates every entry, then query again — a re-sweep of every
+// partner machine per iteration. When no swap reduces the critical
+// completion pair the state restarts from the next of a ring of random
+// schedules, as a fresh offspring would. 0 allocs/op, CI-guarded.
+func BenchmarkCachedScanCritSwap(b *testing.B) {
+	for _, sh := range []struct{ jobs, machs int }{{512, 16}, {2048, 64}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.jobs, sh.machs), func(b *testing.B) {
+			in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
+				0, etc.GenerateOptions{Seed: 1, Jobs: sh.jobs, Machs: sh.machs})
+			r := rng.New(7)
+			starts := make([]Schedule, 8)
+			for i := range starts {
+				starts[i] = NewRandom(in, r)
+			}
+			st := NewState(in, starts[0])
+			sc := st.Scans(DefaultObjective)
+			restarts := 0
+			step := func() {
+				v, a, p := sc.BestCriticalSwap()
+				if p < 0 || v >= st.Makespan() {
+					restarts++
+					st.SetSchedule(starts[restarts%len(starts)])
+					return
+				}
+				st.Swap(a, p)
+			}
+			for restarts < len(starts) { // warm every start's buffers
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }

@@ -71,6 +71,10 @@ type State struct {
 	sweepA   []float64
 	sweepB   []float64
 	swapScan SwapScan
+	// scanU/scanV hold the partner invariants of the cached critical-swap
+	// scan's current entry (ScanCache.bestOn), gathered once per entry.
+	scanU []float64
+	scanV []float64
 
 	// Scratch of SetScheduleDiff: changed job ids, changed machine ids and
 	// the per-machine membership mark. Pure scratch like the sweep buffers
@@ -218,26 +222,48 @@ func (st *State) rebuild() {
 			key[j] = st.inst.At(j, m)
 		}
 	}
-	cmp := func(a, b int32) int {
-		ka, kb := key[a], key[b]
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		default:
-			return int(a - b)
-		}
-	}
 	st.flowtime = 0
 	for m := range st.machJobs {
 		bucket := st.machJobs[m]
-		slices.SortFunc(bucket, cmp)
+		sortByKey(bucket, key)
 		for k, j := range bucket {
 			st.slot[j] = int32(k)
 		}
 		st.refreshMachine(m)
 		st.flowtime += st.machFlow[m]
+	}
+}
+
+// sortByKey sorts jobs, given in ascending id order, by (key[j], j).
+// Lists of up to 64 jobs, the common case (512×16 schedules average 32 a
+// machine), take an insertion sort: it beats slices.SortFunc's indirect
+// comparisons at that length and, being stable on the id-ascending
+// input, supplies the id tiebreak itself. Longer lists take
+// slices.SortFunc with the tiebreak spelled out. (key, id) is a total
+// order, so both produce the same list.
+func sortByKey(jobs []int32, key []float64) {
+	if len(jobs) > 64 {
+		slices.SortFunc(jobs, func(a, b int32) int {
+			ka, kb := key[a], key[b]
+			switch {
+			case ka < kb:
+				return -1
+			case ka > kb:
+				return 1
+			default:
+				return int(a - b)
+			}
+		})
+		return
+	}
+	for i := 1; i < len(jobs); i++ {
+		j := jobs[i]
+		kj := key[j]
+		h := i
+		for ; h > 0 && key[jobs[h-1]] > kj; h-- {
+			jobs[h] = jobs[h-1]
+		}
+		jobs[h] = j
 	}
 }
 
@@ -572,8 +598,9 @@ func (st *State) SetSchedule(s Schedule) {
 // flowtime is re-folded canonically (Σ machFlow in ascending machine
 // order — rebuild's own accumulation order) rather than diff-adjusted,
 // which keeps the fitness bits equal to a from-scratch evaluation. Only
-// the epoch/dirty bookkeeping differs, by design. Pinned by the
-// differential tests in statediff_test.go.
+// the epoch/dirty bookkeeping differs, by design. An empty diff changes
+// nothing, the flowtime bits included (SetScheduleFrom refolds them).
+// Pinned by the differential tests in statediff_test.go.
 func (st *State) SetScheduleDiff(s Schedule) {
 	if err := s.Validate(st.inst); err != nil {
 		panic(err)
@@ -629,6 +656,22 @@ func (st *State) SetScheduleDiff(s Schedule) {
 		st.markDirty(crit)
 		st.markDirty(critAfter)
 	}
+}
+
+// SetScheduleFrom replaces the schedule with s, a schedule derived from
+// base's — the cMA passes a crossover child and its first parent. It
+// copies base's evaluation and re-lists only the jobs whose machine
+// differs (SetScheduleDiff), which costs less than SetSchedule's sort of
+// every list when few jobs differ. The value state is bit-identical to
+// SetSchedule(s): the flowtime is refolded even when nothing differs,
+// since base's bits may come from incremental Move/Swap updates. As
+// under SetSchedule, every machine advances to a fresh epoch and the
+// dirty set is left empty.
+func (st *State) SetScheduleFrom(base *State, s Schedule) {
+	st.CopyFrom(base)
+	st.SetScheduleDiff(s)
+	st.RefreshFlowtime()
+	st.SyncScans()
 }
 
 // InvalidateMachine advances machine m to a fresh epoch and marks it

@@ -279,3 +279,94 @@ func TestInvalidateMachine(t *testing.T) {
 		t.Fatalf("cached scan (%v,%d,%d) != cold scan (%v,%d,%d)", v, a, b, rv, ra, rb)
 	}
 }
+
+// TestSetScheduleFromMatchesSetSchedule pins the cMA's rebuild of a
+// crossover child: SetScheduleFrom(parent, child) must equal
+// SetSchedule(child) in every value-bearing bit, leave no machine at a
+// pre-call epoch and no dirty mark, and answer the same cached scan.
+// Children cover one-point crossover, a single changed job, no change, a
+// full rewrite, a machine drained to empty and every job crowded onto one
+// machine (a list past the insertion sort's cut-off), on integer ETC with
+// many ties, on the float32 backing and on generated float64 ETC. The
+// parents run commits first; on the float64 instance their incrementally
+// updated flowtime bits then differ from the canonical fold, which an
+// unchanged child must not inherit, and the test checks that case occurs.
+func TestSetScheduleFromMatchesSetSchedule(t *testing.T) {
+	drifted := 0
+	for _, in := range []*etc.Instance{
+		diffTestInstance(24, 4, 1), diffTestInstance(96, 8, 2), diffTestInstance(200, 16, 3), f32Instance(64, 8, 4),
+		randInstance(9, 96, 8),
+	} {
+		r := rng.New(5)
+		commit := func(st *State) {
+			if r.Intn(2) == 0 {
+				st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
+			} else {
+				st.Swap(r.Intn(in.Jobs), r.Intn(in.Jobs))
+			}
+		}
+		pop := make([]*State, 4)
+		for i := range pop {
+			pop[i] = NewState(in, NewRandom(in, r))
+			for k := 0; k < 30; k++ {
+				commit(pop[i])
+			}
+		}
+		scratch := NewState(in, NewRandom(in, r))
+		full := NewState(in, NewRandom(in, r))
+		for step := 0; step < 90; step++ {
+			parent := pop[r.Intn(len(pop))]
+			child := parent.Schedule()
+			switch step % 6 {
+			case 0: // one-point crossover with another member
+				cut := r.Intn(in.Jobs)
+				copy(child[cut:], pop[r.Intn(len(pop))].ScheduleView()[cut:])
+			case 1:
+				child[r.Intn(in.Jobs)] = r.Intn(in.Machs)
+			case 2: // unchanged
+			case 3:
+				for j := range child {
+					child[j] = r.Intn(in.Machs)
+				}
+			case 4: // drain one machine
+				m := r.Intn(in.Machs)
+				for j := range child {
+					if child[j] == m {
+						child[j] = (m + 1) % in.Machs
+					}
+				}
+			default:
+				for j := range child {
+					child[j] = 0
+				}
+			}
+			if step%6 == 2 && math.Float64bits(parent.Flowtime()) != math.Float64bits(NewState(in, child).Flowtime()) {
+				drifted++
+			}
+			before := scratch.Epoch()
+			scratch.SetScheduleFrom(parent, child)
+			full.SetSchedule(child)
+			requireStateEqual(t, scratch, full)
+			if n := scratch.PendingDirty(); n != 0 {
+				t.Fatalf("%s step %d: %d machines left dirty", in.Name, step, n)
+			}
+			for m := 0; m < in.Machs; m++ {
+				if scratch.MachEpoch(m) <= before {
+					t.Fatalf("%s step %d: machine %d kept a pre-call epoch", in.Name, step, m)
+				}
+				if got, want := scratch.MakespanExcluding(m), full.MakespanExcluding(m); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s step %d: MakespanExcluding(%d) = %v, want %v", in.Name, step, m, got, want)
+				}
+			}
+			gv, ga, gb := scratch.Scans(DefaultObjective).BestCriticalSwap()
+			wv, wa, wb := full.Scans(DefaultObjective).BestCriticalSwap()
+			if math.Float64bits(gv) != math.Float64bits(wv) || ga != wa || gb != wb {
+				t.Fatalf("%s step %d: cached scan (%v, %d, %d), want (%v, %d, %d)", in.Name, step, gv, ga, gb, wv, wa, wb)
+			}
+			commit(parent)
+		}
+	}
+	if drifted == 0 {
+		t.Error("no unchanged child had a parent with drifted flowtime bits")
+	}
+}

@@ -1,6 +1,9 @@
 package schedule
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Batched neighborhood sweeps: vector counterparts of the scalar
 // speculative probes (probe.go). Where a probe answers "what fitness
@@ -196,19 +199,17 @@ func (st *State) BeginSwapScan(crit int) *SwapScan {
 		if len(jobs) == 0 {
 			continue
 		}
+		n := len(ids)
 		segM = append(segM, int32(m))
-		off = append(off, int32(len(ids)))
-		cm := st.completion[m]
+		off = append(off, int32(n))
+		u = slices.Grow(u, len(jobs))[:n+len(jobs)]
+		v = slices.Grow(v, len(jobs))[:n+len(jobs)]
 		if etcs := st.inst.ETC; etcs != nil {
-			for _, b := range jobs {
-				row := int(b) * machs
-				u = append(u, etcs[row+crit])
-				v = append(v, cm-etcs[row+m])
-				ids = append(ids, b)
-			}
+			gatherPartners(etcs, machs, crit, m, st.completion[m], jobs, u[n:], v[n:])
 		} else {
-			u, v, ids = appendPartnerInvariants(st.inst.ETC32, machs, crit, m, cm, jobs, u, v, ids)
+			gatherPartners(st.inst.ETC32, machs, crit, m, st.completion[m], jobs, u[n:], v[n:])
 		}
+		ids = append(ids, jobs...)
 	}
 	off = append(off, int32(len(ids)))
 	ss.u, ss.v, ss.ids, ss.segM, ss.off = u, v, ids, segM, off
