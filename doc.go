@@ -81,18 +81,16 @@
 // without mutating the state, bit-identical to applying the move,
 // evaluating and reverting. Sweep evaluation batches whole candidate
 // neighborhoods over shared partial results: FitnessAfterMoveSweep
-// scores moving one job to every machine in one pass,
-// CompletionAfterSwapSweep and the step-level swap scan
-// (BeginSwapScan/BestPartner) emit the post-swap completions of one job
-// against every partner in single list scans, and BeginMoveScan caches
-// the top completions so batches of unrelated probes skip the per-probe
-// tree walks. Every sweep value equals its scalar probe bit for bit.
-// Cached-scan evaluation (State.Scans → ScanCache) is the event-driven
-// delta layer on top: commits stamp their two machines with fresh epochs
-// and log them in a commit-time dirty set (plus the old and new critical
-// machine when the tournament tree's root moves), and the cache memoizes
-// each machine's scan result so a query re-sweeps only the machines that
-// changed and folds the rest from the memo — O(changed) per iteration
+// scores moving one job to every machine in one pass, the step-level
+// swap scan (BeginSwapScan/BestPartner) emits the post-swap completions
+// of one job against every partner in a single pass, and the cached
+// move-probe context keeps the top completions so batches of unrelated
+// probes skip the per-probe tree walks. Every sweep value equals its
+// scalar probe bit for bit. Cached-scan evaluation (State.Scans →
+// ScanCache) is the event-driven delta layer on top: commits stamp their
+// two machines with fresh epochs, and the cache memoizes each machine's
+// scan result so a query re-sweeps only the machines whose epoch moved
+// and folds the rest from the memo — O(changed) per iteration
 // instead of O(M) machines, bit-identical to a full rescan, collapsing
 // steady-state LMCTS scans by orders of magnitude. A re-swept entry's
 // pair scan is pruned but exact: both job lists are in SPT order, so
@@ -104,10 +102,9 @@
 // (LM, SLM, LMCTS), SA and tabu search score candidates with the hottest
 // applicable mode and commit only accepted steps — their hot loops
 // allocate nothing and run several times faster than the historical
-// apply+revert formulation. Search loops drain the dirty set before
-// handing a state back (State.SyncScans), so pooled states never carry
-// pending invalidation events across runs — CI checks this with the
-// schedule package's dirty audit across every registered algorithm.
+// apply+revert formulation. The machine epochs are the only
+// invalidation protocol: the cache compares them on every query, so a
+// state needs no clean-up before it goes back to a pool.
 //
 // MakespanMachine ties break toward the lowest machine index — a
 // documented contract (LMCTS derives its critical machine from it),

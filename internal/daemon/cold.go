@@ -54,7 +54,6 @@ func (g *Grid) ColdResolve() (ColdCheck, bool) {
 	} else {
 		iters = 0
 	}
-	st.SyncScans()
 	wall := time.Since(t0)
 	wmk, wfl := g.Quality()
 	return ColdCheck{

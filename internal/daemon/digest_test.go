@@ -365,7 +365,6 @@ func driftFlowtime(t *testing.T, c *Grid) {
 			c.st.Move(s, to)
 			c.st.Move(s, from)
 			if math.Float64bits(c.st.Flowtime()) != before {
-				c.st.SyncScans()
 				return
 			}
 		}

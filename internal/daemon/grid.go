@@ -542,7 +542,6 @@ func (g *Grid) applyJoin(e eventlog.Event) error {
 		}
 	}
 	g.st.InvalidateMachine(slot)
-	g.st.SyncScans()
 	g.counters.Joined++
 	return nil
 }
@@ -566,7 +565,6 @@ func (g *Grid) applyLeave(e eventlog.Event) error {
 	// The contents stay put, but the flags changed: a fresh epoch tells
 	// epoch observers (the state digest) to re-read the machine.
 	g.st.InvalidateMachine(slot)
-	g.st.SyncScans()
 	delete(g.machByID, e.Mach)
 	if e.Type == eventlog.Fail {
 		g.counters.Restarts += uint64(len(g.st.JobsOn(slot)))
@@ -595,7 +593,6 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 		g.parkKeys[s] = g.parkSeq
 		g.inst.Set(int(s), p, g.parkVal(g.parkSeq))
 		g.st.Move(int(s), p)
-		g.st.SyncScans()
 		g.st.RefreshFlowtime()
 	} else {
 		// Completed while pending (e.g. orphaned here but finished by the
@@ -616,7 +613,6 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 			g.parkKeys[s] = g.parkSeq
 			g.inst.Set(int(s), p, g.parkVal(g.parkSeq))
 			g.st.Move(int(s), p)
-			g.st.SyncScans()
 			g.st.RefreshFlowtime()
 		}
 	}
@@ -693,7 +689,6 @@ func (g *Grid) applyAdmit() error {
 			g.jobs[s].state = slotPlaced
 		}
 		g.st.SetScheduleDiff(cand)
-		g.st.SyncScans()
 		// Placed jobs must not be parkable by the search.
 		p := g.park()
 		for _, s := range g.pending {
@@ -724,7 +719,6 @@ func (g *Grid) applyAdmit() error {
 		g.r.Reseed(g.cfg.Seed ^ g.counters.Admits*0x9e3779b97f4a7c15)
 		g.ls.Improve(g.st, g.obj, g.cfg.LSIters, &g.r)
 	}
-	g.st.SyncScans()
 	g.st.RefreshFlowtime()
 	// Report placements as they stand after the improvement pass — the
 	// search may have moved a job off its greedy machine.

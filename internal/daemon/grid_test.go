@@ -218,31 +218,6 @@ func TestGridQualityMatchesCleanExtraction(t *testing.T) {
 	}
 }
 
-// TestGridAdmissionCyclesLeakFree runs the full admission loop under the
-// dirty-set audit gauge: every Apply returns with the event log drained,
-// so the daemon can never hand a stale scan cache to the next query.
-func TestGridAdmissionCyclesLeakFree(t *testing.T) {
-	schedule.DirtyAuditStart()
-	defer schedule.DirtyAuditStop()
-	g, err := NewGrid(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := newDriver(77, g.cfg.MachCap)
-	for i := 0; i < 500; i++ {
-		e := d.next()
-		if err := g.Apply(e); err != nil {
-			t.Fatalf("event %d (%+v): %v", i, e, err)
-		}
-		if e.Type == eventlog.Admit {
-			d.used = len(d.alive)
-		}
-		if n := schedule.DirtyAuditPending(); n != 0 {
-			t.Fatalf("event %d (%s): %d dirty marks leaked past Apply", i, e.Type, n)
-		}
-	}
-}
-
 // TestGridSlotReuseAndGrowth floods the grid past its job capacity,
 // completes everything, floods again — exercising doubling growth and
 // slot recycling — and checks the replay digest still matches.

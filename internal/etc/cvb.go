@@ -3,7 +3,6 @@ package etc
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gridcma/internal/rng"
 )
@@ -55,32 +54,12 @@ func GenerateCVB(name string, o CVBOptions) (*Instance, error) {
 	if o.Machs == 0 {
 		o.Machs = BenchmarkMachs
 	}
-	r := rng.New(o.Seed)
 	in := New(name, o.Jobs, o.Machs)
-
 	// Gamma shape/scale from mean μ and CV v: shape = 1/v², scale = μ·v².
 	alphaTask := 1 / (o.Vtask * o.Vtask)
 	alphaMach := 1 / (o.Vmach * o.Vmach)
-	for i := 0; i < in.Jobs; i++ {
-		q := gamma(r, alphaTask, o.TaskMean/alphaTask)
-		if q < 1 {
-			q = 1 // keep execution times sensible and strictly positive
-		}
-		row := in.ETC[i*in.Machs : (i+1)*in.Machs]
-		for j := range row {
-			v := gamma(r, alphaMach, q/alphaMach)
-			if v < 1 {
-				v = 1
-			}
-			row[j] = v
-		}
-		switch o.Consistency {
-		case Consistent:
-			sort.Float64s(row)
-		case SemiConsistent:
-			sortEvenColumns(row)
-		}
-	}
+	scratch := make([]float64, 0, (o.Machs+1)/2)
+	fillRows(rng.New(o.Seed), in.ETC, o.Machs, o.TaskMean, alphaTask, alphaMach, o.Consistency, scratch)
 	in.Finalize()
 	return in, nil
 }

@@ -1,6 +1,7 @@
 package etc
 
 import (
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,37 @@ func TestCVBDeterministic(t *testing.T) {
 	for i := range a.ETC {
 		if a.ETC[i] != b.ETC[i] {
 			t.Fatal("CVB not deterministic")
+		}
+	}
+}
+
+// TestCVBGoldenDigests pins CVB matrices byte for byte, like
+// TestGenSpecGoldenDigests: GenerateCVB shares its row loop with the
+// GenSpec generator, and every consistency, default dimensions and a
+// task CV above 1 (the gamma shape < 1 branch) must keep their draws.
+func TestCVBGoldenDigests(t *testing.T) {
+	cases := []struct {
+		o    CVBOptions
+		want string
+	}{
+		{CVBOptions{Jobs: 40, Machs: 7, TaskMean: 50, Vtask: 0.3, Vmach: 0.6, Consistency: Inconsistent, Seed: 5},
+			"a82b94f29d3800b12c0ae8ae919e62917f1ff60f1f7079f3b7052665077b1082"},
+		{CVBOptions{Jobs: 40, Machs: 7, TaskMean: 50, Vtask: 0.3, Vmach: 0.6, Consistency: Consistent, Seed: 5},
+			"5cbd945f092b8cfd9daa4e687c5077fc64c9924ade288f44053eacfb23902543"},
+		{CVBOptions{Jobs: 40, Machs: 7, TaskMean: 50, Vtask: 0.3, Vmach: 0.6, Consistency: SemiConsistent, Seed: 5},
+			"b799f8a8c5db6bc5ea14171617e47b8084b258fa26c8d2973490b44017d086fc"},
+		{CVBOptions{TaskMean: 1000, Vtask: 1.5, Vmach: 0.1, Consistency: SemiConsistent, Seed: 11},
+			"12a31717c5a46ad8c3bb4522ea9fad5ebed1bb3a453335634f180560a2770b3d"},
+		{CVBOptions{TaskMean: 1000, Vtask: 2, Vmach: 1.2, Consistency: Consistent, Seed: 2},
+			"7fa015c8b2ab67cbed120851428fa3e99fdc23db914be6c500b9a2f80b27d2f4"},
+	}
+	for i, c := range cases {
+		in, err := GenerateCVB("cvb", c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := in.MatrixDigest(); hex.EncodeToString(got[:]) != c.want {
+			t.Errorf("case %d: digest %x, want %s", i, got, c.want)
 		}
 	}
 }

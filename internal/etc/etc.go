@@ -177,11 +177,29 @@ type Instance struct {
 	genSpec  GenSpec   // spec that last filled this instance (GenerateInto)
 }
 
+// maxEntries caps jobs × machines: 2^31 matrix entries (16 GiB under the
+// float64 backing), far past the 100k × 1k frontier's 1e8. Dimensions
+// from outside the program — instance file headers, generator specs —
+// are checked against it before anything is allocated.
+const maxEntries = 1 << 31
+
+// checkDims rejects dimensions that are not positive or whose product
+// exceeds maxEntries (an overflowing product included).
+func checkDims(jobs, machs int) error {
+	if jobs <= 0 || machs <= 0 {
+		return fmt.Errorf("etc: dimensions %d×%d must be positive", jobs, machs)
+	}
+	if int64(jobs) > maxEntries/int64(machs) {
+		return fmt.Errorf("etc: dimensions %d×%d exceed %d matrix entries", jobs, machs, int64(maxEntries))
+	}
+	return nil
+}
+
 // New allocates an Instance with the given dimensions, zero ETC entries and
 // zero ready times. Call Finalize after filling ETC.
 func New(name string, jobs, machs int) *Instance {
-	if jobs <= 0 || machs <= 0 {
-		panic(fmt.Sprintf("etc: invalid dimensions %d×%d", jobs, machs))
+	if err := checkDims(jobs, machs); err != nil {
+		panic(err)
 	}
 	return &Instance{
 		Name:  name,
@@ -195,8 +213,8 @@ func New(name string, jobs, machs int) *Instance {
 // New32 allocates an Instance with the float32 ETC backing (see ETC32),
 // zero entries and zero ready times. Call Finalize after filling ETC32.
 func New32(name string, jobs, machs int) *Instance {
-	if jobs <= 0 || machs <= 0 {
-		panic(fmt.Sprintf("etc: invalid dimensions %d×%d", jobs, machs))
+	if err := checkDims(jobs, machs); err != nil {
+		panic(err)
 	}
 	return &Instance{
 		Name:  name,

@@ -270,6 +270,9 @@ func TestReadErrors(t *testing.T) {
 		"bad trailing":  "1 1\n1\nwhat\n",
 		"bad ready len": "1 2\n1 2\nready: 1\n",
 		"nonpositive":   "1 2\n0 1\n",
+		"overflow dims": "3037000500 3037000500\n",
+		"huge dims":     "100000000000 100000000\n",
+		"over cap":      "2147483649 1\n",
 	}
 	for name, text := range cases {
 		if _, err := Read(strings.NewReader(text)); err == nil {

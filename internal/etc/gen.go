@@ -146,13 +146,9 @@ func (g GenSpec) InstanceName() string {
 	return n
 }
 
-// Validate reports the first spec error.
-func (g GenSpec) Validate() error {
-	if g.Jobs <= 0 || g.Machs <= 0 {
-		return fmt.Errorf("etc: gen spec dimensions %dx%d must be positive", g.Jobs, g.Machs)
-	}
-	return nil
-}
+// Validate reports the first spec error: dimensions that are not
+// positive or whose matrix would exceed the entry cap.
+func (g GenSpec) Validate() error { return checkDims(g.Jobs, g.Machs) }
 
 // cv maps a heterogeneity level to its coefficient of variation.
 func cv(h Heterogeneity) float64 {
@@ -213,25 +209,28 @@ func (g GenSpec) GenerateInto(dst *Instance) (*Instance, error) {
 		}
 	}
 	if g.Float32 {
-		fillRows(&r, dst.ETC32, g.Machs, alphaTask, alphaMach, g.Class.Consistency, s32)
+		fillRows(&r, dst.ETC32, g.Machs, GenTaskMean, alphaTask, alphaMach, g.Class.Consistency, s32)
 	} else {
-		fillRows(&r, dst.ETC, g.Machs, alphaTask, alphaMach, g.Class.Consistency, s64)
+		fillRows(&r, dst.ETC, g.Machs, GenTaskMean, alphaTask, alphaMach, g.Class.Consistency, s64)
 	}
 	dst.Finalize()
 	return dst, nil
 }
 
-// fillRows streams the CVB draws into the flat matrix row by row. The only
+// fillRows streams the CVB draws into the flat matrix row by row: per row
+// a task mean q drawn around taskMean, then one draw around q per
+// machine, each clamped to at least 1. GenSpec and GenerateCVB share it;
+// only the task mean differs. The only
 // buffers it touches are the destination itself and the caller-provided
 // even-column scratch: per-row work allocates nothing, so matrix size is
 // bounded by the destination alone. Draws happen in float64 (the stream is
 // backing-independent) and are narrowed on store; the in-place consistency
 // sort runs on the stored element type, which for float32 gives the same
 // order as sorting before narrowing because the conversion is monotone.
-func fillRows[E interface{ ~float32 | ~float64 }](r *rng.Source, dst []E, machs int, alphaTask, alphaMach float64, cons Consistency, scratch []E) {
+func fillRows[E interface{ ~float32 | ~float64 }](r *rng.Source, dst []E, machs int, taskMean, alphaTask, alphaMach float64, cons Consistency, scratch []E) {
 	rows := len(dst) / machs
 	for i := 0; i < rows; i++ {
-		q := gamma(r, alphaTask, GenTaskMean/alphaTask)
+		q := gamma(r, alphaTask, taskMean/alphaTask)
 		if q < 1 {
 			q = 1 // keep execution times sensible and strictly positive
 		}

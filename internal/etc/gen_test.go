@@ -49,10 +49,15 @@ func TestParseGenSpec(t *testing.T) {
 			t.Errorf("round trip of %q via %q = %+v, %v", c.in, got.String(), back, err)
 		}
 	}
-	for _, bad := range []string{"", "512", "0x16", "512x0", "512x16:q_hihi", "512x16:c_hi", "512x16:sx"} {
+	for _, bad := range []string{"", "512", "0x16", "512x0", "512x16:q_hihi", "512x16:c_hi", "512x16:sx",
+		"3037000500x3037000500", "100000000000x100000000", "2147483649x1"} {
 		if _, err := ParseGenSpec(bad); err == nil {
 			t.Errorf("ParseGenSpec(%q): want error", bad)
 		}
+	}
+	// Generate validates a spec built without ParseGenSpec the same way.
+	if _, err := (GenSpec{Jobs: 3037000500, Machs: 3037000500}).Generate(); err == nil {
+		t.Error("Generate accepted 3037000500x3037000500")
 	}
 }
 

@@ -74,8 +74,8 @@ func Read(r io.Reader) (*Instance, error) {
 		}
 		break
 	}
-	if jobs <= 0 || machs <= 0 {
-		return nil, fmt.Errorf("etc: bad dimensions %d×%d", jobs, machs)
+	if err := checkDims(jobs, machs); err != nil {
+		return nil, err
 	}
 	in := New(name, jobs, machs)
 	// Values may be split across lines arbitrarily.

@@ -180,8 +180,8 @@ func (s *Scheduler) RunPooled(in *etc.Instance, budget run.Budget, seed uint64, 
 }
 
 // migrateStates is the cache-aware exchange over live States: migrants
-// are applied through SetScheduleDiff, dirtying only the machines whose
-// job sets actually changed, so the destination island's next local
+// are applied through SetScheduleDiff, advancing the epochs of only the
+// machines whose job sets actually changed, so the destination island's next local
 // search warm-starts instead of re-scanning every machine.
 //
 // Fitness ranking must be bit-identical to the wholesale exchange's fresh
@@ -208,13 +208,6 @@ func (s *Scheduler) migrateStates(states [][]*schedule.State) {
 		migs[k] = states[mv.Src][mv.SrcIdx].Schedule()
 	}
 	for k, mv := range moves {
-		st := states[mv.Dst][mv.DstIdx]
-		st.SetScheduleDiff(migs[k])
-		// Acknowledge the diff's commit events before handing the state
-		// onward: validity is carried by the machine epochs (the next
-		// segment's scans revalidate exactly the machines the migrant
-		// touched), and the audited drain discipline requires no state to
-		// leave a run with marks pending.
-		st.SyncScans()
+		states[mv.Dst][mv.DstIdx].SetScheduleDiff(migs[k])
 	}
 }

@@ -222,9 +222,9 @@ func BenchmarkIslandRunDiff(b *testing.B) {
 }
 
 // BenchmarkMigrantApply is the alloc-guarded migrant-application hot
-// path: diffing an incoming migrant into a live State and acknowledging
-// the commit events. Must stay allocation-free — CI runs it under the
-// same guard as the probe/sweep kernels.
+// path: diffing an incoming migrant into a live State. Must stay
+// allocation-free — CI runs it under the same guard as the probe/sweep
+// kernels.
 func BenchmarkMigrantApply(b *testing.B) {
 	in := benchInstance(b)
 	r := rng.New(5)
@@ -235,7 +235,6 @@ func BenchmarkMigrantApply(b *testing.B) {
 	// Warm the one-off diff buffers so the steady-state loop is measured.
 	st.SetScheduleDiff(mig)
 	st.SetScheduleDiff(orig)
-	st.SyncScans()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,7 +243,6 @@ func BenchmarkMigrantApply(b *testing.B) {
 		} else {
 			st.SetScheduleDiff(orig)
 		}
-		st.SyncScans()
 	}
 }
 

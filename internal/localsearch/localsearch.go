@@ -7,28 +7,25 @@
 // Every method improves a live schedule.State in place, runs for a bounded
 // number of iterations (Table 1: nb_local_search_iterations = 5) and never
 // worsens the objective: each proposed step is applied only if it improves
-// the scalarised fitness. Candidates are scored speculatively — the batch
-// scans (SLM's all-targets transfer, LMCTS's critical-machine pairing) run
-// over the vector sweep kernels (State.FitnessAfterMoveSweep /
-// CompletionAfterSwapSweep), single candidates over the scalar probes —
-// all bit-identical to apply→evaluate→revert but allocation-free and
-// several times cheaper, so the methods are probe-then-commit: only an
+// the scalarised fitness. Candidates are scored speculatively — SLM's
+// all-targets transfer over the vector move sweep
+// (State.FitnessAfterMoveSweep), LMCTS's critical-machine pairing over the
+// cached critical-swap scan (ScanCache.BestCriticalSwap), single
+// candidates over the scalar probes — all bit-identical to
+// apply→evaluate→revert but allocation-free and several times cheaper, so the methods are probe-then-commit: only an
 // accepted step mutates the state. Each method also threads the current
 // fitness through its loop (the probe contract guarantees the probe value
 // of a committed step equals the state's next fitness bit for bit), so
 // the accept baseline costs nothing per candidate.
 //
-// Since the dirty-machine delta engine (schedule.ScanCache) the scans are
-// additionally event-driven: LMCTS's full critical scan folds memoized
-// per-machine bests and re-sweeps only machines dirtied since the last
-// query — O(changed) instead of O(M) machines per iteration, and a plain
-// fold of cached scalars once the state is locally optimal — and LM's
-// probes run through the cache's frozen-state context, revalidated only
-// when a commit moves the state's epoch. Both remain bit-identical to the
-// full rescan, so trajectories (and the golden matrix) are unchanged.
-// Every Improve drains the state's commit event log before returning
-// (State.SyncScans), so a state never carries pending invalidations back
-// to a pool.
+// The scans are event-driven through the state's scan cache
+// (schedule.ScanCache): LMCTS's full critical scan folds memoized
+// per-machine bests and re-sweeps only machines whose epoch moved since
+// the last query — O(changed) instead of O(M) machines per iteration, and
+// a plain fold of cached scalars once the state is locally optimal — and
+// LM's probes run through the cache's frozen-state context, revalidated
+// only when a commit moves the state's epoch. Both remain bit-identical to
+// the full rescan, so trajectories (and the golden matrix) are unchanged.
 package localsearch
 
 import (
@@ -110,7 +107,6 @@ func (LM) Improve(st *schedule.State, o schedule.Objective, iters int, r *rng.So
 			cur = f
 		}
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -134,7 +130,6 @@ func (SLM) Improve(st *schedule.State, o schedule.Objective, iters int, r *rng.S
 			st.Move(j, to)
 		}
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -147,7 +142,7 @@ func (SLM) Name() string { return "SLM" }
 // machines; the swap minimising the larger of the two new completion times
 // is applied when it improves the fitness. The scan runs event-driven
 // over the state's ScanCache: per-machine bests are memoized, only
-// machines dirtied since the last query are re-swept, and the fold of
+// machines whose epoch moved since the last query are re-swept, and the fold of
 // cached bests picks the exact swap the historical full scan picked.
 type LMCTS struct{}
 
@@ -162,7 +157,6 @@ func (LMCTS) Improve(st *schedule.State, o schedule.Objective, iters int, r *rng
 		}
 		cur = f
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -190,7 +184,6 @@ func (s SampledLMCTS) Improve(st *schedule.State, o schedule.Objective, iters in
 		}
 		cur = f
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.
@@ -229,7 +222,6 @@ func (s SampledLMCTSBatch) Improve(st *schedule.State, o schedule.Objective, ite
 		}
 		cur = f
 	}
-	st.SyncScans()
 }
 
 // Name implements Method.

@@ -122,8 +122,8 @@ func converge(st *schedule.State, o schedule.Objective) {
 }
 
 // BenchmarkLMCTSSweep measures one full-scan LMCTS step through the
-// batched swap sweeps (CompletionAfterSwapSweep per partner machine) —
-// the pre-cache formulation, retained as the reference the delta engine
+// step-level swap scan (BeginSwapScan, then BestPartner per critical
+// job) — the pre-cache formulation, retained as the reference the delta engine
 // is measured against. BenchmarkLMCTSCachedScan vs BenchmarkLMCTSSweep
 // (steady state, same converged state shape) is the headline number of
 // the dirty-machine delta engine; BenchmarkLMCTSSweep vs

@@ -284,25 +284,6 @@ func TestSampledBatchMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestLocalSearchDrained pins the hygiene contract: every method leaves
-// the state's commit event log empty, whatever its last action was.
-func TestLocalSearchDrained(t *testing.T) {
-	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
-		0, etc.GenerateOptions{Seed: 33, Jobs: 96, Machs: 12})
-	o := schedule.DefaultObjective
-	for _, m := range []Method{None{}, LM{}, SLM{}, LMCTS{}, SampledLMCTS{Samples: 16},
-		SampledLMCTSBatch{Samples: 16}, Chain{LM{}, SLM{}, LMCTS{}}} {
-		r := rng.New(8)
-		st := schedule.NewState(in, schedule.NewRandom(in, r))
-		for k := 0; k < 10; k++ {
-			m.Improve(st, o, 3, r)
-			if n := st.PendingDirty(); n != 0 {
-				t.Fatalf("%s left %d pending dirty machines", m.Name(), n)
-			}
-		}
-	}
-}
-
 // TestLocalSearchAllocationFree asserts the rewritten methods' hot loops
 // stay allocation-free after the state's sweep buffers warm up.
 func TestLocalSearchAllocationFree(t *testing.T) {

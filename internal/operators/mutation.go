@@ -10,10 +10,6 @@ import (
 // Mutator perturbs an evaluated schedule in place. Mutators receive the
 // live State (not just the raw vector) because the paper's rebalance
 // mutation is load-aware: it needs completion times and the makespan.
-// Every built-in mutator drains the state's commit event log before
-// returning (State.SyncScans), the same hygiene contract the local search
-// methods follow: a mutated state never carries pending invalidation
-// events back to its engine or pool.
 type Mutator interface {
 	Mutate(st *schedule.State, r *rng.Source)
 	Name() string
@@ -27,7 +23,6 @@ type Move struct{}
 func (Move) Mutate(st *schedule.State, r *rng.Source) {
 	in := st.Instance()
 	st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
-	st.SyncScans()
 }
 
 // Name implements Mutator.
@@ -40,7 +35,6 @@ type Swap struct{}
 func (Swap) Mutate(st *schedule.State, r *rng.Source) {
 	in := st.Instance()
 	st.Swap(r.Intn(in.Jobs), r.Intn(in.Jobs))
-	st.SyncScans()
 }
 
 // Name implements Mutator.
@@ -112,7 +106,6 @@ func (rb Rebalance) Mutate(st *schedule.State, r *rng.Source) {
 	}
 	jobs := st.JobsOn(src)
 	st.Move(int(jobs[r.Intn(len(jobs))]), dst)
-	st.SyncScans()
 }
 
 func (rb Rebalance) fraction() float64 {

@@ -128,17 +128,14 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 		}
 	}
 	emit()
-	// Probe-then-commit over an amortised scan context (scalar-proposal
-	// mode only — the sweep mode scores whole neighborhoods per call and
-	// never touches it): the context caches the top machine completions
-	// once per accepted move, so the many rejected proposals between
-	// commits probe in O(1) on the makespan side instead of walking the
-	// tournament tree each time. The context's probes are bit-identical
-	// to the scalar ones, so the Metropolis trajectory is unchanged.
-	var scan schedule.MoveScan
-	if !s.cfg.SweepProposals {
-		scan = cur.BeginMoveScan(o)
-	}
+	// Probe-then-commit through the state's scan cache (scalar-proposal
+	// mode only — the sweep mode scores whole neighborhoods per call):
+	// the cache recaptures the top machine completions once per accepted
+	// move, so the many rejected proposals between commits probe in O(1)
+	// on the makespan side instead of walking the tournament tree each
+	// time. Its probes are bit-identical to the scalar ones, so the
+	// Metropolis trajectory is unchanged.
+	scans := cur.Scans(o)
 	for !budget.Done(iter, start) {
 		for k := 0; k < sweep; k++ {
 			if s.cfg.SweepProposals {
@@ -174,7 +171,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 			if cur.Assign(j) == to {
 				continue
 			}
-			f := scan.FitnessAfterMove(j, to)
+			f := scans.FitnessAfterMove(j, to)
 			evals++
 			accept := f <= curFit
 			if !accept && temp > 0 {
@@ -184,14 +181,12 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 				cur.Move(j, to)
 				curFit = f
 				best.Note(cur, f)
-				scan = cur.BeginMoveScan(o)
 			}
 		}
 		temp *= s.cfg.Cooling
 		iter++
 		emit()
 	}
-	cur.SyncScans()
 	return run.Result{
 		Best: best.Schedule(), Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime(),
 		Iterations: iter, Evals: evals, Elapsed: time.Since(start), Algorithm: s.Name(),

@@ -1,9 +1,6 @@
 package schedule
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Event-driven scan caching: the delta layer over the batched sweep
 // kernels (sweep.go). The sweeps made each neighborhood scan optimal *per
@@ -21,6 +18,10 @@ import (
 // the max-tree's root (the critical machine): per-iteration scan work
 // drops from O(M) machines to O(changed), and to a plain O(M) fold of
 // cached scalars once the cache is warm.
+//
+// The epochs are the whole protocol: a commit stamps only the machines it
+// changed and every query compares stamps, so a caller need do nothing
+// before handing a state to a pool or to another search.
 //
 // Exactness. Every memoized entry scores its pairs with the same
 // arithmetic as SwapScan.BestPartner's flat scan, skipping only pairs it
@@ -41,17 +42,17 @@ import (
 // fitness do not factorize per machine — a candidate's fitness folds the
 // flowtime and completions of *every* machine, so any commit anywhere
 // invalidates a memoized per-machine "best move" — which is why the move
-// side of the cache memoizes the frozen-state probe context (MoveScan)
+// side of the cache memoizes the frozen-state probe context (moveScan)
 // keyed on the global epoch instead of per-machine bests.
 type ScanCache struct {
 	st *State
 	o  Objective
 
-	// Move side: the frozen-state probe context of BeginMoveScan,
+	// Move side: the frozen-state probe context of beginMoveScan,
 	// revalidated only when the global epoch moves — between commits,
 	// every probe and every accept baseline is served from it without
 	// re-reading the state or re-walking the tournament tree.
-	move      MoveScan
+	move      moveScan
 	moveEpoch uint64 // epoch the context was captured at; 0 = never
 
 	// Swap side: per-partner-machine memo of the critical-swap scan,
@@ -86,16 +87,11 @@ func (st *State) Scans(o Objective) *ScanCache {
 	return sc
 }
 
-// sync acknowledges all pending commit events: the cache's validity is
-// carried by the epoch stamps it compares on every entry, so observing a
-// query boundary is all the drain has to do.
-func (sc *ScanCache) sync() { sc.st.drainDirty() }
-
 // freshenMove recaptures the frozen-state probe context iff the state
 // changed since the last capture.
 func (sc *ScanCache) freshenMove() {
 	if sc.moveEpoch != sc.st.epoch {
-		sc.move = sc.st.BeginMoveScan(sc.o)
+		sc.move = sc.st.beginMoveScan(sc.o)
 		sc.moveEpoch = sc.st.epoch
 	}
 }
@@ -104,7 +100,6 @@ func (sc *ScanCache) freshenMove() {
 // objective — bit-identical to Objective.Of, served from the cached probe
 // context between commits.
 func (sc *ScanCache) Fitness() float64 {
-	sc.sync()
 	sc.freshenMove()
 	return sc.move.cur
 }
@@ -113,7 +108,6 @@ func (sc *ScanCache) Fitness() float64 {
 // context: bit-identical, with the tournament-tree walk memoized across
 // every probe between two commits (the LM and SA/tabu candidate loops).
 func (sc *ScanCache) FitnessAfterMove(j, to int) float64 {
-	sc.sync()
 	sc.freshenMove()
 	return sc.move.FitnessAfterMove(j, to)
 }
@@ -125,7 +119,6 @@ func (sc *ScanCache) FitnessAfterMove(j, to int) float64 {
 // target wins), and the job's own machine is returned when no target
 // improves — exactly the SLM inner loop, bit for bit.
 func (sc *ScanCache) BestMoveTarget(j int) (float64, int) {
-	sc.sync()
 	st := sc.st
 	fits := st.FitnessAfterMoveSweep(sc.o, j, nil)
 	from := st.assign[j]
@@ -151,7 +144,6 @@ func (sc *ScanCache) BestMoveTarget(j int) (float64, int) {
 // (each one is computed against the critical context). Steady state — no
 // commits since the last query — costs one O(M) fold of cached scalars.
 func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
-	sc.sync()
 	st := sc.st
 	crit := st.MakespanMachine()
 	if st.scanExempt != nil && st.scanExempt[crit] {
@@ -277,35 +269,3 @@ func (st *State) bestOn(m, crit int, critJobs []int32) (float64, int32, int32) {
 	}
 	return best, bestAPos, bestB
 }
-
-// dirtyAudit is a test-support gauge of pending dirty marks across every
-// live State: markDirty increments it, drains decrement it, so after a
-// public Run returns it must read exactly what it read before the run —
-// any state that died (or was pooled) carrying pending invalidation
-// events shows up as a positive residue. The audit is off by default and
-// costs one predictable branch per commit; DirtyAuditStart must be called
-// before the audited states exist (tests only), never concurrently with
-// running engines.
-var dirtyAudit struct {
-	on      bool
-	pending atomic.Int64
-}
-
-func dirtyAuditAdd(n int64) {
-	if dirtyAudit.on {
-		dirtyAudit.pending.Add(n)
-	}
-}
-
-// DirtyAuditStart enables the dirty-set leak gauge and zeroes it.
-func DirtyAuditStart() {
-	dirtyAudit.on = true
-	dirtyAudit.pending.Store(0)
-}
-
-// DirtyAuditStop disables the gauge.
-func DirtyAuditStop() { dirtyAudit.on = false }
-
-// DirtyAuditPending reads the gauge: the number of pending dirty marks
-// across all audited states. Zero after every well-behaved Run.
-func DirtyAuditPending() int64 { return dirtyAudit.pending.Load() }

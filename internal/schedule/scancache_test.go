@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gridcma/internal/etc"
@@ -91,9 +92,6 @@ func TestCachedScanMatchesFullSweep(t *testing.T) {
 						i, step, gv, ga, gb, wv, wa, wb)
 				}
 				queries++
-			}
-			if st.PendingDirty() != 0 {
-				t.Fatalf("instance %d step %d: %d pending dirty after query", i, step, st.PendingDirty())
 			}
 		}
 		if queries < 1500 {
@@ -271,7 +269,7 @@ func FuzzBestCriticalSwap(f *testing.F) {
 
 // TestCachedMoveProbesMatchScalar pins the cache's move-side context:
 // Fitness and FitnessAfterMove served through the epoch-revalidated
-// MoveScan must equal the direct reads bit for bit across random
+// moveScan must equal the direct reads bit for bit across random
 // commit/probe interleavings.
 func TestCachedMoveProbesMatchScalar(t *testing.T) {
 	o := DefaultObjective
@@ -382,81 +380,72 @@ func TestSwapScanIDsMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestDirtySetSemantics pins the commit event log: a Move marks source
-// and target (plus the critical machines when the tree root moves), a
-// no-op marks nothing, drains empty the log, and wholesale invalidations
-// reset it — so a pooled state is reused clean.
-func TestDirtySetSemantics(t *testing.T) {
+// TestMachineEpochSemantics pins the invalidation protocol: a commit
+// advances exactly its source and target machine epochs, a no-op Move or
+// Swap advances no epoch, and wholesale re-evaluations (SetSchedule,
+// CopyFrom) advance every machine's epoch.
+func TestMachineEpochSemantics(t *testing.T) {
 	in := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Jobs: 40, Machs: 5, Seed: 60})
 	r := rng.New(3)
 	st := NewState(in, NewRandom(in, r))
-	if st.PendingDirty() != 0 {
-		t.Fatalf("fresh state has %d pending dirty", st.PendingDirty())
+	epochs := func() []uint64 {
+		e := make([]uint64, in.Machs)
+		for m := range e {
+			e[m] = st.MachEpoch(m)
+		}
+		return e
 	}
 	j := 0
 	from := st.Assign(j)
 	to := (from + 1) % in.Machs
-	critBefore := st.MakespanMachine()
+	before := epochs()
 	st.Move(j, to)
-	marked := map[int32]bool{}
-	for _, m := range st.DirtyMachines() {
-		marked[m] = true
+	for m, e := range epochs() {
+		if moved := e != before[m]; moved != (m == from || m == to) {
+			t.Fatalf("Move(%d→%d): machine %d epoch %d→%d", from, to, m, before[m], e)
+		}
 	}
-	if !marked[int32(from)] || !marked[int32(to)] {
-		t.Fatalf("Move(%d→%d) marked %v, want source+target", from, to, st.DirtyMachines())
+	if st.MachEpoch(from) != st.Epoch() || st.MachEpoch(to) != st.Epoch() {
+		t.Fatalf("Move: source/target epochs %d/%d, state epoch %d",
+			st.MachEpoch(from), st.MachEpoch(to), st.Epoch())
 	}
-	if critAfter := st.MakespanMachine(); critAfter != critBefore &&
-		(!marked[int32(critBefore)] || !marked[int32(critAfter)]) {
-		t.Fatalf("critical machine moved %d→%d but marks are %v", critBefore, critAfter, st.DirtyMachines())
+	b := -1
+	for k := range in.Jobs {
+		if st.Assign(k) != to && st.Assign(k) != from {
+			b = k
+			break
+		}
 	}
-	st.SyncScans()
-	if st.PendingDirty() != 0 {
-		t.Fatal("SyncScans left pending dirty")
+	if b < 0 {
+		t.Fatal("no job off the moved machines")
 	}
-	st.Move(j, to) // no-op: already there
-	if st.PendingDirty() != 0 {
-		t.Fatal("no-op Move marked machines")
+	mb := st.Assign(b)
+	before = epochs()
+	st.Swap(j, b)
+	for m, e := range epochs() {
+		if moved := e != before[m]; moved != (m == to || m == mb) {
+			t.Fatalf("Swap(%d,%d): machine %d epoch %d→%d", j, b, m, before[m], e)
+		}
 	}
-	st.Swap(j, j) // no-op
-	if st.PendingDirty() != 0 {
-		t.Fatal("no-op Swap marked machines")
-	}
-	st.Move(j, from)
-	if st.PendingDirty() == 0 {
-		t.Fatal("commit did not mark")
+	epoch := st.Epoch()
+	before = epochs()
+	st.Move(j, st.Assign(j)) // no-op: already there
+	st.Swap(j, j)            // no-op
+	if st.Epoch() != epoch || !slices.Equal(epochs(), before) {
+		t.Fatal("no-op Move/Swap advanced an epoch")
 	}
 	st.SetSchedule(NewRandom(in, r))
-	if st.PendingDirty() != 0 {
-		t.Fatal("SetSchedule left pending dirty")
+	for m, e := range epochs() {
+		if e == before[m] || e != st.Epoch() {
+			t.Fatalf("SetSchedule: machine %d epoch %d, state epoch %d", m, e, st.Epoch())
+		}
 	}
-	st.Move(0, (st.Assign(0)+1)%in.Machs)
-	other := NewState(in, NewRandom(in, r))
-	st.CopyFrom(other)
-	if st.PendingDirty() != 0 {
-		t.Fatal("CopyFrom left pending dirty")
-	}
-	// Epochs must still have advanced across the wholesale reset, so any
-	// cached entry computed before it is stale.
-	if st.Epoch() == 0 || st.MachEpoch(0) != st.Epoch() {
-		t.Fatalf("wholesale reset: epoch %d, machEpoch %d", st.Epoch(), st.MachEpoch(0))
-	}
-}
-
-// TestDirtyAuditGauge exercises the cross-state leak gauge the public
-// Run leak check builds on.
-func TestDirtyAuditGauge(t *testing.T) {
-	DirtyAuditStart()
-	defer DirtyAuditStop()
-	in := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Jobs: 30, Machs: 4, Seed: 61})
-	r := rng.New(9)
-	st := NewState(in, NewRandom(in, r))
-	st.Move(0, (st.Assign(0)+1)%in.Machs)
-	if DirtyAuditPending() == 0 {
-		t.Fatal("commit not audited")
-	}
-	st.SyncScans()
-	if n := DirtyAuditPending(); n != 0 {
-		t.Fatalf("audit gauge %d after drain", n)
+	before = epochs()
+	st.CopyFrom(NewState(in, NewRandom(in, r)))
+	for m, e := range epochs() {
+		if e == before[m] || e != st.Epoch() {
+			t.Fatalf("CopyFrom: machine %d epoch %d, state epoch %d", m, e, st.Epoch())
+		}
 	}
 }
 

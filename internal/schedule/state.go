@@ -45,22 +45,15 @@ type State struct {
 	flowtime   float64
 	top        maxTree // argmax over completion, O(log M) maintenance
 
-	// Change tracking for the event-driven scan cache (scancache.go).
-	// epoch counts committed mutations; machEpoch[m] is the epoch of
-	// machine m's last content change — a cached per-machine scan result
-	// is valid exactly while the machine's epoch is unchanged. The dirty
-	// set (mark + id list, both bounded by the machine count) is the
-	// commit event log: a Move or Swap marks its source and target
-	// machines, plus the old and new critical machine when the tournament
-	// tree's root moved. The attached ScanCache drains it on every query;
-	// wholesale re-evaluations (SetSchedule, CopyFrom, rebuild) clear it
-	// outright, because bumping every machine's epoch already invalidates
-	// every cached entry — a pooled state is therefore reused with an
-	// empty dirty set, never carrying pending marks across runs.
+	// Change tracking for the event-driven scan cache (scancache.go) and
+	// the daemon's state digest. epoch counts committed mutations;
+	// machEpoch[m] is the epoch of machine m's last content change — a
+	// cached per-machine scan result is valid exactly while the machine's
+	// epoch is unchanged. A Move or Swap advances its source and target
+	// machines; wholesale re-evaluations (SetSchedule, CopyFrom, rebuild)
+	// advance every machine.
 	epoch     uint64
 	machEpoch []uint64
-	dirtyIDs  []int32
-	dirtyMark []bool
 
 	// Output buffers of the batched sweep kernels (sweep.go), owned by
 	// the state so the stateless search methods stay allocation-free.
@@ -68,8 +61,6 @@ type State struct {
 	// the state's value (Clone starts them empty, CopyFrom leaves them
 	// alone).
 	sweepFit []float64
-	sweepA   []float64
-	sweepB   []float64
 	swapScan SwapScan
 	// scanU/scanV hold the partner invariants of the cached critical-swap
 	// scan's current entry (ScanCache.bestOn), gathered once per entry.
@@ -133,8 +124,6 @@ func NewState(in *etc.Instance, s Schedule) *State {
 		completion: make([]float64, in.Machs),
 		machFlow:   make([]float64, in.Machs),
 		machEpoch:  make([]uint64, in.Machs),
-		dirtyIDs:   make([]int32, 0, in.Machs),
-		dirtyMark:  make([]bool, in.Machs),
 		counts:     make([]int32, in.Machs),
 		regOff:     make([]int32, in.Machs+1),
 	}
@@ -182,8 +171,7 @@ func (st *State) ensureRegions(counts []int32) {
 }
 
 // rebuild recomputes all derived state from st.assign. Every machine's
-// content changes, so every machine advances to a fresh epoch and the
-// pending dirty set is cleared — the epoch bump subsumes it.
+// content changes, so every machine advances to a fresh epoch.
 //
 // The pass is bucket-by-machine over the shared backing: count each
 // machine's jobs, carve regions, drop every job into its machine's bucket
@@ -315,76 +303,22 @@ func (st *State) refreshMachine(m int) {
 	st.top.update(m, t)
 }
 
-// touchAll advances every machine to a fresh epoch and clears the dirty
-// set: the wholesale invalidation of rebuild, SetSchedule and CopyFrom.
+// touchAll advances every machine to a fresh epoch: the wholesale
+// invalidation of rebuild, SetSchedule and CopyFrom.
 func (st *State) touchAll() {
 	st.epoch++
 	for m := range st.machEpoch {
 		st.machEpoch[m] = st.epoch
 	}
-	st.drainDirty()
-}
-
-// markDirty records machine m in the commit event log (idempotent per
-// drain interval; the list is bounded by the machine count).
-func (st *State) markDirty(m int) {
-	if !st.dirtyMark[m] {
-		st.dirtyMark[m] = true
-		st.dirtyIDs = append(st.dirtyIDs, int32(m))
-		dirtyAuditAdd(1)
-	}
-}
-
-// drainDirty consumes the event log: clears every mark and empties the
-// list. The machine epochs remain the validity truth, so draining never
-// loses information — it only acknowledges that the observer (the scan
-// cache, or a wholesale re-evaluation) has caught up.
-func (st *State) drainDirty() {
-	if len(st.dirtyIDs) == 0 {
-		return
-	}
-	dirtyAuditAdd(-int64(len(st.dirtyIDs)))
-	for _, m := range st.dirtyIDs {
-		st.dirtyMark[m] = false
-	}
-	st.dirtyIDs = st.dirtyIDs[:0]
 }
 
 // noteCommit is the Move/Swap commit hook: machines m1 and m2 changed
-// content (they advance to a fresh epoch and enter the dirty set), and if
-// the tournament tree's root — the critical machine — moved across the
-// commit, the old and new critical machines are marked too, so an
-// event-driven consumer sees every machine whose role in the next scan
-// changed, not just the two whose lists did.
-func (st *State) noteCommit(m1, m2, critBefore int) {
+// content, so they advance to a fresh epoch.
+func (st *State) noteCommit(m1, m2 int) {
 	st.epoch++
 	st.machEpoch[m1] = st.epoch
 	st.machEpoch[m2] = st.epoch
-	st.markDirty(m1)
-	st.markDirty(m2)
-	if critAfter := st.top.argmax(); critAfter != critBefore {
-		st.markDirty(critBefore)
-		st.markDirty(critAfter)
-	}
 }
-
-// SyncScans drains the pending dirty set. Search loops that commit moves
-// call it before handing the state back (to a pool, or to their caller),
-// so a state never carries pending invalidation events out of a run —
-// the leak invariant the dirty-set audit (DirtyAuditStart) checks. The
-// scan cache drains on every query, so this is only needed when the last
-// action was a commit.
-func (st *State) SyncScans() { st.drainDirty() }
-
-// PendingDirty reports how many machines are in the commit event log —
-// zero whenever the scan cache (or SyncScans) has caught up. White-box
-// tests use it to pin the drain discipline.
-func (st *State) PendingDirty() int { return len(st.dirtyIDs) }
-
-// DirtyMachines returns the machines currently in the commit event log.
-// Callers must not mutate the returned slice; it is valid until the next
-// commit or drain.
-func (st *State) DirtyMachines() []int32 { return st.dirtyIDs }
 
 // SetScanExempt excludes machine m from (or re-admits it to) the cached
 // critical-swap sweep: BestCriticalSwap never scans an exempt machine's
@@ -516,7 +450,6 @@ func (st *State) Move(j, to int) {
 	if from == to {
 		return
 	}
-	crit := st.top.argmax()
 	st.flowtime -= st.machFlow[from] + st.machFlow[to]
 	st.remove(j, from)
 	st.insert(j, to)
@@ -524,7 +457,7 @@ func (st *State) Move(j, to int) {
 	st.refreshMachine(from)
 	st.refreshMachine(to)
 	st.flowtime += st.machFlow[from] + st.machFlow[to]
-	st.noteCommit(from, to, crit)
+	st.noteCommit(from, to)
 }
 
 // Swap exchanges the machines of jobs a and b. Swapping jobs on the same
@@ -534,7 +467,6 @@ func (st *State) Swap(a, b int) {
 	if ma == mb {
 		return
 	}
-	crit := st.top.argmax()
 	st.flowtime -= st.machFlow[ma] + st.machFlow[mb]
 	st.remove(a, ma)
 	st.remove(b, mb)
@@ -544,7 +476,7 @@ func (st *State) Swap(a, b int) {
 	st.refreshMachine(ma)
 	st.refreshMachine(mb)
 	st.flowtime += st.machFlow[ma] + st.machFlow[mb]
-	st.noteCommit(ma, mb, crit)
+	st.noteCommit(ma, mb)
 }
 
 // CompletionAfterMove returns, in O(1), the completion times the source and
@@ -583,9 +515,7 @@ func (st *State) SetSchedule(s Schedule) {
 // SetScheduleDiff replaces the schedule like SetSchedule but by diffing s
 // against the current assignment: only jobs whose machine changed are
 // re-listed, only machines whose job sets changed are refreshed, and only
-// those machines advance to a fresh epoch and enter the dirty set (plus
-// the old and new critical machine when the tournament root moves,
-// mirroring the Move/Swap commit hook). Every cached scan result of an
+// those machines advance to a fresh epoch. Every cached scan result of an
 // untouched machine therefore stays valid — the warm-start admission path
 // of the online daemon and cache-aware island migration both depend on
 // this, where SetSchedule's wholesale epoch bump would cold-start the
@@ -598,7 +528,7 @@ func (st *State) SetSchedule(s Schedule) {
 // flowtime is re-folded canonically (Σ machFlow in ascending machine
 // order — rebuild's own accumulation order) rather than diff-adjusted,
 // which keeps the fitness bits equal to a from-scratch evaluation. Only
-// the epoch/dirty bookkeeping differs, by design. An empty diff changes
+// the epoch bookkeeping differs, by design. An empty diff changes
 // nothing, the flowtime bits included (SetScheduleFrom refolds them).
 // Pinned by the differential tests in statediff_test.go.
 func (st *State) SetScheduleDiff(s Schedule) {
@@ -628,7 +558,6 @@ func (st *State) SetScheduleDiff(s Schedule) {
 	if len(st.diffJobs) == 0 {
 		return
 	}
-	crit := st.top.argmax()
 	// Remove in descending job order: a removal shifts only the list tail
 	// behind it, so draining a long (e.g. parking) machine back to front
 	// touches each surviving element at most once.
@@ -645,16 +574,11 @@ func (st *State) SetScheduleDiff(s Schedule) {
 	for _, m := range st.diffMachs {
 		st.diffMark[m] = false
 		st.machEpoch[m] = st.epoch
-		st.markDirty(int(m))
 		st.refreshMachine(int(m))
 	}
 	st.flowtime = 0
 	for m := range st.machFlow {
 		st.flowtime += st.machFlow[m]
-	}
-	if critAfter := st.top.argmax(); critAfter != crit {
-		st.markDirty(crit)
-		st.markDirty(critAfter)
 	}
 }
 
@@ -665,17 +589,15 @@ func (st *State) SetScheduleDiff(s Schedule) {
 // every list when few jobs differ. The value state is bit-identical to
 // SetSchedule(s): the flowtime is refolded even when nothing differs,
 // since base's bits may come from incremental Move/Swap updates. As
-// under SetSchedule, every machine advances to a fresh epoch and the
-// dirty set is left empty.
+// under SetSchedule, every machine advances to a fresh epoch.
 func (st *State) SetScheduleFrom(base *State, s Schedule) {
 	st.CopyFrom(base)
 	st.SetScheduleDiff(s)
 	st.RefreshFlowtime()
-	st.SyncScans()
 }
 
-// InvalidateMachine advances machine m to a fresh epoch and marks it
-// dirty without touching its contents. Callers that mutate inputs the
+// InvalidateMachine advances machine m to a fresh epoch without touching
+// its contents. Callers that mutate inputs the
 // state cannot observe — the online daemon rewrites a machine's ETC
 // column when grid membership changes — use it to force every cached
 // scan result involving the machine to be recomputed on the next query.
@@ -685,7 +607,6 @@ func (st *State) SetScheduleFrom(base *State, s Schedule) {
 func (st *State) InvalidateMachine(m int) {
 	st.epoch++
 	st.machEpoch[m] = st.epoch
-	st.markDirty(m)
 }
 
 // RefreshFlowtime re-folds the state flowtime canonically: Σ machFlow in
@@ -698,7 +619,7 @@ func (st *State) InvalidateMachine(m int) {
 // bit-identical to the live state it was taken from. The per-machine
 // flows are refreshMachine products and need no refold. The state epoch
 // advances so cached fitness contexts recapture; machine contents are
-// untouched, so no machine epoch moves and no dirty mark is added.
+// untouched, so no machine epoch moves.
 func (st *State) RefreshFlowtime() {
 	st.flowtime = 0
 	for m := range st.machFlow {
@@ -744,8 +665,6 @@ func (st *State) Clone() *State {
 		top:        st.top.clone(),
 		epoch:      st.epoch,
 		machEpoch:  append([]uint64(nil), st.machEpoch...),
-		dirtyIDs:   make([]int32, 0, machs),
-		dirtyMark:  make([]bool, machs),
 		counts:     make([]int32, machs),
 		regOff:     make([]int32, machs+1),
 	}

@@ -85,25 +85,6 @@ func BenchmarkFitnessAfterMoveSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkCompletionAfterSwapSweep measures the per-machine batched
-// swap kernel: the post-swap completion pairs of one job against every
-// job of a partner machine. Must report 0 allocs/op (enforced in CI).
-func BenchmarkCompletionAfterSwapSweep(b *testing.B) {
-	st, r := benchState(b, 512, 16)
-	in := st.Instance()
-	st.CompletionAfterSwapSweep(0, (st.Assign(0)+1)%in.Machs, nil, nil) // warm-up
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := r.Intn(in.Jobs)
-		m := r.Intn(in.Machs)
-		if m == st.Assign(a) {
-			continue
-		}
-		st.CompletionAfterSwapSweep(a, m, nil, nil)
-	}
-}
-
 // BenchmarkSwapScanSweep measures one full critical-machine scan through
 // the step-level swap cache (BeginSwapScan + BestPartner per critical
 // job) — the LMCTS full-neighborhood unit of work. Must report 0
@@ -132,7 +113,7 @@ func BenchmarkMoveScanSweepProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scan := st.BeginMoveScan(o)
+		scan := st.beginMoveScan(o)
 		for k := 0; k < 16; k++ {
 			scan.FitnessAfterMove(r.Intn(in.Jobs), r.Intn(in.Machs))
 		}

@@ -24,7 +24,7 @@ func diffTestInstance(jobs, machs int, seed uint64) *etc.Instance {
 }
 
 // requireStateEqual compares every value-bearing field of two states bit
-// for bit (epochs and dirty bookkeeping are allowed to differ — that is
+// for bit (epoch bookkeeping is allowed to differ — that is
 // the point of the diff path).
 func requireStateEqual(t *testing.T, got, want *State) {
 	t.Helper()
@@ -110,28 +110,23 @@ func TestSetScheduleDiffMatchesSetSchedule(t *testing.T) {
 					t.Fatalf("FitnessAfterMove(%d,%d) bits differ after diff: %v vs %v", j, to, df, ff)
 				}
 			}
-			diffSt.SyncScans()
-			fullSt.SyncScans()
 		}
 	}
 }
 
-// TestSetScheduleDiffDirtiesOnlyChangedMachines pins the delta contract:
-// the diff path marks exactly the machines whose job sets changed (plus
-// the old and new critical machine when the tournament root moves), and
-// leaves every other machine's epoch — and therefore every cached scan
-// entry — untouched.
-func TestSetScheduleDiffDirtiesOnlyChangedMachines(t *testing.T) {
+// TestSetScheduleDiffAdvancesOnlyChangedMachines pins the delta
+// contract: the diff path advances the epochs of exactly the machines
+// whose job sets changed, and leaves every other machine's epoch — and
+// therefore every cached scan entry — untouched.
+func TestSetScheduleDiffAdvancesOnlyChangedMachines(t *testing.T) {
 	in := diffTestInstance(60, 6, 3)
 	r := rng.New(11)
 	st := NewState(in, NewRandom(in, r))
-	st.SyncScans()
 
 	epochBefore := make([]uint64, in.Machs)
 	for m := range epochBefore {
 		epochBefore[m] = st.MachEpoch(m)
 	}
-	critBefore := st.MakespanMachine()
 
 	// Move one job between two specific machines.
 	var j, from, to int
@@ -145,42 +140,18 @@ func TestSetScheduleDiffDirtiesOnlyChangedMachines(t *testing.T) {
 	next[j] = to
 	st.SetScheduleDiff(next)
 
-	critAfter := st.MakespanMachine()
-	wantDirty := map[int]bool{from: true, to: true}
-	if critAfter != critBefore {
-		wantDirty[critBefore] = true
-		wantDirty[critAfter] = true
-	}
-	gotDirty := map[int]bool{}
-	for _, m := range st.DirtyMachines() {
-		gotDirty[int(m)] = true
-	}
-	for m := range wantDirty {
-		if !gotDirty[m] {
-			t.Errorf("machine %d should be dirty", m)
-		}
-	}
-	for m := range gotDirty {
-		if !wantDirty[m] {
-			t.Errorf("machine %d dirty but its job set did not change", m)
-		}
-	}
 	for m := 0; m < in.Machs; m++ {
 		changed := st.MachEpoch(m) != epochBefore[m]
 		if wantCh := m == from || m == to; changed != wantCh {
 			t.Errorf("machine %d epoch moved=%v, want %v", m, changed, wantCh)
 		}
 	}
-	st.SyncScans()
 
 	// An empty diff is a no-op: no epoch movement at all.
 	e := st.Epoch()
 	st.SetScheduleDiff(st.Schedule())
 	if st.Epoch() != e {
 		t.Errorf("no-op diff moved the state epoch")
-	}
-	if n := st.PendingDirty(); n != 0 {
-		t.Errorf("no-op diff marked %d machines dirty", n)
 	}
 }
 
@@ -206,9 +177,7 @@ func TestSetScheduleDiffScanCacheStaysExact(t *testing.T) {
 			t.Fatalf("step %d: cached scan (%v,%d,%d) != cold scan (%v,%d,%d)",
 				step, v, a, b, rv, ra, rb)
 		}
-		ref.SyncScans()
 	}
-	st.SyncScans()
 }
 
 // TestRefreshFlowtime pins the canonicalisation contract: after a long
@@ -226,7 +195,6 @@ func TestRefreshFlowtime(t *testing.T) {
 			st.Swap(r.Intn(in.Jobs), r.Intn(in.Jobs))
 		}
 	}
-	st.SyncScans()
 	clean := NewState(in, st.Schedule())
 	e := st.Epoch()
 	st.RefreshFlowtime()
@@ -235,9 +203,6 @@ func TestRefreshFlowtime(t *testing.T) {
 	}
 	if math.Float64bits(st.Flowtime()) != math.Float64bits(clean.Flowtime()) {
 		t.Errorf("flowtime not canonical after refresh: %v vs %v", st.Flowtime(), clean.Flowtime())
-	}
-	if n := st.PendingDirty(); n != 0 {
-		t.Errorf("RefreshFlowtime marked %d machines dirty", n)
 	}
 }
 
@@ -266,15 +231,10 @@ func TestInvalidateMachine(t *testing.T) {
 	if st.MachEpoch(m) == e {
 		t.Fatalf("InvalidateMachine did not move the machine epoch")
 	}
-	if st.PendingDirty() == 0 {
-		t.Fatalf("InvalidateMachine did not mark the machine dirty")
-	}
-	st.SyncScans()
 	// The cache must now agree with a cold state on the next query.
 	v, a, b := sc.BestCriticalSwap()
 	ref := NewState(in, st.Schedule())
 	rv, ra, rb := ref.Scans(DefaultObjective).BestCriticalSwap()
-	ref.SyncScans()
 	if math.Float64bits(v) != math.Float64bits(rv) || a != ra || b != rb {
 		t.Fatalf("cached scan (%v,%d,%d) != cold scan (%v,%d,%d)", v, a, b, rv, ra, rb)
 	}
@@ -283,7 +243,7 @@ func TestInvalidateMachine(t *testing.T) {
 // TestSetScheduleFromMatchesSetSchedule pins the cMA's rebuild of a
 // crossover child: SetScheduleFrom(parent, child) must equal
 // SetSchedule(child) in every value-bearing bit, leave no machine at a
-// pre-call epoch and no dirty mark, and answer the same cached scan.
+// pre-call epoch, and answer the same cached scan.
 // Children cover one-point crossover, a single changed job, no change, a
 // full rewrite, a machine drained to empty and every job crowded onto one
 // machine (a list past the insertion sort's cut-off), on integer ETC with
@@ -347,9 +307,6 @@ func TestSetScheduleFromMatchesSetSchedule(t *testing.T) {
 			scratch.SetScheduleFrom(parent, child)
 			full.SetSchedule(child)
 			requireStateEqual(t, scratch, full)
-			if n := scratch.PendingDirty(); n != 0 {
-				t.Fatalf("%s step %d: %d machines left dirty", in.Name, step, n)
-			}
 			for m := 0; m < in.Machs; m++ {
 				if scratch.MachEpoch(m) <= before {
 					t.Fatalf("%s step %d: machine %d kept a pre-call epoch", in.Name, step, m)

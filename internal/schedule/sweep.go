@@ -17,14 +17,15 @@ import (
 //     are computed once and reused across all M targets, instead of once
 //     per target — the steepest local move (SLM) scans exactly this
 //     neighborhood.
-//   - CompletionAfterSwapSweep emits the post-swap completion pair for
-//     swapping one job against *every* job of a partner machine in a
-//     single scan of that machine's list, hoisting the per-pair removal
-//     terms out of the loop — the LMCTS critical-machine scan is a fold
-//     over these sweeps.
-//   - MoveScan caches the top machine completions of a frozen state so a
-//     batch of unrelated move probes (SA sweeps, tabu candidate scans)
-//     skips the per-probe tournament-tree walks.
+//   - SwapScan caches the partner-side terms of every swap against the
+//     critical machine, so BestPartner scores one critical job against
+//     every partner without gather loads — the reference full scan the
+//     cached critical-swap scan (scancache.go) is checked against, and
+//     the sampled LMCTS's batched partner scan.
+//   - moveScan caches the top machine completions of a frozen state so a
+//     batch of unrelated move probes (SA sweeps, tabu candidate scans,
+//     through ScanCache.FitnessAfterMove) skips the per-probe
+//     tournament-tree walks.
 //
 // Every sweep inherits the probes' bit-identity contract: each emitted
 // value equals, bit for bit, the scalar probe for the same candidate —
@@ -111,53 +112,6 @@ func (st *State) FitnessAfterMoveSweep(o Objective, j int, out []float64) []floa
 		out[to] = o.Combine(mk, f/denom)
 	}
 	return out
-}
-
-// CompletionAfterSwapSweep computes CompletionAfterSwap(a, b) for every
-// job b on machine m — the completions machine(a) and machine m would
-// have after exchanging a and b — in one scan of m's job list. aOut[k]
-// and bOut[k] are the pair for the job at slot k of JobsOn(m). Nil output
-// slices use buffers owned by the state (valid until the next swap sweep
-// on it); explicit slices must have length >= len(JobsOn(m)). The filled
-// prefixes are returned. Requires a not to be on m.
-//
-// The removal terms of both machines are hoisted out of the loop, so each
-// slot costs two ETC loads and two additions — the scalar per-pair call
-// re-derives the hoisted terms every time. Allocation-free after warm-up.
-func (st *State) CompletionAfterSwapSweep(a, m int, aOut, bOut []float64) ([]float64, []float64) {
-	ma := st.assign[a]
-	if ma == m {
-		panic("schedule: CompletionAfterSwapSweep with a on m")
-	}
-	jobs := st.machJobs[m]
-	n := len(jobs)
-	if aOut == nil {
-		st.sweepA = grown(st.sweepA, n)
-		aOut = st.sweepA
-	} else {
-		aOut = aOut[:n]
-	}
-	if bOut == nil {
-		st.sweepB = grown(st.sweepB, n)
-		bOut = st.sweepB
-	} else {
-		bOut = bOut[:n]
-	}
-	machs := st.inst.Machs
-	caBase := st.completion[ma] - st.inst.At(a, ma) // machine(a) minus a, shared by every partner
-	w := st.inst.At(a, m)                           // a's cost on m, shared by every partner
-	cm := st.completion[m]
-	etc := st.inst.ETC
-	if etc == nil {
-		swapSweepFill(st.inst.ETC32, machs, ma, m, caBase, w, cm, jobs, aOut, bOut)
-		return aOut, bOut
-	}
-	for k, b := range jobs {
-		row := int(b) * machs
-		aOut[k] = caBase + etc[row+ma]
-		bOut[k] = (cm - etc[row+m]) + w
-	}
-	return aOut, bOut
 }
 
 // SwapScan is a frozen-state batch for critical-machine swap scans — the
@@ -311,15 +265,15 @@ func (ss *SwapScan) BestPartner(a int) (float64, int) {
 	return best, bestB
 }
 
-// MoveScan is a frozen-state batch of move probes: it caches the current
+// moveScan is a frozen-state batch of move probes: it caches the current
 // fitness and the top three machine completions, so each probe answers
 // the "max completion excluding the two touched machines" query from the
 // cache in O(1) instead of walking the tournament tree. Build one with
-// BeginMoveScan, probe with FitnessAfterMove; the scan is invalidated by
-// any mutation of the state (Move, Swap, SetSchedule, CopyFrom) — begin a
-// fresh one after committing. SA and tabu search amortise one scan over
-// every candidate of a sweep or step.
-type MoveScan struct {
+// beginMoveScan, probe with FitnessAfterMove; the scan is invalidated by
+// any mutation of the state (Move, Swap, SetSchedule, CopyFrom). The scan
+// cache owns the only live one and recaptures it whenever the state's
+// epoch moves (ScanCache.FitnessAfterMove).
+type moveScan struct {
 	st         *State
 	o          Objective
 	cur        float64
@@ -327,10 +281,10 @@ type MoveScan struct {
 	i1, i2     int
 }
 
-// BeginMoveScan captures the probe context of the state's current value.
+// beginMoveScan captures the probe context of the state's current value.
 // O(log M).
-func (st *State) BeginMoveScan(o Objective) MoveScan {
-	ms := MoveScan{st: st, o: o, cur: o.Of(st)}
+func (st *State) beginMoveScan(o Objective) moveScan {
+	ms := moveScan{st: st, o: o, cur: o.Of(st)}
 	ms.v1 = st.top.max()
 	ms.i1 = st.top.argmax()
 	ms.v2, ms.i2 = st.top.maxExcludingArg(ms.i1)
@@ -346,7 +300,7 @@ func (st *State) BeginMoveScan(o Objective) MoveScan {
 // top completions. At most two machines are excluded, so the third-best
 // value is always a valid floor; ties are value-exact because a tied
 // maximum excluded by index survives at its other witnesses.
-func (ms *MoveScan) maxExcluding2(i, j int) float64 {
+func (ms *moveScan) maxExcluding2(i, j int) float64 {
 	if ms.i1 != i && ms.i1 != j {
 		return ms.v1
 	}
@@ -358,7 +312,7 @@ func (ms *MoveScan) maxExcluding2(i, j int) float64 {
 
 // FitnessAfterMove is State.FitnessAfterMove evaluated against the scan's
 // frozen state — bit-identical, with the tree walk served from the cache.
-func (ms *MoveScan) FitnessAfterMove(j, to int) float64 {
+func (ms *moveScan) FitnessAfterMove(j, to int) float64 {
 	st := ms.st
 	from := st.assign[j]
 	if from == to {

@@ -60,47 +60,9 @@ func TestFitnessAfterMoveSweepDifferential(t *testing.T) {
 	}
 }
 
-// TestCompletionAfterSwapSweepDifferential fuzzes the swap sweep against
-// the scalar pair query on random and tie-heavy instances.
-func TestCompletionAfterSwapSweepDifferential(t *testing.T) {
-	shapes := []struct{ jobs, machs int }{{12, 2}, {16, 3}, {64, 8}, {128, 16}}
-	for _, sh := range shapes {
-		for _, tie := range []bool{false, true} {
-			var in *etc.Instance
-			if tie {
-				in = tieInstance(sh.jobs, sh.machs, uint64(29*sh.jobs+sh.machs))
-			} else {
-				in = diffInstance(sh.jobs, sh.machs, uint64(71*sh.jobs+sh.machs))
-			}
-			r := rng.New(uint64(3*sh.jobs + sh.machs))
-			st := NewState(in, NewRandom(in, r))
-			for k := 0; k < 400; k++ {
-				a := r.Intn(in.Jobs)
-				m := r.Intn(in.Machs)
-				if m == st.Assign(a) {
-					continue
-				}
-				aCs, bCs := st.CompletionAfterSwapSweep(a, m, nil, nil)
-				jobs := st.JobsOn(m)
-				if len(aCs) != len(jobs) || len(bCs) != len(jobs) {
-					t.Fatalf("sweep lengths (%d, %d), machine has %d jobs", len(aCs), len(bCs), len(jobs))
-				}
-				for s, b := range jobs {
-					wantA, wantB := st.CompletionAfterSwap(a, int(b))
-					if aCs[s] != wantA || bCs[s] != wantB {
-						t.Fatalf("%dx%d tie=%v step %d: sweep swap(%d,%d) = (%.17g, %.17g), scalar (%.17g, %.17g)",
-							sh.jobs, sh.machs, tie, k, a, b, aCs[s], bCs[s], wantA, wantB)
-					}
-				}
-				st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
-			}
-		}
-	}
-}
-
 // TestMoveScanDifferential fuzzes the frozen-state probe cache against
-// the scalar probe, rebuilding the scan after every mutation — the usage
-// contract of the SA and tabu candidate loops. Tie-heavy instances make
+// the scalar probe, rebuilding the scan after every mutation — the
+// recapture contract of ScanCache.FitnessAfterMove. Tie-heavy instances make
 // the cached top-3 completions collide, exercising every branch of the
 // cache's exclusion logic.
 func TestMoveScanDifferential(t *testing.T) {
@@ -117,7 +79,7 @@ func TestMoveScanDifferential(t *testing.T) {
 			r := rng.New(uint64(7*sh.jobs + sh.machs))
 			st := NewState(in, NewRandom(in, r))
 			for step := 0; step < 120; step++ {
-				scan := st.BeginMoveScan(o)
+				scan := st.beginMoveScan(o)
 				for k := 0; k < 40; k++ {
 					j := r.Intn(in.Jobs)
 					to := r.Intn(in.Machs) // includes no-op targets
@@ -185,11 +147,7 @@ func TestSweepsDoNotMutate(t *testing.T) {
 	before := st.Clone()
 	for k := 0; k < 300; k++ {
 		st.FitnessAfterMoveSweep(o, r.Intn(in.Jobs), nil)
-		a := r.Intn(in.Jobs)
-		if m := r.Intn(in.Machs); m != st.Assign(a) {
-			st.CompletionAfterSwapSweep(a, m, nil, nil)
-		}
-		scan := st.BeginMoveScan(o)
+		scan := st.beginMoveScan(o)
 		scan.FitnessAfterMove(r.Intn(in.Jobs), r.Intn(in.Machs))
 	}
 	if st.Makespan() != before.Makespan() || st.Flowtime() != before.Flowtime() {
@@ -208,25 +166,17 @@ func TestSweepsAllocationFree(t *testing.T) {
 	st := NewState(in, NewRandom(in, r))
 	o := DefaultObjective
 	j := 3
-	a := 9
-	m := (st.Assign(a) + 1) % in.Machs
-	st.FitnessAfterMoveSweep(o, j, nil) // warm the state-owned buffers
-	st.CompletionAfterSwapSweep(a, m, nil, nil)
+	st.FitnessAfterMoveSweep(o, j, nil) // warm the state-owned buffer
 	if n := testing.AllocsPerRun(200, func() {
 		st.FitnessAfterMoveSweep(o, j, nil)
 	}); n != 0 {
 		t.Fatalf("FitnessAfterMoveSweep allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		st.CompletionAfterSwapSweep(a, m, nil, nil)
-	}); n != 0 {
-		t.Fatalf("CompletionAfterSwapSweep allocates %v per op", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		scan := st.BeginMoveScan(o)
+		scan := st.beginMoveScan(o)
 		scan.FitnessAfterMove(j, (st.Assign(j)+1)%in.Machs)
 	}); n != 0 {
-		t.Fatalf("MoveScan allocates %v per op", n)
+		t.Fatalf("moveScan allocates %v per op", n)
 	}
 }
 

@@ -125,6 +125,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 		}
 	}
 	emit()
+	scans := cur.Scans(o)
 	sweepScans := samples / in.Machs
 	if sweepScans < 1 {
 		sweepScans = 1
@@ -156,18 +157,17 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 				}
 			}
 		} else {
-			// One amortised scan context serves the whole candidate
-			// batch: the state is frozen for the step, so the context's
-			// cached top completions answer every probe's tree query in
-			// O(1). The probes stay bit-identical to the scalar path.
-			scan := cur.BeginMoveScan(o)
+			// The state is frozen for the step, so the scan cache's
+			// probe context, recaptured once per committed move, answers
+			// every probe's tree query in O(1). The probes stay
+			// bit-identical to the scalar path.
 			for k := 0; k < samples; k++ {
 				j := r.Intn(in.Jobs)
 				to := r.Intn(in.Machs)
 				if cur.Assign(j) == to {
 					continue
 				}
-				f := scan.FitnessAfterMove(j, to)
+				f := scans.FitnessAfterMove(j, to)
 				evals++
 				tabu := tabuUntil[j*in.Machs+to] > iter
 				if tabu && f >= best.Fitness() { // aspiration only on global improvement
@@ -189,7 +189,6 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 		iter++
 		emit()
 	}
-	cur.SyncScans()
 	return run.Result{
 		Best: best.Schedule(), Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime(),
 		Iterations: iter, Evals: evals, Elapsed: time.Since(start), Algorithm: s.Name(),
