@@ -203,37 +203,6 @@ func NewSASweep() (Scheduler, error) {
 	})
 }
 
-// NewTabuSweep builds the sweep-native tabu search: candidate generation
-// draws whole per-job target neighborhoods through the batched sweep
-// kernel instead of isolated (job, machine) pairs, at the same candidate
-// budget. Trajectory-changing, hence its own registry name ("tabu-sweep").
-func NewTabuSweep() (Scheduler, error) {
-	return newEngineScheduler("tabu-sweep", func(p buildParams) (engineRunner, error) {
-		cfg := tabu.DefaultConfig()
-		cfg.SweepCandidates = true
-		cfg.Objective = objectiveFor(p.lambdaSet, p.lambda, cfg.Objective)
-		return tabu.New(cfg)
-	})
-}
-
-// NewSampledLMCTSBatch builds a paper-tuned cMA whose memetic component
-// is the batch-native sampled LMCTS (localsearch.SampledLMCTSBatch):
-// partner ids drawn upfront and scanned machine-grouped through the swap
-// sweep kernel. The candidate order differs from the classic sampled
-// LMCTS, so the variant lives under its own registry name
-// ("sampled-lmcts-batch") and the frozen engines keep their trajectories.
-func NewSampledLMCTSBatch() (Scheduler, error) {
-	return newEngineScheduler("sampled-lmcts-batch", func(p buildParams) (engineRunner, error) {
-		cfg := cma.DefaultConfig()
-		cfg.LocalSearch = localsearch.SampledLMCTSBatch{Samples: 64}
-		cfg.Objective = objectiveFor(p.lambdaSet, p.lambda, cfg.Objective)
-		if p.workersSet {
-			cfg.Workers = p.workers
-		}
-		return cma.New(cfg)
-	})
-}
-
 // Heuristic returns a constructive heuristic by name: "ljfr-sjfr",
 // "minmin", "maxmin", "duplex", "sufferage", "mct", "met" or "olb".
 func Heuristic(name string) (func(*Instance) Schedule, error) {

@@ -7,22 +7,9 @@ import (
 	"sync"
 
 	"gridcma/internal/etc"
-	"gridcma/internal/evalpool"
 	"gridcma/internal/run"
 	"gridcma/internal/runner"
 )
-
-// pooledRunner is the package-internal extension a public Scheduler
-// implements when its engine can draw evaluation scratches from a shared
-// pool. It is deliberately unexported: pools are internal plumbing, and
-// the public surface only ever sees their effect — batch runs on one
-// instance stop re-allocating scratch evaluators engine by engine. The
-// registry-built engineScheduler implements it; withDefaults forwards it;
-// publicShim exploits it to give the public RunBatch the same
-// one-pool-per-instance behaviour as the internal runner.
-type pooledRunner interface {
-	runPooled(ctx context.Context, in *Instance, pool *evalpool.Pool, opts ...RunOption) (Result, error)
-}
 
 // BatchSpec describes a batch of runs: every algorithm on every instance,
 // repeated with deterministic per-task seeds — the shape of the paper's
@@ -140,20 +127,6 @@ func (p publicShim) Name() string { return p.s.Name() }
 
 func (p publicShim) Run(in *etc.Instance, b run.Budget, seed uint64, obs run.Observer) run.Result {
 	res, err := p.s.Run(b.Context(), in, p.merged(b, seed, obs)...)
-	p.errs.note(err)
-	return res
-}
-
-// RunPooled implements runner.PooledScheduler: when the wrapped public
-// Scheduler supports pool sharing (pooledRunner), the batch executor's
-// per-instance pool is forwarded through to its engine; otherwise the
-// shim degrades to a plain Run, per the pool's advisory contract.
-func (p publicShim) RunPooled(in *etc.Instance, b run.Budget, seed uint64, obs run.Observer, pool *evalpool.Pool) run.Result {
-	pr, ok := p.s.(pooledRunner)
-	if !ok || pool == nil {
-		return p.Run(in, b, seed, obs)
-	}
-	res, err := pr.runPooled(b.Context(), in, pool, p.merged(b, seed, obs)...)
 	p.errs.note(err)
 	return res
 }

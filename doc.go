@@ -116,9 +116,10 @@
 // and budget always reproduce the same schedule, byte for byte
 // (testdata/golden.json). Evaluation-path rewrites ship only when
 // provably behavior-preserving; candidate-stream reorderings ship as new
-// names — sampled-lmcts-batch (upfront machine-grouped partner pool),
-// sa-sweep and tabu-sweep (per-machine proposal distributions over
+// names — sa-sweep (per-job proposals scored over every machine by
 // FitnessAfterMoveSweep) — so the frozen names' trajectories never move.
+// Such a variant stays only while it beats its parent on both geomean
+// makespan and geomean fitness, at equal CPU, on the Braun suite.
 //
 // # Batch execution and portfolio racing
 //

@@ -111,11 +111,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxCells caps the population a Config may ask for: Width×Height of at
+// most 65,536 cells, about 2,600 times the paper's 5×5 mesh. Configs
+// arrive from files and from the wire (internal/island/dist), so the cap
+// turns a huge or overflowing grid into an error instead of a failed
+// allocation.
+const MaxCells = 1 << 16
+
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
 	switch {
 	case c.Width <= 0 || c.Height <= 0:
 		return fmt.Errorf("cma: invalid grid %dx%d", c.Width, c.Height)
+	case c.Width > MaxCells || c.Height > MaxCells || c.Width*c.Height > MaxCells:
+		// Each side is checked first so the product cannot overflow.
+		return fmt.Errorf("cma: grid %dx%d exceeds %d cells", c.Width, c.Height, MaxCells)
 	case c.Recombinations < 0 || c.Mutations < 0:
 		return fmt.Errorf("cma: negative update counts")
 	case c.Recombinations == 0 && c.Mutations == 0:
@@ -175,42 +185,24 @@ func (s *Scheduler) Name() string {
 // Run executes the cMA on instance in with the given budget and RNG seed,
 // reporting progress to obs (which may be nil).
 func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result {
-	return s.RunPooled(in, budget, seed, obs, nil)
-}
-
-// RunPooled is Run with a caller-supplied scratch pool (it implements
-// runner.PooledScheduler). The engine draws its offspring workspaces
-// from pool and returns them when the run finishes, so consecutive runs
-// on one instance — a batch sweep, a seed ladder — reuse the same
-// scratch States instead of rebuilding them. A nil pool, or one bound to
-// a different instance, falls back to a private pool. Sharing never
-// affects results: scratches are always re-pointed (SetSchedule /
-// CopyFrom) before being read.
-func (s *Scheduler) RunPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, pool *evalpool.Pool) run.Result {
 	if !budget.Bounded() {
 		panic("cma: unbounded budget")
 	}
-	if pool != nil && pool.Instance() != in {
-		pool = nil
-	}
-	e := newEngine(in, s.cfg, seed, nil, nil, budget, pool)
+	e := newEngine(in, s.cfg, seed, nil, nil, budget, nil)
 	return e.run(budget, obs, s.Name())
 }
 
-// RunWithPopulation is Run, but the mesh is seeded from initial (cloned;
-// truncated or padded with perturbed copies of its first element as
-// needed) and the final population is returned alongside the result. It
-// is the migration hook of the coarse-grained island model
+// RunWithPopulationPooled is Run, but the mesh is seeded from initial
+// (cloned; truncated or padded with perturbed copies of its first element
+// as needed) and the final population is returned alongside the result.
+// It is the migration hook of the coarse-grained island model
 // (internal/island): islands export their populations at segment
-// boundaries, exchange individuals, and resume.
-func (s *Scheduler) RunWithPopulation(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, initial []schedule.Schedule) (run.Result, []schedule.Schedule) {
-	return s.RunWithPopulationPooled(in, budget, seed, obs, initial, nil)
-}
-
-// RunWithPopulationPooled is RunWithPopulation drawing offspring
-// workspaces from a caller-supplied pool, under the same advisory
-// contract as RunPooled — the island model shares one pool across its
-// concurrently running segment sub-runs (the pool is safe for that).
+// boundaries, exchange individuals, and resume. Offspring workspaces come
+// from pool, which the island model shares across its concurrently
+// running segment sub-runs (the pool is safe for that); a nil pool, or
+// one bound to a different instance, falls back to a private one.
+// Sharing never affects results: scratches are always re-pointed
+// (SetSchedule / CopyFrom) before being read.
 func (s *Scheduler) RunWithPopulationPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, initial []schedule.Schedule, pool *evalpool.Pool) (run.Result, []schedule.Schedule) {
 	if !budget.Bounded() {
 		panic("cma: unbounded budget")
@@ -426,7 +418,7 @@ func (e *engine) refreshBest() {
 }
 
 // releaseScratches returns every checked-out workspace to the pool, so a
-// shared pool (RunPooled) hands them to the next run on the instance.
+// pool shared within an island run hands them to the next segment.
 func (e *engine) releaseScratches() {
 	e.pool.Put(e.scratch)
 	e.scratch = nil

@@ -38,6 +38,8 @@ func TestDefaultConfigValid(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	mutate := []func(*Config){
 		func(c *Config) { c.Width = 0 },
+		func(c *Config) { c.Width, c.Height = 3037000500, 3037000500 }, // product overflows
+		func(c *Config) { c.Width, c.Height = MaxCells, 2 },
 		func(c *Config) { c.Recombinations = -1 },
 		func(c *Config) { c.Recombinations = 0; c.Mutations = 0 },
 		func(c *Config) { c.SolutionsToRecombine = 1 },

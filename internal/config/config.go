@@ -40,7 +40,7 @@ type Spec struct {
 	Crossover string `json:"crossover,omitempty"` // one-point | two-point | uniform
 	Mutator   string `json:"mutator,omitempty"`   // rebalance | move | swap
 
-	LocalSearch  string `json:"local_search,omitempty"` // LM SLM LMCTS LMCTS-sampled LMCTS-sampled-batch VND none
+	LocalSearch  string `json:"local_search,omitempty"` // LM SLM LMCTS LMCTS-sampled VND none
 	LSIterations *int   `json:"ls_iterations,omitempty"`
 
 	Lambda          *float64 `json:"lambda,omitempty"`

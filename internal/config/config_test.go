@@ -86,19 +86,6 @@ func TestRandomSeedHeuristic(t *testing.T) {
 	}
 }
 
-// TestSweepNativeLocalSearchResolves pins the PR 5 batch-sampled variant
-// in the config vocabulary: a version-controlled experiment file can
-// select the machine-grouped sampled LMCTS by name.
-func TestSweepNativeLocalSearchResolves(t *testing.T) {
-	cfg, err := Spec{LocalSearch: "LMCTS-sampled-batch"}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cfg.LocalSearch.(localsearch.SampledLMCTSBatch); !ok {
-		t.Fatalf("LocalSearch resolved to %T", cfg.LocalSearch)
-	}
-}
-
 func TestBadValuesRejected(t *testing.T) {
 	cases := []Spec{
 		{Pattern: "X9"},
@@ -108,6 +95,7 @@ func TestBadValuesRejected(t *testing.T) {
 		{Crossover: "pmx"},
 		{Mutator: "inversion"},
 		{LocalSearch: "deep"},
+		{LocalSearch: "LMCTS-sampled-batch"},
 		{Seed: "bogus"},
 	}
 	for i, s := range cases {

@@ -202,26 +202,11 @@ func (s *Scheduler) Name() string { return s.cfg.Variant.String() }
 
 // Run executes the GA within budget.
 func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result {
-	return s.RunPooled(in, budget, seed, obs, nil)
-}
-
-// RunPooled is Run with a caller-supplied scratch pool (it implements
-// runner.PooledScheduler): batch sweeps on one instance reuse offspring
-// workspaces across runs. A nil or foreign-instance pool falls back to a
-// private one; sharing never affects results.
-func (s *Scheduler) RunPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, pool *evalpool.Pool) run.Result {
 	if !budget.Bounded() {
 		panic("ga: unbounded budget")
 	}
-	if pool != nil && pool.Instance() != in {
-		pool = nil
-	}
-	g := &gaState{in: in, cfg: s.cfg, r: rng.New(seed), pool: pool}
+	g := &gaState{in: in, cfg: s.cfg, r: rng.New(seed)}
 	g.init()
-	defer func() {
-		g.pool.Put(g.scratch)
-		g.scratch = nil
-	}()
 	return g.run(budget, obs)
 }
 
@@ -238,7 +223,6 @@ type gaState struct {
 	next    []*schedule.State
 	nextFit []float64
 
-	pool    *evalpool.Pool
 	scratch *evalpool.Scratch
 	evals   int64
 	temp    float64 // GSA temperature
@@ -247,9 +231,6 @@ type gaState struct {
 }
 
 func (g *gaState) init() {
-	if g.pool == nil {
-		g.pool = evalpool.New(g.in)
-	}
 	g.pop = make([]*schedule.State, g.cfg.PopSize)
 	g.fit = make([]float64, g.cfg.PopSize)
 	for i := range g.pop {
@@ -264,7 +245,7 @@ func (g *gaState) init() {
 		g.evals++
 		g.best.Note(g.pop[i], g.fit[i])
 	}
-	g.scratch = g.pool.Get()
+	g.scratch = evalpool.New(g.in).Get()
 	if g.cfg.Variant == GSA {
 		g.temp = g.cfg.InitialTempFactor * g.best.Fitness()
 	}

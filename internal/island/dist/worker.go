@@ -85,9 +85,17 @@ func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport
 		if req.Seg == nil {
 			return &transport.Response{ID: req.ID, Err: "segment call without a segment body"}, nil
 		}
+		if req.Seg.Iters < 1 {
+			return &transport.Response{ID: req.ID, Err: fmt.Sprintf("dist: %d iterations, need >= 1", req.Seg.Iters)}, nil
+		}
 		wi, err := w.instance(req.Seg.Instance)
 		if err != nil {
 			return &transport.Response{ID: req.ID, Err: err.Error()}, nil
+		}
+		for i, s := range req.Seg.Pop {
+			if err := s.Validate(wi.in); err != nil {
+				return &transport.Response{ID: req.ID, Err: fmt.Sprintf("dist: individual %d: %v", i, err)}, nil
+			}
 		}
 		base, err := req.Seg.Config.Build()
 		if err != nil {

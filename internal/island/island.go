@@ -87,27 +87,15 @@ func (s *Scheduler) Name() string { return fmt.Sprintf("IslandCMA(%d)", s.cfg.Is
 
 // Run executes the island model within budget. The iteration budget is
 // interpreted per island (all islands advance in lockstep segments); a
-// time budget bounds the whole ensemble.
+// time budget bounds the whole ensemble. Every island's segment sub-cMA
+// draws its offspring workspaces from one pool per run, so the run
+// allocates its scratch States once instead of islands × segments times;
+// the pool's Get/Put are safe for the islands' concurrency.
 func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result {
-	return s.RunPooled(in, budget, seed, obs, nil)
-}
-
-// RunPooled is Run with a caller-supplied scratch pool (it implements
-// runner.PooledScheduler): every island's segment sub-cMA draws its
-// offspring workspaces from the shared pool instead of building a
-// private one per segment, so an island run allocates its scratch States
-// once instead of islands × segments times — and a batch sweep reuses
-// them across whole runs. The pool's Get/Put are safe for the islands'
-// concurrency, and sharing cannot affect results because a scratch is
-// never read before being overwritten. A nil pool, or one bound to a
-// different instance, falls back to a private pool.
-func (s *Scheduler) RunPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, pool *evalpool.Pool) run.Result {
 	if !budget.Bounded() {
 		panic("island: unbounded budget")
 	}
-	if pool == nil || pool.Instance() != in {
-		pool = evalpool.New(in)
-	}
+	pool := evalpool.New(in)
 	start := time.Now()
 	n := s.cfg.Islands
 	// Live per-island meshes, kept across segments (cache-aware resume:

@@ -67,39 +67,32 @@ func TestRunImprovesAndIsValid(t *testing.T) {
 	}
 }
 
-// TestRunPooledSharesPoolAndMatchesRun pins the pool-sharing contract:
-// running with a caller-supplied pool yields the exact schedule of a
-// plain Run (sharing never affects results), the pool ends up holding
-// the returned scratches for the next run, and a foreign-instance pool
-// is ignored rather than corrupting the run.
-func TestRunPooledSharesPoolAndMatchesRun(t *testing.T) {
+// TestSegmentSharedPoolMatchesPrivate pins the pool contract a run's
+// islands and a distributed worker's segments rely on: a segment drawing
+// from a shared pool gives the exact result of one with a private pool,
+// and a pool bound to another instance is ignored rather than corrupting
+// the run.
+func TestSegmentSharedPoolMatchesPrivate(t *testing.T) {
 	in := testInstance()
-	s, err := New(fastCfg())
+	base := fastCfg().Base
+	plain, plainPop, err := Segment(in, base, 4, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := run.Budget{MaxIterations: 10}
-	plain := s.Run(in, budget, 7, nil)
-
-	pool := evalpool.New(in)
-	pooled := s.RunPooled(in, budget, 7, nil, pool)
-	if !pooled.Best.Equal(plain.Best) || pooled.Fitness != plain.Fitness {
-		t.Fatal("RunPooled diverged from Run")
-	}
-	// The islands returned their scratches: a following run can reuse one
-	// without construction (observable as a non-nil immediate Get whose
-	// state is bound to in).
-	sc := pool.Get()
-	if sc == nil || sc.St.Instance() != in {
-		t.Fatal("pool did not retain the islands' scratches")
-	}
-	pool.Put(sc)
-
 	other := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Seed: 9, Jobs: 32, Machs: 4})
-	foreign := evalpool.New(other)
-	res := s.RunPooled(in, budget, 7, nil, foreign)
-	if !res.Best.Equal(plain.Best) {
-		t.Fatal("foreign-instance pool changed the result")
+	for _, p := range []*evalpool.Pool{evalpool.New(in), evalpool.New(other)} {
+		res, pop, err := Segment(in, base, 4, 7, nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Best.Equal(plain.Best) || res.Fitness != plain.Fitness || len(pop) != len(plainPop) {
+			t.Fatalf("pool bound to %dx%d changed the segment result", p.Instance().Jobs, p.Instance().Machs)
+		}
+		for k := range pop {
+			if !pop[k].Equal(plainPop[k]) {
+				t.Fatalf("pool bound to %dx%d changed individual %d", p.Instance().Jobs, p.Instance().Machs, k)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // TestStatesPathMatchesWholesale is the cache-aware migration pin: the
-// live-State resume path (RunPooled: cma adopts warm States, migrants
+// live-State resume path (Run: cma adopts warm States, migrants
 // applied via SetScheduleDiff) must be bit-identical to the historical
 // wholesale path (populations exported as schedules, every State rebuilt
 // per segment). Runs long enough for several exchanges, across seeds and
@@ -38,8 +38,8 @@ func TestStatesPathMatchesWholesale(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := run.Budget{MaxIterations: tc.iters}
-		got := s.RunPooled(in, budget, tc.seed, nil, nil)
-		want := s.runPooledWholesale(in, budget, tc.seed, nil, nil)
+		got := s.Run(in, budget, tc.seed, nil)
+		want := s.runWholesale(in, budget, tc.seed, nil)
 		if !got.Best.Equal(want.Best) {
 			t.Errorf("%+v: best schedules differ between states and wholesale paths", tc)
 		}
@@ -199,10 +199,9 @@ func BenchmarkIslandRunWholesale(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := evalpool.New(in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.runPooledWholesale(in, run.Budget{MaxIterations: 8}, 11, nil, pool)
+		s.runWholesale(in, run.Budget{MaxIterations: 8}, 11, nil)
 	}
 }
 
@@ -214,10 +213,9 @@ func BenchmarkIslandRunDiff(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := evalpool.New(in)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RunPooled(in, run.Budget{MaxIterations: 8}, 11, nil, pool)
+		s.Run(in, run.Budget{MaxIterations: 8}, 11, nil)
 	}
 }
 
@@ -246,19 +244,17 @@ func BenchmarkMigrantApply(b *testing.B) {
 	}
 }
 
-// runPooledWholesale is the historical schedule-resume loop: every
-// segment exports populations as plain schedules and the next rebuilds
-// each State from scratch. It is the reference the cache-aware RunPooled
-// is pinned bit-identical against (TestStatesPathMatchesWholesale) and
-// the baseline of the migration benchmark; the distributed workers run
-// the equivalent of this path one segment at a time.
-func (s *Scheduler) runPooledWholesale(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, pool *evalpool.Pool) run.Result {
+// runWholesale is the historical schedule-resume loop: every segment
+// exports populations as plain schedules and the next rebuilds each State
+// from scratch. It is the reference the cache-aware Run is pinned
+// bit-identical against (TestStatesPathMatchesWholesale) and the baseline
+// of the migration benchmark; the distributed workers run the equivalent
+// of this path one segment at a time.
+func (s *Scheduler) runWholesale(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result {
 	if !budget.Bounded() {
 		panic("island: unbounded budget")
 	}
-	if pool == nil || pool.Instance() != in {
-		pool = evalpool.New(in)
-	}
+	pool := evalpool.New(in)
 	start := time.Now()
 	n := s.cfg.Islands
 	pops := make([][]schedule.Schedule, n) // nil until first segment

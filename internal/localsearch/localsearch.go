@@ -31,7 +31,6 @@ package localsearch
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gridcma/internal/rng"
 	"gridcma/internal/schedule"
@@ -56,8 +55,6 @@ func ByName(s string) (Method, error) {
 		return LMCTS{}, nil
 	case "LMCTS-sampled", "lmcts-sampled":
 		return SampledLMCTS{Samples: 64}, nil
-	case "LMCTS-sampled-batch", "lmcts-sampled-batch":
-		return SampledLMCTSBatch{Samples: 64}, nil
 	case "VND", "vnd":
 		return Chain{LM{}, SLM{}, LMCTS{}}, nil
 	case "none", "":
@@ -69,7 +66,7 @@ func ByName(s string) (Method, error) {
 
 // Names lists the methods available through ByName.
 func Names() []string {
-	return []string{"LM", "SLM", "LMCTS", "LMCTS-sampled", "LMCTS-sampled-batch", "VND", "none"}
+	return []string{"LM", "SLM", "LMCTS", "LMCTS-sampled", "VND", "none"}
 }
 
 // None is the identity method: a cMA with None degenerates to a cellular
@@ -188,89 +185,6 @@ func (s SampledLMCTS) Improve(st *schedule.State, o schedule.Objective, iters in
 
 // Name implements Method.
 func (s SampledLMCTS) Name() string { return "LMCTS-sampled" }
-
-// SampledLMCTSBatch is the batch-native sampled LMCTS: one pool of at
-// most Samples random partner jobs is drawn upfront per iteration
-// (instead of per critical job), sorted machine-grouped, captured once
-// with the swap-sweep kernel (State.BeginSwapScanIDs) and scanned by
-// every critical job through the flat per-machine invariants — the
-// partner-side completion terms are derived once per partner instead of
-// once per (critical job, partner) pair, and the sweep's hoisted
-// arithmetic applies to the sampled set exactly as it does to the full
-// scan.
-//
-// The candidate order is no longer the RNG stream of SampledLMCTS (one
-// shared pool versus per-critical-job draws), so trajectories differ:
-// this method registers under its own name ("LMCTS-sampled-batch", and
-// "sampled-lmcts-batch" at the public registry) and the historical
-// sampled variant stays frozen.
-type SampledLMCTSBatch struct {
-	Samples int
-}
-
-// Improve implements Method.
-func (s SampledLMCTSBatch) Improve(st *schedule.State, o schedule.Objective, iters int, r *rng.Source) {
-	n := s.Samples
-	if n <= 0 {
-		n = 64
-	}
-	cur := o.Of(st)
-	for k := 0; k < iters; k++ {
-		f, ok := batchSampledSwap(st, o, cur, n, r)
-		if !ok {
-			break
-		}
-		cur = f
-	}
-}
-
-// Name implements Method.
-func (s SampledLMCTSBatch) Name() string { return "LMCTS-sampled-batch" }
-
-// batchSampledSwap performs one steepest swap step between the critical
-// machine and a shared pool of n sampled partners. Draws landing on the
-// critical machine are discarded (they consume the stream, like the
-// per-job sampling's skip). The kept ids are sorted by (machine, id) so
-// the swap scan sees them machine-grouped; BestPartner's smallest-id
-// tie-break and the strict fold across critical jobs in SPT order then
-// mirror the full scan's tie-break contract on the sampled subset.
-// Returns the fitness after the step and whether a swap was applied.
-func batchSampledSwap(st *schedule.State, o schedule.Objective, cur float64, n int, r *rng.Source) (float64, bool) {
-	in := st.Instance()
-	crit := st.MakespanMachine()
-	critJobs := st.JobsOn(crit)
-	if len(critJobs) == 0 {
-		return cur, false
-	}
-	ids := st.PartnerSampleBuf(n)
-	for k := 0; k < n; k++ {
-		if b := int32(r.Intn(in.Jobs)); st.Assign(int(b)) != crit {
-			ids = append(ids, b)
-		}
-	}
-	if len(ids) == 0 {
-		return cur, false
-	}
-	slices.SortFunc(ids, func(a, b int32) int {
-		if ma, mb := st.Assign(int(a)), st.Assign(int(b)); ma != mb {
-			return ma - mb
-		}
-		return int(a - b)
-	})
-	scan := st.BeginSwapScanIDs(crit, ids)
-	bestA, bestB := -1, -1
-	bestMax := st.Completion(crit)
-	for _, a := range critJobs {
-		v, b := scan.BestPartner(int(a))
-		if b >= 0 && v < bestMax {
-			bestMax, bestA, bestB = v, int(a), b
-		}
-	}
-	if bestA < 0 {
-		return cur, false
-	}
-	return tryCommitSwap(st, o, cur, bestA, bestB)
-}
 
 // tryCommitSwap is the shared accept-and-commit tail of every critical
 // swap step: the candidate already reduces the critical completion pair,

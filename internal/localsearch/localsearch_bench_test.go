@@ -185,20 +185,6 @@ func BenchmarkLMCTSCachedScanLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkSampledLMCTSBatch measures one batch-native sampled step
-// (upfront pool draw, machine-grouped sweep scan) for comparison with
-// BenchmarkLMCTSProbe, the per-job scalar sampling it derives from.
-func BenchmarkSampledLMCTSBatch(b *testing.B) {
-	st, r := benchState(b)
-	o := schedule.DefaultObjective
-	SampledLMCTSBatch{Samples: 64}.Improve(st, o, 1, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SampledLMCTSBatch{Samples: 64}.Improve(st, o, 1, r)
-	}
-}
-
 // BenchmarkLMCTSScalarProbe is the pre-sweep full scan (every partner
 // job through the scalar pair query), kept as the reference the swap
 // sweep is measured against.

@@ -211,86 +211,13 @@ func sweepCriticalSwap(st *schedule.State, o schedule.Objective, cur float64) (f
 	return tryCommitSwap(st, o, cur, bestA, bestB)
 }
 
-// batchSampledScalarRef re-implements SampledLMCTSBatch's step with
-// scalar pair queries over the identically drawn (and identically
-// sorted) partner pool: the machine-grouped sweep scan must pick the
-// same swap, including the smallest-id tie-break.
-func batchSampledScalarRef(st *schedule.State, o schedule.Objective, cur float64, n int, r *rng.Source) (float64, bool) {
-	in := st.Instance()
-	crit := st.MakespanMachine()
-	critJobs := st.JobsOn(crit)
-	if len(critJobs) == 0 {
-		return cur, false
-	}
-	var ids []int32
-	for k := 0; k < n; k++ {
-		if b := int32(r.Intn(in.Jobs)); st.Assign(int(b)) != crit {
-			ids = append(ids, b)
-		}
-	}
-	if len(ids) == 0 {
-		return cur, false
-	}
-	bestA, bestB := -1, -1
-	bestMax := st.Completion(crit)
-	for _, a := range critJobs {
-		av, ab := math.Inf(1), -1
-		for _, b := range ids {
-			aC, bC := st.CompletionAfterSwap(int(a), int(b))
-			if v := math.Max(aC, bC); v < av || (v == av && int(b) < ab) {
-				av, ab = v, int(b)
-			}
-		}
-		if ab >= 0 && av < bestMax {
-			bestMax, bestA, bestB = av, int(a), ab
-		}
-	}
-	if bestA < 0 {
-		return cur, false
-	}
-	f := st.FitnessAfterSwap(o, bestA, bestB)
-	if f >= cur {
-		return cur, false
-	}
-	st.Swap(bestA, bestB)
-	return f, true
-}
-
-// TestSampledBatchMatchesScalarReference pins the batch-native sampled
-// LMCTS to its scalar reference: same RNG stream, same drawn pool, same
-// committed swaps.
-func TestSampledBatchMatchesScalarReference(t *testing.T) {
-	o := schedule.DefaultObjective
-	for i, in := range diffInstances() {
-		start := schedule.NewRandom(in, rng.New(uint64(i)+90))
-		a := schedule.NewState(in, start)
-		b := schedule.NewState(in, start.Clone())
-		ra, rb := rng.New(123), rng.New(123)
-		method := SampledLMCTSBatch{Samples: 24}
-		for step := 0; step < 60; step++ {
-			method.Improve(a, o, 2, ra)
-			curB := o.Of(b)
-			for k := 0; k < 2; k++ {
-				f, ok := batchSampledScalarRef(b, o, curB, 24, rb)
-				if !ok {
-					break
-				}
-				curB = f
-			}
-			if !a.Schedule().Equal(b.Schedule()) {
-				t.Fatalf("instance %d step %d: batch sampled LMCTS diverged from scalar reference", i, step)
-			}
-		}
-	}
-}
-
 // TestLocalSearchAllocationFree asserts the rewritten methods' hot loops
 // stay allocation-free after the state's sweep buffers warm up.
 func TestLocalSearchAllocationFree(t *testing.T) {
 	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
 		0, etc.GenerateOptions{Seed: 31, Jobs: 128, Machs: 16})
 	o := schedule.DefaultObjective
-	for _, m := range []Method{SLM{}, LMCTS{}, SampledLMCTS{Samples: 16}, SampledLMCTSBatch{Samples: 16}, LM{}} {
+	for _, m := range []Method{SLM{}, LMCTS{}, SampledLMCTS{Samples: 16}, LM{}} {
 		r := rng.New(5)
 		st := schedule.NewState(in, schedule.NewRandom(in, r))
 		m.Improve(st, o, 2, r) // warm-up

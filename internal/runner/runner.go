@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"gridcma/internal/etc"
-	"gridcma/internal/evalpool"
 	"gridcma/internal/run"
 )
 
@@ -27,20 +26,6 @@ import (
 type Scheduler interface {
 	Name() string
 	Run(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result
-}
-
-// PooledScheduler is the optional extension RunBatch exploits to share
-// evaluation scratches: engines implementing it are handed one
-// evalpool.Pool per distinct instance, so the scratch States built up by
-// one run are reused by every later run on that instance instead of
-// being reallocated engine by engine. Pools are safe for the pool-level
-// concurrency RunBatch needs; determinism is unaffected because a
-// scratch's contents are never read before being overwritten. Engines
-// must treat the pool as advisory — a nil or foreign-instance pool falls
-// back to a private one.
-type PooledScheduler interface {
-	Scheduler
-	RunPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, pool *evalpool.Pool) run.Result
 }
 
 // Instance pairs a problem instance with the name batch results report.
@@ -164,21 +149,6 @@ func RunBatch(ctx context.Context, spec BatchSpec) ([]BatchResult, error) {
 		workers = total
 	}
 
-	// One scratch pool per instance, shared by every PooledScheduler
-	// task on it (PR 2 follow-up: batch runs on one instance reuse
-	// scratches across engines). Skipped entirely when no scheduler can
-	// use a pool.
-	var pools []*evalpool.Pool
-	for _, s := range spec.Schedulers {
-		if _, ok := s.(PooledScheduler); ok {
-			pools = make([]*evalpool.Pool, len(spec.Instances))
-			for i, in := range spec.Instances {
-				pools[i] = evalpool.New(in.In)
-			}
-			break
-		}
-	}
-
 	budget := spec.Budget
 	var next int64
 	var wg sync.WaitGroup
@@ -202,12 +172,7 @@ func RunBatch(ctx context.Context, spec BatchSpec) ([]BatchResult, error) {
 				}
 				sched := spec.Schedulers[si]
 				inst := spec.Instances[ii]
-				var res run.Result
-				if ps, ok := sched.(PooledScheduler); ok {
-					res = ps.RunPooled(inst.In, budget, seed, nil, pools[ii])
-				} else {
-					res = sched.Run(inst.In, budget, seed, nil)
-				}
+				res := sched.Run(inst.In, budget, seed, nil)
 				results[k] = BatchResult{
 					Instance:       inst.Name,
 					Algorithm:      sched.Name(),

@@ -3,13 +3,10 @@ package runner
 import (
 	"context"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
-	"gridcma/internal/cma"
 	"gridcma/internal/etc"
-	"gridcma/internal/evalpool"
 	"gridcma/internal/run"
 	"gridcma/internal/sa"
 	"gridcma/internal/tabu"
@@ -155,98 +152,6 @@ func TestRaceCancelsLosers(t *testing.T) {
 	if out.Best.Fitness != out.Results[out.Winner].Fitness {
 		t.Error("winner index inconsistent with best result")
 	}
-}
-
-// poolSpy wraps a PooledScheduler and records the pool of every task, so
-// the sharing contract of RunBatch is observable.
-type poolSpy struct {
-	inner PooledScheduler
-	mu    sync.Mutex
-	pools []*evalpool.Pool
-}
-
-func (p *poolSpy) Name() string { return p.inner.Name() }
-func (p *poolSpy) Run(in *etc.Instance, b run.Budget, seed uint64, obs run.Observer) run.Result {
-	return p.inner.Run(in, b, seed, obs)
-}
-func (p *poolSpy) RunPooled(in *etc.Instance, b run.Budget, seed uint64, obs run.Observer, pool *evalpool.Pool) run.Result {
-	p.mu.Lock()
-	p.pools = append(p.pools, pool)
-	p.mu.Unlock()
-	return p.inner.RunPooled(in, b, seed, obs, pool)
-}
-
-// TestRunBatchSharesPoolPerInstance checks the PR 2 follow-up wiring:
-// engines implementing PooledScheduler receive one shared scratch pool
-// per distinct instance, and sharing does not change any result.
-func TestRunBatchSharesPoolPerInstance(t *testing.T) {
-	inA := testInstance(t)
-	inB := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Jobs: 32, Machs: 4, Seed: 5})
-	inB.Name = "test32x4"
-	cfg := cma.DefaultConfig()
-	cfg.LSIterations = 1
-	sched, err := cma.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spy := &poolSpy{inner: sched}
-	spec := BatchSpec{
-		Instances:  []Instance{{Name: inA.Name, In: inA}, {Name: inB.Name, In: inB}},
-		Schedulers: []Scheduler{spy},
-		Budget:     run.Budget{MaxIterations: 2},
-		Repeats:    3,
-		BaseSeed:   7,
-		Workers:    2,
-	}
-	shared, err := RunBatch(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spy.pools) != 6 {
-		t.Fatalf("%d pooled tasks, want 6", len(spy.pools))
-	}
-	perInstance := map[*etc.Instance]map[*evalpool.Pool]bool{}
-	for _, p := range spy.pools {
-		if p == nil {
-			t.Fatal("RunBatch handed a nil pool to a PooledScheduler")
-		}
-		m := perInstance[p.Instance()]
-		if m == nil {
-			m = map[*evalpool.Pool]bool{}
-			perInstance[p.Instance()] = m
-		}
-		m[p] = true
-	}
-	if len(perInstance) != 2 {
-		t.Fatalf("pools bound to %d instances, want 2", len(perInstance))
-	}
-	for in, pools := range perInstance {
-		if len(pools) != 1 {
-			t.Fatalf("instance %s used %d pools, want 1 shared", in.Name, len(pools))
-		}
-	}
-
-	// Sharing must be invisible in the results: an unpooled run of the
-	// same spec (the shim hides RunPooled) matches exactly.
-	spec.Schedulers = []Scheduler{hidePool{sched}}
-	plain, err := RunBatch(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if !plain[i].Result.Best.Equal(shared[i].Result.Best) ||
-			plain[i].Result.Fitness != shared[i].Result.Fitness {
-			t.Fatalf("task %d: pooled run diverged from unpooled", i)
-		}
-	}
-}
-
-// hidePool strips the PooledScheduler extension from a scheduler.
-type hidePool struct{ inner Scheduler }
-
-func (h hidePool) Name() string { return h.inner.Name() }
-func (h hidePool) Run(in *etc.Instance, b run.Budget, seed uint64, obs run.Observer) run.Result {
-	return h.inner.Run(in, b, seed, obs)
 }
 
 // slowScheduler inflates the iteration budget so the wrapped engine can

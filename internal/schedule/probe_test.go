@@ -167,7 +167,8 @@ func TestMakespanMachineTieBreak(t *testing.T) {
 	}
 }
 
-// TestMakespanExcluding checks the exclusion query against a linear scan
+// TestMakespanExcluding checks the tournament tree's exclusion query (the
+// one behind the speculative fitness probes) against a linear scan
 // after a random walk of moves.
 func TestMakespanExcluding(t *testing.T) {
 	in := diffInstance(48, 7, 13)
@@ -182,8 +183,8 @@ func TestMakespanExcluding(t *testing.T) {
 				want = st.Completion(m)
 			}
 		}
-		if got := st.MakespanExcluding(ex); got != want {
-			t.Fatalf("step %d: MakespanExcluding(%d) = %v, scan %v", k, ex, got, want)
+		if got := st.top.maxExcluding(ex); got != want {
+			t.Fatalf("step %d: maxExcluding(%d) = %v, scan %v", k, ex, got, want)
 		}
 	}
 }

@@ -346,40 +346,6 @@ func TestBestMoveTargetMatchesSweepFold(t *testing.T) {
 	}
 }
 
-// TestSwapScanIDsMatchesFullScan checks BeginSwapScanIDs against
-// BeginSwapScan: handed every non-critical job, machine-grouped, the
-// restricted scan must reproduce the full scan's BestPartner results
-// exactly.
-func TestSwapScanIDsMatchesFullScan(t *testing.T) {
-	for i, in := range scanInstances() {
-		r := rng.New(uint64(i) + 950)
-		st := NewState(in, NewRandom(in, r))
-		ref := NewState(in, st.Schedule())
-		for step := 0; step < 60; step++ {
-			crit := st.MakespanMachine()
-			ids := st.PartnerSampleBuf(in.Jobs)
-			for m := 0; m < in.Machs; m++ {
-				if m != crit {
-					ids = append(ids, st.JobsOn(m)...)
-				}
-			}
-			scan := st.BeginSwapScanIDs(crit, ids)
-			full := ref.BeginSwapScan(crit)
-			for _, a := range st.JobsOn(crit) {
-				gv, gb := scan.BestPartner(int(a))
-				wv, wb := full.BestPartner(int(a))
-				if gv != wv || gb != wb {
-					t.Fatalf("instance %d step %d job %d: ids scan (%x,%d) != full (%x,%d)",
-						i, step, a, gv, gb, wv, wb)
-				}
-			}
-			j, to := r.Intn(in.Jobs), r.Intn(in.Machs)
-			st.Move(j, to)
-			ref.Move(j, to)
-		}
-	}
-}
-
 // TestMachineEpochSemantics pins the invalidation protocol: a commit
 // advances exactly its source and target machine epochs, a no-op Move or
 // Swap advances no epoch, and wholesale re-evaluations (SetSchedule,

@@ -156,22 +156,6 @@ func TestMoveToSameMachineIsNoop(t *testing.T) {
 	}
 }
 
-func TestCompletionAfterMove(t *testing.T) {
-	in := randInstance(5, 40, 5)
-	r := rng.New(6)
-	st := NewState(in, NewRandom(in, r))
-	for k := 0; k < 200; k++ {
-		j, to := r.Intn(in.Jobs), r.Intn(in.Machs)
-		from := st.Assign(j)
-		fromC, toC := st.CompletionAfterMove(j, to)
-		cp := st.Clone()
-		cp.Move(j, to)
-		if !approx(cp.Completion(from), fromC) || !approx(cp.Completion(to), toC) {
-			t.Fatalf("predicted (%v,%v), got (%v,%v)", fromC, toC, cp.Completion(from), cp.Completion(to))
-		}
-	}
-}
-
 func TestCompletionAfterSwap(t *testing.T) {
 	in := randInstance(7, 40, 5)
 	r := rng.New(8)

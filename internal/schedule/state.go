@@ -78,11 +78,6 @@ type State struct {
 	// sweep (SetScanExempt). Nil when no machine is exempt.
 	scanExempt []bool
 
-	// sampleIDs backs the batched sampled-partner draws of
-	// SampledLMCTSBatch (localsearch): partner ids drawn upfront, sorted
-	// machine-grouped, scanned through BeginSwapScanIDs.
-	sampleIDs []int32
-
 	// Region backing of the per-machine lists: machJobs/machCumC/machCumF
 	// are carved out of these three arrays by ensureRegions, each machine
 	// getting a capacity-capped region (three-index slices) sized
@@ -392,13 +387,6 @@ func (st *State) MakespanMachine() int {
 	return st.top.argmax()
 }
 
-// MakespanExcluding returns the largest completion time among machines
-// other than m, or -Inf when m is the only machine — the query behind
-// the speculative fitness probes. O(log M).
-func (st *State) MakespanExcluding(m int) float64 {
-	return st.top.maxExcluding(m)
-}
-
 // Flowtime returns the sum of job finishing times.
 func (st *State) Flowtime() float64 { return st.flowtime }
 
@@ -477,18 +465,6 @@ func (st *State) Swap(a, b int) {
 	st.refreshMachine(mb)
 	st.flowtime += st.machFlow[ma] + st.machFlow[mb]
 	st.noteCommit(ma, mb)
-}
-
-// CompletionAfterMove returns, in O(1), the completion times the source and
-// target machines would have if job j moved to machine to. It does not
-// modify the state.
-func (st *State) CompletionAfterMove(j, to int) (fromC, toC float64) {
-	from := st.assign[j]
-	e := st.inst.At(j, from)
-	if from == to {
-		return st.completion[from], st.completion[to]
-	}
-	return st.completion[from] - e, st.completion[to] + st.inst.At(j, to)
 }
 
 // CompletionAfterSwap returns, in O(1), the completion times machines of a

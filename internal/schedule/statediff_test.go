@@ -311,8 +311,8 @@ func TestSetScheduleFromMatchesSetSchedule(t *testing.T) {
 				if scratch.MachEpoch(m) <= before {
 					t.Fatalf("%s step %d: machine %d kept a pre-call epoch", in.Name, step, m)
 				}
-				if got, want := scratch.MakespanExcluding(m), full.MakespanExcluding(m); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s step %d: MakespanExcluding(%d) = %v, want %v", in.Name, step, m, got, want)
+				if got, want := scratch.top.maxExcluding(m), full.top.maxExcluding(m); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s step %d: maxExcluding(%d) = %v, want %v", in.Name, step, m, got, want)
 				}
 			}
 			gv, ga, gb := scratch.Scans(DefaultObjective).BestCriticalSwap()

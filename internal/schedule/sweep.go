@@ -20,8 +20,7 @@ import (
 //   - SwapScan caches the partner-side terms of every swap against the
 //     critical machine, so BestPartner scores one critical job against
 //     every partner without gather loads — the reference full scan the
-//     cached critical-swap scan (scancache.go) is checked against, and
-//     the sampled LMCTS's batched partner scan.
+//     cached critical-swap scan (scancache.go) is checked against.
 //   - moveScan caches the top machine completions of a frozen state so a
 //     batch of unrelated move probes (SA sweeps, tabu candidate scans,
 //     through ScanCache.FitnessAfterMove) skips the per-probe
@@ -50,17 +49,6 @@ func grown(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// PartnerSampleBuf returns a state-owned empty int32 scratch with
-// capacity at least n — the upfront partner-draw buffer of the batched
-// sampled LMCTS. Valid until the next call on this state; reallocates
-// only on growth.
-func (st *State) PartnerSampleBuf(n int) []int32 {
-	if cap(st.sampleIDs) < n {
-		st.sampleIDs = make([]int32, 0, n)
-	}
-	return st.sampleIDs[:0]
 }
 
 // FitnessAfterMoveSweep computes FitnessAfterMove(o, j, to) for every
@@ -167,51 +155,6 @@ func (st *State) BeginSwapScan(crit int) *SwapScan {
 	}
 	off = append(off, int32(len(ids)))
 	ss.u, ss.v, ss.ids, ss.segM, ss.off = u, v, ids, segM, off
-	return ss
-}
-
-// BeginSwapScanIDs is BeginSwapScan over an explicit candidate set: it
-// captures the same partner-side swap invariants against the critical
-// machine crit, but only for the given partner jobs. ids must be grouped
-// by machine (all jobs of one machine adjacent, machines in ascending
-// order — a sort by (Assign, id) produces this) and contain no job
-// assigned to crit; duplicates are allowed and harmless under BestPartner's
-// strict fold. One pass over the ids; allocation-free after warm-up (the
-// scan is owned by the state, shared with BeginSwapScan). The batched
-// sampled LMCTS draws its partner ids upfront and scans them through
-// this, machine-grouped, instead of re-deriving both completion terms
-// from the ETC matrix per (critical job, partner) pair.
-func (st *State) BeginSwapScanIDs(crit int, ids []int32) *SwapScan {
-	ss := &st.swapScan
-	ss.st, ss.crit = st, crit
-	machs := st.inst.Machs
-	etcs := st.inst.ETC
-	u, v := ss.u[:0], ss.v[:0]
-	out := ss.ids[:0]
-	segM, off := ss.segM[:0], ss.off[:0]
-	last := -1
-	for _, b := range ids {
-		m := st.assign[b]
-		if m == crit {
-			panic("schedule: BeginSwapScanIDs with partner on crit")
-		}
-		if m != last {
-			segM = append(segM, int32(m))
-			off = append(off, int32(len(out)))
-			last = m
-		}
-		if etcs != nil {
-			row := int(b) * machs
-			u = append(u, etcs[row+crit])
-			v = append(v, st.completion[m]-etcs[row+m])
-		} else {
-			u = append(u, st.inst.At(int(b), crit))
-			v = append(v, st.completion[m]-st.inst.At(int(b), m))
-		}
-		out = append(out, b)
-	}
-	off = append(off, int32(len(out)))
-	ss.u, ss.v, ss.ids, ss.segM, ss.off = u, v, out, segM, off
 	return ss
 }
 

@@ -32,15 +32,6 @@ type Config struct {
 	Objective schedule.Objective
 	// SeedHeuristic builds the starting solution; nil starts random.
 	SeedHeuristic func(*etc.Instance) schedule.Schedule
-	// SweepCandidates switches candidate generation from Samples uniform
-	// (job, machine) scalar probes per step to a per-machine proposal
-	// distribution: Samples/nb_machines jobs are drawn (at least one)
-	// and each is scored against *every* machine in one
-	// FitnessAfterMoveSweep call — the same candidate budget examined as
-	// whole neighborhoods rather than isolated pairs. Trajectories
-	// differ, so the gate is off for the frozen "tabu" registry entry
-	// and on for "tabu-sweep".
-	SweepCandidates bool
 }
 
 // DefaultConfig returns a documented default configuration.
@@ -75,12 +66,7 @@ func New(cfg Config) (*Scheduler, error) {
 }
 
 // Name identifies the algorithm in results.
-func (s *Scheduler) Name() string {
-	if s.cfg.SweepCandidates {
-		return "TabuSearch-sweep"
-	}
-	return "TabuSearch"
-}
+func (s *Scheduler) Name() string { return "TabuSearch" }
 
 // Run executes the search; one budget iteration is one accepted move.
 func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result {
@@ -126,56 +112,27 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	}
 	emit()
 	scans := cur.Scans(o)
-	sweepScans := samples / in.Machs
-	if sweepScans < 1 {
-		sweepScans = 1
-	}
 	for !budget.Done(iter, start) {
 		bestJ, bestTo := -1, -1
 		bestF := 0.0
-		if s.cfg.SweepCandidates {
-			// Per-machine proposal distribution: each drawn job's whole
-			// target neighborhood is scored in one batched sweep; the
-			// tabu filter and aspiration rule apply per (job, machine)
-			// exactly as on the scalar path.
-			for k := 0; k < sweepScans; k++ {
-				j := r.Intn(in.Jobs)
-				fits := cur.FitnessAfterMoveSweep(o, j, nil)
-				from := cur.Assign(j)
-				for to, f := range fits {
-					if to == from {
-						continue
-					}
-					evals++
-					tabu := tabuUntil[j*in.Machs+to] > iter
-					if tabu && f >= best.Fitness() {
-						continue
-					}
-					if bestJ < 0 || f < bestF {
-						bestJ, bestTo, bestF = j, to, f
-					}
-				}
+		// The state is frozen for the step, so the scan cache's probe
+		// context, recaptured once per committed move, answers every
+		// probe's tree query in O(1). The probes stay bit-identical to
+		// the scalar path.
+		for k := 0; k < samples; k++ {
+			j := r.Intn(in.Jobs)
+			to := r.Intn(in.Machs)
+			if cur.Assign(j) == to {
+				continue
 			}
-		} else {
-			// The state is frozen for the step, so the scan cache's
-			// probe context, recaptured once per committed move, answers
-			// every probe's tree query in O(1). The probes stay
-			// bit-identical to the scalar path.
-			for k := 0; k < samples; k++ {
-				j := r.Intn(in.Jobs)
-				to := r.Intn(in.Machs)
-				if cur.Assign(j) == to {
-					continue
-				}
-				f := scans.FitnessAfterMove(j, to)
-				evals++
-				tabu := tabuUntil[j*in.Machs+to] > iter
-				if tabu && f >= best.Fitness() { // aspiration only on global improvement
-					continue
-				}
-				if bestJ < 0 || f < bestF {
-					bestJ, bestTo, bestF = j, to, f
-				}
+			f := scans.FitnessAfterMove(j, to)
+			evals++
+			tabu := tabuUntil[j*in.Machs+to] > iter
+			if tabu && f >= best.Fitness() { // aspiration only on global improvement
+				continue
+			}
+			if bestJ < 0 || f < bestF {
+				bestJ, bestTo, bestF = j, to, f
 			}
 		}
 		if bestJ >= 0 {

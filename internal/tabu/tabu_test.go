@@ -70,34 +70,6 @@ func TestBestMonotone(t *testing.T) {
 	}
 }
 
-// TestSweepCandidatesRunAndImprove covers the per-machine candidate
-// distribution (the "tabu-sweep" registry gate): run, improve on the
-// seed, own name, deterministic in the seed.
-func TestSweepCandidatesRunAndImprove(t *testing.T) {
-	in := testInstance(12)
-	cfg := DefaultConfig()
-	cfg.SweepCandidates = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "TabuSearch-sweep" {
-		t.Fatalf("Name() = %q", s.Name())
-	}
-	seedFit := schedule.DefaultObjective.Evaluate(in, cfg.SeedHeuristic(in))
-	a := s.Run(in, run.Budget{MaxIterations: 20}, 5, nil)
-	b := s.Run(in, run.Budget{MaxIterations: 20}, 5, nil)
-	if a.Fitness > seedFit {
-		t.Fatalf("best %v worse than seed %v", a.Fitness, seedFit)
-	}
-	if !a.Best.Equal(b.Best) || a.Fitness != b.Fitness {
-		t.Fatal("sweep tabu not deterministic in the seed")
-	}
-	if a.Algorithm != "TabuSearch-sweep" {
-		t.Fatalf("result algorithm %q", a.Algorithm)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	for i, cfg := range []Config{
 		{Tenure: -1, Objective: schedule.DefaultObjective},

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"gridcma/internal/evalpool"
 	"gridcma/internal/runner"
 	"gridcma/internal/schedule"
 )
@@ -130,18 +129,6 @@ func newEngineScheduler(name string, build func(buildParams) (engineRunner, erro
 func (s *engineScheduler) Name() string { return s.name }
 
 func (s *engineScheduler) Run(ctx context.Context, in *Instance, opts ...RunOption) (Result, error) {
-	return s.run(ctx, in, nil, opts...)
-}
-
-// runPooled implements the package's pooledRunner extension (batch.go):
-// Run with a caller-supplied scratch pool, handed through to engines that
-// can exploit it. The pool is advisory end to end — engines without a
-// pooled entry point simply run without it.
-func (s *engineScheduler) runPooled(ctx context.Context, in *Instance, pool *evalpool.Pool, opts ...RunOption) (Result, error) {
-	return s.run(ctx, in, pool, opts...)
-}
-
-func (s *engineScheduler) run(ctx context.Context, in *Instance, pool *evalpool.Pool, opts ...RunOption) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -199,12 +186,6 @@ func (s *engineScheduler) run(ctx context.Context, in *Instance, pool *evalpool.
 	})
 	if err != nil {
 		return Result{}, err
-	}
-	if pool != nil {
-		if ps, ok := eng.(runner.PooledScheduler); ok {
-			res := ps.RunPooled(in, b.WithContext(ctx), st.seed, st.observer, pool)
-			return res, ctx.Err()
-		}
 	}
 	res := eng.Run(in, b.WithContext(ctx), st.seed, st.observer)
 	return res, ctx.Err()

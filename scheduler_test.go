@@ -24,7 +24,7 @@ func TestRegistryRoundTripsEveryAlgorithm(t *testing.T) {
 		t.Fatalf("only %d registered algorithms: %v", len(names), names)
 	}
 	for _, want := range []string{"cma", "cma-sync", "island", "braun-ga", "ss-ga", "struggle-ga", "gsa", "sa", "tabu",
-		"sampled-lmcts-batch", "sa-sweep", "tabu-sweep"} {
+		"sa-sweep"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -228,6 +228,53 @@ func TestPublicRunBatchDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal("batch results depend on worker count")
 		}
 		prev = got
+	}
+}
+
+// TestRunBatchSharesPools drives the public RunBatch over cma and island
+// on two instances and checks the results stay deterministic and identical
+// across worker counts. The island shares one scratch pool among its
+// islands within each run; that sharing, and the batch workers running
+// runs side by side, must be invisible in every output.
+func TestRunBatchSharesPools(t *testing.T) {
+	a := gridcma.GenerateInstance(gridcma.InstanceClass{}, 48, 6, 21)
+	a.Name = "a"
+	b := gridcma.GenerateInstance(gridcma.InstanceClass{}, 64, 4, 22)
+	b.Name = "b"
+	var algs []gridcma.Scheduler
+	for _, n := range []string{"cma", "island"} {
+		s, err := gridcma.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algs = append(algs, s)
+	}
+	spec := gridcma.BatchSpec{
+		Instances:  []*gridcma.Instance{a, b},
+		Algorithms: algs,
+		Budget:     gridcma.Budget{MaxIterations: 2},
+		Repeats:    2,
+		BaseSeed:   9,
+	}
+	var ref []gridcma.BatchResult
+	for _, workers := range []int{1, 4} {
+		spec.Workers = workers
+		got, err := gridcma.RunBatch(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(ref))
+		}
+		for i := range got {
+			if !got[i].Result.Best.Equal(ref[i].Result.Best) {
+				t.Fatalf("workers=%d: result %d diverged", workers, i)
+			}
+		}
 	}
 }
 
