@@ -2,12 +2,14 @@ package daemon
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"gridcma/internal/eventlog"
 	"gridcma/internal/rng"
+	"gridcma/internal/schedule"
 )
 
 // foldDigest is the from-scratch oracle for Grid.Digest: the same records
@@ -39,6 +41,29 @@ func checkDigest(t testing.TB, g *Grid, what string) {
 	}
 	if got, want := g.Digest(), foldDigest(g); got != want {
 		t.Fatalf("%s: incremental digest %s, from-scratch fold %s", what, got, want)
+	}
+	checkState(t, g, what)
+}
+
+// checkState fails unless the live state equals a from-scratch evaluation
+// of its own schedule against the grid's instance: per-machine job lists,
+// completions and the state flowtime, bit for bit. Commits resum a machine
+// only from its first edited slot, so an ETC cell rewritten under a job
+// assigned to that cell's machine would leave a stale prefix behind; this
+// is the check that catches such a write.
+func checkState(t testing.TB, g *Grid, what string) {
+	t.Helper()
+	ref := schedule.NewState(g.inst, g.st.Schedule())
+	for m := 0; m <= g.park(); m++ {
+		if !slices.Equal(g.st.JobsOn(m), ref.JobsOn(m)) {
+			t.Fatalf("%s: machine %d jobs %v, from scratch %v", what, m, g.st.JobsOn(m), ref.JobsOn(m))
+		}
+		if got, want := g.st.Completion(m), ref.Completion(m); got != want {
+			t.Fatalf("%s: machine %d completion %v, from scratch %v", what, m, got, want)
+		}
+	}
+	if got, want := g.st.Flowtime(), ref.Flowtime(); got != want {
+		t.Fatalf("%s: flowtime %v, from scratch %v", what, got, want)
 	}
 }
 

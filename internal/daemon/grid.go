@@ -130,11 +130,12 @@ const (
 	// so every parked slot has a distinct tiny ETC and the parking
 	// machine's (ETC, id)-sorted job list is exactly park order. Newly
 	// parked slots therefore append at the tail, the free stack (LIFO)
-	// hands the tail back out first, and admissions remove from the tail —
-	// parking-list maintenance stays O(changed) instead of shifting
-	// thousands of long-parked slots. The sum over every parked slot stays
-	// far below any real machine's completion, so the parking machine can
-	// never become critical while jobs are placed.
+	// hands the tail back out first, and admissions remove from the tail;
+	// State commits resum a machine only from its first edited slot, so
+	// parking-list maintenance stays O(changed) instead of shifting and
+	// re-summing thousands of long-parked slots. The sum over every
+	// parked slot stays far below any real machine's completion, so the
+	// parking machine can never become critical while jobs are placed.
 	parkEps = 1e-12
 	// blockETC is the "never go there" ETC: parked slots on real
 	// machines, live jobs on the parking column and every dead machine
@@ -588,7 +589,8 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 		// The producer's machine id, when present, is advisory: a
 		// replayed log's producer scheduled independently. A fresh park
 		// key puts the slot at the tail of the parking list, so the Move
-		// is an O(1) append there.
+		// is an O(1) append there: the commit keeps the list's recorded
+		// partial sums and sums only the new tail slot.
 		g.parkSeq++
 		g.parkKeys[s] = g.parkSeq
 		g.inst.Set(int(s), p, g.parkVal(g.parkSeq))

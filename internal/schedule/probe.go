@@ -7,7 +7,7 @@ package schedule
 // The bit-identity contract. A probe returns the same float64, bit for
 // bit, that the historical apply→Objective.Of→revert sequence observed:
 // the hypothetical per-machine completion and flowtime are recomputed by
-// replaying refreshMachine's summation loop (same terms, same order) over
+// replaying refreshFrom's summation loop (same terms, same order) over
 // the machine's job list with the moved job skipped or spliced in, and
 // the state flowtime is composed with the exact subtract-then-add
 // expression Move and Swap use. Search methods can therefore switch from
@@ -21,7 +21,7 @@ package schedule
 // hypothetical completions are folded in — and the flowtime side is one
 // read-only pass over the two affected machines' job lists. An
 // apply+revert probe paid two Moves: slice shifts, slot repairs, binary
-// searches and four refreshMachine passes, plus two full fitness reads.
+// searches and four refreshFrom passes, plus two full fitness reads.
 
 // FitnessAfterMove returns the fitness Objective.Of would report after
 // Move(j, to), without modifying the state. Moving a job to its current
@@ -90,9 +90,9 @@ func (st *State) insertPos(m int, j int32) int {
 }
 
 // prefix returns machine m's recorded partial sums before slot k: the
-// completion and flowtime refreshMachine had produced after the first k
-// jobs. Reusing the recorded bits (rather than resumming) keeps probes
-// exact and halves their work on average.
+// completion and flowtime refreshFrom had produced after the first k
+// jobs. Reusing the recorded bits (rather than resumming) keeps probes and
+// commits exact and halves a probe's work on average.
 func (st *State) prefix(m, k int) (completion, flow float64) {
 	if k > 0 {
 		return st.machCumC[m][k-1], st.machCumF[m][k-1]
@@ -100,7 +100,7 @@ func (st *State) prefix(m, k int) (completion, flow float64) {
 	return st.inst.Ready[m], 0
 }
 
-// completionFlowWithout replays refreshMachine over machine m's job list
+// completionFlowWithout replays refreshFrom over machine m's job list
 // with job j skipped: the completion and flowtime m would have after
 // remove(j, m). Only the suffix after j's slot is resummed.
 func (st *State) completionFlowWithout(m int, j int32) (completion, flow float64) {
@@ -122,7 +122,7 @@ func (st *State) completionFlowWithout(m int, j int32) (completion, flow float64
 	return t, f
 }
 
-// completionFlowWith replays refreshMachine over machine m's job list
+// completionFlowWith replays refreshFrom over machine m's job list
 // with job j spliced in at its (ETC, id) position: the completion and
 // flowtime m would have after insert(j, m). Only the suffix from the
 // insertion point is resummed.
@@ -149,7 +149,7 @@ func (st *State) completionFlowWith(m int, j int32) (completion, flow float64) {
 	return t, f
 }
 
-// completionFlowReplace replays refreshMachine over machine m's job list
+// completionFlowReplace replays refreshFrom over machine m's job list
 // with job out skipped and job in spliced at its (ETC, id) position among
 // the remaining jobs — the per-machine half of a Swap. The resummation
 // starts at the first affected slot.

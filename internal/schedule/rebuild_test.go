@@ -63,6 +63,9 @@ func checkAgainstRef(t *testing.T, tag string, in *etc.Instance, s Schedule, st 
 		if st.Completion(m) != completion[m] {
 			t.Fatalf("%s: completion[%d] = %v, want %v", tag, m, st.Completion(m), completion[m])
 		}
+		if n := len(cumF[m]); n > 0 && st.machFlow[m] != cumF[m][n-1] || n == 0 && st.machFlow[m] != 0 {
+			t.Fatalf("%s: machFlow[%d] = %v disagrees with its prefix sums", tag, m, st.machFlow[m])
+		}
 		for k, j := range jobs[m] {
 			if st.slot[j] != int32(k) {
 				t.Fatalf("%s: slot[%d] = %d, want %d", tag, j, st.slot[j], k)
@@ -71,6 +74,15 @@ func checkAgainstRef(t *testing.T, tag string, in *etc.Instance, s Schedule, st 
 	}
 	if st.Flowtime() != flowtime {
 		t.Fatalf("%s: flowtime = %v, want %v", tag, st.Flowtime(), flowtime)
+	}
+	arg := 0
+	for m, c := range completion {
+		if c > completion[arg] {
+			arg = m
+		}
+	}
+	if st.MakespanMachine() != arg || st.top.max() != completion[arg] {
+		t.Fatalf("%s: tree argmax %d (%v), want %d (%v)", tag, st.MakespanMachine(), st.top.max(), arg, completion[arg])
 	}
 }
 
@@ -136,6 +148,136 @@ func TestRebuildBucketDifferential(t *testing.T) {
 		other := NewState(in, make(Schedule, in.Jobs))
 		other.CopyFrom(st)
 		checkAgainstRef(t, in.Name+"/copyfrom", in, s, other)
+	}
+}
+
+// parkInstance builds a daemon-shaped instance: machs real columns with
+// ready times and either tie-heavy integer or random ETCs, plus a parking
+// column (the last) holding a distinct tiny key per job, so the parking
+// machine's list is in key order.
+func parkInstance(jobs, machs int, seed uint64, tie, narrow bool) *etc.Instance {
+	in := etc.New("park", jobs, machs+1)
+	if narrow {
+		in = etc.New32("park32", jobs, machs+1)
+	}
+	r := rng.New(seed)
+	for j := 0; j < jobs; j++ {
+		for m := 0; m < machs; m++ {
+			if tie {
+				in.Set(j, m, float64(1+r.Intn(4))*25)
+			} else {
+				in.Set(j, m, 1+99*r.Float64())
+			}
+		}
+		in.Set(j, machs, float64(j+1)*1e-12)
+	}
+	for m := 0; m < machs; m++ {
+		in.Ready[m] = float64(r.Intn(3)) * 10
+	}
+	in.Finalize()
+	return in
+}
+
+// TestCommitSuffixDifferential pins the suffix-only commits — Move, Swap
+// and SetScheduleDiff resume each machine's summation at its first edited
+// slot — against the from-scratch reference after every step, bit for
+// bit. The instances are shaped like the online daemon's: a parking
+// machine holding well over a thousand jobs in key order, which a commit
+// appends to (the job's parking cell is first rewritten to a fresh,
+// largest key while the job is elsewhere, as the daemon does) and drains
+// LIFO from the tail, beside real machines with tie-heavy integer or
+// random ETCs, under both ETC backings. The state flowtime is refolded
+// before each check: Move and Swap maintain it incrementally, and the
+// per-machine flows the suffix resum produces are what the check pins.
+func TestCommitSuffixDifferential(t *testing.T) {
+	const jobs, machs = 1536, 6
+	const park = machs
+	cases := []struct {
+		name        string
+		tie, narrow bool
+	}{{"tie", true, false}, {"tie32", true, true}, {"rand", false, false}}
+	for i, c := range cases {
+		in := parkInstance(jobs, machs, uint64(21+i), c.tie, c.narrow)
+		r := rng.New(uint64(31 + i))
+		key := float64(jobs)
+		parkKey := func(j int) {
+			key++
+			in.Set(j, park, key*1e-12)
+		}
+		s := make(Schedule, jobs)
+		for j := range s {
+			s[j] = park
+			if j%6 == 0 {
+				s[j] = r.Intn(machs)
+			}
+		}
+		st := NewState(in, s)
+		check := func(tag string) {
+			t.Helper()
+			st.RefreshFlowtime()
+			checkAgainstRef(t, c.name+" "+tag, in, st.ScheduleView(), st)
+		}
+		check("new")
+		// live draws a job on a real machine, -1 if a few tries find none.
+		live := func() int {
+			for try := 0; try < 64; try++ {
+				if j := r.Intn(jobs); st.Assign(j) != park {
+					return j
+				}
+			}
+			return -1
+		}
+		for step := 0; step < 600; step++ {
+			parked := st.JobsOn(park)
+			tail := int(parked[len(parked)-1])
+			op := r.Intn(7)
+			switch op {
+			case 0, 1: // completion: a live job parks at the tail
+				if j := live(); j >= 0 {
+					parkKey(j)
+					st.Move(j, park)
+				}
+			case 2: // placement of the tail
+				st.Move(tail, r.Intn(machs))
+			case 3: // rebalancing between real machines
+				if j := live(); j >= 0 {
+					st.Move(j, r.Intn(machs))
+				}
+			case 4: // a live job swaps with the tail or another live job
+				a, b := live(), live()
+				if a < 0 || b < 0 {
+					break
+				}
+				if r.Intn(2) == 0 {
+					parkKey(a)
+					b = tail
+				}
+				st.Swap(a, b)
+			case 5: // a mid-list parked job leaves
+				st.Move(int(parked[r.Intn(len(parked))]), r.Intn(machs))
+			case 6: // an admission batch: drain the tail, park and shuffle a few
+				cand := st.Schedule()
+				for _, j := range parked[len(parked)-1-r.Intn(16):] {
+					cand[j] = r.Intn(machs)
+				}
+				for k := r.Intn(16); k > 0; k-- {
+					if j := live(); j >= 0 && cand[j] != park {
+						parkKey(j)
+						cand[j] = park
+					}
+				}
+				for k := r.Intn(8); k > 0; k-- {
+					if j := live(); j >= 0 && cand[j] != park {
+						cand[j] = r.Intn(machs)
+					}
+				}
+				st.SetScheduleDiff(cand)
+			}
+			check(fmt.Sprintf("step %d (op %d)", step, op))
+			if n := len(st.JobsOn(park)); n < 1000 {
+				t.Fatalf("%s step %d: parking machine down to %d jobs", c.name, step, n)
+			}
+		}
 	}
 }
 

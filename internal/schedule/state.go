@@ -15,16 +15,16 @@ import (
 //
 //	completion[m] = ready[m] + Σ_{j on m} ETC[j][m]
 //
-// and the machine's flowtime contribution. Move and Swap update these in
-// O(jobs-on-machine); the machine completions additionally feed an indexed
-// tournament tree (maxtree.go) maintained in O(log M) per machine refresh,
-// which makes Makespan and MakespanMachine O(1) reads and answers the
+// and the machine's flowtime contribution. Move, Swap and SetScheduleDiff
+// update these in O(suffix after the edited slot); the machine
+// completions additionally feed an indexed tournament tree (maxtree.go)
+// maintained in O(log M) per machine refresh, which makes Makespan and MakespanMachine O(1) reads and answers the
 // "max completion excluding machine(s)" query behind the speculative
 // FitnessAfterMove / FitnessAfterSwap probes (probe.go).
 type State struct {
 	inst *etc.Instance
 	// etc64 is inst.ETC, hoisted at construction: the per-element replay
-	// loops (probe.go, refreshMachine, rebuild's key fill) index it
+	// loops (probe.go, refreshFrom, rebuild's key fill) index it
 	// directly when the instance has the float64 backing, falling back to
 	// the At accessor under the narrow float32 backing — one predictable
 	// branch per call instead of one per matrix read, which measurably
@@ -34,10 +34,12 @@ type State struct {
 	machJobs [][]int32 // per machine, job ids sorted by (ETC, id)
 	slot     []int32   // slot[j] = index of job j within machJobs[assign[j]]
 	// machCumC[m][k] / machCumF[m][k] are the running completion and
-	// flowtime of machine m after its k-th job — refreshMachine's partial
-	// sums, recorded as they are produced. A speculative probe reuses the
-	// prefix before the edited slot verbatim (the bits are refreshMachine's
-	// own) and only resums the suffix, halving its work on average.
+	// flowtime of machine m after its k-th job — refreshFrom's partial
+	// sums, recorded as they are produced. Speculative probes and commits
+	// alike reuse the prefix before the first edited slot verbatim (the
+	// bits are refreshFrom's own) and only resum the suffix: a probe halves
+	// its work on average, and a commit that appends at the tail of a long
+	// list (the daemon's parking machine) costs O(1).
 	machCumC   [][]float64
 	machCumF   [][]float64
 	completion []float64
@@ -68,11 +70,13 @@ type State struct {
 	scanV []float64
 
 	// Scratch of SetScheduleDiff: changed job ids, changed machine ids and
-	// the per-machine membership mark. Pure scratch like the sweep buffers
-	// (lazily grown, empty between calls, not part of the state's value).
+	// diffLo[m], the lowest slot edited on machine m (-1 while m is
+	// unchanged, which doubles as the membership mark). Pure scratch like
+	// the sweep buffers (lazily grown, reset between calls, not part of
+	// the state's value).
 	diffJobs  []int32
 	diffMachs []int32
-	diffMark  []bool
+	diffLo    []int32
 
 	// scanExempt[m] excludes machine m from the cached critical-swap
 	// sweep (SetScanExempt). Nil when no machine is exempt.
@@ -212,7 +216,7 @@ func (st *State) rebuild() {
 		for k, j := range bucket {
 			st.slot[j] = int32(k)
 		}
-		st.refreshMachine(m)
+		st.refreshFrom(m, 0)
 		st.flowtime += st.machFlow[m]
 	}
 }
@@ -266,25 +270,29 @@ func (st *State) less(a, b int32, m int) bool {
 	return a < b
 }
 
-// refreshMachine recomputes completion and flowtime of machine m from its
-// (already sorted) job list, recording the per-slot partial sums the
-// speculative probes reuse.
-func (st *State) refreshMachine(m int) {
+// refreshFrom recomputes completion and flowtime of machine m from its
+// (already sorted) job list, recording the per-slot partial sums that
+// the speculative probes and later commits reuse. It resumes at slot k:
+// the caller asserts that the first k jobs — and their ETC entries — are
+// unchanged since the partial sums were recorded, so the recorded prefix
+// is exactly what resumming it would produce and only the suffix is
+// resummed. k = 0 is the full summation; the loop is the same either way,
+// so a suffix refresh is bit-identical to a full one.
+func (st *State) refreshFrom(m, k int) {
 	jobs := st.machJobs[m]
-	cumC := st.machCumC[m][:0]
-	cumF := st.machCumF[m][:0]
-	t := st.inst.Ready[m]
-	flow := 0.0
+	cumC := st.machCumC[m][:k]
+	cumF := st.machCumF[m][:k]
+	t, flow := st.prefix(m, k)
 	if e := st.etc64; e != nil {
 		machs := st.inst.Machs
-		for _, j := range jobs {
+		for _, j := range jobs[k:] {
 			t += e[int(j)*machs+m]
 			flow += t
 			cumC = append(cumC, t)
 			cumF = append(cumF, flow)
 		}
 	} else {
-		for _, j := range jobs {
+		for _, j := range jobs[k:] {
 			t += st.inst.At(int(j), m)
 			flow += t
 			cumC = append(cumC, t)
@@ -432,37 +440,41 @@ func (st *State) insert(j int, m int) {
 }
 
 // Move reassigns job j to machine to, updating all derived quantities.
-// Moving a job to its current machine is a no-op.
+// Each machine is resummed from its edited slot: from at j's old slot, to
+// at j's new one. Moving a job to its current machine is a no-op.
 func (st *State) Move(j, to int) {
 	from := st.assign[j]
 	if from == to {
 		return
 	}
 	st.flowtime -= st.machFlow[from] + st.machFlow[to]
+	k := int(st.slot[j])
 	st.remove(j, from)
 	st.insert(j, to)
 	st.assign[j] = to
-	st.refreshMachine(from)
-	st.refreshMachine(to)
+	st.refreshFrom(from, k)
+	st.refreshFrom(to, int(st.slot[j]))
 	st.flowtime += st.machFlow[from] + st.machFlow[to]
 	st.noteCommit(from, to)
 }
 
-// Swap exchanges the machines of jobs a and b. Swapping jobs on the same
-// machine is a no-op.
+// Swap exchanges the machines of jobs a and b. Each machine is resummed
+// from the lower of its removed and inserted slots. Swapping jobs on the
+// same machine is a no-op.
 func (st *State) Swap(a, b int) {
 	ma, mb := st.assign[a], st.assign[b]
 	if ma == mb {
 		return
 	}
 	st.flowtime -= st.machFlow[ma] + st.machFlow[mb]
+	ka, kb := int(st.slot[a]), int(st.slot[b])
 	st.remove(a, ma)
 	st.remove(b, mb)
 	st.insert(a, mb)
 	st.insert(b, ma)
 	st.assign[a], st.assign[b] = mb, ma
-	st.refreshMachine(ma)
-	st.refreshMachine(mb)
+	st.refreshFrom(ma, min(ka, int(st.slot[b])))
+	st.refreshFrom(mb, min(kb, int(st.slot[a])))
 	st.flowtime += st.machFlow[ma] + st.machFlow[mb]
 	st.noteCommit(ma, mb)
 }
@@ -490,29 +502,37 @@ func (st *State) SetSchedule(s Schedule) {
 
 // SetScheduleDiff replaces the schedule like SetSchedule but by diffing s
 // against the current assignment: only jobs whose machine changed are
-// re-listed, only machines whose job sets changed are refreshed, and only
-// those machines advance to a fresh epoch. Every cached scan result of an
-// untouched machine therefore stays valid — the warm-start admission path
+// re-listed, only machines whose job sets changed are refreshed — each
+// from the lowest slot the diff edited on it — and only those machines
+// advance to a fresh epoch. Every cached scan result of an untouched
+// machine therefore stays valid — the warm-start admission path
 // of the online daemon and cache-aware island migration both depend on
 // this, where SetSchedule's wholesale epoch bump would cold-start the
 // event-driven scan cache on every batch commit.
 //
 // The resulting value state is bit-identical to SetSchedule(s): the
 // per-machine job lists are (ETC, id)-sorted sets, so they are order
-// independent of how the diff is applied; refreshMachine resums each
-// changed machine with the exact arithmetic rebuild uses; and the state
-// flowtime is re-folded canonically (Σ machFlow in ascending machine
+// independent of how the diff is applied; refreshFrom resums each
+// changed machine with the exact arithmetic rebuild uses (every edit sits
+// at or after diffLo, so the prefix before it is rebuild's too); and the
+// state flowtime is re-folded canonically (Σ machFlow in ascending machine
 // order — rebuild's own accumulation order) rather than diff-adjusted,
 // which keeps the fitness bits equal to a from-scratch evaluation. Only
 // the epoch bookkeeping differs, by design. An empty diff changes
 // nothing, the flowtime bits included (SetScheduleFrom refolds them).
-// Pinned by the differential tests in statediff_test.go.
+// Pinned by the differential tests in statediff_test.go and
+// rebuild_test.go.
 func (st *State) SetScheduleDiff(s Schedule) {
 	if err := s.Validate(st.inst); err != nil {
 		panic(err)
 	}
-	if st.diffMark == nil {
-		st.diffMark = make([]bool, len(st.machJobs))
+	lo := st.diffLo
+	if lo == nil {
+		lo = make([]int32, len(st.machJobs))
+		for m := range lo {
+			lo[m] = -1
+		}
+		st.diffLo = lo
 	}
 	st.diffJobs = st.diffJobs[:0]
 	st.diffMachs = st.diffMachs[:0]
@@ -522,12 +542,14 @@ func (st *State) SetScheduleDiff(s Schedule) {
 			continue
 		}
 		st.diffJobs = append(st.diffJobs, int32(j))
-		if !st.diffMark[from] {
-			st.diffMark[from] = true
+		// A machine's list length bounds its first edit: a removal sits
+		// below it and the first insertion at or below it.
+		if lo[from] < 0 {
+			lo[from] = int32(len(st.machJobs[from]))
 			st.diffMachs = append(st.diffMachs, int32(from))
 		}
-		if !st.diffMark[m] {
-			st.diffMark[m] = true
+		if lo[m] < 0 {
+			lo[m] = int32(len(st.machJobs[m]))
 			st.diffMachs = append(st.diffMachs, int32(m))
 		}
 	}
@@ -536,21 +558,26 @@ func (st *State) SetScheduleDiff(s Schedule) {
 	}
 	// Remove in descending job order: a removal shifts only the list tail
 	// behind it, so draining a long (e.g. parking) machine back to front
-	// touches each surviving element at most once.
+	// touches each surviving element at most once. Every edit leaves the
+	// slots below its own untouched, so the slots below the minimum edited
+	// slot keep their jobs — and their recorded partial sums — throughout.
 	for i := len(st.diffJobs) - 1; i >= 0; i-- {
 		j := st.diffJobs[i]
-		st.remove(int(j), st.assign[j])
+		from := st.assign[j]
+		lo[from] = min(lo[from], st.slot[j])
+		st.remove(int(j), from)
 	}
 	for _, j := range st.diffJobs {
 		to := s[j]
 		st.assign[j] = to
 		st.insert(int(j), to)
+		lo[to] = min(lo[to], st.slot[j])
 	}
 	st.epoch++
 	for _, m := range st.diffMachs {
-		st.diffMark[m] = false
 		st.machEpoch[m] = st.epoch
-		st.refreshMachine(int(m))
+		st.refreshFrom(int(m), int(lo[m]))
+		lo[m] = -1
 	}
 	st.flowtime = 0
 	for m := range st.machFlow {
@@ -577,9 +604,10 @@ func (st *State) SetScheduleFrom(base *State, s Schedule) {
 // state cannot observe — the online daemon rewrites a machine's ETC
 // column when grid membership changes — use it to force every cached
 // scan result involving the machine to be recomputed on the next query.
-// The machine must hold no jobs whose list order the rewritten column
-// would change; the daemon guarantees that by only rewriting columns of
-// empty (joined or vacated) machines.
+// The machine must hold no jobs whose ETC entries the rewrite changes:
+// their list order and the recorded partial sums that later commits
+// resume from would go stale. The daemon guarantees that by only
+// rewriting columns of empty (joined or vacated) machines.
 func (st *State) InvalidateMachine(m int) {
 	st.epoch++
 	st.machEpoch[m] = st.epoch
@@ -593,7 +621,7 @@ func (st *State) InvalidateMachine(m int) {
 // daemon canonicalises at every event boundary — refolds so that a state
 // restored from a snapshot (which rebuilds, and therefore folds) is
 // bit-identical to the live state it was taken from. The per-machine
-// flows are refreshMachine products and need no refold. The state epoch
+// flows are refreshFrom products and need no refold. The state epoch
 // advances so cached fitness contexts recapture; machine contents are
 // untouched, so no machine epoch moves.
 func (st *State) RefreshFlowtime() {
