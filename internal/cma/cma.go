@@ -223,8 +223,12 @@ func (s *Scheduler) RunWithPopulationPooled(in *etc.Instance, budget run.Budget,
 // RunWithPopulationPooled: instead of rebuilding every cell's State from
 // a schedule (wholesale-invalidating its scan caches), the engine adopts
 // the caller's live States as the mesh — warm prefix sums, tournament
-// trees and ScanCache entries included — and returns the same slice,
-// still owned by the caller, for the next segment. Everything else is
+// trees and ScanCache entries included — and returns the final mesh,
+// owned by the caller, for the next segment. Commits swap offspring
+// workspaces into the mesh, so the returned States may be different
+// objects from the ones passed in: some of those end up as pool
+// workspaces, and the caller must keep only the returned slice (island.Run
+// stores it in place of the one it passed). Everything else is
 // identical to the schedule path: local search improves each individual
 // before the first evaluation, consuming exactly the same RNG draws, so
 // a segment resumed from states is bit-identical to one resumed from the
@@ -447,14 +451,7 @@ func (e *engine) run(budget run.Budget, obs run.Observer, name string) run.Resul
 	}
 	emit()
 	for !budget.Done(iter, start) {
-		switch {
-		case e.cfg.Synchronous:
-			e.iterateBatch(iter, true)
-		case e.cfg.Workers > 0:
-			e.iterateBatch(iter, false)
-		default:
-			e.iterateAsync()
-		}
+		e.iterate(iter)
 		iter++
 		emit()
 	}
@@ -467,6 +464,18 @@ func (e *engine) run(budget run.Budget, obs run.Observer, name string) run.Resul
 		Evals:      e.evals,
 		Elapsed:    time.Since(start),
 		Algorithm:  name,
+	}
+}
+
+// iterate runs iteration iter under the configured updating discipline.
+func (e *engine) iterate(iter int) {
+	switch {
+	case e.cfg.Synchronous:
+		e.iterateBatch(iter, true)
+	case e.cfg.Workers > 0:
+		e.iterateBatch(iter, false)
+	default:
+		e.iterateAsync()
 	}
 }
 
@@ -508,15 +517,18 @@ func (e *engine) mutateInto(c int, s *evalpool.Scratch, popAt func(int) *schedul
 	return e.cfg.Objective.Of(s.St)
 }
 
-// replace commits offspring dst (fitness f) into cell c when the
-// replacement policy allows (Commit of the offspring pipeline).
-func (e *engine) replace(c int, dst *schedule.State, f float64) {
+// replace commits the offspring in workspace s (fitness f) into cell c
+// when the replacement policy allows (Commit of the offspring pipeline).
+// The commit swaps States instead of copying one: the offspring becomes
+// the cell, and the cell's old State becomes the workspace, which the
+// next Propose overwrites (CopyFrom or SetScheduleFrom) before reading.
+func (e *engine) replace(c int, s *evalpool.Scratch, f float64) {
 	if e.cfg.AddOnlyIfBetter && f >= e.fit[c] {
 		return
 	}
-	e.pop[c].CopyFrom(dst)
+	e.pop[c], s.St = s.St, e.pop[c]
 	e.fit[c] = f
-	e.best.Note(dst, f)
+	e.best.Note(e.pop[c], f)
 }
 
 // iterateAsync runs one asynchronous iteration per Algorithm 1: the
@@ -535,7 +547,7 @@ func (e *engine) iterateAsync() {
 		c := e.recOrd.Next()
 		f := e.recombineInto(c, e.scratch, popAt, fitAt, e.r)
 		e.evals++
-		e.replace(c, e.scratch.St, f)
+		e.replace(c, e.scratch, f)
 	}
 	for k := 0; k < e.cfg.Mutations; k++ {
 		if e.budget.Cancelled() {
@@ -544,6 +556,6 @@ func (e *engine) iterateAsync() {
 		c := e.mutOrd.Next()
 		f := e.mutateInto(c, e.scratch, popAt, e.r)
 		e.evals++
-		e.replace(c, e.scratch.St, f)
+		e.replace(c, e.scratch, f)
 	}
 }

@@ -91,7 +91,7 @@ func (e *engine) iterateBatch(iter int, frozen bool) {
 		for _, k := range wave {
 			d := &draws[k]
 			e.evals++
-			e.replace(d.cell, d.scratch.St, d.fit)
+			e.replace(d.cell, d.scratch, d.fit)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cma
 
 import (
+	"fmt"
 	"testing"
 
 	"gridcma/internal/cell"
@@ -173,6 +174,42 @@ func TestParallelAsyncRunWithPopulationDeterministic(t *testing.T) {
 			if !refPop[k].Equal(pop[k]) {
 				t.Fatalf("workers changed final population at cell %d", k)
 			}
+		}
+	}
+}
+
+// Commits swap offspring workspaces into the mesh instead of copying
+// them, so after any number of iterations every State must still have
+// exactly one owner — a cell, the sequential workspace or one draw's
+// workspace — and every cell's cached fitness must be its State's.
+func TestCommitSwapKeepsStatesUnaliased(t *testing.T) {
+	in := testInstance(31)
+	for _, sync := range []bool{false, true} {
+		for _, workers := range []int{0, 1, 2, 8} {
+			cfg := parCfg(workers)
+			cfg.Synchronous = sync
+			e := newEngine(in, cfg, 17, nil, nil, run.Budget{MaxIterations: 6}, nil)
+			for iter := 0; iter < 6; iter++ {
+				e.iterate(iter)
+				owner := make(map[*schedule.State]string)
+				claim := func(st *schedule.State, who string) {
+					if prev, ok := owner[st]; ok {
+						t.Fatalf("sync=%v workers=%d iter %d: State shared by %s and %s", sync, workers, iter, prev, who)
+					}
+					owner[st] = who
+				}
+				for c, st := range e.pop {
+					claim(st, fmt.Sprintf("cell %d", c))
+					if f := cfg.Objective.Of(st); f != e.fit[c] {
+						t.Fatalf("sync=%v workers=%d iter %d: cell %d fit %v, State evaluates to %v", sync, workers, iter, c, e.fit[c], f)
+					}
+				}
+				claim(e.scratch.St, "the sequential workspace")
+				for k := range e.draws {
+					claim(e.draws[k].scratch.St, fmt.Sprintf("draw %d", k))
+				}
+			}
+			e.stopWorkers()
 		}
 	}
 }

@@ -5,7 +5,8 @@
 // Offspring in the engines follow one pipeline: Propose (fill a genotype
 // buffer from parents, or copy an existing individual), Improve (local
 // search on the scratch State) and Commit (copy the accepted offspring
-// into the population and note it with a Best tracker). A Scratch carries
+// into the population, or swap its State with the cell's as the cMA does,
+// and note it with a Best tracker). A Scratch carries
 // everything the pipeline needs — an incremental State, a genotype buffer
 // for crossover output and an index buffer for selection — so the hot loop
 // of a run touches no allocator after warm-up.

@@ -30,7 +30,6 @@ package localsearch
 
 import (
 	"fmt"
-	"math"
 
 	"gridcma/internal/rng"
 	"gridcma/internal/schedule"
@@ -221,35 +220,67 @@ func cachedCriticalSwap(st *schedule.State, sc *schedule.ScanCache, o schedule.O
 // machine and samples random partner jobs per critical job (drawn from r,
 // one at a time, so sampling allocates nothing) — the SampledLMCTS path,
 // given the state's current fitness cur. Returns the fitness after the
-// step and whether a swap was applied. Candidates fold strict-<, so among
-// ties the first draw wins.
+// step and whether a swap was applied.
 func bestCriticalSwap(st *schedule.State, o schedule.Objective, cur float64, samples int, r *rng.Source) (float64, bool) {
-	in := st.Instance()
-	crit := st.MakespanMachine()
-	critJobs := st.JobsOn(crit)
-	if len(critJobs) == 0 {
+	_, a, b := sampledCriticalSwap(st, samples, r)
+	if a < 0 {
 		return cur, false
 	}
-	bestA, bestB := -1, -1
-	bestMax := st.Completion(crit) // any accepted swap must reduce the critical completion pair
-	for _, a := range critJobs {
+	return tryCommitSwap(st, o, cur, a, b)
+}
+
+// etcElem is the element type of either ETC backing: float64, or the
+// float32 of etc.GenSpec.Float32.
+type etcElem interface{ ~float32 | ~float64 }
+
+// sampledCriticalSwap scans samples random partners per critical job and
+// returns the best completion pair max(aC, bC) found below the critical
+// completion with its swap (a, b), or a < 0 when none is. Candidates fold
+// strict-<, so among ties the first draw wins.
+func sampledCriticalSwap(st *schedule.State, samples int, r *rng.Source) (bestMax float64, a, b int) {
+	if etcs := st.Instance().ETC; etcs != nil {
+		return sampleSwaps(st, etcs, samples, r)
+	}
+	return sampleSwaps(st, st.Instance().ETC32, samples, r)
+}
+
+// sampleSwaps is the sampled scan over one ETC backing. A candidate's
+// critical side aC = (completion[crit] − ETC[a][crit]) + ETC[b][crit]
+// needs one matrix load — the row of a and its base are hoisted per
+// critical job — and it screens the sample: only a partner with
+// aC < bestMax reads its machine and its own row for
+// bC = (completion[mb] − ETC[b][mb]) + ETC[a][mb]. Both screens are
+// written !(x < bestMax) so a NaN is rejected as the fold of max(aC, bC)
+// rejects it, and every sample still consumes its one draw, so the winner,
+// its value bits and the RNG stream match the unscreened scan exactly.
+func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Source) (bestMax float64, bestA, bestB int) {
+	jobs, machs := st.Instance().Jobs, st.Instance().Machs
+	assign := st.ScheduleView()
+	crit := st.MakespanMachine()
+	cc := st.Completion(crit)
+	bestMax, bestA, bestB = cc, -1, -1 // any accepted swap must reduce the critical completion pair
+	for _, a := range st.JobsOn(crit) {
+		rowA := etc[int(a)*machs : int(a)*machs+machs]
+		base := cc - float64(rowA[crit])
 		for k := 0; k < samples; k++ {
-			// The candidate order is the RNG stream itself, so the
-			// sampled scan stays on the scalar pair query.
-			b := r.Intn(in.Jobs)
-			if st.Assign(b) == crit {
+			b := r.Intn(jobs)
+			rowB := b * machs
+			aC := base + float64(etc[rowB+crit])
+			if !(aC < bestMax) {
 				continue
 			}
-			aC, bC := st.CompletionAfterSwap(int(a), b)
-			if v := math.Max(aC, bC); v < bestMax {
-				bestMax, bestA, bestB = v, int(a), b
+			mb := assign[b]
+			if mb == crit {
+				continue
 			}
+			bC := (st.Completion(mb) - float64(etc[rowB+mb])) + float64(rowA[mb])
+			if !(bC < bestMax) {
+				continue
+			}
+			bestMax, bestA, bestB = max(aC, bC), int(a), b
 		}
 	}
-	if bestA < 0 {
-		return cur, false
-	}
-	return tryCommitSwap(st, o, cur, bestA, bestB)
+	return bestMax, bestA, bestB
 }
 
 // Chain applies each method in sequence, splitting the iteration budget

@@ -90,10 +90,30 @@ func BenchmarkSLMApplyRevert(b *testing.B) {
 
 // BenchmarkLMCTSProbe measures one sampled LMCTS steepest-swap step
 // (critical-machine scan over random partners, probe-gated commit); the
-// sampled scan stays on the scalar pair query because its candidate
-// order is the RNG stream itself.
+// sampled scan's candidate order is the RNG stream itself, so it runs
+// its own screened loop instead of the cached scan.
 func BenchmarkLMCTSProbe(b *testing.B) {
 	st, r := benchState(b)
+	o := schedule.DefaultObjective
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SampledLMCTS{Samples: 64}.Improve(st, o, 1, r)
+	}
+}
+
+// BenchmarkSampledLMCTSLarge is the sampled step at batch-large's shape,
+// 16384×256 c_hihi, whose 32 MiB matrix spills the L2: each sample's
+// first matrix load is a cache miss, and the screen keeps most samples
+// at that one load. Must report 0 allocs/op — CI runs every Sampled
+// benchmark with -benchtime=1x and fails otherwise.
+func BenchmarkSampledLMCTSLarge(b *testing.B) {
+	in, err := etc.GenSpec{Jobs: 16384, Machs: 256, Class: etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 1}.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(7)
+	st := schedule.NewState(in, schedule.NewRandom(in, r))
 	o := schedule.DefaultObjective
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -58,7 +58,7 @@ func lmctsScalarScan(st *schedule.State, o schedule.Objective, iters int, _ *rng
 				if st.Assign(b) == crit {
 					continue
 				}
-				aC, bC := st.CompletionAfterSwap(int(a), b)
+				aC, bC := completionAfterSwap(st, int(a), b)
 				if m := math.Max(aC, bC); m < bestMax {
 					bestMax, bestA, bestB = m, int(a), b
 				}

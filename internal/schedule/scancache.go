@@ -189,8 +189,8 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 
 // bestOn computes partner machine m's memo entry: the minimum over
 // critical jobs a and jobs b on m of max(aC, bC) — the completion pair
-// CompletionAfterSwap(a, b) reports — with the winning critical job's SPT
-// position and partner id.
+// of swapping a with b — with the winning critical job's SPT position and
+// partner id.
 //
 // Exactness. Every pair that is scored uses the arithmetic of
 // SwapScan.BestPartner's flat scan, aC = (critC − ETC[a][crit]) +

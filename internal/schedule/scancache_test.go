@@ -104,7 +104,7 @@ func TestCachedScanMatchesFullSweep(t *testing.T) {
 // computed without the swap scan: the lexicographic (value, aPos, b)
 // minimum over every pair of a critical job (at SPT position aPos) and a
 // job b on a non-critical, non-exempt machine, each scored by the scalar
-// pair query CompletionAfterSwap.
+// pair query completionAfterSwap.
 func bruteCriticalSwap(st *State) (float64, int, int) {
 	exempt := func(m int) bool { return st.scanExempt != nil && st.scanExempt[m] }
 	crit := st.MakespanMachine()
@@ -118,7 +118,7 @@ func bruteCriticalSwap(st *State) (float64, int, int) {
 			if m := st.Assign(b); m == crit || exempt(m) {
 				continue
 			}
-			v, bC := st.CompletionAfterSwap(int(a), b)
+			v, bC := st.completionAfterSwap(int(a), b)
 			if bC > v {
 				v = bC
 			}

@@ -156,6 +156,17 @@ func TestMoveToSameMachineIsNoop(t *testing.T) {
 	}
 }
 
+// completionAfterSwap returns, in O(1), the completion times machines of
+// a and b would have after swapping the two jobs, which must sit on
+// different machines: the scalar pair query the swap scans are tested
+// against.
+func (st *State) completionAfterSwap(a, b int) (aC, bC float64) {
+	ma, mb := st.assign[a], st.assign[b]
+	ea, eb := st.inst.At(a, ma), st.inst.At(b, mb)
+	return st.completion[ma] - ea + st.inst.At(b, ma),
+		st.completion[mb] - eb + st.inst.At(a, mb)
+}
+
 func TestCompletionAfterSwap(t *testing.T) {
 	in := randInstance(7, 40, 5)
 	r := rng.New(8)
@@ -166,7 +177,7 @@ func TestCompletionAfterSwap(t *testing.T) {
 		if ma == mb {
 			continue
 		}
-		aC, bC := st.CompletionAfterSwap(a, b)
+		aC, bC := st.completionAfterSwap(a, b)
 		cp := st.Clone()
 		cp.Swap(a, b)
 		if !approx(cp.Completion(ma), aC) || !approx(cp.Completion(mb), bC) {

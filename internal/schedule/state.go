@@ -479,16 +479,6 @@ func (st *State) Swap(a, b int) {
 	st.noteCommit(ma, mb)
 }
 
-// CompletionAfterSwap returns, in O(1), the completion times machines of a
-// and b would have after swapping the two jobs. Requires the jobs to be on
-// different machines.
-func (st *State) CompletionAfterSwap(a, b int) (aC, bC float64) {
-	ma, mb := st.assign[a], st.assign[b]
-	ea, eb := st.inst.At(a, ma), st.inst.At(b, mb)
-	return st.completion[ma] - ea + st.inst.At(b, ma),
-		st.completion[mb] - eb + st.inst.At(a, mb)
-}
-
 // SetSchedule replaces the whole schedule and re-evaluates, reusing the
 // state's buffers. It is the allocation-light way to re-point a scratch
 // State at a new candidate solution in hot loops.

@@ -106,7 +106,9 @@ func (st *State) FitnessAfterMoveSweep(o Objective, j int, out []float64) []floa
 // LMCTS neighborhood, which pairs every job of the critical machine with
 // every job elsewhere. BeginSwapScan walks the non-critical machines once
 // and caches, machine-grouped, the partner-side invariants of the
-// completion pair CompletionAfterSwap reports: u[k], the partner's cost
+// completion pair a swap of critical job a with partner b on machine m
+// yields, aC = (completion[crit] − ETC[a][crit]) + ETC[b][crit] and
+// bC = (completion[m] − ETC[b][m]) + ETC[a][m]: u[k], the partner's cost
 // on the critical machine, and v[k], the partner machine's completion
 // with the partner removed. BestPartner then scans those flat arrays per
 // critical job — no gather loads, two additions and a max per candidate —
@@ -159,14 +161,14 @@ func (st *State) BeginSwapScan(crit int) *SwapScan {
 }
 
 // BestPartner returns, for critical job a, the minimum over all partner
-// jobs b of max(aC, bC) — the completion pair CompletionAfterSwap(a, b)
-// reports — together with the partner attaining it (-1 when no partner
-// exists). Among exact ties the smallest partner id wins, which
-// reproduces the historical ascending-id scalar scan's strict-< fold bit
-// for bit. Each emitted pair equals the scalar query's values exactly;
-// only the max is folded with a plain comparison, whose sole divergence
-// from math.Max (the sign of a zero when both halves are zeros) cannot
-// affect any comparison downstream.
+// jobs b of max(aC, bC) — the completion pair of swapping a with b —
+// together with the partner attaining it (-1 when no partner exists).
+// Among exact ties the smallest partner id wins, which reproduces the
+// historical ascending-id scalar scan's strict-< fold bit for bit. Each
+// emitted pair equals the scalar query's values exactly; only the max is
+// folded with a plain comparison, whose sole divergence from math.Max
+// (the sign of a zero when both halves are zeros) cannot affect any
+// comparison downstream.
 func (ss *SwapScan) BestPartner(a int) (float64, int) {
 	st := ss.st
 	machs := st.inst.Machs

@@ -97,7 +97,7 @@ func TestMoveScanDifferential(t *testing.T) {
 // TestSwapScanDifferential fuzzes the step-level swap cache against the
 // historical ascending-id scalar scan: for random critical jobs,
 // BestPartner must return the exact value and partner the strict-< fold
-// over CompletionAfterSwap in job-id order produced — ties included.
+// over completionAfterSwap in job-id order produced — ties included.
 func TestSwapScanDifferential(t *testing.T) {
 	shapes := []struct{ jobs, machs int }{{12, 2}, {16, 3}, {64, 8}, {128, 16}}
 	for _, sh := range shapes {
@@ -121,7 +121,7 @@ func TestSwapScanDifferential(t *testing.T) {
 						if st.Assign(b) == crit {
 							continue
 						}
-						aC, bC := st.CompletionAfterSwap(int(a), b)
+						aC, bC := st.completionAfterSwap(int(a), b)
 						if v := math.Max(aC, bC); v < wantV {
 							wantV, wantB = v, b
 						}

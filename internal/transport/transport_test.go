@@ -267,6 +267,68 @@ func FuzzReadRequest(f *testing.F) {
 	})
 }
 
+// encodeResponse frames resp exactly as a worker's writeResponse puts it
+// on the wire.
+func encodeResponse(t testing.TB, resp *Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := writeResponse(bufio.NewWriter(&buf), resp, nil); err != nil {
+		t.Fatalf("writeResponse(%+v): %v", resp, err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadResponse is FuzzReadRequest's coordinator-side twin: arbitrary
+// bytes through Conn.readResponse, the reader of every frame a worker or
+// a replication primary sends back. It must never panic, and a response
+// it accepts must re-encode through writeResponse and read back equal —
+// same header, same population — with the re-encoding a fixed point.
+// The corpus is seeded with a segment result, a ping reply, a worker
+// error, a replication payload, a torn header and a garbage payload.
+func FuzzReadResponse(f *testing.F) {
+	for _, resp := range []*Response{
+		{ID: 7, Seg: &SegmentResponse{Fitness: 3.25, Makespan: 17, Flowtime: 101.5, Evals: 42, Best: schedule.Schedule{2, 0, 1}, Pop: testPops()}},
+		{ID: 1},
+		{ID: 2, Err: "dist: unknown instance"},
+		{ID: 4, Repl: json.RawMessage(`{"records":[],"digest":"00"}`)},
+	} {
+		f.Add(encodeResponse(f, resp))
+	}
+	f.Add([]byte(`{"id":1`))
+	f.Add([]byte("{\"id\":2,\"seg\":{\"best\":[1]}}\n{not json\n"))
+	read := func(frame []byte) (*Response, error) {
+		c := &Conn{br: bufio.NewReader(bytes.NewReader(frame))}
+		return c.readResponse()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := read(data)
+		if err != nil {
+			return
+		}
+		frame := encodeResponse(t, resp)
+		back, err := read(frame)
+		if err != nil {
+			t.Fatalf("re-encoded frame %q rejected: %v", frame, err)
+		}
+		h1, err1 := json.Marshal(resp)
+		h2, err2 := json.Marshal(back)
+		if err1 != nil || err2 != nil || !bytes.Equal(h1, h2) {
+			t.Fatalf("header %s read back as %s (%v, %v)", h1, h2, err1, err2)
+		}
+		// Populations compare as the wire sees them: JSON cannot tell a
+		// nil schedule from an empty one.
+		samePops := func() bool {
+			return slices.EqualFunc(resp.Seg.Pop, back.Seg.Pop, func(x, y schedule.Schedule) bool { return slices.Equal(x, y) })
+		}
+		if (resp.Seg == nil) != (back.Seg == nil) || resp.Seg != nil && !samePops() {
+			t.Fatalf("response %+v read back as %+v", resp, back)
+		}
+		if again := encodeResponse(t, back); !bytes.Equal(again, frame) {
+			t.Fatalf("re-encoding is not a fixed point: %q then %q", frame, again)
+		}
+	})
+}
+
 // BenchmarkMigrantEncode guards the migration hot path's encoder:
 // appending a full population payload must not allocate once the buffer
 // has grown.
