@@ -190,8 +190,16 @@
 //
 // Calls travel over a pluggable transport (internal/transport): an
 // in-process Local client for tests and single-host runs, and a TCP
-// JSONL framing (one JSON header line plus one zero-allocation
-// population payload line) dialed against cmd/islandd worker daemons.
+// JSONL framing (one JSON header line plus one population payload line)
+// dialed against cmd/islandd worker daemons. The payload line is a JSON
+// array of schedules, each an array of machine ids, in exactly the form
+// AppendPops writes ([[0,3,1],[2,2,0]]: no whitespace, no leading zeros,
+// every id an int); it is encoded without allocating and decoded by
+// ParsePops in one pass without reflection, and anything else is
+// rejected. A segment reply's header also carries Fits, each
+// individual's fitness taken on the worker's final States, so the
+// coordinator ranks migrants without re-evaluating them; it checks every
+// reply first, and a bad one loses the island like a dead worker.
 // Every call carries a timeout and a jittered exponential retry policy
 // (internal/retry, the same policy the daemon's load test uses to
 // honour 429 backpressure); transport failures mark the worker dead and the

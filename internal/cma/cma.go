@@ -194,7 +194,11 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 
 // RunWithPopulationPooled is Run, but the mesh is seeded from initial
 // (cloned; truncated or padded with perturbed copies of its first element
-// as needed) and the final population is returned alongside the result.
+// as needed) and the final population is returned alongside the result,
+// with fits[k] the fitness of final[k]: each final State's flowtime is
+// re-folded (RefreshFlowtime) before Objective.Of, which makes the value
+// bit-identical to Objective.Evaluate(in, final[k]) without rebuilding a
+// State.
 // It is the migration hook of the coarse-grained island model
 // (internal/island): islands export their populations at segment
 // boundaries, exchange individuals, and resume. Offspring workspaces come
@@ -203,7 +207,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 // one bound to a different instance, falls back to a private one.
 // Sharing never affects results: scratches are always re-pointed
 // (SetSchedule / CopyFrom) before being read.
-func (s *Scheduler) RunWithPopulationPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, initial []schedule.Schedule, pool *evalpool.Pool) (run.Result, []schedule.Schedule) {
+func (s *Scheduler) RunWithPopulationPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, initial []schedule.Schedule, pool *evalpool.Pool) (res run.Result, final []schedule.Schedule, fits []float64) {
 	if !budget.Bounded() {
 		panic("cma: unbounded budget")
 	}
@@ -211,12 +215,15 @@ func (s *Scheduler) RunWithPopulationPooled(in *etc.Instance, budget run.Budget,
 		pool = nil
 	}
 	e := newEngine(in, s.cfg, seed, initial, nil, budget, pool)
-	res := e.run(budget, obs, s.Name())
-	final := make([]schedule.Schedule, len(e.pop))
+	res = e.run(budget, obs, s.Name())
+	final = make([]schedule.Schedule, len(e.pop))
+	fits = make([]float64, len(e.pop))
 	for i, st := range e.pop {
 		final[i] = st.Schedule()
+		st.RefreshFlowtime()
+		fits[i] = s.cfg.Objective.Of(st)
 	}
-	return res, final
+	return res, final, fits
 }
 
 // RunWithStatesPooled is the cache-aware sibling of

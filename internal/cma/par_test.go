@@ -156,13 +156,13 @@ func TestParallelAsyncRunWithPopulationDeterministic(t *testing.T) {
 	in := testInstance(25)
 	seedCfg := quickCfg()
 	seedS, _ := New(seedCfg)
-	_, popIn := seedS.RunWithPopulationPooled(in, run.Budget{MaxIterations: 2}, 5, nil, nil, nil)
+	_, popIn, _ := seedS.RunWithPopulationPooled(in, run.Budget{MaxIterations: 2}, 5, nil, nil, nil)
 
 	var refRes run.Result
 	var refPop []schedule.Schedule
 	for i, workers := range []int{1, 3} {
 		s, _ := New(parCfg(workers))
-		res, pop := s.RunWithPopulationPooled(in, run.Budget{MaxIterations: 4}, 11, nil, popIn, nil)
+		res, pop, _ := s.RunWithPopulationPooled(in, run.Budget{MaxIterations: 4}, 11, nil, popIn, nil)
 		if i == 0 {
 			refRes, refPop = res, pop
 			continue

@@ -61,6 +61,27 @@ func TestParseGenSpec(t *testing.T) {
 	}
 }
 
+// FuzzParseGenSpec: ParseGenSpec never panics, and an accepted spec's
+// canonical String form parses back to an equal GenSpec. The corpus is
+// the accepted and rejected specs TestParseGenSpec pins.
+func FuzzParseGenSpec(f *testing.F) {
+	for _, s := range []string{"512x16", "100000x1000:c_hihi:s7:f32", "48x6:s_lohi:s3", "8192x128:i_lolo",
+		"", "512", "0x16", "512x0", "512x16:q_hihi", "512x16:c_hi", "512x16:sx",
+		"3037000500x3037000500", "100000000000x100000000", "2147483649x1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		g, err := ParseGenSpec(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseGenSpec(g.String())
+		if err != nil || back != g {
+			t.Fatalf("%q parsed as %+v; its String %q parses as %+v, %v", s, g, g.String(), back, err)
+		}
+	})
+}
+
 // TestGenSpecGoldenDigests pins generated matrices byte for byte: the
 // generator's determinism contract is cross-process and cross-platform,
 // so these digests must never change. A change means every committed

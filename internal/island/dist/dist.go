@@ -27,6 +27,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -280,6 +281,7 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 
 	results := make([]*transport.Response, n)
 	fails := make([]error, n)
+	fits := make([][]float64, n)
 
 	for totalIters < budget.MaxIterations {
 		if err := ctx.Err(); err != nil {
@@ -314,7 +316,7 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 						Pop:      pops[i],
 					},
 				}
-				results[i], fails[i] = c.callSegment(ctx, c.workers[i%c.cfg.Workers], req, round)
+				results[i], fails[i] = c.callSegment(ctx, in, c.workers[i%c.cfg.Workers], req, round)
 			}(i)
 		}
 		wg.Wait()
@@ -334,7 +336,7 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 				continue
 			}
 			seg := results[i].Seg
-			pops[i] = seg.Pop
+			pops[i], fits[i] = seg.Pop, seg.Fits
 			totalEvals += seg.Evals
 			res := run.Result{
 				Best:     seg.Best,
@@ -350,7 +352,7 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 			return run.Result{}, rep, errors.New("dist: every island lost its worker")
 		}
 		totalIters += segIters
-		c.migrate(in, pops, alive)
+		c.migrate(pops, fits, alive)
 		rep.Rounds = round + 1
 		rep.Digests = append(rep.Digests, roundDigest(round, alive, pops))
 		if c.cfg.CheckpointPath != "" {
@@ -387,31 +389,52 @@ func anyAlive(alive []bool) bool {
 	return false
 }
 
-// migrate reproduces the in-process exchange over the alive ring: rank
-// with the objective's fresh evaluation (bit-identical to the island
-// scheduler's refreshed states), plan over the alive mask, apply.
-func (c *Coordinator) migrate(in *etc.Instance, pops [][]schedule.Schedule, alive []bool) {
-	o := c.base.Objective
-	fits := make([][]float64, len(pops))
-	for i, pop := range pops {
-		if !alive[i] || pop == nil {
-			continue
-		}
-		f := make([]float64, len(pop))
-		for k, sched := range pop {
-			f[k] = o.Evaluate(in, sched)
-		}
-		fits[i] = f
-	}
+// migrate reproduces the in-process exchange over the alive ring: plan
+// over the alive mask, apply. It ranks each island by the fitness values
+// its worker returned with the population (SegmentResponse.Fits, checked
+// by checkSegment): the worker took them on its final States with
+// RefreshFlowtime then Objective.Of, the rule island.migrateStates uses,
+// so they are bit-identical to a fresh Objective.Evaluate and nothing is
+// re-evaluated here.
+func (c *Coordinator) migrate(pops [][]schedule.Schedule, fits [][]float64, alive []bool) {
 	island.ApplyMigration(pops, island.PlanMigration(fits, c.cfg.Migrants, alive))
+}
+
+// checkSegment rejects a segment reply the coordinator cannot use: a
+// population that does not fill the mesh, an invalid schedule, fitness
+// values that do not pair up with the population or are not finite, or
+// an invalid best. Nothing downstream evaluates a returned schedule, so
+// without this a buggy or hostile worker's out-of-range machine id would
+// reach the migration ranking, the digests, the checkpoint and the run's
+// result.
+func (c *Coordinator) checkSegment(in *etc.Instance, seg *transport.SegmentResponse) error {
+	if cells := c.base.Width * c.base.Height; len(seg.Pop) != cells {
+		return fmt.Errorf("population of %d, want %d", len(seg.Pop), cells)
+	}
+	if len(seg.Fits) != len(seg.Pop) {
+		return fmt.Errorf("%d fitness values for %d individuals", len(seg.Fits), len(seg.Pop))
+	}
+	for k, s := range seg.Pop {
+		if err := s.Validate(in); err != nil {
+			return fmt.Errorf("individual %d: %w", k, err)
+		}
+		if f := seg.Fits[k]; math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("individual %d: fitness %v", k, f)
+		}
+	}
+	if err := seg.Best.Validate(in); err != nil {
+		return fmt.Errorf("best: %w", err)
+	}
+	return nil
 }
 
 // callSegment is one island's segment call under the retry policy, with
 // supervision (restart-on-dead) folded into each attempt. A nil error
-// guarantees a segment response. A non-nil error is final for the
-// island: the worker is down past its restart budget, or the response
-// was an application-level failure.
-func (c *Coordinator) callSegment(ctx context.Context, h *handle, req *transport.Request, round int) (*transport.Response, error) {
+// guarantees a segment response that passed checkSegment. A non-nil
+// error is final for the island: the worker is down past its restart
+// budget, or the response was an application-level failure or a reply
+// checkSegment rejected.
+func (c *Coordinator) callSegment(ctx context.Context, in *etc.Instance, h *handle, req *transport.Request, round int) (*transport.Response, error) {
 	p := c.cfg.Retry
 	// De-synchronise retry storms across (worker, round) pairs while
 	// keeping each stream seeded.
@@ -431,6 +454,9 @@ func (c *Coordinator) callSegment(ctx context.Context, h *handle, req *transport
 		}
 		if r.Seg == nil {
 			return retry.Permanent(fmt.Errorf("dist: worker %d: segment response missing body", h.idx))
+		}
+		if err := c.checkSegment(in, r.Seg); err != nil {
+			return retry.Permanent(fmt.Errorf("dist: worker %d: bad segment reply: %w", h.idx, err))
 		}
 		resp = r
 		return nil

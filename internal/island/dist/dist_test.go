@@ -2,8 +2,10 @@ package dist
 
 import (
 	"context"
+	"math"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -182,6 +184,65 @@ func TestPermanentDeathDegradesGracefully(t *testing.T) {
 	}
 	if len(rep.Digests) != rig.rounds {
 		t.Fatalf("expected %d round digests, got %d", rig.rounds, len(rep.Digests))
+	}
+}
+
+// TestBadSegmentReplyLosesIsland drives the coordinator against a worker
+// that answers its segment calls with a corrupted reply, over the
+// in-process transport. The coordinator evaluates nothing it receives,
+// so callSegment's checks are all that stand between such a reply and
+// the migration ranking: each lie must cost the lying worker's islands
+// (a permanent failure, recorded as a death in round 0) and the run must
+// finish on the honest worker's islands, without a panic.
+func TestBadSegmentReplyLosesIsland(t *testing.T) {
+	rig := testRig(t)
+	for _, tc := range []struct {
+		name string
+		lie  func(seg *transport.SegmentResponse)
+		want string
+	}{
+		{"short population", func(seg *transport.SegmentResponse) { seg.Pop = seg.Pop[1:] }, "population of"},
+		{"machine id past the end", func(seg *transport.SegmentResponse) { seg.Pop[3][0] = rig.in.Machs }, "invalid machine"},
+		{"negative machine id", func(seg *transport.SegmentResponse) { seg.Pop[0][5] = -1 }, "invalid machine"},
+		{"short schedule", func(seg *transport.SegmentResponse) { seg.Pop[2] = seg.Pop[2][:3] }, "length"},
+		{"missing fits", func(seg *transport.SegmentResponse) { seg.Fits = nil }, "fitness values"},
+		{"NaN fit", func(seg *transport.SegmentResponse) { seg.Fits[4] = math.NaN() }, "fitness NaN"},
+		{"infinite fit", func(seg *transport.SegmentResponse) { seg.Fits[1] = math.Inf(-1) }, "fitness -Inf"},
+		{"invalid best", func(seg *transport.SegmentResponse) { seg.Best = seg.Best[:len(seg.Best)-1] }, "best"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			honest := NewPinnedWorker(rig.in)
+			liar := transport.HandlerFunc(func(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+				resp, err := honest.Handle(ctx, req)
+				if err == nil && resp.Seg != nil {
+					tc.lie(resp.Seg)
+				}
+				return resp, err
+			})
+			handlers := []transport.Handler{NewPinnedWorker(rig.in), liar}
+			coord, err := New(rig.dcfg, func(w int) (transport.Client, error) {
+				return transport.NewLocal(handlers[w]), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			res, rep, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters}, 1)
+			if err != nil {
+				t.Fatalf("run should complete on the honest worker's islands, got %v", err)
+			}
+			if want := []int{0, 2}; !sameInts(rep.Survivors, want) {
+				t.Fatalf("survivors %v, want %v", rep.Survivors, want)
+			}
+			for _, d := range rep.Deaths {
+				if d.Island%2 != 1 || d.Round != 0 || !strings.Contains(d.Reason, tc.want) {
+					t.Fatalf("death %+v: want an odd island lost in round 0 for %q", d, tc.want)
+				}
+			}
+			if err := res.Best.Validate(rig.in); err != nil || res.Iterations != rig.iters {
+				t.Fatalf("result %+v (best: %v) did not finish the budget validly", res, err)
+			}
+		})
 	}
 }
 

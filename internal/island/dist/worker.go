@@ -101,7 +101,7 @@ func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport
 		if err != nil {
 			return &transport.Response{ID: req.ID, Err: fmt.Sprintf("dist: config: %v", err)}, nil
 		}
-		res, pop, err := island.Segment(wi.in, base, req.Seg.Iters, req.Seg.Seed, req.Seg.Pop, wi.pool)
+		res, pop, fits, err := island.Segment(wi.in, base, req.Seg.Iters, req.Seg.Seed, req.Seg.Pop, wi.pool)
 		if err != nil {
 			return &transport.Response{ID: req.ID, Err: err.Error()}, nil
 		}
@@ -113,6 +113,7 @@ func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport
 				Flowtime: res.Flowtime,
 				Evals:    res.Evals,
 				Best:     res.Best,
+				Fits:     fits,
 				Pop:      pop,
 			},
 		}, nil

@@ -75,13 +75,13 @@ func TestRunImprovesAndIsValid(t *testing.T) {
 func TestSegmentSharedPoolMatchesPrivate(t *testing.T) {
 	in := testInstance()
 	base := fastCfg().Base
-	plain, plainPop, err := Segment(in, base, 4, 7, nil, nil)
+	plain, plainPop, _, err := Segment(in, base, 4, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Seed: 9, Jobs: 32, Machs: 4})
 	for _, p := range []*evalpool.Pool{evalpool.New(in), evalpool.New(other)} {
-		res, pop, err := Segment(in, base, 4, 7, nil, p)
+		res, pop, _, err := Segment(in, base, 4, 7, nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package island
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -132,22 +134,25 @@ func TestSegmentSeedMatchesHistoricalDerivation(t *testing.T) {
 
 // TestSegmentIsIdempotent: the distributed worker's unit of work must
 // yield identical results when re-executed (duplicated delivery, retry
-// after a lost reply, warm restart re-send).
+// after a lost reply, warm restart re-send), fitness values included.
 func TestSegmentIsIdempotent(t *testing.T) {
 	in := testInstance()
 	cfg := cma.DefaultConfig()
 	pool := evalpool.New(in)
 	seed := SegmentSeed(99, 1, 5)
-	res1, pop1, err := Segment(in, cfg, 3, seed, nil, pool)
+	res1, pop1, fits1, err := Segment(in, cfg, 3, seed, nil, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, pop2, err := Segment(in, cfg, 3, seed, nil, pool)
+	res2, pop2, fits2, err := Segment(in, cfg, 3, seed, nil, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res1.Best.Equal(res2.Best) || res1.Fitness != res2.Fitness || res1.Evals != res2.Evals {
 		t.Fatal("re-executed segment differs from the original")
+	}
+	if !slices.Equal(fits1, fits2) {
+		t.Fatalf("re-executed segment's fitness values differ: %v vs %v", fits1, fits2)
 	}
 	for i := range pop1 {
 		if !pop1[i].Equal(pop2[i]) {
@@ -155,16 +160,59 @@ func TestSegmentIsIdempotent(t *testing.T) {
 		}
 	}
 	// And resuming from that population is idempotent too.
-	res3, _, err := Segment(in, cfg, 3, SegmentSeed(99, 1, 8), pop1, pool)
+	res3, _, fits3, err := Segment(in, cfg, 3, SegmentSeed(99, 1, 8), pop1, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res4, _, err := Segment(in, cfg, 3, SegmentSeed(99, 1, 8), pop2, pool)
+	res4, _, fits4, err := Segment(in, cfg, 3, SegmentSeed(99, 1, 8), pop2, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res3.Best.Equal(res4.Best) || res3.Fitness != res4.Fitness {
+	if !res3.Best.Equal(res4.Best) || res3.Fitness != res4.Fitness || !slices.Equal(fits3, fits4) {
 		t.Fatal("resumed segment differs between identical populations")
+	}
+}
+
+// TestSegmentFitsMatchEvaluate pins the values a distributed worker ships
+// in SegmentResponse.Fits, which the coordinator ranks migrants by: each
+// fits[k] must equal a from-scratch Objective.Evaluate of out[k] bit for
+// bit, fresh and resumed, over several seeds, on a Braun instance and on
+// a tie-heavy integer-ETC one (where flowtime sums of equal terms make
+// any drift in the incremental accumulator visible).
+func TestSegmentFitsMatchEvaluate(t *testing.T) {
+	braun, err := etc.GenerateByName("u_i_hilo.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tie := etc.New("tie", 96, 6)
+	r := rng.New(3)
+	for j := 0; j < tie.Jobs; j++ {
+		for m := 0; m < tie.Machs; m++ {
+			tie.Set(j, m, float64(1+r.Intn(4))*25)
+		}
+	}
+	tie.Finalize()
+	base := fastCfg().Base
+	for _, in := range []*etc.Instance{braun, tie} {
+		pool := evalpool.New(in)
+		for seed := uint64(1); seed <= 3; seed++ {
+			var pop []schedule.Schedule
+			for seg := 0; seg < 2; seg++ {
+				_, out, fits, err := Segment(in, base, 2, SegmentSeed(seed, 0, 2*seg), pop, pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(fits) != len(out) {
+					t.Fatalf("%s seed %d: %d fitness values for %d individuals", in.Name, seed, len(fits), len(out))
+				}
+				for k, s := range out {
+					if want := base.Objective.Evaluate(in, s); math.Float64bits(fits[k]) != math.Float64bits(want) {
+						t.Fatalf("%s seed %d segment %d individual %d: fit %v, Evaluate %v", in.Name, seed, seg, k, fits[k], want)
+					}
+				}
+				pop = out
+			}
+		}
 	}
 }
 
@@ -284,7 +332,7 @@ func (s *Scheduler) runWholesale(in *etc.Instance, budget run.Budget, seed uint6
 			go func(i int) {
 				defer wg.Done()
 				islandSeed := SegmentSeed(seed, i, totalIters)
-				res, pop := s.inner.RunWithPopulationPooled(in, segBudget, islandSeed, nil, pops[i], pool)
+				res, pop, _ := s.inner.RunWithPopulationPooled(in, segBudget, islandSeed, nil, pops[i], pool)
 				results[i] = res
 				pops[i] = pop
 			}(i)

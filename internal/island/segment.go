@@ -27,16 +27,18 @@ func SegmentSeed(seed uint64, island, totalIters int) uint64 {
 
 // Segment runs one migration segment: segIters iterations of the base
 // cMA seeded from pop (nil for the first segment's fresh mesh), returning
-// the segment result and the evolved population. This is the unit of work
-// a distributed worker executes per RPC; it is stateless and
-// deterministic, so executing it twice is exactly as good as once.
-func Segment(in *etc.Instance, base cma.Config, segIters int, islandSeed uint64, pop []schedule.Schedule, pool *evalpool.Pool) (run.Result, []schedule.Schedule, error) {
+// the segment result, the evolved population and each individual's
+// fitness (fits[k] is bit-identical to base.Objective.Evaluate of out[k],
+// the ranking migrateStates uses). This is the unit of work a distributed
+// worker executes per RPC; it is stateless and deterministic, so
+// executing it twice is exactly as good as once.
+func Segment(in *etc.Instance, base cma.Config, segIters int, islandSeed uint64, pop []schedule.Schedule, pool *evalpool.Pool) (res run.Result, out []schedule.Schedule, fits []float64, err error) {
 	inner, err := cma.New(base)
 	if err != nil {
-		return run.Result{}, nil, err
+		return run.Result{}, nil, nil, err
 	}
-	res, out := inner.RunWithPopulationPooled(in, run.Budget{MaxIterations: segIters}, islandSeed, nil, pop, pool)
-	return res, out, nil
+	res, out, fits = inner.RunWithPopulationPooled(in, run.Budget{MaxIterations: segIters}, islandSeed, nil, pop, pool)
+	return res, out, fits, nil
 }
 
 // Move is one migrant placement: the individual at SrcIdx in island Src

@@ -128,21 +128,22 @@ func After(err error, wait time.Duration) error {
 	return &afterError{err: err, after: wait}
 }
 
-// maxRetryAfterDate caps waits derived from the HTTP-date form of
-// Retry-After. A date far in the future is overwhelmingly clock skew or
-// a misconfigured server rather than a genuine "come back in a week" —
-// honouring it literally would park a client forever on bad input the
-// integer form could never produce (policies cap that via Policy.Max,
-// which also applies on top of this).
+// maxRetryAfterDate caps waits derived from Retry-After, in either form.
+// A date far in the future is overwhelmingly clock skew or a
+// misconfigured server rather than a genuine "come back in a week" —
+// honouring it literally would park a client forever on bad input. The
+// integer form gets the same cap, which also keeps a huge seconds count
+// from overflowing time.Duration into a negative wait. Policy.Max
+// applies on top of this.
 const maxRetryAfterDate = time.Hour
 
 // ParseRetryAfter parses a Retry-After header in either standard form:
 // integer seconds, or an HTTP-date (RFC 1123 and the obsolete RFC 850 /
 // ANSI C formats, per RFC 9110). A date in the past — the server wants
 // an immediate retry, or clocks are skewed the other way — reports
-// (0, true); a date unreasonably far in the future is clamped to
-// maxRetryAfterDate. Malformed values report ok=false like an absent
-// header, leaving the caller on its computed backoff.
+// (0, true); a wait unreasonably far in the future, in either form, is
+// clamped to maxRetryAfterDate. Malformed values report ok=false like an
+// absent header, leaving the caller on its computed backoff.
 func ParseRetryAfter(header string) (time.Duration, bool) {
 	return parseRetryAfterAt(header, time.Now())
 }
@@ -155,6 +156,9 @@ func parseRetryAfterAt(header string, now time.Time) (time.Duration, bool) {
 	if s, err := strconv.Atoi(header); err == nil {
 		if s < 0 {
 			return 0, false
+		}
+		if s > int(maxRetryAfterDate/time.Second) {
+			return maxRetryAfterDate, true
 		}
 		return time.Duration(s) * time.Second, true
 	}

@@ -223,6 +223,9 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-1", 0, false},
 		{"soon", 0, false},
 		{"1.5", 0, false},
+		{"3600", maxRetryAfterDate, true},
+		{"3601", maxRetryAfterDate, true},
+		{"9999999999", maxRetryAfterDate, true}, // overflowed to a negative wait before the cap
 	}
 	for _, c := range cases {
 		got, ok := ParseRetryAfter(c.in)
@@ -261,6 +264,26 @@ func TestParseRetryAfterHTTPDate(t *testing.T) {
 			t.Errorf("%s: parseRetryAfterAt(%q) = (%v, %v), want (%v, %v)", c.name, c.in, got, ok, c.want, c.ok)
 		}
 	}
+}
+
+// FuzzParseRetryAfter: parseRetryAfterAt never panics, and whenever it
+// reports ok the wait is neither negative nor beyond maxRetryAfterDate,
+// whichever form the header took. The clock is fixed; the corpus is the
+// headers the two tests above pin.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, h := range []string{"", "0", "2", "-1", "soon", "1.5", "9999999999",
+		"Sat, 08 Aug 2026 12:00:30 GMT", "Saturday, 08-Aug-26 12:05:00 GMT", "Sat Aug  8 12:00:10 2026",
+		"Sat, 08 Aug 2026 11:59:00 GMT", "Mon, 02 Jan 2006 15:04:05 GMT", "Sun, 09 Aug 2026 12:00:00 GMT",
+		"Sat, 08 Aug 2026 13:00:00 GMT", "next tuesday", "Sat, 08 Aug 2026", "Sat, 08 Aug 2026 12:00:30 PST"} {
+		f.Add(h)
+	}
+	now := time.Date(2026, time.August, 8, 12, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, h string) {
+		d, ok := parseRetryAfterAt(h, now)
+		if ok && (d < 0 || d > maxRetryAfterDate) {
+			t.Fatalf("parseRetryAfterAt(%q) = %v, outside [0, %v]", h, d, maxRetryAfterDate)
+		}
+	})
 }
 
 func ExamplePolicy_Do() {

@@ -1,8 +1,9 @@
 package transport
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 
 	"gridcma/internal/schedule"
@@ -33,18 +34,100 @@ func AppendPops(dst []byte, pops []schedule.Schedule) []byte {
 	return append(dst, ']')
 }
 
-// ParsePops decodes an AppendPops payload line.
+// ParsePops decodes an AppendPops payload line in one pass, without
+// reflection. It accepts exactly the grammar AppendPops emits:
+//
+//	pops  = "[" [ sched { "," sched } ] "]"
+//	sched = "[" [ int { "," int } ] "]"
+//	int   = [ "-" ] ( "0" | "1"…"9" { "0"…"9" } )   (must fit in int)
+//
+// with no whitespace; anything else is an error. Every accepted line is
+// also valid JSON for [][]int with the same values (FuzzParsePops pins
+// that). "[]" decodes to a nil population. The schedules share one flat
+// backing array, each a full-capacity sub-slice, so appending to one
+// cannot overwrite the next: two allocations per population, sized up
+// front from the bracket and comma counts.
 func ParsePops(line []byte) ([]schedule.Schedule, error) {
-	var raw [][]int
-	if err := json.Unmarshal(line, &raw); err != nil {
-		return nil, fmt.Errorf("transport: population payload: %w", err)
+	n := len(line)
+	if n < 2 || line[0] != '[' || line[n-1] != ']' {
+		return nil, payloadErr(0, "want a bracketed list")
 	}
-	if len(raw) == 0 {
+	if n == 2 {
 		return nil, nil
 	}
-	out := make([]schedule.Schedule, len(raw))
-	for i, r := range raw {
-		out[i] = schedule.Schedule(r)
+	// A valid line holds count('[')-1 schedules and at most count(',')+1
+	// ints (exactly that many when no schedule is empty).
+	flat := make([]int, 0, bytes.Count(line, []byte{','})+1)
+	pops := make([]schedule.Schedule, 0, bytes.Count(line, []byte{'['})-1)
+	// Invariant at the top of each loop: i ≤ n-1, because line[n-1] is
+	// the closing ']' and every token consumed so far ended before it.
+	i := 1
+	for {
+		if line[i] != '[' {
+			return nil, payloadErr(i, "want '['")
+		}
+		i++
+		a := len(flat)
+		if line[i] != ']' {
+			for {
+				v, w := parseInt(line[i:])
+				if w == 0 {
+					return nil, payloadErr(i, "want an int")
+				}
+				flat = append(flat, v)
+				i += w
+				if line[i] != ',' {
+					break
+				}
+				i++
+			}
+			if line[i] != ']' {
+				return nil, payloadErr(i, "want ',' or ']'")
+			}
+		}
+		b := len(flat)
+		pops = append(pops, schedule.Schedule(flat[a:b:b]))
+		i++
+		switch {
+		case i == n-1:
+			return pops, nil
+		case i == n || line[i] != ',':
+			return nil, payloadErr(i, "want ',' or the closing ']'")
+		}
+		i++
 	}
-	return out, nil
+}
+
+// parseInt reads the int at the start of b, returning it and its width
+// in bytes; width 0 means b does not start with a well-formed int (no
+// digits, a leading zero, or out of int range).
+func parseInt(b []byte) (int, int) {
+	w := 0
+	limit := uint64(math.MaxInt)
+	if len(b) > 0 && b[0] == '-' {
+		w = 1
+		limit++
+	}
+	start := w
+	var u uint64
+	for w < len(b) && '0' <= b[w] && b[w] <= '9' {
+		d := uint64(b[w] - '0')
+		if u > (limit-d)/10 {
+			return 0, 0
+		}
+		u = u*10 + d
+		w++
+	}
+	if w == start || b[start] == '0' && w-start > 1 {
+		return 0, 0
+	}
+	v := int(u) // -MinInt wraps to itself: the most negative int decodes exactly
+	if start == 1 {
+		v = -v
+	}
+	return v, w
+}
+
+func payloadErr(at int, msg string) error {
+	return fmt.Errorf("transport: population payload: byte %d: %s", at, msg)
 }

@@ -16,8 +16,19 @@
 //
 // Wire format (TCP): each message is two newline-terminated parts — a
 // JSON header (everything but the population) and a population payload
-// line encoded by AppendPops, the allocation-free encoder shared with
-// the benchmarks' migration hot path. Responses mirror the shape.
+// line. Responses mirror the shape. The payload line is a JSON array of
+// schedules, each an array of machine ids, in exactly the form
+// AppendPops writes:
+//
+//	[[0,3,1],[2,2,0]]
+//
+// no whitespace, no leading zeros, every id an int. AppendPops encodes it
+// without allocating once its buffer has grown, and ParsePops decodes it
+// in one pass without reflection, into one flat backing array per
+// population; any other byte sequence is rejected. A segment response's
+// header also carries Fits, the per-individual fitness the worker
+// computed on its final States, so the coordinator ranks migrants
+// without re-evaluating the population.
 package transport
 
 import (
@@ -75,6 +86,11 @@ type SegmentResponse struct {
 	Evals    int64   `json:"evals"`
 
 	Best schedule.Schedule `json:"best"`
+	// Fits[k] is the fitness of Pop[k], taken on the worker's final mesh
+	// States (RefreshFlowtime, then Objective.Of): bit-identical to
+	// Objective.Evaluate of Pop[k], and what the coordinator ranks
+	// migrants by.
+	Fits []float64 `json:"fits"`
 
 	// Pop rides the payload line.
 	Pop []schedule.Schedule `json:"-"`

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -69,9 +70,114 @@ func TestAppendParsePopsRoundTrip(t *testing.T) {
 }
 
 func TestParsePopsRejectsGarbage(t *testing.T) {
-	if _, err := ParsePops([]byte("{not json")); err == nil {
-		t.Fatal("expected an error for malformed payload")
+	for _, bad := range []string{
+		"", "{not json", "[", "]", "[[]", "[]]", "[[1]", "[[1]]]", "[[1],]", "[,[1]]",
+		"[[1,]]", "[[,1]]", "[[1,,2]]", "[[1][2]]", "[1]", "[[-]]", "[[01]]", "[[-01]]",
+		"[[+1]]", "[[1.5]]", "[[1e3]]", "[[ 1]]", "[ [1]]", "[[1] ]", "[[1]]\n", "null",
+		"[null]", "[[null]]", `[["1"]]`, "[[9223372036854775808]]", "[[-9223372036854775809]]",
+		"[[99999999999999999999]]", "[[1]],[[2]]",
+	} {
+		if pops, err := ParsePops([]byte(bad)); err == nil {
+			t.Errorf("ParsePops(%q) = %v, want an error", bad, pops)
+		}
 	}
+	for line, want := range map[string][]schedule.Schedule{
+		"[[-0]]": {{0}},
+		fmt.Sprintf("[[%d,%d]]", math.MaxInt, math.MinInt): {{math.MaxInt, math.MinInt}},
+		"[[],[7],[]]": {{}, {7}, {}},
+	} {
+		got, err := ParsePops([]byte(line))
+		if err != nil || !slices.EqualFunc(got, want, func(x, y schedule.Schedule) bool { return slices.Equal(x, y) }) {
+			t.Errorf("ParsePops(%q) = %v, %v; want %v", line, got, err, want)
+		}
+	}
+}
+
+// TestParsePopsSchedulesDoNotAlias: the schedules of one population
+// share a backing array, so each must be capped at its own length —
+// appending to one schedule must not overwrite its neighbour.
+func TestParsePopsSchedulesDoNotAlias(t *testing.T) {
+	pops, err := ParsePops([]byte("[[1,2],[3,4],[],[5]]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range pops {
+		if cap(pops[k]) != len(pops[k]) {
+			t.Fatalf("schedule %d has len %d, cap %d", k, len(pops[k]), cap(pops[k]))
+		}
+		pops[k] = append(pops[k], 9)
+	}
+	want := []schedule.Schedule{{1, 2, 9}, {3, 4, 9}, {9}, {5, 9}}
+	if !reflect.DeepEqual(pops, want) {
+		t.Fatalf("after appends: %v, want %v", pops, want)
+	}
+}
+
+// islandPops is a population of the island-tcp shape: a 3×3 mesh of
+// 2048-job schedules over 64 machines.
+func islandPops() []schedule.Schedule {
+	pops := make([]schedule.Schedule, 9)
+	for i := range pops {
+		s := make(schedule.Schedule, 2048)
+		for j := range s {
+			s[j] = (i*31 + j*j) % 64
+		}
+		pops[i] = s
+	}
+	return pops
+}
+
+// TestParsePopsAllocs pins the decoder's allocation budget: one flat
+// backing array and one slice of schedule headers per population,
+// whatever its size.
+func TestParsePopsAllocs(t *testing.T) {
+	line := AppendPops(nil, islandPops())
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ParsePops(line); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("ParsePops allocated %v times per population, want <= 2", allocs)
+	}
+}
+
+// FuzzParsePops is the decoder's differential oracle: whatever the
+// bytes, ParsePops must not panic; any line it accepts must also be
+// accepted by encoding/json as [][]int with the same values (the
+// decoder is a strict subset of JSON); and the AppendPops encoding of
+// every accepted population must decode back to itself.
+func FuzzParsePops(f *testing.F) {
+	for _, pops := range [][]schedule.Schedule{nil, testPops(), {{}}, {{}, {7}, {}}, islandPops()[:2]} {
+		f.Add(AppendPops(nil, pops))
+	}
+	for _, line := range []string{"{not json", "[[01]]", "[[-0]]", "[[1,]]", "[[1] ]", "[[9223372036854775807,-9223372036854775808]]", "[[9223372036854775808]]", "[null]"} {
+		f.Add([]byte(line))
+	}
+	samePops := func(a []schedule.Schedule, b [][]int) bool {
+		return slices.EqualFunc(a, b, func(x schedule.Schedule, y []int) bool { return slices.Equal(x, y) })
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		pops, err := ParsePops(line)
+		if err != nil {
+			return
+		}
+		var ref [][]int
+		if err := json.Unmarshal(line, &ref); err != nil {
+			t.Fatalf("ParsePops accepted %q, encoding/json rejects it: %v", line, err)
+		}
+		if !samePops(pops, ref) {
+			t.Fatalf("%q: ParsePops %v, encoding/json %v", line, pops, ref)
+		}
+		enc := AppendPops(nil, pops)
+		back, err := ParsePops(enc)
+		if err != nil {
+			t.Fatalf("AppendPops output %q rejected: %v", enc, err)
+		}
+		if !slices.EqualFunc(pops, back, func(x, y schedule.Schedule) bool { return slices.Equal(x, y) }) {
+			t.Fatalf("%q round-tripped to %v", enc, back)
+		}
+	})
 }
 
 func TestLocalRoundTrip(t *testing.T) {
