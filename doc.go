@@ -87,24 +87,27 @@
 // move-probe context keeps the top completions so batches of unrelated
 // probes skip the per-probe tree walks. Every sweep value equals its
 // scalar probe bit for bit. Cached-scan evaluation (State.Scans →
-// ScanCache) is the event-driven delta layer on top: commits stamp their
-// two machines with fresh epochs, and the cache memoizes each machine's
-// scan result so a query re-sweeps only the machines whose epoch moved
-// and folds the rest from the memo — O(changed) per iteration
-// instead of O(M) machines, bit-identical to a full rescan, collapsing
-// steady-state LMCTS scans by orders of magnitude. A re-swept entry's
-// pair scan is pruned but exact: both job lists are in SPT order, so
-// visiting them from their tails lets a lower bound stop each row at the
-// first pair that provably loses, and a lexicographic (value, SPT
-// position, id) update keeps the winner independent of the visiting
-// order — an LMCTS step that commits a swap and re-sweeps every entry
-// costs about a tenth of the full pair sweep. The local searches
-// (LM, SLM, LMCTS), SA and tabu search score candidates with the hottest
-// applicable mode and commit only accepted steps — their hot loops
-// allocate nothing and run several times faster than the historical
-// apply+revert formulation. The machine epochs are the only
-// invalidation protocol: the cache compares them on every query, so a
-// state needs no clean-up before it goes back to a pool.
+// ScanCache) is the query layer on top: the move side keeps the
+// frozen-state probe context, keyed on the state epoch, and the LMCTS
+// critical-swap query is one bounded pass that memoizes nothing (every
+// committed LMCTS swap changes the critical machine's contents, the
+// context any per-machine memo would be keyed on). The pass folds partner
+// machines in index order, carrying the best pair found so far as the
+// next machine's bound; both job lists are in SPT order, so visiting them
+// from their tails lets a lower bound stop each row at the first pair
+// that provably loses, and a suffix minimum of the partners' costs on the
+// critical machine lets a binary search skip, per row, every partner
+// whose critical side alone exceeds the bound. A lexicographic (value,
+// SPT position, id) update keeps the winner independent of the visiting
+// order, so the pass is bit-identical to the full sweep — an LMCTS
+// commit-then-query costs about 6 µs at 512×16, the full sweep about
+// 58 µs. The local searches (LM, SLM, LMCTS), SA and tabu search score
+// candidates with the hottest applicable mode and commit only accepted
+// steps — their hot loops allocate nothing and run several times faster
+// than the historical apply+revert formulation. The machine epochs remain
+// the state's change tracking (the daemon's digest reads them), and the
+// move context compares the epoch on every read, so a state needs no
+// clean-up before it goes back to a pool.
 //
 // MakespanMachine ties break toward the lowest machine index — a
 // documented contract (LMCTS derives its critical machine from it),
@@ -155,8 +158,8 @@
 // generated instance, cmd/experiments -run frontier prints the
 // scaling-ladder table, and the benchmark's batch-large workload
 // (benchmark/) runs the wave-parallel cMA on a 16384×256 instance.
-// Steady-state scans are the cached-scan layer's O(changed) fold, which
-// grows with machine count, not matrix size.
+// An LMCTS step is one bounded pass over the partner machines' lists,
+// which does not grow with the matrix size.
 //
 // # Online scheduling
 //
@@ -164,8 +167,8 @@
 // long-running service holding one live schedule.State per grid.
 // Submissions and machine churn arrive as events (internal/eventlog),
 // admissions happen in batch windows, and each window warm-starts the
-// local search from the live state through State.SetScheduleDiff and the
-// event-driven scan cache — O(changed) per window instead of a re-solve.
+// local search from the live state through State.SetScheduleDiff —
+// re-listing only the placed jobs — instead of a re-solve.
 // The daemon is deterministic by construction (Grid.Apply is a pure
 // function of state and event), journals every event to a write-ahead
 // log, and snapshots restore bit-identically: the same snapshot plus the

@@ -509,8 +509,24 @@ func (e *engine) recombineInto(c int, s *evalpool.Scratch, popAt func(int) *sche
 			p2 = x
 		}
 	}
-	e.cfg.Crossover.Cross(popAt(p1).ScheduleView(), popAt(p2).ScheduleView(), s.Buf, r)
-	s.St.SetScheduleFrom(popAt(p1), s.Buf)
+	a, b := popAt(p1).ScheduleView(), popAt(p2).ScheduleView()
+	e.cfg.Crossover.Cross(a, b, s.Buf, r)
+	// Rebuild from the parent the child differs from in fewer jobs (the
+	// first on a tie): SetScheduleFrom re-lists only the differing jobs,
+	// and its result does not depend on the base.
+	base, d := popAt(p1), 0
+	for j, m := range s.Buf {
+		if m != a[j] {
+			d++
+		}
+		if m != b[j] {
+			d--
+		}
+	}
+	if d > 0 {
+		base = popAt(p2)
+	}
+	s.St.SetScheduleFrom(base, s.Buf)
 	e.cfg.LocalSearch.Improve(s.St, e.cfg.Objective, e.cfg.LSIterations, r)
 	return e.cfg.Objective.Of(s.St)
 }

@@ -1,6 +1,7 @@
 package cma
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -317,5 +318,64 @@ func TestRunOnFloat32GenSpec(t *testing.T) {
 	seed := schedule.DefaultObjective.Of(schedule.NewState(in, heuristics.LJFRSJFR(in)))
 	if a.Fitness > seed {
 		t.Fatalf("cMA fitness %v worse than its LJFR-SJFR seed %v", a.Fitness, seed)
+	}
+}
+
+// cutCross is one-point crossover at a fixed cut — the head of the
+// first parent, the tail of the second — that records its parents.
+type cutCross struct {
+	cut  int
+	a, b schedule.Schedule
+}
+
+func (c *cutCross) Cross(a, b, child schedule.Schedule, _ *rng.Source) {
+	c.a, c.b = a, b
+	copy(child[:c.cut], a[:c.cut])
+	copy(child[c.cut:], b[c.cut:])
+}
+
+func (*cutCross) Name() string { return "fixed-cut" }
+
+// TestRecombineRebuildsFromNearerParent drives recombination with a cut
+// near 0, where the child is nearer the second parent, and one near n,
+// where it is nearer the first, so the offspring rebuild starts from
+// each parent in turn. Local search is off, so the workspace must hold
+// exactly the child: its schedule, makespan, flowtime and fitness bits
+// equal those of a State built from scratch.
+func TestRecombineRebuildsFromNearerParent(t *testing.T) {
+	in := testInstance(41)
+	cfg := quickCfg()
+	e := newEngine(in, cfg, 5, nil, nil, run.Budget{MaxIterations: 1}, nil)
+	defer e.releaseScratches()
+	e.cfg.LSIterations = 0
+	popAt := func(i int) *schedule.State { return e.pop[i] }
+	fitAt := func(i int) float64 { return e.fit[i] }
+	differ := func(x, y schedule.Schedule) int {
+		n := 0
+		for j := range x {
+			if x[j] != y[j] {
+				n++
+			}
+		}
+		return n
+	}
+	for _, cut := range []int{3, in.Jobs - 3} {
+		cross := &cutCross{cut: cut}
+		e.cfg.Crossover = cross
+		for c := range e.pop {
+			f := e.recombineInto(c, e.scratch, popAt, fitAt, e.r)
+			child := e.scratch.Buf
+			if nearSecond := differ(child, cross.b) < differ(child, cross.a); nearSecond != (cut == 3) {
+				t.Fatalf("cut %d cell %d: child nearer the second parent = %v", cut, c, nearSecond)
+			}
+			got, want := e.scratch.St, schedule.NewState(in, child)
+			if !got.ScheduleView().Equal(child) ||
+				math.Float64bits(got.Makespan()) != math.Float64bits(want.Makespan()) ||
+				math.Float64bits(got.Flowtime()) != math.Float64bits(want.Flowtime()) ||
+				math.Float64bits(f) != math.Float64bits(cfg.Objective.Of(want)) {
+				t.Fatalf("cut %d cell %d: rebuilt child (%v, %v, %v) != NewState (%v, %v, %v)", cut, c,
+					got.Makespan(), got.Flowtime(), f, want.Makespan(), want.Flowtime(), cfg.Objective.Of(want))
+			}
+		}
 	}
 }

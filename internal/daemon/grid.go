@@ -1,10 +1,10 @@
 // Package daemon implements gridd, the online rolling-horizon scheduler:
 // the batch evaluation stack (schedule.State, the speculative probes and
-// the event-driven ScanCache) turned into a long-running service. Jobs
+// the ScanCache queries) turned into a long-running service. Jobs
 // stream in and machines join, leave and fail; instead of rescheduling
 // from scratch, every admission window warm-starts local search from the
-// live state, so arrivals and departures dirty only the machines they
-// touch — exactly the O(changed) contract the delta engine revalidates.
+// live state, and arrivals and departures advance the epochs of only the
+// machines they touch, which is what the digest re-hashes.
 //
 // # State model
 //
@@ -536,7 +536,7 @@ func (g *Grid) applyJoin(e eventlog.Event) error {
 	g.machByID[e.Mach] = slot
 	// Rewrite the column for every occupied row. The machine is empty, so
 	// no list order depends on the old column; invalidating the machine
-	// forces cached scans involving it to recompute.
+	// makes the digest re-hash it and the move-probe context recapture.
 	for s := range g.jobs {
 		if g.jobs[s].state != slotFree {
 			g.inst.Set(s, slot, g.etcOf(g.jobs[s].id, g.jobs[s].base, &g.machs[slot]))
@@ -633,7 +633,7 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 // departed machines, place every pending job (greedy MCT on a scratch
 // completion view, lowest-index ties), commit the whole batch through
 // SetScheduleDiff — dirtying only the touched machines — and run the
-// bounded warm-start improvement pass over the live scan cache.
+// bounded warm-start improvement pass over the live state.
 func (g *Grid) applyAdmit() error {
 	g.counters.Admits++
 	g.lastPlaced = g.lastPlaced[:0]
@@ -715,8 +715,8 @@ func (g *Grid) applyAdmit() error {
 		g.st.InvalidateMachine(m)
 	}
 
-	// Warm-start improvement: the scan cache re-sweeps only the machines
-	// this window dirtied.
+	// Warm-start improvement from the live state (the parking column is
+	// scan-exempt, so LMCTS's critical-swap pass skips it).
 	if g.cfg.LSIters > 0 {
 		g.r.Reseed(g.cfg.Seed ^ g.counters.Admits*0x9e3779b97f4a7c15)
 		g.ls.Improve(g.st, g.obj, g.cfg.LSIters, &g.r)
@@ -736,8 +736,8 @@ func (g *Grid) applyAdmit() error {
 
 // grow doubles the job capacity: a new instance and state carrying the
 // current assignment, every new slot free and parked. This is the one
-// cold restart in the grid's life (the scan cache re-warms on the next
-// queries); it is deterministic — triggered purely by the event stream —
+// cold restart in the grid's life (the next Digest folds from scratch);
+// it is deterministic — triggered purely by the event stream —
 // and amortised by the doubling.
 func (g *Grid) grow() {
 	oldCap := len(g.jobs)

@@ -132,7 +132,7 @@ func TestWriterAtContinuesSequence(t *testing.T) {
 
 // testLog writes a small log and returns its bytes plus the cumulative
 // record boundaries (byte offset after each record, newline included).
-func testLog(t *testing.T) ([]byte, []int64) {
+func testLog(t testing.TB) ([]byte, []int64) {
 	t.Helper()
 	events := []Event{
 		{Type: Join, Mach: 1, Mult: 2},

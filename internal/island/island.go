@@ -167,10 +167,9 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	return best
 }
 
-// migrateStates is the cache-aware exchange over live States: migrants
-// are applied through SetScheduleDiff, advancing the epochs of only the
-// machines whose job sets actually changed, so the destination island's next local
-// search warm-starts instead of re-scanning every machine.
+// migrateStates is the exchange over live States: migrants are applied
+// through SetScheduleDiff, which re-lists only the jobs whose machine
+// differs instead of rebuilding every list.
 //
 // Fitness ranking must be bit-identical to the wholesale exchange's fresh
 // Objective.Evaluate: per-machine completions already are (incremental

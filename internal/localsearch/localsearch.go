@@ -10,7 +10,7 @@
 // the scalarised fitness. Candidates are scored speculatively — SLM's
 // all-targets transfer over the vector move sweep
 // (State.FitnessAfterMoveSweep), LMCTS's critical-machine pairing over the
-// cached critical-swap scan (ScanCache.BestCriticalSwap), single
+// bounded critical-swap scan (ScanCache.BestCriticalSwap), single
 // candidates over the scalar probes — all bit-identical to
 // apply→evaluate→revert but allocation-free and several times cheaper, so the methods are probe-then-commit: only an
 // accepted step mutates the state. Each method also threads the current
@@ -18,14 +18,13 @@
 // of a committed step equals the state's next fitness bit for bit), so
 // the accept baseline costs nothing per candidate.
 //
-// The scans are event-driven through the state's scan cache
-// (schedule.ScanCache): LMCTS's full critical scan folds memoized
-// per-machine bests and re-sweeps only machines whose epoch moved since
-// the last query — O(changed) instead of O(M) machines per iteration, and
-// a plain fold of cached scalars once the state is locally optimal — and
-// LM's probes run through the cache's frozen-state context, revalidated
-// only when a commit moves the state's epoch. Both remain bit-identical to
-// the full rescan, so trajectories (and the golden matrix) are unchanged.
+// The scans run through the state's scan cache (schedule.ScanCache):
+// LMCTS's full critical scan is one pass over the partner machines that
+// carries the best pair found so far as the next machine's bound and
+// skips, in SPT order, every pair that provably loses; LM's probes run
+// through the cache's frozen-state context, revalidated only when a
+// commit moves the state's epoch. Both remain bit-identical to the full
+// rescan, so trajectories (and the golden matrix) are unchanged.
 package localsearch
 
 import (
@@ -136,10 +135,9 @@ func (SLM) Name() string { return "SLM" }
 // reduces completion time. The candidate set pairs every job on the
 // current critical (makespan) machine with every job on the other
 // machines; the swap minimising the larger of the two new completion times
-// is applied when it improves the fitness. The scan runs event-driven
-// over the state's ScanCache: per-machine bests are memoized, only
-// machines whose epoch moved since the last query are re-swept, and the fold of
-// cached bests picks the exact swap the historical full scan picked.
+// is applied when it improves the fitness. The scan is the state's
+// ScanCache.BestCriticalSwap: one bounded pass that picks the exact swap
+// the historical full scan picked.
 type LMCTS struct{}
 
 // Improve implements Method.
@@ -201,13 +199,12 @@ func tryCommitSwap(st *schedule.State, o schedule.Objective, cur float64, a, b i
 }
 
 // cachedCriticalSwap performs one steepest swap step of the full LMCTS
-// neighborhood through the state's event-driven scan cache: the memoized
-// per-machine bests answer the scan in O(changed) re-swept machines plus
-// an O(M) fold, and the winner — value and (a, b) pair — is the exact
-// swap the uncached full sweep finds (sweepCriticalSwap, the test
-// reference). The accept logic is unchanged: the swap must reduce the
-// critical completion pair strictly, and the scalarised fitness must
-// improve (checked with the speculative probe before any state churn).
+// neighborhood through the state's scan cache: the bounded pass of
+// BestCriticalSwap finds the winner — value and (a, b) pair — that the
+// full sweep finds (sweepCriticalSwap, the test reference). The swap
+// must reduce the critical completion pair strictly, and the scalarised
+// fitness must improve (checked with the speculative probe before any
+// state churn).
 func cachedCriticalSwap(st *schedule.State, sc *schedule.ScanCache, o schedule.Objective, cur float64) (float64, bool) {
 	v, a, b := sc.BestCriticalSwap()
 	if b < 0 || v >= st.Completion(st.MakespanMachine()) {

@@ -91,7 +91,7 @@ func BenchmarkSLMApplyRevert(b *testing.B) {
 // BenchmarkLMCTSProbe measures one sampled LMCTS steepest-swap step
 // (critical-machine scan over random partners, probe-gated commit); the
 // sampled scan's candidate order is the RNG stream itself, so it runs
-// its own screened loop instead of the cached scan.
+// its own screened loop instead of the bounded full scan.
 func BenchmarkLMCTSProbe(b *testing.B) {
 	st, r := benchState(b)
 	o := schedule.DefaultObjective
@@ -133,20 +133,19 @@ func benchStateShape(b *testing.B, jobs, machs int) *schedule.State {
 
 // converge drives the state to an LMCTS local optimum, the steady state
 // the cached-vs-sweep benchmarks measure: every subsequent Improve call
-// is one full neighborhood scan that finds nothing (and commits nothing),
-// which is exactly where the event-driven cache collapses the scan to a
-// fold of memoized per-machine bests while the sweep formulation re-scans
-// every pair.
+// is one full neighborhood scan that finds nothing (and commits nothing).
+// The bounded scan skips every pair that provably loses to the best found
+// so far, while the sweep formulation re-scans every pair.
 func converge(st *schedule.State, o schedule.Objective) {
 	LMCTS{}.Improve(st, o, 1<<30, nil)
 }
 
 // BenchmarkLMCTSSweep measures one full-scan LMCTS step through the
 // step-level swap scan (BeginSwapScan, then BestPartner per critical
-// job) — the pre-cache formulation, retained as the reference the delta engine
-// is measured against. BenchmarkLMCTSCachedScan vs BenchmarkLMCTSSweep
-// (steady state, same converged state shape) is the headline number of
-// the dirty-machine delta engine; BenchmarkLMCTSSweep vs
+// job) — the unpruned formulation, retained as the reference the bounded
+// scan is measured against. BenchmarkLMCTSCachedScan vs
+// BenchmarkLMCTSSweep (steady state, same converged state shape) is the
+// bounded scan's number; BenchmarkLMCTSSweep vs
 // BenchmarkLMCTSScalarProbe remains the sweep layer's swap-side number.
 func BenchmarkLMCTSSweep(b *testing.B) {
 	st, _ := benchState(b)
@@ -161,7 +160,7 @@ func BenchmarkLMCTSSweep(b *testing.B) {
 }
 
 // BenchmarkLMCTSCachedScan measures the shipped LMCTS through the
-// event-driven scan cache on the same converged 512×16 state
+// bounded critical-swap scan on the same converged 512×16 state
 // BenchmarkLMCTSSweep scans. Must report 0 allocs/op — CI runs every
 // CachedScan benchmark with -benchtime=1x and fails otherwise.
 func BenchmarkLMCTSCachedScan(b *testing.B) {
@@ -190,10 +189,8 @@ func BenchmarkLMCTSSweepLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkLMCTSCachedScanLarge is the delta engine at 2048×64: the
-// acceptance bar is ≥5× over BenchmarkLMCTSSweepLarge steady-state at 0
-// allocs/op (the warm query folds 64 cached machine bests instead of
-// re-sweeping ~65k pairs).
+// BenchmarkLMCTSCachedScanLarge is the bounded scan at 2048×64, against
+// BenchmarkLMCTSSweepLarge's ~65k pairs per step, at 0 allocs/op.
 func BenchmarkLMCTSCachedScanLarge(b *testing.B) {
 	st := benchStateShape(b, 2048, 64)
 	o := schedule.DefaultObjective

@@ -141,9 +141,9 @@ func TestLMCTSSweepMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLMCTSCachedMatchesSweepReference is the delta-engine trajectory
-// differential: the shipped LMCTS (event-driven scan cache) must walk the
-// exact trajectory of the retained uncached full-sweep formulation —
+// TestLMCTSCachedMatchesSweepReference is the bounded scan's trajectory
+// differential: the shipped LMCTS (ScanCache.BestCriticalSwap) must walk
+// the exact trajectory of the retained unpruned full-sweep formulation —
 // every committed swap the same — across generic and tie-heavy
 // instances. Together with TestLMCTSSweepMatchesScalar this chains
 // cached == sweep == scalar.

@@ -2,83 +2,49 @@ package schedule
 
 import "math"
 
-// Event-driven scan caching: the delta layer over the batched sweep
-// kernels (sweep.go). The sweeps made each neighborhood scan optimal *per
-// candidate*; iteration cost was still O(M) machines re-swept per step,
-// even though a committed Move or Swap changes exactly two machines and
-// leaves every other machine's cached scan result bit-for-bit valid.
+// Scan caching: the query layer over the batched sweep kernels
+// (sweep.go) that the local searches call every step.
 //
-// ScanCache turns that observation into an invalidation protocol. The
-// state stamps every machine with the epoch of its last content change
-// (state.go: machEpoch, advanced by the noteCommit hook); the cache
-// memoizes, per machine, the result of scanning that machine — currently
-// the machine's best critical-swap partner entry — together with the
-// epoch it was computed at. A query then re-sweeps only the machines
-// whose epoch moved and folds the memoized per-machine bests, anchored on
-// the max-tree's root (the critical machine): per-iteration scan work
-// drops from O(M) machines to O(changed), and to a plain O(M) fold of
-// cached scalars once the cache is warm.
+// The move side memoizes the frozen-state probe context (moveScan),
+// keyed on the state's global epoch: between two commits every probe and
+// every accept baseline is served from it without re-reading the state
+// or re-walking the tournament tree. Move neighborhoods scored by the
+// scalarised fitness do not factorize per machine — a candidate's
+// fitness folds the flowtime and completions of *every* machine — so
+// nothing finer than the whole-state context can be reused.
 //
-// The epochs are the whole protocol: a commit stamps only the machines it
-// changed and every query compares stamps, so a caller need do nothing
-// before handing a state to a pool or to another search.
+// The swap side, the LMCTS critical-swap query, memoizes nothing: every
+// swap LMCTS commits moves a job off the critical machine, which changes
+// the critical context every per-machine result would be computed
+// against, so a per-machine memo never hits on LMCTS traffic. Instead
+// each query is one bounded pass over the partner machines (bestOn):
+// the running best is carried from machine to machine as the next
+// machine's bound, and SPT order lets a lower bound skip every pair that
+// provably loses. The winner is the historical full scan's bit for bit;
+// the brute-force oracle and fuzz in scancache_test.go pin this across
+// random commit sequences, tie-heavy integer instances included.
 //
-// Exactness. Every memoized entry scores its pairs with the same
-// arithmetic as SwapScan.BestPartner's flat scan, skipping only pairs it
-// can prove lose, and an entry is reused only while both its machine's
-// epoch and the critical machine's (identity, epoch) pair are unchanged —
-// the inputs of every float in the entry. The per-machine/fold
-// decomposition reproduces the historical ascending-id scan's winner
-// exactly (see bestOn for the tie-break and pruning arguments), so a
-// cached query equals a full rescan bit for bit; the
-// differential fuzz in scancache_test.go pins this across thousands of
-// random commit/invalidate sequences, tie-heavy integer instances
-// included.
-//
-// The critical-swap scan is the memoizable neighborhood because it
-// factorizes: with the critical machine fixed, each partner machine's
-// contribution depends only on that machine's own contents (and the
-// shared critical context). Move neighborhoods scored by the scalarised
-// fitness do not factorize per machine — a candidate's fitness folds the
-// flowtime and completions of *every* machine, so any commit anywhere
-// invalidates a memoized per-machine "best move" — which is why the move
-// side of the cache memoizes the frozen-state probe context (moveScan)
-// keyed on the global epoch instead of per-machine bests.
+// The state's machine epochs (state.go: machEpoch, advanced by the
+// noteCommit hook) serve the daemon's digest; the move context compares
+// the global epoch on every read, so a caller need do nothing before
+// handing a state to a pool or to another search.
 type ScanCache struct {
 	st *State
 	o  Objective
 
 	// Move side: the frozen-state probe context of beginMoveScan,
-	// revalidated only when the global epoch moves — between commits,
-	// every probe and every accept baseline is served from it without
-	// re-reading the state or re-walking the tournament tree.
+	// revalidated only when the global epoch moves.
 	move      moveScan
 	moveEpoch uint64 // epoch the context was captured at; 0 = never
-
-	// Swap side: per-partner-machine memo of the critical-swap scan,
-	// valid against (swapCrit, swapCritEpoch).
-	swapCrit      int    // critical machine the entries were computed against
-	swapCritEpoch uint64 // its machine epoch at computation; 0 = never
-	entryEpoch    []uint64
-	entryVal      []float64 // best max(aC, bC) over (a ∈ crit, b ∈ m)
-	entryAPos     []int32   // winning critical job's position in SPT order
-	entryB        []int32   // winning partner id; -1 = machine empty
 }
 
-// Scans returns the state's scan cache bound to objective o, sizing its
-// memo arrays on first use (the only allocation; every query afterwards
-// is allocation-free). Changing the objective invalidates the move-side
-// context; the swap-side entries are completion-based and survive.
+// Scans returns the state's scan cache bound to objective o. Changing
+// the objective invalidates the move-side context. Every query is
+// allocation-free once the state's scratch buffers have grown.
 func (st *State) Scans(o Objective) *ScanCache {
 	sc := &st.scanCache
 	if sc.st == nil {
 		sc.st = st
-		sc.swapCrit = -1
-		machs := st.inst.Machs
-		sc.entryEpoch = make([]uint64, machs)
-		sc.entryVal = make([]float64, machs)
-		sc.entryAPos = make([]int32, machs)
-		sc.entryB = make([]int32, machs)
 		sc.o = o
 	} else if sc.o != o {
 		sc.o = o
@@ -138,11 +104,9 @@ func (sc *ScanCache) BestMoveTarget(j int) (float64, int) {
 // historical ascending-scan one: strict-< across critical jobs in SPT
 // order, smallest partner id within a critical job.
 //
-// Event-driven: per-machine bests are memoized and only machines whose
-// epoch moved since their entry was computed are re-swept; a change of
-// the critical machine's identity or contents invalidates every entry
-// (each one is computed against the critical context). Steady state — no
-// commits since the last query — costs one O(M) fold of cached scalars.
+// One bounded pass: partner machines are folded in index order, each
+// scanned by bestOn from the best pair found so far, so a machine none of
+// whose pairs can reach that bound costs a few comparisons.
 func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 	st := sc.st
 	crit := st.MakespanMachine()
@@ -156,52 +120,35 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 	if len(critJobs) == 0 {
 		return math.Inf(1), -1, -1
 	}
-	if crit != sc.swapCrit || st.machEpoch[crit] != sc.swapCritEpoch {
-		for m := range sc.entryEpoch {
-			sc.entryEpoch[m] = 0
-		}
-		sc.swapCrit, sc.swapCritEpoch = crit, st.machEpoch[crit]
-	}
-	bestVal := math.Inf(1)
+	best := math.Inf(1)
 	bestAPos, bestB := int32(-1), int32(-1)
-	for m := range sc.entryEpoch {
+	for m := range st.machJobs {
 		if m == crit || (st.scanExempt != nil && st.scanExempt[m]) {
 			continue
 		}
-		if sc.entryEpoch[m] != st.machEpoch[m] {
-			sc.entryVal[m], sc.entryAPos[m], sc.entryB[m] = st.bestOn(m, crit, critJobs)
-			sc.entryEpoch[m] = st.machEpoch[m]
-		}
-		if sc.entryB[m] < 0 {
-			continue
-		}
-		v, apos, b := sc.entryVal[m], sc.entryAPos[m], sc.entryB[m]
-		if v < bestVal ||
-			(v == bestVal && (apos < bestAPos || (apos == bestAPos && b < bestB))) {
-			bestVal, bestAPos, bestB = v, apos, b
-		}
+		best, bestAPos, bestB = st.bestOn(m, crit, critJobs, best, bestAPos, bestB)
 	}
 	if bestB < 0 {
 		return math.Inf(1), -1, -1
 	}
-	return bestVal, int(critJobs[bestAPos]), int(bestB)
+	return best, int(critJobs[bestAPos]), int(bestB)
 }
 
-// bestOn computes partner machine m's memo entry: the minimum over
-// critical jobs a and jobs b on m of max(aC, bC) — the completion pair
-// of swapping a with b — with the winning critical job's SPT position and
-// partner id.
+// bestOn folds partner machine m into the running best (best, bestAPos,
+// bestB) of the critical-swap query: it returns the lexicographic
+// minimum of that triple and every (max(aC, bC), aPos, b) over critical
+// jobs a, at SPT position aPos, and jobs b on m — the completion pair of
+// swapping a with b.
 //
 // Exactness. Every pair that is scored uses the arithmetic of
 // SwapScan.BestPartner's flat scan, aC = (critC − ETC[a][crit]) +
 // ETC[b][crit] and bC = (cm − ETC[b][m]) + ETC[a][m], so every emitted
-// float is bit-identical to the full-sweep path. The entry is the
-// lexicographic minimum of (value, aPos, b): the historical scan folds
-// strict-< across critical jobs (first a in SPT order wins a tie) and
-// smallest-id within one (per-a BestPartner), so folding the per-machine
-// entries by the same lexicographic order (BestCriticalSwap) yields the
-// exact winner of the flat scan — no machine holds a pair
-// lexicographically below its own entry.
+// float is bit-identical to the full-sweep path. The historical scan
+// folds strict-< across critical jobs (first a in SPT order wins a tie)
+// and smallest-id within one (per-a BestPartner), which is exactly the
+// lexicographic minimum of (value, aPos, b) over all pairs; folding
+// machine after machine into one running lexicographic best yields the
+// same minimum.
 //
 // Pruning. The scan skips pairs it can prove lose, and stays exact
 // because of four facts:
@@ -213,46 +160,65 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 //   - ETC entries are finite and non-negative, so no NaN arises and every
 //     comparison below is a total order on the values compared.
 //   - The update compares (value, aPos, b) lexicographically, so the
-//     winner does not depend on the order pairs are visited in.
+//     winner does not depend on the order pairs are visited in, nor on
+//     the bound a machine's scan starts from (the best of the machines
+//     folded before it).
 //
 // Critical jobs are visited from the tail of their list, where ca is
-// smallest: ca + minU bounds every value of row a from below and never
-// decreases in this order, so the scan stops once it exceeds best. A row
-// whose smallest bC, v[n−1] + w, exceeds best is skipped, and partners
-// are visited from the tail of m's list, where bC = v[k] + w is smallest
-// and grows, so each row stops at the first bC above best. Every cut is
-// on a strict >: a pair tying best may still win on (aPos, b) and is
-// always scored.
-func (st *State) bestOn(m, crit int, critJobs []int32) (float64, int32, int32) {
+// smallest. suf[k] = min(u[k..n−1]) over u[k] = ETC[b_k][crit] never
+// decreases in k, so neither does ca + suf[k]; it bounds aC from below
+// for every partner at or past slot k. Hence ca + suf[0] bounds every
+// value of row a and never decreases in the row order, so the scan stops
+// once it exceeds best; within a row, every partner at or past the first
+// k with ca + suf[k] > best loses, and a binary search finds that k. A
+// row whose smallest bC, v[n−1] + w, exceeds best is skipped, and the
+// remaining partners are visited from just below the cut towards the
+// head of m's list, where bC = v[k] + w grows, so each row stops at the
+// first bC above best. Every cut is on a strict >: a pair tying best may
+// still win on (aPos, b) and is always scored.
+func (st *State) bestOn(m, crit int, critJobs []int32, best float64, bestAPos, bestB int32) (float64, int32, int32) {
 	jobs := st.machJobs[m]
 	n := len(jobs)
 	if n == 0 {
-		return math.Inf(1), -1, -1
+		return best, bestAPos, bestB
 	}
 	in := st.inst
 	critC := st.completion[crit]
-	st.scanU, st.scanV = grown(st.scanU, n), grown(st.scanV, n)
-	u, v := st.scanU, st.scanV
-	var minU float64
+	st.scanU, st.scanV, st.scanSuf = grown(st.scanU, n), grown(st.scanV, n), grown(st.scanSuf, n)
+	u, v, suf := st.scanU, st.scanV, st.scanSuf
 	if etcs := in.ETC; etcs != nil {
-		minU = gatherPartners(etcs, in.Machs, crit, m, st.completion[m], jobs, u, v)
+		gatherPartners(etcs, in.Machs, crit, m, st.completion[m], jobs, u, v)
 	} else {
-		minU = gatherPartners(in.ETC32, in.Machs, crit, m, st.completion[m], jobs, u, v)
+		gatherPartners(in.ETC32, in.Machs, crit, m, st.completion[m], jobs, u, v)
+	}
+	lo := u[n-1]
+	for k := n - 1; k >= 0; k-- {
+		if u[k] < lo {
+			lo = u[k]
+		}
+		suf[k] = lo
 	}
 	minV := v[n-1]
-	best := math.Inf(1)
-	bestAPos, bestB := int32(-1), int32(-1)
 	for apos := len(critJobs) - 1; apos >= 0; apos-- {
 		a := int(critJobs[apos])
 		ca := critC - in.At(a, crit)
-		if ca+minU > best {
+		if ca+suf[0] > best {
 			break
 		}
 		w := in.At(a, m)
 		if minV+w > best {
 			continue
 		}
-		for k := n - 1; k >= 0; k-- {
+		// cut = the first slot whose aC provably exceeds best (n if none).
+		cut, hi := 1, n
+		for cut < hi {
+			if mid := int(uint(cut+hi) >> 1); ca+suf[mid] > best {
+				hi = mid
+			} else {
+				cut = mid + 1
+			}
+		}
+		for k := cut - 1; k >= 0; k-- {
 			y := v[k] + w
 			if y > best {
 				break

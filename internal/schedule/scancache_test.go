@@ -10,14 +10,17 @@ import (
 	"gridcma/internal/rng"
 )
 
-// Differential fuzz for the event-driven scan cache: across thousands of
-// random commit/invalidate sequences the cached critical-swap query must
-// return, bit for bit, the winner of a from-scratch full sweep — value,
-// critical job and partner id — including on tie-heavy integer instances
-// where the (value, SPT-position, id) tie-break contract actually binds.
+// Differential fuzz for the bounded critical-swap query: across
+// thousands of random commit/invalidate sequences it must return, bit for
+// bit, the winner of a from-scratch full sweep — value, critical job and
+// partner id — including on tie-heavy integer instances where the
+// (value, SPT-position, id) tie-break contract actually binds.
 
 // scanInstances mixes generic random instances with tie-heavy integer
-// ones (tieInstance lives in sweep_test.go).
+// ones (tieInstance lives in sweep_test.go). The consistent and
+// semi-consistent ones keep each partner's cost on the critical machine
+// correlated with its SPT position, where the suffix-minimum cut of
+// bestOn skips the most pairs.
 func scanInstances() []*etc.Instance {
 	return []*etc.Instance{
 		etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
@@ -27,6 +30,10 @@ func scanInstances() []*etc.Instance {
 		tieInstance(60, 8, 83),
 		tieInstance(36, 4, 84),
 		tieInstance(20, 3, 85),
+		etc.Generate(etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High},
+			0, etc.GenerateOptions{Seed: 91, Jobs: 96, Machs: 8}),
+		etc.Generate(etc.Class{Consistency: etc.SemiConsistent, JobHet: etc.High, MachineHet: etc.Low},
+			0, etc.GenerateOptions{Seed: 92, Jobs: 80, Machs: 10}),
 	}
 }
 
@@ -55,10 +62,10 @@ func refCriticalSwap(st *State) (float64, int, int) {
 
 // TestCachedScanMatchesFullSweep drives a state through long random
 // commit sequences — single moves, swaps, occasional wholesale
-// SetSchedule/CopyFrom invalidations, repeated queries with nothing dirty
-// — and checks the cached query against the reference sweep after every
-// step. The reference runs on a mirror state so its BeginSwapScan cannot
-// share buffers with the cache's sweeps.
+// SetSchedule re-evaluations, repeated queries on an unchanged state —
+// and checks the query against the reference sweep after every step.
+// The reference runs on a mirror state so its BeginSwapScan cannot
+// share buffers with the query's scratch.
 func TestCachedScanMatchesFullSweep(t *testing.T) {
 	o := DefaultObjective
 	for i, in := range scanInstances() {
@@ -78,13 +85,13 @@ func TestCachedScanMatchesFullSweep(t *testing.T) {
 				a, b := r.Intn(in.Jobs), r.Intn(in.Jobs)
 				st.Swap(a, b)
 				mirror.Swap(a, b)
-			case op == 8: // wholesale invalidation
+			case op == 8: // wholesale re-evaluation
 				s := NewRandom(in, r)
 				st.SetSchedule(s)
 				mirror.SetSchedule(s)
-			default: // no-op: next query folds a fully warm cache
+			default: // no-op: the query repeats on an unchanged state
 			}
-			for q := 0; q < 2; q++ { // second query hits the warm path
+			for q := 0; q < 2; q++ { // a query must not depend on the last
 				gv, ga, gb := sc.BestCriticalSwap()
 				wv, wa, wb := refCriticalSwap(mirror)
 				if gv != wv || ga != wa || gb != wb {
@@ -133,8 +140,9 @@ func bruteCriticalSwap(st *State) (float64, int, int) {
 	return best, int(critJobs[bestAPos]), bestB
 }
 
-// checkBruteCriticalSwap compares the cached query with the brute-force
-// oracle bit for bit, twice: the second query folds a warm cache.
+// checkBruteCriticalSwap compares the query with the brute-force oracle
+// bit for bit, twice: a query leaves nothing behind that the next one on
+// the same state could read.
 func checkBruteCriticalSwap(t *testing.T, st *State, what string) {
 	t.Helper()
 	wv, wa, wb := bruteCriticalSwap(st)
@@ -170,16 +178,20 @@ func bruteInstances() []*etc.Instance {
 }
 
 // runBruteProgram drives a state over in through a byte program — three
-// bytes per step: an opcode and two operands — and checks the cached
-// query against the brute-force oracle after every step. Steps are
-// moves, swaps, scan-exemption toggles and drains that pile one
-// machine's jobs onto another (emptying it).
+// bytes per step: an opcode and two operands — and checks the query
+// against the brute-force oracle after every step. Steps are moves,
+// swaps, scan-exemption toggles, drains that pile one machine's jobs
+// onto another (emptying it), and runs of commits of the query's own
+// winning swap: the LMCTS traffic, where every commit changes the
+// critical machine's contents and the bound carried across partner
+// machines is tightest.
 func runBruteProgram(t *testing.T, in *etc.Instance, seed uint64, prog []byte) {
 	st := NewState(in, NewRandom(in, rng.New(seed)))
 	checkBruteCriticalSwap(t, st, "start")
 	for i := 0; i+2 < len(prog); i += 3 {
 		x, y := int(prog[i+1]), int(prog[i+2])
-		switch prog[i] % 8 {
+		what := fmt.Sprintf("%s step %d (op %d %d %d)", in.Name, i/3, prog[i], x, y)
+		switch prog[i] % 9 {
 		case 0, 1, 2:
 			st.Move(x%in.Jobs, y%in.Machs)
 		case 3, 4:
@@ -192,17 +204,26 @@ func runBruteProgram(t *testing.T, in *etc.Instance, seed uint64, prog []byte) {
 			for len(st.JobsOn(from)) > 0 && from != to {
 				st.Move(int(st.JobsOn(from)[0]), to)
 			}
+		case 7:
+			for k := range 1 + x%8 {
+				_, a, b := st.Scans(DefaultObjective).BestCriticalSwap()
+				if b < 0 {
+					break
+				}
+				st.Swap(a, b)
+				checkBruteCriticalSwap(t, st, fmt.Sprintf("%s, winner %d", what, k))
+			}
 		default:
 			st.SetSchedule(NewRandom(in, rng.New(seed+uint64(x))))
 		}
-		checkBruteCriticalSwap(t, st, fmt.Sprintf("%s step %d (op %d %d %d)", in.Name, i/3, prog[i], x, y))
+		checkBruteCriticalSwap(t, st, what)
 	}
 }
 
-// TestBestCriticalSwapMatchesBruteForce pins the pruned cached scan
-// against the brute-force oracle: random byte programs over random,
-// tie-heavy integer (duplicate partner invariants, where the (aPos, b)
-// tie-break binds) and float32-backed instances, plus hand-built
+// TestBestCriticalSwapMatchesBruteForce pins the bounded scan against
+// the brute-force oracle: random byte programs over random, consistent,
+// semi-consistent, tie-heavy integer (duplicate partner invariants, where
+// the (aPos, b) tie-break binds) and float32-backed instances, plus hand-built
 // schedules with empty machines, single-job machines and a critical
 // machine holding one job.
 func TestBestCriticalSwapMatchesBruteForce(t *testing.T) {
@@ -246,9 +267,9 @@ func TestBestCriticalSwapMatchesBruteForce(t *testing.T) {
 }
 
 // FuzzBestCriticalSwap runs byte programs (runBruteProgram) over the
-// instances of bruteInstances, checking the cached critical-swap query
-// against the brute-force oracle after every step. The corpus is seeded
-// with one program per scanInstances instance.
+// instances of bruteInstances, checking the critical-swap query against
+// the brute-force oracle after every step. The corpus is seeded with one
+// program per scanInstances instance.
 func FuzzBestCriticalSwap(f *testing.F) {
 	instances := bruteInstances()
 	for i := range scanInstances() {
@@ -346,10 +367,11 @@ func TestBestMoveTargetMatchesSweepFold(t *testing.T) {
 	}
 }
 
-// TestMachineEpochSemantics pins the invalidation protocol: a commit
-// advances exactly its source and target machine epochs, a no-op Move or
-// Swap advances no epoch, and wholesale re-evaluations (SetSchedule,
-// CopyFrom) advance every machine's epoch.
+// TestMachineEpochSemantics pins the change-tracking protocol the
+// daemon's digest and the move-probe context read: a commit advances
+// exactly its source and target machine epochs (and the state epoch), a
+// no-op Move or Swap advances no epoch, and wholesale re-evaluations
+// (SetSchedule, CopyFrom) advance every machine's epoch.
 func TestMachineEpochSemantics(t *testing.T) {
 	in := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Jobs: 40, Machs: 5, Seed: 60})
 	r := rng.New(3)
@@ -415,8 +437,10 @@ func TestMachineEpochSemantics(t *testing.T) {
 	}
 }
 
-// TestCachedScanAllocationFree asserts the steady-state query path of the
-// cache — including re-sweeps of dirtied machines — never allocates.
+// TestCachedScanAllocationFree asserts the query path of the cache —
+// a commit, then critical-swap queries and a move probe, the cycle a
+// local search step runs — never allocates once the state's scratch
+// buffers have grown.
 func TestCachedScanAllocationFree(t *testing.T) {
 	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
 		0, etc.GenerateOptions{Seed: 86, Jobs: 128, Machs: 16})
@@ -424,61 +448,27 @@ func TestCachedScanAllocationFree(t *testing.T) {
 	r := rng.New(4)
 	st := NewState(in, NewRandom(in, r))
 	sc := st.Scans(o)
-	sc.BestCriticalSwap() // size the memo arrays
+	for range 100 { // grow the scratch buffers
+		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
+		sc.BestCriticalSwap()
+	}
 	if n := testing.AllocsPerRun(100, func() {
-		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs)) // dirty two machines
-		sc.BestCriticalSwap()                      // O(changed) revalidation
-		sc.BestCriticalSwap()                      // warm fold
+		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
+		sc.BestCriticalSwap()
+		sc.BestCriticalSwap()
 		sc.FitnessAfterMove(r.Intn(in.Jobs), r.Intn(in.Machs))
 	}); n != 0 {
 		t.Errorf("cached scan allocates %v per query cycle", n)
 	}
 }
 
-// BenchmarkCachedScanQuery measures one warm cached critical-swap query —
-// the steady-state O(M) fold — at the paper's 512×16 shape. Must report 0
-// allocs/op: CI runs every CachedScan benchmark with -benchtime=1x and
-// fails otherwise.
-func BenchmarkCachedScanQuery(b *testing.B) {
-	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
-		0, etc.GenerateOptions{Seed: 1, Jobs: 512, Machs: 16})
-	r := rng.New(7)
-	st := NewState(in, NewRandom(in, r))
-	sc := st.Scans(DefaultObjective)
-	sc.BestCriticalSwap()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.BestCriticalSwap()
-	}
-}
-
-// BenchmarkCachedScanRevalidate measures the query after one random
-// committed move. A move always re-sweeps its source and target machines,
-// and most random moves also change the critical machine's contents (or
-// which machine is critical), which invalidates every entry: the query
-// then re-sweeps all partner machines. 0 allocs/op, CI-guarded.
-func BenchmarkCachedScanRevalidate(b *testing.B) {
-	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
-		0, etc.GenerateOptions{Seed: 1, Jobs: 512, Machs: 16})
-	r := rng.New(7)
-	st := NewState(in, NewRandom(in, r))
-	sc := st.Scans(DefaultObjective)
-	sc.BestCriticalSwap()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
-		sc.BestCriticalSwap()
-	}
-}
-
 // BenchmarkCachedScanCritSwap measures the path LMCTS pays: commit the
-// query's own winning swap, which changes the critical machine's contents
-// and so invalidates every entry, then query again — a re-sweep of every
-// partner machine per iteration. When no swap reduces the critical
-// completion pair the state restarts from the next of a ring of random
-// schedules, as a fresh offspring would. 0 allocs/op, CI-guarded.
+// query's own winning swap, which changes the critical machine's
+// contents, then query again — one bounded pass over every partner
+// machine per iteration. When no swap reduces the critical completion
+// pair the state restarts from the next of a ring of random schedules,
+// as a fresh offspring would. Must report 0 allocs/op: CI runs every
+// CachedScan benchmark with -benchtime=1x and fails otherwise.
 func BenchmarkCachedScanCritSwap(b *testing.B) {
 	for _, sh := range []struct{ jobs, machs int }{{512, 16}, {2048, 64}} {
 		b.Run(fmt.Sprintf("%dx%d", sh.jobs, sh.machs), func(b *testing.B) {

@@ -47,13 +47,13 @@ type State struct {
 	flowtime   float64
 	top        maxTree // argmax over completion, O(log M) maintenance
 
-	// Change tracking for the event-driven scan cache (scancache.go) and
-	// the daemon's state digest. epoch counts committed mutations;
-	// machEpoch[m] is the epoch of machine m's last content change — a
-	// cached per-machine scan result is valid exactly while the machine's
-	// epoch is unchanged. A Move or Swap advances its source and target
-	// machines; wholesale re-evaluations (SetSchedule, CopyFrom, rebuild)
-	// advance every machine.
+	// Change tracking. epoch counts committed mutations; the scan
+	// cache's move-side probe context (scancache.go) is valid exactly
+	// while it is unchanged. machEpoch[m] is the epoch of machine m's last
+	// content change, which the daemon's state digest reads to re-hash
+	// only the machines that changed. A Move or Swap advances its source
+	// and target machines; wholesale re-evaluations (SetSchedule,
+	// CopyFrom, rebuild) advance every machine.
 	epoch     uint64
 	machEpoch []uint64
 
@@ -64,10 +64,12 @@ type State struct {
 	// alone).
 	sweepFit []float64
 	swapScan SwapScan
-	// scanU/scanV hold the partner invariants of the cached critical-swap
-	// scan's current entry (ScanCache.bestOn), gathered once per entry.
-	scanU []float64
-	scanV []float64
+	// scanU/scanV/scanSuf hold the partner invariants of the partner
+	// machine the critical-swap query is scanning (bestOn) and the
+	// suffix minima of scanU.
+	scanU   []float64
+	scanV   []float64
+	scanSuf []float64
 
 	// Scratch of SetScheduleDiff: changed job ids, changed machine ids and
 	// diffLo[m], the lowest slot edited on machine m (-1 while m is
@@ -99,10 +101,10 @@ type State struct {
 	regOff   []int32
 	jobKey   []float64
 
-	// scanCache is the event-driven memo layer over the sweep kernels
-	// (scancache.go), lazily sized by Scans. Like the sweep scratch it is
-	// not part of the state's value: Clone and CopyFrom leave it cold and
-	// the machine epochs make every stale entry self-invalidating.
+	// scanCache is the query layer over the sweep kernels
+	// (scancache.go), bound by Scans. Like the sweep scratch it is not
+	// part of the state's value: Clone and CopyFrom leave it cold, and
+	// the epoch makes a stale move context self-invalidating.
 	scanCache ScanCache
 }
 
@@ -132,14 +134,16 @@ func NewState(in *etc.Instance, s Schedule) *State {
 }
 
 // ensureRegions re-carves the per-machine lists out of the shared backing
-// arrays: machine m gets an empty region of capacity max(counts[m], slack)
-// where slack is twice the balanced share plus headroom (Move and insert
-// then rarely outgrow a region; one that does reallocates on its own
-// until the next carve reabsorbs it). The three backing arrays are
-// reallocated only when the total need exceeds their capacity — count
-// drift between machines re-slices in O(M) without allocating, which is
-// what keeps SetSchedule allocation-free in the per-offspring hot loop at
-// any instance scale.
+// arrays: machine m gets an empty region of capacity
+// max(counts[m] + 8, slack) where slack is twice the balanced share plus
+// headroom (Move and insert then rarely outgrow a region, even one
+// copied from a machine holding more than the slack; one that does
+// reallocates on its own until the next carve reabsorbs it). The three
+// backing arrays are reallocated only when the total need exceeds their
+// capacity, and then geometrically (grown) — count drift between
+// machines re-slices in O(M) without allocating, which is what keeps
+// SetSchedule allocation-free in the per-offspring hot loop at any
+// instance scale.
 func (st *State) ensureRegions(counts []int32) {
 	machs := len(st.machJobs)
 	slack := int32(2*len(st.assign)/machs + 8)
@@ -147,20 +151,13 @@ func (st *State) ensureRegions(counts []int32) {
 	need := int32(0)
 	for m, c := range counts {
 		off[m] = need
-		if c < slack {
-			c = slack
-		}
-		need += c
+		need += max(c+8, slack)
 	}
 	off[machs] = need
-	if cap(st.backing) < int(need) {
-		st.backing = make([]int32, need)
-		st.backCumC = make([]float64, need)
-		st.backCumF = make([]float64, need)
-	}
-	b := st.backing[:need]
-	bc := st.backCumC[:need]
-	bf := st.backCumF[:need]
+	st.backing = grown(st.backing, int(need))
+	st.backCumC = grown(st.backCumC, int(need))
+	st.backCumF = grown(st.backCumF, int(need))
+	b, bc, bf := st.backing, st.backCumC, st.backCumF
 	for m := range st.machJobs {
 		s, e := off[m], off[m+1]
 		st.machJobs[m] = b[s:s:e]
@@ -323,8 +320,8 @@ func (st *State) noteCommit(m1, m2 int) {
 	st.machEpoch[m2] = st.epoch
 }
 
-// SetScanExempt excludes machine m from (or re-admits it to) the cached
-// critical-swap sweep: BestCriticalSwap never scans an exempt machine's
+// SetScanExempt excludes machine m from (or re-admits it to) the
+// critical-swap scan: BestCriticalSwap never scans an exempt machine's
 // jobs and never proposes a swap involving them. The caller asserts that
 // no such swap can ever be accepted anyway — the use case is a host
 // keeping placeholder jobs on a dedicated machine whose swap candidates
@@ -494,11 +491,9 @@ func (st *State) SetSchedule(s Schedule) {
 // against the current assignment: only jobs whose machine changed are
 // re-listed, only machines whose job sets changed are refreshed — each
 // from the lowest slot the diff edited on it — and only those machines
-// advance to a fresh epoch. Every cached scan result of an untouched
-// machine therefore stays valid — the warm-start admission path
-// of the online daemon and cache-aware island migration both depend on
-// this, where SetSchedule's wholesale epoch bump would cold-start the
-// event-driven scan cache on every batch commit.
+// advance to a fresh epoch, so the online daemon's digest re-hashes only
+// the machines a batch commit touched, where SetSchedule's wholesale
+// epoch bump would re-hash every machine.
 //
 // The resulting value state is bit-identical to SetSchedule(s): the
 // per-machine job lists are (ETC, id)-sorted sets, so they are order
@@ -511,10 +506,12 @@ func (st *State) SetSchedule(s Schedule) {
 // the epoch bookkeeping differs, by design. An empty diff changes
 // nothing, the flowtime bits included (SetScheduleFrom refolds them).
 // Pinned by the differential tests in statediff_test.go and
-// rebuild_test.go.
+// rebuild_test.go. An invalid s panics with Validate's error, like
+// SetSchedule; only the length and the changed entries need checking,
+// since an unchanged entry equals the current, valid one.
 func (st *State) SetScheduleDiff(s Schedule) {
-	if err := s.Validate(st.inst); err != nil {
-		panic(err)
+	if len(s) != len(st.assign) {
+		panic(s.Validate(st.inst))
 	}
 	lo := st.diffLo
 	if lo == nil {
@@ -526,10 +523,17 @@ func (st *State) SetScheduleDiff(s Schedule) {
 	}
 	st.diffJobs = st.diffJobs[:0]
 	st.diffMachs = st.diffMachs[:0]
+	assign := st.assign[:len(s)]
 	for j, m := range s {
-		from := st.assign[j]
+		from := assign[j]
 		if from == m {
 			continue
+		}
+		if uint(m) >= uint(len(lo)) {
+			for _, d := range st.diffMachs {
+				lo[d] = -1 // leave the scratch clean for a recovered caller
+			}
+			panic(s.Validate(st.inst))
 		}
 		st.diffJobs = append(st.diffJobs, int32(j))
 		// A machine's list length bounds its first edit: a removal sits
@@ -592,8 +596,9 @@ func (st *State) SetScheduleFrom(base *State, s Schedule) {
 // InvalidateMachine advances machine m to a fresh epoch without touching
 // its contents. Callers that mutate inputs the
 // state cannot observe — the online daemon rewrites a machine's ETC
-// column when grid membership changes — use it to force every cached
-// scan result involving the machine to be recomputed on the next query.
+// column when grid membership changes — use it to force every view keyed
+// on the epochs (the daemon's digest of the machine, the scan cache's
+// move-probe context) to be recomputed on the next read.
 // The machine must hold no jobs whose ETC entries the rewrite changes:
 // their list order and the recorded partial sums that later commits
 // resume from would go stale. The daemon guarantees that by only

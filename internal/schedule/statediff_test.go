@@ -116,8 +116,8 @@ func TestSetScheduleDiffMatchesSetSchedule(t *testing.T) {
 
 // TestSetScheduleDiffAdvancesOnlyChangedMachines pins the delta
 // contract: the diff path advances the epochs of exactly the machines
-// whose job sets changed, and leaves every other machine's epoch — and
-// therefore every cached scan entry — untouched.
+// whose job sets changed, and leaves every other machine's epoch — what
+// the daemon's digest re-hashes by — untouched.
 func TestSetScheduleDiffAdvancesOnlyChangedMachines(t *testing.T) {
 	in := diffTestInstance(60, 6, 3)
 	r := rng.New(11)
@@ -155,10 +155,43 @@ func TestSetScheduleDiffAdvancesOnlyChangedMachines(t *testing.T) {
 	}
 }
 
-// TestSetScheduleDiffScanCacheStaysExact runs the event-driven scan cache
+// TestSetScheduleDiffRejectsInvalid pins that SetScheduleDiff, which
+// checks only the length and the changed entries, panics with Validate's
+// error on a short schedule and on an out-of-range machine, and that a
+// caller recovering the panic can keep using the state.
+func TestSetScheduleDiffRejectsInvalid(t *testing.T) {
+	in := diffTestInstance(40, 5, 4)
+	r := rng.New(12)
+	st := NewState(in, NewRandom(in, r))
+	mustPanic := func(s Schedule) {
+		t.Helper()
+		want := s.Validate(in)
+		defer func() {
+			got, _ := recover().(error)
+			if want == nil || got == nil || got.Error() != want.Error() {
+				t.Fatalf("panic %v, want %v", got, want)
+			}
+		}()
+		st.SetScheduleDiff(s)
+	}
+	mustPanic(st.Schedule()[:in.Jobs-1])
+	bad := st.Schedule()
+	bad[3] = (bad[3] + 1) % in.Machs // a valid change before the bad one
+	bad[7] = in.Machs
+	mustPanic(bad)
+	bad[7] = -1
+	mustPanic(bad)
+	for range 20 {
+		next := NewRandom(in, r)
+		st.SetScheduleDiff(next)
+		requireStateEqual(t, st, NewState(in, next))
+	}
+}
+
+// TestSetScheduleDiffScanCacheStaysExact runs the critical-swap query
 // across diff-based replacements and checks every query against a cold
 // full state — the daemon's admission loop in miniature: batches commit
-// through SetScheduleDiff, search queries hit the warm cache.
+// through SetScheduleDiff and search queries follow on the same state.
 func TestSetScheduleDiffScanCacheStaysExact(t *testing.T) {
 	in := diffTestInstance(80, 8, 17)
 	r := rng.New(23)
@@ -206,10 +239,10 @@ func TestRefreshFlowtime(t *testing.T) {
 	}
 }
 
-// TestInvalidateMachine pins that the invalidation hook forces a cached
-// scan entry to be recomputed: after rewriting an empty machine's ETC
-// column (the daemon's join path), a query sees the new values iff the
-// machine was invalidated.
+// TestInvalidateMachine pins that the invalidation hook moves the
+// machine's epoch — what the daemon's digest and the move-probe context
+// key on after the daemon rewrites an empty machine's ETC column (its
+// join path) — and that a query afterwards agrees with a cold state.
 func TestInvalidateMachine(t *testing.T) {
 	in := diffTestInstance(40, 4, 41)
 	r := rng.New(43)
@@ -224,14 +257,14 @@ func TestInvalidateMachine(t *testing.T) {
 	}
 	st.SetScheduleDiff(next)
 	sc := st.Scans(DefaultObjective)
-	sc.BestCriticalSwap() // warm the cache (m's entry: empty machine)
+	sc.BestCriticalSwap()
 
 	e := st.MachEpoch(m)
 	st.InvalidateMachine(m)
 	if st.MachEpoch(m) == e {
 		t.Fatalf("InvalidateMachine did not move the machine epoch")
 	}
-	// The cache must now agree with a cold state on the next query.
+	// The query must agree with a cold state.
 	v, a, b := sc.BestCriticalSwap()
 	ref := NewState(in, st.Schedule())
 	rv, ra, rb := ref.Scans(DefaultObjective).BestCriticalSwap()
@@ -243,7 +276,7 @@ func TestInvalidateMachine(t *testing.T) {
 // TestSetScheduleFromMatchesSetSchedule pins the cMA's rebuild of a
 // crossover child: SetScheduleFrom(parent, child) must equal
 // SetSchedule(child) in every value-bearing bit, leave no machine at a
-// pre-call epoch, and answer the same cached scan.
+// pre-call epoch, and answer the same critical-swap query.
 // Children cover one-point crossover, a single changed job, no change, a
 // full rewrite, a machine drained to empty and every job crowded onto one
 // machine (a list past the insertion sort's cut-off), on integer ETC with

@@ -42,13 +42,12 @@ import (
 // rejoins the set. (etc.Instance.Validate rejects non-positive ETC
 // entries.)
 
-// grown returns buf resized to n, reallocating only on growth — the
-// steady-state path of every sweep is allocation-free.
-func grown(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+// grown returns buf resized to n, reallocating only on growth and then
+// with append's geometric headroom, so a buffer that creeps upwards
+// reallocates O(log n) times — the steady-state path of every sweep is
+// allocation-free.
+func grown[E any](buf []E, n int) []E {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // FitnessAfterMoveSweep computes FitnessAfterMove(o, j, to) for every
