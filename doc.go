@@ -193,8 +193,9 @@
 //
 // Calls travel over a pluggable transport (internal/transport): an
 // in-process Local client for tests and single-host runs, and a TCP
-// JSONL framing (one JSON header line plus one population payload line)
-// dialed against cmd/islandd worker daemons. The payload line is a JSON
+// JSONL framing (one JSON header line plus one payload line; replication
+// frames carry their payload verbatim on it) dialed against cmd/islandd
+// worker daemons. The payload line is a JSON
 // array of schedules, each an array of machine ids, in exactly the form
 // AppendPops writes ([[0,3,1],[2,2,0]]: no whitespace, no leading zeros,
 // every id an int); it is encoded without allocating and decoded by

@@ -89,12 +89,12 @@
 // follower (writes answer 503 pointing at the primary) and pulls the
 // primary's WAL through a ReplServer — snapshot bootstrap when the
 // follower's position has aged out of the log, then a resumable event
-// stream. ApplyReplicated applies shipped events verbatim (sequence,
-// timestamp and checksum preserved), so the follower's WAL is
-// byte-identical to the primary's acked prefix; every batch carries
-// the primary's state digest at the batch-end sequence, and a mismatch
-// against the follower's own digest is ErrDiverged — a permanent stop,
-// never a silent drift.
+// stream. The primary ships its WAL records as its log holds them, and
+// ApplyReplicated applies each decoded event and appends the same bytes
+// to the follower's WAL, so that WAL is byte-identical to the primary's
+// acked prefix; every batch carries the primary's state digest at the
+// batch-end sequence, and a mismatch against the follower's own digest
+// is ErrDiverged — a permanent stop, never a silent drift.
 //
 // Failover is Promote (or POST /promote): the follower persists a
 // bumped monotonic term beside its WAL before flipping to primary, and

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,14 +52,25 @@ type ReplPull struct {
 	Max   int    `json:"max,omitempty"`
 }
 
-// ReplBatch answers a pull.
+// ReplBatch answers a pull. It ships WAL records verbatim: each of
+// Records is one line of the primary's log, without its newline, as
+// the primary's Follower verified it. On the wire (the transport
+// frame's payload line) a batch is the JSON encoding of its other
+// fields followed by each record after a tab:
+//
+//	{"term":1,"applied":9,"digest":"…","digest_seq":9}<TAB>{"seq":8,…}<TAB>{"seq":9,…}
+//
+// Neither json.Marshal output nor a WAL record ever holds a raw tab, so
+// the split is exact, and no record passes through encoding/json on
+// either side. The follower decodes each record once, with
+// eventlog.ParseRecord.
 type ReplBatch struct {
 	Term   uint64 `json:"term"`
 	Reject string `json:"reject,omitempty"`
 	// NeedSnapshot: the primary's WAL cannot serve After+1 (the follower
 	// is behind a snapshot-truncated log); bootstrap via KindReplSnapshot.
-	NeedSnapshot bool             `json:"need_snapshot,omitempty"`
-	Events       []eventlog.Event `json:"events,omitempty"`
+	NeedSnapshot bool     `json:"need_snapshot,omitempty"`
+	Records      [][]byte `json:"-"`
 	// Applied is the primary's applied sequence number at ship time —
 	// the follower's lag is Applied minus its own.
 	Applied uint64 `json:"applied"`
@@ -68,6 +80,40 @@ type ReplBatch struct {
 	// rather than drift.
 	Digest    string `json:"digest,omitempty"`
 	DigestSeq uint64 `json:"digest_seq,omitempty"`
+}
+
+// recordSep ends a ReplBatch's JSON fields and each shipped record.
+var recordSep = []byte{'\t'}
+
+// marshal encodes b for the wire.
+func (b *ReplBatch) marshal() ([]byte, error) {
+	hdr, err := json.Marshal(b)
+	if err != nil {
+		return nil, err
+	}
+	n := len(hdr)
+	for _, rec := range b.Records {
+		n += 1 + len(rec)
+	}
+	out := append(make([]byte, 0, n), hdr...)
+	for _, rec := range b.Records {
+		out = append(append(out, recordSep...), rec...)
+	}
+	return out, nil
+}
+
+// parseReplBatch decodes a pull response's payload. The records it
+// returns alias payload.
+func parseReplBatch(payload []byte) (*ReplBatch, error) {
+	hdr, recs, found := bytes.Cut(payload, recordSep)
+	var b ReplBatch
+	if err := json.Unmarshal(hdr, &b); err != nil {
+		return nil, err
+	}
+	if found {
+		b.Records = bytes.Split(recs, recordSep)
+	}
+	return &b, nil
 }
 
 // ReplSnap answers a transport.KindReplSnapshot bootstrap request.
@@ -315,12 +361,13 @@ func (d *Daemon) ApplyEvent(e eventlog.Event) (eventlog.Event, error) {
 	return stamped, nil
 }
 
-// ApplyReplicated applies an event shipped from the primary verbatim:
-// sequence, timestamp and checksum are preserved, so the follower's WAL
-// is byte-identical to the primary's prefix and "promote then replay"
-// is indistinguishable from "the primary never died". Only followers
+// ApplyReplicated applies an event shipped from the primary and appends
+// line, the WAL record it was decoded from (eventlog.ParseRecord), to
+// this node's WAL verbatim. The follower's WAL is then byte-identical to
+// the primary's prefix by construction, and "promote then replay" is
+// indistinguishable from "the primary never died". Only followers
 // accept replicated writes.
-func (d *Daemon) ApplyReplicated(e eventlog.Event) error {
+func (d *Daemon) ApplyReplicated(e eventlog.Event, line []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -333,16 +380,9 @@ func (d *Daemon) ApplyReplicated(e eventlog.Event) error {
 		return err
 	}
 	if d.wal != nil {
-		stamped, err := d.wal.Append(e)
-		if err != nil {
+		if err := d.wal.AppendRecord(e, line); err != nil {
 			d.walErrors.Add(1)
 			return fmt.Errorf("daemon: replicated event %d applied but not persisted: %w", e.Seq, err)
-		}
-		// The writer re-stamps and re-checksums; any disagreement with
-		// what the primary shipped means the bytes would diverge.
-		if stamped.Seq != e.Seq || (e.Crc != 0 && stamped.Crc != e.Crc) {
-			return fmt.Errorf("daemon: replicated event %d re-encoded as seq %d crc %#x (shipped crc %#x): WAL divergence",
-				e.Seq, stamped.Seq, stamped.Crc, e.Crc)
 		}
 	}
 	d.recordDigestLocked()
@@ -494,12 +534,12 @@ type ReplConfig struct {
 }
 
 // ReplServer serves the primary's side of WAL-shipping replication as a
-// transport.Handler: followers pull batches of WAL events (resumable by
-// sequence number, streamed via a cached eventlog.Follower per
-// follower), bootstrap from a snapshot when the log cannot serve their
-// position, and get the primary's digest with every batch. Term
-// checking happens on every request — a pull carrying a higher term
-// fences this node on the spot.
+// transport.Handler: followers pull batches of WAL records (resumable by
+// sequence number, streamed via a cached eventlog.Follower per follower
+// and shipped as the log holds them), bootstrap from a snapshot when the
+// log cannot serve their position, and get the primary's digest with
+// every batch. Term checking happens on every request — a pull carrying
+// a higher term fences this node on the spot.
 type ReplServer struct {
 	d       *Daemon
 	walPath string
@@ -546,7 +586,11 @@ func (s *ReplServer) Handle(ctx context.Context, req *transport.Request) (*trans
 		if err != nil {
 			return nil, err
 		}
-		return marshalRepl(req.ID, batch)
+		b, err := batch.marshal()
+		if err != nil {
+			return nil, err
+		}
+		return &transport.Response{ID: req.ID, Repl: b}, nil
 	case transport.KindReplSnapshot:
 		var pull ReplPull
 		if err := json.Unmarshal(req.Repl, &pull); err != nil {
@@ -556,18 +600,14 @@ func (s *ReplServer) Handle(ctx context.Context, req *transport.Request) (*trans
 		if err != nil {
 			return nil, err
 		}
-		return marshalRepl(req.ID, snap)
+		b, err := json.Marshal(snap)
+		if err != nil {
+			return nil, err
+		}
+		return &transport.Response{ID: req.ID, Repl: b}, nil
 	default:
 		return nil, fmt.Errorf("daemon: replication server: unknown kind %q", req.Kind)
 	}
-}
-
-func marshalRepl(id uint64, v any) (*transport.Response, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return &transport.Response{ID: id, Repl: b}, nil
 }
 
 // checkTerm applies the fencing protocol shared by pulls and snapshot
@@ -608,7 +648,7 @@ func (s *ReplServer) pull(pull *ReplPull) (*ReplBatch, error) {
 	if pull.Max > 0 && pull.Max < max {
 		max = pull.Max
 	}
-	events, err := s.read(pull.ID, pull.After, max)
+	recs, first, err := s.read(pull.ID, pull.After, max)
 	if err != nil {
 		return nil, err
 	}
@@ -617,24 +657,26 @@ func (s *ReplServer) pull(pull *ReplPull) (*ReplBatch, error) {
 	// After+1. When it starts later (this primary was itself born from a
 	// snapshot and its log is truncated below that point), log shipping
 	// cannot bridge the gap — bootstrap instead.
-	if (len(events) == 0 && pull.After < applied) ||
-		(len(events) > 0 && events[0].Seq != pull.After+1) {
+	if (len(recs) == 0 && pull.After < applied) ||
+		(len(recs) > 0 && first != pull.After+1) {
 		s.dropCursor(pull.ID)
 		return &ReplBatch{Term: myTerm, NeedSnapshot: true, Applied: applied}, nil
 	}
-	resp := &ReplBatch{Term: myTerm, Events: events, Applied: applied}
-	end := pull.After + uint64(len(events))
+	resp := &ReplBatch{Term: myTerm, Records: recs, Applied: applied}
+	end := pull.After + uint64(len(recs))
 	if dig, ok := s.d.DigestAt(end); ok {
 		resp.Digest, resp.DigestSeq = dig, end
 	}
 	return resp, nil
 }
 
-// read streams up to max events after seq from the WAL, reusing the
+// read streams up to max records after seq from the WAL, reusing the
 // follower's cursor when it is positioned right (the steady state: each
 // pull resumes exactly where the last left off, so shipping is O(batch)
-// per call, not O(log)).
-func (s *ReplServer) read(id string, after uint64, max int) ([]eventlog.Event, error) {
+// per call, not O(log)). It returns the records, copied out of the
+// cursor into one buffer of this call's own, and the first one's
+// sequence number.
+func (s *ReplServer) read(id string, after uint64, max int) (recs [][]byte, first uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.cursors[id]
@@ -644,34 +686,44 @@ func (s *ReplServer) read(id string, after uint64, max int) ([]eventlog.Event, e
 		}
 		fl, err := eventlog.Follow(s.walPath, after)
 		if err != nil {
-			return nil, fmt.Errorf("daemon: opening WAL cursor for %q: %w", id, err)
+			return nil, 0, fmt.Errorf("daemon: opening WAL cursor for %q: %w", id, err)
 		}
 		c = &replCursor{fl: fl, next: after + 1}
 		s.cursors[id] = c
 	}
-	var events []eventlog.Event
-	for len(events) < max {
+	var buf []byte
+	var ends []int
+	c.next = after + 1
+	for len(ends) < max {
 		e, ok, err := c.fl.Next()
 		if err != nil {
 			// The cursor is poisoned (mid-log corruption?): drop it so the
 			// next pull re-opens, and surface the error to the follower.
 			c.fl.Close()
 			delete(s.cursors, id)
-			return nil, err
+			return nil, 0, err
 		}
 		if !ok {
 			break
 		}
-		events = append(events, e)
+		if len(ends) == 0 {
+			first = e.Seq
+		}
+		buf = append(buf, c.fl.Line()...)
+		ends = append(ends, len(buf))
+		// The cursor serves After = c.next-1 next time. An empty read
+		// leaves it where it was; a gap (first record past after+1) is
+		// the caller's to detect — it drops the cursor and answers
+		// NeedSnapshot.
+		c.next = e.Seq + 1
 	}
-	// The cursor serves After = c.next-1 next time. An empty read leaves
-	// it where it was; a gap (first event past after+1) is the caller's
-	// to detect — it drops the cursor and answers NeedSnapshot.
-	c.next = after + uint64(len(events)) + 1
-	if n := len(events); n > 0 {
-		c.next = events[n-1].Seq + 1
+	recs = make([][]byte, len(ends))
+	start := 0
+	for i, end := range ends {
+		recs[i] = buf[start:end:end]
+		start = end
 	}
-	return events, nil
+	return recs, first, nil
 }
 
 func (s *ReplServer) dropCursor(id string) {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,6 +83,22 @@ func (rig *replRig) drive(t *testing.T, events []eventlog.Event) {
 // script generates n events acceptable to the rig's (fresh) primary.
 func (rig *replRig) script(seed uint64, n int) []eventlog.Event {
 	return Script(seed, rig.primary.cfg.Grid.MachCap, n)
+}
+
+// shippedEvents decodes a pull's records with the decoder the follower
+// runs, continuing from sequence number after.
+func shippedEvents(t *testing.T, batch *ReplBatch, after uint64) []eventlog.Event {
+	t.Helper()
+	var events []eventlog.Event
+	for _, line := range batch.Records {
+		e, err := eventlog.ParseRecord(line, after)
+		if err != nil {
+			t.Fatalf("shipped record %q: %v", line, err)
+		}
+		events = append(events, e)
+		after = e.Seq
+	}
+	return events
 }
 
 // catchUp steps the replicator until the follower reports zero lag.
@@ -276,6 +293,69 @@ func TestReplicationDivergenceDetected(t *testing.T) {
 	}
 	if !follower.degraded.Load() {
 		t.Fatal("divergence did not latch the daemon degraded")
+	}
+}
+
+// TestReplicationCorruptRecordRefused: a shipped record with one flipped
+// byte fails the follower's decode. Step fails permanently, the daemon
+// latches degraded, and neither its grid nor its WAL ever holds any
+// record of that batch.
+func TestReplicationCorruptRecordRefused(t *testing.T) {
+	var rig *replRig
+	var corrupt atomic.Bool
+	flipping := transport.HandlerFunc(func(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+		resp, err := rig.srv.Handle(ctx, req)
+		if err == nil && corrupt.Load() && req.Kind == transport.KindReplPull {
+			// Flip the last digit of the batch's final crc: the record
+			// stays well-formed and canonical, so only the checksum can
+			// object, and the records before it in the batch are sound.
+			resp.Repl = bytes.Clone(resp.Repl)
+			resp.Repl[len(resp.Repl)-2] ^= 1
+		}
+		return resp, err
+	})
+	rig = newReplRig(t, ReplicatorConfig{
+		ID:   "f1",
+		Dial: func() (transport.Client, error) { return transport.NewLocal(flipping), nil },
+	})
+	script := rig.script(21, 60)
+	rig.drive(t, script[:30])
+	rig.catchUp(t)
+	before := rig.follower.AppliedSeq()
+	beforeDigest := rig.follower.GridDigest()
+
+	rig.drive(t, script[30:])
+	corrupt.Store(true)
+	n, err := rig.repl.Step(context.Background())
+	if err == nil {
+		t.Fatalf("corrupt batch applied (%d events)", n)
+	}
+	if !retry.IsPermanent(err) {
+		t.Fatalf("corrupt batch error not permanent: %v", err)
+	}
+	if !rig.follower.degraded.Load() {
+		t.Fatal("corrupt batch did not latch the follower degraded")
+	}
+	if got := rig.follower.AppliedSeq(); got != before {
+		t.Fatalf("follower applied %d after the corrupt batch, want %d", got, before)
+	}
+	if got := rig.follower.GridDigest(); got != beforeDigest {
+		t.Fatal("follower grid changed by the corrupt batch")
+	}
+	if err := rig.follower.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(rig.fLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := eventlog.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(events); n != int(before) || events[n-1].Seq != before {
+		t.Fatalf("follower WAL holds %d events after the corrupt batch, want %d", n, before)
 	}
 }
 
@@ -617,8 +697,9 @@ func TestReplPullShipsBufferedEvent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batch.Events) != 1 || batch.Events[0].Seq != stamped.Seq || batch.Events[0].Type != typ {
-			t.Fatalf("%s: pull after event %d shipped %+v", typ, stamped.Seq, batch.Events)
+		events := shippedEvents(t, batch, stamped.Seq-1)
+		if len(events) != 1 || events[0].Seq != stamped.Seq || events[0].Type != typ {
+			t.Fatalf("%s: pull after event %d shipped %+v", typ, stamped.Seq, events)
 		}
 	}
 }
@@ -662,7 +743,7 @@ func TestReplPullConcurrentWithApply(t *testing.T) {
 			t.Fatalf("pull after %d (primary applied %d): need snapshot %v, reject %q",
 				after, batch.Applied, batch.NeedSnapshot, batch.Reject)
 		}
-		for _, e := range batch.Events {
+		for _, e := range shippedEvents(t, batch, after) {
 			if e.Seq != after+1 {
 				t.Fatalf("pull shipped seq %d after %d", e.Seq, after)
 			}

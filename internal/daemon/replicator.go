@@ -63,9 +63,10 @@ type Replicator struct {
 	d   *Daemon
 	cfg ReplicatorConfig
 
-	mu     sync.Mutex // guards client + Step; Run/Step/Promote serialise here
-	client transport.Client
-	nextID uint64
+	mu      sync.Mutex // guards client + Step; Run/Step/Promote serialise here
+	client  transport.Client
+	nextID  uint64
+	decoded []eventlog.Event // Step's reused decode buffer
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -146,24 +147,21 @@ func (r *Replicator) dropClientLocked() {
 	}
 }
 
-// call performs one replication RPC and decodes its payload into out.
-func (r *Replicator) call(ctx context.Context, kind string, pull *ReplPull, out any) error {
+// call performs one replication RPC and returns its response payload.
+func (r *Replicator) call(ctx context.Context, kind string, pull *ReplPull) ([]byte, error) {
 	payload, err := json.Marshal(pull)
 	if err != nil {
-		return retry.Permanent(err)
+		return nil, retry.Permanent(err)
 	}
 	r.nextID++
 	resp, err := r.client.Call(ctx, &transport.Request{ID: r.nextID, Kind: kind, Repl: payload})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.Err != "" {
-		return errors.New(resp.Err)
+		return nil, errors.New(resp.Err)
 	}
-	if err := json.Unmarshal(resp.Repl, out); err != nil {
-		return fmt.Errorf("daemon: replication response payload: %v", err)
-	}
-	return nil
+	return resp.Repl, nil
 }
 
 // Step performs exactly one pull round: connect if needed, pull one
@@ -183,9 +181,15 @@ func (r *Replicator) Step(ctx context.Context) (int, error) {
 		After: r.d.AppliedSeq(),
 		Max:   r.cfg.Batch,
 	}
-	var batch ReplBatch
 	r.pulls.Add(1)
-	if err := r.call(ctx, transport.KindReplPull, pull, &batch); err != nil {
+	payload, err := r.call(ctx, transport.KindReplPull, pull)
+	var batch *ReplBatch
+	if err == nil {
+		if batch, err = parseReplBatch(payload); err != nil {
+			err = fmt.Errorf("daemon: replication response payload: %v", err)
+		}
+	}
+	if err != nil {
 		// Transport failure: the connection is suspect, drop it so the
 		// next Step redials (with backoff) rather than reusing a socket
 		// in an unknown framing state.
@@ -219,19 +223,34 @@ func (r *Replicator) Step(ctx context.Context) (int, error) {
 		}
 		return 0, nil
 	}
-	for _, e := range batch.Events {
-		if err := r.d.ApplyReplicated(e); err != nil {
+	// Each shipped record is decoded once, with the checks a WAL read
+	// makes, before any is applied: a corrupt record fails the batch
+	// with nothing of it in the grid or the WAL.
+	events := r.decoded[:0]
+	last := pull.After
+	for _, line := range batch.Records {
+		e, err := eventlog.ParseRecord(line, last)
+		if err != nil {
+			r.d.degraded.Store(true)
+			return 0, retry.Permanent(fmt.Errorf("daemon: shipped record after seq %d: %w", last, err))
+		}
+		events = append(events, e)
+		last = e.Seq
+	}
+	r.decoded = events
+	for i, e := range events {
+		if err := r.d.ApplyReplicated(e, batch.Records[i]); err != nil {
 			r.d.degraded.Store(true)
 			return 0, retry.Permanent(err)
 		}
 	}
-	if len(batch.Events) > 0 {
+	if len(events) > 0 {
 		if err := r.d.CommitReplicated(); err != nil {
 			return 0, retry.Permanent(err)
 		}
-		r.events.Add(uint64(len(batch.Events)))
+		r.events.Add(uint64(len(events)))
 		if r.cfg.OnApply != nil {
-			for _, e := range batch.Events {
+			for _, e := range events {
 				r.cfg.OnApply(e)
 			}
 		}
@@ -251,11 +270,11 @@ func (r *Replicator) Step(ctx context.Context) (int, error) {
 	if batch.Digest != "" && batch.DigestSeq == applied {
 		if local := r.d.GridDigest(); local != batch.Digest {
 			r.d.degraded.Store(true)
-			return len(batch.Events), retry.Permanent(fmt.Errorf(
+			return len(events), retry.Permanent(fmt.Errorf(
 				"%w: seq %d primary %s local %s", ErrDiverged, applied, batch.Digest, local))
 		}
 	}
-	return len(batch.Events), nil
+	return len(events), nil
 }
 
 // bootstrapLocked fetches the primary's snapshot, restores a grid from
@@ -263,8 +282,14 @@ func (r *Replicator) Step(ctx context.Context) (int, error) {
 // into the daemon and persists the snapshot file when configured.
 func (r *Replicator) bootstrapLocked(ctx context.Context) error {
 	pull := &ReplPull{ID: r.cfg.ID, Term: r.d.Term()}
+	payload, err := r.call(ctx, transport.KindReplSnapshot, pull)
 	var snap ReplSnap
-	if err := r.call(ctx, transport.KindReplSnapshot, pull, &snap); err != nil {
+	if err == nil {
+		if err = json.Unmarshal(payload, &snap); err != nil {
+			err = fmt.Errorf("daemon: replication response payload: %v", err)
+		}
+	}
+	if err != nil {
 		r.dropClientLocked()
 		return err
 	}

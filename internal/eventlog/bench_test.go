@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"bytes"
 	"io"
 	"testing"
 )
@@ -21,6 +22,30 @@ func BenchmarkAppendEventCRC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := w.Append(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseRecord guards the record decoder every WAL read runs
+// through (Read, Recover, Follow, the replication follower): a
+// steady-state decode of a crc-stamped canonical record must not
+// allocate. CI runs it beside BenchmarkAppendEventCRC under the same
+// allocation guard.
+func BenchmarkParseRecord(b *testing.B) {
+	var buf bytes.Buffer
+	w := NewWriterAt(&buf, 41)
+	if _, err := w.Append(Event{Type: Submit, Job: 1234, Base: 3.511971, T: 1.25}); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	line := bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := parseRecord(line, 41); err != nil {
 			b.Fatal(err)
 		}
 	}

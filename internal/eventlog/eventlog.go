@@ -17,10 +17,14 @@
 // Every record written by a Writer carries a trailing "crc" field: the
 // IEEE CRC-32 of the record's canonical encoding with the crc field
 // itself excluded. The encoding is canonical because the Writer emits it
-// byte-deterministically (fixed field order, shortest float form), so a
-// reader can re-encode a parsed record and compare checksums without
-// storing the raw line. Records without a crc field (logs written before
-// it existed) are tolerated and skip verification.
+// byte-deterministically (fixed field order, omitted zero fields,
+// shortest float form, no whitespace), and the reader accepts exactly
+// that form and nothing else, decoding each record in one pass without
+// reflection (ParseRecord). The checksum therefore covers the record's
+// own bytes, and a record read from one log can be appended verbatim to
+// another (Writer.AppendRecord): that is how replication ships the log.
+// Records without a crc field (logs written before it existed) are
+// tolerated and skip verification, but only in the canonical form.
 //
 // Corruption handling follows the torn-write rule of every
 // write-ahead log: a record that fails to parse or checksum with
@@ -36,7 +40,6 @@ package eventlog
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -168,14 +171,6 @@ func (e Event) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// checksum is the CRC the record's crc field must carry: the IEEE
-// CRC-32 of the canonical encoding with Crc zeroed.
-func (e Event) checksum(scratch []byte) (uint32, []byte) {
-	e.Crc = 0
-	scratch = e.appendJSON(scratch[:0])
-	return crc32.ChecksumIEEE(scratch), scratch
-}
-
 // Writer appends events to a log, assigning sequence numbers and
 // stamping each record with its CRC.
 type Writer struct {
@@ -221,6 +216,24 @@ func (w *Writer) Append(e Event) (Event, error) {
 	return e, nil
 }
 
+// AppendRecord writes line, the bytes ParseRecord decoded to e,
+// verbatim as the next log line. It is the replication follower's
+// append: its log stays byte-identical to the primary's without a
+// re-encode. Any e.Seq but Seq()+1 is refused.
+func (w *Writer) AppendRecord(e Event, line []byte) error {
+	if e.Seq != w.seq+1 {
+		return fmt.Errorf("eventlog: record seq %d, want %d", e.Seq, w.seq+1)
+	}
+	if _, err := w.bw.Write(line); err != nil {
+		return err
+	}
+	if err := w.bw.WriteByte('\n'); err != nil {
+		return err
+	}
+	w.seq = e.Seq
+	return nil
+}
+
 // Seq returns the sequence number of the last appended event.
 func (w *Writer) Seq() uint64 { return w.seq }
 
@@ -247,32 +260,197 @@ func (e *TornTailError) Error() string {
 
 func (e *TornTailError) Unwrap() error { return e.Err }
 
-// parseRecord decodes and verifies one log line. seqHard reports
-// whether a failure is a sequencing violation on a structurally sound
-// record — never attributable to a torn write, so always a hard error.
-func parseRecord(raw []byte, last uint64, scratch []byte) (e Event, scratchOut []byte, seqHard bool, err error) {
-	scratchOut = scratch
-	if err = json.Unmarshal(raw, &e); err != nil {
-		return
+// ParseRecord decodes and verifies one log record, a line without its
+// terminator, that must follow sequence number last. It applies the
+// checks Read applies to each line. The replication follower runs each
+// shipped line through it once, then applies the event and appends the
+// same bytes with Writer.AppendRecord.
+func ParseRecord(line []byte, last uint64) (Event, error) {
+	e, _, err := parseRecord(line, last)
+	if err != nil {
+		return Event{}, fmt.Errorf("eventlog: record: %w", err)
+	}
+	return e, nil
+}
+
+// parseRecord decodes and verifies one log record in a single pass over
+// exactly the grammar Writer.Append emits:
+//
+//	record = "{" [ `"seq":` uint "," ] [ `"t":` num "," ] `"type":"` word `"`
+//	         [ `,"job":` uint ] [ `,"base":` num ] [ `,"mach":` uint ]
+//	         [ `,"mult":` num ] [ `,"crc":` uint32 ] "}"
+//
+// with no whitespace and word one of the six event types. A zero field
+// is omitted, never written, and each number takes the strconv form
+// appendJSON writes. One check pins all of that: the record, crc suffix
+// cut, must equal the appendJSON encoding of the event it decodes to,
+// byte for byte. Those are also the bytes the crc covers. Anything else
+// is an error, so every accepted record is JSON that encoding/json
+// decodes to the same Event. Steady-state calls do not allocate.
+//
+// seqHard reports whether a failure is a sequencing violation on an
+// otherwise sound record — never attributable to a torn write, so
+// always a hard error.
+func parseRecord(rec []byte, last uint64) (e Event, seqHard bool, err error) {
+	s := recScanner{b: rec}
+	s.want(`{`)
+	if s.lit(`"seq":`) {
+		e.Seq = s.uint()
+		s.want(`,`)
+	}
+	if s.lit(`"t":`) {
+		e.T = s.float()
+		s.want(`,`)
+	}
+	s.want(`"type":"`)
+	e.Type = s.word()
+	s.want(`"`)
+	if s.lit(`,"job":`) {
+		e.Job = s.uint()
+	}
+	if s.lit(`,"base":`) {
+		e.Base = s.float()
+	}
+	if s.lit(`,"mach":`) {
+		e.Mach = s.uint()
+	}
+	if s.lit(`,"mult":`) {
+		e.Mult = s.float()
+	}
+	body := s.i
+	hasCRC := s.lit(`,"crc":`)
+	if hasCRC {
+		at := s.i
+		c := s.uint()
+		if c > math.MaxUint32 || s.i-at > 1 && rec[at] == '0' {
+			s.fail("want a canonical crc")
+		}
+		e.Crc = uint32(c)
+	}
+	s.want(`}`)
+	if s.err == nil && s.i != len(rec) {
+		s.fail("want the end of the record")
+	}
+	if s.err != nil {
+		return e, false, s.err
 	}
 	if err = e.Validate(); err != nil {
-		return
+		return e, false, err
 	}
-	if e.Crc != 0 {
-		var want uint32
-		want, scratchOut = e.checksum(scratch)
-		if want != e.Crc {
-			err = fmt.Errorf("crc mismatch: record %#x, computed %#x", e.Crc, want)
-			return
+	var buf [256]byte
+	if enc := e.appendJSON(buf[:0]); len(enc) != body+1 || !bytes.Equal(enc[:body], rec[:body]) {
+		return e, false, errors.New("not in the canonical form the Writer emits")
+	}
+	if hasCRC {
+		// The Writer splices the crc in over the encoding's closing brace.
+		if want := crc32.Update(crc32.ChecksumIEEE(rec[:body]), crc32.IEEETable, closeBrace); want != e.Crc {
+			return e, false, fmt.Errorf("crc mismatch: record %#x, computed %#x", e.Crc, want)
 		}
 	}
 	if e.Seq <= last {
 		// A complete, checksummed record with a non-advancing sequence
 		// number is producer corruption, not a torn write.
-		seqHard = true
-		err = fmt.Errorf("sequence %d not after %d", e.Seq, last)
+		return e, true, fmt.Errorf("sequence %d not after %d", e.Seq, last)
 	}
-	return
+	return e, false, nil
+}
+
+var closeBrace = []byte{'}'}
+
+// recScanner is parseRecord's cursor. The first failure sticks: every
+// later lit reports false and every later fail is ignored, so the parse
+// runs straight through and reports where it first went wrong.
+type recScanner struct {
+	b   []byte
+	i   int
+	err error
+}
+
+// lit consumes l if the record continues with it.
+func (s *recScanner) lit(l string) bool {
+	if s.err != nil || len(s.b)-s.i < len(l) || string(s.b[s.i:s.i+len(l)]) != l {
+		return false
+	}
+	s.i += len(l)
+	return true
+}
+
+func (s *recScanner) want(l string) {
+	if !s.lit(l) {
+		s.fail("want " + l)
+	}
+}
+
+func (s *recScanner) fail(msg string) {
+	if s.err == nil {
+		s.err = fmt.Errorf("byte %d: %s", s.i, msg)
+	}
+}
+
+// uint reads a decimal unsigned integer.
+func (s *recScanner) uint() uint64 {
+	at := s.i
+	var u uint64
+	for ; s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9'; s.i++ {
+		d := uint64(s.b[s.i] - '0')
+		if u > (math.MaxUint64-d)/10 {
+			s.fail("integer out of range")
+			return 0
+		}
+		u = u*10 + d
+	}
+	if s.i == at {
+		s.fail("want an integer")
+	}
+	return u
+}
+
+// float reads a number: the run of bytes that may make up a JSON
+// number, if strconv.ParseFloat accepts it. The canonical check then
+// rejects every form appendJSON would not write.
+func (s *recScanner) float() float64 {
+	at := s.i
+	for ; s.i < len(s.b); s.i++ {
+		if c := s.b[s.i]; !('0' <= c && c <= '9' || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E') {
+			break
+		}
+	}
+	v, err := strconv.ParseFloat(string(s.b[at:s.i]), 64)
+	if err != nil {
+		s.i = at
+		s.fail("want a finite number")
+	}
+	return v
+}
+
+// word reads an event type up to its closing quote, mapped to its
+// constant.
+func (s *recScanner) word() Type {
+	n := bytes.IndexByte(s.b[s.i:], '"')
+	if s.err != nil || n < 0 {
+		s.fail("want an event type")
+		return ""
+	}
+	var t Type
+	switch w := s.b[s.i : s.i+n]; string(w) {
+	case string(Submit):
+		t = Submit
+	case string(Join):
+		t = Join
+	case string(Leave):
+		t = Leave
+	case string(Fail):
+		t = Fail
+	case string(Complete):
+		t = Complete
+	case string(Admit):
+		t = Admit
+	default:
+		s.fail(fmt.Sprintf("unknown event type %q", w))
+		return ""
+	}
+	s.i += n
+	return t
 }
 
 // Read parses a whole log. Events must be valid, checksum clean (when a
@@ -283,7 +461,6 @@ func parseRecord(raw []byte, last uint64, scratch []byte) (e Event, scratchOut [
 func Read(r io.Reader) ([]Event, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
 	var out []Event
-	var scratch []byte
 	var last uint64
 	var off int64
 	line := 0
@@ -298,8 +475,7 @@ func Read(r io.Reader) ([]Event, error) {
 			off += int64(len(raw))
 			rec := bytes.TrimRight(raw, "\r\n")
 			if len(rec) > 0 {
-				e, s, seqHard, perr := parseRecord(rec, last, scratch)
-				scratch = s
+				e, seqHard, perr := parseRecord(rec, last)
 				if perr != nil {
 					if !seqHard && tailIsEmpty(br, rerr) {
 						return out, &TornTailError{Events: out, Offset: recStart, Line: line, Err: perr}

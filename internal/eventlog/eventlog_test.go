@@ -110,6 +110,71 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestReadRejectsNonCanonical: the reader accepts exactly the form the
+// Writer emits. Each record below is one edit away from a canonical
+// one, most of them still valid JSON with the same values, and each is
+// rejected — through ParseRecord, Read and Follow alike.
+func TestReadRejectsNonCanonical(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if _, err := w.Append(Event{Type: Submit, Job: 3, Base: 1.5, T: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stamped := strings.TrimSuffix(buf.String(), "\n")
+	const plain = `{"seq":1,"t":0.5,"type":"submit","job":3,"base":1.5}`
+	for _, ok := range []string{plain, stamped} {
+		if _, err := ParseRecord([]byte(ok), 0); err != nil {
+			t.Fatalf("canonical %s rejected: %v", ok, err)
+		}
+	}
+	bad := map[string]string{
+		"space after comma":   `{"seq":1, "t":0.5,"type":"submit","job":3,"base":1.5}`,
+		"space after brace":   `{ "seq":1,"t":0.5,"type":"submit","job":3,"base":1.5}`,
+		"space after colon":   `{"seq": 1,"t":0.5,"type":"submit","job":3,"base":1.5}`,
+		"trailing space":      plain + " ",
+		"tab in crc record":   strings.Replace(stamped, `,"crc"`, "\t,\"crc\"", 1),
+		"seq after t":         `{"t":0.5,"seq":1,"type":"submit","job":3,"base":1.5}`,
+		"base before job":     `{"seq":1,"t":0.5,"type":"submit","base":1.5,"job":3}`,
+		"crc not last":        `{"seq":1,"crc":5,"type":"admit"}`,
+		"duplicated seq":      `{"seq":1,"seq":1,"t":0.5,"type":"submit","job":3,"base":1.5}`,
+		"duplicated job":      `{"seq":1,"t":0.5,"type":"submit","job":3,"job":3,"base":1.5}`,
+		"unknown field":       `{"seq":1,"t":0.5,"type":"submit","job":3,"base":1.5,"x":1}`,
+		"1.0":                 `{"seq":1,"t":0.5,"type":"submit","job":3,"base":1.0}`,
+		"1.50":                `{"seq":1,"t":0.5,"type":"submit","job":3,"base":1.50}`,
+		"exponent form":       `{"seq":1,"t":5e-1,"type":"submit","job":3,"base":1.5}`,
+		"explicit zero field": `{"seq":1,"t":0.5,"type":"submit","job":3,"base":1.5,"mach":0}`,
+		"leading zero seq":    `{"seq":01,"t":0.5,"type":"submit","job":3,"base":1.5}`,
+		"leading zero job":    `{"seq":1,"t":0.5,"type":"submit","job":03,"base":1.5}`,
+		"leading zero crc":    strings.Replace(stamped, `"crc":`, `"crc":0`, 1),
+		"upper-case type":     `{"seq":1,"t":0.5,"type":"Submit","job":3,"base":1.5}`,
+		"escaped type":        `{"seq":1,"t":0.5,"type":"\u0073ubmit","job":3,"base":1.5}`,
+		"trailing comma":      `{"seq":1,"t":0.5,"type":"submit","job":3,"base":1.5,}`,
+	}
+	for name, rec := range bad {
+		if _, err := ParseRecord([]byte(rec), 0); err == nil {
+			t.Errorf("%s: ParseRecord accepted %s", name, rec)
+		}
+		if events, err := Read(strings.NewReader(rec + "\n")); err == nil {
+			t.Errorf("%s: Read accepted %s as %+v", name, rec, events)
+		}
+		path := filepath.Join(t.TempDir(), "log")
+		if err := os.WriteFile(path, []byte(rec+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fl, err := Follow(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, _, err := fl.Next(); err == nil {
+			t.Errorf("%s: Follow accepted %s as %+v", name, rec, e)
+		}
+		fl.Close()
+	}
+}
+
 func TestReadRejectsNonMonotonicSeq(t *testing.T) {
 	log := `{"seq":1,"type":"admit"}
 {"seq":1,"type":"admit"}`

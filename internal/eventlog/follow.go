@@ -39,9 +39,8 @@ type Follower struct {
 	buf    []byte // read-ahead: committed bytes not yet returned
 	last   uint64 // sequence number of the last record parsed
 	skipTo uint64 // records at or below this seq are consumed silently
-	line   int    // 1-based line number of the next record, for errors
-
-	scratch []byte
+	lineNo int    // 1-based line number of the next record, for errors
+	rec    []byte // the record Next last returned
 }
 
 // Follow opens a tailing reader over the log at path, positioned so the
@@ -59,6 +58,11 @@ func Follow(path string, after uint64) (*Follower, error) {
 // Seq returns the sequence number of the last record parsed (returned
 // or skipped); 0 before the first.
 func (fl *Follower) Seq() uint64 { return fl.last }
+
+// Line returns the verified record of the event Next last returned, as
+// it stands in the log without its terminator. The bytes stay valid
+// until the next call to Next; the caller copies what it keeps.
+func (fl *Follower) Line() []byte { return fl.rec }
 
 // Close releases the underlying file.
 func (fl *Follower) Close() error { return fl.f.Close() }
@@ -85,21 +89,21 @@ func (fl *Follower) Next() (Event, bool, error) {
 		}
 		rec := bytes.TrimRight(fl.buf[:nl], "\r")
 		fl.buf = fl.buf[nl+1:]
-		fl.line++
+		fl.lineNo++
 		if len(rec) == 0 {
 			continue
 		}
-		e, scratch, _, err := parseRecord(rec, fl.last, fl.scratch)
-		fl.scratch = scratch
+		e, _, err := parseRecord(rec, fl.last)
 		if err != nil {
 			// The record was newline-terminated: the writer completed it,
 			// so this cannot be a torn write in progress.
-			return Event{}, false, fmt.Errorf("eventlog: follow: line %d: %v", fl.line, err)
+			return Event{}, false, fmt.Errorf("eventlog: follow: line %d: %v", fl.lineNo, err)
 		}
 		fl.last = e.Seq
 		if e.Seq <= fl.skipTo {
 			continue
 		}
+		fl.rec = rec
 		return e, true, nil
 	}
 }

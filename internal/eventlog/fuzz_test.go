@@ -2,6 +2,7 @@ package eventlog
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,12 +13,14 @@ import (
 // FuzzEventlogRead feeds arbitrary bytes to Read and, through a file, to
 // Recover. Read must never panic; whatever it accepts — the whole log, or
 // the clean prefix of a *TornTailError — must be valid events in strictly
-// increasing Seq order. Recover must be idempotent: once a first Recover
-// succeeds, a second returns the same events, reports no torn tail and
-// leaves the file bytes as the first left them; a first Recover that
-// fails must leave the file untouched. The corpus is seeded with the
-// logs of TestTornTailEveryCut (every cut of the test log) and of the
-// TestFlippedByte tests.
+// increasing Seq order, each what encoding/json decodes its line to and
+// each re-encoded by the Writer as exactly that line (checkCanonical).
+// Recover must be idempotent: once a first Recover succeeds, a second
+// returns the same events, reports no torn tail and leaves the file
+// bytes as the first left them; a first Recover that fails must leave
+// the file untouched. The corpus is seeded with the logs of
+// TestTornTailEveryCut (every cut of the test log) and of the
+// TestFlippedByte tests, plus a crc-less log and a non-canonical record.
 func FuzzEventlogRead(f *testing.F) {
 	logBytes, bounds := testLog(f)
 	for cut := range len(logBytes) + 1 {
@@ -35,6 +38,9 @@ func FuzzEventlogRead(f *testing.F) {
 	f.Add(flipped(prev+(last-prev)/2, 'x'))
 	f.Add(flipped(prev+(last-prev)/2, '8'))
 
+	f.Add([]byte(`{"seq":1,"type":"join","mach":1,"mult":1.5}` + "\n" + `{"seq":2,"type":"submit","job":1,"base":2}`))
+	f.Add([]byte(`{"seq":1, "type":"admit"}`))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := Read(bytes.NewReader(data))
 		var tte *TornTailError
@@ -42,8 +48,10 @@ func FuzzEventlogRead(f *testing.F) {
 			events, err = tte.Events, nil
 		}
 		if err == nil {
+			lines := records(data)
 			var seq uint64
 			for i, e := range events {
+				checkCanonical(t, e, lines[i])
 				if verr := e.Validate(); verr != nil {
 					t.Fatalf("event %d accepted but invalid: %v", i, verr)
 				}
@@ -84,4 +92,115 @@ func FuzzEventlogRead(f *testing.F) {
 			t.Fatalf("second Recover changed the file: %q -> %q", after, again)
 		}
 	})
+}
+
+// FuzzEventlogFollow writes arbitrary bytes to a file and follows it
+// from seq 0 and from a mid-log seq. Next must never panic, and up to
+// the first record either reader rejects it must return exactly the
+// events Read accepts from the newline-terminated records, past the
+// resume point. The line Line exposes must decode back to the event
+// Next returned.
+func FuzzEventlogFollow(f *testing.F) {
+	logBytes, bounds := testLog(f)
+	for cut := range len(logBytes) + 1 {
+		f.Add(logBytes[:cut])
+	}
+	mid := bytes.Clone(logBytes)
+	mid[(bounds[0]+bounds[1])/2] = 'x'
+	f.Add(mid)
+	f.Add([]byte("\n\r\n" + `{"seq":1,"type":"admit"}` + "\r\n\n" + `{"seq":1,"type":"admit"}` + "\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Read's events up to its first rejected newline-terminated
+		// record: the longest line-aligned prefix it accepts whole.
+		var want []Event
+		for i, b := range data {
+			if b != '\n' {
+				continue
+			}
+			events, err := Read(bytes.NewReader(data[:i+1]))
+			if err != nil {
+				break
+			}
+			want = events
+		}
+		afters := []uint64{0}
+		if len(want) > 0 {
+			afters = append(afters, want[len(want)/2].Seq)
+		}
+		for _, after := range afters {
+			fl, err := Follow(path, after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Event
+			for range len(data) + 1 {
+				e, ok, err := fl.Next()
+				if err != nil || !ok {
+					break
+				}
+				back, err := ParseRecord(fl.Line(), 0)
+				if err != nil || back != e {
+					t.Fatalf("after %d: Line %q decodes to %+v (%v), Next returned %+v", after, fl.Line(), back, err, e)
+				}
+				got = append(got, e)
+			}
+			fl.Close()
+			var wantAfter []Event
+			for _, e := range want {
+				if e.Seq > after {
+					wantAfter = append(wantAfter, e)
+				}
+			}
+			if !slices.Equal(got, wantAfter) {
+				t.Fatalf("after %d: Follow returned %+v, Read %+v", after, got, wantAfter)
+			}
+		}
+	})
+}
+
+// records splits a log into records the way Read does: one per line,
+// line terminators trimmed, blank lines skipped.
+func records(data []byte) [][]byte {
+	var out [][]byte
+	for _, raw := range bytes.SplitAfter(data, []byte{'\n'}) {
+		if rec := bytes.TrimRight(raw, "\r\n"); len(rec) > 0 {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// checkCanonical is the decoder's differential oracle: e, decoded from
+// line, must be what encoding/json decodes line to, and the Writer must
+// encode e as line byte for byte — with the crc it stamps when line
+// carries one, as the crc-less canonical body when it does not.
+func checkCanonical(t *testing.T, e Event, line []byte) {
+	t.Helper()
+	var ref Event
+	if err := json.Unmarshal(line, &ref); err != nil {
+		t.Fatalf("accepted %q, encoding/json rejects it: %v", line, err)
+	}
+	if ref != e {
+		t.Fatalf("%q decoded to %+v, encoding/json %+v", line, e, ref)
+	}
+	enc := e.appendJSON(nil)
+	if bytes.Contains(line, []byte(`"crc":`)) {
+		var buf bytes.Buffer
+		w := NewWriterAt(&buf, e.Seq-1)
+		if _, err := w.Append(e); err != nil {
+			t.Fatalf("re-appending %+v: %v", e, err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		enc = bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})
+	}
+	if !bytes.Equal(enc, line) {
+		t.Fatalf("accepted %q, the Writer encodes it %q", line, enc)
+	}
 }

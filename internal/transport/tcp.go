@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,15 +12,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gridcma/internal/schedule"
 )
 
 // Conn is the TCP JSONL transport: one connection, one in-flight call at
 // a time (the coordinator serialises per worker), each message framed as
-// a JSON header line plus an AppendPops payload line. Any I/O error —
-// including a deadline from the caller's context — poisons the stream
-// mid-frame, so the connection closes and the supervisor redials; that
-// maps a lost worker onto exactly the same Client behaviour as a killed
-// Local.
+// a JSON header line plus a payload line (see the package doc). Any I/O
+// error — including a deadline from the caller's context — poisons the
+// stream mid-frame, so the connection closes and the supervisor redials;
+// that maps a lost worker onto exactly the same Client behaviour as a
+// killed Local.
 type Conn struct {
 	mu      sync.Mutex
 	c       net.Conn
@@ -118,30 +121,13 @@ func (c *Conn) Close() error {
 }
 
 func (c *Conn) writeRequest(req *Request) error {
-	hdr, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(hdr); err != nil {
-		return err
-	}
-	if err := c.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	var payload []byte
+	var pops []schedule.Schedule
 	if req.Seg != nil {
-		payload = AppendPops(c.scratch[:0], req.Seg.Pop)
-	} else {
-		payload = AppendPops(c.scratch[:0], nil)
+		pops = req.Seg.Pop
 	}
-	c.scratch = payload
-	if _, err := c.bw.Write(payload); err != nil {
-		return err
-	}
-	if err := c.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	var err error
+	c.scratch, err = writeFrame(c.bw, req, req.Seg != nil, pops, req.Repl, c.scratch)
+	return err
 }
 
 func (c *Conn) readResponse() (*Response, error) {
@@ -153,18 +139,71 @@ func (c *Conn) readResponse() (*Response, error) {
 	if err := json.Unmarshal(hdr, &resp); err != nil {
 		return nil, fmt.Errorf("transport: response header: %w", err)
 	}
-	payload, err := readLine(c.br)
-	if err != nil {
-		return nil, err
-	}
-	pops, err := ParsePops(payload)
+	pops, repl, err := readPayload(c.br, resp.Seg != nil)
 	if err != nil {
 		return nil, err
 	}
 	if resp.Seg != nil {
 		resp.Seg.Pop = pops
 	}
+	resp.Repl = repl
 	return &resp, nil
+}
+
+// noPayload is the payload line of a frame that carries neither a
+// population nor a replication payload: the empty population.
+var noPayload = []byte("[]")
+
+// writeFrame writes and flushes one frame: hdr's JSON encoding, then the
+// payload line. A segment frame's payload line is its population, in
+// the AppendPops form, built in scratch (returned for reuse). Any other
+// frame's is its repl bytes, written as they are, or noPayload when
+// there are none.
+func writeFrame(bw *bufio.Writer, hdr any, seg bool, pops []schedule.Schedule, repl, scratch []byte) ([]byte, error) {
+	payload := noPayload
+	switch {
+	case seg:
+		if len(repl) > 0 {
+			return scratch, errors.New("transport: a segment frame carries no replication payload")
+		}
+		scratch = AppendPops(scratch[:0], pops)
+		payload = scratch
+	case len(repl) > 0:
+		if bytes.IndexByte(repl, '\n') >= 0 || bytes.Equal(repl, noPayload) {
+			return scratch, errors.New("transport: a replication payload must be one line other than []")
+		}
+		payload = repl
+	}
+	h, err := json.Marshal(hdr)
+	if err != nil {
+		return scratch, err
+	}
+	for _, b := range [][]byte{h, payload} {
+		if _, err := bw.Write(b); err != nil {
+			return scratch, err
+		}
+		if err := bw.WriteByte('\n'); err != nil {
+			return scratch, err
+		}
+	}
+	return scratch, bw.Flush()
+}
+
+// readPayload reads a frame's payload line: the population of a segment
+// frame, else the replication payload (nil for noPayload).
+func readPayload(br *bufio.Reader, seg bool) ([]schedule.Schedule, []byte, error) {
+	payload, err := readLine(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	if seg {
+		pops, err := ParsePops(payload)
+		return pops, nil, err
+	}
+	if bytes.Equal(payload, noPayload) {
+		return nil, nil, nil
+	}
+	return nil, payload, nil
 }
 
 func readLine(br *bufio.Reader) ([]byte, error) {
@@ -193,9 +232,8 @@ func Serve(ln net.Listener, h Handler) error {
 	}
 }
 
-// readRequest reads one framed request (header line + population
-// payload line). io.EOF before the header means the peer closed cleanly
-// between calls.
+// readRequest reads one framed request (header line + payload line).
+// io.EOF before the header means the peer closed cleanly between calls.
 func readRequest(br *bufio.Reader) (*Request, error) {
 	hdr, err := readLine(br)
 	if err != nil {
@@ -205,45 +243,25 @@ func readRequest(br *bufio.Reader) (*Request, error) {
 	if err := json.Unmarshal(hdr, &req); err != nil {
 		return nil, fmt.Errorf("transport: request header: %w", err)
 	}
-	payload, err := readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	pops, err := ParsePops(payload)
+	pops, repl, err := readPayload(br, req.Seg != nil)
 	if err != nil {
 		return nil, err
 	}
 	if req.Seg != nil {
 		req.Seg.Pop = pops
 	}
+	req.Repl = repl
 	return &req, nil
 }
 
 // writeResponse frames and flushes one response, returning the reusable
 // payload scratch buffer.
 func writeResponse(bw *bufio.Writer, resp *Response, scratch []byte) ([]byte, error) {
-	hdrOut, err := json.Marshal(resp)
-	if err != nil {
-		return scratch, err
-	}
-	if _, err := bw.Write(hdrOut); err != nil {
-		return scratch, err
-	}
-	if err := bw.WriteByte('\n'); err != nil {
-		return scratch, err
-	}
+	var pops []schedule.Schedule
 	if resp.Seg != nil {
-		scratch = AppendPops(scratch[:0], resp.Seg.Pop)
-	} else {
-		scratch = AppendPops(scratch[:0], nil)
+		pops = resp.Seg.Pop
 	}
-	if _, err := bw.Write(scratch); err != nil {
-		return scratch, err
-	}
-	if err := bw.WriteByte('\n'); err != nil {
-		return scratch, err
-	}
-	return scratch, bw.Flush()
+	return writeFrame(bw, resp, resp.Seg != nil, pops, resp.Repl, scratch)
 }
 
 // ServeConn answers requests on one connection until EOF or error. The

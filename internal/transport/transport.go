@@ -15,10 +15,10 @@
 // bytes.
 //
 // Wire format (TCP): each message is two newline-terminated parts — a
-// JSON header (everything but the population) and a population payload
-// line. Responses mirror the shape. The payload line is a JSON array of
-// schedules, each an array of machine ids, in exactly the form
-// AppendPops writes:
+// JSON header (everything but the payload) and a payload line.
+// Responses mirror the shape. A segment message's payload line is its
+// population: a JSON array of schedules, each an array of machine ids,
+// in exactly the form AppendPops writes:
 //
 //	[[0,3,1],[2,2,0]]
 //
@@ -29,11 +29,17 @@
 // header also carries Fits, the per-individual fitness the worker
 // computed on its final States, so the coordinator ranks migrants
 // without re-evaluating the population.
+//
+// Any other message's payload line is its Repl bytes, moved verbatim in
+// both directions and never scanned as JSON here: a replication pull
+// response ships WAL records on it exactly as the primary's log holds
+// them. A message with no payload writes "[]", the empty population, so
+// ping and error frames keep the segment protocol's form; a Repl payload
+// is therefore one line and never "[]".
 package transport
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync/atomic"
 
@@ -104,8 +110,9 @@ type Request struct {
 	// Repl carries the replication kinds' payload opaquely: the schemas
 	// live with their only producer/consumer (internal/daemon), so the
 	// transport stays a dumb pipe and adding a replication message never
-	// touches the framing.
-	Repl json.RawMessage `json:"repl,omitempty"`
+	// touches the framing. It rides the payload line, not the header:
+	// one line, never "[]" (see the package doc).
+	Repl []byte `json:"-"`
 }
 
 // Response answers a Request. A non-empty Err is an application-level
@@ -116,7 +123,7 @@ type Response struct {
 	ID   uint64           `json:"id"`
 	Err  string           `json:"err,omitempty"`
 	Seg  *SegmentResponse `json:"seg,omitempty"`
-	Repl json.RawMessage  `json:"repl,omitempty"`
+	Repl []byte           `json:"-"` // as Request.Repl
 }
 
 // Client is the coordinator's side of a worker connection. Calls on one

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"gridcma/internal/eventlog"
 	"gridcma/internal/schedule"
 )
 
@@ -314,6 +315,61 @@ func TestTCPPartialFrameIsUnexpectedEOF(t *testing.T) {
 	}
 }
 
+// TestFrameBytes pins the wire form of each frame kind. Segment, ping
+// and error frames are the ones islandd has always exchanged; a
+// replication frame carries its payload verbatim on the payload line.
+func TestFrameBytes(t *testing.T) {
+	batch := replBatchPayload(t)
+	for _, tc := range []struct {
+		frame []byte
+		want  string
+	}{
+		{encodeRequest(t, &Request{ID: 3, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Seed: 9, Iters: 2, Pop: testPops()}}),
+			"{\"id\":3,\"kind\":\"segment\",\"seg\":{\"instance\":\"x\",\"config\":{},\"island\":0,\"round\":0,\"iters\":2,\"seed\":9}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1]]\n"},
+		{encodeRequest(t, &Request{ID: 1, Kind: KindPing}), "{\"id\":1,\"kind\":\"ping\"}\n[]\n"},
+		{encodeResponse(t, &Response{ID: 7, Seg: &SegmentResponse{Fitness: 3.25, Makespan: 17, Flowtime: 101.5, Evals: 42, Best: schedule.Schedule{2, 0, 1}, Fits: []float64{1.5, 2}, Pop: testPops()}}),
+			"{\"id\":7,\"seg\":{\"fitness\":3.25,\"makespan\":17,\"flowtime\":101.5,\"evals\":42,\"best\":[2,0,1],\"fits\":[1.5,2]}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1]]\n"},
+		{encodeResponse(t, &Response{ID: 2, Err: "dist: unknown instance"}), "{\"id\":2,\"err\":\"dist: unknown instance\"}\n[]\n"},
+		{encodeRequest(t, &Request{ID: 4, Kind: KindReplPull, Repl: []byte(`{"after":12}`)}), "{\"id\":4,\"kind\":\"repl-pull\"}\n{\"after\":12}\n"},
+		{encodeResponse(t, &Response{ID: 4, Repl: batch}), "{\"id\":4}\n" + string(batch) + "\n"},
+	} {
+		if string(tc.frame) != tc.want {
+			t.Errorf("frame %q, want %q", tc.frame, tc.want)
+		}
+	}
+	for _, repl := range []string{"[]", "{\"a\":1}\n{}"} {
+		if _, err := writeResponse(bufio.NewWriter(io.Discard), &Response{ID: 1, Repl: []byte(repl)}, nil); err == nil {
+			t.Errorf("replication payload %q framed; it cannot read back", repl)
+		}
+	}
+}
+
+// replBatchPayload is a replication pull response payload as a primary
+// ships it: the batch's JSON fields, then three WAL records, each after
+// a tab.
+func replBatchPayload(t testing.TB) []byte {
+	t.Helper()
+	var wal bytes.Buffer
+	w := eventlog.NewWriterAt(&wal, 6)
+	for _, e := range []eventlog.Event{
+		{Type: eventlog.Join, Mach: 2, Mult: 1.5},
+		{Type: eventlog.Submit, Job: 4, Base: 3.25, T: 0.5},
+		{Type: eventlog.Admit},
+	} {
+		if _, err := w.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"term":2,"applied":9,"digest":"sha256:5f3c","digest_seq":9}`)
+	for _, rec := range bytes.Split(bytes.TrimSuffix(wal.Bytes(), []byte{'\n'}), []byte{'\n'}) {
+		payload = append(append(payload, '\t'), rec...)
+	}
+	return payload
+}
+
 // encodeRequest frames req exactly as Conn.Call puts it on the wire.
 func encodeRequest(t testing.TB, req *Request) []byte {
 	t.Helper()
@@ -331,14 +387,15 @@ func encodeRequest(t testing.TB, req *Request) []byte {
 // never panic, and a request it accepts must re-encode through
 // writeRequest and read back equal — same header, same population —
 // with the re-encoding a fixed point. The corpus is seeded with the
-// frames of the round-trip tests plus a replication payload, a torn
-// header and a garbage payload.
+// frames of the round-trip tests plus two replication payloads (a pull
+// and a multi-record batch), a torn header and a garbage payload.
 func FuzzReadRequest(f *testing.F) {
 	for _, req := range []*Request{
 		{ID: 1, Kind: KindPing},
 		{ID: 7, Kind: KindSegment, Seg: &SegmentRequest{Pop: testPops()}},
 		{ID: 3, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Seed: 9, Pop: testPops()}},
 		{ID: 4, Kind: KindReplPull, Repl: json.RawMessage(`{"after":12,"max":64}`)},
+		{ID: 5, Kind: KindReplPull, Repl: replBatchPayload(f)},
 	} {
 		f.Add(encodeRequest(f, req))
 	}
@@ -390,13 +447,15 @@ func encodeResponse(t testing.TB, resp *Response) []byte {
 // it accepts must re-encode through writeResponse and read back equal —
 // same header, same population — with the re-encoding a fixed point.
 // The corpus is seeded with a segment result, a ping reply, a worker
-// error, a replication payload, a torn header and a garbage payload.
+// error, two replication payloads (one a real multi-record batch), a
+// torn header and a garbage payload.
 func FuzzReadResponse(f *testing.F) {
 	for _, resp := range []*Response{
 		{ID: 7, Seg: &SegmentResponse{Fitness: 3.25, Makespan: 17, Flowtime: 101.5, Evals: 42, Best: schedule.Schedule{2, 0, 1}, Pop: testPops()}},
 		{ID: 1},
 		{ID: 2, Err: "dist: unknown instance"},
 		{ID: 4, Repl: json.RawMessage(`{"records":[],"digest":"00"}`)},
+		{ID: 5, Repl: replBatchPayload(f)},
 	} {
 		f.Add(encodeResponse(f, resp))
 	}
