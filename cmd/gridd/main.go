@@ -39,7 +39,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8437", "HTTP listen address")
 		seed     = flag.Uint64("seed", 1, "grid seed (ETC noise, search streams)")
-		machCap  = flag.Int("mach-cap", 64, "machine slot capacity")
+		machCap  = flag.Int("mach-cap", 64, "machine slot capacity (at most 1024)")
 		jobCap   = flag.Int("job-cap", 4096, "initial job slot capacity")
 		lsIters  = flag.Int("ls-iters", 5, "local search iterations per admission")
 		lsMethod = flag.String("ls-method", "LMCTS", "local search method for admissions")

@@ -188,11 +188,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxMachCap is the largest machine slot capacity a grid accepts, from
+// gridd's flags and from snapshots alike. It covers the 1k-machine
+// frontier; each slot is a column of the grid's ETC matrix, so a larger
+// value would let a small document demand a matrix no input backs.
+const MaxMachCap = 1024
+
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
 	switch {
 	case c.MachCap < 1:
 		return fmt.Errorf("daemon: MachCap %d, want >= 1", c.MachCap)
+	case c.MachCap > MaxMachCap:
+		return fmt.Errorf("daemon: MachCap %d, want <= %d", c.MachCap, MaxMachCap)
 	case c.JobCap < 1:
 		return fmt.Errorf("daemon: JobCap %d, want >= 1", c.JobCap)
 	case c.PairInconsistency < 1:
@@ -202,8 +210,21 @@ func (c Config) Validate() error {
 	case c.Lambda < 0 || c.Lambda > 1:
 		return fmt.Errorf("daemon: Lambda %v outside [0, 1]", c.Lambda)
 	}
+	if err := checkCapacity(c.JobCap, c.MachCap); err != nil {
+		return err
+	}
 	_, err := localsearch.ByName(c.LSMethod)
 	return err
+}
+
+// checkCapacity rejects a job capacity whose ETC matrix — one row per job
+// slot, one column per machine slot plus the parking column — is larger
+// than etc.New builds.
+func checkCapacity(jobCap, machCap int) error {
+	if err := etc.CheckDims(jobCap, machCap+1); err != nil {
+		return fmt.Errorf("daemon: job capacity %d: %v", jobCap, err)
+	}
+	return nil
 }
 
 // job slot states.

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gridcma/internal/eventlog"
@@ -123,6 +125,105 @@ func TestSnapshotTruncatedMidJSON(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(nil)); err == nil {
 		t.Fatal("restore accepted an empty snapshot document")
 	}
+}
+
+// TestSnapshotRejectsRepeatedSlot: an entry list that names one job slot
+// twice restores that slot from the last entry, so the digest still
+// matches, but the first entry's job id would stay indexed. Restore must
+// refuse it.
+func TestSnapshotRejectsRepeatedSlot(t *testing.T) {
+	g, err := NewGrid(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, g, 23, 120)
+	s := g.Snapshot()
+	if len(s.Jobs) == 0 {
+		t.Skip("driver left no jobs to repeat")
+	}
+	ghost := s.Jobs[0]
+	ghost.ID += 1000
+	s.Jobs = append([]SnapJob{ghost}, s.Jobs...)
+	if _, err := Restore(s); err == nil {
+		t.Fatal("restore accepted a snapshot that names a job slot twice")
+	}
+}
+
+// Snapshot documents that announce more than they carry: a job capacity
+// of 10⁸ (past etc.New's entry cap) or 2·10⁷ (a 10 GB matrix) over one
+// park key, and a machine capacity of 10⁸.
+const (
+	snapHugeJobCap  = `{"version":2,"config":{"seed":1,"mach_cap":64,"job_cap":1,"pair_inconsistency":1.5,"ls_method":"LMCTS","lambda":0.75},"job_cap":100000000,"park_keys":[1],"digest":""}`
+	snapLargeJobCap = `{"version":2,"config":{"seed":1,"mach_cap":64,"job_cap":1,"pair_inconsistency":1.5,"ls_method":"LMCTS","lambda":0.75},"job_cap":20000000,"park_keys":[1],"digest":""}`
+	snapHugeMachCap = `{"version":2,"config":{"seed":1,"mach_cap":100000000,"job_cap":1,"pair_inconsistency":1.5,"ls_method":"LMCTS","lambda":0.75},"job_cap":1,"park_keys":[1],"digest":""}`
+)
+
+// TestSnapshotRejectsUnbackedCapacity: each document above returns an
+// error, without a panic and without allocating the grid it announces.
+func TestSnapshotRejectsUnbackedCapacity(t *testing.T) {
+	for _, doc := range []string{snapHugeJobCap, snapLargeJobCap, snapHugeMachCap} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadSnapshot(strings.NewReader(doc))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("restore accepted %s", doc)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("restore allocated %d bytes for %s", grew, doc)
+		}
+	}
+}
+
+// FuzzReadSnapshot drives the snapshot reader with arbitrary documents:
+// it never panics, an accepted grid keeps its invariants, and the
+// snapshot of an accepted grid reads back to the same digest. The seeds
+// are snapshots of a small scripted grid at several points of its life
+// and the unbacked documents above.
+func FuzzReadSnapshot(f *testing.F) {
+	cfg := fuzzGridConfig()
+	for _, n := range []int{0, 20, 80} {
+		g, err := NewGrid(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, e := range Script(uint64(n)+1, cfg.MachCap, n) {
+			if err := g.Apply(e); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := g.WriteSnapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, doc := range []string{snapHugeJobCap, snapLargeJobCap, snapHugeMachCap} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		if len(doc) > 8<<10 {
+			return // every park key a document carries may cost a matrix row of up to MaxMachCap+1 entries
+		}
+		g, err := ReadSnapshot(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("accepted grid breaks an invariant: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := g.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("snapshot of an accepted grid does not restore: %v", err)
+		}
+		if back.Digest() != g.Digest() {
+			t.Fatalf("re-snapshotted grid digest %s, accepted grid %s", back.Digest(), g.Digest())
+		}
+	})
 }
 
 // TestCheckInvariantsOnDrivenGrid runs the structural health probe the

@@ -140,6 +140,12 @@ func Restore(s *Snapshot) (*Grid, error) {
 	if s.JobCap < s.Config.JobCap {
 		return nil, fmt.Errorf("daemon: snapshot job cap %d below config %d", s.JobCap, s.Config.JobCap)
 	}
+	// Every job slot's park key is in the document, so checking their
+	// count before anything is allocated keeps a small document from
+	// announcing a grid it does not carry.
+	if len(s.ParkKeys) != s.JobCap {
+		return nil, fmt.Errorf("daemon: snapshot carries %d park keys for %d job slots", len(s.ParkKeys), s.JobCap)
+	}
 	g, err := NewGrid(s.Config)
 	if err != nil {
 		return nil, err
@@ -149,11 +155,11 @@ func Restore(s *Snapshot) (*Grid, error) {
 	g.nextMachID = s.NextMach
 	g.counters = s.Counters
 	if s.JobCap > len(g.jobs) {
+		if err := checkCapacity(s.JobCap, g.cfg.MachCap); err != nil {
+			return nil, err
+		}
 		g.inst = g.blankInstance(s.JobCap)
 		g.jobs = make([]jobSlot, s.JobCap)
-	}
-	if len(s.ParkKeys) != s.JobCap {
-		return nil, fmt.Errorf("daemon: snapshot carries %d park keys for %d job slots", len(s.ParkKeys), s.JobCap)
 	}
 	g.parkSeq = s.ParkSeq
 	g.parkKeys = append(g.parkKeys[:0], s.ParkKeys...)
@@ -207,6 +213,12 @@ func Restore(s *Snapshot) (*Grid, error) {
 	g.st.SetScanExempt(p, true)
 	if got := g.Digest(); got != s.Digest {
 		return nil, fmt.Errorf("daemon: restored digest %s does not match snapshot digest %s", got, s.Digest)
+	}
+	// The digest covers the slot records but not the indexes built from
+	// the document's entry lists: a repeated entry for one slot passes
+	// the digest and leaves a stale index behind.
+	if err := g.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("daemon: restored grid: %v", err)
 	}
 	return g, nil
 }

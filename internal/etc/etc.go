@@ -183,9 +183,10 @@ type Instance struct {
 // are checked against it before anything is allocated.
 const maxEntries = 1 << 31
 
-// checkDims rejects dimensions that are not positive or whose product
-// exceeds maxEntries (an overflowing product included).
-func checkDims(jobs, machs int) error {
+// CheckDims rejects dimensions that are not positive or whose product
+// exceeds maxEntries (an overflowing product included): the check New and
+// New32 panic on, for callers that must turn it into an error first.
+func CheckDims(jobs, machs int) error {
 	if jobs <= 0 || machs <= 0 {
 		return fmt.Errorf("etc: dimensions %d×%d must be positive", jobs, machs)
 	}
@@ -198,7 +199,7 @@ func checkDims(jobs, machs int) error {
 // New allocates an Instance with the given dimensions, zero ETC entries and
 // zero ready times. Call Finalize after filling ETC.
 func New(name string, jobs, machs int) *Instance {
-	if err := checkDims(jobs, machs); err != nil {
+	if err := CheckDims(jobs, machs); err != nil {
 		panic(err)
 	}
 	return &Instance{
@@ -213,7 +214,7 @@ func New(name string, jobs, machs int) *Instance {
 // New32 allocates an Instance with the float32 ETC backing (see ETC32),
 // zero entries and zero ready times. Call Finalize after filling ETC32.
 func New32(name string, jobs, machs int) *Instance {
-	if err := checkDims(jobs, machs); err != nil {
+	if err := CheckDims(jobs, machs); err != nil {
 		panic(err)
 	}
 	return &Instance{

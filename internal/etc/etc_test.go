@@ -2,7 +2,9 @@ package etc
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -279,6 +281,83 @@ func TestReadErrors(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+}
+
+// hugeHeader is a 16-byte document whose header passes CheckDims
+// (2·10⁹ entries) but which carries two values.
+const hugeHeader = "40000 50000\n1 2\n"
+
+// TestReadDoesNotAllocateAheadOfData: a header alone must not make Read
+// allocate the matrix it announces — the matrix grows only as values
+// arrive, so a short input fails with a small footprint.
+func TestReadDoesNotAllocateAheadOfData(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(strings.NewReader(hugeHeader))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Read accepted 2 of 2·10⁹ values")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Read allocated %d bytes for a %d-byte input", grew, len(hugeHeader))
+	}
+}
+
+// headerDims returns the dimensions on the first line of text that is
+// neither blank nor a comment: the header Read parses.
+func headerDims(text string) (jobs, machs int) {
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fmt.Sscanf(line, "%d %d", &jobs, &machs)
+		break
+	}
+	return jobs, machs
+}
+
+// FuzzEtcRead drives the instance reader with arbitrary text: Read never
+// panics, an accepted instance is valid with its header's dimensions, and
+// the written form of an accepted instance is a fixed point — if Read
+// accepts Write(in), writing that result gives the same bytes again.
+func FuzzEtcRead(f *testing.F) {
+	small := Generate(Class{Inconsistent, High, Low}, 0, GenerateOptions{Seed: 3, Jobs: 6, Machs: 3})
+	var buf bytes.Buffer
+	if err := Write(&buf, small); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("2 3\n1 2 3\n4 5\n6\nready: 0.5 0 2\n")
+	f.Add("# a comment\n# name: tiny\n\n1 2\n1.5 2.5\n# trailing comment\n")
+	f.Add(hugeHeader)
+	f.Add("1 1\n1\nready: 0.0000001\n") // a ready value Write rounds to zero
+	f.Fuzz(func(t *testing.T, text string) {
+		in, err := Read(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		if err := in.Validate(); err != nil {
+			t.Fatalf("accepted instance is invalid: %v", err)
+		}
+		if jobs, machs := headerDims(text); in.Jobs != jobs || in.Machs != machs {
+			t.Fatalf("accepted %d×%d from header %d×%d", in.Jobs, in.Machs, jobs, machs)
+		}
+		var w1, w2 bytes.Buffer
+		if err := Write(&w1, in); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(w1.Bytes()))
+		if err != nil {
+			return // Write rounds to six decimals: an entry may read back as 0
+		}
+		if err := Write(&w2, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+			t.Fatalf("written form is not a fixed point:\n%q\n%q", w1.String(), w2.String())
+		}
+	})
 }
 
 func TestGeneratePropertyPositive(t *testing.T) {

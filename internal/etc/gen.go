@@ -148,7 +148,7 @@ func (g GenSpec) InstanceName() string {
 
 // Validate reports the first spec error: dimensions that are not
 // positive or whose matrix would exceed the entry cap.
-func (g GenSpec) Validate() error { return checkDims(g.Jobs, g.Machs) }
+func (g GenSpec) Validate() error { return CheckDims(g.Jobs, g.Machs) }
 
 // cv maps a heterogeneity level to its coefficient of variation.
 func cv(h Heterogeneity) float64 {

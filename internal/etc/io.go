@@ -31,18 +31,21 @@ func Write(w io.Writer, in *Instance) error {
 		}
 		bw.WriteByte('\n')
 	}
+	// The ready line is written when some value is non-zero in its
+	// six-decimal form: a line of zeros reads back as no line at all, so
+	// writing one would make Write(Read(Write(in))) differ from
+	// Write(in).
+	ready := []byte("ready:")
 	anyReady := false
 	for _, v := range in.Ready {
-		if v != 0 {
+		start := len(ready) + 1
+		ready = fmt.Appendf(ready, " %.6f", v)
+		if x, _ := strconv.ParseFloat(string(ready[start:]), 64); x != 0 {
 			anyReady = true
-			break
 		}
 	}
 	if anyReady {
-		bw.WriteString("ready:")
-		for _, v := range in.Ready {
-			fmt.Fprintf(bw, " %.6f", v)
-		}
+		bw.Write(ready)
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
@@ -51,7 +54,7 @@ func Write(w io.Writer, in *Instance) error {
 // Read parses an instance in the benchmark text format and finalises it.
 func Read(r io.Reader) (*Instance, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	name := ""
 	var jobs, machs int
 	// Header: skip comments, first non-comment line is "jobs machs".
@@ -74,29 +77,35 @@ func Read(r io.Reader) (*Instance, error) {
 		}
 		break
 	}
-	if err := checkDims(jobs, machs); err != nil {
+	if err := CheckDims(jobs, machs); err != nil {
 		return nil, err
 	}
-	in := New(name, jobs, machs)
-	// Values may be split across lines arbitrarily.
-	idx := 0
+	// Values may be split across lines arbitrarily. The header only
+	// bounds the matrix: it grows as values arrive, so an input never
+	// makes Read allocate more than a small multiple of what it carries.
 	need := jobs * machs
-	for idx < need {
+	vals := make([]float64, 0, min(need, 1<<12))
+	for len(vals) < need {
 		if !sc.Scan() {
-			return nil, fmt.Errorf("etc: got %d of %d ETC values: %w", idx, need, orEOF(sc.Err()))
+			return nil, fmt.Errorf("etc: got %d of %d ETC values: %w", len(vals), need, orEOF(sc.Err()))
 		}
 		for _, f := range strings.Fields(sc.Text()) {
-			if idx >= need {
+			if len(vals) >= need {
 				return nil, fmt.Errorf("etc: too many ETC values")
 			}
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
-				return nil, fmt.Errorf("etc: bad value %q at index %d: %v", f, idx, err)
+				return nil, fmt.Errorf("etc: bad value %q at index %d: %v", f, len(vals), err)
 			}
-			in.ETC[idx] = v
-			idx++
+			if len(vals) == cap(vals) {
+				grown := make([]float64, len(vals), min(need, 2*cap(vals)))
+				copy(grown, vals)
+				vals = grown
+			}
+			vals = append(vals, v)
 		}
 	}
+	in := &Instance{Name: name, Jobs: jobs, Machs: machs, ETC: vals, Ready: make([]float64, machs)}
 	// Optional ready line.
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

@@ -241,6 +241,11 @@ func sampledCriticalSwap(st *schedule.State, samples int, r *rng.Source) (bestMa
 	return sampleSwaps(st, st.Instance().ETC32, samples, r)
 }
 
+// sampleBatch is the number of partners sampleSwaps draws and loads
+// before it folds them: the default Samples, so one batch covers a
+// critical job at the default setting.
+const sampleBatch = 64
+
 // sampleSwaps is the sampled scan over one ETC backing. A candidate's
 // critical side aC = (completion[crit] − ETC[a][crit]) + ETC[b][crit]
 // needs one matrix load — the row of a and its base are hoisted per
@@ -250,31 +255,51 @@ func sampledCriticalSwap(st *schedule.State, samples int, r *rng.Source) (bestMa
 // written !(x < bestMax) so a NaN is rejected as the fold of max(aC, bC)
 // rejects it, and every sample still consumes its one draw, so the winner,
 // its value bits and the RNG stream match the unscreened scan exactly.
+//
+// On a matrix that spills the cache each ETC[b][crit] is a miss, and
+// about one sample in nine passes the screen. Loading and screening one
+// sample at a time serialises those misses: the screen branch depends on
+// the load, mispredicts, and the loads already in flight behind it are
+// thrown away. So each critical job's samples go through three passes
+// over batches of up to sampleBatch: draw every partner b in stream
+// order, load every ETC[b][crit] in a loop that never branches on a
+// loaded value (the loads are independent, so their misses overlap),
+// then fold the batch in draw order exactly as the one-pass loop did.
 func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Source) (bestMax float64, bestA, bestB int) {
 	jobs, machs := st.Instance().Jobs, st.Instance().Machs
 	assign := st.ScheduleView()
 	crit := st.MakespanMachine()
 	cc := st.Completion(crit)
 	bestMax, bestA, bestB = cc, -1, -1 // any accepted swap must reduce the critical completion pair
+	var bs [sampleBatch]int
+	var us [sampleBatch]E
 	for _, a := range st.JobsOn(crit) {
 		rowA := etc[int(a)*machs : int(a)*machs+machs]
 		base := cc - float64(rowA[crit])
-		for k := 0; k < samples; k++ {
-			b := r.Intn(jobs)
-			rowB := b * machs
-			aC := base + float64(etc[rowB+crit])
-			if !(aC < bestMax) {
-				continue
+		for left := samples; left > 0; left -= sampleBatch {
+			n := min(left, sampleBatch)
+			drawn, loaded := bs[:n], us[:n]
+			for k := range drawn {
+				drawn[k] = r.Intn(jobs)
 			}
-			mb := assign[b]
-			if mb == crit {
-				continue
+			for k, b := range drawn {
+				loaded[k] = etc[b*machs+crit]
 			}
-			bC := (st.Completion(mb) - float64(etc[rowB+mb])) + float64(rowA[mb])
-			if !(bC < bestMax) {
-				continue
+			for k, b := range drawn {
+				aC := base + float64(loaded[k])
+				if !(aC < bestMax) {
+					continue
+				}
+				mb := assign[b]
+				if mb == crit {
+					continue
+				}
+				bC := (st.Completion(mb) - float64(etc[b*machs+mb])) + float64(rowA[mb])
+				if !(bC < bestMax) {
+					continue
+				}
+				bestMax, bestA, bestB = max(aC, bC), int(a), b
 			}
-			bestMax, bestA, bestB = max(aC, bC), int(a), b
 		}
 	}
 	return bestMax, bestA, bestB

@@ -104,10 +104,22 @@ func BenchmarkLMCTSProbe(b *testing.B) {
 
 // BenchmarkSampledLMCTSLarge is the sampled step at batch-large's shape,
 // 16384×256 c_hihi, whose 32 MiB matrix spills the L2: each sample's
-// first matrix load is a cache miss, and the screen keeps most samples
-// at that one load. Must report 0 allocs/op — CI runs every Sampled
-// benchmark with -benchtime=1x and fails otherwise.
+// first matrix load is a cache miss, which the scan overlaps by loading
+// a whole batch of drawn partners before it screens any of them. Must
+// report 0 allocs/op — CI runs every Sampled benchmark with
+// -benchtime=1x and fails otherwise.
 func BenchmarkSampledLMCTSLarge(b *testing.B) {
+	benchSampledLarge(b, 64)
+}
+
+// BenchmarkSampledLMCTSLargeMultiBatch is the large step at 200 samples
+// per critical job: three full batches and a partial one, so the CI
+// allocation guard covers the multi-batch path too.
+func BenchmarkSampledLMCTSLargeMultiBatch(b *testing.B) {
+	benchSampledLarge(b, 200)
+}
+
+func benchSampledLarge(b *testing.B, samples int) {
 	in, err := etc.GenSpec{Jobs: 16384, Machs: 256, Class: etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 1}.Generate()
 	if err != nil {
 		b.Fatal(err)
@@ -118,7 +130,7 @@ func BenchmarkSampledLMCTSLarge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SampledLMCTS{Samples: 64}.Improve(st, o, 1, r)
+		SampledLMCTS{Samples: samples}.Improve(st, o, 1, r)
 	}
 }
 

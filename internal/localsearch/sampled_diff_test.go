@@ -58,8 +58,10 @@ func tieInstance32(jobs, machs int, seed uint64) *etc.Instance {
 // the unscreened one: from equal states and equal RNG streams every call
 // must return the same swap, the same bestMax bits and leave the same RNG
 // state, along trajectories that commit each found swap. The mix covers
-// both ETC backings, tie-heavy integer matrices, several sample counts
-// and a start with every job on one machine.
+// both ETC backings, tie-heavy integer matrices, a start with every job
+// on one machine, and sample counts below, at, just under, just over and
+// several times the scan's batch size — partial last batches and scans
+// that span batches.
 func TestSampledCriticalSwapMatchesOracle(t *testing.T) {
 	o := schedule.DefaultObjective
 	f32, err := etc.GenSpec{Jobs: 96, Machs: 8, Class: etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 5, Float32: true}.Generate()
@@ -73,7 +75,7 @@ func TestSampledCriticalSwapMatchesOracle(t *testing.T) {
 			make(schedule.Schedule, in.Jobs), // every job on machine 0
 		}
 		for si, start := range starts {
-			for _, samples := range []int{1, 7, 64} {
+			for _, samples := range []int{1, 7, 63, 64, 65, 200} {
 				a := schedule.NewState(in, start)
 				b := schedule.NewState(in, start.Clone())
 				ra, rb := rng.New(uint64(samples)), rng.New(uint64(samples))
