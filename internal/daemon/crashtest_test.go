@@ -210,7 +210,7 @@ func runOneKill(grid Config, dir string, fi int, f chaos.Fault,
 		if err := g.WriteSnapshotFile(snap); err != nil {
 			return fmt.Errorf("snapshotting recovered state: %w", err)
 		}
-		stray := filepath.Join(dir, ".snap-123.tmp")
+		stray := filepath.Join(dir, "."+filepath.Base(snap)+"-123.tmp")
 		if err := os.WriteFile(stray, []byte(`{"version":2,"config":{"trunc`), 0o644); err != nil {
 			return err
 		}

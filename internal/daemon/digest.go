@@ -291,8 +291,8 @@ func (g *Grid) touchPending(pos int) {
 // Digest returns the grid's state digest as hex: a set hash over every
 // job slot, machine slot and list position, sealed with the scalars
 // (see the top of digest.go). Two grids with equal digests are
-// bit-identical as schedulers; the replay tests, the replication digest
-// ring and the snapshot self-check compare digests.
+// bit-identical as schedulers; the replay tests, the replication
+// divergence check and the snapshot self-check compare digests.
 //
 // The first call folds every record; later calls re-hash only the records
 // changed since, so a call costs O(changed + MachCap). Digest updates the

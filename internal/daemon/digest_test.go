@@ -416,7 +416,8 @@ func TestRestoreRejectsVersion1(t *testing.T) {
 
 // BenchmarkGridDigestPerEvent replays Script(1, 64, 2000) on the default
 // 1024-slot × 64-machine grid, the gridd-repl workload's script, and
-// times Digest after every event, as the replication ring calls it.
+// times Digest after every event, as the tortures and the gridd-repl
+// workload's bare replay call it.
 // ns/event is the mean time of Digest per event. Apply is not timed, and
 // with it the old-leaf subtraction touchJob makes for each slot a
 // transition changes (one SHA-256 per slot).

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gridcma/internal/eventlog"
 	"gridcma/internal/rng"
 	"gridcma/internal/transport"
 )
@@ -134,9 +135,10 @@ func (k *killableHandler) Handle(ctx context.Context, req *transport.Request) (*
 // and killed connections, then kills the primary at a seeded point and
 // promotes the follower. It asserts, per case:
 //
-//   - the follower's digest trajectory is bit-identical to the dead
-//     primary's acked prefix (via both digest rings against a reference
-//     grid replay of the same script);
+//   - the primary's digest after every event, the follower's digest at
+//     every live batch end, and the digest after every event of the
+//     follower's WAL replayed onto the reference prefix are all
+//     bit-identical to a reference grid replay of the same script;
 //   - the follower's WAL is byte-for-byte a prefix of the primary's;
 //   - promotion bumps the term, and the term survives on disk;
 //   - the stale primary is fenced by the new term: its shipping path
@@ -189,6 +191,7 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 	if err != nil {
 		return err
 	}
+	refDigest[0] = ref.Digest()
 	for i, e := range script {
 		e.Seq = uint64(i + 1)
 		if err := ref.Apply(e); err != nil {
@@ -231,7 +234,7 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 		return err
 	}
 	defer primary.Stop()
-	replSrv, err := NewReplServer(primary, ReplConfig{Batch: 32, Ring: cfg.Events + 16})
+	replSrv, err := NewReplServer(primary, ReplConfig{Batch: 32})
 	if err != nil {
 		return err
 	}
@@ -244,7 +247,6 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 		return err
 	}
 	defer follower.Stop()
-	follower.EnableReplication(cfg.Events + 16)
 	dialer := &chaosDialer{
 		handler: wire,
 		r:       rng.New(caseSeed ^ 0xc4a05),
@@ -264,13 +266,22 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 	// Drive: apply the script to the primary, interleaving 0–2 follower
 	// pull rounds after each event, all sequenced by the harness rng —
 	// no goroutines, no timers, one deterministic interleaving per seed.
+	// The primary's digest is recorded after every event, the follower's
+	// after every pull round, at whatever seq that round left it.
 	hr := rng.New(caseSeed ^ 0xfa110)
 	kill := bootSeq + (cfg.Events-bootSeq)/2 + hr.Intn((cfg.Events-bootSeq)/4+1)
 	ctx := context.Background()
+	primaryDigest := make([]string, kill+1)
+	type seqDigest struct {
+		seq    uint64
+		digest string
+	}
+	var followerLive []seqDigest
 	for i := bootSeq; i < kill; i++ {
 		if _, err := primary.ApplyEvent(script[i]); err != nil {
 			return fmt.Errorf("primary apply %d: %w", i, err)
 		}
+		primaryDigest[i+1] = primary.GridDigest()
 		for s := hr.Intn(3); s > 0; s-- {
 			if _, err := repl.Step(ctx); err != nil {
 				if errors.Is(err, ErrDiverged) {
@@ -278,6 +289,7 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 				}
 				res.StepErrors++ // chaos casualties are expected; divergence is not
 			}
+			followerLive = append(followerLive, seqDigest{follower.AppliedSeq(), follower.GridDigest()})
 		}
 	}
 
@@ -321,25 +333,19 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 		fFrom = b + 1
 	}
 
-	// Digest trajectories: both rings must match the reference bit for
-	// bit over every sequence they claim.
-	checkRing := func(who string, d *Daemon, from, to uint64) error {
-		for seq := from; seq <= to; seq++ {
-			dig, ok := d.DigestAt(seq)
-			if !ok {
-				return fmt.Errorf("%s digest ring lost seq %d", who, seq)
-			}
-			if dig != refDigest[seq] {
-				return fmt.Errorf("%s diverged at seq %d: %s != reference %s", who, seq, dig, refDigest[seq])
-			}
+	// Digest trajectories, bit for bit against the reference: the
+	// primary at every seq it applied, the follower at every live batch
+	// end, and — through its WAL replayed onto the reference prefix it
+	// started from — the follower at every seq it applied.
+	for seq := bootSeq + 1; seq <= kill; seq++ {
+		if primaryDigest[seq] != refDigest[seq] {
+			return fmt.Errorf("primary diverged at seq %d: %s != reference %s", seq, primaryDigest[seq], refDigest[seq])
 		}
-		return nil
 	}
-	if err := checkRing("primary", primary, uint64(bootSeq)+1, uint64(kill)); err != nil {
-		return err
-	}
-	if err := checkRing("follower", follower, fFrom, f); err != nil {
-		return err
+	for _, l := range followerLive {
+		if l.digest != refDigest[l.seq] {
+			return fmt.Errorf("follower diverged at live seq %d: %s != reference %s", l.seq, l.digest, refDigest[l.seq])
+		}
 	}
 
 	// WAL bytes: the replica's log must be a byte-for-byte prefix of the
@@ -357,6 +363,9 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 	fWAL, err := os.ReadFile(filepath.Join(caseDir, "follower.log"))
 	if err != nil {
 		return err
+	}
+	if err := checkWALReplay(cfg.Grid, script, refDigest, fWAL, fFrom, f); err != nil {
+		return fmt.Errorf("follower WAL replay: %w", err)
 	}
 	if snapCase {
 		// A bootstrapped follower's log starts mid-stream: its bytes must
@@ -440,6 +449,43 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 		return fmt.Errorf("persisted term %d, want %d", t, newTerm)
 	}
 	logf("failovertest: case %d ok: killed at %d, promoted at %d (term %d)", c, kill, f, newTerm)
+	return nil
+}
+
+// checkWALReplay replays a node's WAL bytes, which must hold exactly
+// the events from through to, onto a fresh grid carrying the script's
+// first from-1 events, and compares the digest after each with the
+// reference trajectory.
+func checkWALReplay(gcfg Config, script []eventlog.Event, refDigest []string, wal []byte, from, to uint64) error {
+	events, err := eventlog.Read(bytes.NewReader(wal))
+	if err != nil {
+		return err
+	}
+	if uint64(len(events)) != to+1-from {
+		return fmt.Errorf("holds %d events, want seqs %d..%d", len(events), from, to)
+	}
+	g, err := NewGrid(gcfg)
+	if err != nil {
+		return err
+	}
+	for i, e := range script[:from-1] {
+		e.Seq = uint64(i + 1)
+		if err := g.Apply(e); err != nil {
+			return err
+		}
+	}
+	for i, e := range events {
+		seq := from + uint64(i)
+		if e.Seq != seq {
+			return fmt.Errorf("lost seq %d (next event is %d)", seq, e.Seq)
+		}
+		if err := g.Apply(e); err != nil {
+			return fmt.Errorf("apply %d: %w", seq, err)
+		}
+		if dig := g.Digest(); dig != refDigest[seq] {
+			return fmt.Errorf("diverged at seq %d: %s != reference %s", seq, dig, refDigest[seq])
+		}
+	}
 	return nil
 }
 

@@ -47,8 +47,9 @@
 // re-hashes only the records changed since the previous call: the slots
 // and list positions its transitions touch, every machine whose
 // schedule.State epoch moved, and the jobs that local search moved onto
-// those machines. A digest therefore costs O(changed + MachCap), so the
-// replication ring can record one after every event.
+// those machines. A digest therefore costs O(changed + MachCap), so a
+// caller can afford one after every event (a primary serving
+// followers, the tortures and the replay tests do).
 // Snapshots embed it (format version 2) and verify it on restore.
 //
 // # Failure model and durability

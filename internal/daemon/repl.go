@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -74,10 +75,12 @@ type ReplBatch struct {
 	// Applied is the primary's applied sequence number at ship time —
 	// the follower's lag is Applied minus its own.
 	Applied uint64 `json:"applied"`
-	// Digest is the primary's state digest after applying DigestSeq,
-	// carried on every batch for continuous divergence detection: a
-	// follower whose digest differs after the same prefix must stop
-	// rather than drift.
+	// Digest is the primary's state digest after applying DigestSeq.
+	// The primary stamps a batch only when Applied > 0 and the batch
+	// ends at Applied (DigestSeq = Applied): a caught-up poll, or the
+	// batch that catches a follower up. A batch cut short by Max carries
+	// none. A follower at DigestSeq whose digest differs has diverged
+	// and must stop rather than drift.
 	Digest    string `json:"digest,omitempty"`
 	DigestSeq uint64 `json:"digest_seq,omitempty"`
 }
@@ -132,137 +135,24 @@ func loadTerm(path string) (uint64, error) {
 		}
 		return 0, err
 	}
-	t, err := strconv.ParseUint(string(bytesTrimSpace(b)), 10, 64)
+	t, err := strconv.ParseUint(string(bytes.TrimSpace(b)), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("daemon: term file %s: %v", path, err)
 	}
 	return t, nil
 }
 
-func bytesTrimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[len(b)-1] == '\n' || b[len(b)-1] == '\r' || b[len(b)-1] == ' ') {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// saveTerm persists a fencing term atomically (temp + rename): a crash
-// mid-write must never roll a term back, or a deposed primary could be
-// reborn believing it still leads.
+// saveTerm persists a fencing term atomically (writeFileAtomic): a
+// crash mid-write must never roll a term back, or a deposed primary
+// could be reborn believing it still leads.
 func saveTerm(path string, term uint64) error {
-	dir, tmp := splitTmp(path)
-	f, err := os.CreateTemp(dir, tmp)
-	if err != nil {
+	return writeFileAtomic(path, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", term)
 		return err
-	}
-	name := f.Name()
-	_, werr := fmt.Fprintf(f, "%d\n", term)
-	if serr := f.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(name)
-		return werr
-	}
-	return os.Rename(name, path)
-}
-
-func splitTmp(path string) (dir, pattern string) {
-	i := len(path) - 1
-	for i >= 0 && path[i] != '/' {
-		i--
-	}
-	if i < 0 {
-		return ".", ".term-*.tmp"
-	}
-	return path[:i], ".term-*.tmp"
-}
-
-// digestRing remembers the state digest after each of the last N
-// applied events, so pull responses can stamp any recent batch end with
-// the digest the follower must reproduce. Bounded: a follower lagging
-// further than the ring simply gets batches without digests until it
-// catches back into the window (correctness never depends on the
-// digest — it is the tripwire, not the ledger).
-type digestRing struct {
-	seqs []uint64
-	vals []string
-}
-
-func newDigestRing(n int) *digestRing {
-	if n < 1024 {
-		n = 1024
-	}
-	return &digestRing{seqs: make([]uint64, n), vals: make([]string, n)}
-}
-
-func (r *digestRing) put(seq uint64, dig string) {
-	i := seq % uint64(len(r.seqs))
-	r.seqs[i], r.vals[i] = seq, dig
-}
-
-func (r *digestRing) get(seq uint64) (string, bool) {
-	if seq == 0 {
-		return "", false
-	}
-	i := seq % uint64(len(r.seqs))
-	if r.seqs[i] != seq {
-		return "", false
-	}
-	return r.vals[i], true
+	})
 }
 
 // --- Daemon replication surface ---------------------------------------
-
-// EnableReplication arms the daemon for serving followers: every
-// applied event records its digest in a bounded ring. The WAL is
-// flushed once here and then by every pull (ReplServer.pull), so under
-// FsyncNever a replicated primary's log is buffered until the next
-// admission, pull or Stop, exactly like a non-replicated one. ringSize
-// bounds the digest window (0 = 8192). Idempotent.
-func (d *Daemon) EnableReplication(ringSize int) {
-	if ringSize <= 0 {
-		ringSize = 8192
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.digests != nil {
-		return
-	}
-	d.digests = newDigestRing(ringSize)
-	if seq := d.g.Applied(); seq > 0 {
-		d.digests.put(seq, d.g.Digest())
-	}
-	if d.wal != nil {
-		d.wal.Flush()
-	}
-}
-
-// recordDigestLocked stamps the digest ring after a successful apply;
-// d.mu held, no-op until EnableReplication. It does not flush the WAL:
-// ReplServer.pull flushes before every read, so a pull always ships the
-// events applied before it, and a replicated primary buffers its log
-// between flushes exactly like a non-replicated one.
-func (d *Daemon) recordDigestLocked() {
-	if d.digests == nil {
-		return
-	}
-	d.digests.put(d.g.Applied(), d.g.Digest())
-}
-
-// DigestAt returns the recorded digest after event seq, if it is still
-// inside the replication digest window.
-func (d *Daemon) DigestAt(seq uint64) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.digests == nil {
-		return "", false
-	}
-	return d.digests.get(seq)
-}
 
 // Term returns the daemon's fencing term.
 func (d *Daemon) Term() uint64 { return d.term.Load() }
@@ -344,9 +234,10 @@ func (d *Daemon) SnapshotNow() (*Snapshot, error) {
 }
 
 // ApplyEvent applies one event through the daemon's full write path
-// (WAL, digest ring, group commit) and returns the stamped event. It is
-// the programmatic twin of POST /event, used by the failover torture
-// and the replication bench to drive a primary without HTTP.
+// (WAL, the digest fold of a serving primary, group commit) and returns
+// the stamped event. It is the programmatic twin of POST /event, used
+// by the failover torture and the replication bench to drive a primary
+// without HTTP.
 func (d *Daemon) ApplyEvent(e eventlog.Event) (eventlog.Event, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -385,7 +276,6 @@ func (d *Daemon) ApplyReplicated(e eventlog.Event, line []byte) error {
 			return fmt.Errorf("daemon: replicated event %d applied but not persisted: %w", e.Seq, err)
 		}
 	}
-	d.recordDigestLocked()
 	return nil
 }
 
@@ -409,23 +299,29 @@ func (d *Daemon) CommitReplicated() error {
 
 // FlushWAL makes every applied event visible to WAL readers.
 func (d *Daemon) FlushWAL() error {
-	_, err := d.flushApplied()
+	_, _, err := d.flushApplied(0)
 	return err
 }
 
 // flushApplied flushes the WAL and returns the applied sequence number
 // read under the same lock, so every event it counts is in the file. A
 // separate AppliedSeq call could count an event applied after the flush
-// and still sitting in the write buffer.
-func (d *Daemon) flushApplied() (uint64, error) {
+// and still sitting in the write buffer. When 0 < applied <= reach (the
+// last seq a pull can ship), it also returns the grid's digest at
+// applied.
+func (d *Daemon) flushApplied(reach uint64) (applied uint64, digest string, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.wal != nil && !d.closed {
 		if err := d.wal.Flush(); err != nil {
-			return 0, err
+			return 0, "", err
 		}
 	}
-	return d.g.Applied(), nil
+	applied = d.g.Applied()
+	if applied > 0 && applied <= reach {
+		digest = d.g.Digest()
+	}
+	return applied, digest, nil
 }
 
 // ReplaceGrid swaps in a bootstrap-restored grid and restarts the WAL
@@ -452,12 +348,6 @@ func (d *Daemon) ReplaceGrid(g *Grid) error {
 		d.wal = eventlog.NewWriterAt(d.walFile, g.Applied())
 	}
 	d.g = g
-	if d.digests != nil {
-		d.digests = newDigestRing(len(d.digests.seqs))
-		if seq := g.Applied(); seq > 0 {
-			d.digests.put(seq, g.Digest())
-		}
-	}
 	return nil
 }
 
@@ -528,18 +418,16 @@ func (d *Daemon) handlePromote(w http.ResponseWriter, r *http.Request) {
 type ReplConfig struct {
 	// Batch caps events per pull response (0 = 512).
 	Batch int
-	// Ring sizes the digest window (0 = 8192); it should comfortably
-	// exceed Batch so every batch end can carry a digest.
-	Ring int
 }
 
 // ReplServer serves the primary's side of WAL-shipping replication as a
 // transport.Handler: followers pull batches of WAL records (resumable by
 // sequence number, streamed via a cached eventlog.Follower per follower
 // and shipped as the log holds them), bootstrap from a snapshot when the
-// log cannot serve their position, and get the primary's digest with
-// every batch. Term checking happens on every request — a pull carrying
-// a higher term fences this node on the spot.
+// log cannot serve their position, and get the primary's digest on
+// every batch that ends at its applied seq. Term checking happens on
+// every request — a pull carrying a higher term fences this node on the
+// spot.
 type ReplServer struct {
 	d       *Daemon
 	walPath string
@@ -554,8 +442,9 @@ type replCursor struct {
 	next uint64 // sequence number the cursor will read next
 }
 
-// NewReplServer arms d for replication and returns the shipping
-// handler. The daemon must have a WAL (replication ships the log).
+// NewReplServer returns d's shipping handler; from then on d digests
+// after every event it applies. The daemon must have a WAL (replication
+// ships the log).
 func NewReplServer(d *Daemon, cfg ReplConfig) (*ReplServer, error) {
 	if d.cfg.LogPath == "" {
 		return nil, errors.New("daemon: replication requires a WAL (ServerConfig.LogPath)")
@@ -563,7 +452,9 @@ func NewReplServer(d *Daemon, cfg ReplConfig) (*ReplServer, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 512
 	}
-	d.EnableReplication(cfg.Ring)
+	d.mu.Lock()
+	d.serving = true
+	d.mu.Unlock()
 	return &ReplServer{
 		d:       d,
 		walPath: d.cfg.LogPath,
@@ -637,16 +528,21 @@ func (s *ReplServer) pull(pull *ReplPull) (*ReplBatch, error) {
 	if reject := s.checkTerm(pull.Term); reject != "" {
 		return &ReplBatch{Term: myTerm, Reject: reject}, nil
 	}
-	applied, err := s.d.flushApplied()
+	max := s.batch
+	if pull.Max > 0 && pull.Max < max {
+		max = pull.Max
+	}
+	applied, digest, err := s.d.flushApplied(pull.After + uint64(max))
 	if err != nil {
 		return nil, err
 	}
 	if pull.After > applied {
 		return &ReplBatch{Term: myTerm, Reject: RejectAhead, Applied: applied}, nil
 	}
-	max := s.batch
-	if pull.Max > 0 && pull.Max < max {
-		max = pull.Max
+	// Ship no further than applied, so that a batch reaching it ends
+	// exactly there, at the seq its digest belongs to.
+	if n := applied - pull.After; n < uint64(max) {
+		max = int(n)
 	}
 	recs, first, err := s.read(pull.ID, pull.After, max)
 	if err != nil {
@@ -663,9 +559,8 @@ func (s *ReplServer) pull(pull *ReplPull) (*ReplBatch, error) {
 		return &ReplBatch{Term: myTerm, NeedSnapshot: true, Applied: applied}, nil
 	}
 	resp := &ReplBatch{Term: myTerm, Records: recs, Applied: applied}
-	end := pull.After + uint64(len(recs))
-	if dig, ok := s.d.DigestAt(end); ok {
-		resp.Digest, resp.DigestSeq = dig, end
+	if digest != "" && pull.After+uint64(len(recs)) == applied {
+		resp.Digest, resp.DigestSeq = digest, applied
 	}
 	return resp, nil
 }

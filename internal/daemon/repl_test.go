@@ -58,7 +58,6 @@ func newReplRig(t *testing.T, rcfg ReplicatorConfig) *replRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rig.follower.Stop() })
-	rig.follower.EnableReplication(0)
 	if rcfg.Dial == nil {
 		rcfg.Dial = func() (transport.Client, error) { return transport.NewLocal(rig.srv), nil }
 	}
@@ -292,6 +291,56 @@ func TestReplicationDivergenceDetected(t *testing.T) {
 		t.Fatalf("divergence error not permanent: %v", err)
 	}
 	if !follower.degraded.Load() {
+		t.Fatal("divergence did not latch the daemon degraded")
+	}
+}
+
+// TestReplPullDigestStamp pins which pulls carry the primary's digest:
+// a pull that reaches the applied seq is stamped with the digest there,
+// one cut short by Max is not, and a follower whose grid really diverged
+// fails the next stamped Step with ErrDiverged and latches degraded.
+func TestReplPullDigestStamp(t *testing.T) {
+	rig := newReplRig(t, ReplicatorConfig{ID: "f1", Batch: 16})
+	rig.drive(t, rig.script(17, 40))
+	applied := rig.primary.AppliedSeq()
+
+	caughtUp, err := rig.srv.pull(&ReplPull{ID: "probe", Term: 1, After: applied - 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(caughtUp.Records) != 3 || caughtUp.Applied != applied {
+		t.Fatalf("pull after %d shipped %d records, applied %d", applied-3, len(caughtUp.Records), caughtUp.Applied)
+	}
+	if want := rig.primary.GridDigest(); caughtUp.Digest != want || caughtUp.DigestSeq != applied {
+		t.Fatalf("caught-up pull stamped %q at %d, want %q at %d", caughtUp.Digest, caughtUp.DigestSeq, want, applied)
+	}
+
+	truncated, err := rig.srv.pull(&ReplPull{ID: "probe", Term: 1, After: 0, Max: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(truncated.Records) != 5 || truncated.Digest != "" || truncated.DigestSeq != 0 {
+		t.Fatalf("pull cut short by Max: %d records, digest %q at %d; want 5 and none",
+			len(truncated.Records), truncated.Digest, truncated.DigestSeq)
+	}
+
+	rig.catchUp(t)
+	// White-box divergence: one event the primary never saw.
+	rig.follower.mu.Lock()
+	err = rig.follower.g.Apply(eventlog.Event{Seq: applied + 1, Type: eventlog.Join,
+		Mach: rig.follower.g.NextMachID(), Mult: 2})
+	rig.follower.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The primary's own next event is a different one: the next pull
+	// ships nothing, reaches the primary's applied seq and is stamped.
+	rig.drive(t, []eventlog.Event{{Type: eventlog.Submit, Job: rig.primary.g.NextJobID(), Base: 3}})
+	_, err = rig.repl.Step(context.Background())
+	if !errors.Is(err, ErrDiverged) {
+		t.Fatalf("step after divergence: %v, want ErrDiverged", err)
+	}
+	if !rig.follower.degraded.Load() {
 		t.Fatal("divergence did not latch the daemon degraded")
 	}
 }

@@ -55,7 +55,7 @@ type ReplicatorConfig struct {
 
 // Replicator drives a follower daemon: it pulls WAL batches from the
 // primary, applies them verbatim, checks the primary's digest against
-// its own after every batch, and can Promote the follower to primary
+// its own after every batch that carries one, and can Promote the follower to primary
 // with a bumped fencing term. Pull-based: the follower owns its
 // position, so a restart resumes from its applied sequence number with
 // no primary-side bookkeeping to recover.
@@ -165,7 +165,7 @@ func (r *Replicator) call(ctx context.Context, kind string, pull *ReplPull) ([]b
 }
 
 // Step performs exactly one pull round: connect if needed, pull one
-// batch, apply it, commit, and verify the shipped digest. It returns
+// batch, apply it, commit, and verify the shipped digest, if any. It returns
 // the number of events applied; 0 with a nil error means caught up.
 // Step is the determinism lever for the failover torture — no timers,
 // no goroutines, every side effect sequenced by the caller.

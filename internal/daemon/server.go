@@ -67,9 +67,6 @@ type ServerConfig struct {
 	// RequestTimeout bounds each handler's wall time; requests past it
 	// get 503 (0 = unbounded).
 	RequestTimeout time.Duration `json:"request_timeout,omitempty"`
-	// TermPath persists the replication fencing term (see repl.go);
-	// empty defaults to LogPath+".term" when a WAL is configured.
-	TermPath string `json:"term_path,omitempty"`
 }
 
 // Daemon wraps a Grid with the HTTP API, the write-ahead event log and
@@ -111,9 +108,11 @@ type Daemon struct {
 	walErrors atomic.Uint64
 
 	// Replication state (repl.go / replicator.go). The term is the
-	// fencing epoch: it only moves forward, and persists before any role
-	// change that claims it. fenced latches once a higher term is
-	// observed — this node has been superseded and refuses writes.
+	// fencing epoch: it only moves forward, and persists (in
+	// LogPath+".term") before any role change that claims it. fenced
+	// latches once a higher term is observed — this node has been
+	// superseded and refuses writes. serving (under mu) is set by
+	// NewReplServer: a serving node digests after every event it applies.
 	role       atomic.Int32
 	term       atomic.Uint64
 	termPath   string
@@ -122,7 +121,7 @@ type Daemon struct {
 	replLag    atomic.Uint64
 	replCaught atomic.Bool
 	replMaxLag atomic.Uint64
-	digests    *digestRing // under mu; nil until EnableReplication
+	serving    bool
 
 	promoteMu sync.Mutex
 	promoteFn func() (uint64, error)
@@ -155,7 +154,14 @@ func NewDaemonWith(g *Grid, cfg ServerConfig) (*Daemon, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	d.term.Store(1)
 	if cfg.LogPath != "" {
+		d.termPath = cfg.LogPath + ".term"
+		t, err := loadTerm(d.termPath)
+		if err != nil {
+			return nil, err
+		}
+		d.term.Store(max(t, 1))
 		f, err := os.OpenFile(cfg.LogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
@@ -163,21 +169,6 @@ func NewDaemonWith(g *Grid, cfg ServerConfig) (*Daemon, error) {
 		d.walFile = f
 		d.wal = eventlog.NewWriterAt(f, g.Applied())
 	}
-	d.termPath = cfg.TermPath
-	if d.termPath == "" && cfg.LogPath != "" {
-		d.termPath = cfg.LogPath + ".term"
-	}
-	term := uint64(1)
-	if d.termPath != "" {
-		t, err := loadTerm(d.termPath)
-		if err != nil {
-			return nil, err
-		}
-		if t > term {
-			term = t
-		}
-	}
-	d.term.Store(term)
 	d.replCaught.Store(true)
 	// A constructed daemon sits past snapshot restore and WAL replay, so
 	// it is ready by default; serve loops that expose the listener before
@@ -343,7 +334,14 @@ func (d *Daemon) applyLocked(e eventlog.Event) (eventlog.Event, error) {
 			return e, fmt.Errorf("daemon: event %d applied but not persisted: %w", e.Seq, err)
 		}
 	}
-	d.recordDigestLocked()
+	if d.serving {
+		// Fold the event into the grid's digest now, so a pull's digest
+		// costs one seal under d.mu. This also keeps the write path the
+		// one benchmark/repl.go's bare replay models, a digest per
+		// event; leaving the fold to the pull waits on changing that
+		// model first (ROADMAP item 3).
+		d.g.Digest()
+	}
 	switch e.Type {
 	case eventlog.Submit:
 		d.submitAt[e.Job] = time.Now()
@@ -525,15 +523,19 @@ func (d *Daemon) gate(next http.Handler) http.Handler {
 		}
 		d.reqMu.RLock()
 		defer d.reqMu.RUnlock()
-		maxBody := d.cfg.MaxBodyBytes
-		if maxBody <= 0 {
-			maxBody = defaultMaxBody
-		}
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+			r.Body = http.MaxBytesReader(w, r.Body, d.maxBody())
 		}
 		next.ServeHTTP(w, r)
 	})
+}
+
+// maxBody is the request body cap (ServerConfig.MaxBodyBytes).
+func (d *Daemon) maxBody() int64 {
+	if d.cfg.MaxBodyBytes > 0 {
+		return d.cfg.MaxBodyBytes
+	}
+	return defaultMaxBody
 }
 
 // recoverPanics turns a handler panic into a 500 and probes the grid's
@@ -631,11 +633,16 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	bases := req.Bases
 	if len(bases) == 0 {
-		if req.Count <= 0 {
-			req.Count = 1
+		// A count asks for no more jobs than a bases array under the body
+		// cap could carry ("1," a base), so the cap bounds every request.
+		n := max(req.Count, 1)
+		if limit := d.maxBody() / 2; int64(n) > limit {
+			httpError(w, http.StatusBadRequest, "submit: count %d exceeds %d, the most a request body carries", n, limit)
+			return
 		}
-		for i := 0; i < req.Count; i++ {
-			bases = append(bases, req.Base)
+		bases = make([]float64, n)
+		for i := range bases {
+			bases[i] = req.Base
 		}
 	}
 	// Validate the whole batch before applying any of it: a mid-batch

@@ -354,3 +354,64 @@ func TestServerColdCheck(t *testing.T) {
 		t.Fatal("cold re-solve mutated the live grid")
 	}
 }
+
+// FuzzHTTPBodies posts arbitrary bytes to /event and then to /submit
+// of a fresh daemon with a WAL. Neither handler may answer 500 or
+// panic, and after every request the grid keeps its invariants and a
+// replay of the WAL lands on the live digest.
+func FuzzHTTPBodies(f *testing.F) {
+	for _, b := range [][2]string{
+		{`[{"type":"join","mult":1},{"type":"join","mult":2}]`, `{"bases":[2,3,4,5]}`},
+		{`{"type":"leave","mach":99}`, `{"base":2,"count":3}`},
+		{`[{"type":"submit","base":2}]`, `{"bases":[2,0.5,3]}`},
+		{`{"type":"join","mult":1}`, `{"base":2}`},
+		{`[{"type":"join","mult":1},{"type":"submit","base":3},{"type":"admit"},{"type":"complete","job":1}]`, `{}`},
+		{`[{"type":"join","mult":1},{"type":"fail","mach":1}]`, `{"bases":[7,8,9]}`},
+		{`[]`, `{"base":2,"count":4000000000000}`},
+	} {
+		f.Add([]byte(b[0]), []byte(b[1]))
+	}
+	f.Fuzz(func(t *testing.T, event, submit []byte) {
+		wal := filepath.Join(t.TempDir(), "wal.log")
+		cfg := ServerConfig{Grid: fuzzGridConfig(), AdmitPending: 3, MaxPending: 16, LogPath: wal}
+		d, err := NewDaemon(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Stop()
+		h := d.Handler()
+		for _, req := range []struct {
+			path string
+			body []byte
+		}{{"/event", event}, {"/submit", submit}} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, bytes.NewReader(req.body)))
+			if rec.Code == http.StatusInternalServerError {
+				t.Fatalf("POST %s %q: 500 %s", req.path, req.body, rec.Body)
+			}
+			if n := d.panics.Load(); n != 0 {
+				t.Fatalf("POST %s %q: %d panics", req.path, req.body, n)
+			}
+			d.mu.Lock()
+			err := d.g.CheckInvariants()
+			live := d.g.Digest()
+			d.mu.Unlock()
+			if err != nil {
+				t.Fatalf("POST %s %q (status %d): %v", req.path, req.body, rec.Code, err)
+			}
+			if err := d.FlushWAL(); err != nil {
+				t.Fatal(err)
+			}
+			g, err := NewGrid(cfg.Grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ReplayFile(g, wal); err != nil {
+				t.Fatalf("POST %s %q: replaying the WAL: %v", req.path, req.body, err)
+			}
+			if got := g.Digest(); got != live {
+				t.Fatalf("POST %s %q: WAL replay digest %s, live %s", req.path, req.body, got, live)
+			}
+		}
+	})
+}

@@ -233,16 +233,23 @@ func ReadSnapshot(r io.Reader) (*Grid, error) {
 	return Restore(&s)
 }
 
-// SaveSnapshot writes s to path atomically: the document goes to a temp
-// file in the same directory, is fsynced, and only then renamed over the
-// target; the directory is fsynced so the rename itself is durable. A
-// crash at any point leaves either the old snapshot or the new one —
-// never a torn half-document — which is what lets restore trust a
-// snapshot file that exists at all (its digest self-verification catches
-// the rest).
-func SaveSnapshot(s *Snapshot, path string) (err error) {
+// SaveSnapshot writes s to path atomically (writeFileAtomic), which is
+// what lets restore trust a snapshot file that exists at all (its
+// digest self-verification catches the rest).
+func SaveSnapshot(s *Snapshot, path string) error {
+	return writeFileAtomic(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(s)
+	})
+}
+
+// writeFileAtomic replaces path with what write produces: the bytes go
+// to a temp file in path's directory, which is fsynced, closed and only
+// then renamed over path, and the directory is fsynced so the rename
+// itself is durable. A crash at any point leaves either the old file or
+// the new one, never a torn half.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*.tmp")
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
 	if err != nil {
 		return err
 	}
@@ -252,8 +259,7 @@ func SaveSnapshot(s *Snapshot, path string) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	enc := json.NewEncoder(tmp)
-	if err = enc.Encode(s); err != nil {
+	if err = write(tmp); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {
