@@ -132,6 +132,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cma: no updates per iteration")
 	case c.SolutionsToRecombine < 2:
 		return fmt.Errorf("cma: SolutionsToRecombine = %d, need >= 2", c.SolutionsToRecombine)
+	case c.Recombinations > 0 && c.Width*c.Height < 2:
+		// A lone cell is its whole neighbourhood: recombination has no
+		// second parent to draw.
+		return fmt.Errorf("cma: recombination on a %dx%d grid, need >= 2 cells", c.Width, c.Height)
 	case c.Selector == nil:
 		return fmt.Errorf("cma: nil Selector")
 	case c.Crossover == nil:

@@ -44,6 +44,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Recombinations = -1 },
 		func(c *Config) { c.Recombinations = 0; c.Mutations = 0 },
 		func(c *Config) { c.SolutionsToRecombine = 1 },
+		func(c *Config) { c.Width, c.Height = 1, 1 }, // a lone cell has no second parent
 		func(c *Config) { c.Selector = nil },
 		func(c *Config) { c.Crossover = nil },
 		func(c *Config) { c.Mutator = nil },

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gridcma/internal/rng"
+	"gridcma/internal/schedule"
 )
 
 func TestSubmitBackpressure429(t *testing.T) {
@@ -118,6 +121,54 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 	}
 	if resp := postJSON(t, srv.URL+"/submit", SubmitRequest{Base: 2}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit after recovered panic: %s, want 200", resp.Status)
+	}
+}
+
+// panicLS is an improvement pass that panics: a fault inside the grid's
+// admission, deep in the locked section of a write handler.
+type panicLS struct{}
+
+func (panicLS) Improve(*schedule.State, schedule.Objective, int, *rng.Source) { panic("ls kaboom") }
+func (panicLS) Name() string                                                  { return "panic" }
+
+// TestPanicUnderLockReleasesIt pins that a panic inside the locked
+// section of /submit or /event unwinds with d.mu free: recoverPanics
+// takes the lock to probe the grid, and StatsNow, every later request
+// and the admission ticker take it after that.
+func TestPanicUnderLockReleasesIt(t *testing.T) {
+	for _, req := range []struct{ path, body string }{
+		{"/submit", `{"bases":[2,3]}`},
+		{"/event", `[{"type":"submit","base":2},{"type":"admit"}]`},
+	} {
+		d, err := NewDaemon(ServerConfig{Grid: testConfig(), AdmitPending: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := d.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/event", strings.NewReader(`{"type":"join","mult":1}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("join: %d %s", rec.Code, rec.Body)
+		}
+		d.g.ls = panicLS{}
+		rec = httptest.NewRecorder()
+		stats := make(chan Stats)
+		go func() {
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+			stats <- d.StatsNow()
+		}()
+		select {
+		case st := <-stats:
+			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "ls kaboom") {
+				t.Fatalf("POST %s with a panicking admission: %d %s, want a 500 naming the panic", req.path, rec.Code, rec.Body)
+			}
+			if st.Panics != 1 {
+				t.Fatalf("POST %s: panics = %d, want 1", req.path, st.Panics)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("POST %s: a panic under the daemon lock left it held", req.path)
+		}
+		d.Stop()
 	}
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -294,6 +295,10 @@ func (d *Daemon) commitLocked() error {
 	return d.syncLocked()
 }
 
+// errNotPersisted marks an applyLocked failure that struck after the
+// grid applied the event: the log write failed.
+var errNotPersisted = errors.New("applied but not persisted")
+
 // applyLocked stamps e with the producer timestamp, applies it to the
 // grid and then persists it; d.mu must be held. The grid goes first: a
 // rejected event (structurally valid but inconsistent with grid state —
@@ -331,7 +336,7 @@ func (d *Daemon) applyLocked(e eventlog.Event) (eventlog.Event, error) {
 			// The grid advanced but the log did not: the log file is
 			// failing and durability is gone — surface it loudly.
 			d.walErrors.Add(1)
-			return e, fmt.Errorf("daemon: event %d applied but not persisted: %w", e.Seq, err)
+			return e, fmt.Errorf("daemon: event %d %w: %w", e.Seq, errNotPersisted, err)
 		}
 	}
 	if d.serving {
@@ -381,6 +386,18 @@ func (d *Daemon) maybeAdmitLocked() bool {
 //	GET  /snapshot → full snapshot JSON (flushes the log first)
 //	GET  /stats    → counters, live sizes, quality, latency percentiles
 //	POST /admit    → force an admission window close
+//
+// A /submit or /event body is read whole under the body cap, so a body
+// past the cap is a 413 even when its first JSON value ends before it.
+// Bodies in the event log's canonical form decode in one pass
+// (eventlog.ParseEvents, parseBases); any other body decodes through
+// encoding/json as it always has. The /event reply is the stamped events
+// as canonical log records (eventlog.Event.AppendJSON, no crc): the same
+// values encoding/json would write, with floats outside [1e-4, 1e6) in
+// exponent form. A batch rejected at event k commits the k events
+// before it and lists them in the 400 body under "applied". A log write
+// failing mid-batch is a 500 whose "ids" (/submit) or "applied" (/event)
+// list every event the grid took, the one the write failed on included.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /submit", d.handleSubmit)
@@ -578,16 +595,34 @@ func (d *Daemon) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// decodeJSON decodes a request body, mapping an exceeded body cap to
-// 413 and anything else unparseable to 400.
-func decodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"decoding %s: request body exceeds %d bytes", what, mbe.Limit)
-			return false
-		}
+// readBody reads the whole request body into a buffer sized from its
+// Content-Length, mapping an exceeded body cap to 413 and any other
+// read error to 400.
+func (d *Daemon) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	n := r.ContentLength
+	if n < 0 || n > d.maxBody() {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		return buf.Bytes(), true
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			"decoding %s: request body exceeds %d bytes", what, mbe.Limit)
+		return nil, false
+	}
+	httpError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+	return nil, false
+}
+
+// decodeJSON decodes the first JSON value of a buffered request body
+// with encoding/json, mapping a failure to 400. It reads the bodies the
+// one-pass decoders (eventlog.ParseEvents, parseBases) leave to it.
+func decodeJSON(w http.ResponseWriter, body []byte, what string, v any) bool {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
 		return false
 	}
@@ -612,6 +647,41 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeReply writes a JSON reply built in full beforehand, so that no
+// handler writes to a client while it holds d.mu.
+func writeReply(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
+}
+
+// writeReplyError writes a write request's failure: its error and, under
+// key, what the request did apply.
+func writeReplyError(w http.ResponseWriter, code int, err error, key string, applied any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), key: applied})
+}
+
+// roomLocked refuses a batch of n submissions that does not fit under
+// MaxPending; d.mu held.
+func (d *Daemon) roomLocked(n int) error {
+	if d.cfg.MaxPending <= 0 || n == 0 {
+		return nil
+	}
+	if pending := d.g.PendingCount(); pending+n > d.cfg.MaxPending {
+		return fmt.Errorf("pending queue full: %d pending + %d submitted exceeds %d; retry after the next admission",
+			pending, n, d.cfg.MaxPending)
+	}
+	return nil
+}
+
+// rejectFull answers a batch roomLocked refused with 429.
+func (d *Daemon) rejectFull(w http.ResponseWriter, err error) {
+	d.rej429.Add(1)
+	w.Header().Set("Retry-After", d.retryAfter())
+	httpError(w, http.StatusTooManyRequests, "%v", err)
+}
+
 // SubmitRequest is the body of POST /submit.
 type SubmitRequest struct {
 	Bases []float64 `json:"bases,omitempty"`
@@ -626,23 +696,85 @@ type SubmitResponse struct {
 	Admitted bool     `json:"admitted"`
 }
 
+// parseBases decodes a /submit body of exactly the form json.Marshal
+// gives a SubmitRequest holding bases alone, {"bases":[n,…]}: at least
+// one base, each number as eventlog.ParseNumber reads it, no
+// whitespace. The bases are appended to dst[:0]. ok is false for any
+// other body; decodeJSON reads those. Whatever parseBases accepts,
+// encoding/json decodes to the same request.
+func parseBases(b []byte, dst []float64) (bases []float64, ok bool) {
+	dst = dst[:0]
+	rest, ok := bytes.CutPrefix(b, []byte(`{"bases":[`))
+	if !ok || !bytes.HasSuffix(rest, []byte(`]}`)) {
+		return dst, false
+	}
+	rest = rest[:len(rest)-len(`]}`)]
+	for {
+		num, tail, more := bytes.Cut(rest, []byte{','})
+		v, ok := eventlog.ParseNumber(num)
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, v)
+		if !more {
+			return dst, true
+		}
+		rest = tail
+	}
+}
+
+// appendSubmitReply appends the /submit reply, what json.Encoder writes
+// for SubmitResponse{ids, admitted}, to b.
+func appendSubmitReply(b []byte, ids []uint64, admitted bool) []byte {
+	b = append(b, `{"ids":[`...)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, id, 10)
+	}
+	b = append(b, `],"admitted":`...)
+	b = strconv.AppendBool(b, admitted)
+	return append(b, "}\n"...)
+}
+
+// appendEvents appends events as a JSON array of their canonical log
+// records (eventlog.Event.AppendJSON, no crc) to b.
+func appendEvents(b []byte, events []eventlog.Event) []byte {
+	b = append(b, '[')
+	for i, e := range events {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = e.AppendJSON(b)
+	}
+	return append(b, ']')
+}
+
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !decodeJSON(w, r, "submit", &req) {
+	body, ok := d.readBody(w, r, "submit")
+	if !ok {
 		return
 	}
-	bases := req.Bases
-	if len(bases) == 0 {
-		// A count asks for no more jobs than a bases array under the body
-		// cap could carry ("1," a base), so the cap bounds every request.
-		n := max(req.Count, 1)
-		if limit := d.maxBody() / 2; int64(n) > limit {
-			httpError(w, http.StatusBadRequest, "submit: count %d exceeds %d, the most a request body carries", n, limit)
+	bases, ok := parseBases(body, nil)
+	if !ok {
+		var req SubmitRequest
+		if !decodeJSON(w, body, "submit", &req) {
 			return
 		}
-		bases = make([]float64, n)
-		for i := range bases {
-			bases[i] = req.Base
+		if bases = req.Bases; len(bases) == 0 {
+			// A count asks for no more jobs than a bases array under the
+			// body cap could carry ("1," a base), so the cap bounds every
+			// request.
+			n := max(req.Count, 1)
+			if limit := d.maxBody() / 2; int64(n) > limit {
+				httpError(w, http.StatusBadRequest, "submit: count %d exceeds %d, the most a request body carries", n, limit)
+				return
+			}
+			bases = make([]float64, n)
+			for i := range bases {
+				bases[i] = req.Base
+			}
 		}
 	}
 	// Validate the whole batch before applying any of it: a mid-batch
@@ -654,84 +786,110 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	ids, admitted, code, err := d.submitBatch(bases)
+	switch code {
+	case http.StatusOK:
+		writeReply(w, appendSubmitReply(body[:0], ids, admitted))
+	case http.StatusTooManyRequests:
+		d.rejectFull(w, err)
+	default:
+		// Only I/O failures reach here (the batch pre-validated); report
+		// the ids the grid took so the client can tell a partial batch
+		// from a rejected one.
+		writeReplyError(w, code, err, "ids", ids)
+	}
+}
+
+// submitBatch applies a validated batch of submissions and returns the
+// ids of the jobs the grid took, whether they closed an admission
+// window, and the reply's status: 200, 429 with nothing applied, or 500
+// on an I/O failure. It holds d.mu throughout and releases it by defer,
+// so a panic in the grid or the admission pass unwinds with the lock
+// free for recoverPanics; the caller writes the reply after it returns.
+func (d *Daemon) submitBatch(bases []float64) (ids []uint64, admitted bool, code int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cfg.MaxPending > 0 {
-		if pending := d.g.PendingCount(); pending+len(bases) > d.cfg.MaxPending {
-			d.rej429.Add(1)
-			w.Header().Set("Retry-After", d.retryAfter())
-			httpError(w, http.StatusTooManyRequests,
-				"pending queue full: %d pending + %d submitted exceeds %d; retry after the next admission",
-				pending, len(bases), d.cfg.MaxPending)
-			return
-		}
+	if err := d.roomLocked(len(bases)); err != nil {
+		return nil, false, http.StatusTooManyRequests, err
 	}
-	resp := SubmitResponse{IDs: make([]uint64, 0, len(bases))}
+	ids = make([]uint64, 0, len(bases))
 	for _, b := range bases {
 		e := eventlog.Event{Type: eventlog.Submit, Job: d.g.NextJobID(), Base: b}
-		if _, err := d.applyLocked(e); err != nil {
-			// Only I/O failures reach here (the batch pre-validated);
-			// report the ids already applied so the client can tell a
-			// partial batch from a rejected one.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusInternalServerError)
-			json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "ids": resp.IDs})
-			return
+		_, err := d.applyLocked(e)
+		if err == nil || errors.Is(err, errNotPersisted) {
+			ids = append(ids, e.Job)
 		}
-		resp.IDs = append(resp.IDs, e.Job)
+		if err != nil {
+			return ids, false, http.StatusInternalServerError, err
+		}
 	}
-	resp.Admitted = d.maybeAdmitLocked()
+	admitted = d.maybeAdmitLocked()
 	if err := d.commitLocked(); err != nil {
 		d.walErrors.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		json.NewEncoder(w).Encode(map[string]any{
-			"error": fmt.Sprintf("submit applied but not durable: %v", err), "ids": resp.IDs,
-		})
-		return
+		return ids, admitted, http.StatusInternalServerError, fmt.Errorf("submit applied but not durable: %v", err)
 	}
-	writeJSON(w, resp)
+	return ids, admitted, http.StatusOK, nil
 }
 
 func (d *Daemon) handleEvent(w http.ResponseWriter, r *http.Request) {
-	var raw json.RawMessage
-	if !decodeJSON(w, r, "event", &raw) {
+	body, ok := d.readBody(w, r, "event")
+	if !ok {
 		return
 	}
-	var events []eventlog.Event
-	if len(raw) > 0 && raw[0] == '[' {
-		if err := json.Unmarshal(raw, &events); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding event array: %v", err)
+	events, ok := eventlog.ParseEvents(body, nil)
+	if !ok {
+		var raw json.RawMessage
+		if !decodeJSON(w, body, "event", &raw) {
 			return
 		}
-	} else {
-		var e eventlog.Event
-		if err := json.Unmarshal(raw, &e); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding event: %v", err)
-			return
+		events = nil // encoding/json would decode into ParseEvents's partial elements
+		if len(raw) > 0 && raw[0] == '[' {
+			if err := json.Unmarshal(raw, &events); err != nil {
+				httpError(w, http.StatusBadRequest, "decoding event array: %v", err)
+				return
+			}
+		} else {
+			var e eventlog.Event
+			if err := json.Unmarshal(raw, &e); err != nil {
+				httpError(w, http.StatusBadRequest, "decoding event: %v", err)
+				return
+			}
+			events = []eventlog.Event{e}
 		}
-		events = []eventlog.Event{e}
+	}
+	n, code, err := d.applyEvents(events)
+	switch code {
+	case http.StatusOK:
+		writeReply(w, append(appendEvents(body[:0], events), '\n'))
+	case http.StatusTooManyRequests:
+		d.rejectFull(w, err)
+	default:
+		writeReplyError(w, code, err, "applied", json.RawMessage(appendEvents(body[:0], events[:n])))
+	}
+}
+
+// applyEvents applies an /event batch, stamping each event in place,
+// and returns how many the grid holds and the reply's status. Like
+// submitBatch it holds d.mu by defer. A rejected event ends the batch
+// with 400, but the events before it are in the grid and the log, so
+// the admission check and the commit barrier still run on them. An I/O
+// failure is a 500, and the event it struck counts as applied: the
+// grid holds it.
+func (d *Daemon) applyEvents(events []eventlog.Event) (n, code int, err error) {
+	nSubmit := 0
+	for _, e := range events {
+		if e.Type == eventlog.Submit {
+			nSubmit++
+		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cfg.MaxPending > 0 {
-		nSubmit := 0
-		for _, e := range events {
-			if e.Type == eventlog.Submit {
-				nSubmit++
-			}
-		}
-		if pending := d.g.PendingCount(); nSubmit > 0 && pending+nSubmit > d.cfg.MaxPending {
-			d.rej429.Add(1)
-			w.Header().Set("Retry-After", d.retryAfter())
-			httpError(w, http.StatusTooManyRequests,
-				"pending queue full: %d pending + %d submitted exceeds %d; retry after the next admission",
-				pending, nSubmit, d.cfg.MaxPending)
-			return
-		}
+	if err := d.roomLocked(nSubmit); err != nil {
+		return 0, http.StatusTooManyRequests, err
 	}
-	applied := make([]eventlog.Event, 0, len(events))
-	for _, e := range events {
+	code = http.StatusOK
+	for ; n < len(events); n++ {
+		e := &events[n]
 		// Convenience: producers may leave ids to the daemon.
 		if e.Type == eventlog.Submit && e.Job == 0 {
 			e.Job = d.g.NextJobID()
@@ -739,20 +897,27 @@ func (d *Daemon) handleEvent(w http.ResponseWriter, r *http.Request) {
 		if e.Type == eventlog.Join && e.Mach == 0 {
 			e.Mach = d.g.NextMachID()
 		}
-		stamped, err := d.applyLocked(e)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "event %d of batch: %v", len(applied), err)
-			return
+		if *e, err = d.applyLocked(*e); err != nil {
+			err = fmt.Errorf("event %d of batch: %w", n, err)
+			code = http.StatusBadRequest
+			if errors.Is(err, errNotPersisted) {
+				code = http.StatusInternalServerError
+				n++
+			}
+			break
 		}
-		applied = append(applied, stamped)
 	}
-	d.maybeAdmitLocked()
-	if err := d.commitLocked(); err != nil {
-		d.walErrors.Add(1)
-		httpError(w, http.StatusInternalServerError, "events applied but not durable: %v", err)
-		return
+	if n > 0 || err == nil {
+		d.maybeAdmitLocked()
+		if cerr := d.commitLocked(); cerr != nil {
+			d.walErrors.Add(1)
+			code = http.StatusInternalServerError
+			if err == nil {
+				err = fmt.Errorf("events applied but not durable: %v", cerr)
+			}
+		}
 	}
-	writeJSON(w, applied)
+	return n, code, err
 }
 
 func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {

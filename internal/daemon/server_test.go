@@ -3,10 +3,12 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -355,10 +357,228 @@ func TestServerColdCheck(t *testing.T) {
 	}
 }
 
+// TestServerEventBatchCommitsAppliedPrefix pins the partial-batch
+// contract of /event: when event k of a batch is rejected, the k events
+// before it are in the grid and the log, so under FsyncAlways they are
+// on disk before the 400 goes out, the admission threshold they reach
+// still closes a window, and the 400 body lists them, stamped, under
+// "applied".
+func TestServerEventBatchCommitsAppliedPrefix(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "wal.log")
+	d, err := NewDaemon(ServerConfig{Grid: testConfig(), AdmitPending: 2, LogPath: wal, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	rec := httptest.NewRecorder()
+	body := `[{"type":"join","mult":1},{"type":"submit","base":2},{"type":"submit","base":3},{"type":"leave","mach":99}]`
+	d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/event", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("batch ending in a leave of an unknown machine: status %d %s", rec.Code, rec.Body)
+	}
+	var reply struct {
+		Error   string           `json:"error"`
+		Applied []eventlog.Event `json:"applied"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("400 body %q: %v", rec.Body, err)
+	}
+	if !strings.Contains(reply.Error, "event 3 of batch") {
+		t.Fatalf("400 error %q does not name event 3", reply.Error)
+	}
+	// The log on disk, unflushed by anything but the commit barrier.
+	data, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, err := eventlog.Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.g.Applied(); got != 4 || len(logged) != 4 {
+		t.Fatalf("grid applied %d, log on disk holds %d events; want the 3 applied events and their admission", got, len(logged))
+	}
+	if logged[3].Type != eventlog.Admit || d.g.Counters().Admits != 1 {
+		t.Fatalf("the applied prefix reached AdmitPending but closed no window: log %+v", logged)
+	}
+	if len(reply.Applied) != 3 {
+		t.Fatalf("400 body lists %d applied events, want 3", len(reply.Applied))
+	}
+	for i, e := range reply.Applied {
+		want := logged[i]
+		want.Crc = 0
+		if e != want {
+			t.Fatalf("applied[%d] = %+v, logged %+v", i, e, want)
+		}
+	}
+}
+
+// blockingWriter is a ResponseWriter whose Write blocks until release
+// closes: a client that stopped reading its reply.
+type blockingWriter struct {
+	header   http.Header
+	writing  chan struct{}
+	release  chan struct{}
+	signaled bool
+}
+
+func (w *blockingWriter) Header() http.Header { return w.header }
+func (w *blockingWriter) WriteHeader(int)     {}
+func (w *blockingWriter) Write(b []byte) (int, error) {
+	if !w.signaled {
+		w.signaled = true
+		close(w.writing)
+	}
+	<-w.release
+	return len(b), nil
+}
+
+// TestServerWritesRepliesOutsideLock pins that /submit and /event write
+// their replies after releasing d.mu: with no request timeout (so no
+// TimeoutHandler buffer in between), a client stalled on its reply must
+// not stall StatsNow, and with it every other request and the
+// admission ticker.
+func TestServerWritesRepliesOutsideLock(t *testing.T) {
+	d, err := NewDaemon(ServerConfig{Grid: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	h := d.Handler()
+	for _, req := range []struct{ path, body string }{
+		{"/event", `[{"type":"join","mult":1}]`},
+		{"/submit", `{"bases":[2,3]}`},
+	} {
+		w := &blockingWriter{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+		}()
+		select {
+		case <-w.writing:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("POST %s never wrote its reply", req.path)
+		}
+		stats := make(chan Stats)
+		go func() { stats <- d.StatsNow() }()
+		select {
+		case <-stats:
+		case <-time.After(5 * time.Second):
+			close(w.release)
+			<-stats
+			t.Fatalf("POST %s holds the daemon lock while it writes its reply", req.path)
+		}
+		close(w.release)
+		<-served
+	}
+}
+
+// failWriter is a log file whose every write fails.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk failed") }
+
+// TestServerLogFailureReportsWhatTheGridHolds pins the replies to a log
+// write failing mid-batch: a 500 whose "ids" (/submit) or "applied"
+// (/event) list every event the grid holds, the one the write failed on
+// included, since the grid applies an event before it logs it.
+func TestServerLogFailureReportsWhatTheGridHolds(t *testing.T) {
+	const n = 200
+	bases := strings.Repeat("2,", n-1) + "2"
+	events := strings.Repeat(`{"type":"submit","base":2},`, n-1) + `{"type":"submit","base":2}`
+	for _, req := range []struct{ path, body, key string }{
+		{"/submit", `{"bases":[` + bases + `]}`, "ids"},
+		{"/event", "[" + events + "]", "applied"},
+	} {
+		d, err := NewDaemon(ServerConfig{Grid: testConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The log's writes fail once its buffer fills, partway into the
+		// batch.
+		d.wal = eventlog.NewWriter(failWriter{})
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+		d.Stop()
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("POST %s with a failing log: %d %s, want 500", req.path, rec.Code, rec.Body)
+		}
+		var reply map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("POST %s: 500 body %q: %v", req.path, rec.Body, err)
+		}
+		var listed []json.RawMessage
+		if err := json.Unmarshal(reply[req.key], &listed); err != nil {
+			t.Fatalf("POST %s: 500 body %q has no %q list: %v", req.path, rec.Body, req.key, err)
+		}
+		held := d.g.Applied()
+		if held == 0 || held == n {
+			t.Fatalf("POST %s: the log failed after %d of %d events, want partway", req.path, held, n)
+		}
+		if uint64(len(listed)) != held {
+			t.Fatalf("POST %s: the grid holds %d events, the 500 body lists %d", req.path, held, len(listed))
+		}
+	}
+}
+
+// TestServerRepliesMatchEncodingJSON pins the reply encoders to the
+// replies encoding/json wrote before them: /submit byte for byte, and
+// /event value for value.
+func TestServerRepliesMatchEncodingJSON(t *testing.T) {
+	for _, r := range []SubmitResponse{
+		{IDs: []uint64{1}, Admitted: true},
+		{IDs: []uint64{7, 8, 18446744073709551615}},
+		{IDs: []uint64{}},
+	} {
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(r)
+		if got := appendSubmitReply(nil, r.IDs, r.Admitted); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("submit reply %q, encoding/json %q", got, want.Bytes())
+		}
+	}
+	events := []eventlog.Event{
+		{Seq: 1, T: 3.5e-05, Type: eventlog.Join, Mach: 1, Mult: 1.5},
+		{Seq: 2, T: 1000000.1, Type: eventlog.Submit, Job: 1, Base: 12345678.9},
+		{Seq: 3, T: 2, Type: eventlog.Complete, Job: 1},
+		{Seq: 4, Type: eventlog.Admit},
+	}
+	for _, evs := range [][]eventlog.Event{events, events[:1], {}} {
+		var got []eventlog.Event
+		if err := json.Unmarshal(appendEvents(nil, evs), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, evs) {
+			t.Errorf("event reply decodes to %+v, want %+v", got, evs)
+		}
+	}
+}
+
+// BenchmarkEventReply guards the /event reply encoder: 128 stamped
+// completes encoded into a reused buffer must not allocate. CI runs it
+// once under the allocation guard with BenchmarkParseEvents.
+func BenchmarkEventReply(b *testing.B) {
+	events := make([]eventlog.Event, 128)
+	for i := range events {
+		events[i] = eventlog.Event{Seq: uint64(1e6 + i), T: 123.456789 + float64(i), Type: eventlog.Complete, Job: uint64(1000 + i)}
+	}
+	buf := append(appendEvents(nil, events), '\n')
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = append(appendEvents(buf[:0], events), '\n')
+	}
+}
+
 // FuzzHTTPBodies posts arbitrary bytes to /event and then to /submit
 // of a fresh daemon with a WAL. Neither handler may answer 500 or
 // panic, and after every request the grid keeps its invariants and a
-// replay of the WAL lands on the live digest.
+// replay of the WAL lands on the live digest. It is also the
+// differential oracle of the one-pass body decoders: whatever
+// eventlog.ParseEvents or parseBases accepts, encoding/json must decode
+// to the same value, and every /event reply that reports events (a 200,
+// or a 400 with "applied") must decode to the events the request
+// appended to the WAL, but for the admission their submits may close.
 func FuzzHTTPBodies(f *testing.F) {
 	for _, b := range [][2]string{
 		{`[{"type":"join","mult":1},{"type":"join","mult":2}]`, `{"bases":[2,3,4,5]}`},
@@ -368,10 +588,35 @@ func FuzzHTTPBodies(f *testing.F) {
 		{`[{"type":"join","mult":1},{"type":"submit","base":3},{"type":"admit"},{"type":"complete","job":1}]`, `{}`},
 		{`[{"type":"join","mult":1},{"type":"fail","mach":1}]`, `{"bases":[7,8,9]}`},
 		{`[]`, `{"base":2,"count":4000000000000}`},
+		// Canonical bodies, the one-pass decoders' own form.
+		{`[{"type":"join","mult":1},{"type":"join","mult":2.5},{"type":"submit","job":1,"base":3.25}]`, `{"bases":[1.5,2,123456.789]}`},
+		{`[{"type":"join","mach":3,"mult":1},{"type":"complete","job":1},{"type":"leave","mach":3}]`, `{"bases":[1e+06,1]}`},
+		{`{"seq":9,"t":0.5,"type":"join","mult":3,"crc":12345}`, `{"bases":[2]}`},
+		{`[{"type":"submit","base":2},{"type":"submit","base":2},{"type":"complete","job":2},{"type":"complete","job":9}]`, `{"bases":[]}`},
 	} {
 		f.Add([]byte(b[0]), []byte(b[1]))
 	}
 	f.Fuzz(func(t *testing.T, event, submit []byte) {
+		if evs, ok := eventlog.ParseEvents(event, nil); ok {
+			var ref []eventlog.Event
+			var err error
+			if event[0] == '[' {
+				err = json.Unmarshal(event, &ref)
+			} else {
+				ref = make([]eventlog.Event, 1)
+				err = json.Unmarshal(event, &ref[0])
+			}
+			if err != nil || !slices.Equal(evs, ref) {
+				t.Fatalf("ParseEvents(%q) = %+v, encoding/json %+v (%v)", event, evs, ref, err)
+			}
+		}
+		if bases, ok := parseBases(submit, nil); ok {
+			var ref SubmitRequest
+			if err := json.Unmarshal(submit, &ref); err != nil || ref.Base != 0 || ref.Count != 0 || !slices.Equal(bases, ref.Bases) {
+				t.Fatalf("parseBases(%q) = %v, encoding/json %+v (%v)", submit, bases, ref, err)
+			}
+		}
+
 		wal := filepath.Join(t.TempDir(), "wal.log")
 		cfg := ServerConfig{Grid: fuzzGridConfig(), AdmitPending: 3, MaxPending: 16, LogPath: wal}
 		d, err := NewDaemon(cfg)
@@ -380,6 +625,7 @@ func FuzzHTTPBodies(f *testing.F) {
 		}
 		defer d.Stop()
 		h := d.Handler()
+		var logged []eventlog.Event
 		for _, req := range []struct {
 			path string
 			body []byte
@@ -412,6 +658,53 @@ func FuzzHTTPBodies(f *testing.F) {
 			if got := g.Digest(); got != live {
 				t.Fatalf("POST %s %q: WAL replay digest %s, live %s", req.path, req.body, got, live)
 			}
+			data, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := eventlog.Read(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended := all[len(logged):]
+			logged = all
+			if req.path == "/event" {
+				checkEventReply(t, rec, req.body, appended)
+			}
 		}
 	})
+}
+
+// checkEventReply checks that an /event reply which reports events
+// decodes to the events the request appended to the WAL, crc aside,
+// followed by at most the admission the request closed.
+func checkEventReply(t *testing.T, rec *httptest.ResponseRecorder, body []byte, appended []eventlog.Event) {
+	t.Helper()
+	var reply []eventlog.Event
+	switch rec.Code {
+	case http.StatusOK:
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("POST /event %q: 200 reply %q: %v", body, rec.Body, err)
+		}
+	case http.StatusBadRequest:
+		var partial struct {
+			Applied []eventlog.Event `json:"applied"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &partial); err != nil {
+			t.Fatalf("POST /event %q: 400 reply %q: %v", body, rec.Body, err)
+		}
+		reply = partial.Applied
+	default:
+		return
+	}
+	want := slices.Clone(appended)
+	for i := range want {
+		want[i].Crc = 0
+	}
+	if n := len(reply); n+1 == len(want) && want[n].Type == eventlog.Admit {
+		want = want[:n]
+	}
+	if !slices.Equal(reply, want) {
+		t.Fatalf("POST /event %q: %d reply %q, the WAL gained %+v", body, rec.Code, rec.Body, appended)
+	}
 }

@@ -50,3 +50,27 @@ func BenchmarkParseRecord(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParseEvents guards the one-pass decoder of /event bodies: a
+// batch of 128 completes decoded into a reused slice must not allocate.
+// CI runs it under the same allocation guard as BenchmarkParseRecord.
+func BenchmarkParseEvents(b *testing.B) {
+	events := make([]Event, 128)
+	body := []byte{'['}
+	for i := range events {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = Event{Type: Complete, Job: uint64(1000 + i)}.AppendJSON(body)
+	}
+	body = append(body, ']')
+	events, ok := ParseEvents(body, events)
+	if !ok || len(events) != 128 {
+		b.Fatalf("ParseEvents decoded %d events, ok %v", len(events), ok)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events, _ = ParseEvents(body, events)
+	}
+}

@@ -133,11 +133,12 @@ func (e Event) Validate() error {
 	return nil
 }
 
-// appendJSON appends the canonical JSON encoding of e — fixed field
-// order, shortest round-tripping float form, crc excluded — to b and
-// returns the extended slice. This is the byte stream the crc field
-// covers; it allocates only when b's capacity is exceeded.
-func (e Event) appendJSON(b []byte) []byte {
+// AppendJSON appends the canonical JSON encoding of e — fixed field
+// order, zero fields omitted, shortest round-tripping float form, crc
+// excluded — to b and returns the extended slice. This is the byte
+// stream the crc field covers, and the form ParseEvents reads; it
+// allocates only when b's capacity is exceeded.
+func (e Event) AppendJSON(b []byte) []byte {
 	b = append(b, '{')
 	if e.Seq != 0 {
 		b = append(b, `"seq":`...)
@@ -201,7 +202,7 @@ func (w *Writer) Append(e Event) (Event, error) {
 	w.seq++
 	e.Seq = w.seq
 	e.Crc = 0
-	b := e.appendJSON(w.scratch[:0])
+	b := e.AppendJSON(w.scratch[:0])
 	e.Crc = crc32.ChecksumIEEE(b)
 	// Splice the crc in as the trailing field: the checksum covers every
 	// byte before it.
@@ -273,26 +274,108 @@ func ParseRecord(line []byte, last uint64) (Event, error) {
 	return e, nil
 }
 
-// parseRecord decodes and verifies one log record in a single pass over
-// exactly the grammar Writer.Append emits:
-//
-//	record = "{" [ `"seq":` uint "," ] [ `"t":` num "," ] `"type":"` word `"`
-//	         [ `,"job":` uint ] [ `,"base":` num ] [ `,"mach":` uint ]
-//	         [ `,"mult":` num ] [ `,"crc":` uint32 ] "}"
-//
-// with no whitespace and word one of the six event types. A zero field
-// is omitted, never written, and each number takes the strconv form
-// appendJSON writes. One check pins all of that: the record, crc suffix
-// cut, must equal the appendJSON encoding of the event it decodes to,
-// byte for byte. Those are also the bytes the crc covers. Anything else
-// is an error, so every accepted record is JSON that encoding/json
-// decodes to the same Event. Steady-state calls do not allocate.
+// parseRecord decodes and verifies one log record in a single pass
+// (recScanner.record) over exactly the grammar Writer.Append emits,
+// then applies the checks only a log record needs: Validate, the crc
+// and the sequence order. Anything else is an error, so every accepted
+// record is JSON that encoding/json decodes to the same Event.
+// Steady-state calls do not allocate.
 //
 // seqHard reports whether a failure is a sequencing violation on an
 // otherwise sound record — never attributable to a torn write, so
 // always a hard error.
 func parseRecord(rec []byte, last uint64) (e Event, seqHard bool, err error) {
 	s := recScanner{b: rec}
+	e, body, hasCRC := s.record()
+	if s.err == nil && s.i != len(rec) {
+		s.fail("want the end of the record")
+	}
+	if s.err != nil {
+		return e, false, s.err
+	}
+	if err = e.Validate(); err != nil {
+		return e, false, err
+	}
+	if !canonical(e, rec[:body]) {
+		return e, false, errors.New("not in the canonical form the Writer emits")
+	}
+	if hasCRC {
+		// The Writer splices the crc in over the encoding's closing brace.
+		if want := crc32.Update(crc32.ChecksumIEEE(rec[:body]), crc32.IEEETable, closeBrace); want != e.Crc {
+			return e, false, fmt.Errorf("crc mismatch: record %#x, computed %#x", e.Crc, want)
+		}
+	}
+	if e.Seq <= last {
+		// A complete, checksummed record with a non-advancing sequence
+		// number is producer corruption, not a torn write.
+		return e, true, fmt.Errorf("sequence %d not after %d", e.Seq, last)
+	}
+	return e, false, nil
+}
+
+// ParseEvents decodes an event batch — one record, or a "[" … "]" list
+// of records joined by commas — appending the events to dst[:0]. Each
+// record is in the canonical form AppendJSON writes, optionally with a
+// trailing crc field, and nothing else may appear: no whitespace, no
+// other key order, no zero field. ok is false for any other body; it
+// may still be JSON, for a slower decoder to read. Whatever ParseEvents
+// accepts, encoding/json decodes to the same events. Unlike a log
+// record, an event need not Validate and its crc is not checked: the
+// batch is a request, and its consumer validates what it applies.
+// Steady-state calls do not allocate.
+func ParseEvents(b []byte, dst []Event) (events []Event, ok bool) {
+	dst = dst[:0]
+	s := recScanner{b: b}
+	if !s.lit(`[`) {
+		e, ok := s.event()
+		return append(dst, e), ok && s.i == len(b)
+	}
+	if s.lit(`]`) {
+		return dst, s.i == len(b)
+	}
+	for {
+		e, ok := s.event()
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, e)
+		if !s.lit(`,`) {
+			break
+		}
+	}
+	return dst, s.lit(`]`) && s.i == len(b)
+}
+
+// ParseNumber decodes b if it spells a finite number in the strconv
+// form AppendJSON writes, and reports whether it does. That form is
+// also what encoding/json writes for magnitudes in [1e-4, 1e6).
+func ParseNumber(b []byte) (float64, bool) {
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, false
+	}
+	var buf [32]byte
+	return v, bytes.Equal(strconv.AppendFloat(buf[:0], v, 'g', -1, 64), b)
+}
+
+// event reads one record at the cursor and reports whether it is
+// canonical.
+func (s *recScanner) event() (Event, bool) {
+	at := s.i
+	e, body, _ := s.record()
+	return e, s.err == nil && canonical(e, s.b[at:body])
+}
+
+// record reads one record of the grammar Writer.Append emits:
+//
+//	record = "{" [ `"seq":` uint "," ] [ `"t":` num "," ] `"type":"` word `"`
+//	         [ `,"job":` uint ] [ `,"base":` num ] [ `,"mach":` uint ]
+//	         [ `,"mult":` num ] [ `,"crc":` uint32 ] "}"
+//
+// with no whitespace and word one of the six event types. body is the
+// offset where the crc field, or the closing brace, starts: the record
+// up to there is what canonical checks and what the crc covers.
+func (s *recScanner) record() (e Event, body int, hasCRC bool) {
 	s.want(`{`)
 	if s.lit(`"seq":`) {
 		e.Seq = s.uint()
@@ -317,42 +400,29 @@ func parseRecord(rec []byte, last uint64) (e Event, seqHard bool, err error) {
 	if s.lit(`,"mult":`) {
 		e.Mult = s.float()
 	}
-	body := s.i
-	hasCRC := s.lit(`,"crc":`)
+	body = s.i
+	hasCRC = s.lit(`,"crc":`)
 	if hasCRC {
 		at := s.i
 		c := s.uint()
-		if c > math.MaxUint32 || s.i-at > 1 && rec[at] == '0' {
+		if c > math.MaxUint32 || s.i-at > 1 && s.b[at] == '0' {
 			s.fail("want a canonical crc")
 		}
 		e.Crc = uint32(c)
 	}
 	s.want(`}`)
-	if s.err == nil && s.i != len(rec) {
-		s.fail("want the end of the record")
-	}
-	if s.err != nil {
-		return e, false, s.err
-	}
-	if err = e.Validate(); err != nil {
-		return e, false, err
-	}
+	return e, body, hasCRC
+}
+
+// canonical reports whether rec, a scanned record cut before its crc
+// field or closing brace, is the AppendJSON encoding of the event it
+// decoded to, byte for byte. That one check pins what the grammar
+// leaves open: a zero field is omitted, never written, and each number
+// takes the strconv form AppendJSON writes.
+func canonical(e Event, rec []byte) bool {
 	var buf [256]byte
-	if enc := e.appendJSON(buf[:0]); len(enc) != body+1 || !bytes.Equal(enc[:body], rec[:body]) {
-		return e, false, errors.New("not in the canonical form the Writer emits")
-	}
-	if hasCRC {
-		// The Writer splices the crc in over the encoding's closing brace.
-		if want := crc32.Update(crc32.ChecksumIEEE(rec[:body]), crc32.IEEETable, closeBrace); want != e.Crc {
-			return e, false, fmt.Errorf("crc mismatch: record %#x, computed %#x", e.Crc, want)
-		}
-	}
-	if e.Seq <= last {
-		// A complete, checksummed record with a non-advancing sequence
-		// number is producer corruption, not a torn write.
-		return e, true, fmt.Errorf("sequence %d not after %d", e.Seq, last)
-	}
-	return e, false, nil
+	enc := e.AppendJSON(buf[:0])
+	return len(enc) == len(rec)+1 && bytes.Equal(enc[:len(rec)], rec)
 }
 
 var closeBrace = []byte{'}'}
@@ -407,7 +477,7 @@ func (s *recScanner) uint() uint64 {
 
 // float reads a number: the run of bytes that may make up a JSON
 // number, if strconv.ParseFloat accepts it. The canonical check then
-// rejects every form appendJSON would not write.
+// rejects every form AppendJSON would not write.
 func (s *recScanner) float() float64 {
 	at := s.i
 	for ; s.i < len(s.b); s.i++ {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -71,7 +72,7 @@ func TestCanonicalEncodingIsValidJSON(t *testing.T) {
 		{Seq: 45, Type: Complete, Job: 7, Mach: 3, T: 0.1234567890123456},
 	}
 	for _, want := range cases {
-		raw := want.appendJSON(nil)
+		raw := want.AppendJSON(nil)
 		var got Event
 		if err := json.Unmarshal(raw, &got); err != nil {
 			t.Fatalf("canonical encoding %s does not parse: %v", raw, err)
@@ -476,5 +477,72 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	events, torn, err = Recover(filepath.Join(t.TempDir(), "absent.log"))
 	if err != nil || torn || len(events) != 0 {
 		t.Fatalf("recover of missing file: %v %v %v", events, torn, err)
+	}
+}
+
+// TestParseEvents pins the batch decoder: it accepts one canonical
+// record or a comma-joined list of them in brackets, crc or not, valid
+// events or not, and refuses every body that strays from that form,
+// however close — those go to encoding/json.
+func TestParseEvents(t *testing.T) {
+	accept := []struct {
+		body string
+		want []Event
+	}{
+		{`[]`, nil},
+		{`{"type":"admit"}`, []Event{{Type: Admit}}},
+		{`[{"type":"join","mult":1},{"type":"complete","job":7}]`, []Event{{Type: Join, Mult: 1}, {Type: Complete, Job: 7}}},
+		{`{"seq":3,"t":0.5,"type":"submit","job":2,"base":1e+06,"crc":12}`, []Event{{Seq: 3, T: 0.5, Type: Submit, Job: 2, Base: 1e6, Crc: 12}}},
+		// A structurally invalid event decodes: its consumer rejects it.
+		{`[{"type":"submit","base":0.5}]`, []Event{{Type: Submit, Base: 0.5}}},
+	}
+	for _, c := range accept {
+		got, ok := ParseEvents([]byte(c.body), make([]Event, 3))
+		if !ok || len(got) != len(c.want) {
+			t.Errorf("ParseEvents(%s) = %+v, %v; want %+v", c.body, got, ok, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("ParseEvents(%s)[%d] = %+v, want %+v", c.body, i, got[i], c.want[i])
+			}
+		}
+	}
+	for _, body := range []string{
+		``, `[`, `]`, `[,]`, `null`, `{}`, ` []`, `[] `, "[]\n",
+		`[{"type":"admit"},]`,
+		`[{"type":"admit"} ]`,
+		`[{"type":"admit"}{"type":"admit"}]`,
+		`{"type":"admit"}{"type":"admit"}`,
+		`{"type": "admit"}`,
+		`{"type":"admit","seq":1}`,
+		`{"type":"join","mult":0}`,
+		`{"type":"join","mult":1.0}`,
+		`{"type":"join","mult":1000000}`,
+		`{"type":"complete","job":07}`,
+		`{"type":"admit","crc":01}`,
+		`{"type":"admit","crc":4294967296}`,
+		`{"type":"bogus"}`,
+		`{"type":"admit","extra":1}`,
+	} {
+		if got, ok := ParseEvents([]byte(body), nil); ok {
+			t.Errorf("ParseEvents(%q) accepted %+v", body, got)
+		}
+	}
+}
+
+// TestParseNumber pins the number rule: the strconv 'g' form AppendJSON
+// writes, finite, and nothing else.
+func TestParseNumber(t *testing.T) {
+	for _, s := range []string{"1", "-2.5", "0", "123456.789", "1e+06", "1.5e-05", "5e-324", "1.7976931348623157e+308"} {
+		v, ok := ParseNumber([]byte(s))
+		if !ok || string(strconv.AppendFloat(nil, v, 'g', -1, 64)) != s {
+			t.Errorf("ParseNumber(%q) = %v, %v", s, v, ok)
+		}
+	}
+	for _, s := range []string{"", "1.0", "01", "+1", "1000000", "1e6", "0.00001", "1E+06", "NaN", "+Inf", "-Inf", "Inf", "0x1p-2", "1e400", " 1", "1,"} {
+		if v, ok := ParseNumber([]byte(s)); ok {
+			t.Errorf("ParseNumber(%q) accepted %v", s, v)
+		}
 	}
 }

@@ -188,7 +188,7 @@ func checkCanonical(t *testing.T, e Event, line []byte) {
 	if ref != e {
 		t.Fatalf("%q decoded to %+v, encoding/json %+v", line, e, ref)
 	}
-	enc := e.appendJSON(nil)
+	enc := e.AppendJSON(nil)
 	if bytes.Contains(line, []byte(`"crc":`)) {
 		var buf bytes.Buffer
 		w := NewWriterAt(&buf, e.Seq-1)
