@@ -95,16 +95,19 @@
 // machines in index order, carrying the best pair found so far as the
 // next machine's bound; both job lists are in SPT order, so visiting them
 // from their tails lets a lower bound stop each row at the first pair
-// that provably loses, and a suffix minimum of the partners' costs on the
-// critical machine lets a binary search skip, per row, every partner
-// whose critical side alone exceeds the bound. A lexicographic (value,
-// SPT position, id) update keeps the winner independent of the visiting
-// order, so the pass is bit-identical to the full sweep — an LMCTS
-// commit-then-query costs about 6 µs at 512×16, the full sweep about
-// 58 µs. The local searches (LM, SLM, LMCTS), SA and tabu search score
-// candidates with the hottest applicable mode and commit only accepted
-// steps — their hot loops allocate nothing and run several times faster
-// than the historical apply+revert formulation. The machine epochs remain
+// that provably loses. Each critical job's side of its pairs is computed
+// once per query, and per partner machine only the partners' costs on
+// the critical machine are gathered: a cut that only moves left along
+// the rows skips every partner whose critical side alone exceeds the
+// bound, and a partner's own-machine cost is loaded only at the pairs a
+// row reaches. A lexicographic (value, SPT position, id) update keeps the
+// winner independent of the visiting order, so the pass is bit-identical
+// to the full sweep — an LMCTS commit-then-query costs about 3.4 µs at
+// 512×16, the full sweep about 58 µs. The local searches (LM, SLM,
+// LMCTS), SA and tabu search score candidates with the hottest
+// applicable mode and commit only accepted steps — their hot loops
+// allocate nothing and run several times faster than the historical
+// apply+revert formulation. The machine epochs remain
 // the state's change tracking (the daemon's digest reads them), and the
 // move context compares the epoch on every read, so a state needs no
 // clean-up before it goes back to a pool.

@@ -13,6 +13,7 @@ package etc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"gridcma/internal/rng"
@@ -340,8 +341,9 @@ func (in *Instance) Speed(j int) float64 {
 }
 
 // Validate checks structural invariants: positive dimensions, matching
-// slice lengths, strictly positive ETC entries and non-negative ready
-// times. It returns a descriptive error for the first violation found.
+// slice lengths, finite strictly positive ETC entries and finite
+// non-negative ready times. It returns a descriptive error for the first
+// violation found.
 func (in *Instance) Validate() error {
 	if in.Jobs <= 0 || in.Machs <= 0 {
 		return fmt.Errorf("etc: non-positive dimensions %d×%d", in.Jobs, in.Machs)
@@ -360,18 +362,18 @@ func (in *Instance) Validate() error {
 		return fmt.Errorf("etc: Ready length %d, want %d", len(in.Ready), in.Machs)
 	}
 	for i, v := range in.ETC {
-		if !(v > 0) {
-			return fmt.Errorf("etc: ETC[%d][%d] = %v, want > 0", i/in.Machs, i%in.Machs, v)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("etc: ETC[%d][%d] = %v, want finite > 0", i/in.Machs, i%in.Machs, v)
 		}
 	}
 	for i, v := range in.ETC32 {
-		if !(v > 0) {
-			return fmt.Errorf("etc: ETC32[%d][%d] = %v, want > 0", i/in.Machs, i%in.Machs, v)
+		if !(v > 0) || math.IsInf(float64(v), 1) {
+			return fmt.Errorf("etc: ETC32[%d][%d] = %v, want finite > 0", i/in.Machs, i%in.Machs, v)
 		}
 	}
 	for j, v := range in.Ready {
-		if v < 0 {
-			return fmt.Errorf("etc: Ready[%d] = %v, want >= 0", j, v)
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("etc: Ready[%d] = %v, want finite >= 0", j, v)
 		}
 	}
 	return nil

@@ -203,7 +203,25 @@ func TestValidateCatchesBadInstances(t *testing.T) {
 	if err := in.Validate(); err == nil {
 		t.Error("negative ready time should fail validation")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		in.Ready[0] = v
+		if err := in.Validate(); err == nil {
+			t.Errorf("ready time %v should fail validation", v)
+		}
+	}
 	in.Ready[0] = 0
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		in.ETC[1] = v
+		if err := in.Validate(); err == nil {
+			t.Errorf("ETC entry %v should fail validation", v)
+		}
+	}
+	in.ETC[1] = 1
+	in32 := New32("t", 1, 1)
+	in32.ETC32[0] = float32(math.Inf(1))
+	if err := in32.Validate(); err == nil {
+		t.Error("ETC32 entry +Inf should fail validation")
+	}
 	in.ETC = in.ETC[:3]
 	if err := in.Validate(); err == nil {
 		t.Error("truncated ETC should fail validation")
@@ -272,6 +290,9 @@ func TestReadErrors(t *testing.T) {
 		"bad trailing":  "1 1\n1\nwhat\n",
 		"bad ready len": "1 2\n1 2\nready: 1\n",
 		"nonpositive":   "1 2\n0 1\n",
+		"infinite etc":  infETC,
+		"nan ready":     nanReady,
+		"inf ready":     infReady,
 		"overflow dims": "3037000500 3037000500\n",
 		"huge dims":     "100000000000 100000000\n",
 		"over cap":      "2147483649 1\n",
@@ -282,6 +303,14 @@ func TestReadErrors(t *testing.T) {
 		}
 	}
 }
+
+// Documents strconv.ParseFloat accepts but Validate must reject: a
+// non-finite ETC entry or ready time.
+const (
+	infETC   = "2 2\n1 inf\n1 1\n"
+	nanReady = "1 2\n1 2\nready: nan 0\n"
+	infReady = "1 2\n1 2\nready: inf 0\n"
+)
 
 // hugeHeader is a 16-byte document whose header passes CheckDims
 // (2·10⁹ entries) but which carries two values.
@@ -318,9 +347,10 @@ func headerDims(text string) (jobs, machs int) {
 }
 
 // FuzzEtcRead drives the instance reader with arbitrary text: Read never
-// panics, an accepted instance is valid with its header's dimensions, and
-// the written form of an accepted instance is a fixed point — if Read
-// accepts Write(in), writing that result gives the same bytes again.
+// panics, an accepted instance is valid with its header's dimensions and
+// holds only finite values, and the written form of an accepted instance
+// is a fixed point — if Read accepts Write(in), writing that result gives
+// the same bytes again.
 func FuzzEtcRead(f *testing.F) {
 	small := Generate(Class{Inconsistent, High, Low}, 0, GenerateOptions{Seed: 3, Jobs: 6, Machs: 3})
 	var buf bytes.Buffer
@@ -332,6 +362,9 @@ func FuzzEtcRead(f *testing.F) {
 	f.Add("# a comment\n# name: tiny\n\n1 2\n1.5 2.5\n# trailing comment\n")
 	f.Add(hugeHeader)
 	f.Add("1 1\n1\nready: 0.0000001\n") // a ready value Write rounds to zero
+	f.Add(infETC)
+	f.Add(nanReady)
+	f.Add(infReady)
 	f.Fuzz(func(t *testing.T, text string) {
 		in, err := Read(strings.NewReader(text))
 		if err != nil {
@@ -339,6 +372,13 @@ func FuzzEtcRead(f *testing.F) {
 		}
 		if err := in.Validate(); err != nil {
 			t.Fatalf("accepted instance is invalid: %v", err)
+		}
+		for _, vals := range [][]float64{in.ETC, in.Ready} {
+			for i, v := range vals {
+				if math.IsInf(v, 0) || math.IsNaN(v) {
+					t.Fatalf("accepted a non-finite value %v at %d", v, i)
+				}
+			}
 		}
 		if jobs, machs := headerDims(text); in.Jobs != jobs || in.Machs != machs {
 			t.Fatalf("accepted %d×%d from header %d×%d", in.Jobs, in.Machs, jobs, machs)

@@ -18,11 +18,17 @@ import "math"
 // the critical context every per-machine result would be computed
 // against, so a per-machine memo never hits on LMCTS traffic. Instead
 // each query is one bounded pass over the partner machines (bestOn):
-// the running best is carried from machine to machine as the next
-// machine's bound, and SPT order lets a lower bound skip every pair that
-// provably loses. The winner is the historical full scan's bit for bit;
-// the brute-force oracle and fuzz in scancache_test.go pin this across
-// random commit sequences, tie-heavy integer instances included.
+// the critical side of every pair is computed once per query, the
+// running best is carried from machine to machine as the next machine's
+// bound, and SPT order lets a lower bound skip every pair that provably
+// loses. Per partner machine the pass gathers one ETC column, the
+// partners' costs on the critical machine; a cut that only moves left
+// along the critical rows skips the partners whose cost there alone
+// loses, and the partners' own-machine costs are loaded only for the
+// pairs the scan reaches. The winner is the historical full scan's bit
+// for bit; the brute-force oracle and fuzz in scancache_test.go pin this
+// across random commit sequences, tie-heavy integer instances and LMCTS
+// runs on the benchmark's shapes included.
 //
 // The state's machine epochs (state.go: machEpoch, advanced by the
 // noteCommit hook) serve the daemon's digest; the move context compares
@@ -120,13 +126,22 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 	if len(critJobs) == 0 {
 		return math.Inf(1), -1, -1
 	}
+	// ca[apos] = critC − ETC[a][crit], the critical side of every pair
+	// of the critical job a at SPT position apos: the same on every
+	// partner machine, so it is computed once per query.
+	in, critC := st.inst, st.completion[crit]
+	st.scanCa = grown(st.scanCa, len(critJobs))
+	ca := st.scanCa
+	for apos, a := range critJobs {
+		ca[apos] = critC - in.At(int(a), crit)
+	}
 	best := math.Inf(1)
 	bestAPos, bestB := int32(-1), int32(-1)
 	for m := range st.machJobs {
 		if m == crit || (st.scanExempt != nil && st.scanExempt[m]) {
 			continue
 		}
-		best, bestAPos, bestB = st.bestOn(m, crit, critJobs, best, bestAPos, bestB)
+		best, bestAPos, bestB = st.bestOn(m, crit, critJobs, ca, best, bestAPos, bestB)
 	}
 	if bestB < 0 {
 		return math.Inf(1), -1, -1
@@ -142,13 +157,13 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 //
 // Exactness. Every pair that is scored uses the arithmetic of
 // SwapScan.BestPartner's flat scan, aC = (critC − ETC[a][crit]) +
-// ETC[b][crit] and bC = (cm − ETC[b][m]) + ETC[a][m], so every emitted
-// float is bit-identical to the full-sweep path. The historical scan
-// folds strict-< across critical jobs (first a in SPT order wins a tie)
-// and smallest-id within one (per-a BestPartner), which is exactly the
-// lexicographic minimum of (value, aPos, b) over all pairs; folding
-// machine after machine into one running lexicographic best yields the
-// same minimum.
+// ETC[b][crit] and bC = (cm − ETC[b][m]) + ETC[a][m], with the same
+// operands in the same order, so every emitted float is bit-identical to
+// the full-sweep path. The historical scan folds strict-< across
+// critical jobs (first a in SPT order wins a tie) and smallest-id within
+// one (per-a BestPartner), which is exactly the lexicographic minimum of
+// (value, aPos, b) over all pairs; folding machine after machine into
+// one running lexicographic best yields the same minimum.
 //
 // Pruning. The scan skips pairs it can prove lose, and stays exact
 // because of four facts:
@@ -157,77 +172,76 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 //   - Round-to-nearest addition and subtraction are monotone, so
 //     ca = critC − ETC[a][crit] never increases along critJobs, and
 //     v[k] = cm − ETC[b_k][m] never increases along m's list.
-//   - ETC entries are finite and non-negative, so no NaN arises and every
-//     comparison below is a total order on the values compared.
+//   - ETC entries are finite and positive (the instance contract
+//     etc.Instance.Validate checks), so no NaN or infinity arises and
+//     every comparison below is a total order on the values compared.
 //   - The update compares (value, aPos, b) lexicographically, so the
 //     winner does not depend on the order pairs are visited in, nor on
 //     the bound a machine's scan starts from (the best of the machines
 //     folded before it).
 //
-// Critical jobs are visited from the tail of their list, where ca is
-// smallest. suf[k] = min(u[k..n−1]) over u[k] = ETC[b_k][crit] never
-// decreases in k, so neither does ca + suf[k]; it bounds aC from below
-// for every partner at or past slot k. Hence ca + suf[0] bounds every
-// value of row a and never decreases in the row order, so the scan stops
-// once it exceeds best; within a row, every partner at or past the first
-// k with ca + suf[k] > best loses, and a binary search finds that k. A
-// row whose smallest bC, v[n−1] + w, exceeds best is skipped, and the
-// remaining partners are visited from just below the cut towards the
-// head of m's list, where bC = v[k] + w grows, so each row stops at the
-// first bC above best. Every cut is on a strict >: a pair tying best may
-// still win on (aPos, b) and is always scored.
-func (st *State) bestOn(m, crit int, critJobs []int32, best float64, bestAPos, bestB int32) (float64, int32, int32) {
+// The critical side ca of each row comes precomputed from the query
+// (BestCriticalSwap), and the only partner column gathered is u[k] =
+// ETC[b_k][crit], with its minimum minU; the partner side v[k] is loaded
+// only at the pairs the scan reaches. Critical jobs are visited from the
+// tail of their list, where ca is smallest. ca + minU bounds every aC of
+// row a and never decreases in the row order, so the scan stops once it
+// exceeds best. A row whose smallest bC, v[n−1] + w, exceeds best is
+// skipped. Otherwise the row's partners from slot cut on all have
+// ca + u[k] > best and lose. Along the rows ca only grows and best only
+// falls, so a slot once cut stays cut: cut starts at n, only moves left,
+// and each row walks it down past the slots whose ca + u[k] exceeds
+// best — over all rows, one comparison per slot of m's list plus one per
+// row. Since ca + min(x, y) = min(ca + x, ca + y) under monotone
+// rounding, the cut is the first slot k ≥ 1 with ca + min(u[k..n−1]) >
+// best: the tightest such cut, found without storing a suffix minimum.
+// Slot 0 always stays in: the row break leaves a slot with ca + u[k] ≤
+// best, and it is slot 0 once every other is cut. The remaining
+// partners are visited from just below the cut towards the head of m's
+// list, where bC = v[k] + w grows, so each row stops at the first bC
+// above best. Every cut is on a strict >: a pair tying best may still
+// win on (aPos, b) and is always scored.
+func (st *State) bestOn(m, crit int, critJobs []int32, ca []float64, best float64, bestAPos, bestB int32) (float64, int32, int32) {
 	jobs := st.machJobs[m]
 	n := len(jobs)
 	if n == 0 {
 		return best, bestAPos, bestB
 	}
 	in := st.inst
-	critC := st.completion[crit]
-	st.scanU, st.scanV, st.scanSuf = grown(st.scanU, n), grown(st.scanV, n), grown(st.scanSuf, n)
-	u, v, suf := st.scanU, st.scanV, st.scanSuf
+	st.scanU = grown(st.scanU, n)
+	u := st.scanU
+	var minU float64
 	if etcs := in.ETC; etcs != nil {
-		gatherPartners(etcs, in.Machs, crit, m, st.completion[m], jobs, u, v)
+		minU = gatherColumn(etcs, in.Machs, crit, jobs, u)
 	} else {
-		gatherPartners(in.ETC32, in.Machs, crit, m, st.completion[m], jobs, u, v)
+		minU = gatherColumn(in.ETC32, in.Machs, crit, jobs, u)
 	}
-	lo := u[n-1]
-	for k := n - 1; k >= 0; k-- {
-		if u[k] < lo {
-			lo = u[k]
-		}
-		suf[k] = lo
-	}
-	minV := v[n-1]
+	cm := st.completion[m]
+	minV := cm - in.At(int(jobs[n-1]), m) // v[n−1], the smallest v
+	cut := n
 	for apos := len(critJobs) - 1; apos >= 0; apos-- {
-		a := int(critJobs[apos])
-		ca := critC - in.At(a, crit)
-		if ca+suf[0] > best {
+		c := ca[apos]
+		if c+minU > best {
 			break
 		}
-		w := in.At(a, m)
+		w := in.At(int(critJobs[apos]), m)
 		if minV+w > best {
 			continue
 		}
-		// cut = the first slot whose aC provably exceeds best (n if none).
-		cut, hi := 1, n
-		for cut < hi {
-			if mid := int(uint(cut+hi) >> 1); ca+suf[mid] > best {
-				hi = mid
-			} else {
-				cut = mid + 1
-			}
+		for cut > 1 && c+u[cut-1] > best {
+			cut--
 		}
 		for k := cut - 1; k >= 0; k-- {
-			y := v[k] + w
+			b := jobs[k]
+			y := (cm - in.At(int(b), m)) + w
 			if y > best {
 				break
 			}
-			x := ca + u[k]
+			x := c + u[k]
 			if y > x {
 				x = y
 			}
-			if b := jobs[k]; x < best || (x == best &&
+			if x < best || (x == best &&
 				(int32(apos) < bestAPos || (int32(apos) == bestAPos && b < bestB))) {
 				best, bestAPos, bestB = x, int32(apos), b
 			}

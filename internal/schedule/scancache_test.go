@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -220,12 +221,80 @@ func runBruteProgram(t *testing.T, in *etc.Instance, seed uint64, prog []byte) {
 	}
 }
 
+// ljfrSJFR is the LJFR-SJFR construction of heuristics.LJFRSJFR, which
+// this package's tests cannot import: jobs by ascending workload, the
+// longest one per machine to the machines fastest first, then alternately
+// the shortest and the longest remaining job to the machine that frees up
+// first.
+func ljfrSJFR(in *etc.Instance) Schedule {
+	jobs, machs := make([]int, in.Jobs), make([]int, in.Machs)
+	for j := range jobs {
+		jobs[j] = j
+	}
+	for m := range machs {
+		machs[m] = m
+	}
+	slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(in.Workload(a), in.Workload(b)) })
+	slices.SortStableFunc(machs, func(a, b int) int { return cmp.Compare(in.Speed(b), in.Speed(a)) })
+	s, avail := make(Schedule, in.Jobs), slices.Clone(in.Ready)
+	place := func(j, m int) {
+		s[j] = m
+		avail[m] += in.At(j, m)
+	}
+	lo, hi := 0, len(jobs)-1
+	for k := 0; k < in.Machs && lo <= hi; k, hi = k+1, hi-1 {
+		place(jobs[hi], machs[k])
+	}
+	for shortest := true; lo <= hi; shortest = !shortest {
+		m := 0
+		for i, a := range avail {
+			if a < avail[m] {
+				m = i
+			}
+		}
+		if shortest {
+			place(jobs[lo], m)
+			lo++
+		} else {
+			place(jobs[hi], m)
+			hi--
+		}
+	}
+	return s
+}
+
+// cellStart is an initial cMA cell: the LJFR-SJFR schedule perturbed by
+// 0.3, the cMA's default.
+func cellStart(in *etc.Instance, r *rng.Source) Schedule {
+	s := ljfrSJFR(in)
+	Perturb(s, in, r, 0.3)
+	return s
+}
+
+// braunInstance is the Braun 512×16 benchmark instance of that name.
+func braunInstance(name string) *etc.Instance {
+	in, err := etc.GenerateByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
+
+// lmctsInstances are the shapes the benchmark's LMCTS traffic runs on:
+// three of the Braun instances and a float32 frontier-style one.
+func lmctsInstances() []*etc.Instance {
+	return []*etc.Instance{braunInstance("u_c_hihi.0"), braunInstance("u_i_lolo.0"),
+		braunInstance("u_s_hilo.0"), f32Instance(2048, 64, 93)}
+}
+
 // TestBestCriticalSwapMatchesBruteForce pins the bounded scan against
 // the brute-force oracle: random byte programs over random, consistent,
 // semi-consistent, tie-heavy integer (duplicate partner invariants, where
-// the (aPos, b) tie-break binds) and float32-backed instances, plus hand-built
+// the (aPos, b) tie-break binds) and float32-backed instances; hand-built
 // schedules with empty machines, single-job machines and a critical
-// machine holding one job.
+// machine holding one job; and LMCTS runs to convergence from cMA cell
+// starts on the Braun and frontier shapes, the traffic the benchmark
+// runs, where the partner lists are long and the cut walks far.
 func TestBestCriticalSwapMatchesBruteForce(t *testing.T) {
 	for i, in := range bruteInstances() {
 		r := rng.New(uint64(i) + 1000)
@@ -263,6 +332,25 @@ func TestBestCriticalSwapMatchesBruteForce(t *testing.T) {
 		s[big] = 0
 		st.SetSchedule(s)
 		checkBruteCriticalSwap(t, st, in.Name+" one-job critical machine")
+	}
+	o := DefaultObjective
+	for i, in := range lmctsInstances() {
+		st := NewState(in, cellStart(in, rng.New(uint64(i)+1400)))
+		sc := st.Scans(o)
+		cur := sc.Fitness()
+		for step := 0; ; step++ {
+			checkBruteCriticalSwap(t, st, fmt.Sprintf("%s LMCTS step %d", in.Name, step))
+			_, a, b := sc.BestCriticalSwap()
+			if b < 0 {
+				break
+			}
+			f := st.FitnessAfterSwap(o, a, b)
+			if f >= cur {
+				break
+			}
+			st.Swap(a, b)
+			cur = f
+		}
 	}
 }
 
@@ -466,18 +554,31 @@ func TestCachedScanAllocationFree(t *testing.T) {
 // query's own winning swap, which changes the critical machine's
 // contents, then query again — one bounded pass over every partner
 // machine per iteration. When no swap reduces the critical completion
-// pair the state restarts from the next of a ring of random schedules,
-// as a fresh offspring would. Must report 0 allocs/op: CI runs every
+// pair the state restarts from the next of a ring of starts, as a fresh
+// offspring would: random schedules on two generated shapes, and cMA
+// cell starts (cellStart) on the Braun instance u_c_hihi.0, the traffic
+// of the paper's experiment. Must report 0 allocs/op: CI runs every
 // CachedScan benchmark with -benchtime=1x and fails otherwise.
 func BenchmarkCachedScanCritSwap(b *testing.B) {
-	for _, sh := range []struct{ jobs, machs int }{{512, 16}, {2048, 64}} {
-		b.Run(fmt.Sprintf("%dx%d", sh.jobs, sh.machs), func(b *testing.B) {
-			in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
-				0, etc.GenerateOptions{Seed: 1, Jobs: sh.jobs, Machs: sh.machs})
+	generated := func(jobs, machs int) *etc.Instance {
+		return etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
+			0, etc.GenerateOptions{Seed: 1, Jobs: jobs, Machs: machs})
+	}
+	for _, bc := range []struct {
+		name  string
+		in    *etc.Instance
+		start func(*etc.Instance, *rng.Source) Schedule
+	}{
+		{"512x16", generated(512, 16), NewRandom},
+		{"2048x64", generated(2048, 64), NewRandom},
+		{"u_c_hihi.0", braunInstance("u_c_hihi.0"), cellStart},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			in := bc.in
 			r := rng.New(7)
 			starts := make([]Schedule, 8)
 			for i := range starts {
-				starts[i] = NewRandom(in, r)
+				starts[i] = bc.start(in, r)
 			}
 			st := NewState(in, starts[0])
 			sc := st.Scans(DefaultObjective)

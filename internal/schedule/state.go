@@ -64,12 +64,11 @@ type State struct {
 	// alone).
 	sweepFit []float64
 	swapScan SwapScan
-	// scanU/scanV/scanSuf hold the partner invariants of the partner
-	// machine the critical-swap query is scanning (bestOn) and the
-	// suffix minima of scanU.
-	scanU   []float64
-	scanV   []float64
-	scanSuf []float64
+	// scanCa holds the critical side of every pair of the critical-swap
+	// query (BestCriticalSwap), scanU the partner column of the partner
+	// machine it is scanning (bestOn).
+	scanCa []float64
+	scanU  []float64
 
 	// Scratch of SetScheduleDiff: changed job ids, changed machine ids and
 	// diffLo[m], the lowest slot edited on machine m (-1 while m is
