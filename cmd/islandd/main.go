@@ -4,12 +4,15 @@
 //
 //	islandd -listen :7411
 //
-// The worker is stateless between calls — every request carries the
-// instance generator spec, configuration, seed and population — so a
-// crashed islandd can be restarted (by the coordinator's supervisor, a
+// Every request carries the instance generator spec, configuration, seed
+// and population, and every reply is a pure function of its request, so
+// a crashed islandd can be restarted (by the coordinator's supervisor, a
 // process manager, or by hand) with zero recovery protocol: the next
-// segment call re-sends everything. Instances materialised from specs
-// are cached per process, a pure warm-up optimisation.
+// segment call re-sends everything. What the process keeps is a verified
+// cache: a few materialised instances with their scratch pools, and per
+// island the live States its last segment ended with, which the next
+// segment re-targets at the shipped population instead of rebuilding
+// them. A restart only costs that warm-up.
 //
 // SIGINT/SIGTERM drain rather than kill: the listener closes, idle
 // connections drop, and in-flight segment calls get a grace period to
@@ -20,8 +23,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -33,20 +38,43 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is islandd with its arguments and output streams: it returns the
+// exit code (0 after a clean drain, 1 on a runtime failure, 2 on a bad
+// command line). Every flag is parsed and checked before the listener
+// opens.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("islandd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen = flag.String("listen", ":7411", "TCP address to serve segment RPCs on")
-		drain  = flag.Duration("drain", 10*time.Second, "grace period for in-flight segment calls at shutdown")
-		quiet  = flag.Bool("q", false, "suppress startup output")
+		listen = fs.String("listen", ":7411", "TCP address to serve segment RPCs on")
+		drain  = fs.Duration("drain", 10*time.Second, "grace period for in-flight segment calls at shutdown")
+		quiet  = fs.Bool("q", false, "suppress startup output")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	switch {
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "islandd: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	case *drain < 0:
+		fmt.Fprintf(stderr, "islandd: -drain %s is negative\n", *drain)
+		return 2
+	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "islandd:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "islandd:", err)
+		return 1
 	}
 	if !*quiet {
-		fmt.Printf("islandd: serving segment RPCs on %s\n", ln.Addr())
+		fmt.Fprintf(stdout, "islandd: serving segment RPCs on %s\n", ln.Addr())
 	}
 
 	srv := transport.NewServer(dist.NewWorker())
@@ -55,25 +83,27 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 
 	select {
 	case err := <-serveErr:
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "islandd:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "islandd:", err)
+			return 1
 		}
 	case s := <-sig:
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "islandd: %s, draining in-flight segment calls (up to %s)\n", s, *drain)
+			fmt.Fprintf(stderr, "islandd: %s, draining in-flight segment calls (up to %s)\n", s, *drain)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "islandd: drain deadline expired, connections force-closed")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "islandd: drain deadline expired, connections force-closed")
+			return 1
 		}
 		if !*quiet {
-			fmt.Fprintln(os.Stderr, "islandd: drained cleanly")
+			fmt.Fprintln(stderr, "islandd: drained cleanly")
 		}
 	}
+	return 0
 }

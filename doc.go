@@ -186,13 +186,16 @@
 // # Distributed islands & failure model
 //
 // internal/island/dist runs the coarse-grained island model across
-// supervised worker processes. The design premise is that workers are
-// stateless: one migration segment is a pure function (instance spec,
-// engine config, island seed, iteration count, population in) →
-// (result, population out), and the coordinator owns every island's
-// population between segments. That one decision buys the whole failure
-// model — a retried, duplicated or restarted call is always safe because
-// the worker holds nothing the coordinator cannot re-send.
+// supervised worker processes. The design premise is that one migration
+// segment is a pure function (instance spec, engine config, island seed,
+// iteration count, population in) → (result, population out), that each
+// request carries the whole population, and that the coordinator owns
+// every island's population between segments. That one decision buys the
+// whole failure model — a retried, duplicated or restarted call is always
+// safe because the worker holds nothing the coordinator cannot re-send.
+// A worker keeps each island's live States between segments only as a
+// verified cache, re-targeted at the shipped population, so a lost or
+// stale cache costs a rebuild and never changes a reply.
 //
 // Calls travel over a pluggable transport (internal/transport): an
 // in-process Local client for tests and single-host runs, and a TCP
@@ -203,10 +206,11 @@
 // AppendPops writes ([[0,3,1],[2,2,0]]: no whitespace, no leading zeros,
 // every id an int); it is encoded without allocating and decoded by
 // ParsePops in one pass without reflection, and anything else is
-// rejected. A segment reply's header also carries Fits, each
-// individual's fitness taken on the worker's final States, so the
-// coordinator ranks migrants without re-evaluating them; it checks every
-// reply first, and a bad one loses the island like a dead worker.
+// rejected. A segment reply's payload line holds its best schedule too,
+// after the population, and its header carries Fits, each individual's
+// fitness taken on the worker's final States, so the coordinator ranks
+// migrants without re-evaluating them; it checks every reply first, and
+// a bad one loses the island like a dead worker.
 // Every call carries a timeout and a jittered exponential retry policy
 // (internal/retry, the same policy the daemon's load test uses to
 // honour 429 backpressure); transport failures mark the worker dead and the

@@ -198,8 +198,8 @@ const (
 	// heartbeat-timeout case: the caller gives up, the reply is discarded.
 	MsgDelay
 	// MsgDup: the request is delivered twice; the caller uses the last
-	// reply. Probes that segment execution is idempotent (workers are
-	// stateless, so it must be).
+	// reply. Probes that segment execution is idempotent (a reply is a
+	// pure function of its request, so it must be).
 	MsgDup
 	// MsgKill: the worker dies when the fault fires; the supervisor's
 	// restart succeeds and the call is retried against the fresh worker.

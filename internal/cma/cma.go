@@ -203,12 +203,14 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 // re-folded (RefreshFlowtime) before Objective.Of, which makes the value
 // bit-identical to Objective.Evaluate(in, final[k]) without rebuilding a
 // State.
-// It is the migration hook of the coarse-grained island model
+// It is the schedule-level resume of the coarse-grained island model
 // (internal/island): islands export their populations at segment
-// boundaries, exchange individuals, and resume. Offspring workspaces come
-// from pool, which the island model shares across its concurrently
-// running segment sub-runs (the pool is safe for that); a nil pool, or
-// one bound to a different instance, falls back to a private one.
+// boundaries, exchange individuals, and resume; RunWithStatesPooled is
+// the cache-aware path the island engines run, pinned against this one.
+// Offspring workspaces come from pool, which the island model shares
+// across its concurrently running segment sub-runs (the pool is safe for
+// that); a nil pool, or one bound to a different instance, falls back to
+// a private one.
 // Sharing never affects results: scratches are always re-pointed
 // (SetSchedule / CopyFrom) before being read.
 func (s *Scheduler) RunWithPopulationPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, initial []schedule.Schedule, pool *evalpool.Pool) (res run.Result, final []schedule.Schedule, fits []float64) {

@@ -7,6 +7,7 @@ import (
 
 	"gridcma/internal/cell"
 	"gridcma/internal/etc"
+	"gridcma/internal/evalpool"
 	"gridcma/internal/heuristics"
 	"gridcma/internal/localsearch"
 	"gridcma/internal/operators"
@@ -376,6 +377,52 @@ func TestRecombineRebuildsFromNearerParent(t *testing.T) {
 				math.Float64bits(f) != math.Float64bits(cfg.Objective.Of(want)) {
 				t.Fatalf("cut %d cell %d: rebuilt child (%v, %v, %v) != NewState (%v, %v, %v)", cut, c,
 					got.Makespan(), got.Flowtime(), f, want.Makespan(), want.Flowtime(), cfg.Objective.Of(want))
+			}
+		}
+	}
+}
+
+// TestFreshScratchesAreWrittenFirst audits the engine's two pool.Get
+// callers (the sequential workspace and the wave executor's per-draw
+// workspaces) under every updating discipline. A fresh scratch is
+// blank, and any read of a blank State panics, so a run from an empty
+// pool proves each scratch is written before it is read. A pool whose
+// scratches hold leftover schedules must give the same bytes: nothing a
+// scratch held before its first write reaches the result.
+func TestFreshScratchesAreWrittenFirst(t *testing.T) {
+	in := testInstance(12)
+	for _, tc := range []struct {
+		name    string
+		workers int
+		sync    bool
+	}{{"sequential", 0, false}, {"parallel-1", 1, false}, {"parallel-2", 2, false}, {"synchronous", 2, true}} {
+		cfg := quickCfg()
+		cfg.Workers, cfg.Synchronous = tc.workers, tc.sync
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := run.Budget{MaxIterations: 3}
+		fresh, freshPop, _ := s.RunWithPopulationPooled(in, budget, 5, nil, nil, evalpool.New(in))
+
+		used := evalpool.New(in)
+		r := rng.New(9)
+		var held []*evalpool.Scratch
+		for k := 0; k <= cfg.Recombinations+cfg.Mutations; k++ {
+			sc := used.Get()
+			sc.St.SetSchedule(schedule.NewRandom(in, r))
+			held = append(held, sc)
+		}
+		for _, sc := range held {
+			used.Put(sc)
+		}
+		res, pop, _ := s.RunWithPopulationPooled(in, budget, 5, nil, nil, used)
+		if !res.Best.Equal(fresh.Best) || res.Fitness != fresh.Fitness || res.Evals != fresh.Evals {
+			t.Fatalf("%s: a pool of used scratches changed the result", tc.name)
+		}
+		for k := range pop {
+			if !pop[k].Equal(freshPop[k]) {
+				t.Fatalf("%s: a pool of used scratches changed individual %d", tc.name, k)
 			}
 		}
 	}

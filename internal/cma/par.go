@@ -114,10 +114,13 @@ func (e *engine) startWorkers() {
 		return
 	}
 	workers := e.workers()
-	e.tasks = make(chan int, workers)
+	// Each worker ranges over its own copy of the channel: stopWorkers
+	// clears e.tasks, possibly before a worker has started.
+	tasks := make(chan int, workers)
+	e.tasks = tasks
 	for w := 0; w < workers; w++ {
 		go func() {
-			for i := range e.tasks {
+			for i := range tasks {
 				e.taskExec(i)
 				e.taskWG.Done()
 			}

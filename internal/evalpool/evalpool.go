@@ -32,9 +32,9 @@ type Scratch struct {
 
 // Pool hands out Scratches for one instance. Get and Put are safe for
 // concurrent use; the Scratches themselves are single-owner while checked
-// out. A Scratch's State starts (and is returned to callers) holding an
-// unspecified valid schedule — callers always SetSchedule or CopyFrom
-// before reading.
+// out. A reused Scratch's State holds an unspecified valid schedule, and
+// a fresh one's is blank (schedule.NewBlankState): callers always
+// SetSchedule, CopyFrom or SetScheduleFrom before reading.
 type Pool struct {
 	in *etc.Instance
 
@@ -60,10 +60,10 @@ func (p *Pool) Get() *Scratch {
 		return s
 	}
 	p.mu.Unlock()
-	// Fresh scratch: seed the State with the all-zero schedule, which is
-	// valid for every instance.
+	// Fresh scratch: its State stays blank, allocating and evaluating
+	// nothing until the caller's first write.
 	return &Scratch{
-		St:  schedule.NewState(p.in, make(schedule.Schedule, p.in.Jobs)),
+		St:  schedule.NewBlankState(p.in),
 		Buf: make(schedule.Schedule, p.in.Jobs),
 		Idx: make([]int, 0, 8),
 	}
@@ -77,18 +77,6 @@ func (p *Pool) Put(s *Scratch) {
 	p.mu.Lock()
 	p.free = append(p.free, s)
 	p.mu.Unlock()
-}
-
-// Warm pre-creates n scratches so a run's first iteration does not pay
-// their construction inside the measured hot path.
-func (p *Pool) Warm(n int) {
-	scratches := make([]*Scratch, n)
-	for i := range scratches {
-		scratches[i] = p.Get()
-	}
-	for _, s := range scratches {
-		p.Put(s)
-	}
 }
 
 // Best tracks the best solution seen by a run without allocating per

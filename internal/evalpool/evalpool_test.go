@@ -1,6 +1,7 @@
 package evalpool
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -28,16 +29,22 @@ func TestPoolReuse(t *testing.T) {
 	p.Put(nil) // must not panic
 }
 
-func TestPoolWarm(t *testing.T) {
+// TestPoolHandsOutDistinctScratches: scratches checked out at the same
+// time are distinct, whether fresh or reused.
+func TestPoolHandsOutDistinctScratches(t *testing.T) {
 	p := New(testInstance())
-	p.Warm(5)
-	seen := map[*Scratch]bool{}
-	for i := 0; i < 5; i++ {
-		s := p.Get()
-		if seen[s] {
-			t.Fatal("duplicate scratch handed out")
+	for round := 0; round < 2; round++ {
+		seen := map[*Scratch]bool{}
+		for i := 0; i < 5; i++ {
+			s := p.Get()
+			if seen[s] {
+				t.Fatalf("round %d: duplicate scratch handed out", round)
+			}
+			seen[s] = true
 		}
-		seen[s] = true
+		for s := range seen {
+			p.Put(s)
+		}
 	}
 }
 
@@ -56,6 +63,66 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFreshScratchIsWriteOnly pins the contract the engines' first
+// writes rely on: a fresh scratch's State is blank, so every read of it,
+// and every edit of an evaluation it does not hold yet, panics instead of
+// answering from an unbuilt State. A caller that read a fresh scratch
+// before writing it would therefore fail every test that runs it.
+func TestFreshScratchIsWriteOnly(t *testing.T) {
+	in := testInstance()
+	s := New(in).Get()
+	if s.St.ScheduleView() != nil {
+		t.Fatal("fresh scratch holds a schedule")
+	}
+	o := schedule.DefaultObjective
+	for name, read := range map[string]func(){
+		"Of":               func() { o.Of(s.St) },
+		"Makespan":         func() { s.St.Makespan() },
+		"MakespanMachine":  func() { s.St.MakespanMachine() },
+		"Assign":           func() { s.St.Assign(0) },
+		"Completion":       func() { s.St.Completion(0) },
+		"JobsOn":           func() { s.St.JobsOn(0) },
+		"Move":             func() { s.St.Move(0, 1) },
+		"Swap":             func() { s.St.Swap(0, 1) },
+		"SetScheduleDiff":  func() { s.St.SetScheduleDiff(make(schedule.Schedule, in.Jobs)) },
+		"Clone":            func() { s.St.Clone() },
+		"CopyFrom source":  func() { schedule.NewState(in, make(schedule.Schedule, in.Jobs)).CopyFrom(s.St) },
+		"FitnessAfterMove": func() { s.St.FitnessAfterMove(o, 0, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a fresh scratch did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+
+	// Each bulk write brings a fresh scratch to the exact State NewState
+	// builds.
+	r := rng.New(4)
+	base := schedule.NewState(in, schedule.NewRandom(in, r))
+	want := schedule.NewRandom(in, r)
+	for name, write := range map[string]func(st *schedule.State){
+		"SetSchedule":     func(st *schedule.State) { st.SetSchedule(want) },
+		"CopyFrom":        func(st *schedule.State) { st.CopyFrom(schedule.NewState(in, want)) },
+		"SetScheduleFrom": func(st *schedule.State) { st.SetScheduleFrom(base, want) },
+	} {
+		st := New(in).Get().St
+		write(st)
+		ref := schedule.NewState(in, want)
+		if !st.ScheduleView().Equal(want) || o.Of(st) != o.Of(ref) || st.Flowtime() != ref.Flowtime() {
+			t.Errorf("%s on a fresh scratch: fitness %v, want %v", name, o.Of(st), o.Of(ref))
+		}
+		for m := 0; m < in.Machs; m++ {
+			if !slices.Equal(st.JobsOn(m), ref.JobsOn(m)) || st.Completion(m) != ref.Completion(m) {
+				t.Errorf("%s on a fresh scratch: machine %d differs from NewState", name, m)
+			}
+		}
+	}
 }
 
 func TestScratchStateUsable(t *testing.T) {

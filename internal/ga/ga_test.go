@@ -206,3 +206,20 @@ func TestGSAValidation(t *testing.T) {
 		t.Error("cooling = 1 accepted")
 	}
 }
+
+// TestFreshScratchIsWrittenFirst audits the GA's pool.Get caller: its
+// offspring workspace comes out of a fresh pool blank, and any read of a
+// blank State panics, so a run of every variant proves breed writes the
+// workspace (SetSchedule or CopyFrom) before anything reads it.
+func TestFreshScratchIsWrittenFirst(t *testing.T) {
+	in := testInstance(3)
+	for _, v := range []Variant{Braun, SteadyState, Struggle, GSA} {
+		s, err := New(smallCfg(v))
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if res := s.Run(in, run.Budget{MaxIterations: 3}, 8, nil); res.Best.Validate(in) != nil {
+			t.Fatalf("%v: invalid best", v)
+		}
+	}
+}

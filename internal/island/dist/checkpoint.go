@@ -10,8 +10,9 @@ import (
 )
 
 // checkpoint is the coordinator's durable state after a round: because
-// workers are stateless, the populations plus the alive mask ARE the
-// whole run, so a single JSON file written with the temp+fsync+rename
+// every request carries its island's whole population and a worker keeps
+// only a cache it re-targets at it, the populations plus the alive mask
+// ARE the whole run, so a single JSON file written with the temp+fsync+rename
 // idiom makes the coordinator itself crash-restartable — a new process
 // with the same Config and seed resumes at the checkpointed round and
 // (absent faults) finishes with the exact bytes the uninterrupted run

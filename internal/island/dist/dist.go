@@ -5,19 +5,22 @@
 // is bit-identical to internal/island for any transport and worker
 // count, and a faulted run is a pure function of (seed, fault plan).
 //
-// The design choice everything else follows from: workers are stateless
-// and the coordinator owns every island's population. A segment RPC is a
-// pure function (instance, config, seed, iterations, population) →
-// (result, evolved population), so the coordinator's copy of the
-// population *is* the checkpoint — retrying a timed-out call, delivering
-// it twice, or re-sending it to a freshly restarted worker are all
-// harmless by construction. Supervision is then simple: per-call
-// timeouts with jittered exponential retry (internal/retry), heartbeat
-// pings for liveness, lazy warm restarts through a worker factory, and
-// when a worker stays dead past its restart budget, its islands are
-// declared lost, the migration ring heals around them
-// (island.PlanMigration with the alive mask), and the run completes on
-// the survivors instead of hanging the barrier.
+// The design choice everything else follows from: the coordinator owns
+// every island's population, and each request carries all of it. A
+// segment RPC is a pure function (instance, config, seed, iterations,
+// population) → (result, evolved population), so the coordinator's copy
+// of the population *is* the checkpoint — retrying a timed-out call,
+// delivering it twice, or re-sending it to a freshly restarted worker
+// are all harmless by construction. A worker does keep each island's
+// live States between segments, but as a verified cache: it re-targets
+// them at the shipped population (see worker.go), so losing or
+// mismatching the cache changes what a segment costs, never what it
+// returns. Supervision is then simple: per-call timeouts with jittered
+// exponential retry (internal/retry), heartbeat pings for liveness, lazy
+// restarts through a worker factory, and when a worker stays dead past
+// its restart budget, its islands are declared lost, the migration ring
+// heals around them (island.PlanMigration with the alive mask), and the
+// run completes on the survivors instead of hanging the barrier.
 package dist
 
 import (
@@ -119,8 +122,9 @@ func (c Config) Validate() error {
 
 // WorkerFactory starts (or restarts) worker w, returning its transport
 // client. For in-process workers it wraps a fresh transport.Local; for
-// TCP it redials the worker's address. A restart is "warm" for free:
-// workers hold no state, the coordinator re-sends populations.
+// TCP it redials the worker's address. A restart needs no recovery: the
+// coordinator re-sends populations, and a restarted worker rebuilds the
+// island meshes it lost from them.
 type WorkerFactory func(w int) (transport.Client, error)
 
 // Death records one island's permanent loss.
@@ -313,6 +317,7 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 						Round:    round,
 						Iters:    segIters,
 						Seed:     island.SegmentSeed(seed, i, totalIters),
+						Final:    totalIters+segIters == budget.MaxIterations,
 						Pop:      pops[i],
 					},
 				}
@@ -500,9 +505,10 @@ func (c *Coordinator) invoke(ctx context.Context, h *handle, req *transport.Requ
 			case <-t.C:
 			}
 		case actDup:
-			// Deliver twice; keep the second reply. Stateless workers make
-			// the duplicate invisible — which is exactly what the torture
-			// asserts.
+			// Deliver twice; keep the second reply. A reply is a pure
+			// function of its request, whatever the worker's stash holds,
+			// so the duplicate is invisible — which is exactly what the
+			// torture asserts.
 			if _, err := c.callLocked(ctx, h, req); err != nil {
 				c.markDeadLocked(h)
 				return nil, err
@@ -570,7 +576,7 @@ func (c *Coordinator) restartLocked(h *handle, round int) error {
 	c.statsMu.Lock()
 	c.restarts++
 	c.statsMu.Unlock()
-	c.logf("dist: worker %d restarted (warm: coordinator re-sends populations)", h.idx)
+	c.logf("dist: worker %d restarted (coordinator re-sends populations)", h.idx)
 	return nil
 }
 
@@ -614,23 +620,26 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context, h *handle, wg *sync.Wai
 // alive mask, every alive island's population — into a hex digest. The
 // sequence of digests is the trajectory the determinism contract pins:
 // identical (seed, fault plan) must reproduce it bit for bit.
+//
+// Each island's bytes are staged in one buffer and hashed with one Write:
+// a Write per machine id cost more than the hashing.
 func roundDigest(round int, alive []bool, pops [][]schedule.Schedule) string {
 	h := sha256.New()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(round))
-	h.Write(b[:])
+	b := binary.LittleEndian.AppendUint64(nil, uint64(round))
 	for i, pop := range pops {
-		if alive[i] {
-			h.Write([]byte{1})
-			for _, s := range pop {
-				for _, m := range s {
-					binary.LittleEndian.PutUint32(b[:4], uint32(m))
-					h.Write(b[:4])
-				}
-			}
-		} else {
-			h.Write([]byte{0})
+		if !alive[i] {
+			b = append(b, 0)
+			continue
 		}
+		b = append(b, 1)
+		for _, s := range pop {
+			for _, m := range s {
+				b = binary.LittleEndian.AppendUint32(b, uint32(m))
+			}
+		}
+		h.Write(b)
+		b = b[:0]
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,6 +2,9 @@ package dist
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"net"
 	"path/filepath"
@@ -12,7 +15,9 @@ import (
 
 	"gridcma/internal/chaos"
 	"gridcma/internal/island"
+	"gridcma/internal/rng"
 	"gridcma/internal/run"
+	"gridcma/internal/schedule"
 	"gridcma/internal/transport"
 )
 
@@ -346,5 +351,158 @@ func TestBudgetMustBeIterationOnly(t *testing.T) {
 	defer coord.Close()
 	if _, _, err := coord.Run(rig.in, run.Budget{MaxTime: time.Second}, 1); err == nil {
 		t.Fatal("expected an error for a wall-clock budget")
+	}
+}
+
+// TestWorkerRestartBetweenRounds: worker 1 dies between rounds 1 and 2.
+// Its next call fails, the supervisor restarts it through the factory,
+// and the fresh Worker, its stash empty, rebuilds its islands' meshes
+// from the shipped populations. The digests and the result must equal
+// the failure-free run's, and the result the in-process scheduler's.
+func TestWorkerRestartBetweenRounds(t *testing.T) {
+	rig := testRig(t)
+	ref := inProcReference(t, rig, rig.iters, 1)
+	clean, cleanRep, err := rig.runOnce(nil, 1, false, time.Minute, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var started []*Worker // worker 1, one per start
+	coord, err := New(rig.dcfg, func(w int) (transport.Client, error) {
+		wk := NewPinnedWorker(rig.in)
+		if w != 1 {
+			return transport.NewLocal(wk), nil
+		}
+		first := len(started) == 0
+		started = append(started, wk)
+		var l *transport.Local
+		l = transport.NewLocal(transport.HandlerFunc(func(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+			if first && req.Seg != nil && req.Seg.Round == 2 {
+				l.Close() // the process died after answering round 1
+				return nil, transport.ErrClosed
+			}
+			return wk.Handle(ctx, req)
+		}))
+		return l, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	res, rep, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Restarts != 1 || len(started) != 2 {
+		t.Fatalf("%d restarts, %d starts of worker 1; want 1 and 2", rep.Restarts, len(started))
+	}
+	if got := stashed(t, started[0], 9); len(got) != 2 || got[1] != 1 || got[3] != 1 {
+		t.Fatalf("the dead worker's stash %v, want the meshes of its islands 1 and 3", got)
+	}
+	if !sameStrings(rep.Digests, cleanRep.Digests) {
+		t.Fatal("a restarted worker changed the digest trajectory")
+	}
+	if err := sameResult(res, clean); err != nil {
+		t.Fatalf("a restarted worker changed the result: %v", err)
+	}
+	if err := sameResult(res, ref); err != nil {
+		t.Fatalf("diverged from the in-process scheduler: %v", err)
+	}
+}
+
+// TestStashBounded: a run that completes leaves no States behind on its
+// workers (the final segment stores nothing), and a cancelled one leaves
+// at most one mesh per island the worker served.
+func TestStashBounded(t *testing.T) {
+	rig := testRig(t)
+	workers := []*Worker{NewPinnedWorker(rig.in), NewPinnedWorker(rig.in)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelAt := -1
+	coord, err := New(rig.dcfg, func(w int) (transport.Client, error) {
+		return transport.NewLocal(transport.HandlerFunc(func(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+			resp, err := workers[w].Handle(ctx, req)
+			if req.Seg != nil && req.Seg.Round == cancelAt {
+				cancel()
+			}
+			return resp, err
+		})), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	if _, _, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters}, 1); err != nil {
+		t.Fatal(err)
+	}
+	for w, wk := range workers {
+		if got := stashed(t, wk, 9); len(got) != 0 {
+			t.Fatalf("worker %d keeps %v after the run", w, got)
+		}
+	}
+
+	cancelAt = 1
+	if _, _, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters}.WithContext(ctx), 1); err == nil {
+		t.Fatal("the cancelled run reported success")
+	}
+	kept := 0
+	for w, wk := range workers {
+		for island, n := range stashed(t, wk, 9) {
+			if island%len(workers) != w || n != 1 {
+				t.Fatalf("worker %d keeps %d meshes of island %d", w, n, island)
+			}
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatal("the cancelled run stashed nothing: the bound was not exercised")
+	}
+}
+
+// TestRoundDigestMatchesReference pins roundDigest's bytes to the fold
+// it stages: round index, then per island a live marker and every
+// machine id as a little-endian uint32, each written to the hash on its
+// own. Checkpoints and digest trajectories recorded by earlier runs stay
+// comparable only while the two agree.
+func TestRoundDigestMatchesReference(t *testing.T) {
+	reference := func(round int, alive []bool, pops [][]schedule.Schedule) string {
+		h := sha256.New()
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(round))
+		h.Write(b[:])
+		for i, pop := range pops {
+			if !alive[i] {
+				h.Write([]byte{0})
+				continue
+			}
+			h.Write([]byte{1})
+			for _, s := range pop {
+				for _, m := range s {
+					binary.LittleEndian.PutUint32(b[:4], uint32(m))
+					h.Write(b[:4])
+				}
+			}
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	r := rng.New(5)
+	for _, tc := range []struct {
+		round int
+		alive []bool
+	}{{0, []bool{true}}, {3, []bool{true, false, true}}, {1 << 40, []bool{false, false}}, {7, []bool{true, true, true, true}}} {
+		pops := make([][]schedule.Schedule, len(tc.alive))
+		for i := range pops {
+			for k := 0; k < 1+r.Intn(3); k++ {
+				s := make(schedule.Schedule, r.Intn(40))
+				for j := range s {
+					s[j] = r.Intn(300)
+				}
+				pops[i] = append(pops[i], s)
+			}
+		}
+		if got, want := roundDigest(tc.round, tc.alive, pops), reference(tc.round, tc.alive, pops); got != want {
+			t.Fatalf("round %d alive %v: digest %s, reference %s", tc.round, tc.alive, got, want)
+		}
 	}
 }

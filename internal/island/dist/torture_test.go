@@ -81,18 +81,18 @@ func newTortureRig() (*tortureRig, error) {
 
 // runOnce executes one distributed run of the rig under the fault plan
 // (nil = failure-free) and returns its result and report.
+//
+// Every call of the worker factory builds a fresh Worker, as restarting a
+// real islandd process does: a restarted worker has lost its stash and
+// must rebuild its islands' meshes from the shipped populations.
 func (r *tortureRig) runOnce(plan []chaos.MsgFault, seed uint64, heartbeat bool, timeout time.Duration, delayUnit time.Duration) (run.Result, *Report, error) {
-	workers := make([]*Worker, r.dcfg.Workers)
-	for w := range workers {
-		workers[w] = NewPinnedWorker(r.in)
-	}
 	cfg := r.dcfg
 	if heartbeat {
 		cfg.Heartbeat = 5 * time.Millisecond
 		cfg.HeartbeatTimeout = 100 * time.Millisecond
 	}
-	coord, err := New(cfg, func(w int) (transport.Client, error) {
-		return transport.NewLocal(workers[w]), nil
+	coord, err := New(cfg, func(int) (transport.Client, error) {
+		return transport.NewLocal(NewPinnedWorker(r.in)), nil
 	})
 	if err != nil {
 		return run.Result{}, nil, err

@@ -1,11 +1,19 @@
-// Worker: the serving side of the distributed island engine. A worker is
-// deliberately stateless between calls — each segment request carries
-// everything needed to reproduce the computation (instance spec, config,
-// seed, population) — so a worker that crashes loses nothing the
-// coordinator cannot re-send, and a request delivered twice computes the
-// same bytes twice. The only state a worker keeps is a cache of
-// materialised instances and their scratch pools, a pure performance
-// matter.
+// Worker: the serving side of the distributed island engine. Every
+// segment request still carries everything needed to reproduce the
+// computation (instance spec, config, seed, population), and every reply
+// is a pure function of its request, so a worker that crashes loses
+// nothing the coordinator cannot re-send, and a request delivered twice
+// computes the same bytes twice.
+//
+// What a worker keeps between calls is a verified cache. Per instance it
+// holds the materialised matrix and a scratch pool, and per island it
+// keeps the mesh of live States that island's last segment ended with.
+// The next segment re-targets those States at the shipped population
+// (SetScheduleDiff re-lists only the jobs that differ: the migrants)
+// instead of building every cell from its schedule. SetScheduleDiff
+// reproduces SetSchedule bit for bit from any valid State, so a missing,
+// stale or foreign cache entry changes the cost of a segment, never its
+// result.
 package dist
 
 import (
@@ -13,11 +21,19 @@ import (
 	"fmt"
 	"sync"
 
+	"gridcma/internal/cma"
 	"gridcma/internal/etc"
 	"gridcma/internal/evalpool"
-	"gridcma/internal/island"
+	"gridcma/internal/run"
+	"gridcma/internal/schedule"
 	"gridcma/internal/transport"
 )
+
+// maxInstances bounds a worker's instance cache. A coordinator runs on
+// one instance, so a few entries cover a worker shared by successive or
+// concurrent runs; the least recently used one, stash included, makes
+// room for a new spec.
+const maxInstances = 4
 
 // Worker serves ping and segment calls. Safe for concurrent calls (a
 // coordinator may pin several islands to one worker).
@@ -25,12 +41,17 @@ type Worker struct {
 	pinned *etc.Instance // serve every spec with this instance (in-proc use)
 
 	mu        sync.Mutex
-	instances map[string]*workerInstance
+	instances []*workerInstance // least recently used first
 }
 
 type workerInstance struct {
+	spec string
 	in   *etc.Instance
 	pool *evalpool.Pool
+	// stash[i] is the mesh island i's last non-final segment ended with,
+	// each State's flowtime refolded (RefreshFlowtime). Guarded by
+	// Worker.mu; a segment takes its island's entry out while it runs.
+	stash map[int][]*schedule.State
 }
 
 // NewWorker returns a worker that materialises instances from generator
@@ -39,41 +60,63 @@ type workerInstance struct {
 // spec reconstructs the byte-identical instance, so no matrix ever
 // crosses the wire.
 func NewWorker() *Worker {
-	return &Worker{instances: make(map[string]*workerInstance)}
+	return &Worker{}
 }
 
 // NewPinnedWorker returns a worker bound to one in-memory instance,
 // served whatever the request's spec says. The in-process transport uses
 // it to share the coordinator's instance directly.
 func NewPinnedWorker(in *etc.Instance) *Worker {
-	return &Worker{pinned: in, instances: make(map[string]*workerInstance)}
+	return &Worker{pinned: in}
 }
 
 func (w *Worker) instance(spec string) (*workerInstance, error) {
+	if w.pinned != nil {
+		spec = ""
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.pinned != nil {
-		wi, ok := w.instances[""]
-		if !ok {
-			wi = &workerInstance{in: w.pinned, pool: evalpool.New(w.pinned)}
-			w.instances[""] = wi
+	for k, wi := range w.instances {
+		if wi.spec == spec {
+			w.instances = append(append(w.instances[:k], w.instances[k+1:]...), wi)
+			return wi, nil
 		}
-		return wi, nil
 	}
-	if wi, ok := w.instances[spec]; ok {
-		return wi, nil
+	in := w.pinned
+	if in == nil {
+		gs, err := etc.ParseGenSpec(spec)
+		if err != nil {
+			return nil, fmt.Errorf("dist: instance spec %q: %w", spec, err)
+		}
+		if in, err = gs.Generate(); err != nil {
+			return nil, fmt.Errorf("dist: generate %q: %w", spec, err)
+		}
 	}
-	gs, err := etc.ParseGenSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("dist: instance spec %q: %w", spec, err)
+	if len(w.instances) == maxInstances {
+		w.instances = append(w.instances[:0], w.instances[1:]...)
 	}
-	in, err := gs.Generate()
-	if err != nil {
-		return nil, fmt.Errorf("dist: generate %q: %w", spec, err)
-	}
-	wi := &workerInstance{in: in, pool: evalpool.New(in)}
-	w.instances[spec] = wi
+	wi := &workerInstance{spec: spec, in: in, pool: evalpool.New(in), stash: make(map[int][]*schedule.State)}
+	w.instances = append(w.instances, wi)
 	return wi, nil
+}
+
+// take removes and returns island's stashed mesh when it holds cells
+// States, and nil otherwise.
+func (w *Worker) take(wi *workerInstance, island, cells int) []*schedule.State {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	states := wi.stash[island]
+	delete(wi.stash, island)
+	if len(states) != cells {
+		return nil
+	}
+	return states
+}
+
+func (w *Worker) store(wi *workerInstance, island int, states []*schedule.State) {
+	w.mu.Lock()
+	wi.stash[island] = states
+	w.mu.Unlock()
 }
 
 // Handle implements transport.Handler.
@@ -82,42 +125,85 @@ func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport
 	case transport.KindPing:
 		return &transport.Response{ID: req.ID}, nil
 	case transport.KindSegment:
-		if req.Seg == nil {
-			return &transport.Response{ID: req.ID, Err: "segment call without a segment body"}, nil
-		}
-		if req.Seg.Iters < 1 {
-			return &transport.Response{ID: req.ID, Err: fmt.Sprintf("dist: %d iterations, need >= 1", req.Seg.Iters)}, nil
-		}
-		wi, err := w.instance(req.Seg.Instance)
+		seg, err := w.segment(req.Seg)
 		if err != nil {
 			return &transport.Response{ID: req.ID, Err: err.Error()}, nil
 		}
-		for i, s := range req.Seg.Pop {
-			if err := s.Validate(wi.in); err != nil {
-				return &transport.Response{ID: req.ID, Err: fmt.Sprintf("dist: individual %d: %v", i, err)}, nil
-			}
-		}
-		base, err := req.Seg.Config.Build()
-		if err != nil {
-			return &transport.Response{ID: req.ID, Err: fmt.Sprintf("dist: config: %v", err)}, nil
-		}
-		res, pop, fits, err := island.Segment(wi.in, base, req.Seg.Iters, req.Seg.Seed, req.Seg.Pop, wi.pool)
-		if err != nil {
-			return &transport.Response{ID: req.ID, Err: err.Error()}, nil
-		}
-		return &transport.Response{
-			ID: req.ID,
-			Seg: &transport.SegmentResponse{
-				Fitness:  res.Fitness,
-				Makespan: res.Makespan,
-				Flowtime: res.Flowtime,
-				Evals:    res.Evals,
-				Best:     res.Best,
-				Fits:     fits,
-				Pop:      pop,
-			},
-		}, nil
+		return &transport.Response{ID: req.ID, Seg: seg}, nil
 	default:
 		return &transport.Response{ID: req.ID, Err: fmt.Sprintf("unknown call kind %q", req.Kind)}, nil
 	}
+}
+
+// segment runs one migration segment: Iters iterations of the base cMA
+// on the island's mesh, seeded from req.Pop (empty for the first
+// segment's fresh mesh), returning the result, the evolved population
+// and each individual's fitness (Fits[k] is bit-identical to
+// Objective.Evaluate of Pop[k], the ranking the coordinator migrates
+// by). The mesh comes from the island's stash entry, re-targeted at
+// req.Pop, or is built from req.Pop when there is no usable entry; a
+// non-final segment stashes the mesh it ends with.
+func (w *Worker) segment(req *transport.SegmentRequest) (*transport.SegmentResponse, error) {
+	if req == nil {
+		return nil, fmt.Errorf("segment call without a segment body")
+	}
+	if req.Iters < 1 {
+		return nil, fmt.Errorf("dist: %d iterations, need >= 1", req.Iters)
+	}
+	wi, err := w.instance(req.Instance)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range req.Pop {
+		if err := s.Validate(wi.in); err != nil {
+			return nil, fmt.Errorf("dist: individual %d: %v", i, err)
+		}
+	}
+	base, err := req.Config.Build()
+	if err != nil {
+		return nil, fmt.Errorf("dist: config: %v", err)
+	}
+	inner, err := cma.New(base)
+	if err != nil {
+		return nil, fmt.Errorf("dist: config: %v", err)
+	}
+	cells := base.Width * base.Height
+	if n := len(req.Pop); n != 0 && n != cells {
+		return nil, fmt.Errorf("dist: population of %d for a %d-cell mesh", n, cells)
+	}
+
+	states := w.take(wi, req.Island, cells)
+	switch {
+	case len(req.Pop) == 0:
+		states = nil // a fresh mesh
+	case states == nil:
+		states = make([]*schedule.State, cells)
+		for k, s := range req.Pop {
+			states[k] = schedule.NewState(wi.in, s)
+		}
+	default:
+		for k, s := range req.Pop {
+			states[k].SetScheduleDiff(s)
+			states[k].RefreshFlowtime()
+		}
+	}
+	res, states := inner.RunWithStatesPooled(wi.in, run.Budget{MaxIterations: req.Iters}, req.Seed, nil, states, wi.pool)
+	out := &transport.SegmentResponse{
+		Fitness:  res.Fitness,
+		Makespan: res.Makespan,
+		Flowtime: res.Flowtime,
+		Evals:    res.Evals,
+		Best:     res.Best,
+		Fits:     make([]float64, len(states)),
+		Pop:      make([]schedule.Schedule, len(states)),
+	}
+	for k, st := range states {
+		out.Pop[k] = st.Schedule()
+		st.RefreshFlowtime()
+		out.Fits[k] = base.Objective.Of(st)
+	}
+	if !req.Final {
+		w.store(wi, req.Island, states)
+	}
+	return out, nil
 }

@@ -132,6 +132,23 @@ func TestSegmentSeedMatchesHistoricalDerivation(t *testing.T) {
 	}
 }
 
+// Segment runs one migration segment through the schedule path: segIters
+// iterations of the base cMA seeded from pop (nil for the first
+// segment's fresh mesh), returning the segment result, the evolved
+// population and each individual's fitness (fits[k] is bit-identical to
+// base.Objective.Evaluate of out[k], the ranking migrateStates uses). It
+// builds every cell from its schedule, as a distributed worker does
+// without a stashed mesh, so the tests below pin the stateless unit of
+// work the worker's cached path must reproduce.
+func Segment(in *etc.Instance, base cma.Config, segIters int, islandSeed uint64, pop []schedule.Schedule, pool *evalpool.Pool) (res run.Result, out []schedule.Schedule, fits []float64, err error) {
+	inner, err := cma.New(base)
+	if err != nil {
+		return run.Result{}, nil, nil, err
+	}
+	res, out, fits = inner.RunWithPopulationPooled(in, run.Budget{MaxIterations: segIters}, islandSeed, nil, pop, pool)
+	return res, out, fits, nil
+}
+
 // TestSegmentIsIdempotent: the distributed worker's unit of work must
 // yield identical results when re-executed (duplicated delivery, retry
 // after a lost reply, warm restart re-send), fitness values included.

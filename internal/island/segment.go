@@ -1,19 +1,17 @@
-// Segment and migration primitives, factored out of the in-process
-// Scheduler so the distributed engine (internal/island/dist) can run the
-// exact same computation across process boundaries. A segment is a pure
-// function of (instance, base config, iteration count, seed, population):
-// re-running it — on a restarted worker, after a duplicated delivery, on
-// a different host — always yields the same result, which is what makes
-// retries and warm restarts free of coordination.
+// Segment primitives shared by the in-process Scheduler and the
+// distributed engine (internal/island/dist): the per-segment seed rule
+// and the ring exchange. A segment is a pure function of (instance, base
+// config, iteration count, seed, population). A distributed worker may
+// keep an island's live States between segments, but only as a cache it
+// re-targets at the shipped population, so re-running a segment — on a
+// restarted worker, after a duplicated delivery, on a different host —
+// always yields the same result, which is what makes retries and warm
+// restarts free of coordination.
 package island
 
 import (
 	"sort"
 
-	"gridcma/internal/cma"
-	"gridcma/internal/etc"
-	"gridcma/internal/evalpool"
-	"gridcma/internal/run"
 	"gridcma/internal/schedule"
 )
 
@@ -23,22 +21,6 @@ import (
 // offset) → same stream, wherever the segment runs.
 func SegmentSeed(seed uint64, island, totalIters int) uint64 {
 	return seed ^ (uint64(island)+1)*0x9e3779b97f4a7c15 ^ uint64(totalIters)*0xbf58476d1ce4e5b9
-}
-
-// Segment runs one migration segment: segIters iterations of the base
-// cMA seeded from pop (nil for the first segment's fresh mesh), returning
-// the segment result, the evolved population and each individual's
-// fitness (fits[k] is bit-identical to base.Objective.Evaluate of out[k],
-// the ranking migrateStates uses). This is the unit of work a distributed
-// worker executes per RPC; it is stateless and deterministic, so
-// executing it twice is exactly as good as once.
-func Segment(in *etc.Instance, base cma.Config, segIters int, islandSeed uint64, pop []schedule.Schedule, pool *evalpool.Pool) (res run.Result, out []schedule.Schedule, fits []float64, err error) {
-	inner, err := cma.New(base)
-	if err != nil {
-		return run.Result{}, nil, nil, err
-	}
-	res, out, fits = inner.RunWithPopulationPooled(in, run.Budget{MaxIterations: segIters}, islandSeed, nil, pop, pool)
-	return res, out, fits, nil
 }
 
 // Move is one migrant placement: the individual at SrcIdx in island Src

@@ -113,23 +113,39 @@ func NewState(in *etc.Instance, s Schedule) *State {
 	if err := s.Validate(in); err != nil {
 		panic(err)
 	}
-	st := &State{
-		inst:       in,
-		etc64:      in.ETC,
-		assign:     s.Clone(),
-		machJobs:   make([][]int32, in.Machs),
-		machCumC:   make([][]float64, in.Machs),
-		machCumF:   make([][]float64, in.Machs),
-		slot:       make([]int32, in.Jobs),
-		completion: make([]float64, in.Machs),
-		machFlow:   make([]float64, in.Machs),
-		machEpoch:  make([]uint64, in.Machs),
-		counts:     make([]int32, in.Machs),
-		regOff:     make([]int32, in.Machs+1),
-	}
-	st.top.init(in.Machs)
+	st := NewBlankState(in)
+	st.alloc()
+	copy(st.assign, s)
 	st.rebuild()
 	return st
+}
+
+// NewBlankState returns a State bound to in that holds no schedule:
+// nothing is allocated or evaluated until its first SetSchedule,
+// CopyFrom or SetScheduleFrom, which size its tables and take their bulk
+// path. Until then the State is write-only. Every read of its
+// evaluation panics on the empty tables (ScheduleView is nil), and so do
+// Move, Swap and SetScheduleDiff, which edit an evaluation that does not
+// exist yet. evalpool hands out fresh scratches this way, since every
+// engine overwrites a scratch before it reads one.
+func NewBlankState(in *etc.Instance) *State {
+	return &State{inst: in, etc64: in.ETC}
+}
+
+// alloc sizes the tables of a blank State for its instance.
+func (st *State) alloc() {
+	jobs, machs := st.inst.Jobs, st.inst.Machs
+	st.assign = make(Schedule, jobs)
+	st.machJobs = make([][]int32, machs)
+	st.machCumC = make([][]float64, machs)
+	st.machCumF = make([][]float64, machs)
+	st.slot = make([]int32, jobs)
+	st.completion = make([]float64, machs)
+	st.machFlow = make([]float64, machs)
+	st.machEpoch = make([]uint64, machs)
+	st.counts = make([]int32, machs)
+	st.regOff = make([]int32, machs+1)
+	st.top.init(machs)
 }
 
 // ensureRegions re-carves the per-machine lists out of the shared backing
@@ -476,11 +492,15 @@ func (st *State) Swap(a, b int) {
 }
 
 // SetSchedule replaces the whole schedule and re-evaluates, reusing the
-// state's buffers. It is the allocation-light way to re-point a scratch
-// State at a new candidate solution in hot loops.
+// state's buffers (a blank State sizes them first). It is the
+// allocation-light way to re-point a scratch State at a new candidate
+// solution in hot loops.
 func (st *State) SetSchedule(s Schedule) {
 	if err := s.Validate(st.inst); err != nil {
 		panic(err)
+	}
+	if st.assign == nil {
+		st.alloc()
 	}
 	st.assign.CopyFrom(s)
 	st.rebuild()
@@ -673,10 +693,14 @@ func (st *State) Clone() *State {
 	return cp
 }
 
-// CopyFrom makes st an exact copy of src (same instance), reusing buffers.
+// CopyFrom makes st an exact copy of src (same instance), reusing buffers
+// (a blank State sizes them first).
 func (st *State) CopyFrom(src *State) {
 	if st.inst != src.inst {
 		panic("schedule: CopyFrom across instances")
+	}
+	if st.assign == nil {
+		st.alloc()
 	}
 	st.touchAll()
 	st.assign.CopyFrom(src.assign)

@@ -27,7 +27,14 @@ func AppendPops(dst []byte, pops []schedule.Schedule) []byte {
 			if k > 0 {
 				dst = append(dst, ',')
 			}
-			dst = strconv.AppendInt(dst, int64(m), 10)
+			switch {
+			case uint(m) < 10: // the common machine ids skip strconv
+				dst = append(dst, byte('0'+m))
+			case uint(m) < 100:
+				dst = append(dst, byte('0'+m/10), byte('0'+m%10))
+			default:
+				dst = strconv.AppendInt(dst, int64(m), 10)
+			}
 		}
 		dst = append(dst, ']')
 	}
@@ -70,7 +77,10 @@ func ParsePops(line []byte) ([]schedule.Schedule, error) {
 		a := len(flat)
 		if line[i] != ']' {
 			for {
-				v, w := parseInt(line[i:])
+				v, w := smallInt(line, i)
+				if w == 0 {
+					v, w = parseInt(line[i:])
+				}
 				if w == 0 {
 					return nil, payloadErr(i, "want an int")
 				}
@@ -96,6 +106,25 @@ func ParsePops(line []byte) ([]schedule.Schedule, error) {
 		}
 		i++
 	}
+}
+
+// smallInt reads a one- or two-digit int at line[i], the form machine
+// ids take on instances of up to 100 machines, returning it and its
+// width; width 0 leaves the int (or the error) to parseInt. line ends in
+// ']', so a digit at i or i+1 is never the last byte.
+func smallInt(line []byte, i int) (int, int) {
+	d0 := line[i] - '0'
+	if d0 > 9 {
+		return 0, 0
+	}
+	d1 := line[i+1] - '0'
+	if d1 > 9 {
+		return int(d0), 1
+	}
+	if d0 == 0 || line[i+2]-'0' <= 9 {
+		return 0, 0
+	}
+	return int(d0)*10 + int(d1), 2
 }
 
 // parseInt reads the int at the start of b, returning it and its width

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,7 +145,14 @@ func (c *Conn) readResponse() (*Response, error) {
 		return nil, err
 	}
 	if resp.Seg != nil {
-		resp.Seg.Pop = pops
+		n := len(pops) - 1
+		if n < 0 {
+			return nil, errors.New("transport: segment response payload without a best schedule")
+		}
+		// Best is copied out of the population's backing array: a
+		// caller that keeps only the best schedule must not pin the
+		// whole population.
+		resp.Seg.Pop, resp.Seg.Best = pops[:n:n], pops[n].Clone()
 	}
 	resp.Repl = repl
 	return &resp, nil
@@ -255,11 +263,12 @@ func readRequest(br *bufio.Reader) (*Request, error) {
 }
 
 // writeResponse frames and flushes one response, returning the reusable
-// payload scratch buffer.
+// payload scratch buffer. A segment response's payload is its population
+// followed by its best schedule.
 func writeResponse(bw *bufio.Writer, resp *Response, scratch []byte) ([]byte, error) {
 	var pops []schedule.Schedule
 	if resp.Seg != nil {
-		pops = resp.Seg.Pop
+		pops = append(slices.Clip(resp.Seg.Pop), resp.Seg.Best)
 	}
 	return writeFrame(bw, resp, resp.Seg != nil, pops, resp.Repl, scratch)
 }

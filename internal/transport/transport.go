@@ -9,7 +9,8 @@
 // The protocol is deliberately tiny: a ping (liveness) and a segment
 // call. A segment request is a pure function description — instance
 // spec, base cMA configuration, seed, iteration count, population — and
-// workers are stateless between calls, which is what makes the
+// a reply depends on nothing else: whatever a worker keeps between calls
+// is a cache it re-targets at the request. That is what makes the
 // robustness story cheap: retrying a call, delivering it twice, or
 // replaying it against a freshly restarted worker all produce the same
 // bytes.
@@ -26,9 +27,11 @@
 // without allocating once its buffer has grown, and ParsePops decodes it
 // in one pass without reflection, into one flat backing array per
 // population; any other byte sequence is rejected. A segment response's
-// header also carries Fits, the per-individual fitness the worker
-// computed on its final States, so the coordinator ranks migrants
-// without re-evaluating the population.
+// payload line holds its best schedule too, as one more element after
+// the population: every schedule on the wire goes through this codec,
+// never through reflection. Its header carries Fits, the per-individual
+// fitness the worker computed on its final States, so the coordinator
+// ranks migrants without re-evaluating the population.
 //
 // Any other message's payload line is its Repl bytes, moved verbatim in
 // both directions and never scanned as JSON here: a replication pull
@@ -70,8 +73,9 @@ var (
 // SegmentRequest describes one island segment as a pure function: run
 // Iters iterations of the Config cMA on the Instance, seeded with Seed,
 // starting from Pop (nil = fresh mesh). Island and Round are carried for
-// observability and deterministic fault keying; they do not influence
-// the computation (Seed already encodes both via island.SegmentSeed).
+// observability and deterministic fault keying, and Island also names
+// the worker's cached mesh for the island; neither influences the
+// computation (Seed already encodes both via island.SegmentSeed).
 type SegmentRequest struct {
 	Instance string      `json:"instance"`
 	Config   config.Spec `json:"config"`
@@ -79,6 +83,9 @@ type SegmentRequest struct {
 	Round    int         `json:"round"`
 	Iters    int         `json:"iters"`
 	Seed     uint64      `json:"seed"`
+	// Final marks the segment that exhausts the run's budget: the worker
+	// keeps nothing of it for a next segment.
+	Final bool `json:"final,omitempty"`
 
 	// Pop rides the frame's payload line (AppendPops), not the header.
 	Pop []schedule.Schedule `json:"-"`
@@ -91,7 +98,8 @@ type SegmentResponse struct {
 	Flowtime float64 `json:"flowtime"`
 	Evals    int64   `json:"evals"`
 
-	Best schedule.Schedule `json:"best"`
+	// Best rides the payload line, after Pop.
+	Best schedule.Schedule `json:"-"`
 	// Fits[k] is the fitness of Pop[k], taken on the worker's final mesh
 	// States (RefreshFlowtime, then Objective.Of): bit-identical to
 	// Objective.Evaluate of Pop[k], and what the coordinator ranks

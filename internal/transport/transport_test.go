@@ -12,6 +12,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,6 +243,9 @@ func TestTCPRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(resp.Seg.Pop, testPops()) {
 			t.Fatalf("population mangled in transit: %v", resp.Seg.Pop)
 		}
+		if !reflect.DeepEqual(resp.Seg.Best, schedule.Schedule{2, 0, 1}) {
+			t.Fatalf("best schedule mangled in transit: %v", resp.Seg.Best)
+		}
 		if resp.Seg.Fitness != 3.25 || resp.Seg.Evals != 42 {
 			t.Fatalf("scalar fields mangled: %+v", resp.Seg)
 		}
@@ -326,9 +330,11 @@ func TestFrameBytes(t *testing.T) {
 	}{
 		{encodeRequest(t, &Request{ID: 3, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Seed: 9, Iters: 2, Pop: testPops()}}),
 			"{\"id\":3,\"kind\":\"segment\",\"seg\":{\"instance\":\"x\",\"config\":{},\"island\":0,\"round\":0,\"iters\":2,\"seed\":9}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1]]\n"},
+		{encodeRequest(t, &Request{ID: 5, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Island: 1, Round: 3, Seed: 9, Iters: 2, Final: true, Pop: []schedule.Schedule{{10, 99, 100, 7, 0}}}}),
+			"{\"id\":5,\"kind\":\"segment\",\"seg\":{\"instance\":\"x\",\"config\":{},\"island\":1,\"round\":3,\"iters\":2,\"seed\":9,\"final\":true}}\n[[10,99,100,7,0]]\n"},
 		{encodeRequest(t, &Request{ID: 1, Kind: KindPing}), "{\"id\":1,\"kind\":\"ping\"}\n[]\n"},
 		{encodeResponse(t, &Response{ID: 7, Seg: &SegmentResponse{Fitness: 3.25, Makespan: 17, Flowtime: 101.5, Evals: 42, Best: schedule.Schedule{2, 0, 1}, Fits: []float64{1.5, 2}, Pop: testPops()}}),
-			"{\"id\":7,\"seg\":{\"fitness\":3.25,\"makespan\":17,\"flowtime\":101.5,\"evals\":42,\"best\":[2,0,1],\"fits\":[1.5,2]}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1]]\n"},
+			"{\"id\":7,\"seg\":{\"fitness\":3.25,\"makespan\":17,\"flowtime\":101.5,\"evals\":42,\"fits\":[1.5,2]}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1],[2,0,1]]\n"},
 		{encodeResponse(t, &Response{ID: 2, Err: "dist: unknown instance"}), "{\"id\":2,\"err\":\"dist: unknown instance\"}\n[]\n"},
 		{encodeRequest(t, &Request{ID: 4, Kind: KindReplPull, Repl: []byte(`{"after":12}`)}), "{\"id\":4,\"kind\":\"repl-pull\"}\n{\"after\":12}\n"},
 		{encodeResponse(t, &Response{ID: 4, Repl: batch}), "{\"id\":4}\n" + string(batch) + "\n"},
@@ -341,6 +347,10 @@ func TestFrameBytes(t *testing.T) {
 		if _, err := writeResponse(bufio.NewWriter(io.Discard), &Response{ID: 1, Repl: []byte(repl)}, nil); err == nil {
 			t.Errorf("replication payload %q framed; it cannot read back", repl)
 		}
+	}
+	c := &Conn{br: bufio.NewReader(strings.NewReader("{\"id\":7,\"seg\":{}}\n[]\n"))}
+	if _, err := c.readResponse(); err == nil || !strings.Contains(err.Error(), "best") {
+		t.Errorf("a segment response without a best schedule read back: %v", err)
 	}
 }
 
@@ -445,10 +455,10 @@ func encodeResponse(t testing.TB, resp *Response) []byte {
 // bytes through Conn.readResponse, the reader of every frame a worker or
 // a replication primary sends back. It must never panic, and a response
 // it accepts must re-encode through writeResponse and read back equal —
-// same header, same population — with the re-encoding a fixed point.
-// The corpus is seeded with a segment result, a ping reply, a worker
-// error, two replication payloads (one a real multi-record batch), a
-// torn header and a garbage payload.
+// same header, same population, same best schedule — with the
+// re-encoding a fixed point. The corpus is seeded with a segment result,
+// a ping reply, a worker error, two replication payloads (one a real
+// multi-record batch), a torn header and a garbage payload.
 func FuzzReadResponse(f *testing.F) {
 	for _, resp := range []*Response{
 		{ID: 7, Seg: &SegmentResponse{Fitness: 3.25, Makespan: 17, Flowtime: 101.5, Evals: 42, Best: schedule.Schedule{2, 0, 1}, Pop: testPops()}},
@@ -480,10 +490,11 @@ func FuzzReadResponse(f *testing.F) {
 		if err1 != nil || err2 != nil || !bytes.Equal(h1, h2) {
 			t.Fatalf("header %s read back as %s (%v, %v)", h1, h2, err1, err2)
 		}
-		// Populations compare as the wire sees them: JSON cannot tell a
-		// nil schedule from an empty one.
+		// Populations and best schedules compare as the wire sees them:
+		// the payload cannot tell a nil schedule from an empty one.
 		samePops := func() bool {
-			return slices.EqualFunc(resp.Seg.Pop, back.Seg.Pop, func(x, y schedule.Schedule) bool { return slices.Equal(x, y) })
+			return slices.EqualFunc(resp.Seg.Pop, back.Seg.Pop, func(x, y schedule.Schedule) bool { return slices.Equal(x, y) }) &&
+				slices.Equal(resp.Seg.Best, back.Seg.Best)
 		}
 		if (resp.Seg == nil) != (back.Seg == nil) || resp.Seg != nil && !samePops() {
 			t.Fatalf("response %+v read back as %+v", resp, back)
