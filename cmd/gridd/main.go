@@ -21,8 +21,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -36,30 +38,46 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is gridd with its arguments and output streams: it returns the
+// exit code (0 after a clean drain, 1 on a runtime failure, 2 on a bad
+// command line). Every flag is parsed and checked before the listener or
+// any file opens. The one line announcing that the API serves goes to
+// stdout; every other message goes to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gridd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8437", "HTTP listen address")
-		seed     = flag.Uint64("seed", 1, "grid seed (ETC noise, search streams)")
-		machCap  = flag.Int("mach-cap", 64, "machine slot capacity (at most 1024)")
-		jobCap   = flag.Int("job-cap", 4096, "initial job slot capacity")
-		lsIters  = flag.Int("ls-iters", 5, "local search iterations per admission")
-		lsMethod = flag.String("ls-method", "LMCTS", "local search method for admissions")
-		window   = flag.Duration("window", 250*time.Millisecond, "admission ticker period (0 disables)")
-		admitAt  = flag.Int("admit-pending", 256, "admit when this many jobs are pending (0 disables)")
-		logPath  = flag.String("log", "", "write-ahead event log path")
-		snapPath = flag.String("snapshot", "", "restore from this snapshot before serving")
+		addr     = fs.String("addr", "127.0.0.1:8437", "HTTP listen address")
+		seed     = fs.Uint64("seed", 1, "grid seed (ETC noise, search streams)")
+		machCap  = fs.Int("mach-cap", 64, "machine slot capacity (at most 1024)")
+		jobCap   = fs.Int("job-cap", 4096, "initial job slot capacity")
+		lsIters  = fs.Int("ls-iters", 5, "local search iterations per admission")
+		lsMethod = fs.String("ls-method", "LMCTS", "local search method for admissions")
+		window   = fs.Duration("window", 250*time.Millisecond, "admission ticker period (0 disables)")
+		admitAt  = fs.Int("admit-pending", 256, "admit when this many jobs are pending (0 disables)")
+		logPath  = fs.String("log", "", "write-ahead event log path")
+		snapPath = fs.String("snapshot", "", "restore from this snapshot before serving")
 
-		fsync      = flag.String("fsync", "never", "WAL fsync policy: always (sync per request ack), interval (background ticker), never")
-		fsyncEvery = flag.Duration("fsync-every", 100*time.Millisecond, "sync period for -fsync interval")
-		maxPending = flag.Int("max-pending", 0, "reject submissions with 429 beyond this many pending jobs (0 = unbounded)")
-		maxBody    = flag.Int64("max-body", 1<<20, "request body cap in bytes (413 beyond it)")
-		reqTimeout = flag.Duration("req-timeout", 30*time.Second, "per-request handler deadline (0 disables)")
+		fsync      = fs.String("fsync", "never", "WAL fsync policy: always (sync per request ack), interval (background ticker), never")
+		fsyncEvery = fs.Duration("fsync-every", 100*time.Millisecond, "sync period for -fsync interval")
+		maxPending = fs.Int("max-pending", 0, "reject submissions with 429 beyond this many pending jobs (0 = unbounded)")
+		maxBody    = fs.Int64("max-body", 1<<20, "request body cap in bytes (413 beyond it)")
+		reqTimeout = fs.Duration("req-timeout", 30*time.Second, "per-request handler deadline (0 disables)")
 
-		replListen = flag.String("replicate-listen", "", "serve WAL-shipping replication to followers on this TCP address (requires -log)")
-		replicaOf  = flag.String("replica-of", "", "run as a hot standby pulling from this primary replication address")
-		replID     = flag.String("replica-id", "", "follower identity reported to the primary (default: the listen address)")
-		maxLag     = flag.Uint64("max-lag", 4096, "replica: /readyz flips to 503 replica-lag beyond this many events behind")
+		replListen = fs.String("replicate-listen", "", "serve WAL-shipping replication to followers on this TCP address (requires -log)")
+		replicaOf  = fs.String("replica-of", "", "run as a hot standby pulling from this primary replication address")
+		replID     = fs.String("replica-id", "", "follower identity reported to the primary (default: the listen address)")
+		maxLag     = fs.Uint64("max-lag", 4096, "replica: /readyz flips to 503 replica-lag beyond this many events behind")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	gcfg := daemon.DefaultConfig()
 	gcfg.Seed = *seed
@@ -78,21 +96,34 @@ func main() {
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *reqTimeout,
 	}
-
 	ropts := replOptions{
 		Listen:  *replListen,
 		Primary: *replicaOf,
 		ID:      *replID,
 		MaxLag:  *maxLag,
 	}
-	if err := serve(scfg, *addr, *snapPath, ropts); err != nil {
-		fatal(err)
-	}
-}
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gridd:", err)
-	os.Exit(1)
+	var usage error
+	switch {
+	case fs.NArg() > 0:
+		usage = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case ropts.Listen != "" && ropts.Primary != "":
+		usage = errors.New("-replicate-listen and -replica-of are mutually exclusive (a node is primary or follower, not both)")
+	case ropts.Listen != "" && scfg.LogPath == "":
+		usage = errors.New("-replicate-listen requires -log: replication ships the write-ahead log")
+	default:
+		usage = scfg.Validate()
+	}
+	if usage != nil {
+		fmt.Fprintln(stderr, "gridd:", usage)
+		return 2
+	}
+
+	if err := serve(scfg, *addr, *snapPath, ropts, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "gridd:", err)
+		return 1
+	}
+	return 0
 }
 
 // buildDaemon constructs the daemon through the shared crash-recovery
@@ -100,16 +131,16 @@ func fatal(err error) {
 // WAL tail, replay the surviving suffix. A log with no snapshot replays
 // cold from the start, so re-serving an existing -log resumes instead
 // of colliding with its sequence numbers.
-func buildDaemon(cfg daemon.ServerConfig, snapPath string) (*daemon.Daemon, error) {
+func buildDaemon(cfg daemon.ServerConfig, snapPath string, stderr io.Writer) (*daemon.Daemon, error) {
 	g, info, err := daemon.RecoverGrid(cfg.Grid, snapPath, cfg.LogPath)
 	if err != nil {
 		return nil, err
 	}
 	if info.TornTail {
-		fmt.Fprintf(os.Stderr, "gridd: truncated a torn WAL tail (crash signature)\n")
+		fmt.Fprintf(stderr, "gridd: truncated a torn WAL tail (crash signature)\n")
 	}
 	if info.FromSnapshot > 0 || info.Replayed > 0 {
-		fmt.Fprintf(os.Stderr, "gridd: recovered to seq %d (snapshot seq %d + %d replayed events)\n",
+		fmt.Fprintf(stderr, "gridd: recovered to seq %d (snapshot seq %d + %d replayed events)\n",
 			g.Applied(), info.FromSnapshot, info.Replayed)
 	}
 	return daemon.NewDaemonWith(g, cfg)
@@ -125,7 +156,7 @@ type replOptions struct {
 	MaxLag  uint64 // /readyz replica-lag threshold
 }
 
-func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions) error {
+func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions, stdout, stderr io.Writer) error {
 	// Bind the listener before recovery and serve a swappable handler:
 	// orchestrator probes get liveness (200 /healthz) the moment the
 	// process is up, honest unreadiness (503 /readyz "recovering") while
@@ -152,18 +183,9 @@ func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions) er
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "gridd: listening on %s, recovering state\n", addr)
+	fmt.Fprintf(stderr, "gridd: listening on %s, recovering state\n", addr)
 
-	if ropts.Listen != "" && ropts.Primary != "" {
-		srv.Close()
-		return fmt.Errorf("-replicate-listen and -replica-of are mutually exclusive (a node is primary or follower, not both)")
-	}
-	if ropts.Listen != "" && cfg.LogPath == "" {
-		srv.Close()
-		return fmt.Errorf("-replicate-listen requires -log: replication ships the write-ahead log")
-	}
-
-	d, err := buildDaemon(cfg, snapPath)
+	d, err := buildDaemon(cfg, snapPath, stderr)
 	if err != nil {
 		srv.Close()
 		return err
@@ -188,7 +210,7 @@ func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions) er
 		}
 		replSrv = transport.NewServer(rs)
 		go replSrv.Serve(rln)
-		fmt.Fprintf(os.Stderr, "gridd: replicating WAL to followers on %s\n", rln.Addr())
+		fmt.Fprintf(stderr, "gridd: replicating WAL to followers on %s\n", rln.Addr())
 	}
 
 	// Follower side: the pull loop demotes the daemon (writes 503 with a
@@ -210,7 +232,7 @@ func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions) er
 			return err
 		}
 		go repl.Run()
-		fmt.Fprintf(os.Stderr, "gridd: following %s as %q (term %d, applied %d)\n",
+		fmt.Fprintf(stderr, "gridd: following %s as %q (term %d, applied %d)\n",
 			ropts.Primary, id, d.Term(), d.AppliedSeq())
 	}
 
@@ -221,7 +243,7 @@ func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions) er
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
-		fmt.Fprintln(os.Stderr, "gridd: draining")
+		fmt.Fprintln(stderr, "gridd: draining")
 		shutdownCtx, stop := context.WithTimeout(context.Background(), 10*time.Second)
 		defer stop()
 		if replSrv != nil {
@@ -230,7 +252,7 @@ func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions) er
 		srv.Shutdown(shutdownCtx) // stop accepting, wait for in-flight
 		cancel()                  // then cancel stragglers via base context
 	}()
-	fmt.Fprintf(os.Stderr, "gridd: serving on %s (fsync %s)\n", addr, cfg.Fsync)
+	fmt.Fprintf(stdout, "gridd: serving on %s (fsync %s)\n", addr, cfg.Fsync)
 	err = <-serveErr
 	if repl != nil {
 		repl.Stop()

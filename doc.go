@@ -152,7 +152,9 @@
 // e.g. "100000x1000:c_hihi:s7") is a deterministic streaming CVB
 // generator: the same spec yields a byte-identical ETC matrix in every
 // process, entries are streamed row by row with no intermediate
-// allocations, and the :f32 suffix selects a float32 matrix backing —
+// allocations, consistent rows are ordered by an allocation-free
+// counting sort on the entries' float bits (byte-identical to a
+// comparison sort), and the :f32 suffix selects a float32 matrix backing —
 // half the bytes of the only jobs×machines structure. Everything the
 // evaluator's State owns is O(jobs + machines): its per-machine lists
 // and prefix sums live in shared backing arrays and are rebuilt by an

@@ -70,6 +70,25 @@ type ServerConfig struct {
 	RequestTimeout time.Duration `json:"request_timeout,omitempty"`
 }
 
+// Validate reports the first error in the configuration of a daemon
+// around a fresh grid: the grid's own, or an unknown fsync policy. It
+// opens nothing, so a server can check its flags before it listens.
+func (c ServerConfig) Validate() error {
+	if err := c.Grid.Validate(); err != nil {
+		return err
+	}
+	return checkFsync(c.Fsync)
+}
+
+func checkFsync(policy string) error {
+	switch policy {
+	case "", FsyncNever, FsyncAlways, FsyncInterval:
+		return nil
+	}
+	return fmt.Errorf("daemon: unknown fsync policy %q (want %s, %s or %s)",
+		policy, FsyncAlways, FsyncInterval, FsyncNever)
+}
+
 // Daemon wraps a Grid with the HTTP API, the write-ahead event log and
 // the admission timer. All grid access is serialised by one mutex; the
 // timer only decides when an admit event is appended, so the trajectory
@@ -141,11 +160,8 @@ func NewDaemon(cfg ServerConfig) (*Daemon, error) {
 // When cfg.LogPath is set, the log is opened for append and the writer
 // continues from the grid's applied sequence number.
 func NewDaemonWith(g *Grid, cfg ServerConfig) (*Daemon, error) {
-	switch cfg.Fsync {
-	case "", FsyncNever, FsyncAlways, FsyncInterval:
-	default:
-		return nil, fmt.Errorf("daemon: unknown fsync policy %q (want %s, %s or %s)",
-			cfg.Fsync, FsyncAlways, FsyncInterval, FsyncNever)
+	if err := checkFsync(cfg.Fsync); err != nil {
+		return nil, err
 	}
 	d := &Daemon{
 		cfg:      cfg,

@@ -58,8 +58,8 @@ func GenerateCVB(name string, o CVBOptions) (*Instance, error) {
 	// Gamma shape/scale from mean μ and CV v: shape = 1/v², scale = μ·v².
 	alphaTask := 1 / (o.Vtask * o.Vtask)
 	alphaMach := 1 / (o.Vmach * o.Vmach)
-	scratch := make([]float64, 0, (o.Machs+1)/2)
-	fillRows(rng.New(o.Seed), in.ETC, o.Machs, o.TaskMean, alphaTask, alphaMach, o.Consistency, scratch)
+	var s rowSorter // a fresh instance is never regenerated in place, so it keeps no scratch
+	fillRows(rng.New(o.Seed), in.ETC, o.Machs, o.TaskMean, alphaTask, alphaMach, o.Consistency, &s)
 	in.Finalize()
 	return in, nil
 }

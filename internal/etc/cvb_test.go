@@ -66,6 +66,12 @@ func TestCVBGoldenDigests(t *testing.T) {
 			"12a31717c5a46ad8c3bb4522ea9fad5ebed1bb3a453335634f180560a2770b3d"},
 		{CVBOptions{TaskMean: 1000, Vtask: 2, Vmach: 1.2, Consistency: Consistent, Seed: 2},
 			"7fa015c8b2ab67cbed120851428fa3e99fdc23db914be6c500b9a2f80b27d2f4"},
+		// A small task mean under a machine CV of 3 clamps most entries
+		// to 1.0: rows of long equal runs beside a few spread values.
+		{CVBOptions{Jobs: 30, Machs: 9, TaskMean: 2, Vtask: 0.5, Vmach: 3, Consistency: Consistent, Seed: 3},
+			"600188b7af90133657f39ed6d28cf1266891714f6f52ed9f125fa0d787e00615"},
+		{CVBOptions{Jobs: 30, Machs: 9, TaskMean: 2, Vtask: 0.5, Vmach: 3, Consistency: SemiConsistent, Seed: 3},
+			"0273260045b707af0309b2dffc853c313c7ec836ed08fa15f2528ffb7813f8e3"},
 	}
 	for i, c := range cases {
 		in, err := GenerateCVB("cvb", c.o)

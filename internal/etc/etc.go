@@ -176,6 +176,7 @@ type Instance struct {
 	workload []float64 // mean ETC per job (lazily built by Finalize)
 	speed    []float64 // 1 / mean ETC per machine
 	genSpec  GenSpec   // spec that last filled this instance (GenerateInto)
+	sorter   rowSorter // GenerateInto's consistency-sort scratch
 }
 
 // maxEntries caps jobs × machines: 2^31 matrix entries (16 GiB under the
@@ -454,28 +455,17 @@ func Generate(class Class, k int, opt GenerateOptions) *Instance {
 		rMach = MachineHeterogeneityHigh
 	}
 
+	var s rowSorter // a fresh instance is never regenerated in place, so it keeps no scratch
 	for i := 0; i < in.Jobs; i++ {
 		b := r.Uniform(1, rTask)
 		row := in.ETC[i*in.Machs : (i+1)*in.Machs]
 		for j := range row {
 			row[j] = b * r.Uniform(1, rMach)
 		}
-		switch class.Consistency {
-		case Consistent:
-			sort.Float64s(row)
-		case SemiConsistent:
-			sortEvenColumns(row)
-		}
+		consistify(row, class.Consistency, &s)
 	}
 	in.Finalize()
 	return in
-}
-
-// sortEvenColumns sorts the values sitting in even column positions of row
-// in place, leaving odd columns untouched. This is the benchmark's
-// semi-consistency construction: even columns form a consistent sub-matrix.
-func sortEvenColumns(row []float64) {
-	sortEven(row, make([]float64, 0, (len(row)+1)/2))
 }
 
 // GenerateByName parses a benchmark instance name and generates the

@@ -2,6 +2,7 @@ package etc
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -144,6 +145,37 @@ func TestGenerateHeterogeneityRanges(t *testing.T) {
 	}
 	if maxHi < 100*maxLo {
 		t.Errorf("expected ≫ spread between hihi (%v) and lolo (%v)", maxHi, maxLo)
+	}
+}
+
+// TestBraunGoldenDigests pins the 12 Braun instances byte for byte, like
+// TestGenSpecGoldenDigests: every instance the paper's tables, the golden
+// trajectories and the batch-braun benchmark run on is a pure function of
+// its name, so these digests must never change.
+func TestBraunGoldenDigests(t *testing.T) {
+	golden := map[string]string{
+		"u_c_hihi.0": "1decdf56700e4626bce0d46441aed031172cc8c3c6847eb56abe1ae228da981e",
+		"u_c_hilo.0": "4d9a10c90b15bde755580f6436f5c051351d6374c80783bc75f1a893a60a062d",
+		"u_c_lohi.0": "165ffedc8f0b6ef3c642a31b5982a99020b42c7b4cea34cae84f2ba4a4fce68f",
+		"u_c_lolo.0": "9599a1e1434d10495a7409b75ceda5e487501ef02906290e0d4191ea78e8bc47",
+		"u_i_hihi.0": "ee83fd076052efed97aa363ab00bf7642b4df283d827e3f5e7daadfd42378330",
+		"u_i_hilo.0": "09c75d09683fc6f2a6ac3f9c139d0d35c02255d3922f4d51230f3b2658b4a644",
+		"u_i_lohi.0": "a1883659424d6106502b1eb579e05510c89f7a04c71b75d7d0e5bddaf4a5e8b5",
+		"u_i_lolo.0": "80bf56d3487bac7658bfbbe82fb926e0cd6d63690febdf4b36a6802cad2df8bd",
+		"u_s_hihi.0": "3f29990258d7d2b616ac2bef3a9b5ed7726cd2caf7001298c47a66a8a07e712b",
+		"u_s_hilo.0": "f469d2c50a69a6e10dd427c8e6371a92bb8b1c0bb9d71d1a68885fa168b3a1a2",
+		"u_s_lohi.0": "635f2d1d437e87255dfaa5b9b962c5d69972752fb344ace1567180ee2f4f15e3",
+		"u_s_lolo.0": "c78b8522c7bfc448185aa807ec7fc5a2ce6098344772750d119da5615058de21",
+	}
+	for _, c := range AllClasses() {
+		name := c.Name(0)
+		in, err := GenerateByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := in.MatrixDigest(); hex.EncodeToString(got[:]) != golden[name] {
+			t.Errorf("%s: digest %x, want %s", name, got, golden[name])
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -18,9 +17,13 @@ import (
 // calls for: a deterministic streaming generator for arbitrary
 // (jobs, machines, heterogeneity) points, CVB-style (gamma draws around a
 // gamma-drawn per-task mean), filling the single flat ETC matrix row by
-// row with no intermediate per-row allocations. The same GenSpec always
+// row with no intermediate per-row allocations. A consistent or
+// semi-consistent row goes through the package's counting-sort kernel
+// (rowsort.go), whose scratch the filled instance keeps, so a same-shape
+// GenerateInto allocates nothing in any class. The same GenSpec always
 // produces a byte-identical matrix: the xoshiro stream is a pure function
-// of Seed and every draw is consumed in a fixed order.
+// of Seed, every draw is consumed in a fixed order, and a sorted row has
+// only one ascending order.
 
 // CVB parameters used by GenSpec generation: one fixed task mean, and the
 // coefficient-of-variation pair the literature uses for low/high
@@ -196,22 +199,10 @@ func (g GenSpec) GenerateInto(dst *Instance) (*Instance, error) {
 	// Gamma shape/scale from mean μ and CV v: shape = 1/v², scale = μ·v².
 	alphaTask := 1 / (vt * vt)
 	alphaMach := 1 / (vm * vm)
-	// The even-column scratch is the generator's only working buffer: one
-	// half-row, allocated only for semi-consistent classes, reused across
-	// every row.
-	var s64 []float64
-	var s32 []float32
-	if g.Class.Consistency == SemiConsistent {
-		if g.Float32 {
-			s32 = make([]float32, 0, (g.Machs+1)/2)
-		} else {
-			s64 = make([]float64, 0, (g.Machs+1)/2)
-		}
-	}
 	if g.Float32 {
-		fillRows(&r, dst.ETC32, g.Machs, GenTaskMean, alphaTask, alphaMach, g.Class.Consistency, s32)
+		fillRows(&r, dst.ETC32, g.Machs, GenTaskMean, alphaTask, alphaMach, g.Class.Consistency, &dst.sorter)
 	} else {
-		fillRows(&r, dst.ETC, g.Machs, GenTaskMean, alphaTask, alphaMach, g.Class.Consistency, s64)
+		fillRows(&r, dst.ETC, g.Machs, GenTaskMean, alphaTask, alphaMach, g.Class.Consistency, &dst.sorter)
 	}
 	dst.Finalize()
 	return dst, nil
@@ -220,14 +211,13 @@ func (g GenSpec) GenerateInto(dst *Instance) (*Instance, error) {
 // fillRows streams the CVB draws into the flat matrix row by row: per row
 // a task mean q drawn around taskMean, then one draw around q per
 // machine, each clamped to at least 1. GenSpec and GenerateCVB share it;
-// only the task mean differs. The only
-// buffers it touches are the destination itself and the caller-provided
-// even-column scratch: per-row work allocates nothing, so matrix size is
-// bounded by the destination alone. Draws happen in float64 (the stream is
-// backing-independent) and are narrowed on store; the in-place consistency
-// sort runs on the stored element type, which for float32 gives the same
-// order as sorting before narrowing because the conversion is monotone.
-func fillRows[E interface{ ~float32 | ~float64 }](r *rng.Source, dst []E, machs int, taskMean, alphaTask, alphaMach float64, cons Consistency, scratch []E) {
+// only the task mean differs. Besides the destination it touches only
+// the counting-sort scratch s: per-row work allocates nothing, so matrix
+// size is bounded by the destination alone. Draws happen in float64 (the stream is backing-independent) and
+// are narrowed on store; the consistency sort (consistify) runs on the
+// stored element type, which for float32 gives the same order as sorting
+// before narrowing because the conversion is monotone.
+func fillRows[E interface{ ~float32 | ~float64 }](r *rng.Source, dst []E, machs int, taskMean, alphaTask, alphaMach float64, cons Consistency, s *rowSorter) {
 	rows := len(dst) / machs
 	for i := 0; i < rows; i++ {
 		q := gamma(r, alphaTask, taskMean/alphaTask)
@@ -242,27 +232,7 @@ func fillRows[E interface{ ~float32 | ~float64 }](r *rng.Source, dst []E, machs 
 			}
 			row[j] = E(v)
 		}
-		switch cons {
-		case Consistent:
-			slices.Sort(row)
-		case SemiConsistent:
-			sortEven(row, scratch)
-		}
-	}
-}
-
-// sortEven sorts the even-column entries of row in place through scratch
-// (capacity ≥ ⌈len(row)/2⌉), the allocation-free core of the benchmark's
-// semi-consistency construction.
-func sortEven[E interface{ ~float32 | ~float64 }](row, scratch []E) {
-	scratch = scratch[:0]
-	for j := 0; j < len(row); j += 2 {
-		scratch = append(scratch, row[j])
-	}
-	slices.Sort(scratch)
-	for k, j := 0, 0; j < len(row); j += 2 {
-		row[j] = scratch[k]
-		k++
+		consistify(row, cons, s)
 	}
 }
 

@@ -91,6 +91,18 @@ func TestGenSpecGoldenDigests(t *testing.T) {
 		"64x8:c_hihi:s1":     "6a0492f0fa5ce4d40cacdbeefbf364c08d92cecf2554d18eabd38b512948484c",
 		"64x8:c_hihi:s1:f32": "11635da466eafb73d47fe7a544f825bcdd889d82d629172c5c66dc0e852fc4fa",
 		"48x6:s_lohi:s3":     "aa12b2f20e96157fdbee52beececf00a80a4bca0b7179c1d3d62c0823047f19b",
+		// Every path of the consistency sort: low heterogeneity, an odd
+		// machine count (a last even column with no odd partner), the
+		// even-column sort on the float32 backing, and rows of one and
+		// two machines (the kernel's trivial and smallest inputs).
+		"64x8:c_lolo:s2":     "4e30e9fe9c200325120b4425a1763f4e3e2ec735a3f226f3f6095666f0015b0e",
+		"33x7:s_hihi:s4":     "ee91ca8c871d7c67ba1c49c8ffecead214ae3b165455690a94d42e05b023bc14",
+		"48x6:s_lohi:s3:f32": "1a02444656c3dce5eec4d8877d5acfa41aac26fb1ccffe448a81244cd018881f",
+		"33x7:s_hilo:s5:f32": "b9c99a810c8464cc22003974784d6dff418a56f98d8ac007c53cc931d0badf4c",
+		"40x1:c_hihi:s5":     "da366fa01a31924e13e713bfeb963d5834b721c9be8029c6351e8f5de4f58bb5",
+		"40x1:s_lolo:s6":     "641a238ded854d763e100e8208393bbeb6a34ee95d8e054ef7cd0ac349ac3778",
+		"40x2:c_lolo:s7:f32": "120d9c29627f7cb79b124e23d9ff6ecee122a9123dd2735516f54d8330ead476",
+		"40x2:s_hihi:s8":     "5f5b730258c8d722ed0341cb2865916ebfcc38c192d5ddc5dc37b10dfee346f3",
 	}
 	for spec, want := range golden {
 		in := mustGen(t, mustSpec(t, spec))
@@ -229,22 +241,27 @@ func TestFinalizeReuse(t *testing.T) {
 }
 
 // BenchmarkGenerateInto guards the steady-state generator: regenerating a
-// same-shape instance performs zero allocations (CI's allocation guard
-// runs this at -benchtime 1x).
+// same-shape instance performs zero allocations in every consistency
+// class and on both backings (CI's allocation guard runs this at
+// -benchtime 1x).
 func BenchmarkGenerateInto(b *testing.B) {
-	g, err := ParseGenSpec("1024x64:c_hihi:s1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, err := g.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.GenerateInto(in); err != nil {
-			b.Fatal(err)
-		}
+	for _, class := range []string{"c_hihi", "s_hihi", "i_hihi", "c_hihi:f32"} {
+		b.Run(class, func(b *testing.B) {
+			g, err := ParseGenSpec("1024x64:" + class + ":s1")
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, err := g.Generate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.GenerateInto(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
