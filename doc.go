@@ -66,6 +66,11 @@
 // # Evaluation: scratch, incremental, probe, sweep and cached scan
 //
 // The evaluation layer (internal/schedule) works at five temperatures.
+// All of them read the ETC matrix, which etc.Instance stores
+// machine-major: entry (job j, machine m) at m*Jobs + j, each machine's
+// column one contiguous run. Every replay over one machine's job list
+// reads that machine's column, and the partner costs a critical-swap
+// query gathers all come from the critical machine's column.
 // Scratch evaluation (Objective.Evaluate, NewState, State.SetSchedule)
 // rebuilds everything from a genotype — the entry point for external
 // schedules. The cMA rebuilds a crossover child from its first parent
@@ -151,7 +156,8 @@
 // internal/etc's GenSpec ("<jobs>x<machs>[:<class>][:s<seed>][:f32]",
 // e.g. "100000x1000:c_hihi:s7") is a deterministic streaming CVB
 // generator: the same spec yields a byte-identical ETC matrix in every
-// process, entries are streamed row by row with no intermediate
+// process, each job's row is drawn into a small staging block and the
+// block is written out one column run at a time, with no per-row
 // allocations, consistent rows are ordered by an allocation-free
 // counting sort on the entries' float bits (byte-identical to a
 // comparison sort), and the :f32 suffix selects a float32 matrix backing —

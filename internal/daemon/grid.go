@@ -139,11 +139,11 @@ const (
 	// parking machine can never become critical while jobs are placed.
 	parkEps = 1e-12
 	// blockETC is the "never go there" ETC: parked slots on real
-	// machines, live jobs on the parking column and every dead machine
-	// column. Any candidate involving such an entry scores at least
-	// blockETC worse than doing nothing, so improvement-gated searches
-	// cannot select it; sums of a few thousand of these stay far below
-	// overflow.
+	// machines (from the admission after they were freed on), live jobs
+	// on the parking column and every dead machine column. Any candidate
+	// involving such an entry scores at least blockETC worse than doing
+	// nothing, so improvement-gated searches cannot select it; sums of a
+	// few thousand of these stay far below overflow.
 	blockETC = 1e18
 )
 
@@ -284,6 +284,18 @@ type Grid struct {
 	machs    []machSlot
 	machByID map[uint64]int
 
+	// unfilled and unblocked are the slots whose real-machine cells an
+	// admission writes: slots submitted since the last placing admission
+	// get their row when it places them (fillRows), slots freed since
+	// the last admission get blockETC (blockFreed). A slot is parked in
+	// between, so only its parking cell is visible to the live state, and
+	// writing the rows column by column at the admission walks the
+	// machine-major matrix in storage order instead of striding across
+	// every column once per event.
+	unfilled  []int32
+	unblocked []int32
+	mctRows   []float64 // admission scratch: up to mctChunk pending jobs' alive-machine values
+
 	nextJobID  uint64
 	nextMachID uint64
 	applied    uint64 // sequence number of the last applied event
@@ -348,12 +360,13 @@ func (g *Grid) park() int { return g.cfg.MachCap }
 // blankInstance allocates a capacity instance with blockETC on every real
 // column. The parking column is left zero — every caller assigns each
 // row's park cell (the slot's park key or blockETC) before the instance
-// reaches a State.
+// reaches a State. The fill runs column by column, the matrix's storage
+// order.
 func (g *Grid) blankInstance(jobCap int) *etc.Instance {
 	in := etc.New("gridd", jobCap, g.cfg.MachCap+1)
 	p := g.park()
-	for s := 0; s < jobCap; s++ {
-		for m := 0; m < p; m++ {
+	for m := 0; m < p; m++ {
+		for s := 0; s < jobCap; s++ {
 			in.Set(s, m, blockETC)
 		}
 	}
@@ -524,17 +537,10 @@ func (g *Grid) applySubmit(e eventlog.Event) error {
 	g.byID[e.Job] = s
 	g.touchPending(len(g.pending))
 	g.pending = append(g.pending, s)
-	// Fill the row for the machines alive now; later joins rewrite their
-	// column. The parking column keeps the slot's park key until
-	// placement. The row of a parked slot is invisible to the live state
-	// beyond that untouched cell, so this needs no invalidation.
-	for m := range g.machs {
-		if g.machs[m].alive {
-			g.inst.Set(int(s), m, g.etcOf(e.Job, e.Base, &g.machs[m]))
-		} else {
-			g.inst.Set(int(s), m, blockETC)
-		}
-	}
+	// The row is written by the next admission, which is the first to
+	// read it. The parking column keeps the slot's park key until
+	// placement.
+	g.unfilled = append(g.unfilled, s)
 	g.counters.Submitted++
 	return nil
 }
@@ -640,9 +646,9 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 			g.st.RefreshFlowtime()
 		}
 	}
-	for m := 0; m < p; m++ {
-		g.inst.Set(int(s), m, blockETC)
-	}
+	// The next admission blocks the freed row, unless a submission has
+	// taken the slot again by then.
+	g.unblocked = append(g.unblocked, s)
 	delete(g.byID, e.Job)
 	g.jobs[s] = jobSlot{}
 	g.touchFree(len(g.free))
@@ -659,6 +665,7 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 func (g *Grid) applyAdmit() error {
 	g.counters.Admits++
 	g.lastPlaced = g.lastPlaced[:0]
+	g.blockFreed()
 
 	// Re-pool: jobs on departed machines go back to pending, in list
 	// order (JobsOn is (ETC, id)-ordered — deterministic). A job already
@@ -687,8 +694,9 @@ func (g *Grid) applyAdmit() error {
 		}
 	}
 	if len(aliveMachs) == 0 {
-		// Nothing to place against; pending jobs wait, departed slots
-		// keep their stranded jobs until a machine exists.
+		// Nothing to place against; pending jobs wait (their rows with
+		// them), departed slots keep their stranded jobs until a machine
+		// exists.
 		return nil
 	}
 
@@ -700,18 +708,25 @@ func (g *Grid) applyAdmit() error {
 		for _, m := range aliveMachs {
 			comp[m] = g.st.Completion(m)
 		}
-		for _, s := range g.pending {
-			best, bestC := -1, math.Inf(1)
-			for _, m := range aliveMachs {
-				if c := comp[m] + g.inst.At(int(s), m); c < bestC {
-					best, bestC = m, c
+		for c0 := 0; c0 < len(g.pending); c0 += mctChunk {
+			chunk := g.pending[c0:min(c0+mctChunk, len(g.pending))]
+			rows := g.pendingRows(chunk, aliveMachs)
+			for i, s := range chunk {
+				row := rows[i*len(aliveMachs):][:len(aliveMachs)]
+				best, bestK, bestC := -1, -1, math.Inf(1)
+				for k, m := range aliveMachs {
+					if c := comp[m] + row[k]; c < bestC {
+						best, bestK, bestC = m, k, c
+					}
 				}
+				cand[s] = best
+				comp[best] += row[bestK]
+				g.touchJob(s)
+				g.jobs[s].state = slotPlaced
 			}
-			cand[s] = best
-			comp[best] += g.inst.At(int(s), best)
-			g.touchJob(s)
-			g.jobs[s].state = slotPlaced
+			g.fillRows(chunk, aliveMachs, rows)
 		}
+		g.blockUnfilled()
 		g.st.SetScheduleDiff(cand)
 		// Placed jobs must not be parkable by the search.
 		p := g.park()
@@ -722,6 +737,7 @@ func (g *Grid) applyAdmit() error {
 		g.pending = nil // placed aliases the old backing array until the window ends
 		g.touchPending(0)
 	}
+	g.unfilled = g.unfilled[:0]
 
 	// Departed slots are empty now; block their columns and invalidate.
 	for m := range g.machs {
@@ -756,6 +772,86 @@ func (g *Grid) applyAdmit() error {
 	return nil
 }
 
+// blockFreed writes blockETC on every real machine for each slot freed
+// since the last admission and still free, column by column.
+func (g *Grid) blockFreed() {
+	free := g.unblocked[:0]
+	for _, s := range g.unblocked {
+		if g.jobs[s].state == slotFree {
+			free = append(free, s)
+		}
+	}
+	g.unblocked = g.unblocked[:0]
+	if len(free) == 0 {
+		return
+	}
+	jobs := g.inst.Jobs
+	for m := 0; m < g.park(); m++ {
+		col := g.inst.ETC[m*jobs:][:jobs]
+		for _, s := range free {
+			col[s] = blockETC
+		}
+	}
+}
+
+// mctChunk is how many pending jobs the admission places per pass: their
+// rows are computed into a scratch of mctChunk rows, placed in order and
+// written out column by column, so the scratch stays small however many
+// jobs the window holds.
+const mctChunk = 16
+
+// pendingRows computes each chunk job's value on every alive machine,
+// row i holding chunk[i]'s value on alive[k] at k. These are the cells
+// the matrix holds for them there: a re-pooled job's since its placement
+// (a later join rewrote its column), a fresh one's once fillRows has
+// written it.
+func (g *Grid) pendingRows(chunk []int32, alive []int) []float64 {
+	n := len(chunk) * len(alive)
+	if cap(g.mctRows) < n {
+		g.mctRows = make([]float64, mctChunk*len(g.machs))
+	}
+	rows := g.mctRows[:n]
+	for i, s := range chunk {
+		js := &g.jobs[s]
+		row := rows[i*len(alive):][:len(alive)]
+		for k, m := range alive {
+			row[k] = g.etcOf(js.id, js.base, &g.machs[m])
+		}
+	}
+	return rows
+}
+
+// fillRows writes the chunk jobs' rows (from pendingRows) on the alive
+// machines, column by column, before the placement commits.
+func (g *Grid) fillRows(chunk []int32, alive []int, rows []float64) {
+	jobs := g.inst.Jobs
+	for k, m := range alive {
+		col := g.inst.ETC[m*jobs:][:jobs]
+		for i, s := range chunk {
+			col[s] = rows[i*len(alive)+k]
+		}
+	}
+}
+
+// blockUnfilled writes blockETC on every dead real machine for each job
+// submitted since the last placing admission and still live. A
+// re-pooled job keeps its cells there: it still sits on its departed
+// machine until the placement commits.
+func (g *Grid) blockUnfilled() {
+	jobs := g.inst.Jobs
+	for m := 0; m < g.park(); m++ {
+		if g.machs[m].alive {
+			continue
+		}
+		col := g.inst.ETC[m*jobs:][:jobs]
+		for _, s := range g.unfilled {
+			if g.jobs[s].state != slotFree {
+				col[s] = blockETC
+			}
+		}
+	}
+}
+
 // grow doubles the job capacity: a new instance and state carrying the
 // current assignment, every new slot free and parked. This is the one
 // cold restart in the grid's life (the next Digest folds from scratch);
@@ -766,16 +862,17 @@ func (g *Grid) grow() {
 	newCap := oldCap * 2
 	inst := g.blankInstance(newCap)
 	p := g.park()
+	// Copy column by column. Park cells carry the slot's park key (or
+	// blockETC when placed) for free and occupied slots alike — the
+	// parking list order is part of the trajectory.
 	for s := 0; s < oldCap; s++ {
-		// Park cells carry the slot's park key (or blockETC when placed)
-		// for free and occupied slots alike — the parking list order is
-		// part of the trajectory.
 		inst.Set(s, p, g.inst.At(s, p))
-		if g.jobs[s].state == slotFree {
-			continue
-		}
-		for m := 0; m < p; m++ {
-			inst.Set(s, m, g.inst.At(s, m))
+	}
+	for m := 0; m < p; m++ {
+		for s := 0; s < oldCap; s++ {
+			if g.jobs[s].state != slotFree {
+				inst.Set(s, m, g.inst.At(s, m))
+			}
 		}
 	}
 	g.parkKeys = append(g.parkKeys, make([]uint64, newCap-oldCap)...)
@@ -919,11 +1016,13 @@ func (g *Grid) LiveInstance() (*etc.Instance, schedule.Schedule) {
 		return nil, nil
 	}
 	in := etc.New(fmt.Sprintf("gridd-live-%d", g.counters.Admits), len(slots), len(machs))
-	sched := make(schedule.Schedule, len(slots))
-	for i, s := range slots {
-		for k, m := range machs {
+	for k, m := range machs {
+		for i, s := range slots {
 			in.Set(i, k, g.inst.At(int(s), m))
 		}
+	}
+	sched := make(schedule.Schedule, len(slots))
+	for i, s := range slots {
 		sched[i] = machIdx[g.st.Assign(int(s))]
 	}
 	in.Finalize()

@@ -8,8 +8,10 @@ import (
 
 // BenchmarkAdmitSteady measures one steady-state admission window at the
 // 2048-live x 64-machine ladder point: 512 completes drain, 512 fresh
-// submissions, one admit — only the admit is timed. This is the warm
-// half of the warm-vs-cold comparison GET /coldcheck reports.
+// submissions, one admit — only the admit is timed. It includes the
+// window's deferred row writes: the freed slots' blocking and the fresh
+// jobs' rows. This is the warm half of the warm-vs-cold comparison GET
+// /coldcheck reports.
 func BenchmarkAdmitSteady(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.JobCap = 8192
@@ -56,7 +58,7 @@ func BenchmarkAdmitSteady(b *testing.B) {
 // steady state, on a 4096-slot grid: 512 completes of the oldest jobs,
 // each parking its slot at the tail of the 2048-slot parking list, are
 // timed; the 512 fresh submissions and the admit that refill the grid
-// are not.
+// (and write the freed slots' rows) are not.
 func BenchmarkCompleteSteady(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.JobCap = 4096

@@ -269,3 +269,51 @@ func TestGridSlotReuseAndGrowth(t *testing.T) {
 		t.Fatal("growth/reuse trajectory does not replay to the same digest")
 	}
 }
+
+// TestAdmissionSettlesRows: submissions and completions leave their rows
+// to the next admission, which must write them before it places or
+// searches. After every admission each free slot is blockETC on every
+// real machine and each occupied slot holds its job's value on every
+// alive one — the rows an eager per-event write would have left.
+func TestAdmissionSettlesRows(t *testing.T) {
+	for _, jobCap := range []int{4, 32} {
+		cfg := testConfig()
+		cfg.JobCap = jobCap
+		g, err := NewGrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newDriver(7, cfg.MachCap)
+		admits := 0
+		for i := 0; i < 1500; i++ {
+			e := d.next()
+			if err := g.Apply(e); err != nil {
+				t.Fatalf("event %d (%+v): %v", i, e, err)
+			}
+			if e.Type != eventlog.Admit {
+				continue
+			}
+			d.used = len(d.alive)
+			admits++
+			for s := range g.jobs {
+				js := &g.jobs[s]
+				for m := range g.machs {
+					got := g.inst.At(s, m)
+					switch {
+					case js.state == slotFree:
+						if got != blockETC {
+							t.Fatalf("jobCap %d admission %d: free slot %d reads %v on machine %d, want blockETC", jobCap, admits, s, got, m)
+						}
+					case g.machs[m].alive:
+						if want := g.etcOf(js.id, js.base, &g.machs[m]); got != want {
+							t.Fatalf("jobCap %d admission %d: job %d reads %v on machine %d, want %v", jobCap, admits, js.id, got, m, want)
+						}
+					}
+				}
+			}
+		}
+		if admits < 50 || g.Counters().Completed == 0 || (jobCap == 4 && g.Counters().Grows == 0) {
+			t.Fatalf("jobCap %d: stream too thin: %d admissions, counters %+v", jobCap, admits, g.Counters())
+		}
+	}
+}

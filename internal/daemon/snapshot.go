@@ -128,11 +128,12 @@ func (g *Grid) WriteSnapshot(w io.Writer) error {
 // The ETC matrix is reconstructed from the deterministic value formula:
 // occupied rows get real values on every alive column and on the row's
 // own (possibly departed) machine slot, blockETC elsewhere. A live grid
-// may still hold real values in cells a departed machine left behind
-// (overwritten at the next admission in both grids, read by neither
-// before that), so cells the scheduler can observe — and therefore the
-// digest trajectory — match bit for bit even where the raw matrices do
-// not.
+// may still hold real values in cells a departed machine left behind,
+// and stale ones in the rows of slots submitted or freed since its last
+// admission (blockFreed, fillRows). The next admission writes those
+// cells in both grids and neither reads them before, so cells the
+// scheduler can observe — and therefore the digest trajectory — match
+// bit for bit even where the raw matrices do not.
 func Restore(s *Snapshot) (*Grid, error) {
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("daemon: snapshot version %d, want %d", s.Version, snapshotVersion)
@@ -191,20 +192,24 @@ func Restore(s *Snapshot) (*Grid, error) {
 			return nil, fmt.Errorf("daemon: job %d machine slot %d out of range", sj.ID, sj.Mach)
 		}
 		sched[sj.Slot] = sj.Mach
-		row := int(sj.Slot)
 		for m := 0; m < p; m++ {
-			ms := &g.machs[m]
-			if ms.alive || m == sj.Mach {
-				if ms.id == 0 {
-					return nil, fmt.Errorf("daemon: job %d on never-used machine slot %d", sj.ID, m)
-				}
-				g.inst.Set(row, m, g.etcOf(sj.ID, sj.Base, ms))
-			} else {
-				g.inst.Set(row, m, blockETC)
+			if ms := &g.machs[m]; (ms.alive || m == sj.Mach) && ms.id == 0 {
+				return nil, fmt.Errorf("daemon: job %d on never-used machine slot %d", sj.ID, m)
 			}
 		}
 		if sj.Mach != p {
-			g.inst.Set(row, p, blockETC)
+			g.inst.Set(int(sj.Slot), p, blockETC)
+		}
+	}
+	// Fill the jobs' rows column by column, the matrix's storage order.
+	for m := 0; m < p; m++ {
+		ms := &g.machs[m]
+		for _, sj := range s.Jobs {
+			if ms.alive || m == sj.Mach {
+				g.inst.Set(int(sj.Slot), m, g.etcOf(sj.ID, sj.Base, ms))
+			} else {
+				g.inst.Set(int(sj.Slot), m, blockETC)
+			}
 		}
 	}
 	g.pending = append(g.pending[:0], s.Pending...)

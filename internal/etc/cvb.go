@@ -58,9 +58,10 @@ func GenerateCVB(name string, o CVBOptions) (*Instance, error) {
 	// Gamma shape/scale from mean μ and CV v: shape = 1/v², scale = μ·v².
 	alphaTask := 1 / (o.Vtask * o.Vtask)
 	alphaMach := 1 / (o.Vmach * o.Vmach)
-	var s rowSorter // a fresh instance is never regenerated in place, so it keeps no scratch
-	fillRows(rng.New(o.Seed), in.ETC, o.Machs, o.TaskMean, alphaTask, alphaMach, o.Consistency, &s)
-	in.Finalize()
+	// A CVB instance is never regenerated in place, so it keeps no scratch.
+	var stage []float64
+	var s rowSorter
+	fillColumns(in, in.ETC, &stage, &s, o.Consistency, cvbRow[float64](rng.New(o.Seed), o.TaskMean, alphaTask, alphaMach))
 	return in, nil
 }
 

@@ -133,13 +133,12 @@ func TestCVBConsistencyTransforms(t *testing.T) {
 	semi, _ := GenerateCVB("s", CVBOptions{Jobs: 60, Machs: 8, TaskMean: 100,
 		Vtask: 0.5, Vmach: 0.5, Consistency: SemiConsistent, Seed: 7})
 	for i := 0; i < semi.Jobs; i++ {
-		row := semi.Row(i)
 		prev := math.Inf(-1)
 		for j := 0; j < semi.Machs; j += 2 {
-			if row[j] < prev {
+			if semi.At(i, j) < prev {
 				t.Fatal("semi-consistent CVB: even columns not sorted")
 			}
-			prev = row[j]
+			prev = semi.At(i, j)
 		}
 	}
 }

@@ -153,20 +153,30 @@ func ParseClass(name string) (Class, int, error) {
 // Instance is a complete scheduling problem: an ETC matrix plus machine
 // ready times. Instances are immutable once built; schedulers never write
 // to them, so a single Instance may be shared by concurrent runs.
+//
+// The matrix is stored machine-major: entry (job j, machine m) sits at
+// m*Jobs + j, so each machine's column is one contiguous run. The
+// evaluation kernels walk one machine's job list at a time, and the
+// sampled LMCTS reads random jobs' entries on the critical machine; both
+// then read one column instead of one row per job. Everything outside
+// the storage — At and Set, the text format, MatrixDigest, Validate's
+// messages and every generator's draw order — speaks of the logical
+// (job, machine) matrix, which is row-major.
 type Instance struct {
 	Name  string
 	Jobs  int
 	Machs int
-	// ETC is row-major: ETC[i*Machs+j] is the expected time of job i on
-	// machine j. A flat slice keeps the hot evaluation loops cache-
-	// friendly and allocation-free.
+	// ETC is machine-major: ETC[m*Jobs+j] is the expected time of job j
+	// on machine m, and ETC[m*Jobs:(m+1)*Jobs] is machine m's column. A
+	// flat slice keeps the hot evaluation loops cache-friendly and
+	// allocation-free.
 	ETC []float64
 	// ETC32 is the opt-in narrow backing for frontier-scale matrices
-	// (GenSpec.Float32): the same row-major layout in float32, halving
-	// the matrix footprint (100k×1k drops from 800MB to 400MB). Exactly
-	// one of ETC and ETC32 is non-nil; At dispatches on which, and every
-	// evaluation kernel reads entries as float64 after a single widening
-	// conversion, so all downstream arithmetic stays in float64.
+	// (GenSpec.Float32): the same machine-major layout in float32,
+	// halving the matrix footprint (100k×1k drops from 800MB to 400MB).
+	// Exactly one of ETC and ETC32 is non-nil; At dispatches on which,
+	// and every evaluation kernel reads entries as float64 after a single
+	// widening conversion, so all downstream arithmetic stays in float64.
 	ETC32 []float32
 	// Ready[j] is the time machine j becomes available. The Braun
 	// benchmark uses all-zero ready times; the dynamic simulator supplies
@@ -175,8 +185,7 @@ type Instance struct {
 
 	workload []float64 // mean ETC per job (lazily built by Finalize)
 	speed    []float64 // 1 / mean ETC per machine
-	genSpec  GenSpec   // spec that last filled this instance (GenerateInto)
-	sorter   rowSorter // GenerateInto's consistency-sort scratch
+	gen      *genState // GenerateInto's state; nil unless a GenSpec filled the instance
 }
 
 // maxEntries caps jobs × machines: 2^31 matrix entries (16 GiB under the
@@ -233,30 +242,19 @@ func New32(name string, jobs, machs int) *Instance {
 // float64 path is unchanged from the single-backing implementation.
 func (in *Instance) At(job, mach int) float64 {
 	if in.ETC != nil {
-		return in.ETC[job*in.Machs+mach]
+		return in.ETC[mach*in.Jobs+job]
 	}
-	return float64(in.ETC32[job*in.Machs+mach])
+	return float64(in.ETC32[mach*in.Jobs+job])
 }
 
 // Set assigns ETC[job][mach] = v (narrowed under the float32 backing). It
 // must not be called after the instance is shared with schedulers.
 func (in *Instance) Set(job, mach int, v float64) {
 	if in.ETC != nil {
-		in.ETC[job*in.Machs+mach] = v
+		in.ETC[mach*in.Jobs+job] = v
 		return
 	}
-	in.ETC32[job*in.Machs+mach] = float32(v)
-}
-
-// Row returns the ETC row of job as a sub-slice (do not mutate). It is
-// defined only for the float64 backing; frontier-scale float32 instances
-// are read through At (no caller outside this package's float64 paths
-// needs a raw row).
-func (in *Instance) Row(job int) []float64 {
-	if in.ETC == nil {
-		panic("etc: Row requires the float64 ETC backing; use At")
-	}
-	return in.ETC[job*in.Machs : (job+1)*in.Machs]
+	in.ETC32[mach*in.Jobs+job] = float32(v)
 }
 
 // Bytes returns the instance's resident memory footprint in bytes: the
@@ -277,7 +275,48 @@ func (in *Instance) Bytes() int {
 // admission cycle, which at 100k jobs would otherwise churn 800KB per
 // cycle. Column sums accumulate directly into the speed array (then invert
 // in place), so a re-call allocates nothing at all.
+//
+// Each job's sum folds in machine order and each machine's in job order,
+// whatever the storage: the pass walks tiles of finalizeTile jobs, and
+// within a tile every column in machine order, so the tile's running row
+// sums stay in L1 while the columns stream.
 func (in *Instance) Finalize() {
+	workload, colSum := in.resetDerived()
+	if in.ETC != nil {
+		sumColumns(in.ETC, in.Jobs, workload, colSum)
+	} else {
+		sumColumns(in.ETC32, in.Jobs, workload, colSum)
+	}
+	in.finishDerived()
+}
+
+// finalizeTile is the number of jobs whose running row sums Finalize
+// keeps while it streams the columns: 4 KiB of sums.
+const finalizeTile = 512
+
+// sumColumns adds each job's entries, in machine order, to workload and
+// each machine's, in job order, to colSum.
+func sumColumns[E etcElem](etc []E, jobs int, workload, colSum []float64) {
+	for i0 := 0; i0 < jobs; i0 += finalizeTile {
+		i1 := min(i0+finalizeTile, jobs)
+		w := workload[i0:i1]
+		for m := range colSum {
+			cs := colSum[m]
+			for k, v := range etc[m*jobs+i0 : m*jobs+i1] {
+				x := float64(v)
+				w[k] += x
+				cs += x
+			}
+			colSum[m] = cs
+		}
+	}
+}
+
+// resetDerived sizes the workload and speed arrays for the instance's
+// shape, reusing same-shape ones, and zeroes both: the row sums collect
+// in workload and the column sums in speed until finishDerived turns
+// them into means and speeds.
+func (in *Instance) resetDerived() (workload, colSum []float64) {
 	if cap(in.workload) >= in.Jobs {
 		in.workload = in.workload[:in.Jobs]
 	} else {
@@ -288,33 +327,18 @@ func (in *Instance) Finalize() {
 	} else {
 		in.speed = make([]float64, in.Machs)
 	}
-	colSum := in.speed
-	for j := range colSum {
-		colSum[j] = 0
+	clear(in.workload)
+	clear(in.speed)
+	return in.workload, in.speed
+}
+
+// finishDerived divides each job's row sum into its mean and inverts each
+// machine's mean column sum into its speed.
+func (in *Instance) finishDerived() {
+	for i, s := range in.workload {
+		in.workload[i] = s / float64(in.Machs)
 	}
-	if in.ETC != nil {
-		for i := 0; i < in.Jobs; i++ {
-			row := in.ETC[i*in.Machs : (i+1)*in.Machs]
-			s := 0.0
-			for j, v := range row {
-				s += v
-				colSum[j] += v
-			}
-			in.workload[i] = s / float64(in.Machs)
-		}
-	} else {
-		for i := 0; i < in.Jobs; i++ {
-			row := in.ETC32[i*in.Machs : (i+1)*in.Machs]
-			s := 0.0
-			for j, v32 := range row {
-				v := float64(v32)
-				s += v
-				colSum[j] += v
-			}
-			in.workload[i] = s / float64(in.Machs)
-		}
-	}
-	for j, cs := range colSum {
+	for j, cs := range in.speed {
 		mean := cs / float64(in.Jobs)
 		in.speed[j] = 0
 		if mean > 0 {
@@ -362,19 +386,31 @@ func (in *Instance) Validate() error {
 	if len(in.Ready) != in.Machs {
 		return fmt.Errorf("etc: Ready length %d, want %d", len(in.Ready), in.Machs)
 	}
-	for i, v := range in.ETC {
-		if !(v > 0) || math.IsInf(v, 1) {
-			return fmt.Errorf("etc: ETC[%d][%d] = %v, want finite > 0", i/in.Machs, i%in.Machs, v)
-		}
+	var err error
+	if in.ETC32 != nil {
+		err = checkEntries(in.ETC32, in.Jobs, in.Machs, "ETC32")
+	} else {
+		err = checkEntries(in.ETC, in.Jobs, in.Machs, "ETC")
 	}
-	for i, v := range in.ETC32 {
-		if !(v > 0) || math.IsInf(float64(v), 1) {
-			return fmt.Errorf("etc: ETC32[%d][%d] = %v, want finite > 0", i/in.Machs, i%in.Machs, v)
-		}
+	if err != nil {
+		return err
 	}
 	for j, v := range in.Ready {
 		if !(v >= 0) || math.IsInf(v, 1) {
 			return fmt.Errorf("etc: Ready[%d] = %v, want finite >= 0", j, v)
+		}
+	}
+	return nil
+}
+
+// checkEntries reports the first entry, in logical (job, machine) order,
+// that is not finite and strictly positive.
+func checkEntries[E etcElem](etc []E, jobs, machs int, name string) error {
+	for i := 0; i < jobs; i++ {
+		for j := 0; j < machs; j++ {
+			if v := etc[j*jobs+i]; !(v > 0) || math.IsInf(float64(v), 1) {
+				return fmt.Errorf("etc: %s[%d][%d] = %v, want finite > 0", name, i, j, v)
+			}
 		}
 	}
 	return nil
@@ -455,16 +491,15 @@ func Generate(class Class, k int, opt GenerateOptions) *Instance {
 		rMach = MachineHeterogeneityHigh
 	}
 
-	var s rowSorter // a fresh instance is never regenerated in place, so it keeps no scratch
-	for i := 0; i < in.Jobs; i++ {
+	// A Braun instance is never regenerated in place, so it keeps no scratch.
+	var stage []float64
+	var s rowSorter
+	fillColumns(in, in.ETC, &stage, &s, class.Consistency, func(row []float64) {
 		b := r.Uniform(1, rTask)
-		row := in.ETC[i*in.Machs : (i+1)*in.Machs]
 		for j := range row {
 			row[j] = b * r.Uniform(1, rMach)
 		}
-		consistify(row, class.Consistency, &s)
-	}
-	in.Finalize()
+	})
 	return in
 }
 

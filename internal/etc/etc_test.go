@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,13 +114,12 @@ func TestGenerateSemiConsistentSubmatrix(t *testing.T) {
 	in := Generate(Class{SemiConsistent, High, High}, 0, GenerateOptions{Seed: 9, Jobs: 50, Machs: 16})
 	// Even columns must be sorted ascending within each row.
 	for i := 0; i < in.Jobs; i++ {
-		row := in.Row(i)
 		prev := math.Inf(-1)
 		for j := 0; j < in.Machs; j += 2 {
-			if row[j] < prev {
+			if in.At(i, j) < prev {
 				t.Fatalf("row %d even columns not sorted", i)
 			}
-			prev = row[j]
+			prev = in.At(i, j)
 		}
 	}
 	if in.IsConsistent() {
@@ -260,6 +260,42 @@ func TestValidateCatchesBadInstances(t *testing.T) {
 	}
 }
 
+// TestValidateNamesLogicalEntry: Validate names the first bad entry by
+// its logical ETC[job][machine], in row order, whatever the storage
+// order; on a 3×4 instance with bad entries at (2, 1) and (1, 3) that is
+// (1, 3), although (2, 1) comes first in the machine-major storage.
+func TestValidateNamesLogicalEntry(t *testing.T) {
+	for _, tc := range []struct {
+		bad  [][2]int
+		want string
+	}{
+		{[][2]int{{2, 1}}, "ETC[2][1] = 0"},
+		{[][2]int{{2, 1}, {1, 3}}, "ETC[1][3] = 0"},
+	} {
+		in := New("t", 3, 4)
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 4; j++ {
+				in.Set(i, j, float64(1+i*4+j))
+			}
+		}
+		for _, b := range tc.bad {
+			in.Set(b[0], b[1], 0)
+		}
+		err := in.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bad entries %v: Validate() = %v, want it to name %q", tc.bad, err, tc.want)
+		}
+	}
+	in32 := New32("t", 3, 4)
+	for i := range in32.ETC32 {
+		in32.ETC32[i] = 1
+	}
+	in32.Set(2, 1, math.Inf(1))
+	if err := in32.Validate(); err == nil || !strings.Contains(err.Error(), "ETC32[2][1] = +Inf") {
+		t.Errorf("float32 backing: Validate() = %v, want it to name ETC32[2][1]", err)
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	in := Generate(Class{Consistent, Low, Low}, 0, GenerateOptions{Seed: 1, Jobs: 8, Machs: 4})
 	cp := in.Clone()
@@ -378,11 +414,38 @@ func headerDims(text string) (jobs, machs int) {
 	return jobs, machs
 }
 
+// fileValues returns the ETC values of an instance file in file order:
+// the fields after the header line, up to need of them.
+func fileValues(t *testing.T, text string, need int) []float64 {
+	t.Helper()
+	var vals []float64
+	header := false
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if !header {
+			header = line != "" && !strings.HasPrefix(line, "#")
+			continue
+		}
+		for _, f := range strings.Fields(line) {
+			if len(vals) == need {
+				return vals
+			}
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				t.Fatalf("accepted file has a bad value %q", f)
+			}
+			vals = append(vals, v)
+		}
+	}
+	return vals
+}
+
 // FuzzEtcRead drives the instance reader with arbitrary text: Read never
 // panics, an accepted instance is valid with its header's dimensions and
-// holds only finite values, and the written form of an accepted instance
-// is a fixed point — if Read accepts Write(in), writing that result gives
-// the same bytes again.
+// holds only finite values, its At(i, j) is the (i·machs+j)-th value of
+// the file, and the written form of an accepted instance is a fixed
+// point — if Read accepts Write(in), writing that result gives the same
+// bytes again.
 func FuzzEtcRead(f *testing.F) {
 	small := Generate(Class{Inconsistent, High, Low}, 0, GenerateOptions{Seed: 3, Jobs: 6, Machs: 3})
 	var buf bytes.Buffer
@@ -414,6 +477,17 @@ func FuzzEtcRead(f *testing.F) {
 		}
 		if jobs, machs := headerDims(text); in.Jobs != jobs || in.Machs != machs {
 			t.Fatalf("accepted %d×%d from header %d×%d", in.Jobs, in.Machs, jobs, machs)
+		}
+		vals := fileValues(t, text, in.Jobs*in.Machs)
+		if len(vals) != in.Jobs*in.Machs {
+			t.Fatalf("accepted %d×%d from a file of %d values", in.Jobs, in.Machs, len(vals))
+		}
+		for i := 0; i < in.Jobs; i++ {
+			for j := 0; j < in.Machs; j++ {
+				if got, want := in.At(i, j), vals[i*in.Machs+j]; got != want {
+					t.Fatalf("At(%d, %d) = %v, want the file's value %d, %v", i, j, got, i*in.Machs+j, want)
+				}
+			}
 		}
 		var w1, w2 bytes.Buffer
 		if err := Write(&w1, in); err != nil {

@@ -16,10 +16,12 @@ import (
 // the free-dimension entry point the ROADMAP's instance-frontier item
 // calls for: a deterministic streaming generator for arbitrary
 // (jobs, machines, heterogeneity) points, CVB-style (gamma draws around a
-// gamma-drawn per-task mean), filling the single flat ETC matrix row by
-// row with no intermediate per-row allocations. A consistent or
+// gamma-drawn per-task mean). Draws come row by row (one job's entries in
+// machine order) into a small row-major staging block; a consistent or
 // semi-consistent row goes through the package's counting-sort kernel
-// (rowsort.go), whose scratch the filled instance keeps, so a same-shape
+// (rowsort.go) there, and each full block is written out into the
+// machine-major matrix one column run at a time (fillColumns). The filled
+// instance keeps the sort scratch and the block, so a same-shape
 // GenerateInto allocates nothing in any class. The same GenSpec always
 // produces a byte-identical matrix: the xoshiro stream is a pure function
 // of Seed, every draw is consumed in a fixed order, and a sorted row has
@@ -182,17 +184,21 @@ func (g GenSpec) GenerateInto(dst *Instance) (*Instance, error) {
 			dst = New(g.InstanceName(), g.Jobs, g.Machs)
 		}
 	} else {
-		// genSpec records which spec last filled this instance: a
-		// same-spec regeneration skips the name restamp (the only
-		// string-building in the reuse path), keeping it allocation-free.
-		if dst.genSpec != g {
+		// The spec that last filled this instance: a same-spec
+		// regeneration skips the name restamp (the only string-building
+		// in the reuse path), keeping it allocation-free.
+		if dst.gen == nil || dst.gen.spec != g {
 			dst.Name = g.InstanceName()
 		}
 		for j := range dst.Ready {
 			dst.Ready[j] = 0
 		}
 	}
-	dst.genSpec = g
+	if dst.gen == nil {
+		dst.gen = new(genState)
+	}
+	gs := dst.gen
+	gs.spec = g
 	var r rng.Source
 	r.Reseed(g.Seed)
 	vt, vm := cv(g.Class.JobHet), cv(g.Class.MachineHet)
@@ -200,31 +206,37 @@ func (g GenSpec) GenerateInto(dst *Instance) (*Instance, error) {
 	alphaTask := 1 / (vt * vt)
 	alphaMach := 1 / (vm * vm)
 	if g.Float32 {
-		fillRows(&r, dst.ETC32, g.Machs, GenTaskMean, alphaTask, alphaMach, g.Class.Consistency, &dst.sorter)
+		fillColumns(dst, dst.ETC32, &gs.stage32, &gs.sorter, g.Class.Consistency, cvbRow[float32](&r, GenTaskMean, alphaTask, alphaMach))
 	} else {
-		fillRows(&r, dst.ETC, g.Machs, GenTaskMean, alphaTask, alphaMach, g.Class.Consistency, &dst.sorter)
+		fillColumns(dst, dst.ETC, &gs.stage, &gs.sorter, g.Class.Consistency, cvbRow[float64](&r, GenTaskMean, alphaTask, alphaMach))
 	}
-	dst.Finalize()
 	return dst, nil
 }
 
-// fillRows streams the CVB draws into the flat matrix row by row: per row
-// a task mean q drawn around taskMean, then one draw around q per
-// machine, each clamped to at least 1. GenSpec and GenerateCVB share it;
-// only the task mean differs. Besides the destination it touches only
-// the counting-sort scratch s: per-row work allocates nothing, so matrix
-// size is bounded by the destination alone. Draws happen in float64 (the stream is backing-independent) and
-// are narrowed on store; the consistency sort (consistify) runs on the
-// stored element type, which for float32 gives the same order as sorting
-// before narrowing because the conversion is monotone.
-func fillRows[E interface{ ~float32 | ~float64 }](r *rng.Source, dst []E, machs int, taskMean, alphaTask, alphaMach float64, cons Consistency, s *rowSorter) {
-	rows := len(dst) / machs
-	for i := 0; i < rows; i++ {
+// genState is what an instance a GenSpec filled keeps for the next
+// same-shape GenerateInto: the spec, the consistency sort's scratch and
+// the staging block of its backing, so that the regeneration allocates
+// nothing.
+type genState struct {
+	spec    GenSpec
+	sorter  rowSorter
+	stage   []float64
+	stage32 []float32
+}
+
+// cvbRow returns the CVB draw of one row: a task mean q drawn around
+// taskMean, then one draw around q per machine, each clamped to at least
+// 1. GenSpec and GenerateCVB share it; only the task mean differs. Draws
+// happen in float64 (the stream is backing-independent) and are narrowed
+// on store; the consistency sort then runs on the stored element type,
+// which for float32 gives the same order as sorting before narrowing
+// because the conversion is monotone.
+func cvbRow[E etcElem](r *rng.Source, taskMean, alphaTask, alphaMach float64) func(row []E) {
+	return func(row []E) {
 		q := gamma(r, alphaTask, taskMean/alphaTask)
 		if q < 1 {
 			q = 1 // keep execution times sensible and strictly positive
 		}
-		row := dst[i*machs : (i+1)*machs]
 		for j := range row {
 			v := gamma(r, alphaMach, q/alphaMach)
 			if v < 1 {
@@ -232,7 +244,69 @@ func fillRows[E interface{ ~float32 | ~float64 }](r *rng.Source, dst []E, machs 
 			}
 			row[j] = E(v)
 		}
-		consistify(row, cons, s)
+	}
+}
+
+// etcElem is the element type of either matrix backing.
+type etcElem interface{ ~float32 | ~float64 }
+
+// stageRows is the staging block's height: a full block writes each
+// column a run of 8 entries, one 64-byte cache line under the float64
+// backing. Blocks up to 64 rows high wrote no faster, and the block is
+// kept on the instance, so its height is heap the instance holds for
+// good.
+const stageRows = 8
+
+// fillColumns fills in's matrix dst (its ETC or ETC32) with the rows draw
+// produces, in job order, and finalizes the instance. Each row is drawn
+// and consistified (with the sort scratch s) in the row-major staging
+// block *stage; once the block is full (or the jobs run out) every
+// column's run is written in one go. That write reads the block, which
+// stays in cache, across its rows and writes each column contiguously,
+// where a row-at-a-time fill would touch one line per machine for every
+// job. Finalize's sums fold on the way, in Finalize's own loop: each
+// staged row adds to its job's sum in machine order and to every
+// column's sum, so each column sums in job order. The derived workloads
+// and speeds are therefore bit-identical to a separate pass, and that
+// pass over the matrix goes away. Besides the destination only the
+// block and the sort scratch are touched: the per-row work allocates
+// nothing, so matrix size is bounded by the destination alone.
+func fillColumns[E etcElem](in *Instance, dst []E, stage *[]E, s *rowSorter, cons Consistency, draw func(row []E)) {
+	jobs, machs := in.Jobs, in.Machs
+	workload, colSum := in.resetDerived()
+	n := min(jobs, stageRows) * machs
+	if cap(*stage) < n {
+		*stage = make([]E, n)
+	}
+	block := (*stage)[:n]
+	for i0 := 0; i0 < jobs; i0 += stageRows {
+		rows := min(stageRows, jobs-i0)
+		for k := 0; k < rows; k++ {
+			row := block[k*machs : (k+1)*machs]
+			draw(row)
+			consistify(row, cons, s)
+			sum := 0.0
+			for m, v := range row {
+				sum += float64(v)
+				colSum[m] += float64(v)
+			}
+			workload[i0+k] = sum
+		}
+		writeRuns(dst, block[:rows*machs], rows, jobs, i0)
+	}
+	in.finishDerived()
+}
+
+// writeRuns writes the staged block (row-major: rows jobs, each a row of
+// the matrix) into the machine-major dst as the jobs from i0 on, one
+// contiguous run per column.
+func writeRuns[E etcElem](dst, block []E, rows, jobs, i0 int) {
+	machs := len(block) / rows
+	for m := 0; m < machs; m++ {
+		run := dst[m*jobs+i0:][:rows]
+		for k := range run {
+			run[k] = block[k*machs+m]
+		}
 	}
 }
 
@@ -256,24 +330,23 @@ func BaseStream(seed uint64, het Heterogeneity) func() float64 {
 }
 
 // MatrixDigest returns the SHA-256 of the ETC matrix's raw entries
-// (little-endian IEEE-754 bits, row-major) — the byte-identity witness of
-// the generator's determinism contract.
+// (little-endian IEEE-754 bits) in logical row order — job 0's entries in
+// machine order, then job 1's, … — whatever the storage layout: the
+// byte-identity witness of the generator's determinism contract.
 func (in *Instance) MatrixDigest() [32]byte {
 	h := sha256.New()
 	var buf [4096]byte
 	n := 0
-	if in.ETC != nil {
-		for _, v := range in.ETC {
-			binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
-			if n += 8; n == len(buf) {
-				h.Write(buf[:])
-				n = 0
+	for i := 0; i < in.Jobs; i++ {
+		for j := 0; j < in.Machs; j++ {
+			if in.ETC != nil {
+				binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(in.ETC[j*in.Jobs+i]))
+				n += 8
+			} else {
+				binary.LittleEndian.PutUint32(buf[n:], math.Float32bits(in.ETC32[j*in.Jobs+i]))
+				n += 4
 			}
-		}
-	} else {
-		for _, v := range in.ETC32 {
-			binary.LittleEndian.PutUint32(buf[n:], math.Float32bits(v))
-			if n += 4; n == len(buf) {
+			if n == len(buf) {
 				h.Write(buf[:])
 				n = 0
 			}

@@ -11,9 +11,13 @@ import (
 
 // The on-disk format mirrors the original benchmark distribution: a header
 // line "jobs machines" followed by jobs×machines ETC values in row-major
-// order, whitespace separated. An optional "# name: ..." comment carries
-// the instance name, and an optional trailing "ready:" line carries machine
-// ready times (absent in the static benchmark).
+// order (one job's entries, machine by machine, then the next job's),
+// whitespace separated. The format stays row-major whatever the
+// in-memory layout: Write emits and Read parses the logical matrix, and
+// Read transposes it into the machine-major storage once at the end. An
+// optional "# name: ..." comment carries the instance name, and an
+// optional trailing "ready:" line carries machine ready times (absent in
+// the static benchmark).
 
 // Write serialises the instance in the benchmark text format.
 func Write(w io.Writer, in *Instance) error {
@@ -105,7 +109,12 @@ func Read(r io.Reader) (*Instance, error) {
 			vals = append(vals, v)
 		}
 	}
-	in := &Instance{Name: name, Jobs: jobs, Machs: machs, ETC: vals, Ready: make([]float64, machs)}
+	in := &Instance{Name: name, Jobs: jobs, Machs: machs, ETC: make([]float64, need), Ready: make([]float64, machs)}
+	for i := 0; i < jobs; i++ {
+		for j, v := range vals[i*machs : (i+1)*machs] {
+			in.ETC[j*jobs+i] = v
+		}
+	}
 	// Optional ready line.
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

@@ -450,8 +450,8 @@ func (s *Sim) onActivation() {
 	s.record(eventlog.Event{T: s.now, Type: eventlog.Admit})
 
 	in := etc.New(fmt.Sprintf("activation-%d@%.1f", s.metrics.Activations, s.now), len(batch), len(machs))
-	for bi, j := range batch {
-		for mi, m := range machs {
+	for mi, m := range machs {
+		for bi, j := range batch {
 			in.Set(bi, mi, s.etcOf(j, m))
 		}
 	}

@@ -248,34 +248,36 @@ const sampleBatch = 64
 
 // sampleSwaps is the sampled scan over one ETC backing. A candidate's
 // critical side aC = (completion[crit] − ETC[a][crit]) + ETC[b][crit]
-// needs one matrix load — the row of a and its base are hoisted per
-// critical job — and it screens the sample: only a partner with
-// aC < bestMax reads its machine and its own row for
-// bC = (completion[mb] − ETC[b][mb]) + ETC[a][mb]. Both screens are
+// needs one matrix load from the critical machine's column — a's base is
+// hoisted per critical job — and it screens the sample: only a partner
+// with aC < bestMax reads its machine mb and mb's column, at b and at a,
+// for bC = (completion[mb] − ETC[b][mb]) + ETC[a][mb]. Both screens are
 // written !(x < bestMax) so a NaN is rejected as the fold of max(aC, bC)
 // rejects it, and every sample still consumes its one draw, so the winner,
 // its value bits and the RNG stream match the unscreened scan exactly.
 //
-// On a matrix that spills the cache each ETC[b][crit] is a miss, and
-// about one sample in nine passes the screen. Loading and screening one
-// sample at a time serialises those misses: the screen branch depends on
-// the load, mispredicts, and the loads already in flight behind it are
+// The matrix is machine-major, so every ETC[b][crit] of a step falls in
+// the critical machine's column, at 16384 jobs a 128 KiB run. On a
+// matrix that spills the cache an ETC[b][crit] can still miss, and about
+// one sample in nine passes the screen. Loading and screening one sample
+// at a time serialises those misses: the screen branch depends on the
+// load, mispredicts, and the loads already in flight behind it are
 // thrown away. So each critical job's samples go through three passes
 // over batches of up to sampleBatch: draw every partner b in stream
 // order, load every ETC[b][crit] in a loop that never branches on a
 // loaded value (the loads are independent, so their misses overlap),
 // then fold the batch in draw order exactly as the one-pass loop did.
 func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Source) (bestMax float64, bestA, bestB int) {
-	jobs, machs := st.Instance().Jobs, st.Instance().Machs
+	jobs := st.Instance().Jobs
 	assign := st.ScheduleView()
 	crit := st.MakespanMachine()
 	cc := st.Completion(crit)
+	colC := etc[crit*jobs : (crit+1)*jobs]
 	bestMax, bestA, bestB = cc, -1, -1 // any accepted swap must reduce the critical completion pair
 	var bs [sampleBatch]int
 	var us [sampleBatch]E
 	for _, a := range st.JobsOn(crit) {
-		rowA := etc[int(a)*machs : int(a)*machs+machs]
-		base := cc - float64(rowA[crit])
+		base := cc - float64(colC[a])
 		for left := samples; left > 0; left -= sampleBatch {
 			n := min(left, sampleBatch)
 			drawn, loaded := bs[:n], us[:n]
@@ -283,7 +285,7 @@ func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Sou
 				drawn[k] = r.Intn(jobs)
 			}
 			for k, b := range drawn {
-				loaded[k] = etc[b*machs+crit]
+				loaded[k] = colC[b]
 			}
 			for k, b := range drawn {
 				aC := base + float64(loaded[k])
@@ -294,7 +296,7 @@ func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Sou
 				if mb == crit {
 					continue
 				}
-				bC := (st.Completion(mb) - float64(etc[b*machs+mb])) + float64(rowA[mb])
+				bC := (st.Completion(mb) - float64(etc[mb*jobs+b])) + float64(etc[mb*jobs+int(a)])
 				if !(bC < bestMax) {
 					continue
 				}

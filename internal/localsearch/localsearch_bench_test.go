@@ -103,24 +103,30 @@ func BenchmarkLMCTSProbe(b *testing.B) {
 }
 
 // BenchmarkSampledLMCTSLarge is the sampled step at batch-large's shape,
-// 16384×256 c_hihi, whose 32 MiB matrix spills the L2: each sample's
-// first matrix load is a cache miss, which the scan overlaps by loading
-// a whole batch of drawn partners before it screens any of them. Must
-// report 0 allocs/op — CI runs every Sampled benchmark with
-// -benchtime=1x and fails otherwise.
+// 16384×256 c_hihi, whose 32 MiB matrix spills the L2. A step's first
+// loads all fall in the critical machine's 128 KiB column; those that
+// miss the scan overlaps by loading a whole batch of drawn partners
+// before it screens any of them. Must report 0 allocs/op — CI runs every
+// Sampled benchmark with -benchtime=1x and fails otherwise.
 func BenchmarkSampledLMCTSLarge(b *testing.B) {
-	benchSampledLarge(b, 64)
+	benchSampledLarge(b, 64, false)
+}
+
+// BenchmarkSampledLMCTSLarge32 is the same step on the narrow float32
+// backing (16384×256 :f32), the frontier configuration's other matrix.
+func BenchmarkSampledLMCTSLarge32(b *testing.B) {
+	benchSampledLarge(b, 64, true)
 }
 
 // BenchmarkSampledLMCTSLargeMultiBatch is the large step at 200 samples
 // per critical job: three full batches and a partial one, so the CI
 // allocation guard covers the multi-batch path too.
 func BenchmarkSampledLMCTSLargeMultiBatch(b *testing.B) {
-	benchSampledLarge(b, 200)
+	benchSampledLarge(b, 200, false)
 }
 
-func benchSampledLarge(b *testing.B, samples int) {
-	in, err := etc.GenSpec{Jobs: 16384, Machs: 256, Class: etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 1}.Generate()
+func benchSampledLarge(b *testing.B, samples int, f32 bool) {
+	in, err := etc.GenSpec{Jobs: 16384, Machs: 256, Class: etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 1, Float32: f32}.Generate()
 	if err != nil {
 		b.Fatal(err)
 	}

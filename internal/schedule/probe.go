@@ -107,10 +107,10 @@ func (st *State) completionFlowWithout(m int, j int32) (completion, flow float64
 	jobs := st.machJobs[m]
 	s := int(st.slot[j])
 	t, f := st.prefix(m, s)
-	if e := st.etc64; e != nil {
-		machs := st.inst.Machs
+	if st.etc64 != nil {
+		col := st.col(m)
 		for _, x := range jobs[s+1:] {
-			t += e[int(x)*machs+m]
+			t += col[x]
 			f += t
 		}
 		return t, f
@@ -130,12 +130,12 @@ func (st *State) completionFlowWith(m int, j int32) (completion, flow float64) {
 	jobs := st.machJobs[m]
 	p := st.insertPos(m, j)
 	t, f := st.prefix(m, p)
-	if e := st.etc64; e != nil {
-		machs := st.inst.Machs
-		t += e[int(j)*machs+m]
+	if st.etc64 != nil {
+		col := st.col(m)
+		t += col[j]
 		f += t
 		for _, x := range jobs[p:] {
-			t += e[int(x)*machs+m]
+			t += col[x]
 			f += t
 		}
 		return t, f
@@ -154,13 +154,13 @@ func (st *State) completionFlowWith(m int, j int32) (completion, flow float64) {
 // the remaining jobs — the per-machine half of a Swap. The resummation
 // starts at the first affected slot.
 //
-// The float64 body loads each survivor's entry once and inlines the
-// (ETC, id) comparison against it — the same two-term predicate less
-// evaluates, over the same loaded values, so the splice point and every
-// emitted float are bit-identical to the accessor-based replay. This is
-// the hottest replay in the engine (every cached-scan iteration probes
-// its candidate swap through it), which is why it gets the hand-tuned
-// path rather than leaning on At.
+// The float64 body loads each survivor's entry once from machine m's
+// column and inlines the (ETC, id) comparison against it — the same
+// two-term predicate less evaluates, over the same loaded values, so the
+// splice point and every emitted float are bit-identical to the
+// accessor-based replay. This is the hottest replay in the engine (every
+// cached-scan iteration probes its candidate swap through it), which is
+// why it gets the hand-tuned path rather than leaning on At.
 func (st *State) completionFlowReplace(m int, out, in int32) (completion, flow float64) {
 	jobs := st.machJobs[m]
 	start := int(st.slot[out])
@@ -169,14 +169,14 @@ func (st *State) completionFlowReplace(m int, out, in int32) (completion, flow f
 	}
 	t, f := st.prefix(m, start)
 	inserted := false
-	if e64 := st.etc64; e64 != nil {
-		machs := st.inst.Machs
-		e := e64[int(in)*machs+m]
+	if st.etc64 != nil {
+		col := st.col(m)
+		e := col[in]
 		for _, x := range jobs[start:] {
 			if x == out {
 				continue
 			}
-			xe := e64[int(x)*machs+m]
+			xe := col[x]
 			if !inserted && !(xe < e || (xe == e && x < in)) {
 				t += e
 				f += t

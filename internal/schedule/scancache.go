@@ -212,9 +212,9 @@ func (st *State) bestOn(m, crit int, critJobs []int32, ca []float64, best float6
 	u := st.scanU
 	var minU float64
 	if etcs := in.ETC; etcs != nil {
-		minU = gatherColumn(etcs, in.Machs, crit, jobs, u)
+		minU = gatherColumn(etcs, in.Jobs, crit, jobs, u)
 	} else {
-		minU = gatherColumn(in.ETC32, in.Machs, crit, jobs, u)
+		minU = gatherColumn(in.ETC32, in.Jobs, crit, jobs, u)
 	}
 	cm := st.completion[m]
 	minV := cm - in.At(int(jobs[n-1]), m) // v[n−1], the smallest v

@@ -24,11 +24,13 @@ import (
 type State struct {
 	inst *etc.Instance
 	// etc64 is inst.ETC, hoisted at construction: the per-element replay
-	// loops (probe.go, refreshFrom, rebuild's key fill) index it
-	// directly when the instance has the float64 backing, falling back to
-	// the At accessor under the narrow float32 backing — one predictable
-	// branch per call instead of one per matrix read, which measurably
-	// matters in the sub-microsecond cached-scan path.
+	// loops (probe.go, refreshFrom, rebuild's key fill) take machine m's
+	// column from it once (col) and index that by job when the instance
+	// has the float64 backing, falling back to the At accessor under the
+	// narrow float32 backing — one predictable branch per call instead of
+	// one per matrix read, which measurably matters in the
+	// sub-microsecond cached-scan path. The matrix is machine-major, so a
+	// replay over m's job list reads one contiguous column.
 	etc64    []float64
 	assign   Schedule
 	machJobs [][]int32 // per machine, job ids sorted by (ETC, id)
@@ -132,6 +134,12 @@ func NewBlankState(in *etc.Instance) *State {
 	return &State{inst: in, etc64: in.ETC}
 }
 
+// col returns machine m's ETC column under the float64 backing, indexed
+// by job. Only valid while etc64 is non-nil.
+func (st *State) col(m int) []float64 {
+	return column(st.etc64, st.inst.Jobs, m)
+}
+
 // alloc sizes the tables of a blank State for its instance.
 func (st *State) alloc() {
 	jobs, machs := st.inst.Jobs, st.inst.Machs
@@ -186,13 +194,15 @@ func (st *State) ensureRegions(counts []int32) {
 //
 // The pass is bucket-by-machine over the shared backing: count each
 // machine's jobs, carve regions, drop every job into its machine's bucket
-// in ascending job order, then sort each bucket by (ETC, id) against the
-// jobKey cache. (ETC, id) is a total order, so the sorted buckets — and
-// every downstream prefix sum — are byte-identical to the historical
-// per-machine SortFunc over At; the differential test in
-// rebuild_test.go pins this, ETC ties included. The key cache matters at
-// frontier scale: comparators touch a J-sized array with high locality
-// instead of gather-loading a multi-hundred-MB matrix.
+// in ascending job order, fill the jobKey cache bucket by bucket (each
+// bucket reads its machine's column in ascending job order), then sort
+// each bucket by (ETC, id) against the jobKey cache. (ETC, id) is a
+// total order, so the sorted buckets — and every downstream prefix
+// sum — are byte-identical to the historical per-machine SortFunc over
+// At; the differential test in rebuild_test.go pins this, ETC ties
+// included. The key cache matters at frontier scale: comparators touch a
+// J-sized array with high locality instead of gather-loading a
+// multi-hundred-MB matrix.
 func (st *State) rebuild() {
 	st.touchAll()
 	counts := st.counts
@@ -211,14 +221,16 @@ func (st *State) rebuild() {
 		st.jobKey = make([]float64, jobs)
 	}
 	key := st.jobKey[:jobs]
-	if e := st.etc64; e != nil {
-		machs := st.inst.Machs
-		for j, m := range st.assign {
-			key[j] = e[j*machs+m]
-		}
-	} else {
-		for j, m := range st.assign {
-			key[j] = st.inst.At(j, m)
+	for m, bucket := range st.machJobs {
+		if st.etc64 != nil {
+			col := st.col(m)
+			for _, j := range bucket {
+				key[j] = col[j]
+			}
+		} else {
+			for _, j := range bucket {
+				key[j] = st.inst.At(int(j), m)
+			}
 		}
 	}
 	st.flowtime = 0
@@ -270,9 +282,9 @@ func sortByKey(jobs []int32, key []float64) {
 // per-machine order — and therefore flowtime — deterministic.
 func (st *State) less(a, b int32, m int) bool {
 	var ea, eb float64
-	if e := st.etc64; e != nil {
-		machs := st.inst.Machs
-		ea, eb = e[int(a)*machs+m], e[int(b)*machs+m]
+	if st.etc64 != nil {
+		col := st.col(m)
+		ea, eb = col[a], col[b]
 	} else {
 		ea, eb = st.inst.At(int(a), m), st.inst.At(int(b), m)
 	}
@@ -295,10 +307,10 @@ func (st *State) refreshFrom(m, k int) {
 	cumC := st.machCumC[m][:k]
 	cumF := st.machCumF[m][:k]
 	t, flow := st.prefix(m, k)
-	if e := st.etc64; e != nil {
-		machs := st.inst.Machs
+	if st.etc64 != nil {
+		col := st.col(m)
 		for _, j := range jobs[k:] {
-			t += e[int(j)*machs+m]
+			t += col[j]
 			flow += t
 			cumC = append(cumC, t)
 			cumF = append(cumF, flow)

@@ -148,9 +148,9 @@ func (st *State) BeginSwapScan(crit int) *SwapScan {
 		u = slices.Grow(u, len(jobs))[:n+len(jobs)]
 		v = slices.Grow(v, len(jobs))[:n+len(jobs)]
 		if etcs := st.inst.ETC; etcs != nil {
-			gatherPartners(etcs, machs, crit, m, st.completion[m], jobs, u[n:], v[n:])
+			gatherPartners(etcs, st.inst.Jobs, crit, m, st.completion[m], jobs, u[n:], v[n:])
 		} else {
-			gatherPartners(st.inst.ETC32, machs, crit, m, st.completion[m], jobs, u[n:], v[n:])
+			gatherPartners(st.inst.ETC32, st.inst.Jobs, crit, m, st.completion[m], jobs, u[n:], v[n:])
 		}
 		ids = append(ids, jobs...)
 	}
@@ -170,14 +170,12 @@ func (st *State) BeginSwapScan(crit int) *SwapScan {
 // comparison downstream.
 func (ss *SwapScan) BestPartner(a int) (float64, int) {
 	st := ss.st
-	machs := st.inst.Machs
 	best, bestB := math.Inf(1), -1
 	u, v, ids := ss.u, ss.v, ss.ids
-	if etcs := st.inst.ETC; etcs != nil {
-		aRow := etcs[a*machs : a*machs+machs]
-		ca := st.completion[ss.crit] - aRow[ss.crit]
+	if st.etc64 != nil {
+		ca := st.completion[ss.crit] - st.col(ss.crit)[a]
 		for s, m := range ss.segM {
-			w := aRow[m]
+			w := st.col(int(m))[a]
 			for k := ss.off[s]; k < ss.off[s+1]; k++ {
 				x := ca + u[k]
 				if y := v[k] + w; y > x {
@@ -190,7 +188,7 @@ func (ss *SwapScan) BestPartner(a int) (float64, int) {
 		}
 		return best, bestB
 	}
-	// Narrow backing: the critical job's row is read once per partner
+	// Narrow backing: the critical job's entry is read once per partner
 	// machine (ca above, w below), so per-segment At dispatch costs
 	// nothing against the flat inner loop.
 	ca := st.completion[ss.crit] - st.inst.At(a, ss.crit)
