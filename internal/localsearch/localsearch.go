@@ -214,10 +214,10 @@ func cachedCriticalSwap(st *schedule.State, sc *schedule.ScanCache, o schedule.O
 }
 
 // bestCriticalSwap performs one steepest swap step between the critical
-// machine and samples random partner jobs per critical job (drawn from r,
-// one at a time, so sampling allocates nothing) — the SampledLMCTS path,
-// given the state's current fitness cur. Returns the fitness after the
-// step and whether a swap was applied.
+// machine and samples random partner jobs per critical job (drawn from r
+// in batches into a stack buffer, so sampling allocates nothing) — the
+// SampledLMCTS path, given the state's current fitness cur. Returns the
+// fitness after the step and whether a swap was applied.
 func bestCriticalSwap(st *schedule.State, o schedule.Objective, cur float64, samples int, r *rng.Source) (float64, bool) {
 	_, a, b := sampledCriticalSwap(st, samples, r)
 	if a < 0 {
@@ -267,6 +267,10 @@ const sampleBatch = 64
 // order, load every ETC[b][crit] in a loop that never branches on a
 // loaded value (the loads are independent, so their misses overlap),
 // then fold the batch in draw order exactly as the one-pass loop did.
+// The draw pass is one rng.IntnInto call, which returns exactly the
+// values a loop of Intn would and leaves the same generator state, but
+// keeps the xoshiro words in registers instead of paying a call and four
+// loads and stores per partner.
 func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Source) (bestMax float64, bestA, bestB int) {
 	jobs := st.Instance().Jobs
 	assign := st.ScheduleView()
@@ -281,9 +285,7 @@ func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Sou
 		for left := samples; left > 0; left -= sampleBatch {
 			n := min(left, sampleBatch)
 			drawn, loaded := bs[:n], us[:n]
-			for k := range drawn {
-				drawn[k] = r.Intn(jobs)
-			}
+			r.IntnInto(drawn, jobs)
 			for k, b := range drawn {
 				loaded[k] = colC[b]
 			}

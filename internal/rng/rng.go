@@ -12,6 +12,13 @@
 // A *Source is NOT safe for concurrent use. Concurrent components derive
 // independent streams with Split, which is cheap and gives statistically
 // independent sequences.
+//
+// IntnInto is the batched form of Intn for hot loops that draw many
+// bounded values at once (the sampled LMCTS partner pass): it fills a
+// slice with exactly the values that many Intn calls would return and
+// leaves the Source in exactly the state they would, so swapping a loop
+// of Intn for it never changes a trajectory. Both run the one xoshiro256**
+// step function; IntnInto keeps the state in registers across the batch.
 package rng
 
 import "math/bits"
@@ -55,18 +62,28 @@ func (r *Source) Reseed(seed uint64) {
 	}
 }
 
+// step is one xoshiro256** step over the four state words held in
+// locals: it returns the output and the advanced words. It is the only
+// copy of the generator's arithmetic; Uint64 and IntnInto both inline it,
+// so IntnInto's loop keeps the state in registers.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Source) Uint64() uint64 {
 	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	var out uint64
+	out, s[0], s[1], s[2], s[3] = step(s[0], s[1], s[2], s[3])
+	return out
 }
 
 // Split returns a new Source whose stream is independent of r's future
@@ -90,6 +107,36 @@ func (r *Source) Intn(n int) int {
 		}
 	}
 	return int(hi)
+}
+
+// IntnInto fills dst with uniform ints in [0, n): exactly the values
+// len(dst) successive calls to Intn(n) would return, consuming the same
+// stream and leaving r in the same final state. The generator state stays
+// in registers across the loop instead of round-tripping through r per
+// draw, which is what makes batched draws (the sampled LMCTS partner
+// pass) cheaper than a loop of Intn. It panics if n <= 0, even when dst
+// is empty.
+func (r *Source) IntnInto(dst []int, n int) {
+	if n <= 0 {
+		panic("rng: IntnInto with non-positive n")
+	}
+	un := uint64(n)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x uint64
+	for i := range dst {
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(x, un)
+		if lo < un {
+			// Lemire's rejection, as in Intn.
+			thresh := -un % un
+			for lo < thresh {
+				x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(x, un)
+			}
+		}
+		dst[i] = int(hi)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Int63 returns a uniform non-negative int64.

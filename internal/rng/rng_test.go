@@ -211,3 +211,150 @@ func BenchmarkIntn(b *testing.B) {
 		_ = r.Intn(512)
 	}
 }
+
+// The known answers below come from an independent transcription of the
+// published splitmix64 and xoshiro256** reference code and of Lemire's
+// bounded draw; they pin the raw stream directly rather than through the
+// engines' golden digests.
+var knownAnswers = []struct {
+	seed   uint64
+	u64    [8]uint64
+	f64    [8]float64
+	intn   [8]int // Intn(1000)
+	intnHi [8]int // Intn(3<<61): Lemire's rejection fires on a quarter of draws
+}{
+	{
+		seed:   0,
+		u64:    [8]uint64{0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c, 0xbba5ad4a1f842e59, 0xffef8375d9ebcaca, 0x6c160deed2f54c98, 0x8920ad648fc30a3f},
+		f64:    [8]float64{0.6012629994179048, 0.7477740925472398, 0.10301998939503632, 0.4165890778296456, 0.7329967790569901, 0.9997484362337864, 0.42221152382531557, 0.5356548662673611},
+		intn:   [8]int{601, 747, 103, 416, 732, 999, 422, 535},
+		intnHi: [8]int{0x39b8a3b48c4c3b03, 0x47c94bcd1b8059ef, 0x27fe17da6e50f0f0, 0x465e20fbcbd19161, 0x5ff9d14c31b86c0b, 0x336c4105b5e923d7, 0x522130845ebf58b2, 0x5835dac1d76bb9d6},
+	},
+	{
+		seed:   1,
+		u64:    [8]uint64{0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7, 0xb27a48e29a233673, 0x24c123126ffda722, 0x123004ef8df510e6, 0x61954dcc47b1e89d},
+		f64:    [8]float64{0.7029218331588505, 0.5204366199388569, 0.5741057000197225, 0.39132860204190445, 0.6971784165599615, 0.1435720367444362, 0.07104521606921232, 0.3811844466906177},
+		intn:   [8]int{702, 520, 574, 391, 697, 143, 71, 381},
+		intnHi: [8]int{0x437b01c8e5eaa649, 0x31f640185ab45cd7, 0x371d38c0430fd9e7, 0x25914aae68e67d5e, 0xdc86d26e9ff1eac, 0x6d201d9d53be656, 0x2497fd2c9ae2b73a, 0x533f23b405b8fbcc},
+	},
+	{
+		seed:   0xdeadbeef,
+		u64:    [8]uint64{0xc5555444a74d7e83, 0x65c30d37b4b16e38, 0x54f773200a4efa23, 0x429aed75fb958af7, 0xfb0e1dd69c255b2e, 0x9d6d02ec58814a27, 0xf4199b9da2e4b2a3, 0x54bc5b2c11a4540a},
+		f64:    [8]float64{0.7708332698451182, 0.3975075016975943, 0.33190078289254277, 0.2601765072864365, 0.9806841515493451, 0.6149446322456288, 0.9535157451490643, 0.33099908662701805},
+		intn:   [8]int{770, 397, 331, 260, 980, 614, 953, 330},
+		intnHi: [8]int{0x18fa190c3e58141c, 0x5e254b307a8e0231, 0x3b08e118a1307bce, 0x1fc6a230869d9f83, 0x3f4545ef7eb929a7, 0x2539e43e4417228a, 0x3dc5a5787ec6b14f, 0x305cede8e43f29df},
+	},
+}
+
+func TestKnownAnswers(t *testing.T) {
+	for _, ka := range knownAnswers {
+		r := New(ka.seed)
+		for i, want := range ka.u64 {
+			if got := r.Uint64(); got != want {
+				t.Errorf("seed %#x: Uint64 #%d = %#x, want %#x", ka.seed, i, got, want)
+			}
+		}
+		r = New(ka.seed)
+		for i, want := range ka.f64 {
+			if got := r.Float64(); got != want {
+				t.Errorf("seed %#x: Float64 #%d = %v, want %v", ka.seed, i, got, want)
+			}
+		}
+		for _, c := range []struct {
+			n    int
+			want [8]int
+		}{{1000, ka.intn}, {3 << 61, ka.intnHi}} {
+			r = New(ka.seed)
+			for i, want := range c.want {
+				if got := r.Intn(c.n); got != want {
+					t.Errorf("seed %#x: Intn(%d) #%d = %#x, want %#x", ka.seed, c.n, i, got, want)
+				}
+			}
+			var dst [8]int
+			New(ka.seed).IntnInto(dst[:], c.n)
+			if dst != c.want {
+				t.Errorf("seed %#x: IntnInto(%d) = %#x, want %#x", ka.seed, c.n, dst, c.want)
+			}
+		}
+	}
+}
+
+// TestIntnIntoKnownState pins the generator state IntnInto leaves behind:
+// after 64 partner-sized draws (the sampled LMCTS batch) and after 100
+// draws at 3<<61, where the rejection loop consumes extra words.
+func TestIntnIntoKnownState(t *testing.T) {
+	for _, c := range []struct {
+		n, k  int
+		state [4]uint64
+	}{
+		{16384, 64, [4]uint64{0xc86293d1bd747d90, 0xc128a36191fceff7, 0xfc0ab8286004d961, 0xcd254a8abf0077a5}},
+		{3 << 61, 100, [4]uint64{0x4e55d5121d3fbe7e, 0x5cf5074700242066, 0x91fdae59d85aac27, 0x380b77984b74bbbd}},
+	} {
+		r := New(42)
+		r.IntnInto(make([]int, c.k), c.n)
+		if r.s != c.state {
+			t.Errorf("IntnInto(%d) x%d: state %#x, want %#x", c.n, c.k, r.s, c.state)
+		}
+	}
+}
+
+// intnIntoPanics reports whether IntnInto(dst, n) panicked, and with what.
+func intnIntoPanics(r *Source, dst []int, n int) (v any) {
+	defer func() { v = recover() }()
+	r.IntnInto(dst, n)
+	return nil
+}
+
+// FuzzIntnInto is the differential check of the batched draw against a
+// loop of Intn: for every seed, bound and length, the values and the
+// final generator state must match, and a non-positive bound must panic
+// as Intn does.
+func FuzzIntnInto(f *testing.F) {
+	f.Add(uint64(1), int64(16384), uint16(64))
+	f.Add(uint64(42), int64(3<<61), uint16(300))
+	f.Add(uint64(7), int64(1), uint16(5))
+	f.Add(uint64(0), int64(0), uint16(3))
+	f.Add(uint64(9), int64(-5), uint16(0))
+	f.Add(uint64(3), int64(math.MaxInt64), uint16(17))
+	f.Fuzz(func(t *testing.T, seed uint64, n int64, length uint16) {
+		k := int(length % 301)
+		if int64(int(n)) != n {
+			t.Skip("bound does not fit an int")
+		}
+		got, want := make([]int, k), make([]int, k)
+		a, b := New(seed), New(seed)
+		if n <= 0 {
+			if intnIntoPanics(a, got, int(n)) == nil {
+				t.Fatalf("IntnInto(len %d, %d) did not panic", k, n)
+			}
+			if intnIntoPanics(b, nil, int(n)) == nil {
+				t.Fatalf("IntnInto(nil, %d) did not panic", n)
+			}
+			return
+		}
+		a.IntnInto(got, int(n))
+		for i := range want {
+			want[i] = b.Intn(int(n))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d n %d: draw %d = %d, Intn gave %d", seed, n, i, got[i], want[i])
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("seed %d n %d len %d: final state %#x, Intn loop left %#x", seed, n, k, a.s, b.s)
+		}
+	})
+}
+
+// BenchmarkIntnInto draws one sampled-LMCTS batch (64 partners out of
+// 16384 jobs) into a warm buffer; it must not allocate.
+func BenchmarkIntnInto(b *testing.B) {
+	r := New(1)
+	dst := make([]int, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.IntnInto(dst, 16384)
+	}
+}
