@@ -2,7 +2,7 @@
 // evaluation section, plus ablations of the design choices called out in
 // DESIGN.md §5. Each benchmark runs the corresponding experiment at a
 // reduced, iteration-bounded budget (the full 90 s × 10-runs protocol is
-// `cmd/experiments -full`); custom metrics expose the headline quantity of
+// `gridsched experiments -full`); custom metrics expose the headline quantity of
 // the table or figure so `go test -bench` output shows the reproduced
 // shape at a glance.
 package gridcma_test

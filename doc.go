@@ -165,8 +165,8 @@
 // evaluator's State owns is O(jobs + machines): its per-machine lists
 // and prefix sums live in shared backing arrays and are rebuilt by an
 // allocation-free bucket sort that is byte-identical to the historical
-// path, ETC ties included. cmd/gridsched -gen runs any algorithm on a
-// generated instance, cmd/experiments -run frontier prints the
+// path, ETC ties included. gridsched -gen runs any algorithm on a
+// generated instance, gridsched experiments -run frontier prints the
 // scaling-ladder table, and the benchmark's batch-large workload
 // (benchmark/) runs the wave-parallel cMA on a 16384×256 instance.
 // An LMCTS step is one bounded pass over the partner machines' lists,
@@ -185,7 +185,7 @@
 // log, and snapshots restore bit-identically: the same snapshot plus the
 // same event log reproduces the same schedule trajectory, byte for byte.
 // The simulator exports its event stream in the daemon's log format
-// (SimConfig.Record, gridsim -trace-out), so simulated workloads replay
+// (SimConfig.Record, gridsched sim -trace-out), so simulated workloads replay
 // through the daemon directly. GET /stats reports submit→placement and
 // admission latencies from fixed-memory histograms; the benchmark's
 // gridd-ingest and gridd-repl workloads (benchmark/) measure the daemon

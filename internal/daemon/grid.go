@@ -382,25 +382,10 @@ func (g *Grid) parkedSchedule(jobCap int) schedule.Schedule {
 	return sched
 }
 
-// pairNoise maps (job id, machine id) to a stable multiplier in
-// [1, PairInconsistency) — the same construction as gridsim.Sim, so a
-// simulation exported as an event log sees the same ETC structure when
-// replayed through the daemon.
-func (g *Grid) pairNoise(jobID, machID uint64) float64 {
-	if g.cfg.PairInconsistency == 1 {
-		return 1
-	}
-	x := jobID*0x9e3779b97f4a7c15 ^ machID*0xbf58476d1ce4e5b9 ^ g.cfg.Seed
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	u := float64(x>>11) / (1 << 53)
-	return 1 + u*(g.cfg.PairInconsistency-1)
-}
-
-// etcOf is the deterministic expected time of a job on a machine.
+// etcOf is the deterministic expected time of a job on a machine: base
+// workload × machine slowness × the pair noise gridsim draws too.
 func (g *Grid) etcOf(jobID uint64, base float64, m *machSlot) float64 {
-	return base * m.mult * g.pairNoise(jobID, m.id)
+	return base * m.mult * etc.PairNoise(jobID, m.id, g.cfg.Seed, g.cfg.PairInconsistency)
 }
 
 // Applied returns the sequence number of the last applied event.

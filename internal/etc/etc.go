@@ -527,3 +527,20 @@ func nameSeed(name string) uint64 {
 	}
 	return h
 }
+
+// PairNoise maps (job id, machine id) to a stable multiplier in
+// [1, spread) by a hash under seed: the per-pair inconsistency of the
+// dynamic grids. gridsim and the daemon both draw their ETC noise from
+// it, so a simulation exported as an event log sees the same ETC
+// structure when replayed through the daemon. Spread 1 yields exactly 1.
+func PairNoise(jobID, machID, seed uint64, spread float64) float64 {
+	if spread == 1 {
+		return 1
+	}
+	x := jobID*0x9e3779b97f4a7c15 ^ machID*0xbf58476d1ce4e5b9 ^ seed
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	u := float64(x>>11) / (1 << 53)
+	return 1 + u*(spread-1)
+}

@@ -527,3 +527,35 @@ func TestConsistencyString(t *testing.T) {
 		t.Error("heterogeneity codes wrong")
 	}
 }
+
+// A consistent grid (spread 1) has no pair noise at all.
+func TestPairNoiseSpreadOneIsExact(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42} {
+		if got := PairNoise(3, 5, seed, 1); got != 1 {
+			t.Errorf("PairNoise(3, 5, %d, 1) = %v, want 1", seed, got)
+		}
+	}
+}
+
+// The noise is a pure function of its arguments, inside [1, spread), and
+// its values are pinned: gridsim traces replay through the daemon only
+// while both draw these exact multipliers.
+func TestPairNoiseStableAndBounded(t *testing.T) {
+	for j := uint64(0); j < 20; j++ {
+		for m := uint64(0); m < 8; m++ {
+			a, b := PairNoise(j, m, 1, 3), PairNoise(j, m, 1, 3)
+			if a != b {
+				t.Fatal("pair noise not stable")
+			}
+			if a < 1 || a >= 3 {
+				t.Fatalf("pair noise %v outside [1,3)", a)
+			}
+		}
+	}
+	if got := PairNoise(3, 5, 1, 3); got != 1.6710789938358144 {
+		t.Errorf("PairNoise(3, 5, 1, 3) = %v, want 1.6710789938358144", got)
+	}
+	if got := PairNoise(12345, 7, 42, 1.5); got != 1.334145458781086 {
+		t.Errorf("PairNoise(12345, 7, 42, 1.5) = %v, want 1.334145458781086", got)
+	}
+}

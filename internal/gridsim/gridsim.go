@@ -345,23 +345,10 @@ func (s *Sim) record(e eventlog.Event) {
 }
 
 // etcOf returns the deterministic expected time of job j on machine m:
-// base workload × machine slowness × pair noise.
+// base workload × machine slowness × pair noise (etc.PairNoise, shared
+// with the daemon).
 func (s *Sim) etcOf(j *job, m *machine) float64 {
-	return j.base * m.mult * s.pairNoise(j.id, m.id)
-}
-
-// pairNoise maps (job, machine) to a stable multiplier in
-// [1, PairInconsistency) via a hash — the inconsistency knob of the grid.
-func (s *Sim) pairNoise(jobID, machID int) float64 {
-	if s.cfg.PairInconsistency == 1 {
-		return 1
-	}
-	x := uint64(jobID)*0x9e3779b97f4a7c15 ^ uint64(machID)*0xbf58476d1ce4e5b9 ^ s.cfg.Seed
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	u := float64(x>>11) / (1 << 53)
-	return 1 + u*(s.cfg.PairInconsistency-1)
+	return j.base * m.mult * etc.PairNoise(uint64(j.id), uint64(m.id), s.cfg.Seed, s.cfg.PairInconsistency)
 }
 
 // Run drives the simulation to the horizon and returns its metrics.

@@ -163,35 +163,6 @@ func TestBetterPolicyGivesBetterResponse(t *testing.T) {
 	}
 }
 
-func TestConsistentGridHasNoPairNoise(t *testing.T) {
-	cfg := staticCfg()
-	cfg.PairInconsistency = 1
-	s, err := NewSim(cfg, minMinPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.pairNoise(3, 5); got != 1 {
-		t.Errorf("pairNoise = %v, want 1", got)
-	}
-}
-
-func TestPairNoiseStableAndBounded(t *testing.T) {
-	cfg := staticCfg()
-	cfg.PairInconsistency = 3
-	s, _ := NewSim(cfg, minMinPolicy())
-	for j := 0; j < 20; j++ {
-		for m := 0; m < 8; m++ {
-			a, b := s.pairNoise(j, m), s.pairNoise(j, m)
-			if a != b {
-				t.Fatal("pair noise not stable")
-			}
-			if a < 1 || a >= 3 {
-				t.Fatalf("pair noise %v outside [1,3)", a)
-			}
-		}
-	}
-}
-
 func TestUtilizationScalesWithLoad(t *testing.T) {
 	low := staticCfg()
 	low.ArrivalRate = 0.2
