@@ -1,13 +1,13 @@
 package gridcma
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
 	"gridcma/internal/cell"
 	"gridcma/internal/cma"
 	"gridcma/internal/etc"
-	"gridcma/internal/experiments"
 	"gridcma/internal/ga"
 	"gridcma/internal/gridsim"
 	"gridcma/internal/heuristics"
@@ -102,15 +102,25 @@ func BenchmarkInstance(name string) (*Instance, error) {
 	return etc.GenerateByName(name)
 }
 
-// BenchmarkInstanceNames lists the 12 instances of the paper's tables.
+// BenchmarkInstanceNames lists the 12 instances of the paper's tables in
+// publication order.
 func BenchmarkInstanceNames() []string {
-	return append([]string(nil), experiments.InstanceNames...)
+	var names []string
+	for _, c := range etc.AllClasses() {
+		names = append(names, c.Name(0))
+	}
+	return names
 }
 
 // GenerateInstance builds a fresh instance of a class with explicit
 // dimensions and seed (zero dimensions default to the benchmark's 512×16).
-func GenerateInstance(class InstanceClass, jobs, machs int, seed uint64) *Instance {
-	return etc.Generate(class, 0, etc.GenerateOptions{Jobs: jobs, Machs: machs, Seed: seed})
+// Negative dimensions, or a matrix too large to allocate, are an error.
+func GenerateInstance(class InstanceClass, jobs, machs int, seed uint64) (*Instance, error) {
+	jobs, machs = cmp.Or(jobs, etc.BenchmarkJobs), cmp.Or(machs, etc.BenchmarkMachs)
+	if err := etc.CheckDims(jobs, machs); err != nil {
+		return nil, err
+	}
+	return etc.Generate(class, 0, etc.GenerateOptions{Jobs: jobs, Machs: machs, Seed: seed}), nil
 }
 
 // ParseInstanceClass parses a canonical instance name ("u_c_hihi.0")
@@ -311,20 +321,28 @@ func Simulate(cfg SimConfig, p SimPolicy) (SimMetrics, error) { return gridsim.S
 // algorithm runs on the snapshot instance within the given budget —
 // exactly the deployment mode the paper proposes for real grids. Dynamic
 // policies and batch runs thereby share one contract. The budget must be
-// bounded. A cancelled budget context degrades gracefully: activations
-// return the algorithm's best-so-far schedule (for the engines, at least
-// the seeded population's best), so the simulation winds down instead of
-// crashing. Only a run that produces no schedule at all panics, as the
-// simulator has no error path and a policy that silently drops jobs
-// would corrupt its metrics.
-func BatchPolicy(name string, alg Scheduler, budget Budget) SimPolicy {
+// bounded and not negative; BatchPolicy refuses any other. A cancelled
+// budget context degrades gracefully: activations return the algorithm's
+// best-so-far schedule (for the engines, at least the seeded population's
+// best), so the simulation winds down instead of crashing. Only a run
+// that produces no schedule at all panics, as the simulator has no error
+// path and a policy that silently drops jobs would corrupt its metrics.
+func BatchPolicy(name string, alg Scheduler, budget Budget) (SimPolicy, error) {
+	switch {
+	case alg == nil:
+		return nil, fmt.Errorf("gridcma: batch policy %s: nil algorithm", name)
+	case budget.MaxTime < 0 || budget.MaxIterations < 0:
+		return nil, fmt.Errorf("gridcma: batch policy %s: negative budget", name)
+	case !budget.Bounded():
+		return nil, fmt.Errorf("gridcma: batch policy %s: %w", name, ErrUnbounded)
+	}
 	return gridsim.PolicyFunc{PolicyName: name, Fn: func(in *Instance, seed uint64) Schedule {
 		res, err := alg.Run(budget.Context(), in, WithBudget(budget), WithSeed(seed))
 		if res.Best == nil {
 			panic(fmt.Sprintf("gridcma: batch policy %s produced no schedule: %v", name, err))
 		}
 		return res.Best
-	}}
+	}}, nil
 }
 
 // HeuristicPolicy wraps a constructive heuristic as a dynamic policy.

@@ -3,6 +3,7 @@ package gridcma_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -13,6 +14,12 @@ func TestBenchmarkInstanceNamesAndGeneration(t *testing.T) {
 	names := gridcma.BenchmarkInstanceNames()
 	if len(names) != 12 {
 		t.Fatalf("%d names", len(names))
+	}
+	// Publication order: consistency, then job and machine heterogeneity.
+	for i, want := range map[int]string{0: "u_c_hihi.0", 1: "u_c_hilo.0", 4: "u_i_hihi.0", 11: "u_s_lolo.0"} {
+		if names[i] != want {
+			t.Errorf("names[%d] = %s, want %s", i, names[i], want)
+		}
 	}
 	for _, n := range names {
 		in, err := gridcma.BenchmarkInstance(n)
@@ -30,17 +37,29 @@ func TestBenchmarkInstanceNamesAndGeneration(t *testing.T) {
 
 func TestGenerateInstanceCustomDims(t *testing.T) {
 	class := gridcma.InstanceClass{} // zero value: inconsistent, low, low
-	in := gridcma.GenerateInstance(class, 64, 8, 42)
+	in, err := gridcma.GenerateInstance(class, 64, 8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if in.Jobs != 64 || in.Machs != 8 {
 		t.Fatalf("dims %d×%d", in.Jobs, in.Machs)
 	}
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Zero dimensions default to the benchmark's 512×16.
+	if in, err = gridcma.GenerateInstance(class, 0, 0, 1); err != nil || in.Jobs != 512 || in.Machs != 16 {
+		t.Errorf("defaults: %v", err)
+	}
+	for _, d := range [][2]int{{-5, 3}, {3, -1}, {1 << 20, 1 << 20}} {
+		if in, err := gridcma.GenerateInstance(class, d[0], d[1], 1); err == nil || in != nil {
+			t.Errorf("%d×%d accepted", d[0], d[1])
+		}
+	}
 }
 
 func TestInstanceIORoundTripThroughFacade(t *testing.T) {
-	in := gridcma.GenerateInstance(gridcma.InstanceClass{}, 10, 4, 1)
+	in := generate(t, 10, 4, 1)
 	var buf bytes.Buffer
 	if err := gridcma.WriteInstance(&buf, in); err != nil {
 		t.Fatal(err)
@@ -193,7 +212,10 @@ func TestBatchPolicyFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := gridcma.BatchPolicy("cma", sched, gridcma.Budget{MaxIterations: 2})
+	p, err := gridcma.BatchPolicy("cma", sched, gridcma.Budget{MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Name() != "cma" {
 		t.Errorf("name %q", p.Name())
 	}
@@ -207,6 +229,26 @@ func TestBatchPolicyFacade(t *testing.T) {
 	}
 	if m.Activations == 0 {
 		t.Error("no activations")
+	}
+}
+
+// A budget that cannot bound every activation is refused when the policy
+// is built, not by a panic inside the simulation.
+func TestBatchPolicyRefusesBadBudget(t *testing.T) {
+	sched, err := gridcma.New("sa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []gridcma.Budget{{}, {MaxIterations: -2}, {MaxIterations: 3, MaxTime: -time.Second}} {
+		if p, err := gridcma.BatchPolicy("sa", sched, b); err == nil || p != nil {
+			t.Errorf("budget %+v accepted", b)
+		}
+	}
+	if _, err := gridcma.BatchPolicy("sa", sched, gridcma.Budget{}); !errors.Is(err, gridcma.ErrUnbounded) {
+		t.Errorf("unbounded budget: err = %v, want ErrUnbounded", err)
+	}
+	if _, err := gridcma.BatchPolicy("none", nil, gridcma.Budget{MaxIterations: 1}); err == nil {
+		t.Error("nil algorithm accepted")
 	}
 }
 

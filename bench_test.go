@@ -32,7 +32,10 @@ func benchOpts() experiments.Options {
 // and reports how many of the 12 instances the cMA wins.
 func BenchmarkTable2Makespan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table2(benchOpts())
+		rows, err := experiments.Table2(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		wins := 0
 		for _, r := range rows {
 			if r.CMA < r.BraunGA {
@@ -47,7 +50,10 @@ func BenchmarkTable2Makespan(b *testing.B) {
 // Struggle GA vs cMA).
 func BenchmarkTable3GAs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3(benchOpts())
+		rows, err := experiments.Table3(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		wins := 0
 		for _, r := range rows {
 			if r.CMA < r.SteadyStateGA && r.CMA < r.StruggleGA {
@@ -62,7 +68,10 @@ func BenchmarkTable3GAs(b *testing.B) {
 // and reports the mean improvement percentage (paper: 22–90 %).
 func BenchmarkTable4Flowtime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table4(benchOpts())
+		rows, err := experiments.Table4(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		deltas := make([]float64, len(rows))
 		for k, r := range rows {
 			deltas[k] = r.Delta
@@ -75,7 +84,10 @@ func BenchmarkTable4Flowtime(b *testing.B) {
 // cMA; paper: cMA wins all 12).
 func BenchmarkTable5FlowtimeGA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table5(benchOpts())
+		rows, err := experiments.Table5(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		wins := 0
 		for _, r := range rows {
 			if r.CMA < r.StruggleGA {
@@ -91,7 +103,10 @@ func BenchmarkTable5FlowtimeGA(b *testing.B) {
 func BenchmarkRobustness(b *testing.B) {
 	o := experiments.Options{Budget: run.Budget{MaxIterations: 8}, Runs: 3, Seed: 1}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Robustness(o)
+		rows, err := experiments.Robustness(o)
+		if err != nil {
+			b.Fatal(err)
+		}
 		worst := 0.0
 		for _, r := range rows {
 			if r.RelStd > worst {
@@ -108,8 +123,12 @@ func figOpts() experiments.Options {
 }
 
 // reportFinals exposes each series' final makespan as a bench metric.
-func reportFinals(b *testing.B, series []experiments.Series) {
+func reportFinals(b *testing.B, fig func(experiments.Options) ([]experiments.Series, error)) {
 	b.Helper()
+	series, err := fig(figOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, s := range series {
 		b.ReportMetric(s.Final(), s.Label+"-makespan")
 	}
@@ -118,28 +137,28 @@ func reportFinals(b *testing.B, series []experiments.Series) {
 // BenchmarkFig2LocalSearch regenerates Fig. 2 (LM vs SLM vs LMCTS).
 func BenchmarkFig2LocalSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportFinals(b, experiments.Figure2(figOpts()))
+		reportFinals(b, experiments.Figure2)
 	}
 }
 
 // BenchmarkFig3Neighborhood regenerates Fig. 3 (Panmictic/L5/L9/C9/C13).
 func BenchmarkFig3Neighborhood(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportFinals(b, experiments.Figure3(figOpts()))
+		reportFinals(b, experiments.Figure3)
 	}
 }
 
 // BenchmarkFig4Tournament regenerates Fig. 4 (N-tournament, N = 3, 5, 7).
 func BenchmarkFig4Tournament(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportFinals(b, experiments.Figure4(figOpts()))
+		reportFinals(b, experiments.Figure4)
 	}
 }
 
 // BenchmarkFig5SweepOrder regenerates Fig. 5 (FLS/FRS/NRS).
 func BenchmarkFig5SweepOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reportFinals(b, experiments.Figure5(figOpts()))
+		reportFinals(b, experiments.Figure5)
 	}
 }
 

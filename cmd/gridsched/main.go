@@ -419,17 +419,15 @@ func runGen(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	}
 	if *class != "" {
 		c, _, err := gridcma.ParseInstanceClass(*class + ".0")
+		var in *gridcma.Instance
 		if err == nil {
-			err = etc.CheckDims(cmp.Or(*jobs, etc.BenchmarkJobs), cmp.Or(*machs, etc.BenchmarkMachs))
+			in, err = gridcma.GenerateInstance(c, *jobs, *machs, *seed)
 		}
 		if err != nil {
 			return badUsage{err}
 		}
-		load = func() (*gridcma.Instance, error) {
-			in := gridcma.GenerateInstance(c, *jobs, *machs, *seed)
-			in.Name = fmt.Sprintf("%s.%d", *class, *k)
-			return in, nil
-		}
+		in.Name = fmt.Sprintf("%s.%d", *class, *k)
+		load = func() (*gridcma.Instance, error) { return in, nil }
 	}
 
 	if *all {
@@ -544,7 +542,7 @@ func buildPolicy(name string, iters int) (gridcma.SimPolicy, error) {
 		if err != nil {
 			return nil, err
 		}
-		return gridcma.BatchPolicy("cma", sched, gridcma.Budget{MaxIterations: iters}), nil
+		return gridcma.BatchPolicy("cma", sched, gridcma.Budget{MaxIterations: iters})
 	}
 	if p, err := gridcma.HeuristicPolicy(name); err == nil {
 		return p, nil
@@ -554,7 +552,7 @@ func buildPolicy(name string, iters int) (gridcma.SimPolicy, error) {
 		return nil, usagef("unknown policy %q: not a registry algorithm (%v) or a heuristic (%v)",
 			name, gridcma.Algorithms(), gridcma.HeuristicNames())
 	}
-	return gridcma.BatchPolicy(name, sched, gridcma.Budget{MaxIterations: iters}), nil
+	return gridcma.BatchPolicy(name, sched, gridcma.Budget{MaxIterations: iters})
 }
 
 // simulate runs the simulation. With a trace path, a Record hook streams
@@ -642,7 +640,8 @@ func runExperiments(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	defer stop()
 	o.Budget = o.Budget.WithContext(ctx)
 
-	// A failed CSV write stops the experiments that follow it.
+	// The first failure, an experiment's or a CSV write's, stops the
+	// experiments that follow it.
 	var werr error
 	runner := func(id string) bool { return werr == nil && (*what == "all" || *what == id) }
 	csv := func(name, label string, headers []string, rows [][]string) {
@@ -653,7 +652,10 @@ func runExperiments(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	emit := func(id, title string, headers []string, rows [][]string) {
+	emit := func(id, title string, headers []string, rows [][]string, err error) {
+		if werr = err; err != nil {
+			return
+		}
 		fmt.Fprintf(stdout, "== %s — %s ==\n", id, title)
 		fmt.Fprintln(stdout, experiments.FormatTable(headers, rows))
 		csv(id, "csv", headers, rows)
@@ -663,27 +665,31 @@ func runExperiments(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	start := time.Now()
 	if runner("table1") {
 		h, c := experiments.Table1Cells(experiments.Table1())
-		emit("table1", "tuned cMA configuration", h, c)
+		emit("table1", "tuned cMA configuration", h, c, nil)
 	}
 	if runner("table2") {
-		h, c := experiments.Table2Cells(experiments.Table2(o))
-		emit("table2", "best makespan: Braun et al. GA vs cMA", h, c)
+		rows, err := experiments.Table2(o)
+		h, c := experiments.Table2Cells(rows)
+		emit("table2", "best makespan: Braun et al. GA vs cMA", h, c, err)
 	}
 	if runner("table3") {
-		h, c := experiments.Table3Cells(experiments.Table3(o))
-		emit("table3", "best makespan: Carretero–Xhafa GA, Struggle GA vs cMA", h, c)
+		rows, err := experiments.Table3(o)
+		h, c := experiments.Table3Cells(rows)
+		emit("table3", "best makespan: Carretero–Xhafa GA, Struggle GA vs cMA", h, c, err)
 	}
 	if runner("table4") {
-		h, c := experiments.Table4Cells(experiments.Table4(o))
-		emit("table4", "flowtime: LJFR-SJFR vs cMA", h, c)
+		rows, err := experiments.Table4(o)
+		h, c := experiments.Table4Cells(rows)
+		emit("table4", "flowtime: LJFR-SJFR vs cMA", h, c, err)
 	}
 	if runner("table5") {
-		h, c := experiments.Table5Cells(experiments.Table5(o))
-		emit("table5", "flowtime: Struggle GA vs cMA", h, c)
+		rows, err := experiments.Table5(o)
+		h, c := experiments.Table5Cells(rows)
+		emit("table5", "flowtime: Struggle GA vs cMA", h, c, err)
 	}
 	for _, fig := range []struct {
 		id, title string
-		series    func(experiments.Options) []experiments.Series
+		series    func(experiments.Options) ([]experiments.Series, error)
 	}{
 		{"fig2", "makespan reduction per local search method", experiments.Figure2},
 		{"fig3", "makespan reduction per neighborhood pattern", experiments.Figure3},
@@ -693,31 +699,30 @@ func runExperiments(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		if !runner(fig.id) {
 			continue
 		}
-		series := fig.series(o)
+		series, err := fig.series(o)
 		hs, cs := experiments.SeriesSummaryCells(series)
-		emit(fig.id, fig.title, hs, cs)
+		emit(fig.id, fig.title, hs, cs, err)
 		hl, cl := experiments.SeriesCells(series)
 		csv(fig.id+"_series", "series csv", hl, cl)
 	}
 	if runner("robustness") {
-		h, c := experiments.RobustnessCells(experiments.Robustness(o))
-		emit("robustness", "cMA makespan spread across runs (§5.1)", h, c)
+		rows, err := experiments.Robustness(o)
+		h, c := experiments.RobustnessCells(rows)
+		emit("robustness", "cMA makespan spread across runs (§5.1)", h, c, err)
 	}
 	if runner("heuristics") {
 		h, c := experiments.HeuristicsCells(experiments.HeuristicsTable())
-		emit("heuristics", "constructive heuristic makespans (baseline panorama)", h, c)
+		emit("heuristics", "constructive heuristic makespans (baseline panorama)", h, c, nil)
 	}
 	if *what == "frontier" { // opt-in only: generated large instances, not the paper's suite
-		h, c := experiments.FrontierCells(experiments.Frontier(o, ladder))
-		emit("frontier", "tuned cMA on synthetic large instances (scaling ladder)", h, c)
+		rows, err := experiments.Frontier(o, ladder)
+		h, c := experiments.FrontierCells(rows)
+		emit("frontier", "tuned cMA on synthetic large instances (scaling ladder)", h, c, err)
 	}
 	if runner("takeover") {
 		curves, err := experiments.TakeoverStudy(*seed)
-		if err != nil {
-			return err
-		}
 		h, c := experiments.TakeoverCells(curves)
-		emit("takeover", "selection pressure per neighborhood (takeover analysis)", h, c)
+		emit("takeover", "selection pressure per neighborhood (takeover analysis)", h, c, err)
 	}
 	if werr != nil {
 		return werr

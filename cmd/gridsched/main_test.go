@@ -141,7 +141,10 @@ func TestRunSmokeGenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := gridcma.GenerateInstance(c, 8, 2, 1)
+	want, err := gridcma.GenerateInstance(c, 8, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := etc.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +189,12 @@ func TestRunSmokeSim(t *testing.T) {
 func TestRunSmokeExperiments(t *testing.T) {
 	out := runOK(t, "experiments", "-run", "takeover")
 	if !strings.Contains(out, "== takeover") || !strings.Contains(out, "total wall time") {
+		t.Fatalf("experiments output:\n%s", out)
+	}
+	// table2 runs the registry algorithms through the public batch
+	// executor: one row per benchmark instance.
+	out = runOK(t, "experiments", "-run", "table2", "-iters", "1", "-runs", "1")
+	if !strings.Contains(out, "== table2") || strings.Count(out, "u_") != 12 || !strings.Contains(out, "u_s_lolo.0") {
 		t.Fatalf("experiments output:\n%s", out)
 	}
 }

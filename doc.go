@@ -137,7 +137,12 @@
 // RunBatch fans instances × algorithms × seeds over a worker pool with
 // deterministic per-task seeds — the output is identical for any worker
 // count. Race runs a portfolio of schedulers on one instance concurrently
-// and cancels the losers as soon as the first finishes:
+// and cancels the losers as soon as the first finishes. Both drive the
+// public Scheduler directly, so a custom Scheduler joins a batch or a
+// race exactly like a registry one; each task's Run gets the batch
+// context, WithBudget and WithSeed, after a race's own options. The
+// paper's tables (internal/experiments, `gridsched experiments`) run
+// through RunBatch:
 //
 //	batch, _ := gridcma.RunBatch(ctx, gridcma.BatchSpec{
 //		Instances:  []*gridcma.Instance{in},
@@ -148,7 +153,8 @@
 //	outcome, _ := gridcma.Race(ctx, in, algs, gridcma.WithMaxTime(2*time.Second))
 //
 // The same Scheduler contract drives the dynamic grid simulator:
-// BatchPolicy turns any Scheduler into a periodic-activation policy.
+// BatchPolicy turns any Scheduler into a periodic-activation policy, and
+// refuses a budget that could not bound every activation.
 //
 // # Scaling to large instances
 //

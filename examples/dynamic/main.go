@@ -33,7 +33,10 @@ func main() {
 	}
 	// BatchPolicy takes any Scheduler — dynamic-grid policies and batch
 	// runs share the one interface.
-	cmaPolicy := gridcma.BatchPolicy("cMA", sched, gridcma.Budget{MaxIterations: 10})
+	cmaPolicy, err := gridcma.BatchPolicy("cMA", sched, gridcma.Budget{MaxIterations: 10})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	policies := []gridcma.SimPolicy{cmaPolicy}
 	for _, h := range []string{"minmin", "olb", "ljfr-sjfr"} {

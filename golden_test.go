@@ -36,7 +36,7 @@ type goldenCase struct {
 // under each local-search method.
 func goldenRuns(t *testing.T) []goldenCase {
 	t.Helper()
-	small := gridcma.GenerateInstance(gridcma.InstanceClass{}, 96, 8, 7)
+	small := generate(t, 96, 8, 7)
 	bench, err := gridcma.BenchmarkInstance("u_c_hihi.0")
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,30 @@ import (
 	"bytes"
 	"strings"
 
+	"gridcma"
 	"gridcma/internal/run"
 )
+
+// newAlg builds a registry algorithm, failing the test on error.
+func newAlg(t *testing.T, name string) Algorithm {
+	t.Helper()
+	a, err := gridcma.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// noErr fails the test on err and passes v through.
+func noErr[T any](t *testing.T) func(T, error) T {
+	return func(v T, err error) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
 
 // The package's tests reproduce the paper's full table/figure pipeline at
 // reduced budgets — minutes of engine time. They are part of the normal
@@ -63,7 +85,7 @@ func TestInstanceUnknownPanics(t *testing.T) {
 
 func TestReferencesCoverAllInstances(t *testing.T) {
 	refs := References()
-	for _, name := range InstanceNames {
+	for _, name := range gridcma.BenchmarkInstanceNames() {
 		r, ok := refs[name]
 		if !ok {
 			t.Fatalf("no reference for %s", name)
@@ -84,7 +106,7 @@ func TestReferencesCoverAllInstances(t *testing.T) {
 
 func TestRepeatAggregates(t *testing.T) {
 	o := Options{Budget: run.Budget{MaxIterations: 5}, Runs: 3, Seed: 9}
-	s := Repeat(TunedCMA(), Instance("u_c_lolo.0"), o)
+	s := noErr[Sample](t)(Repeat(newAlg(t, "cma"), Instance("u_c_lolo.0"), o))
 	if len(s.Runs) != 3 {
 		t.Fatalf("runs %d", len(s.Runs))
 	}
@@ -94,16 +116,16 @@ func TestRepeatAggregates(t *testing.T) {
 	if s.BestMakespan != s.Makespans.Min {
 		t.Error("best makespan must equal min")
 	}
-	if s.Algorithm != "cMA" || s.Instance != "u_c_lolo.0" {
+	if s.Algorithm != "cma" || s.Instance != "u_c_lolo.0" {
 		t.Errorf("labels %q %q", s.Algorithm, s.Instance)
 	}
 }
 
 func TestRepeatDeterministicAcrossWorkerCounts(t *testing.T) {
 	o := Options{Budget: run.Budget{MaxIterations: 5}, Runs: 4, Seed: 2, Workers: 1}
-	a := Repeat(TunedCMA(), Instance("u_c_lolo.0"), o)
+	a := noErr[Sample](t)(Repeat(newAlg(t, "cma"), Instance("u_c_lolo.0"), o))
 	o.Workers = 4
-	b := Repeat(TunedCMA(), Instance("u_c_lolo.0"), o)
+	b := noErr[Sample](t)(Repeat(newAlg(t, "cma"), Instance("u_c_lolo.0"), o))
 	for i := range a.Runs {
 		if a.Runs[i].Fitness != b.Runs[i].Fitness {
 			t.Fatal("worker count changed per-seed results")
@@ -113,10 +135,10 @@ func TestRepeatDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestFairBudgetsEqualiseEvals(t *testing.T) {
 	evals := 3700
-	algs := []Algorithm{TunedCMA(), BraunGA(), SteadyStateGA(), StruggleGA()}
-	for _, alg := range algs {
+	for _, name := range []string{"cma", "braun-ga", "ss-ga", "struggle-ga", "sa", "tabu"} {
+		alg := newAlg(t, name)
 		b := FairBudget(alg, evals)
-		got := b.MaxIterations * evalsPerIteration(alg)
+		got := b.MaxIterations * evalsPerIteration(name)
 		if got < evals/2 || got > evals {
 			t.Errorf("%s: fair budget yields %d evals, want ≈%d", alg.Name(), got, evals)
 		}
@@ -126,7 +148,7 @@ func TestFairBudgetsEqualiseEvals(t *testing.T) {
 func TestTable4ShapeHolds(t *testing.T) {
 	// The strongest, most budget-robust claim of the paper: cMA improves
 	// hugely on LJFR-SJFR flowtime on every instance (22-90% published).
-	rows := Table4(tinyOpts())
+	rows := noErr[[]Table4Row](t)(Table4(tinyOpts()))
 	if len(rows) != 12 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -144,7 +166,7 @@ func TestTable2StructureAndSanity(t *testing.T) {
 	// Run only a subset of instances' worth of budget by reusing tiny
 	// options; assert structure plus a weak sanity shape: measured
 	// makespans positive and within 100x of each other.
-	rows := Table2(tinyOpts())
+	rows := noErr[[]Table2Row](t)(Table2(tinyOpts()))
 	if len(rows) != 12 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -162,7 +184,7 @@ func TestTable2StructureAndSanity(t *testing.T) {
 }
 
 func TestTable5ShapeHolds(t *testing.T) {
-	rows := Table5(tinyOpts())
+	rows := noErr[[]Table5Row](t)(Table5(tinyOpts()))
 	better := 0
 	for _, r := range rows {
 		if r.CMA < r.StruggleGA {
@@ -178,7 +200,7 @@ func TestTable5ShapeHolds(t *testing.T) {
 
 func TestRobustnessSmallRelStd(t *testing.T) {
 	o := Options{Budget: run.Budget{MaxIterations: 15}, Runs: 4, Seed: 3}
-	rows := Robustness(o)
+	rows := noErr[[]RobustnessRow](t)(Robustness(o))
 	if len(rows) != 12 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -223,7 +245,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 
 func TestFigure2LMCTSWins(t *testing.T) {
 	o := Options{Budget: run.Budget{MaxIterations: 12}, Runs: 2, Seed: 4}
-	series := Figure2(o)
+	series := noErr[[]Series](t)(Figure2(o))
 	if len(series) != 3 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -239,7 +261,7 @@ func TestFigure2LMCTSWins(t *testing.T) {
 
 func TestFigure3PanmicticNotBest(t *testing.T) {
 	o := Options{Budget: run.Budget{MaxIterations: 12}, Runs: 2, Seed: 5}
-	series := Figure3(o)
+	series := noErr[[]Series](t)(Figure3(o))
 	if len(series) != 5 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -262,7 +284,8 @@ func TestFigure3PanmicticNotBest(t *testing.T) {
 
 func TestFigure4And5RunAndAreMonotone(t *testing.T) {
 	o := Options{Budget: run.Budget{MaxIterations: 8}, Runs: 1, Seed: 6}
-	for name, series := range map[string][]Series{"fig4": Figure4(o), "fig5": Figure5(o)} {
+	figs := map[string][]Series{"fig4": noErr[[]Series](t)(Figure4(o)), "fig5": noErr[[]Series](t)(Figure5(o))}
+	for name, series := range figs {
 		if len(series) != 3 {
 			t.Fatalf("%s: %d series", name, len(series))
 		}
@@ -295,8 +318,7 @@ func TestSeriesHelpers(t *testing.T) {
 
 func TestFormattingAndCSV(t *testing.T) {
 	o := Options{Budget: run.Budget{MaxIterations: 3}, Runs: 1, Seed: 7}
-	rows := Table4(o)
-	h, cells := Table4Cells(rows)
+	h, cells := Table4Cells(noErr[[]Table4Row](t)(Table4(o)))
 	txt := FormatTable(h, cells)
 	if !strings.Contains(txt, "u_c_hihi.0") || !strings.Contains(txt, "Δ%") {
 		t.Error("table text incomplete")
@@ -311,17 +333,17 @@ func TestFormattingAndCSV(t *testing.T) {
 	}
 
 	// All the remaining cell builders produce consistent widths.
-	h2, c2 := Table2Cells(Table2(o))
+	h2, c2 := Table2Cells(noErr[[]Table2Row](t)(Table2(o)))
 	checkCells(t, h2, c2)
-	h3, c3 := Table3Cells(Table3(o))
+	h3, c3 := Table3Cells(noErr[[]Table3Row](t)(Table3(o)))
 	checkCells(t, h3, c3)
-	h5, c5 := Table5Cells(Table5(o))
+	h5, c5 := Table5Cells(noErr[[]Table5Row](t)(Table5(o)))
 	checkCells(t, h5, c5)
-	hr, cr := RobustnessCells(Robustness(o))
+	hr, cr := RobustnessCells(noErr[[]RobustnessRow](t)(Robustness(o)))
 	checkCells(t, hr, cr)
 	h1, c1 := Table1Cells(Table1())
 	checkCells(t, h1, c1)
-	fig := Figure5(Options{Budget: run.Budget{MaxIterations: 2}, Runs: 1, Seed: 8})
+	fig := noErr[[]Series](t)(Figure5(Options{Budget: run.Budget{MaxIterations: 2}, Runs: 1, Seed: 8}))
 	hs, cs := SeriesCells(fig)
 	checkCells(t, hs, cs)
 	hss, css := SeriesSummaryCells(fig)
@@ -352,6 +374,39 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := Full().Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// Every runner refuses bad options and specs with an error before any
+// run, instead of panicking.
+func TestRunnersRejectBadInput(t *testing.T) {
+	bad := Options{Budget: run.Budget{MaxIterations: 1}, Runs: 0}
+	if _, err := Repeat(newAlg(t, "cma"), Instance("u_c_lolo.0"), bad); err == nil {
+		t.Error("Repeat: Runs = 0 accepted")
+	}
+	if _, err := Frontier(Quick(), []string{"bogus"}); err == nil {
+		t.Error("Frontier: bogus spec accepted")
+	}
+	if _, err := Frontier(bad, nil); err == nil {
+		t.Error("Frontier: Runs = 0 accepted")
+	}
+	unbounded := Options{Runs: 1}
+	for name, run := range map[string]func(Options) error{
+		"Table2":     func(o Options) error { _, err := Table2(o); return err },
+		"Table3":     func(o Options) error { _, err := Table3(o); return err },
+		"Table4":     func(o Options) error { _, err := Table4(o); return err },
+		"Table5":     func(o Options) error { _, err := Table5(o); return err },
+		"Robustness": func(o Options) error { _, err := Robustness(o); return err },
+		"Figure2":    func(o Options) error { _, err := Figure2(o); return err },
+		"Figure3":    func(o Options) error { _, err := Figure3(o); return err },
+		"Figure4":    func(o Options) error { _, err := Figure4(o); return err },
+		"Figure5":    func(o Options) error { _, err := Figure5(o); return err },
+	} {
+		for _, o := range []Options{bad, unbounded} {
+			if err := run(o); err == nil {
+				t.Errorf("%s accepted %+v", name, o)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"gridcma"
 	"gridcma/internal/etc"
 	"gridcma/internal/heuristics"
 	"gridcma/internal/schedule"
@@ -21,8 +22,8 @@ type HeuristicsRow struct {
 // HeuristicsTable evaluates all constructive heuristics on the 12
 // benchmark instances.
 func HeuristicsTable() []HeuristicsRow {
-	rows := make([]HeuristicsRow, 0, len(InstanceNames))
-	for _, name := range InstanceNames {
+	var rows []HeuristicsRow
+	for _, name := range gridcma.BenchmarkInstanceNames() {
 		in := Instance(name)
 		row := HeuristicsRow{Instance: name, Makespans: map[string]float64{}}
 		best := ""
@@ -68,23 +69,27 @@ var DefaultFrontierSpecs = []string{
 // Frontier generates each spec and runs the tuned cMA once per rung at
 // the options' budget and seed (single run per rung — at these sizes the
 // interesting axis is scale, not run-to-run spread).
-func Frontier(o Options, specs []string) []FrontierRow {
+func Frontier(o Options, specs []string) ([]FrontierRow, error) {
 	if err := o.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
 	if len(specs) == 0 {
 		specs = DefaultFrontierSpecs
+	}
+	sched, err := gridcma.New("cma")
+	if err != nil {
+		return nil, err
 	}
 	rows := make([]FrontierRow, 0, len(specs))
 	for _, s := range specs {
 		g, err := etc.ParseGenSpec(s)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		start := time.Now()
 		in, err := g.Generate()
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		row := FrontierRow{
 			Spec: s, Jobs: in.Jobs, Machs: in.Machs,
@@ -92,14 +97,17 @@ func Frontier(o Options, specs []string) []FrontierRow {
 			MatrixMB:     float64(in.Bytes()) / (1 << 20),
 		}
 		start = time.Now()
-		res := TunedCMA().Run(in, o.Budget, o.Seed, nil)
+		res, err := sched.Run(o.Budget.Context(), in, gridcma.WithBudget(o.Budget), gridcma.WithSeed(o.Seed))
+		if failed(err) {
+			return nil, err
+		}
 		row.Seconds = time.Since(start).Seconds()
 		row.Iterations = res.Iterations
 		row.Makespan = res.Makespan
 		row.Flowtime = res.Flowtime
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 // FrontierCells renders the scaling ladder.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"gridcma"
 	"gridcma/internal/cell"
 	"gridcma/internal/cma"
 	"gridcma/internal/localsearch"
@@ -53,24 +54,48 @@ func (s Series) At(iter int) float64 {
 // instance, whose scale matches Fig. 2's y-axis.
 const FigureInstance = "u_c_hihi.0"
 
+// variant is one labelled configuration of a tuning figure.
+type variant struct {
+	label string
+	cfg   cma.Config
+}
+
+// traceVariants traces every variant in order, checking the options
+// before the first run.
+func traceVariants(o Options, vs []variant) ([]Series, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	out := make([]Series, 0, len(vs))
+	for _, v := range vs {
+		s, err := traceVariant(v, o)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
 // traceVariant runs the variant configuration o.Runs times and averages
 // the best-makespan trajectory pointwise (runs are aligned by iteration,
 // which iteration-bounded budgets make exact).
-func traceVariant(label string, cfg cma.Config, o Options) Series {
-	if err := o.Validate(); err != nil {
-		panic(err)
-	}
-	sched, err := cma.New(cfg)
+func traceVariant(v variant, o Options) (Series, error) {
+	sched, err := gridcma.NewCMA(v.cfg)
 	if err != nil {
-		panic(err)
+		return Series{}, err
 	}
 	in := Instance(FigureInstance)
 	var agg []Point
 	for k := 0; k < o.Runs; k++ {
 		var trace []run.Progress
-		sched.Run(in, o.Budget, o.Seed+uint64(k), func(p run.Progress) {
-			trace = append(trace, p)
-		})
+		_, err := sched.Run(o.Budget.Context(), in, gridcma.WithBudget(o.Budget),
+			gridcma.WithSeed(o.Seed+uint64(k)), gridcma.WithObserver(func(p run.Progress) {
+				trace = append(trace, p)
+			}))
+		if failed(err) {
+			return Series{}, err
+		}
 		if agg == nil {
 			agg = make([]Point, len(trace))
 		}
@@ -95,57 +120,55 @@ func traceVariant(label string, cfg cma.Config, o Options) Series {
 		agg[i].Elapsed /= time.Duration(o.Runs)
 		agg[i].Makespan /= float64(o.Runs)
 	}
-	return Series{Label: label, Points: agg}
+	return Series{Label: v.label, Points: agg}, nil
 }
 
 // Figure2 reproduces Fig. 2: makespan reduction under the three local
 // search methods (LM, SLM, LMCTS), everything else per Table 1.
-func Figure2(o Options) []Series {
-	methods := []localsearch.Method{localsearch.LM{}, localsearch.SLM{}, localsearch.LMCTS{}}
-	out := make([]Series, 0, len(methods))
-	for _, m := range methods {
+func Figure2(o Options) ([]Series, error) {
+	var vs []variant
+	for _, m := range []localsearch.Method{localsearch.LM{}, localsearch.SLM{}, localsearch.LMCTS{}} {
 		cfg := cma.DefaultConfig()
 		cfg.LocalSearch = m
-		out = append(out, traceVariant(m.Name(), cfg, o))
+		vs = append(vs, variant{m.Name(), cfg})
 	}
-	return out
+	return traceVariants(o, vs)
 }
 
 // Figure3 reproduces Fig. 3: makespan reduction under the neighborhood
 // patterns Panmictic, L5, L9, C9 and C13.
-func Figure3(o Options) []Series {
-	patterns := []cell.Pattern{cell.Panmictic, cell.L5, cell.L9, cell.C9, cell.C13}
-	out := make([]Series, 0, len(patterns))
-	for _, p := range patterns {
+func Figure3(o Options) ([]Series, error) {
+	var vs []variant
+	for _, p := range []cell.Pattern{cell.Panmictic, cell.L5, cell.L9, cell.C9, cell.C13} {
 		cfg := cma.DefaultConfig()
 		cfg.Pattern = p
-		out = append(out, traceVariant(p.String(), cfg, o))
+		vs = append(vs, variant{p.String(), cfg})
 	}
-	return out
+	return traceVariants(o, vs)
 }
 
 // Figure4 reproduces Fig. 4: makespan reduction under N-tournament
 // selection with N = 3, 5, 7.
-func Figure4(o Options) []Series {
-	out := make([]Series, 0, 3)
+func Figure4(o Options) ([]Series, error) {
+	var vs []variant
 	for _, n := range []int{3, 5, 7} {
 		cfg := cma.DefaultConfig()
 		cfg.Selector = operators.NewTournament(n)
-		out = append(out, traceVariant(fmt.Sprintf("Ntour(%d)", n), cfg, o))
+		vs = append(vs, variant{fmt.Sprintf("Ntour(%d)", n), cfg})
 	}
-	return out
+	return traceVariants(o, vs)
 }
 
 // Figure5 reproduces Fig. 5: makespan reduction under the recombination
 // sweep orders FLS, FRS and NRS.
-func Figure5(o Options) []Series {
-	out := make([]Series, 0, 3)
+func Figure5(o Options) ([]Series, error) {
+	var vs []variant
 	for _, ord := range []cell.Order{cell.FLS, cell.FRS, cell.NRS} {
 		cfg := cma.DefaultConfig()
 		cfg.RecombOrder = ord
-		out = append(out, traceVariant(ord.String(), cfg, o))
+		vs = append(vs, variant{ord.String(), cfg})
 	}
-	return out
+	return traceVariants(o, vs)
 }
 
 // Table1Setting is one row of the Table 1 configuration dump.

@@ -2,31 +2,21 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
+	"gridcma"
 	"gridcma/internal/cma"
 	"gridcma/internal/etc"
 	"gridcma/internal/ga"
 	"gridcma/internal/run"
-	"gridcma/internal/runner"
-	"gridcma/internal/sa"
 	"gridcma/internal/stats"
-	"gridcma/internal/tabu"
 )
 
-// Algorithm is the uniform face of every metaheuristic in the library —
-// the runner package's Scheduler contract; cma.Scheduler, ga.Scheduler,
-// sa.Scheduler and tabu.Scheduler satisfy it.
-type Algorithm = runner.Scheduler
-
-// Assert the schedulers satisfy Algorithm.
-var (
-	_ Algorithm = (*cma.Scheduler)(nil)
-	_ Algorithm = (*ga.Scheduler)(nil)
-	_ Algorithm = (*sa.Scheduler)(nil)
-	_ Algorithm = (*tabu.Scheduler)(nil)
-)
+// Algorithm is the uniform face of every metaheuristic in the library:
+// the public Scheduler, built by name with gridcma.New.
+type Algorithm = gridcma.Scheduler
 
 // Options scales an experiment. The paper's protocol (90 s × 10 runs per
 // instance) is Full(); tests and benches use much smaller budgets — the
@@ -79,30 +69,38 @@ type Sample struct {
 }
 
 // Repeat runs alg on in o.Runs times with seeds o.Seed, o.Seed+1, ... on
-// the batch executor's worker pool and aggregates the results.
-func Repeat(alg Algorithm, in *etc.Instance, o Options) Sample {
+// the batch executor's worker pool and aggregates the results. A
+// cancelled budget context yields the runs completed so far.
+func Repeat(alg Algorithm, in *etc.Instance, o Options) (Sample, error) {
 	if err := o.Validate(); err != nil {
-		panic(err)
+		return Sample{}, err
 	}
 	seeds := make([]uint64, o.Runs)
 	for k := range seeds {
 		seeds[k] = o.Seed + uint64(k)
 	}
-	batch, err := runner.RunBatch(o.Budget.Context(), runner.BatchSpec{
-		Instances:  []runner.Instance{{Name: in.Name, In: in}},
-		Schedulers: []runner.Scheduler{alg},
+	batch, err := gridcma.RunBatch(o.Budget.Context(), gridcma.BatchSpec{
+		Instances:  []*etc.Instance{in},
+		Algorithms: []Algorithm{alg},
 		Budget:     o.Budget,
 		Seeds:      seeds,
 		Workers:    o.Workers,
 	})
-	if err != nil && err != context.Canceled && err != context.DeadlineExceeded {
-		panic(err)
+	if failed(err) {
+		return Sample{}, err
 	}
 	results := make([]run.Result, len(batch))
 	for i, b := range batch {
 		results[i] = b.Result
 	}
-	return aggregate(alg.Name(), in.Name, results)
+	return aggregate(alg.Name(), in.Name, results), nil
+}
+
+// failed reports whether err is a failure rather than the budget
+// context's cancellation, after which the runners report what was found
+// so far.
+func failed(err error) bool {
+	return err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 func aggregate(alg, inst string, results []run.Result) Sample {
@@ -130,77 +128,21 @@ func aggregate(alg, inst string, results []run.Result) Sample {
 	return s
 }
 
-// TunedCMA returns the paper's tuned cMA (Table 1).
-func TunedCMA() Algorithm {
-	s, err := cma.New(cma.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// BraunGA returns the generational GA baseline of Tables 2.
-func BraunGA() Algorithm {
-	s, err := ga.New(ga.NewConfig(ga.Braun))
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// SteadyStateGA returns the Carretero–Xhafa baseline of Table 3.
-func SteadyStateGA() Algorithm {
-	s, err := ga.New(ga.NewConfig(ga.SteadyState))
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// StruggleGA returns the Struggle GA baseline of Tables 3 and 5.
-func StruggleGA() Algorithm {
-	s, err := ga.New(ga.NewConfig(ga.Struggle))
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// SimulatedAnnealing returns the SA extra baseline.
-func SimulatedAnnealing() Algorithm {
-	s, err := sa.New(sa.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// TabuSearch returns the tabu search extra baseline.
-func TabuSearch() Algorithm {
-	s, err := tabu.New(tabu.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // evalsPerIteration estimates how many full fitness evaluations one budget
-// iteration of the algorithm costs, used to grant different algorithms
-// comparable budgets when running iteration-bounded (tests/benches). The
-// time-budgeted reproduction path does not need this.
-func evalsPerIteration(alg Algorithm) int {
-	switch a := alg.(type) {
-	case *cma.Scheduler:
-		cfg := a.Config()
+// iteration of the named registry algorithm costs at its defaults, used
+// to grant different algorithms comparable budgets when running
+// iteration-bounded (tests/benches). The time-budgeted reproduction path
+// does not need this.
+func evalsPerIteration(name string) int {
+	switch name {
+	case "cma":
+		cfg := cma.DefaultConfig()
 		return cfg.Recombinations + cfg.Mutations
-	case *ga.Scheduler:
-		if a.Config().Variant == ga.Braun {
-			return a.Config().PopSize
-		}
-		return 1
-	case *sa.Scheduler:
+	case "braun-ga":
+		return ga.NewConfig(ga.Braun).PopSize
+	case "sa":
 		return 1024 // one sweep ≈ 2×512 proposals
-	case *tabu.Scheduler:
+	case "tabu":
 		return 128 // samples per step (default 8×16)
 	default:
 		return 1
@@ -211,7 +153,7 @@ func evalsPerIteration(alg Algorithm) int {
 // iteration budget, so iteration-bounded comparisons give every algorithm
 // roughly the same number of fitness evaluations.
 func FairBudget(alg Algorithm, evals int) run.Budget {
-	per := evalsPerIteration(alg)
+	per := evalsPerIteration(alg.Name())
 	iters := evals / per
 	if iters < 1 {
 		iters = 1

@@ -6,21 +6,22 @@
 // the qualitative *shape* of the published result (who wins, by roughly
 // what factor) — absolute values are not comparable because the original
 // benchmark files are not redistributable (DESIGN.md §3).
+//
+// The package is a client of the public gridcma API: the tables build
+// their algorithms by registry name (gridcma.New) and run them through
+// gridcma.RunBatch, the figures run gridcma.NewCMA variants with an
+// observer, and the 12 instance names come from
+// gridcma.BenchmarkInstanceNames. Every runner returns an error for bad
+// Options before its first run; a cancelled budget context yields what
+// was found so far.
 package experiments
 
 import (
 	"sync"
 
+	"gridcma"
 	"gridcma/internal/etc"
 )
-
-// InstanceNames lists the 12 benchmark instances of the paper's tables in
-// publication order.
-var InstanceNames = []string{
-	"u_c_hihi.0", "u_c_hilo.0", "u_c_lohi.0", "u_c_lolo.0",
-	"u_i_hihi.0", "u_i_hilo.0", "u_i_lohi.0", "u_i_lolo.0",
-	"u_s_hihi.0", "u_s_hilo.0", "u_s_lohi.0", "u_s_lolo.0",
-}
 
 // Reference holds the values published in the paper for one instance.
 // All values are in the paper's arbitrary time units and refer to the
@@ -80,9 +81,9 @@ var (
 // set fixed by the benchmark.
 func Instance(name string) *etc.Instance {
 	instOnce.Do(func() {
-		instCache = make(map[string]*etc.Instance, len(InstanceNames))
-		for _, n := range InstanceNames {
-			in, err := etc.GenerateByName(n)
+		instCache = map[string]*etc.Instance{}
+		for _, n := range gridcma.BenchmarkInstanceNames() {
+			in, err := gridcma.BenchmarkInstance(n)
 			if err != nil {
 				panic(err)
 			}
@@ -98,9 +99,9 @@ func Instance(name string) *etc.Instance {
 
 // Instances returns all 12 benchmark instances in publication order.
 func Instances() []*etc.Instance {
-	out := make([]*etc.Instance, len(InstanceNames))
-	for i, n := range InstanceNames {
-		out[i] = Instance(n)
+	var out []*etc.Instance
+	for _, n := range gridcma.BenchmarkInstanceNames() {
+		out = append(out, Instance(n))
 	}
 	return out
 }

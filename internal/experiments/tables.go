@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"gridcma"
 	"gridcma/internal/heuristics"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
@@ -15,14 +16,29 @@ func budgetFor(alg Algorithm, o Options) run.Budget {
 	if o.Budget.MaxTime > 0 {
 		return o.Budget
 	}
-	evals := o.Budget.MaxIterations * evalsPerIteration(TunedCMA())
+	evals := o.Budget.MaxIterations * evalsPerIteration("cma")
 	return FairBudget(alg, evals)
 }
 
-func repeatFair(alg Algorithm, instName string, o Options) Sample {
-	opts := o
-	opts.Budget = budgetFor(alg, o)
-	return Repeat(alg, Instance(instName), opts)
+// repeatFair runs each named registry algorithm, in order, on the named
+// instance under its evaluation-fair budget.
+func repeatFair(instName string, o Options, algs ...string) ([]Sample, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	out := make([]Sample, len(algs))
+	for i, name := range algs {
+		alg, err := gridcma.New(name)
+		if err != nil {
+			return nil, err
+		}
+		opts := o
+		opts.Budget = budgetFor(alg, o)
+		if out[i], err = Repeat(alg, Instance(instName), opts); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Table2Row compares best makespans of Braun et al.'s GA and the cMA on
@@ -40,12 +56,15 @@ type Table2Row struct {
 }
 
 // Table2 reproduces Table 2 (makespan: Braun GA vs cMA).
-func Table2(o Options) []Table2Row {
+func Table2(o Options) ([]Table2Row, error) {
 	refs := References()
-	rows := make([]Table2Row, 0, len(InstanceNames))
-	for _, name := range InstanceNames {
-		gaS := repeatFair(BraunGA(), name, o)
-		cmaS := repeatFair(TunedCMA(), name, o)
+	var rows []Table2Row
+	for _, name := range gridcma.BenchmarkInstanceNames() {
+		s, err := repeatFair(name, o, "braun-ga", "cma")
+		if err != nil {
+			return nil, err
+		}
+		gaS, cmaS := s[0], s[1]
 		ref := refs[name]
 		rows = append(rows, Table2Row{
 			Instance:     name,
@@ -57,7 +76,7 @@ func Table2(o Options) []Table2Row {
 			PaperDelta:   stats.PercentDelta(ref.BraunGAMakespan, ref.CMAMakespan),
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // Table3Row compares best makespans of the Carretero–Xhafa GA, the
@@ -75,13 +94,15 @@ type Table3Row struct {
 }
 
 // Table3 reproduces Table 3 (makespan: the two other GAs vs cMA).
-func Table3(o Options) []Table3Row {
+func Table3(o Options) ([]Table3Row, error) {
 	refs := References()
-	rows := make([]Table3Row, 0, len(InstanceNames))
-	for _, name := range InstanceNames {
-		ss := repeatFair(SteadyStateGA(), name, o)
-		st := repeatFair(StruggleGA(), name, o)
-		cm := repeatFair(TunedCMA(), name, o)
+	var rows []Table3Row
+	for _, name := range gridcma.BenchmarkInstanceNames() {
+		s, err := repeatFair(name, o, "ss-ga", "struggle-ga", "cma")
+		if err != nil {
+			return nil, err
+		}
+		ss, st, cm := s[0], s[1], s[2]
 		ref := refs[name]
 		rows = append(rows, Table3Row{
 			Instance:           name,
@@ -93,7 +114,7 @@ func Table3(o Options) []Table3Row {
 			PaperCMA:           ref.CMAMakespan,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // Table4Row compares the flowtime of the LJFR-SJFR heuristic against the
@@ -112,13 +133,17 @@ type Table4Row struct {
 
 // Table4 reproduces Table 4 (flowtime: LJFR-SJFR vs cMA). The heuristic
 // side is deterministic, so it is evaluated once.
-func Table4(o Options) []Table4Row {
+func Table4(o Options) ([]Table4Row, error) {
 	refs := References()
-	rows := make([]Table4Row, 0, len(InstanceNames))
-	for _, name := range InstanceNames {
+	var rows []Table4Row
+	for _, name := range gridcma.BenchmarkInstanceNames() {
 		in := Instance(name)
 		h := schedule.NewState(in, heuristics.LJFRSJFR(in))
-		cm := repeatFair(TunedCMA(), name, o)
+		s, err := repeatFair(name, o, "cma")
+		if err != nil {
+			return nil, err
+		}
+		cm := s[0]
 		ref := refs[name]
 		rows = append(rows, Table4Row{
 			Instance:      name,
@@ -130,7 +155,7 @@ func Table4(o Options) []Table4Row {
 			PaperDelta:    stats.PercentDelta(ref.LJFRSJFRFlowtime, ref.CMAFlowtime),
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // Table5Row compares Struggle GA and cMA flowtimes.
@@ -147,12 +172,15 @@ type Table5Row struct {
 }
 
 // Table5 reproduces Table 5 (flowtime: Struggle GA vs cMA).
-func Table5(o Options) []Table5Row {
+func Table5(o Options) ([]Table5Row, error) {
 	refs := References()
-	rows := make([]Table5Row, 0, len(InstanceNames))
-	for _, name := range InstanceNames {
-		st := repeatFair(StruggleGA(), name, o)
-		cm := repeatFair(TunedCMA(), name, o)
+	var rows []Table5Row
+	for _, name := range gridcma.BenchmarkInstanceNames() {
+		s, err := repeatFair(name, o, "struggle-ga", "cma")
+		if err != nil {
+			return nil, err
+		}
+		st, cm := s[0], s[1]
 		ref := refs[name]
 		rows = append(rows, Table5Row{
 			Instance:        name,
@@ -164,7 +192,7 @@ func Table5(o Options) []Table5Row {
 			PaperDelta:      stats.PercentDelta(ref.StruggleGAFlowtime, ref.CMAFlowtime),
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // RobustnessRow is the §5.1 robustness evidence for one instance: the
@@ -177,15 +205,18 @@ type RobustnessRow struct {
 }
 
 // Robustness reproduces the §5.1 robustness study.
-func Robustness(o Options) []RobustnessRow {
-	rows := make([]RobustnessRow, 0, len(InstanceNames))
-	for _, name := range InstanceNames {
-		s := repeatFair(TunedCMA(), name, o)
+func Robustness(o Options) ([]RobustnessRow, error) {
+	var rows []RobustnessRow
+	for _, name := range gridcma.BenchmarkInstanceNames() {
+		s, err := repeatFair(name, o, "cma")
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, RobustnessRow{
 			Instance:  name,
-			Makespans: s.Makespans,
-			RelStd:    s.Makespans.RelStd(),
+			Makespans: s[0].Makespans,
+			RelStd:    s[0].Makespans.RelStd(),
 		})
 	}
-	return rows
+	return rows, nil
 }

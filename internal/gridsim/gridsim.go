@@ -18,7 +18,9 @@
 //
 // Simulated time is a plain float64 in arbitrary time units; the whole
 // simulation is deterministic given Config.Seed, which makes policies
-// directly comparable.
+// directly comparable: a policy never draws from the simulation's random
+// stream, so every policy sees the same arrivals. Config.Record exports
+// a run, arrivals included, as a gridd event log.
 package gridsim
 
 import (
@@ -78,10 +80,6 @@ type Config struct {
 	JoinRate, LeaveRate float64
 	// Seed drives every random draw of the simulation.
 	Seed uint64
-	// Trace, when non-empty, replaces the Poisson arrival process with
-	// the given explicit arrivals (see SampleTrace / ReadTrace). All
-	// other randomness (machine speeds, churn) still comes from Seed.
-	Trace []Arrival
 	// Record, when set, is called with every externally meaningful
 	// transition of the simulation — machine joins (including the initial
 	// fleet at time 0), admitted job arrivals, scheduler activations,
@@ -136,7 +134,7 @@ func (c Config) Validate() error {
 	case c.MaxJobs < 0:
 		return fmt.Errorf("gridsim: negative MaxJobs")
 	}
-	return validateTrace(c.Trace, c.Horizon)
+	return nil
 }
 
 // Metrics summarises one simulation run.
@@ -288,15 +286,8 @@ func NewSim(cfg Config, policy Policy) (*Sim, error) {
 	for i := 0; i < cfg.InitialMachines; i++ {
 		s.addMachine(0)
 	}
-	// Prime the event streams. Traced arrivals are all pushed up front
-	// (event.job carries the trace index); Poisson mode self-renews.
-	if len(cfg.Trace) > 0 {
-		for i := range cfg.Trace {
-			s.push(cfg.Trace[i].Time, evArrival, i, 0)
-		}
-	} else {
-		s.push(s.exp(cfg.ArrivalRate), evArrival, -1, 0)
-	}
+	// Prime the event streams; each arrival schedules the next.
+	s.push(s.exp(cfg.ArrivalRate), evArrival, 0, 0)
 	s.push(cfg.ActivationInterval, evActivation, 0, 0)
 	if cfg.JoinRate > 0 {
 		s.push(s.exp(cfg.JoinRate), evJoin, 0, 0)
@@ -358,7 +349,7 @@ func (s *Sim) Run() Metrics {
 		s.now = e.t
 		switch e.kind {
 		case evArrival:
-			s.onArrival(e.job)
+			s.onArrival()
 		case evActivation:
 			s.onActivation()
 		case evCompletion:
@@ -373,17 +364,11 @@ func (s *Sim) Run() Metrics {
 	return s.metrics
 }
 
-// onArrival admits a job. traceIdx >= 0 identifies a traced arrival;
-// -1 means the Poisson process, which draws a workload and schedules its
-// own next event.
-func (s *Sim) onArrival(traceIdx int) {
+// onArrival admits a job of the Poisson process, drawing its workload,
+// and schedules the next arrival.
+func (s *Sim) onArrival() {
 	if s.cfg.MaxJobs == 0 || len(s.jobs) < s.cfg.MaxJobs {
-		base := 0.0
-		if traceIdx >= 0 {
-			base = s.cfg.Trace[traceIdx].Base
-		} else {
-			base = s.r.Uniform(1, s.cfg.TaskRange)
-		}
+		base := s.r.Uniform(1, s.cfg.TaskRange)
 		j := &job{
 			id:      len(s.jobs),
 			base:    base,
@@ -395,9 +380,7 @@ func (s *Sim) onArrival(traceIdx int) {
 		s.metrics.JobsArrived++
 		s.record(eventlog.Event{T: s.now, Type: eventlog.Submit, Job: uint64(j.id) + 1, Base: base})
 	}
-	if traceIdx < 0 {
-		s.push(s.exp(s.cfg.ArrivalRate), evArrival, -1, 0)
-	}
+	s.push(s.exp(s.cfg.ArrivalRate), evArrival, 0, 0)
 }
 
 // aliveMachines returns the alive machines in id order.

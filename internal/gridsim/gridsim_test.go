@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gridcma/internal/etc"
+	"gridcma/internal/eventlog"
 	"gridcma/internal/heuristics"
 	"gridcma/internal/rng"
 	"gridcma/internal/schedule"
@@ -107,6 +108,71 @@ func TestMaxJobsCap(t *testing.T) {
 	}
 	if m.JobsCompleted != 25 {
 		t.Errorf("completed %d of 25 despite idle grid", m.JobsCompleted)
+	}
+}
+
+// submits runs cfg under p and returns its admitted arrivals, as the
+// Record hook reports them.
+func submits(t *testing.T, cfg Config, p Policy) []eventlog.Event {
+	t.Helper()
+	var out []eventlog.Event
+	cfg.Record = func(e eventlog.Event) {
+		if e.Type == eventlog.Submit {
+			out = append(out, e)
+		}
+	}
+	if _, err := Simulate(cfg, p); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestPoissonArrivalsWithinBounds(t *testing.T) {
+	cfg := staticCfg()
+	cfg.MaxJobs = 50
+	arrivals := submits(t, cfg, minMinPolicy())
+	if len(arrivals) != 50 {
+		t.Fatalf("%d arrivals, want cap 50", len(arrivals))
+	}
+	prev := 0.0
+	for i, a := range arrivals {
+		if a.T < prev || a.T > cfg.Horizon {
+			t.Fatalf("arrival %d at %v out of order/bounds", i, a.T)
+		}
+		if a.Base < 1 || a.Base >= cfg.TaskRange {
+			t.Fatalf("arrival %d base %v outside [1, %v)", i, a.Base, cfg.TaskRange)
+		}
+		prev = a.T
+	}
+}
+
+func TestPoissonArrivalCountMatchesRate(t *testing.T) {
+	cfg := staticCfg()
+	m, err := Simulate(cfg, minMinPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Expected count ≈ rate × horizon; allow wide slack.
+	want := cfg.ArrivalRate * cfg.Horizon
+	if float64(m.JobsArrived) < 0.6*want || float64(m.JobsArrived) > 1.4*want {
+		t.Errorf("%d arrivals, expected ≈%.0f", m.JobsArrived, want)
+	}
+}
+
+// The arrival stream depends on the seed alone, never on the policy, so
+// policies are compared on the same workload.
+func TestArrivalsIndependentOfPolicy(t *testing.T) {
+	cfg := staticCfg()
+	cfg.MaxJobs = 60
+	a := submits(t, cfg, minMinPolicy())
+	b := submits(t, cfg, randomPolicy())
+	if len(a) != 60 || len(b) != 60 {
+		t.Fatalf("arrivals %d / %d, want 60", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("arrival %d differs across policies: %+v vs %+v", i, a[i], b[i])
+		}
 	}
 }
 

@@ -2,9 +2,8 @@
 // paper and its benchmark lineage use: LJFR-SJFR — the heuristic that seeds
 // the cMA population and the flowtime baseline of Table 4 — plus the
 // classic immediate- and batch-mode heuristics of Braun et al. (JPDC 2001):
-// OLB, MET, MCT, Min-Min, Max-Min, Duplex, Sufferage and a random
-// work-queue assigner. All of them build a schedule.Schedule from an ETC
-// instance; none of them use randomness except WorkQueue.
+// OLB, MET, MCT, Min-Min, Max-Min, Duplex and Sufferage. All of them
+// build a schedule.Schedule from an ETC instance without randomness.
 package heuristics
 
 import (
@@ -13,7 +12,6 @@ import (
 	"sort"
 
 	"gridcma/internal/etc"
-	"gridcma/internal/rng"
 	"gridcma/internal/schedule"
 )
 
@@ -332,10 +330,4 @@ func KPB(in *etc.Instance) schedule.Schedule {
 		ct.place(s, j, arg)
 	}
 	return s
-}
-
-// WorkQueue assigns each job to a uniformly random machine; it is the
-// throughput-agnostic baseline and the population filler of the GAs.
-func WorkQueue(in *etc.Instance, r *rng.Source) schedule.Schedule {
-	return schedule.NewRandom(in, r)
 }

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"time"
 
-	"gridcma/internal/runner"
+	"gridcma/internal/etc"
+	"gridcma/internal/run"
 	"gridcma/internal/schedule"
 )
 
@@ -96,7 +97,9 @@ func WithWorkers(n int) RunOption {
 
 // engineRunner is the internal positional contract every engine
 // implements; context rides inside the Budget.
-type engineRunner = runner.Scheduler
+type engineRunner interface {
+	Run(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result
+}
 
 // buildParams carries the construction-affecting Run options to an engine
 // builder: the λ override and the worker-count override.

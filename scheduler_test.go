@@ -12,9 +12,20 @@ import (
 
 // smallInstance keeps registry round-trips fast: every engine still runs
 // end-to-end, just on a 64×8 problem instead of the 512×16 benchmark.
-func smallInstance() *gridcma.Instance {
-	in := gridcma.GenerateInstance(gridcma.InstanceClass{}, 64, 8, 42)
+func smallInstance(tb testing.TB) *gridcma.Instance {
+	in := generate(tb, 64, 8, 42)
 	in.Name = "small64x8"
+	return in
+}
+
+// generate builds an instance of the zero-value class, failing the test
+// on a generator error.
+func generate(tb testing.TB, jobs, machs int, seed uint64) *gridcma.Instance {
+	tb.Helper()
+	in, err := gridcma.GenerateInstance(gridcma.InstanceClass{}, jobs, machs, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return in
 }
 
@@ -36,7 +47,7 @@ func TestRegistryRoundTripsEveryAlgorithm(t *testing.T) {
 		}
 	}
 
-	in := smallInstance()
+	in := smallInstance(t)
 	for _, name := range names {
 		s, err := gridcma.New(name)
 		if err != nil {
@@ -63,7 +74,7 @@ func TestRegistryRoundTripsEveryAlgorithm(t *testing.T) {
 }
 
 func TestRunHonorsContextCancellation(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	// island exercises the deepest plumbing: the context must cross the
 	// segment budgets into every island goroutine.
 	for _, name := range []string{"cma", "island", "sa"} {
@@ -96,13 +107,13 @@ func TestRunUnboundedRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(context.Background(), smallInstance()); !errors.Is(err, gridcma.ErrUnbounded) {
+	if _, err := s.Run(context.Background(), smallInstance(t)); !errors.Is(err, gridcma.ErrUnbounded) {
 		t.Errorf("err = %v, want ErrUnbounded", err)
 	}
 	// A context deadline alone is a legitimate bound.
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	res, err := s.Run(ctx, smallInstance())
+	res, err := s.Run(ctx, smallInstance(t))
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal(err)
 	}
@@ -112,7 +123,7 @@ func TestRunUnboundedRejected(t *testing.T) {
 }
 
 func TestWithLambdaRewiresObjective(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	s, err := gridcma.New("tabu")
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +143,7 @@ func TestWithLambdaRewiresObjective(t *testing.T) {
 }
 
 func TestNewAppliesDefaultOptions(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	// Defaults from New carry into every Run; per-call options override.
 	s, err := gridcma.New("sa", gridcma.WithLambda(1), gridcma.WithMaxIterations(4))
 	if err != nil {
@@ -172,7 +183,7 @@ func TestRegisterCustomScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := smallInstance()
+	in := smallInstance(t)
 	res, err := s.Run(context.Background(), in, gridcma.WithMaxIterations(1))
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +206,7 @@ func (constantScheduler) Run(ctx context.Context, in *gridcma.Instance, opts ...
 }
 
 func TestPublicRunBatchDeterministicAcrossWorkers(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	var algs []gridcma.Scheduler
 	for _, n := range []string{"sa", "tabu", "ss-ga"} {
 		a, err := gridcma.New(n)
@@ -237,9 +248,9 @@ func TestPublicRunBatchDeterministicAcrossWorkers(t *testing.T) {
 // islands within each run; that sharing, and the batch workers running
 // runs side by side, must be invisible in every output.
 func TestRunBatchSharesPools(t *testing.T) {
-	a := gridcma.GenerateInstance(gridcma.InstanceClass{}, 48, 6, 21)
+	a := generate(t, 48, 6, 21)
 	a.Name = "a"
-	b := gridcma.GenerateInstance(gridcma.InstanceClass{}, 64, 4, 22)
+	b := generate(t, 64, 4, 22)
 	b.Name = "b"
 	var algs []gridcma.Scheduler
 	for _, n := range []string{"cma", "island"} {
@@ -279,7 +290,7 @@ func TestRunBatchSharesPools(t *testing.T) {
 }
 
 func TestRaceAppliesLambdaToEveryContender(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	var algs []gridcma.Scheduler
 	for _, n := range []string{"sa", "tabu"} {
 		a, err := gridcma.New(n)
@@ -301,7 +312,7 @@ func TestRaceAppliesLambdaToEveryContender(t *testing.T) {
 }
 
 func TestRunBatchSurfacesSchedulerErrors(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	_, err := gridcma.RunBatch(context.Background(), gridcma.BatchSpec{
 		Instances:  []*gridcma.Instance{in},
 		Algorithms: []gridcma.Scheduler{failingScheduler{}},
@@ -323,7 +334,7 @@ func (failingScheduler) Run(ctx context.Context, in *gridcma.Instance, opts ...g
 }
 
 func TestBatchAndRaceAcceptDeadlineOnlyBound(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	a, err := gridcma.New("sa")
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +364,7 @@ func TestBatchAndRaceAcceptDeadlineOnlyBound(t *testing.T) {
 }
 
 func TestRunHonorsBudgetEmbeddedContext(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	s, err := gridcma.New("sa")
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +412,7 @@ func TestNewValidatesDefaultOptions(t *testing.T) {
 }
 
 func TestPublicRace(t *testing.T) {
-	in := smallInstance()
+	in := smallInstance(t)
 	var algs []gridcma.Scheduler
 	for _, n := range []string{"sa", "tabu"} {
 		a, err := gridcma.New(n)

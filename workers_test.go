@@ -10,7 +10,7 @@ import (
 // WithWorkers must never change the outcome of a parallel run — only its
 // wall-clock. This is the public-API face of the engine-level guarantee.
 func TestWithWorkersDeterministicResults(t *testing.T) {
-	in := gridcma.GenerateInstance(gridcma.InstanceClass{}, 96, 8, 7)
+	in := generate(t, 96, 8, 7)
 	var ref gridcma.Result
 	for i, workers := range []int{1, 2, 8} {
 		s, err := gridcma.New("cma-par")
@@ -35,7 +35,7 @@ func TestWithWorkersDeterministicResults(t *testing.T) {
 // WithWorkers on the sequential cma switches it to the parallel engine
 // for that call; the result must match cma-par at the same seed.
 func TestWithWorkersSwitchesEngine(t *testing.T) {
-	in := gridcma.GenerateInstance(gridcma.InstanceClass{}, 96, 8, 8)
+	in := generate(t, 96, 8, 8)
 	seq, err := gridcma.New("cma")
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestWithWorkersSwitchesEngine(t *testing.T) {
 // cma-par that is the parallel engine, so the result must match a plain
 // cma-par run, not the sequential engine.
 func TestWithWorkersZeroRestoresDefault(t *testing.T) {
-	in := gridcma.GenerateInstance(gridcma.InstanceClass{}, 96, 8, 9)
+	in := generate(t, 96, 8, 9)
 	par, err := gridcma.New("cma-par")
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestWithWorkersZeroRestoresDefault(t *testing.T) {
 // end to end: a custom cMA whose memetic step is pure probe evaluation
 // yields byte-identical schedules for every worker count.
 func TestWithWorkersDeterministicProbePath(t *testing.T) {
-	in := gridcma.GenerateInstance(gridcma.InstanceClass{}, 96, 8, 11)
+	in := generate(t, 96, 8, 11)
 	cfg := gridcma.DefaultCMAConfig()
 	ls, err := gridcma.LocalSearch("SLM")
 	if err != nil {
@@ -122,7 +122,7 @@ func TestWithWorkersDeterministicProbePath(t *testing.T) {
 }
 
 func TestWithWorkersNegativeRejected(t *testing.T) {
-	in := gridcma.GenerateInstance(gridcma.InstanceClass{}, 32, 4, 1)
+	in := generate(t, 32, 4, 1)
 	s, err := gridcma.New("cma")
 	if err != nil {
 		t.Fatal(err)
