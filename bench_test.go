@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus ablations of the design choices called out in
-// DESIGN.md §5. Each benchmark runs the corresponding experiment at a
+// evaluation section, plus ablations of the cMA's design choices
+// (asynchronous updating, local search depth, fitness weight, seeding). Each benchmark runs the corresponding experiment at a
 // reduced, iteration-bounded budget (the full 90 s × 10-runs protocol is
 // `gridsched experiments -full`); custom metrics expose the headline quantity of
 // the table or figure so `go test -bench` output shows the reproduced
@@ -162,7 +162,7 @@ func BenchmarkFig5SweepOrder(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations of the cMA's design choices ---
 
 func runCMAVariant(b *testing.B, mutate func(*cma.Config)) {
 	b.Helper()

@@ -243,11 +243,15 @@
 // (drops, delays, duplicates, kills with successful restart) are fully
 // absorbed by retry and reproduce the failure-free bytes, while
 // permanent deaths reproduce a predictable survivor set and per-round
-// digest trajectory. The chaos torture (TestTortureSmall in
-// internal/island/dist) replays seeded message-level fault plans twice
-// each and enforces all of it bit-for-bit; the benchmark's island-tcp
-// workload (benchmark/) measures migration rounds over loopback TCP.
+// digest trajectory. The coordinator holds no fault-injection code: the
+// chaos torture (TestTortureSmall in internal/island/dist) wraps each
+// worker's transport client in a test-only injector that drops, delays,
+// duplicates or kills calls by (worker, round), replays seeded fault
+// plans twice each and enforces all of it bit-for-bit; the benchmark's
+// island-tcp workload (benchmark/) measures migration rounds over
+// loopback TCP.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record.
+// README.md is the system inventory; the experiment runners
+// (internal/experiments, `gridsched experiments`) print each measured
+// table next to the paper's published values.
 package gridcma

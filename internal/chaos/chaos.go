@@ -16,6 +16,11 @@
 //
 // Schedules are pure functions of (seed, index), so a torture run that
 // finds a bug names the exact fault that triggered it and replays it.
+//
+// This is test support: only the daemon's crash torture (TestCrashTest*
+// in internal/daemon) imports it, so no binary links it. The message
+// faults of the distributed island engine's torture live with that
+// torture, in internal/island/dist's test files.
 package chaos
 
 import (
@@ -171,120 +176,6 @@ func Plan(seed uint64, n int, size int64) []Fault {
 			Kind: kinds[i%len(kinds)],
 			At:   1 + int64(r.Intn(int(size-1))),
 		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Message-level faults for the distributed island engine.
-//
-// Where the file faults above tear a WAL at byte offsets, message faults
-// tear an RPC conversation at (worker, round) offsets: requests are
-// dropped, delayed past timeouts, delivered twice, or the worker process
-// dies — once (the supervisor restarts it) or for good (the migration
-// ring must heal around it). Plans are again pure functions of the seed,
-// so a chaos-torture case that fails names the exact fault schedule.
-
-// MsgKind enumerates the injected message/worker fault types.
-type MsgKind int
-
-const (
-	// MsgDrop: the call is lost in flight (request or reply — the caller
-	// cannot tell) and fails; the next attempt goes through. Count
-	// consecutive calls are dropped.
-	MsgDrop MsgKind = iota
-	// MsgDelay: the call is held for Count delay units before being
-	// delivered. A delay longer than the caller's per-call timeout is the
-	// heartbeat-timeout case: the caller gives up, the reply is discarded.
-	MsgDelay
-	// MsgDup: the request is delivered twice; the caller uses the last
-	// reply. Probes that segment execution is idempotent (a reply is a
-	// pure function of its request, so it must be).
-	MsgDup
-	// MsgKill: the worker dies when the fault fires; the supervisor's
-	// restart succeeds and the call is retried against the fresh worker.
-	MsgKill
-	// MsgDown: the worker dies and every restart fails for the rest of
-	// the run — from the fault's round onward all its calls fail, its
-	// islands are lost, and the ring heals around them.
-	MsgDown
-	numMsgKinds
-)
-
-func (k MsgKind) String() string {
-	switch k {
-	case MsgDrop:
-		return "msg-drop"
-	case MsgDelay:
-		return "msg-delay"
-	case MsgDup:
-		return "msg-dup"
-	case MsgKill:
-		return "worker-kill"
-	case MsgDown:
-		return "worker-down"
-	}
-	return fmt.Sprintf("chaos.MsgKind(%d)", int(k))
-}
-
-// MsgFault is one scheduled message fault: Kind fires on calls to Worker
-// during (for MsgDown: from) round Round. Count scales repeatable kinds —
-// consecutive drops, or delay units to hold a delivery.
-type MsgFault struct {
-	Worker int     `json:"worker"`
-	Round  int     `json:"round"`
-	Kind   MsgKind `json:"kind"`
-	Count  int     `json:"count,omitempty"`
-}
-
-func (f MsgFault) String() string {
-	if f.Count > 1 {
-		return fmt.Sprintf("%s@w%d/r%d x%d", f.Kind, f.Worker, f.Round, f.Count)
-	}
-	return fmt.Sprintf("%s@w%d/r%d", f.Kind, f.Worker, f.Round)
-}
-
-// MsgPlan draws n message faults deterministically from seed, spread over
-// workers [0, workers) and rounds [0, rounds), cycling kinds with a bias
-// toward the transient faults retries must absorb. Drop counts stay at or
-// below 2 so a default 4-attempt retry budget can always absorb them, and
-// permanent deaths (MsgDown) never target worker 0, guaranteeing at least
-// one survivor host however many faults a torture case stacks up.
-func MsgPlan(seed uint64, n, workers, rounds int) []MsgFault {
-	if workers < 1 {
-		workers = 1
-	}
-	if rounds < 1 {
-		rounds = 1
-	}
-	r := rng.New(seed ^ 0x9e5cf1a7)
-	kinds := []MsgKind{MsgDrop, MsgKill, MsgDelay, MsgDrop, MsgDup, MsgDelay, MsgKill, MsgDown}
-	// Rotate the cycle by a seeded offset so plans shorter than one full
-	// cycle still sample every kind across seeds (a 4-fault plan starting
-	// at offset 0 would otherwise never contain a permanent death).
-	off := r.Intn(len(kinds))
-	out := make([]MsgFault, n)
-	for i := range out {
-		f := MsgFault{
-			Kind:   kinds[(off+i)%len(kinds)],
-			Worker: r.Intn(workers),
-			Round:  r.Intn(rounds),
-			Count:  1,
-		}
-		switch f.Kind {
-		case MsgDrop:
-			f.Count = 1 + r.Intn(2)
-		case MsgDelay:
-			f.Count = 1 + r.Intn(3)
-		case MsgDown:
-			if workers > 1 {
-				f.Worker = 1 + r.Intn(workers-1)
-			} else {
-				// A single host must stay alive: degrade to a transient kill.
-				f.Kind = MsgKill
-			}
-		}
-		out[i] = f
 	}
 	return out
 }

@@ -117,3 +117,68 @@ func TestPlanDeterministicAndInRange(t *testing.T) {
 		t.Fatal("distinct seeds drew identical fault prefixes")
 	}
 }
+
+// File faults planned at byte 0 and beyond EOF.
+
+func TestFaultAtByteZero(t *testing.T) {
+	// At=0 means nothing ever persists: the very first write crosses the
+	// offset and tears with an empty prefix.
+	m := &memFile{}
+	f := Wrap(m, Fault{Kind: Crash, At: 0})
+	n, err := f.Write([]byte("abc"))
+	if !errors.Is(err, ErrCrashed) || n != 0 {
+		t.Fatalf("write at fault@0: n=%d err=%v, want 0/ErrCrashed", n, err)
+	}
+	if m.buf.Len() != 0 {
+		t.Fatalf("fault@0 persisted %q, want nothing", m.buf.String())
+	}
+	if !f.Tripped() {
+		t.Fatal("fault@0 did not report tripped")
+	}
+
+	m2 := &memFile{}
+	f2 := Wrap(m2, Fault{Kind: ShortWrite, At: 0})
+	n, err = f2.Write([]byte("abc"))
+	if !errors.Is(err, ErrShortWrite) || n != 0 {
+		t.Fatalf("short write at fault@0: n=%d err=%v, want 0/ErrShortWrite", n, err)
+	}
+	if n, err := f2.Write([]byte("xy")); n != 2 || err != nil {
+		t.Fatalf("handle unusable after short write@0: n=%d err=%v", n, err)
+	}
+	if m2.buf.String() != "xy" {
+		t.Fatalf("persisted %q, want %q", m2.buf.String(), "xy")
+	}
+}
+
+func TestFaultBeyondEOFNeverTrips(t *testing.T) {
+	// A fault offset past everything the workload writes must never fire:
+	// the wrapper is transparent and Tripped stays false, which is how a
+	// torture harness distinguishes "survived the fault" from "never
+	// reached it".
+	m := &memFile{}
+	f := Wrap(m, Fault{Kind: Crash, At: 1 << 30})
+	for i := 0; i < 10; i++ {
+		if n, err := f.Write([]byte("0123456789")); n != 10 || err != nil {
+			t.Fatalf("write %d: n=%d err=%v", i, n, err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if f.Tripped() {
+		t.Fatal("fault beyond EOF reported tripped")
+	}
+	if f.Offset() != 100 || m.buf.Len() != 100 {
+		t.Fatalf("offset=%d len=%d, want 100/100", f.Offset(), m.buf.Len())
+	}
+
+	// Same for SyncFail: syncs below the offset pass through.
+	m2 := &memFile{}
+	f2 := Wrap(m2, Fault{Kind: SyncFail, At: 1 << 30})
+	if _, err := f2.Write([]byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Sync(); err != nil || f2.Tripped() {
+		t.Fatalf("sync below offset: err=%v tripped=%v", err, f2.Tripped())
+	}
+}

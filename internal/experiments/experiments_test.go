@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"testing"
+	"time"
 
 	"bytes"
 	"strings"
@@ -141,6 +144,29 @@ func TestFairBudgetsEqualiseEvals(t *testing.T) {
 		got := b.MaxIterations * evalsPerIteration(name)
 		if got < evals/2 || got > evals {
 			t.Errorf("%s: fair budget yields %d evals, want ≈%d", alg.Name(), got, evals)
+		}
+	}
+}
+
+// TestTablesStopOnCancelledContext: the fair budgets keep the options'
+// context, so an iteration-bounded table under a cancelled context stops
+// at once and reports the cancellation instead of running every instance
+// to its budget.
+func TestTablesStopOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := Options{Budget: run.Budget{MaxIterations: 300}.WithContext(ctx), Runs: 1, Seed: 1}
+	for name, table := range map[string]func(Options) error{
+		"table2":     func(o Options) error { _, err := Table2(o); return err },
+		"robustness": func(o Options) error { _, err := Robustness(o); return err },
+	} {
+		start := time.Now()
+		err := table(o)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v, want %v", name, err, context.Canceled)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s: took %v under a cancelled context", name, d)
 		}
 	}
 }

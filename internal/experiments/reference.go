@@ -5,7 +5,8 @@
 // our measurements next to the values published in the paper and checks
 // the qualitative *shape* of the published result (who wins, by roughly
 // what factor) — absolute values are not comparable because the original
-// benchmark files are not redistributable (DESIGN.md §3).
+// benchmark files are not redistributable: the instances are regenerated
+// from Braun et al.'s published model (internal/etc).
 //
 // The package is a client of the public gridcma API: the tables build
 // their algorithms by registry name (gridcma.New) and run them through
@@ -59,7 +60,7 @@ func References() map[string]Reference {
 		{"u_s_hihi.0", 4566206, 4424540.894, 4371324.45, 4433792.28, 2631459406.501, 513769399.117, 524874694},
 		// The paper prints 983334.64 for u_s_hilo.0 in Table 3, an obvious
 		// typo (an order of magnitude off every neighbour); we keep the
-		// printed value and note it in EXPERIMENTS.md.
+		// printed value, and this note is its record.
 		{"u_s_hilo.0", 98519.4, 98283.742, 983334.64, 98560.04, 35745658.309, 16300484.885, 16372763.2},
 		{"u_s_lohi.0", 130616.53, 130014.529, 127762.53, 130425.85, 86390552.327, 15179363.456, 15639622.5},
 		{"u_s_lolo.0", 3583.44, 3522.099, 3539.43, 3534.31, 1389828.755, 594665.973, 598332.69},

@@ -11,17 +11,20 @@ import (
 // budgetFor grants alg a budget comparable to the options' budget. Time
 // budgets apply to every algorithm unchanged (the paper's protocol);
 // iteration budgets are interpreted as cMA iterations and converted into
-// an evaluation-fair allowance for the other algorithms.
+// an evaluation-fair allowance for the other algorithms. Either way the
+// budget keeps the options' context, so cancelling it stops the run.
 func budgetFor(alg Algorithm, o Options) run.Budget {
 	if o.Budget.MaxTime > 0 {
 		return o.Budget
 	}
 	evals := o.Budget.MaxIterations * evalsPerIteration("cma")
-	return FairBudget(alg, evals)
+	return FairBudget(alg, evals).WithContext(o.Budget.Context())
 }
 
 // repeatFair runs each named registry algorithm, in order, on the named
-// instance under its evaluation-fair budget.
+// instance under its evaluation-fair budget. Once the options' context is
+// cancelled it returns the context's error: a table of cut-short runs is
+// not the table.
 func repeatFair(instName string, o Options, algs ...string) ([]Sample, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -35,6 +38,9 @@ func repeatFair(instName string, o Options, algs ...string) ([]Sample, error) {
 		opts := o
 		opts.Budget = budgetFor(alg, o)
 		if out[i], err = Repeat(alg, Instance(instName), opts); err != nil {
+			return nil, err
+		}
+		if err := o.Budget.Context().Err(); err != nil {
 			return nil, err
 		}
 	}

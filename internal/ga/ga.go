@@ -15,7 +15,7 @@
 // All three optimise the same scalarised fitness as the cMA and share the
 // run.Budget / run.Result vocabulary, so the experiment harness can drive
 // them interchangeably. Parameters follow the published descriptions where
-// stated and are documented defaults otherwise (see DESIGN.md §3).
+// stated and are documented defaults otherwise (see NewConfig).
 package ga
 
 import (

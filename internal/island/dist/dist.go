@@ -170,11 +170,9 @@ type Coordinator struct {
 	cfg     Config
 	base    cma.Config
 	factory WorkerFactory
-	chaos   *ChaosPlan
 
 	workers []*handle
 	callID  atomic.Uint64
-	round   atomic.Int64 // current round, for heartbeat fault keying
 
 	statsMu    sync.Mutex
 	restarts   int
@@ -204,9 +202,6 @@ func New(cfg Config, factory WorkerFactory) (*Coordinator, error) {
 	return c, nil
 }
 
-// SetChaos installs a fault plan (the chaos torture only).
-func (c *Coordinator) SetChaos(p *ChaosPlan) { c.chaos = p }
-
 // Close releases every worker client.
 func (c *Coordinator) Close() { c.closeAll() }
 
@@ -229,8 +224,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 // Errors the supervision stack distinguishes.
 var (
 	errWorkerDown    = errors.New("dist: worker permanently down")
-	errInjectedDrop  = errors.New("dist: injected message drop")
-	errInjectedKill  = errors.New("dist: injected worker kill")
 	errRestartFailed = errors.New("dist: worker restart failed")
 )
 
@@ -264,7 +257,6 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 		rep.Digests = cp.Digests
 		rep.Deaths = cp.Deaths
 		rep.Rounds = cp.Round
-		c.round.Store(int64(cp.Round))
 		c.logf("dist: resumed from checkpoint at round %d (iters %d)", cp.Round, totalIters)
 	}
 
@@ -292,7 +284,6 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 			return run.Result{}, rep, err
 		}
 		round := rep.Rounds
-		c.round.Store(int64(round))
 		segIters := c.cfg.MigrationEvery
 		if totalIters+segIters > budget.MaxIterations {
 			segIters = budget.MaxIterations - totalIters
@@ -446,7 +437,7 @@ func (c *Coordinator) callSegment(ctx context.Context, in *etc.Instance, h *hand
 	p.Seed = p.Seed ^ uint64(h.idx)<<32 ^ uint64(round)
 	var resp *transport.Response
 	err := p.Do(ctx, func(attempt int) error {
-		r, err := c.invoke(ctx, h, req, round)
+		r, err := c.invoke(ctx, h, req)
 		if err != nil {
 			if errors.Is(err, errWorkerDown) {
 				return retry.Permanent(err)
@@ -473,46 +464,17 @@ func (c *Coordinator) callSegment(ctx context.Context, in *etc.Instance, h *hand
 }
 
 // invoke performs one attempt: restart the worker if it is marked dead,
-// consult the fault plan, then make the RPC under the per-call timeout.
-// Any transport failure marks the worker dead so the next attempt
-// restarts it.
-func (c *Coordinator) invoke(ctx context.Context, h *handle, req *transport.Request, round int) (*transport.Response, error) {
+// then make the RPC under the per-call timeout. Any transport failure
+// marks the worker dead so the next attempt restarts it.
+func (c *Coordinator) invoke(ctx context.Context, h *handle, req *transport.Request) (*transport.Response, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.down {
 		return nil, errWorkerDown
 	}
 	if h.dead {
-		if err := c.restartLocked(h, round); err != nil {
+		if err := c.restartLocked(h); err != nil {
 			return nil, err
-		}
-	}
-	if c.chaos != nil {
-		act, count := c.chaos.next(h.idx, round)
-		switch act {
-		case actDrop:
-			return nil, errInjectedDrop
-		case actKill:
-			c.markDeadLocked(h)
-			return nil, errInjectedKill
-		case actDelay:
-			d := time.Duration(count) * c.chaos.delayUnit
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			case <-t.C:
-			}
-		case actDup:
-			// Deliver twice; keep the second reply. A reply is a pure
-			// function of its request, whatever the worker's stash holds,
-			// so the duplicate is invisible — which is exactly what the
-			// torture asserts.
-			if _, err := c.callLocked(ctx, h, req); err != nil {
-				c.markDeadLocked(h)
-				return nil, err
-			}
 		}
 	}
 	resp, err := c.callLocked(ctx, h, req)
@@ -553,7 +515,7 @@ func (c *Coordinator) markDeadLocked(h *handle) {
 // restartLocked brings a dead worker back through the factory. Failures
 // count against the consecutive-restart budget; exhausting it abandons
 // the worker (h.down) — the graceful-degradation trigger.
-func (c *Coordinator) restartLocked(h *handle, round int) error {
+func (c *Coordinator) restartLocked(h *handle) error {
 	fail := func(reason error) error {
 		h.restartFails++
 		if h.restartFails >= c.cfg.maxRestarts() {
@@ -562,9 +524,6 @@ func (c *Coordinator) restartLocked(h *handle, round int) error {
 			return errWorkerDown
 		}
 		return fmt.Errorf("%w: worker %d: %v", errRestartFailed, h.idx, reason)
-	}
-	if c.chaos != nil && !c.chaos.allowRestart(h.idx, round) {
-		return fail(errors.New("injected permanent death"))
 	}
 	cl, err := c.factory(h.idx)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"gridcma/internal/chaos"
 	"gridcma/internal/island"
 	"gridcma/internal/rng"
 	"gridcma/internal/run"
@@ -143,8 +142,8 @@ func TestDistMatchesInProcessTCPTransport(t *testing.T) {
 func TestKillRestartRecovery(t *testing.T) {
 	rig := testRig(t)
 	ref := inProcReference(t, rig, rig.iters, 1)
-	plan := []chaos.MsgFault{{Worker: 1, Round: 1, Kind: chaos.MsgKill, Count: 1}}
-	res, rep, err := rig.runOnce(plan, 1, false, time.Minute, time.Millisecond)
+	plan := []MsgFault{{Worker: 1, Round: 1, Kind: MsgKill, Count: 1}}
+	res, rep, err := rig.runOnce(newFaultPlan(plan, time.Millisecond), 1, false, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +166,8 @@ func TestKillRestartRecovery(t *testing.T) {
 // the survivors, with the loss recorded.
 func TestPermanentDeathDegradesGracefully(t *testing.T) {
 	rig := testRig(t)
-	plan := []chaos.MsgFault{{Worker: 1, Round: 1, Kind: chaos.MsgDown, Count: 1}}
-	res, rep, err := rig.runOnce(plan, 1, false, time.Minute, time.Millisecond)
+	plan := []MsgFault{{Worker: 1, Round: 1, Kind: MsgDown, Count: 1}}
+	res, rep, err := rig.runOnce(newFaultPlan(plan, time.Millisecond), 1, false, time.Minute)
 	if err != nil {
 		t.Fatalf("degraded run should complete, got %v", err)
 	}
@@ -362,7 +361,7 @@ func TestBudgetMustBeIterationOnly(t *testing.T) {
 func TestWorkerRestartBetweenRounds(t *testing.T) {
 	rig := testRig(t)
 	ref := inProcReference(t, rig, rig.iters, 1)
-	clean, cleanRep, err := rig.runOnce(nil, 1, false, time.Minute, 0)
+	clean, cleanRep, err := rig.runOnce(nil, 1, false, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

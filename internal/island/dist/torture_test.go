@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gridcma/internal/chaos"
 	"gridcma/internal/config"
 	"gridcma/internal/etc"
 	"gridcma/internal/island"
@@ -36,6 +35,9 @@ type tortureReport struct {
 	Faults   int
 	Degraded int // cases that lost islands (and still finished)
 	Restarts int // supervisor restarts across all runs
+	// Fired counts the faults the injecting clients fired, by kind,
+	// over every faulted run.
+	Fired [numMsgKinds]int
 }
 
 // faultsPerCase is how many seeded faults each torture case carries —
@@ -79,37 +81,60 @@ func newTortureRig() (*tortureRig, error) {
 	return &tortureRig{in: in, dcfg: dcfg, iters: 8, rounds: 4}, nil
 }
 
-// runOnce executes one distributed run of the rig under the fault plan
-// (nil = failure-free) and returns its result and report.
+// runOnce executes one distributed run of the rig, its workers' clients
+// wrapped by the fault plan (nil = failure-free), and returns its result
+// and report.
 //
 // Every call of the worker factory builds a fresh Worker, as restarting a
 // real islandd process does: a restarted worker has lost its stash and
 // must rebuild its islands' meshes from the shipped populations.
-func (r *tortureRig) runOnce(plan []chaos.MsgFault, seed uint64, heartbeat bool, timeout time.Duration, delayUnit time.Duration) (run.Result, *Report, error) {
+func (r *tortureRig) runOnce(faults *faultPlan, seed uint64, heartbeat bool, timeout time.Duration) (run.Result, *Report, error) {
 	cfg := r.dcfg
 	if heartbeat {
 		cfg.Heartbeat = 5 * time.Millisecond
 		cfg.HeartbeatTimeout = 100 * time.Millisecond
 	}
-	coord, err := New(cfg, func(int) (transport.Client, error) {
+	factory := func(int) (transport.Client, error) {
 		return transport.NewLocal(NewPinnedWorker(r.in)), nil
-	})
+	}
+	if faults != nil {
+		factory = faults.wrap(factory)
+	}
+	coord, err := New(cfg, factory)
 	if err != nil {
 		return run.Result{}, nil, err
 	}
 	defer coord.Close()
-	if plan != nil {
-		coord.SetChaos(NewChaosPlan(plan, delayUnit))
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	budget := run.Budget{MaxIterations: r.iters}.WithContext(ctx)
 	return coord.Run(r.in, budget, seed)
 }
 
-// torture is the deterministic chaos harness. For every case it draws a seeded fault plan
-// (chaos.MsgPlan), runs the distributed engine under it twice, and
-// requires:
+// runFaulted is runOnce under a fresh interpreter of plan; it adds the
+// faults that fired to fired. Every drop or transient kill that fires
+// fails a call, and the supervisor restarts the worker before the next
+// attempt (a heartbeat miss may add one more restart), so a run whose
+// restarts do not cover its fired failures did not really inject them.
+func (r *tortureRig) runFaulted(plan []MsgFault, seed uint64, heartbeat bool, timeout time.Duration, fired *[numMsgKinds]int) (run.Result, *Report, error) {
+	fp := newFaultPlan(plan, time.Millisecond)
+	res, rep, err := r.runOnce(fp, seed, heartbeat, timeout)
+	if err != nil {
+		return res, rep, err
+	}
+	failed := fp.fired[MsgDrop] + fp.fired[MsgKill]
+	if rep.Restarts < failed || rep.Restarts > failed+rep.HeartbeatMisses {
+		return res, rep, fmt.Errorf("%d restarts after %d injected failures and %d heartbeat misses", rep.Restarts, failed, rep.HeartbeatMisses)
+	}
+	for k, n := range fp.fired {
+		fired[k] += n
+	}
+	return res, rep, nil
+}
+
+// torture is the deterministic chaos harness. For every case it draws a
+// seeded fault plan (MsgPlan), runs the distributed engine under it
+// twice, each time through fault-injecting worker clients, and requires:
 //
 //   - bit-equality between the two runs: identical digest trajectories,
 //     survivor sets and best schedules — a faulted run is a pure function
@@ -120,7 +145,10 @@ func (r *tortureRig) runOnce(plan []chaos.MsgFault, seed uint64, heartbeat bool,
 //     transient faults (drops, delays, duplicates, kills with successful
 //     restart) are fully absorbed by retry and supervision;
 //   - completion within the per-run timeout — degraded runs heal the
-//     ring and finish on the survivors instead of hanging the barrier.
+//     ring and finish on the survivors instead of hanging the barrier;
+//   - that every fault kind the plans drew fired at least once, and that
+//     every drop or kill that fired cost the worker a restart, so an
+//     injector that silently injects nothing cannot pass.
 func torture(tc tortureConfig) (*tortureReport, error) {
 	logf := tc.Logf
 	if logf == nil {
@@ -152,7 +180,7 @@ func torture(tc tortureConfig) (*tortureReport, error) {
 
 	// Reference 2: the failure-free distributed run and its digest
 	// trajectory.
-	cleanRes, cleanRep, err := rig.runOnce(nil, runSeed, false, tc.Timeout, 0)
+	cleanRes, cleanRep, err := rig.runOnce(nil, runSeed, false, tc.Timeout)
 	if err != nil {
 		return nil, fmt.Errorf("torture: failure-free run: %w", err)
 	}
@@ -162,18 +190,22 @@ func torture(tc tortureConfig) (*tortureReport, error) {
 	logf("torture: failure-free run matches in-process scheduler (fitness %.4f, %d rounds)", cleanRes.Fitness, cleanRep.Rounds)
 
 	rep := &tortureReport{}
+	var drawn [numMsgKinds]bool
 	for caseIdx := 0; rep.Faults < tc.Faults; caseIdx++ {
 		planSeed := tc.Seed + uint64(caseIdx)*0x9e3779b97f4a7c15
-		plan := chaos.MsgPlan(planSeed, faultsPerCase, rig.dcfg.Workers, rig.rounds)
+		plan := MsgPlan(planSeed, faultsPerCase, rig.dcfg.Workers, rig.rounds)
 		degraded := hasPermanentDeath(plan)
 		want := predictSurvivors(plan, rig.dcfg.Islands, rig.dcfg.Workers, rig.rounds)
 		hb := caseIdx%2 == 1
 
-		res1, rep1, err := rig.runOnce(plan, runSeed, hb, tc.Timeout, time.Millisecond)
+		for _, f := range plan {
+			drawn[f.Kind] = true
+		}
+		res1, rep1, err := rig.runFaulted(plan, runSeed, hb, tc.Timeout, &rep.Fired)
 		if err != nil {
 			return nil, fmt.Errorf("torture: case %d (plan %v): %w", caseIdx, plan, err)
 		}
-		res2, rep2, err := rig.runOnce(plan, runSeed, hb, tc.Timeout, time.Millisecond)
+		res2, rep2, err := rig.runFaulted(plan, runSeed, hb, tc.Timeout, &rep.Fired)
 		if err != nil {
 			return nil, fmt.Errorf("torture: case %d replay (plan %v): %w", caseIdx, plan, err)
 		}
@@ -204,6 +236,11 @@ func torture(tc tortureConfig) (*tortureReport, error) {
 		rep.Faults += len(plan)
 		rep.Restarts += rep1.Restarts + rep2.Restarts
 		logf("torture: case %2d ok: %d faults, survivors %v, degraded=%v, restarts=%d", caseIdx, len(plan), rep1.Survivors, degraded, rep1.Restarts)
+	}
+	for k, d := range drawn {
+		if d && rep.Fired[k] == 0 {
+			return nil, fmt.Errorf("torture: the plans drew %v faults but none fired", MsgKind(k))
+		}
 	}
 	return rep, nil
 }
@@ -261,42 +298,6 @@ func sameStrings(a, b []string) bool {
 	return true
 }
 
-// predictSurvivors returns the island ids expected alive after a run of
-// `rounds` rounds under the fault plan: an island dies exactly when its
-// pinned worker (island i → worker i % workers) has a permanent death
-// scheduled before the final round completes. This is the oracle the
-// torture checks every faulted run against.
-func predictSurvivors(faults []chaos.MsgFault, islands, workers, rounds int) []int {
-	downFrom := make(map[int]int)
-	for _, f := range faults {
-		if f.Kind != chaos.MsgDown {
-			continue
-		}
-		if cur, ok := downFrom[f.Worker]; !ok || f.Round < cur {
-			downFrom[f.Worker] = f.Round
-		}
-	}
-	var out []int
-	for i := 0; i < islands; i++ {
-		if dr, ok := downFrom[i%workers]; ok && dr < rounds {
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// hasPermanentDeath reports whether the plan contains any MsgDown fault
-// (i.e. whether a run under it is expected to degrade).
-func hasPermanentDeath(faults []chaos.MsgFault) bool {
-	for _, f := range faults {
-		if f.Kind == chaos.MsgDown {
-			return true
-		}
-	}
-	return false
-}
-
 // TestTortureSmall runs the full torture harness at its CI budget:
 // 16 faults from the base seed 0x7041.
 func TestTortureSmall(t *testing.T) {
@@ -312,5 +313,12 @@ func TestTortureSmall(t *testing.T) {
 	}
 	if rep.Degraded == 0 {
 		t.Fatalf("fault mix never exercised permanent death: %+v", rep)
+	}
+	// The plans are pinned (TestMsgPlanKnownAnswers), so the faults the
+	// two runs per case fire are too: a drop fires once per dropped call,
+	// a permanent death once, when it kills its worker.
+	want := [numMsgKinds]int{MsgDrop: 14, MsgDelay: 10, MsgDup: 6, MsgKill: 4, MsgDown: 2}
+	if rep.Fired != want {
+		t.Fatalf("faults fired %v, want %v (drop, delay, dup, kill, down)", rep.Fired, want)
 	}
 }

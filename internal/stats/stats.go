@@ -3,7 +3,7 @@
 // and normal-approximation confidence intervals. The paper reports best
 // and averaged makespans over 10 runs and cites the ~1 % standard
 // deviation as its robustness evidence, so these are exactly the
-// quantities EXPERIMENTS.md needs.
+// quantities the experiment tables (internal/experiments) report.
 package stats
 
 import (

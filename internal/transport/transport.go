@@ -189,8 +189,9 @@ func (l *Local) Call(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// Close marks the client dead (idempotent). For a Local client this is
-// also the kill switch chaos uses to simulate a worker crash.
+// Close marks the client dead (idempotent): later calls fail with
+// ErrClosed, and a call in flight loses its reply, as when a worker
+// process dies.
 func (l *Local) Close() error {
 	l.closed.Store(true)
 	return nil
