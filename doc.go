@@ -112,10 +112,15 @@
 // LMCTS), SA and tabu search score candidates with the hottest
 // applicable mode and commit only accepted steps — their hot loops
 // allocate nothing and run several times faster than the historical
-// apply+revert formulation. The machine epochs remain
-// the state's change tracking (the daemon's digest reads them), and the
-// move context compares the epoch on every read, so a state needs no
-// clean-up before it goes back to a pool.
+// apply+revert formulation. The state epoch advances on every commit
+// and copy, and the move context compares it on every read, so a state
+// needs no clean-up before it goes back to a pool. Each machine's epoch
+// is a content version, unique across the process: every change to the
+// machine draws a fresh one and CopyFrom and Clone carry the source's,
+// so the daemon's digest re-hashes only the machines whose version
+// moved, and CopyFrom copies only the job lists the destination does not
+// already hold — most of them, when the cMA copies a neighbour over a
+// scratch under takeover.
 //
 // MakespanMachine ties break toward the lowest machine index — a
 // documented contract (LMCTS derives its critical machine from it),

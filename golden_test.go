@@ -2,6 +2,9 @@ package gridcma_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"math"
@@ -12,6 +15,7 @@ import (
 
 	"gridcma"
 	"gridcma/internal/cma"
+	"gridcma/internal/etc"
 	"gridcma/internal/localsearch"
 	"gridcma/internal/run"
 )
@@ -200,4 +204,60 @@ func closeRel(a, b float64) bool {
 		return true
 	}
 	return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// frontierDigest hashes a run's best schedule (each machine index as a
+// little-endian uint32) followed by the makespan and flowtime bits.
+func frontierDigest(res run.Result) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, m := range res.Best {
+		binary.LittleEndian.PutUint32(b[:4], uint32(m))
+		h.Write(b[:4])
+	}
+	for _, v := range []float64{res.Makespan, res.Flowtime} {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestFrontierGolden pins the frontier path no 96×8 or 512×16 case
+// reaches: the benchmark's batch-large configuration (a generated
+// 16384×256 consistent hi/hi instance, sampled LMCTS with 64 samples,
+// the wave executor, seed 1) for 2 iterations, on the float64 and the float32
+// backing, at Workers 1 and 2. The schedule, makespan and flowtime bits
+// must equal the recorded digest, so a change to the evaluation layer
+// that moves any bit of the search fails here.
+func TestFrontierGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 16384x256 instances and eight cMA iterations: seconds of engine time")
+	}
+	for _, c := range []struct{ spec, want string }{
+		{"16384x256:c_hihi:s1", "4f002fab6b80a8385b787f5bf35162a7ea555b1f4d68fa188c36026521e740b4"},
+		{"16384x256:c_hihi:s1:f32", "174dd0249d763be362d640531821985482510eb4f696f3eecd6ea70b53d0d4d2"},
+	} {
+		gs, err := etc.ParseGenSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := gs.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			cfg := cma.DefaultConfig()
+			cfg.Workers = workers
+			cfg.LocalSearch = localsearch.SampledLMCTS{Samples: 64}
+			s, err := cma.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := s.Run(in, run.Budget{MaxIterations: 2}, 1, nil)
+			if got := frontierDigest(res); got != c.want {
+				t.Errorf("%s workers %d: digest %s, want %s (makespan %v, flowtime %v)",
+					c.spec, workers, got, c.want, res.Makespan, res.Flowtime)
+			}
+		}
+	}
 }

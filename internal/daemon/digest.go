@@ -206,18 +206,21 @@ func (g *Grid) newSetDigest() *setDigest {
 }
 
 // update folds in every record changed since the previous call. A machine
-// whose epoch moved is re-hashed: search moves advance the epochs of the
-// machines they touch, and the grid's join, leave and departed reset call
-// InvalidateMachine. The jobs of such a machine are scanned for ones that
-// arrived since, which are retired: a job whose assignment changed sits on
-// a machine whose epoch moved, because Move, Swap and SetScheduleDiff
-// advance both ends. The parking column, which holds no machine record,
-// is not scanned. Only the grid's own transitions move jobs on and off it
-// (parked and placed slots block each other's columns, so no search move
-// crosses), and those transitions retire the slots they move.
+// whose epoch — its content version — moved is re-hashed: every change to
+// a machine's job list draws it a fresh version, so search moves move the
+// versions of the machines they touch, and the grid's join, leave and
+// departed reset call InvalidateMachine. An unchanged version means
+// unchanged contents. The jobs of a re-hashed machine are scanned for
+// ones that arrived since, which are retired: a job whose assignment
+// changed sits on a machine whose version moved, because Move, Swap and
+// SetScheduleDiff refresh both ends. The parking column, which holds no
+// machine record, is not scanned. Only the grid's own transitions move
+// jobs on and off it (parked and placed slots block each other's
+// columns, so no search move crosses), and those transitions retire the
+// slots they move.
 func (d *setDigest) update(g *Grid) {
-	// Every machine epoch move advances the state epoch, so an unchanged
-	// state epoch (a submit, say) skips the machine scan.
+	// Every machine version move advances the state epoch, so an
+	// unchanged state epoch (a submit, say) skips the machine scan.
 	if e := g.st.Epoch(); e != d.epoch {
 		d.epoch = e
 		d.foldMachines(g)
@@ -231,8 +234,8 @@ func (d *setDigest) update(g *Grid) {
 	d.pending.fold(&d.sum, g.pending)
 }
 
-// foldMachines re-hashes the machines whose epoch moved and retires the
-// jobs that arrived on them.
+// foldMachines re-hashes the machines whose version moved and retires
+// the jobs that arrived on them.
 func (d *setDigest) foldMachines(g *Grid) {
 	for m := range d.machLeaf {
 		e := g.st.MachEpoch(m)

@@ -171,6 +171,27 @@ func TestTablesStopOnCancelledContext(t *testing.T) {
 	}
 }
 
+// TestFiguresStopOnCancelledContext: a figure traced under a cancelled
+// context reports the cancellation instead of a series averaged over
+// runs cut short after their first point.
+func TestFiguresStopOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := Options{Budget: run.Budget{MaxIterations: 2000}.WithContext(ctx), Runs: 2, Seed: 1}
+	for name, fig := range map[string]func(Options) ([]Series, error){
+		"fig2": Figure2, "fig3": Figure3, "fig4": Figure4, "fig5": Figure5,
+	} {
+		start := time.Now()
+		series, err := fig(o)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v with %d series, want %v", name, err, len(series), context.Canceled)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s: took %v under a cancelled context", name, d)
+		}
+	}
+}
+
 func TestTable4ShapeHolds(t *testing.T) {
 	// The strongest, most budget-robust claim of the paper: cMA improves
 	// hugely on LJFR-SJFR flowtime on every instance (22-90% published).

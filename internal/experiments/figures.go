@@ -79,7 +79,9 @@ func traceVariants(o Options, vs []variant) ([]Series, error) {
 
 // traceVariant runs the variant configuration o.Runs times and averages
 // the best-makespan trajectory pointwise (runs are aligned by iteration,
-// which iteration-bounded budgets make exact).
+// which iteration-bounded budgets make exact). Once the options' context
+// is cancelled it returns the context's error: a series averaged over
+// cut-short runs is not the figure.
 func traceVariant(v variant, o Options) (Series, error) {
 	sched, err := gridcma.NewCMA(v.cfg)
 	if err != nil {
@@ -94,6 +96,9 @@ func traceVariant(v variant, o Options) (Series, error) {
 				trace = append(trace, p)
 			}))
 		if failed(err) {
+			return Series{}, err
+		}
+		if err := o.Budget.Context().Err(); err != nil {
 			return Series{}, err
 		}
 		if agg == nil {

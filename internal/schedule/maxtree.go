@@ -42,13 +42,6 @@ func (t *maxTree) init(n int) {
 	}
 }
 
-// clone returns an independent copy of the tree.
-func (t maxTree) clone() maxTree {
-	t.win = append([]int32(nil), t.win...)
-	t.val = append([]float64(nil), t.val...)
-	return t
-}
-
 // copyFrom overwrites t with src (same leaf count), reusing buffers.
 func (t *maxTree) copyFrom(src *maxTree) {
 	copy(t.win, src.win)

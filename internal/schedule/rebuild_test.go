@@ -311,8 +311,14 @@ func BenchmarkRebuildBucket(b *testing.B) {
 // population of 25, each the same random schedule with the given share of
 // its jobs reassigned at random (the cMA seeds its population with share
 // 0.3). "parent" rebuilds from the first parent (SetScheduleFrom), as
-// the cMA does; "full" sorts every list (SetSchedule). Warm, neither may allocate (CI's
-// allocation guard runs this at -benchtime 1x).
+// the cMA does; "full" sorts every list (SetSchedule). Such parents are
+// independent evaluations, so no machine version matches across them and
+// CopyFrom copies every list. The "lineage" cases, at 512x16 and at the
+// benchmark's 16384x256, draw their 25 parents the way the cMA's
+// population grows instead: each is a CopyFrom of an earlier one plus a
+// few Moves, so parents share most machine versions and CopyFrom skips
+// those lists. Warm, no case may allocate (CI's allocation guard runs
+// this at -benchtime 1x).
 func BenchmarkOffspringRebuild(b *testing.B) {
 	for _, share := range []float64{0.05, 0.3} {
 		in := randInstance(1, 512, 16)
@@ -354,6 +360,41 @@ func BenchmarkOffspringRebuild(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.SetSchedule(crosses[i%len(crosses)].child)
+			}
+		})
+	}
+	for _, dims := range []struct{ jobs, machs int }{{512, 16}, {16384, 256}} {
+		in := randInstance(1, dims.jobs, dims.machs)
+		r := rng.New(3)
+		pop := make([]*State, 25)
+		pop[0] = NewState(in, NewRandom(in, r))
+		for i := 1; i < len(pop); i++ {
+			pop[i] = NewBlankState(in)
+			pop[i].CopyFrom(pop[r.Intn(i)])
+			for range 4 {
+				pop[i].Move(r.Intn(in.Jobs), r.Intn(in.Machs))
+			}
+		}
+		type cross struct {
+			parent *State
+			child  Schedule
+		}
+		crosses := make([]cross, 64)
+		for i := range crosses {
+			p1, p2 := pop[r.Intn(len(pop))], pop[r.Intn(len(pop))]
+			cut := r.Intn(in.Jobs)
+			crosses[i] = cross{p1, append(p1.Schedule()[:cut], p2.ScheduleView()[cut:]...)}
+		}
+		st := pop[0].Clone()
+		b.Run(fmt.Sprintf("lineage/%dx%d/parent", dims.jobs, dims.machs), func(b *testing.B) {
+			for _, c := range crosses {
+				st.SetScheduleFrom(c.parent, c.child)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := crosses[i%len(crosses)]
+				st.SetScheduleFrom(c.parent, c.child)
 			}
 		})
 	}

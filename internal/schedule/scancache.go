@@ -6,7 +6,7 @@ import "math"
 // (sweep.go) that the local searches call every step.
 //
 // The move side memoizes the frozen-state probe context (moveScan),
-// keyed on the state's global epoch: between two commits every probe and
+// keyed on the state epoch: between two commits every probe and
 // every accept baseline is served from it without re-reading the state
 // or re-walking the tournament tree. Move neighborhoods scored by the
 // scalarised fitness do not factorize per machine — a candidate's
@@ -30,16 +30,19 @@ import "math"
 // across random commit sequences, tie-heavy integer instances and LMCTS
 // runs on the benchmark's shapes included.
 //
-// The state's machine epochs (state.go: machEpoch, advanced by the
-// noteCommit hook) serve the daemon's digest; the move context compares
-// the global epoch on every read, so a caller need do nothing before
-// handing a state to a pool or to another search.
+// The state's machine epochs (state.go: machEpoch) are content versions,
+// drawn fresh by every refresh of a machine and carried by CopyFrom; they
+// serve the daemon's digest and CopyFrom's skip of the lists a
+// destination already holds, not this cache. The move context compares
+// the state epoch, which every commit and every CopyFrom advances, on
+// every read, so a caller need do nothing before handing a state to a
+// pool or to another search.
 type ScanCache struct {
 	st *State
 	o  Objective
 
 	// Move side: the frozen-state probe context of beginMoveScan,
-	// revalidated only when the global epoch moves.
+	// revalidated only when the state epoch moves.
 	move      moveScan
 	moveEpoch uint64 // epoch the context was captured at; 0 = never
 }
@@ -60,7 +63,7 @@ func (st *State) Scans(o Objective) *ScanCache {
 }
 
 // freshenMove recaptures the frozen-state probe context iff the state
-// changed since the last capture.
+// epoch moved since the last capture.
 func (sc *ScanCache) freshenMove() {
 	if sc.moveEpoch != sc.st.epoch {
 		sc.move = sc.st.beginMoveScan(sc.o)

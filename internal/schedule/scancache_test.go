@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"gridcma/internal/etc"
@@ -456,35 +457,54 @@ func TestBestMoveTargetMatchesSweepFold(t *testing.T) {
 }
 
 // TestMachineEpochSemantics pins the change-tracking protocol the
-// daemon's digest and the move-probe context read: a commit advances
-// exactly its source and target machine epochs (and the state epoch), a
-// no-op Move or Swap advances no epoch, and wholesale re-evaluations
-// (SetSchedule, CopyFrom) advance every machine's epoch.
+// daemon's digest, CopyFrom and the move-probe context read. Machine
+// epochs are content versions: a commit gives exactly its source and
+// target machines versions no State has held, a no-op Move or Swap moves
+// nothing, SetSchedule gives every machine a fresh version, and CopyFrom
+// and Clone carry the source's. The state epoch, which the move-probe
+// context compares, advances on every commit and every CopyFrom.
 func TestMachineEpochSemantics(t *testing.T) {
 	in := etc.Generate(etc.Class{}, 0, etc.GenerateOptions{Jobs: 40, Machs: 5, Seed: 60})
 	r := rng.New(3)
 	st := NewState(in, NewRandom(in, r))
-	epochs := func() []uint64 {
+	seen := map[uint64]bool{}
+	epochs := func(st *State) []uint64 {
 		e := make([]uint64, in.Machs)
 		for m := range e {
 			e[m] = st.MachEpoch(m)
 		}
 		return e
 	}
+	// step runs edit on st and requires that exactly the machines in
+	// want moved, each to a version never handed out before, and that the
+	// state epoch advanced.
+	step := func(what string, edit func(), want ...int) {
+		t.Helper()
+		before, epoch := epochs(st), st.Epoch()
+		edit()
+		for m, e := range epochs(st) {
+			if moved := e != before[m]; moved != slices.Contains(want, m) {
+				t.Fatalf("%s: machine %d epoch %d→%d", what, m, before[m], e)
+			}
+			if e != before[m] {
+				if seen[e] {
+					t.Fatalf("%s: machine %d got version %d twice", what, m, e)
+				}
+				seen[e] = true
+			}
+		}
+		if st.Epoch() <= epoch {
+			t.Fatalf("%s: state epoch %d→%d", what, epoch, st.Epoch())
+		}
+	}
+	all := []int{0, 1, 2, 3, 4}
+	for _, e := range epochs(st) {
+		seen[e] = true
+	}
 	j := 0
 	from := st.Assign(j)
 	to := (from + 1) % in.Machs
-	before := epochs()
-	st.Move(j, to)
-	for m, e := range epochs() {
-		if moved := e != before[m]; moved != (m == from || m == to) {
-			t.Fatalf("Move(%d→%d): machine %d epoch %d→%d", from, to, m, before[m], e)
-		}
-	}
-	if st.MachEpoch(from) != st.Epoch() || st.MachEpoch(to) != st.Epoch() {
-		t.Fatalf("Move: source/target epochs %d/%d, state epoch %d",
-			st.MachEpoch(from), st.MachEpoch(to), st.Epoch())
-	}
+	step("Move", func() { st.Move(j, to) }, from, to)
 	b := -1
 	for k := range in.Jobs {
 		if st.Assign(k) != to && st.Assign(k) != from {
@@ -495,32 +515,73 @@ func TestMachineEpochSemantics(t *testing.T) {
 	if b < 0 {
 		t.Fatal("no job off the moved machines")
 	}
-	mb := st.Assign(b)
-	before = epochs()
-	st.Swap(j, b)
-	for m, e := range epochs() {
-		if moved := e != before[m]; moved != (m == to || m == mb) {
-			t.Fatalf("Swap(%d,%d): machine %d epoch %d→%d", j, b, m, before[m], e)
-		}
-	}
-	epoch := st.Epoch()
-	before = epochs()
+	step("Swap", func() { st.Swap(j, b) }, to, st.Assign(b))
+	epoch, before := st.Epoch(), epochs(st)
 	st.Move(j, st.Assign(j)) // no-op: already there
 	st.Swap(j, j)            // no-op
-	if st.Epoch() != epoch || !slices.Equal(epochs(), before) {
+	if st.Epoch() != epoch || !slices.Equal(epochs(st), before) {
 		t.Fatal("no-op Move/Swap advanced an epoch")
 	}
-	st.SetSchedule(NewRandom(in, r))
-	for m, e := range epochs() {
-		if e == before[m] || e != st.Epoch() {
-			t.Fatalf("SetSchedule: machine %d epoch %d, state epoch %d", m, e, st.Epoch())
+	step("SetSchedule", func() { st.SetSchedule(NewRandom(in, r)) }, all...)
+	step("InvalidateMachine", func() { st.InvalidateMachine(3) }, 3)
+
+	src := NewState(in, NewRandom(in, r))
+	for _, e := range epochs(src) {
+		if seen[e] {
+			t.Fatalf("NewState reused version %d", e)
 		}
+		seen[e] = true
 	}
-	before = epochs()
-	st.CopyFrom(NewState(in, NewRandom(in, r)))
-	for m, e := range epochs() {
-		if e == before[m] || e != st.Epoch() {
-			t.Fatalf("CopyFrom: machine %d epoch %d, state epoch %d", m, e, st.Epoch())
+	epoch = st.Epoch()
+	st.CopyFrom(src)
+	if !slices.Equal(epochs(st), epochs(src)) || st.Epoch() <= epoch {
+		t.Fatalf("CopyFrom: versions %v (source %v), state epoch %d→%d", epochs(st), epochs(src), epoch, st.Epoch())
+	}
+	epoch = st.Epoch()
+	st.CopyFrom(st)
+	if !slices.Equal(epochs(st), epochs(src)) || st.Epoch() <= epoch {
+		t.Fatalf("CopyFrom onto itself: versions %v, state epoch %d→%d", epochs(st), epoch, st.Epoch())
+	}
+	cp := src.Clone()
+	if !slices.Equal(epochs(cp), epochs(src)) || cp.Epoch() != src.Epoch() {
+		t.Fatalf("Clone: versions %v (source %v), epoch %d (source %d)", epochs(cp), epochs(src), cp.Epoch(), src.Epoch())
+	}
+	// The same commit on two holders of one version still yields two
+	// different versions.
+	j, to = 0, (src.Assign(0)+1)%in.Machs
+	src.Move(j, to)
+	cp.Move(j, to)
+	if src.MachEpoch(to) == cp.MachEpoch(to) {
+		t.Fatalf("one commit on a source and its clone drew version %d twice", src.MachEpoch(to))
+	}
+
+	// Versions come from one process-wide counter: States committing on
+	// concurrent goroutines never draw the same one.
+	const workers, commits = 2, 200
+	drawn := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range drawn {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.New(uint64(w) + 70)
+			st := NewState(in, NewRandom(in, r))
+			for range commits {
+				from := st.Assign(0)
+				to := (from + 1 + r.Intn(in.Machs-1)) % in.Machs
+				st.Move(0, to)
+				drawn[w] = append(drawn[w], st.MachEpoch(from), st.MachEpoch(to))
+			}
+		}()
+	}
+	wg.Wait()
+	got := map[uint64]bool{}
+	for _, vs := range drawn {
+		for _, v := range vs {
+			if got[v] || seen[v] {
+				t.Fatalf("version %d handed out twice across concurrent States", v)
+			}
+			got[v] = true
 		}
 	}
 }

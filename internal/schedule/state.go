@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"gridcma/internal/etc"
 )
@@ -49,13 +50,18 @@ type State struct {
 	flowtime   float64
 	top        maxTree // argmax over completion, O(log M) maintenance
 
-	// Change tracking. epoch counts committed mutations; the scan
-	// cache's move-side probe context (scancache.go) is valid exactly
-	// while it is unchanged. machEpoch[m] is the epoch of machine m's last
-	// content change, which the daemon's state digest reads to re-hash
-	// only the machines that changed. A Move or Swap advances its source
-	// and target machines; wholesale re-evaluations (SetSchedule,
-	// CopyFrom, rebuild) advance every machine.
+	// Change tracking. epoch counts the state's committed mutations; the
+	// scan cache's move-side probe context (scancache.go) is valid exactly
+	// while it is unchanged, and every commit, CopyFrom and rebuild
+	// advances it. machEpoch[m] is machine m's content version: every
+	// change to the machine's list, prefix sums, completion or flow —
+	// each refreshFrom, so Move, Swap, SetScheduleDiff and rebuild — and
+	// each InvalidateMachine draws a fresh one from the process-wide
+	// counter (nextVersion), and CopyFrom and Clone carry the source's.
+	// Equal versions therefore mean equal machine contents, across every
+	// State of one instance: CopyFrom copies only the machines whose
+	// versions differ, and the daemon's state digest re-hashes only the
+	// machines whose version moved since it last folded them.
 	epoch     uint64
 	machEpoch []uint64
 
@@ -88,10 +94,13 @@ type State struct {
 	// Region backing of the per-machine lists: machJobs/machCumC/machCumF
 	// are carved out of these three arrays by ensureRegions, each machine
 	// getting a capacity-capped region (three-index slices) sized
-	// max(count, slack). A rebuild or CopyFrom re-carves in O(M) from the
-	// same arrays — reallocating all three only when the total need
-	// outgrows the backing — so per-machine count drift never triggers
-	// per-machine reallocation. counts/regOff are the carving scratch and
+	// max(count, slack). A rebuild re-carves in O(M) from the same arrays
+	// — reallocating all three only when the total need outgrows the
+	// backing — so per-machine count drift never triggers per-machine
+	// reallocation. CopyFrom carves only a blank State; otherwise it copies
+	// each list it needs into the machine's existing region, and a list
+	// that outgrows its region reallocates that machine alone until the
+	// next rebuild re-carves. counts/regOff are the carving scratch and
 	// jobKey the rebuild's sort-key cache (jobKey[j] = ETC[j][assign[j]],
 	// so bucket sorting compares against a J-sized array instead of
 	// gathering from a frontier-scale matrix).
@@ -104,8 +113,8 @@ type State struct {
 
 	// scanCache is the query layer over the sweep kernels
 	// (scancache.go), bound by Scans. Like the sweep scratch it is not
-	// part of the state's value: Clone and CopyFrom leave it cold, and
-	// the epoch makes a stale move context self-invalidating.
+	// part of the state's value: Clone starts it cold, and the epoch, which
+	// CopyFrom advances, makes a stale move context self-invalidating.
 	scanCache ScanCache
 }
 
@@ -189,8 +198,8 @@ func (st *State) ensureRegions(counts []int32) {
 	}
 }
 
-// rebuild recomputes all derived state from st.assign. Every machine's
-// content changes, so every machine advances to a fresh epoch.
+// rebuild recomputes all derived state from st.assign. Every machine is
+// refreshed, so every machine draws a fresh version.
 //
 // The pass is bucket-by-machine over the shared backing: count each
 // machine's jobs, carve regions, drop every job into its machine's bucket
@@ -204,7 +213,7 @@ func (st *State) ensureRegions(counts []int32) {
 // J-sized array with high locality instead of gather-loading a
 // multi-hundred-MB matrix.
 func (st *State) rebuild() {
-	st.touchAll()
+	st.epoch++
 	counts := st.counts
 	for m := range counts {
 		counts[m] = 0
@@ -301,7 +310,8 @@ func (st *State) less(a, b int32, m int) bool {
 // unchanged since the partial sums were recorded, so the recorded prefix
 // is exactly what resumming it would produce and only the suffix is
 // resummed. k = 0 is the full summation; the loop is the same either way,
-// so a suffix refresh is bit-identical to a full one.
+// so a suffix refresh is bit-identical to a full one. The machine draws a
+// fresh version.
 func (st *State) refreshFrom(m, k int) {
 	jobs := st.machJobs[m]
 	cumC := st.machCumC[m][:k]
@@ -328,24 +338,17 @@ func (st *State) refreshFrom(m, k int) {
 	st.completion[m] = t
 	st.machFlow[m] = flow
 	st.top.update(m, t)
+	st.machEpoch[m] = nextVersion()
 }
 
-// touchAll advances every machine to a fresh epoch: the wholesale
-// invalidation of rebuild, SetSchedule and CopyFrom.
-func (st *State) touchAll() {
-	st.epoch++
-	for m := range st.machEpoch {
-		st.machEpoch[m] = st.epoch
-	}
-}
+// versions is the process-wide source of machine content versions: one
+// counter for every State, so no two States ever draw the same version.
+var versions atomic.Uint64
 
-// noteCommit is the Move/Swap commit hook: machines m1 and m2 changed
-// content, so they advance to a fresh epoch.
-func (st *State) noteCommit(m1, m2 int) {
-	st.epoch++
-	st.machEpoch[m1] = st.epoch
-	st.machEpoch[m2] = st.epoch
-}
+// nextVersion hands out a machine content version no State has held
+// before. Versions start at 1, so the zero a blank State's tables start
+// with matches no evaluated machine.
+func nextVersion() uint64 { return versions.Add(1) }
 
 // SetScanExempt excludes machine m from (or re-admits it to) the
 // critical-swap scan: BestCriticalSwap never scans an exempt machine's
@@ -360,8 +363,7 @@ func (st *State) noteCommit(m1, m2 int) {
 //
 // The flag is part of the state's search configuration, not its value:
 // Clone carries it over, CopyFrom leaves the destination's flags alone,
-// and no epoch moves — cached entries stay valid, they are simply
-// skipped (and re-validated by epoch as usual if re-admitted).
+// and no epoch or version moves — the flag only narrows the scan.
 func (st *State) SetScanExempt(m int, exempt bool) {
 	if st.scanExempt == nil {
 		if !exempt {
@@ -372,9 +374,14 @@ func (st *State) SetScanExempt(m int, exempt bool) {
 	st.scanExempt[m] = exempt
 }
 
-// Epoch returns the state's mutation counter; MachEpoch the epoch of
-// machine m's last content change. A cached per-machine result computed
-// at MachEpoch(m) stays exact while that value is unchanged.
+// Epoch returns the state's mutation counter, which every commit,
+// CopyFrom and rebuild advances. MachEpoch returns machine m's content
+// version: it moves whenever the machine's contents change (or
+// InvalidateMachine is called), it is never handed out twice, and
+// CopyFrom and Clone carry it over from the source, so two machines at
+// the same index holding equal versions hold equal contents — also in
+// two different States of one instance. A cached per-machine result
+// computed at MachEpoch(m) stays exact while that value is unchanged.
 func (st *State) Epoch() uint64          { return st.epoch }
 func (st *State) MachEpoch(m int) uint64 { return st.machEpoch[m] }
 
@@ -479,7 +486,7 @@ func (st *State) Move(j, to int) {
 	st.refreshFrom(from, k)
 	st.refreshFrom(to, int(st.slot[j]))
 	st.flowtime += st.machFlow[from] + st.machFlow[to]
-	st.noteCommit(from, to)
+	st.epoch++
 }
 
 // Swap exchanges the machines of jobs a and b. Each machine is resummed
@@ -500,7 +507,7 @@ func (st *State) Swap(a, b int) {
 	st.refreshFrom(ma, min(ka, int(st.slot[b])))
 	st.refreshFrom(mb, min(kb, int(st.slot[a])))
 	st.flowtime += st.machFlow[ma] + st.machFlow[mb]
-	st.noteCommit(ma, mb)
+	st.epoch++
 }
 
 // SetSchedule replaces the whole schedule and re-evaluates, reusing the
@@ -522,9 +529,9 @@ func (st *State) SetSchedule(s Schedule) {
 // against the current assignment: only jobs whose machine changed are
 // re-listed, only machines whose job sets changed are refreshed — each
 // from the lowest slot the diff edited on it — and only those machines
-// advance to a fresh epoch, so the online daemon's digest re-hashes only
-// the machines a batch commit touched, where SetSchedule's wholesale
-// epoch bump would re-hash every machine.
+// draw a fresh version, so the online daemon's digest re-hashes only the
+// machines a batch commit touched, where SetSchedule's wholesale refresh
+// would re-hash every machine.
 //
 // The resulting value state is bit-identical to SetSchedule(s): the
 // per-machine job lists are (ETC, id)-sorted sets, so they are order
@@ -534,7 +541,7 @@ func (st *State) SetSchedule(s Schedule) {
 // state flowtime is re-folded canonically (Σ machFlow in ascending machine
 // order — rebuild's own accumulation order) rather than diff-adjusted,
 // which keeps the fitness bits equal to a from-scratch evaluation. Only
-// the epoch bookkeeping differs, by design. An empty diff changes
+// the version bookkeeping differs, by design. An empty diff changes
 // nothing, the flowtime bits included (SetScheduleFrom refolds them).
 // Pinned by the differential tests in statediff_test.go and
 // rebuild_test.go. An invalid s panics with Validate's error, like
@@ -600,7 +607,6 @@ func (st *State) SetScheduleDiff(s Schedule) {
 	}
 	st.epoch++
 	for _, m := range st.diffMachs {
-		st.machEpoch[m] = st.epoch
 		st.refreshFrom(int(m), int(lo[m]))
 		lo[m] = -1
 	}
@@ -616,27 +622,29 @@ func (st *State) SetScheduleDiff(s Schedule) {
 // differs (SetScheduleDiff), which costs less than SetSchedule's sort of
 // every list when few jobs differ. The value state is bit-identical to
 // SetSchedule(s): the flowtime is refolded even when nothing differs,
-// since base's bits may come from incremental Move/Swap updates. As
-// under SetSchedule, every machine advances to a fresh epoch.
+// since base's bits may come from incremental Move/Swap updates. The
+// machines the diff left alone keep base's versions; the others draw
+// fresh ones.
 func (st *State) SetScheduleFrom(base *State, s Schedule) {
 	st.CopyFrom(base)
 	st.SetScheduleDiff(s)
 	st.RefreshFlowtime()
 }
 
-// InvalidateMachine advances machine m to a fresh epoch without touching
+// InvalidateMachine gives machine m a fresh version without touching
 // its contents. Callers that mutate inputs the
 // state cannot observe — the online daemon rewrites a machine's ETC
 // column when grid membership changes — use it to force every view keyed
-// on the epochs (the daemon's digest of the machine, the scan cache's
-// move-probe context) to be recomputed on the next read.
+// on the versions and the epoch (the daemon's digest of the machine, the
+// scan cache's move-probe context, the next CopyFrom onto or from this
+// State) to be recomputed or recopied.
 // The machine must hold no jobs whose ETC entries the rewrite changes:
 // their list order and the recorded partial sums that later commits
 // resume from would go stale. The daemon guarantees that by only
 // rewriting columns of empty (joined or vacated) machines.
 func (st *State) InvalidateMachine(m int) {
 	st.epoch++
-	st.machEpoch[m] = st.epoch
+	st.machEpoch[m] = nextVersion()
 }
 
 // RefreshFlowtime re-folds the state flowtime canonically: Σ machFlow in
@@ -649,7 +657,7 @@ func (st *State) InvalidateMachine(m int) {
 // bit-identical to the live state it was taken from. The per-machine
 // flows are refreshFrom products and need no refold. The state epoch
 // advances so cached fitness contexts recapture; machine contents are
-// untouched, so no machine epoch moves.
+// untouched, so no machine version moves.
 func (st *State) RefreshFlowtime() {
 	st.flowtime = 0
 	for m := range st.machFlow {
@@ -658,68 +666,66 @@ func (st *State) RefreshFlowtime() {
 	st.epoch++
 }
 
-// copyListsFrom re-carves st's per-machine regions to src's counts and
-// copies src's lists and prefix sums into them. The regions come out of
-// ensureRegions with capacity ≥ count, so the appends never reallocate:
-// list copying costs three bulk memmoves' worth of element copies and at
-// most one backing growth, independent of the machine count.
-func (st *State) copyListsFrom(src *State) {
-	counts := st.counts
-	for m := range counts {
-		counts[m] = int32(len(src.machJobs[m]))
-	}
-	st.ensureRegions(counts)
-	for m := range st.machJobs {
-		st.machJobs[m] = append(st.machJobs[m], src.machJobs[m]...)
-		st.machCumC[m] = append(st.machCumC[m], src.machCumC[m]...)
-		st.machCumF[m] = append(st.machCumF[m], src.machCumF[m]...)
-	}
-}
-
-// Clone returns an independent copy of the state. The per-machine lists
+// Clone returns an independent copy of the state, carrying its epoch,
+// its machine versions and its scan-exempt flags. The per-machine lists
 // land in a freshly carved region backing — a handful of allocations
 // total, not three per machine.
 func (st *State) Clone() *State {
-	machs := len(st.machJobs)
-	cp := &State{
-		inst:       st.inst,
-		etc64:      st.etc64,
-		assign:     st.assign.Clone(),
-		machJobs:   make([][]int32, machs),
-		machCumC:   make([][]float64, machs),
-		machCumF:   make([][]float64, machs),
-		slot:       append([]int32(nil), st.slot...),
-		completion: append([]float64(nil), st.completion...),
-		machFlow:   append([]float64(nil), st.machFlow...),
-		flowtime:   st.flowtime,
-		top:        st.top.clone(),
-		epoch:      st.epoch,
-		machEpoch:  append([]uint64(nil), st.machEpoch...),
-		counts:     make([]int32, machs),
-		regOff:     make([]int32, machs+1),
-	}
+	cp := NewBlankState(st.inst)
+	cp.CopyFrom(st)
+	cp.epoch = st.epoch
 	if st.scanExempt != nil {
 		cp.scanExempt = append([]bool(nil), st.scanExempt...)
 	}
-	cp.copyListsFrom(st)
 	return cp
 }
 
-// CopyFrom makes st an exact copy of src (same instance), reusing buffers
-// (a blank State sizes them first).
+// CopyFrom makes st an exact copy of src (same instance), reusing
+// buffers, and carries src's machine versions. The per-job tables, the
+// completions, the flows and the tournament tree are bulk copies. A
+// machine's list and prefix sums are copied only when st holds a
+// different version of it: equal versions mean equal contents, so under
+// the cMA's takeover, where a scratch and its next source share most
+// machines, most lists are already in place. Each copy goes into the
+// machine's existing region; one that outgrows it reallocates that
+// machine alone, to its length plus a carve's headroom. A blank State
+// sizes its tables and carves its regions from src's counts first (its
+// zero versions match no machine).
 func (st *State) CopyFrom(src *State) {
 	if st.inst != src.inst {
 		panic("schedule: CopyFrom across instances")
 	}
 	if st.assign == nil {
 		st.alloc()
+		counts := st.counts
+		for m := range counts {
+			counts[m] = int32(len(src.machJobs[m]))
+		}
+		st.ensureRegions(counts)
 	}
-	st.touchAll()
+	st.epoch++
 	st.assign.CopyFrom(src.assign)
 	copy(st.slot, src.slot)
 	copy(st.completion, src.completion)
 	copy(st.machFlow, src.machFlow)
 	st.flowtime = src.flowtime
 	st.top.copyFrom(&src.top)
-	st.copyListsFrom(src)
+	for m, v := range src.machEpoch {
+		if st.machEpoch[m] == v {
+			continue
+		}
+		st.machEpoch[m] = v
+		if n := len(src.machJobs[m]); n > cap(st.machJobs[m]) {
+			// Outgrown: the machine alone moves to a region of its own
+			// with a carve's headroom, not append's doubling, so a
+			// long-lived State copied onto from many sources (an
+			// island's resident population) does not pile up slack.
+			st.machJobs[m] = make([]int32, 0, n+8)
+			st.machCumC[m] = make([]float64, 0, n+8)
+			st.machCumF[m] = make([]float64, 0, n+8)
+		}
+		st.machJobs[m] = append(st.machJobs[m][:0], src.machJobs[m]...)
+		st.machCumC[m] = append(st.machCumC[m][:0], src.machCumC[m]...)
+		st.machCumF[m] = append(st.machCumF[m][:0], src.machCumF[m]...)
+	}
 }

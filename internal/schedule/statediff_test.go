@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gridcma/internal/etc"
@@ -24,8 +25,8 @@ func diffTestInstance(jobs, machs int, seed uint64) *etc.Instance {
 }
 
 // requireStateEqual compares every value-bearing field of two states bit
-// for bit (epoch bookkeeping is allowed to differ — that is
-// the point of the diff path).
+// for bit (the epoch and the machine versions are allowed to differ —
+// that is the point of the diff path).
 func requireStateEqual(t *testing.T, got, want *State) {
 	t.Helper()
 	if !got.assign.Equal(want.assign) {
@@ -275,8 +276,10 @@ func TestInvalidateMachine(t *testing.T) {
 
 // TestSetScheduleFromMatchesSetSchedule pins the cMA's rebuild of a
 // crossover child: SetScheduleFrom(parent, child) must equal
-// SetSchedule(child) in every value-bearing bit, leave no machine at a
-// pre-call epoch, and answer the same critical-swap query.
+// SetSchedule(child) in every value-bearing bit, carry the parent's
+// version on each machine the child leaves alone, give every other
+// machine a version drawn during the call, and answer the same
+// critical-swap query.
 // Children cover one-point crossover, a single changed job, no change, a
 // full rewrite, a machine drained to empty and every job crowded onto one
 // machine (a list past the insertion sort's cut-off), on integer ETC with
@@ -336,13 +339,18 @@ func TestSetScheduleFromMatchesSetSchedule(t *testing.T) {
 			if step%6 == 2 && math.Float64bits(parent.Flowtime()) != math.Float64bits(NewState(in, child).Flowtime()) {
 				drifted++
 			}
-			before := scratch.Epoch()
+			mark := versions.Load()
 			scratch.SetScheduleFrom(parent, child)
 			full.SetSchedule(child)
 			requireStateEqual(t, scratch, full)
+			changed := changedMachines(parent.ScheduleView(), child, in.Machs)
 			for m := 0; m < in.Machs; m++ {
-				if scratch.MachEpoch(m) <= before {
-					t.Fatalf("%s step %d: machine %d kept a pre-call epoch", in.Name, step, m)
+				v := scratch.MachEpoch(m)
+				if slices.Contains(changed, m) && v <= mark {
+					t.Fatalf("%s step %d: changed machine %d holds version %d, drawn before the call", in.Name, step, m, v)
+				}
+				if !slices.Contains(changed, m) && v != parent.MachEpoch(m) {
+					t.Fatalf("%s step %d: unchanged machine %d holds version %d, parent %d", in.Name, step, m, v, parent.MachEpoch(m))
 				}
 				if got, want := scratch.top.maxExcluding(m), full.top.maxExcluding(m); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s step %d: maxExcluding(%d) = %v, want %v", in.Name, step, m, got, want)
