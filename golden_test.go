@@ -141,6 +141,32 @@ func goldenRuns(t *testing.T) []goldenCase {
 	for _, alg := range appendedAlgs {
 		runMatrix(alg)
 	}
+
+	// The island model across migrations: 15 iterations are three
+	// segments of DefaultIslandConfig's MigrationEvery 5, so two ring
+	// exchanges shape each result (the frozen island cases end inside
+	// their first segment). Seed 1 also runs each island's cMA on the
+	// partitioned parallel engine.
+	for _, c := range []struct {
+		seed    uint64
+		workers int
+	}{{1, 0}, {7, 0}, {1, 2}} {
+		s, err := gridcma.New("island")
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := "island-migrate/96x8/seed" + strconv.FormatUint(c.seed, 10)
+		opts := []gridcma.RunOption{gridcma.WithMaxIterations(15), gridcma.WithSeed(c.seed)}
+		if c.workers > 0 {
+			opts = append(opts, gridcma.WithWorkers(c.workers))
+			name += "/w" + strconv.Itoa(c.workers)
+		}
+		res, err := s.Run(context.Background(), small, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		note(name, res)
+	}
 	return cases
 }
 
