@@ -12,6 +12,7 @@ import (
 	"gridcma/internal/gridsim"
 	"gridcma/internal/heuristics"
 	"gridcma/internal/island"
+	"gridcma/internal/island/dist"
 	"gridcma/internal/localsearch"
 	"gridcma/internal/operators"
 	"gridcma/internal/pareto"
@@ -275,9 +276,11 @@ type (
 // iterations.
 func DefaultIslandConfig() IslandConfig { return island.DefaultConfig() }
 
-// NewIsland builds the parallel island-model scheduler. WithWorkers
-// propagates to each island's cMA, so the islands themselves run the
-// partitioned parallel engine.
+// NewIsland builds the parallel island-model scheduler: the
+// distributed engine's coordinator over in-process workers, one
+// goroutine per island. A time budget is checked between migration
+// rounds. WithWorkers propagates to each island's cMA, so the islands
+// themselves run the partitioned parallel engine.
 func NewIsland(cfg IslandConfig) (Scheduler, error) {
 	return newEngineScheduler("island", func(p buildParams) (engineRunner, error) {
 		c := cfg
@@ -285,7 +288,7 @@ func NewIsland(cfg IslandConfig) (Scheduler, error) {
 		if p.workersSet {
 			c.Base.Workers = p.workers
 		}
-		return island.New(c)
+		return dist.NewInProcess(c)
 	})
 }
 

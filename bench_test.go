@@ -16,6 +16,7 @@ import (
 	"gridcma/internal/etc"
 	"gridcma/internal/experiments"
 	"gridcma/internal/island"
+	"gridcma/internal/island/dist"
 	"gridcma/internal/localsearch"
 	"gridcma/internal/pareto"
 	"gridcma/internal/run"
@@ -323,7 +324,7 @@ func BenchmarkIslandVsSingle(b *testing.B) {
 		b.ReportMetric(last.Fitness, "fitness")
 	})
 	b.Run("island4", func(b *testing.B) {
-		sched, err := island.New(island.DefaultConfig())
+		sched, err := dist.NewInProcess(island.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -204,8 +204,10 @@
 //
 // # Distributed islands & failure model
 //
-// internal/island/dist runs the coarse-grained island model across
-// supervised worker processes. The design premise is that one migration
+// internal/island/dist holds the island model's one round loop: its
+// coordinator runs the library's island engine over in-process workers,
+// and runs the same loop across supervised worker processes for
+// cmd/islandd. The design premise is that one migration
 // segment is a pure function (instance spec, engine config, island seed,
 // iteration count, population in) → (result, population out), that each
 // request carries the whole population, and that the coordinator owns
@@ -230,7 +232,8 @@
 // fitness taken on the worker's final States, so the coordinator ranks
 // migrants without re-evaluating them; it checks every reply first, and
 // a bad one loses the island like a dead worker.
-// Every call carries a timeout and a jittered exponential retry policy
+// Every call to a worker process carries a timeout (an in-process
+// segment carries none) and a jittered exponential retry policy
 // (internal/retry, the same policy the daemon's load test uses to
 // honour 429 backpressure); transport failures mark the worker dead and the
 // supervisor lazily restarts it through the worker factory at the next
@@ -241,14 +244,20 @@
 // finishes on the survivors — graceful degradation, never a hung
 // barrier.
 //
-// Determinism is the contract that makes any of this testable: a
-// failure-free distributed run is byte-identical to the in-process
-// island scheduler for every transport and worker count, and a faulted
-// run is a pure function of (seed, fault plan) — transient faults
+// Determinism is the contract that makes any of this testable: under an
+// iteration budget a failure-free run is byte-identical to the wholesale
+// reference loop of the dist tests (every mesh rebuilt from its
+// schedules at every segment) for every transport and worker count, the
+// in-process island engine included, and a faulted run is a pure
+// function of (seed, fault plan) — transient faults
 // (drops, delays, duplicates, kills with successful restart) are fully
 // absorbed by retry and reproduce the failure-free bytes, while
 // permanent deaths reproduce a predictable survivor set and per-round
-// digest trajectory. The coordinator holds no fault-injection code: the
+// digest trajectory. A time budget is checked at round boundaries, so a
+// run ends after the round in which its time ran out, and a cancelled
+// run returns its best so far with the context's error. A checkpoint
+// whose schedules are not valid on the instance starts the run fresh.
+// The coordinator holds no fault-injection code: the
 // chaos torture (TestTortureSmall in internal/island/dist) wraps each
 // worker's transport client in a test-only injector that drops, delays,
 // duplicates or kills calls by (worker, round), replays seeded fault

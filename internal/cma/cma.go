@@ -192,62 +192,30 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	if !budget.Bounded() {
 		panic("cma: unbounded budget")
 	}
-	e := newEngine(in, s.cfg, seed, nil, nil, budget, nil)
+	e := newEngine(in, s.cfg, seed, nil, budget, nil)
 	return e.run(budget, obs, s.Name())
 }
 
-// RunWithPopulationPooled is Run, but the mesh is seeded from initial
-// (cloned; truncated or padded with perturbed copies of its first element
-// as needed) and the final population is returned alongside the result,
-// with fits[k] the fitness of final[k]: each final State's flowtime is
-// re-folded (RefreshFlowtime) before Objective.Of, which makes the value
-// bit-identical to Objective.Evaluate(in, final[k]) without rebuilding a
-// State.
-// It is the schedule-level resume of the coarse-grained island model
-// (internal/island): islands export their populations at segment
-// boundaries, exchange individuals, and resume; RunWithStatesPooled is
-// the cache-aware path the island engines run, pinned against this one.
-// Offspring workspaces come from pool, which the island model shares
-// across its concurrently running segment sub-runs (the pool is safe for
-// that); a nil pool, or one bound to a different instance, falls back to
-// a private one.
+// RunWithStatesPooled is Run resumed from a live mesh: the engine
+// adopts the caller's States as its cells — warm prefix sums, tournament
+// trees and ScanCache entries included — instead of building them, and
+// returns the final mesh, owned by the caller, for the next segment. It
+// is the one resume path of the coarse-grained island model: a
+// distributed worker (internal/island/dist) keeps each island's mesh
+// between segments and re-targets it at the shipped population. Commits
+// swap offspring workspaces into the mesh, so the returned States may be
+// different objects from the ones passed in: some of those end up as
+// pool workspaces, and the caller must keep only the returned slice.
+// Local search improves each adopted individual before the first
+// evaluation, as it improves a fresh mesh's.
+//
+// Offspring workspaces come from pool, which a worker shares across its
+// concurrently running segments (the pool is safe for that); a nil pool,
+// or one bound to a different instance, falls back to a private one.
 // Sharing never affects results: scratches are always re-pointed
 // (SetSchedule / CopyFrom) before being read.
-func (s *Scheduler) RunWithPopulationPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, initial []schedule.Schedule, pool *evalpool.Pool) (res run.Result, final []schedule.Schedule, fits []float64) {
-	if !budget.Bounded() {
-		panic("cma: unbounded budget")
-	}
-	if pool != nil && pool.Instance() != in {
-		pool = nil
-	}
-	e := newEngine(in, s.cfg, seed, initial, nil, budget, pool)
-	res = e.run(budget, obs, s.Name())
-	final = make([]schedule.Schedule, len(e.pop))
-	fits = make([]float64, len(e.pop))
-	for i, st := range e.pop {
-		final[i] = st.Schedule()
-		st.RefreshFlowtime()
-		fits[i] = s.cfg.Objective.Of(st)
-	}
-	return res, final, fits
-}
-
-// RunWithStatesPooled is the cache-aware sibling of
-// RunWithPopulationPooled: instead of rebuilding every cell's State from
-// a schedule (wholesale-invalidating its scan caches), the engine adopts
-// the caller's live States as the mesh — warm prefix sums, tournament
-// trees and ScanCache entries included — and returns the final mesh,
-// owned by the caller, for the next segment. Commits swap offspring
-// workspaces into the mesh, so the returned States may be different
-// objects from the ones passed in: some of those end up as pool
-// workspaces, and the caller must keep only the returned slice (island.Run
-// stores it in place of the one it passed). Everything else is
-// identical to the schedule path: local search improves each individual
-// before the first evaluation, consuming exactly the same RNG draws, so
-// a segment resumed from states is bit-identical to one resumed from the
-// equivalent schedules (pinned by the island differential tests).
 //
-// states must be nil (fresh mesh, like initial=nil) or hold exactly
+// states must be nil (a fresh mesh, as Run builds) or hold exactly
 // Width*Height entries on in.
 func (s *Scheduler) RunWithStatesPooled(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer, states []*schedule.State, pool *evalpool.Pool) (run.Result, []*schedule.State) {
 	if !budget.Bounded() {
@@ -259,7 +227,7 @@ func (s *Scheduler) RunWithStatesPooled(in *etc.Instance, budget run.Budget, see
 	if states != nil && len(states) != s.cfg.Width*s.cfg.Height {
 		panic("cma: RunWithStatesPooled: state count does not match the mesh")
 	}
-	e := newEngine(in, s.cfg, seed, nil, states, budget, pool)
+	e := newEngine(in, s.cfg, seed, states, budget, pool)
 	res := e.run(budget, obs, s.Name())
 	return res, e.pop
 }
@@ -315,7 +283,7 @@ type engine struct {
 	best evalpool.Best
 }
 
-func newEngine(in *etc.Instance, cfg Config, seed uint64, initial []schedule.Schedule, adopt []*schedule.State, budget run.Budget, pool *evalpool.Pool) *engine {
+func newEngine(in *etc.Instance, cfg Config, seed uint64, adopt []*schedule.State, budget run.Budget, pool *evalpool.Pool) *engine {
 	if pool == nil {
 		pool = evalpool.New(in)
 	}
@@ -345,7 +313,7 @@ func newEngine(in *etc.Instance, cfg Config, seed uint64, initial []schedule.Sch
 		e.mutOrd = cell.NewSweep(cfg.MutOrder, n, e.r.Split())
 	}
 
-	e.initPopulation(initial)
+	e.initPopulation()
 	return e
 }
 
@@ -357,10 +325,9 @@ func (e *engine) workers() int {
 	return e.cfg.Workers
 }
 
-// initPopulation builds the initial mesh. With an explicit initial
-// population (migration resume), individuals are cloned from it, padding
-// with perturbed copies of its first element when it is short. Otherwise
-// the mesh is the seed heuristic individual plus perturbed copies (or
+// initPopulation builds the initial mesh. Resumed from adopted States
+// (a migration segment), every cell is the caller's State. Otherwise the
+// mesh is the seed heuristic individual plus perturbed copies (or
 // all-random when no seed heuristic). In every case — per Algorithm 1 —
 // local search improves each individual before the first evaluation.
 //
@@ -368,15 +335,9 @@ func (e *engine) workers() int {
 // draws from per-cell RNG streams and is fanned across the workers; the
 // result is identical for every worker count. Workers == 0 keeps the
 // legacy strictly sequential initialisation on the shared stream.
-func (e *engine) initPopulation(initial []schedule.Schedule) {
+func (e *engine) initPopulation() {
 	var base schedule.Schedule
-	if e.adopt != nil {
-		// Adopted warm states fill every cell; no seed individual is
-		// needed (and none of the paths below consumes RNG for one, so
-		// the streams stay aligned with the schedule-resume path).
-	} else if len(initial) > 0 {
-		base = initial[0]
-	} else if e.cfg.SeedHeuristic != nil {
+	if e.adopt == nil && e.cfg.SeedHeuristic != nil {
 		base = e.cfg.SeedHeuristic(e.in)
 	}
 	frac := e.cfg.PerturbFraction
@@ -384,10 +345,10 @@ func (e *engine) initPopulation(initial []schedule.Schedule) {
 		frac = 0.3
 	}
 	if e.cfg.Workers >= 1 {
-		e.initCells(initial, base, frac)
+		e.initCells(base, frac)
 	} else {
 		for i := range e.pop {
-			e.initCell(i, initial, base, frac, e.r)
+			e.initCell(i, base, frac, e.r)
 		}
 	}
 	e.evals += int64(len(e.pop))
@@ -399,26 +360,20 @@ func (e *engine) initPopulation(initial []schedule.Schedule) {
 // Initialisation runs a local search per individual — seconds of work on
 // large instances — so cancellation is polled here too; a cancelled
 // engine still leaves every cell fully evaluated.
-func (e *engine) initCell(i int, initial []schedule.Schedule, base schedule.Schedule, frac float64, r *rng.Source) {
-	if e.adopt != nil {
+func (e *engine) initCell(i int, base schedule.Schedule, frac float64, r *rng.Source) {
+	switch {
+	case e.adopt != nil:
 		// Cache-aware resume: the caller's live State becomes the cell,
-		// warm caches and all. No construction, no RNG draws — exactly
-		// like the i < len(initial) clone path below.
+		// warm caches and all, with no construction and no RNG draws.
 		e.pop[i] = e.adopt[i]
-	} else {
-		var s schedule.Schedule
-		switch {
-		case i < len(initial):
-			s = initial[i].Clone()
-		case base != nil && i == 0:
-			s = base.Clone()
-		case base != nil:
-			s = base.Clone()
-			schedule.Perturb(s, e.in, r, frac)
-		default:
-			s = schedule.NewRandom(e.in, r)
-		}
+	case base != nil && i == 0:
+		e.pop[i] = schedule.NewState(e.in, base)
+	case base != nil:
+		s := base.Clone()
+		schedule.Perturb(s, e.in, r, frac)
 		e.pop[i] = schedule.NewState(e.in, s)
+	default:
+		e.pop[i] = schedule.NewState(e.in, schedule.NewRandom(e.in, r))
 	}
 	if !e.budget.Cancelled() {
 		e.cfg.LocalSearch.Improve(e.pop[i], e.cfg.Objective, e.cfg.LSIterations, r)

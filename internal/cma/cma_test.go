@@ -347,7 +347,7 @@ func (*cutCross) Name() string { return "fixed-cut" }
 func TestRecombineRebuildsFromNearerParent(t *testing.T) {
 	in := testInstance(41)
 	cfg := quickCfg()
-	e := newEngine(in, cfg, 5, nil, nil, run.Budget{MaxIterations: 1}, nil)
+	e := newEngine(in, cfg, 5, nil, run.Budget{MaxIterations: 1}, nil)
 	defer e.releaseScratches()
 	e.cfg.LSIterations = 0
 	popAt := func(i int) *schedule.State { return e.pop[i] }
@@ -403,7 +403,7 @@ func TestFreshScratchesAreWrittenFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := run.Budget{MaxIterations: 3}
-		fresh, freshPop, _ := s.RunWithPopulationPooled(in, budget, 5, nil, nil, evalpool.New(in))
+		fresh, freshPop := runFrom(s, in, budget, 5, nil, evalpool.New(in))
 
 		used := evalpool.New(in)
 		r := rng.New(9)
@@ -416,7 +416,7 @@ func TestFreshScratchesAreWrittenFirst(t *testing.T) {
 		for _, sc := range held {
 			used.Put(sc)
 		}
-		res, pop, _ := s.RunWithPopulationPooled(in, budget, 5, nil, nil, used)
+		res, pop := runFrom(s, in, budget, 5, nil, used)
 		if !res.Best.Equal(fresh.Best) || res.Fitness != fresh.Fitness || res.Evals != fresh.Evals {
 			t.Fatalf("%s: a pool of used scratches changed the result", tc.name)
 		}
@@ -426,4 +426,20 @@ func TestFreshScratchesAreWrittenFirst(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runFrom runs s through the resume path from pop (nil for a fresh
+// mesh), building each cell with NewState, and returns the result and
+// the final population.
+func runFrom(s *Scheduler, in *etc.Instance, budget run.Budget, seed uint64, pop []schedule.Schedule, pool *evalpool.Pool) (run.Result, []schedule.Schedule) {
+	var states []*schedule.State
+	for _, p := range pop {
+		states = append(states, schedule.NewState(in, p))
+	}
+	res, final := s.RunWithStatesPooled(in, budget, seed, nil, states, pool)
+	out := make([]schedule.Schedule, len(final))
+	for k, st := range final {
+		out[k] = st.Schedule()
+	}
+	return res, out
 }

@@ -175,11 +175,11 @@ func (e *engine) runWave(iter int, wave []int, popAt func(int) *schedule.State, 
 // initCells is the parallel population initialisation: per-cell RNG
 // streams fanned across the persistent workers. Identical results for
 // every worker count.
-func (e *engine) initCells(initial []schedule.Schedule, base schedule.Schedule, frac float64) {
+func (e *engine) initCells(base schedule.Schedule, frac float64) {
 	e.runTasks(len(e.pop), func(i int) {
 		var r rng.Source
 		r.Reseed(e.seed ^ mix(^uint64(0), uint64(i)))
-		e.initCell(i, initial, base, frac, &r)
+		e.initCell(i, base, frac, &r)
 	})
 }
 

@@ -156,13 +156,13 @@ func TestParallelAsyncRunWithPopulationDeterministic(t *testing.T) {
 	in := testInstance(25)
 	seedCfg := quickCfg()
 	seedS, _ := New(seedCfg)
-	_, popIn, _ := seedS.RunWithPopulationPooled(in, run.Budget{MaxIterations: 2}, 5, nil, nil, nil)
+	_, popIn := runFrom(seedS, in, run.Budget{MaxIterations: 2}, 5, nil, nil)
 
 	var refRes run.Result
 	var refPop []schedule.Schedule
 	for i, workers := range []int{1, 3} {
 		s, _ := New(parCfg(workers))
-		res, pop, _ := s.RunWithPopulationPooled(in, run.Budget{MaxIterations: 4}, 11, nil, popIn, nil)
+		res, pop := runFrom(s, in, run.Budget{MaxIterations: 4}, 11, popIn, nil)
 		if i == 0 {
 			refRes, refPop = res, pop
 			continue
@@ -188,7 +188,7 @@ func TestCommitSwapKeepsStatesUnaliased(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, 8} {
 			cfg := parCfg(workers)
 			cfg.Synchronous = sync
-			e := newEngine(in, cfg, 17, nil, nil, run.Budget{MaxIterations: 6}, nil)
+			e := newEngine(in, cfg, 17, nil, run.Budget{MaxIterations: 6}, nil)
 			for iter := 0; iter < 6; iter++ {
 				e.iterate(iter)
 				owner := make(map[*schedule.State]string)

@@ -2,9 +2,11 @@ package dist
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 
+	"gridcma/internal/etc"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
 )
@@ -54,23 +56,56 @@ func (cp *checkpoint) pops() [][]schedule.Schedule {
 	return out
 }
 
-func (cp *checkpoint) best() run.Result {
+// best returns the checkpointed best with its makespan, flowtime and
+// fitness recomputed from the schedule: the stored values are never
+// trusted. The schedule must have passed check.
+func (cp *checkpoint) best(in *etc.Instance, o schedule.Objective) run.Result {
 	if cp.BestSched == nil {
 		return run.Result{}
 	}
+	st := schedule.NewState(in, cp.BestSched)
 	return run.Result{
 		Best:     schedule.Schedule(cp.BestSched),
-		Fitness:  cp.BestFitness,
-		Makespan: cp.BestMakespan,
-		Flowtime: cp.BestFlowtime,
+		Fitness:  o.Of(st),
+		Makespan: st.Makespan(),
+		Flowtime: st.Flowtime(),
 	}
 }
 
+// check reports the first way cp cannot be this run's state on in with
+// a mesh of cells individuals: a negative counter, a round count its
+// digests do not match, an alive island without a full population, or a
+// population or best schedule that is not a valid schedule of in.
+func (cp *checkpoint) check(in *etc.Instance, cells int) error {
+	if cp.Round < 0 || cp.TotalIters < 0 || cp.TotalEvals < 0 || len(cp.Digests) != cp.Round {
+		return fmt.Errorf("round %d, %d iterations, %d evaluations, %d digests", cp.Round, cp.TotalIters, cp.TotalEvals, len(cp.Digests))
+	}
+	for i, pop := range cp.Pops {
+		if pop == nil && !cp.Alive[i] {
+			continue
+		}
+		if len(pop) != cells {
+			return fmt.Errorf("island %d: population of %d, want %d", i, len(pop), cells)
+		}
+		for k, s := range pop {
+			if err := schedule.Schedule(s).Validate(in); err != nil {
+				return fmt.Errorf("island %d individual %d: %w", i, k, err)
+			}
+		}
+	}
+	if cp.BestSched != nil {
+		if err := schedule.Schedule(cp.BestSched).Validate(in); err != nil {
+			return fmt.Errorf("best: %w", err)
+		}
+	}
+	return nil
+}
+
 // loadCheckpoint reads the configured checkpoint file and returns it only
-// when it belongs to this exact run (seed, islands, workers). A missing,
-// unreadable or mismatched file is not an error — the run simply starts
-// fresh.
-func (c *Coordinator) loadCheckpoint(seed uint64) (*checkpoint, bool) {
+// when it belongs to this exact run (seed, islands, workers) and holds
+// valid schedules of in. A missing, unreadable, mismatched or invalid
+// file is not an error — the run simply starts fresh.
+func (c *Coordinator) loadCheckpoint(in *etc.Instance, seed uint64) (*checkpoint, bool) {
 	if c.cfg.CheckpointPath == "" {
 		return nil, false
 	}
@@ -87,6 +122,10 @@ func (c *Coordinator) loadCheckpoint(seed uint64) (*checkpoint, bool) {
 		cp.Islands != c.cfg.Islands || cp.Workers != c.cfg.Workers ||
 		len(cp.Alive) != c.cfg.Islands || len(cp.Pops) != c.cfg.Islands {
 		c.logf("dist: checkpoint belongs to a different run, starting fresh")
+		return nil, false
+	}
+	if err := cp.check(in, c.base.Width*c.base.Height); err != nil {
+		c.logf("dist: checkpoint invalid, starting fresh: %v", err)
 		return nil, false
 	}
 	return &cp, true

@@ -1,9 +1,14 @@
-// Package dist lifts the island model across process boundaries: a
-// coordinator drives segment/migration rounds against supervised workers
-// reached over a pluggable transport (internal/transport), while keeping
-// the in-process scheduler's determinism contract — a failure-free run
-// is bit-identical to internal/island for any transport and worker
-// count, and a faulted run is a pure function of (seed, fault plan).
+// Package dist runs the island model's one round loop: a coordinator
+// drives segment/migration rounds against supervised workers reached
+// over a pluggable transport (internal/transport). The library's island
+// engine is this loop over in-process workers (InProcess); islandd
+// serves it over TCP. The determinism contract: under an iteration
+// budget a failure-free run is bit-identical, for any transport and
+// worker count, to the wholesale reference loop in this package's tests
+// (every mesh rebuilt from its schedules at every segment), and a
+// faulted run is a pure function of (seed, fault plan). A wall-clock
+// budget is checked at round boundaries, so the run ends after the round
+// in which the time ran out.
 //
 // The design choice everything else follows from: the coordinator owns
 // every island's population, and each request carries all of it. A
@@ -169,6 +174,7 @@ type handle struct {
 type Coordinator struct {
 	cfg     Config
 	base    cma.Config
+	timeout time.Duration // per call; 0 = none
 	factory WorkerFactory
 
 	workers []*handle
@@ -190,7 +196,13 @@ func New(cfg Config, factory WorkerFactory) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, base: base, factory: factory}
+	return newCoordinator(cfg, base, cfg.callTimeout(), factory)
+}
+
+// newCoordinator starts the workers of a validated configuration whose
+// base cMA is base. A timeout of 0 puts no deadline on a call.
+func newCoordinator(cfg Config, base cma.Config, timeout time.Duration, factory WorkerFactory) (*Coordinator, error) {
+	c := &Coordinator{cfg: cfg, base: base, timeout: timeout, factory: factory}
 	for w := 0; w < cfg.Workers; w++ {
 		cl, err := factory(w)
 		if err != nil {
@@ -227,13 +239,24 @@ var (
 	errRestartFailed = errors.New("dist: worker restart failed")
 )
 
-// Run executes the distributed island model. The budget must be
-// iteration-based (MaxIterations > 0, MaxTime unset): wall-clock budgets
-// cannot be deterministic across transports, and determinism is the
-// contract. The context inside budget aborts the run.
+// Run executes the distributed island model within budget. An
+// iteration budget (MaxIterations) is the deterministic one: the run is
+// a pure function of (seed, fault plan) for any transport and worker
+// count. A MaxTime budget (or the deadline of the budget's context) is
+// checked at round boundaries, so a run ends after the round in which
+// its time ran out; how many rounds that is depends on the machine. A
+// cancelled context ends the run early: Run returns the best result so
+// far, with the context's error. That includes the replies of the round
+// in flight: an in-process segment the cancellation cut short still
+// answers with its best so far.
 func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run.Result, *Report, error) {
-	if budget.MaxIterations <= 0 || budget.MaxTime > 0 {
-		return run.Result{}, nil, errors.New("dist: budget must be MaxIterations-only (the determinism contract excludes wall-clock budgets)")
+	return c.run(in, budget, seed, nil)
+}
+
+// run is Run with obs called after every round.
+func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) (run.Result, *Report, error) {
+	if budget.MaxIterations < 0 || budget.MaxTime < 0 || !budget.Bounded() {
+		return run.Result{}, nil, errors.New("dist: the budget must bound the run (MaxIterations, MaxTime or a context deadline)")
 	}
 	ctx := budget.Context()
 	n := c.cfg.Islands
@@ -248,12 +271,19 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 	var best run.Result
 	totalIters := 0
 	var totalEvals int64
+	finish := func() run.Result {
+		best.Iterations = totalIters
+		best.Evals = totalEvals
+		best.Elapsed = time.Since(start)
+		best.Algorithm = fmt.Sprintf("DistIslandCMA(%d/%d)", n, c.cfg.Workers)
+		return best
+	}
 
 	// Resume from a checkpoint when one matches this run.
-	if cp, ok := c.loadCheckpoint(seed); ok {
+	if cp, ok := c.loadCheckpoint(in, seed); ok {
 		pops, alive = cp.pops(), cp.Alive
 		totalIters, totalEvals = cp.TotalIters, cp.TotalEvals
-		best = cp.best()
+		best = cp.best(in, c.base.Objective)
 		rep.Digests = cp.Digests
 		rep.Deaths = cp.Deaths
 		rep.Rounds = cp.Round
@@ -279,13 +309,10 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 	fails := make([]error, n)
 	fits := make([][]float64, n)
 
-	for totalIters < budget.MaxIterations {
-		if err := ctx.Err(); err != nil {
-			return run.Result{}, rep, err
-		}
+	for !budget.Done(totalIters, start) {
 		round := rep.Rounds
 		segIters := c.cfg.MigrationEvery
-		if totalIters+segIters > budget.MaxIterations {
+		if budget.MaxIterations > 0 && totalIters+segIters > budget.MaxIterations {
 			segIters = budget.MaxIterations - totalIters
 		}
 
@@ -318,14 +345,15 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 		wg.Wait()
 		rep.RoundMs = append(rep.RoundMs, float64(time.Since(roundStart).Microseconds())/1000)
 
-		if err := ctx.Err(); err != nil {
-			return run.Result{}, rep, err
-		}
+		cancelled := ctx.Err() != nil
 		for i := 0; i < n; i++ {
 			if !alive[i] {
 				continue
 			}
 			if fails[i] != nil {
+				if cancelled {
+					continue // the run's end, not the worker's fault
+				}
 				alive[i] = false
 				rep.Deaths = append(rep.Deaths, Death{Island: i, Round: round, Reason: fails[i].Error()})
 				c.logf("dist: island %d lost in round %d: %v (ring heals around it)", i, round, fails[i])
@@ -344,6 +372,11 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 				best = res
 			}
 		}
+		if cancelled {
+			// A segment cut short still returned its best so far; the
+			// round's partial populations are neither migrated nor saved.
+			return finish(), rep, ctx.Err()
+		}
 		if !anyAlive(alive) {
 			return run.Result{}, rep, errors.New("dist: every island lost its worker")
 		}
@@ -355,6 +388,15 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 			if err := c.saveCheckpoint(seed, rep, pops, alive, best, totalIters, totalEvals); err != nil {
 				c.logf("dist: checkpoint: %v", err)
 			}
+		}
+		if obs != nil && best.Best != nil {
+			obs(run.Progress{
+				Elapsed:   time.Since(start),
+				Iteration: totalIters,
+				Fitness:   best.Fitness,
+				Makespan:  best.Makespan,
+				Flowtime:  best.Flowtime,
+			})
 		}
 	}
 
@@ -368,12 +410,7 @@ func (c *Coordinator) Run(in *etc.Instance, budget run.Budget, seed uint64) (run
 	rep.HeartbeatMisses = c.hbMisses
 	rep.RecoveryMs = append([]float64(nil), c.recoveries...)
 	c.statsMu.Unlock()
-
-	best.Iterations = totalIters
-	best.Evals = totalEvals
-	best.Elapsed = time.Since(start)
-	best.Algorithm = fmt.Sprintf("DistIslandCMA(%d/%d)", n, c.cfg.Workers)
-	return best, rep, nil
+	return finish(), rep, ctx.Err()
 }
 
 func anyAlive(alive []bool) bool {
@@ -385,13 +422,12 @@ func anyAlive(alive []bool) bool {
 	return false
 }
 
-// migrate reproduces the in-process exchange over the alive ring: plan
-// over the alive mask, apply. It ranks each island by the fitness values
-// its worker returned with the population (SegmentResponse.Fits, checked
-// by checkSegment): the worker took them on its final States with
-// RefreshFlowtime then Objective.Of, the rule island.migrateStates uses,
-// so they are bit-identical to a fresh Objective.Evaluate and nothing is
-// re-evaluated here.
+// migrate performs the ring exchange over the alive islands: plan over
+// the alive mask, apply. It ranks each island by the fitness values its
+// worker returned with the population (SegmentResponse.Fits, checked by
+// checkSegment): the worker took them on its final States with
+// RefreshFlowtime then Objective.Of, so they are bit-identical to a
+// fresh Objective.Evaluate and nothing is re-evaluated here.
 func (c *Coordinator) migrate(pops [][]schedule.Schedule, fits [][]float64, alive []bool) {
 	island.ApplyMigration(pops, island.PlanMigration(fits, c.cfg.Migrants, alive))
 }
@@ -495,9 +531,18 @@ func (c *Coordinator) invoke(ctx context.Context, h *handle, req *transport.Requ
 func (c *Coordinator) callLocked(ctx context.Context, h *handle, req *transport.Request) (*transport.Response, error) {
 	r := *req
 	r.ID = c.callID.Add(1)
-	cctx, cancel := context.WithTimeout(ctx, c.cfg.callTimeout())
+	if c.timeout == 0 {
+		return h.client.Call(ctx, &r)
+	}
+	cctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	return h.client.Call(cctx, &r)
+	resp, err := h.client.Call(cctx, &r)
+	if err == nil && cctx.Err() != nil && ctx.Err() == nil {
+		// The reply outlived its deadline: an in-process segment the
+		// deadline cut short is not the segment's answer.
+		return nil, cctx.Err()
+	}
+	return resp, err
 }
 
 func (c *Coordinator) markDeadLocked(h *handle) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"net"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"gridcma/internal/etc"
 	"gridcma/internal/island"
 	"gridcma/internal/rng"
 	"gridcma/internal/run"
@@ -31,28 +33,13 @@ func testRig(t *testing.T) *tortureRig {
 	return rig
 }
 
-// inProcReference runs the in-process island scheduler on the rig.
-func inProcReference(t *testing.T, rig *tortureRig, iters int, seed uint64) run.Result {
-	t.Helper()
-	base, err := rig.dcfg.Spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	isl, err := island.New(island.Config{
-		Islands:        rig.dcfg.Islands,
-		MigrationEvery: rig.dcfg.MigrationEvery,
-		Migrants:       rig.dcfg.Migrants,
-		Base:           base,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return isl.Run(rig.in, run.Budget{MaxIterations: iters}, seed, nil)
-}
-
 // TestDistMatchesInProcessChannelTransport is half the determinism
 // contract: over the in-process transport, a failure-free distributed run
-// is bit-identical to the island scheduler for any worker count.
+// is bit-identical to the wholesale reference loop for any worker count.
+// The library's island engine (InProcess) is the same loop over pinned
+// workers; it is held to the reference on the rig and on three island,
+// segment and migrant counts with the default cMA, runs long enough for
+// several exchanges.
 func TestDistMatchesInProcessChannelTransport(t *testing.T) {
 	rig := testRig(t)
 	ref := inProcReference(t, rig, rig.iters, 1)
@@ -76,7 +63,7 @@ func TestDistMatchesInProcessChannelTransport(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if err := sameResult(res, ref); err != nil {
-			t.Fatalf("workers=%d diverged from in-process scheduler: %v", workers, err)
+			t.Fatalf("workers=%d diverged from the reference loop: %v", workers, err)
 		}
 		if len(rep.Survivors) != rig.dcfg.Islands {
 			t.Fatalf("workers=%d: lost islands without faults: %v", workers, rep.Survivors)
@@ -85,6 +72,43 @@ func TestDistMatchesInProcessChannelTransport(t *testing.T) {
 			digests = rep.Digests
 		} else if !sameStrings(digests, rep.Digests) {
 			t.Fatalf("workers=%d: digest trajectory depends on worker count", workers)
+		}
+	}
+
+	rigCfg, err := islandConfig(rig.dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := etc.Generate(etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High},
+		0, etc.GenerateOptions{Seed: 2, Jobs: 128, Machs: 8})
+	ring := func(islands, every, migrants int) island.Config {
+		cfg := island.DefaultConfig()
+		cfg.Islands, cfg.MigrationEvery, cfg.Migrants = islands, every, migrants
+		return cfg
+	}
+	for _, tc := range []struct {
+		in    *etc.Instance
+		cfg   island.Config
+		iters int
+		seed  uint64
+	}{
+		{rig.in, rigCfg, rig.iters, 1},
+		{big, ring(2, 2, 1), 8, 1},
+		{big, ring(4, 3, 2), 12, 7},
+		{big, ring(5, 2, 3), 10, 42},
+	} {
+		want, err := runWholesale(tc.in, tc.cfg, tc.iters, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewInProcess(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.Run(tc.in, run.Budget{MaxIterations: tc.iters}, tc.seed, nil)
+		if err := sameResult(got, want); err != nil {
+			t.Errorf("in-process %d islands, every %d, %d migrants, seed %d: %v",
+				tc.cfg.Islands, tc.cfg.MigrationEvery, tc.cfg.Migrants, tc.seed, err)
 		}
 	}
 }
@@ -128,7 +152,7 @@ func TestDistMatchesInProcessTCPTransport(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if err := sameResult(res, ref); err != nil {
-			t.Fatalf("workers=%d over TCP diverged from in-process scheduler: %v", workers, err)
+			t.Fatalf("workers=%d over TCP diverged from the reference loop: %v", workers, err)
 		}
 		if len(rep.Survivors) != rig.dcfg.Islands {
 			t.Fatalf("workers=%d: lost islands without faults: %v", workers, rep.Survivors)
@@ -336,9 +360,10 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestBudgetMustBeIterationOnly: wall-clock budgets cannot be
-// deterministic across transports, so Run refuses them.
-func TestBudgetMustBeIterationOnly(t *testing.T) {
+// TestMaxTimeEndsAtRoundBoundary: a wall-clock budget ends the run
+// after the round in which the time ran out, with a valid best and
+// every island's iterations counted in whole rounds.
+func TestMaxTimeEndsAtRoundBoundary(t *testing.T) {
 	rig := testRig(t)
 	pinned := NewPinnedWorker(rig.in)
 	coord, err := New(rig.dcfg, func(w int) (transport.Client, error) {
@@ -348,8 +373,59 @@ func TestBudgetMustBeIterationOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	if _, _, err := coord.Run(rig.in, run.Budget{MaxTime: time.Second}, 1); err == nil {
-		t.Fatal("expected an error for a wall-clock budget")
+	res, rep, err := coord.Run(rig.in, run.Budget{MaxTime: 50 * time.Millisecond}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Best.Validate(rig.in); err != nil {
+		t.Fatalf("best: %v", err)
+	}
+	if rep.Rounds < 1 || len(rep.Digests) != rep.Rounds || res.Iterations != rep.Rounds*rig.dcfg.MigrationEvery {
+		t.Fatalf("%d rounds, %d digests, %d iterations: not whole rounds of %d", rep.Rounds, len(rep.Digests), res.Iterations, rig.dcfg.MigrationEvery)
+	}
+	if len(rep.Survivors) != rig.dcfg.Islands {
+		t.Fatalf("lost islands without faults: %v", rep.Survivors)
+	}
+	if _, _, err := coord.Run(rig.in, run.Budget{}, 1); err == nil {
+		t.Fatal("an unbounded budget was accepted")
+	}
+}
+
+// TestCancelledRunReturnsBestSoFar: a run cancelled in its third round
+// returns the context's error with a valid best no worse than the best
+// of the first two rounds, and the rounds it finished.
+func TestCancelledRunReturnsBestSoFar(t *testing.T) {
+	rig := testRig(t)
+	twoRounds := 2 * rig.dcfg.MigrationEvery
+	ref := inProcReference(t, rig, twoRounds, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pinned := NewPinnedWorker(rig.in)
+	coord, err := New(rig.dcfg, func(w int) (transport.Client, error) {
+		return transport.NewLocal(transport.HandlerFunc(func(hctx context.Context, req *transport.Request) (*transport.Response, error) {
+			if req.Seg != nil && req.Seg.Round == 2 {
+				cancel()
+			}
+			return pinned.Handle(hctx, req)
+		})), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	res, rep, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters}.WithContext(ctx), 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if err := res.Best.Validate(rig.in); err != nil {
+		t.Fatalf("best so far: %v", err)
+	}
+	if res.Fitness > ref.Fitness || res.Iterations != twoRounds || rep.Rounds != 2 {
+		t.Fatalf("fitness %v after %d iterations and %d rounds; want at most %v after %d iterations and 2 rounds",
+			res.Fitness, res.Iterations, rep.Rounds, ref.Fitness, twoRounds)
+	}
+	if len(rep.Deaths) != 0 {
+		t.Fatalf("cancellation was recorded as island deaths: %v", rep.Deaths)
 	}
 }
 
@@ -357,7 +433,7 @@ func TestBudgetMustBeIterationOnly(t *testing.T) {
 // Its next call fails, the supervisor restarts it through the factory,
 // and the fresh Worker, its stash empty, rebuilds its islands' meshes
 // from the shipped populations. The digests and the result must equal
-// the failure-free run's, and the result the in-process scheduler's.
+// the failure-free run's, and the result the reference loop's.
 func TestWorkerRestartBetweenRounds(t *testing.T) {
 	rig := testRig(t)
 	ref := inProcReference(t, rig, rig.iters, 1)
@@ -405,7 +481,7 @@ func TestWorkerRestartBetweenRounds(t *testing.T) {
 		t.Fatalf("a restarted worker changed the result: %v", err)
 	}
 	if err := sameResult(res, ref); err != nil {
-		t.Fatalf("diverged from the in-process scheduler: %v", err)
+		t.Fatalf("diverged from the reference loop: %v", err)
 	}
 }
 

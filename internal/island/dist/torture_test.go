@@ -8,7 +8,6 @@ import (
 
 	"gridcma/internal/config"
 	"gridcma/internal/etc"
-	"gridcma/internal/island"
 	"gridcma/internal/retry"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
@@ -141,7 +140,7 @@ func (r *tortureRig) runFaulted(plan []MsgFault, seed uint64, heartbeat bool, ti
 //     of (seed, plan);
 //   - the survivor set predicted by the predictSurvivors oracle;
 //   - for plans with no permanent death, bit-equality with the
-//     failure-free distributed run AND the in-process island scheduler —
+//     failure-free distributed run AND the wholesale reference loop —
 //     transient faults (drops, delays, duplicates, kills with successful
 //     restart) are fully absorbed by retry and supervision;
 //   - completion within the per-run timeout — degraded runs heal the
@@ -161,22 +160,16 @@ func torture(tc tortureConfig) (*tortureReport, error) {
 	}
 	const runSeed = 1
 
-	// Reference 1: the in-process island scheduler — the bytes every
+	// Reference 1: the wholesale reference loop — the bytes every
 	// failure-free distributed run must reproduce.
-	base, err := rig.dcfg.Spec.Build()
+	icfg, err := islandConfig(rig.dcfg)
 	if err != nil {
 		return nil, err
 	}
-	isl, err := island.New(island.Config{
-		Islands:        rig.dcfg.Islands,
-		MigrationEvery: rig.dcfg.MigrationEvery,
-		Migrants:       rig.dcfg.Migrants,
-		Base:           base,
-	})
+	ref, err := runWholesale(rig.in, icfg, rig.iters, runSeed)
 	if err != nil {
 		return nil, err
 	}
-	ref := isl.Run(rig.in, run.Budget{MaxIterations: rig.iters}, runSeed, nil)
 
 	// Reference 2: the failure-free distributed run and its digest
 	// trajectory.
@@ -185,9 +178,9 @@ func torture(tc tortureConfig) (*tortureReport, error) {
 		return nil, fmt.Errorf("torture: failure-free run: %w", err)
 	}
 	if err := sameResult(cleanRes, ref); err != nil {
-		return nil, fmt.Errorf("torture: failure-free dist run diverged from in-process island scheduler: %w", err)
+		return nil, fmt.Errorf("torture: failure-free dist run diverged from the reference loop: %w", err)
 	}
-	logf("torture: failure-free run matches in-process scheduler (fitness %.4f, %d rounds)", cleanRes.Fitness, cleanRep.Rounds)
+	logf("torture: failure-free run matches the reference loop (fitness %.4f, %d rounds)", cleanRes.Fitness, cleanRep.Rounds)
 
 	rep := &tortureReport{}
 	var drawn [numMsgKinds]bool

@@ -38,7 +38,8 @@ const maxInstances = 4
 // Worker serves ping and segment calls. Safe for concurrent calls (a
 // coordinator may pin several islands to one worker).
 type Worker struct {
-	pinned *etc.Instance // serve every spec with this instance (in-proc use)
+	pinned *etc.Instance  // serve every spec with this instance (in-proc use)
+	inner  *cma.Scheduler // serve every config with this engine (in-proc use)
 
 	mu        sync.Mutex
 	instances []*workerInstance // least recently used first
@@ -65,7 +66,10 @@ func NewWorker() *Worker {
 
 // NewPinnedWorker returns a worker bound to one in-memory instance,
 // served whatever the request's spec says. The in-process transport uses
-// it to share the coordinator's instance directly.
+// it to share the coordinator's instance directly. The in-process island
+// engine (InProcess) pins its built cMA too, which then serves in place
+// of the request's config: a cma.Config with custom operators has no
+// wire form.
 func NewPinnedWorker(in *etc.Instance) *Worker {
 	return &Worker{pinned: in}
 }
@@ -125,7 +129,7 @@ func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport
 	case transport.KindPing:
 		return &transport.Response{ID: req.ID}, nil
 	case transport.KindSegment:
-		seg, err := w.segment(req.Seg)
+		seg, err := w.segment(ctx, req.Seg)
 		if err != nil {
 			return &transport.Response{ID: req.ID, Err: err.Error()}, nil
 		}
@@ -142,8 +146,10 @@ func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport
 // Objective.Evaluate of Pop[k], the ranking the coordinator migrates
 // by). The mesh comes from the island's stash entry, re-targeted at
 // req.Pop, or is built from req.Pop when there is no usable entry; a
-// non-final segment stashes the mesh it ends with.
-func (w *Worker) segment(req *transport.SegmentRequest) (*transport.SegmentResponse, error) {
+// non-final segment stashes the mesh it ends with. A cancelled ctx cuts
+// the segment short, as it cuts any cMA run short: the reply is then the
+// segment's best so far.
+func (w *Worker) segment(ctx context.Context, req *transport.SegmentRequest) (*transport.SegmentResponse, error) {
 	if req == nil {
 		return nil, fmt.Errorf("segment call without a segment body")
 	}
@@ -159,14 +165,17 @@ func (w *Worker) segment(req *transport.SegmentRequest) (*transport.SegmentRespo
 			return nil, fmt.Errorf("dist: individual %d: %v", i, err)
 		}
 	}
-	base, err := req.Config.Build()
-	if err != nil {
-		return nil, fmt.Errorf("dist: config: %v", err)
+	inner := w.inner
+	if inner == nil {
+		base, err := req.Config.Build()
+		if err != nil {
+			return nil, fmt.Errorf("dist: config: %v", err)
+		}
+		if inner, err = cma.New(base); err != nil {
+			return nil, fmt.Errorf("dist: config: %v", err)
+		}
 	}
-	inner, err := cma.New(base)
-	if err != nil {
-		return nil, fmt.Errorf("dist: config: %v", err)
-	}
+	base := inner.Config()
 	cells := base.Width * base.Height
 	if n := len(req.Pop); n != 0 && n != cells {
 		return nil, fmt.Errorf("dist: population of %d for a %d-cell mesh", n, cells)
@@ -187,7 +196,7 @@ func (w *Worker) segment(req *transport.SegmentRequest) (*transport.SegmentRespo
 			states[k].RefreshFlowtime()
 		}
 	}
-	res, states := inner.RunWithStatesPooled(wi.in, run.Budget{MaxIterations: req.Iters}, req.Seed, nil, states, wi.pool)
+	res, states := inner.RunWithStatesPooled(wi.in, run.Budget{MaxIterations: req.Iters}.WithContext(ctx), req.Seed, nil, states, wi.pool)
 	out := &transport.SegmentResponse{
 		Fitness:  res.Fitness,
 		Makespan: res.Makespan,

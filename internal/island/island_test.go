@@ -1,4 +1,4 @@
-package island
+package island_test
 
 import (
 	"testing"
@@ -7,6 +7,8 @@ import (
 	"gridcma/internal/cma"
 	"gridcma/internal/etc"
 	"gridcma/internal/evalpool"
+	"gridcma/internal/island"
+	"gridcma/internal/island/dist"
 	"gridcma/internal/localsearch"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
@@ -17,36 +19,39 @@ func testInstance() *etc.Instance {
 		0, etc.GenerateOptions{Seed: 2, Jobs: 128, Machs: 8})
 }
 
-func fastCfg() Config {
-	cfg := DefaultConfig()
+func fastCfg() island.Config {
+	cfg := island.DefaultConfig()
 	cfg.Base.LocalSearch = localsearch.SampledLMCTS{Samples: 16}
 	cfg.Base.LSIterations = 2
 	return cfg
 }
 
 func TestValidate(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.Islands = 1 },
-		func(c *Config) { c.MigrationEvery = 0 },
-		func(c *Config) { c.Migrants = 0 },
-		func(c *Config) { c.Migrants = c.Base.Width * c.Base.Height },
-		func(c *Config) { c.Base.Width = 0 },
+	bad := []func(*island.Config){
+		func(c *island.Config) { c.Islands = 1 },
+		func(c *island.Config) { c.MigrationEvery = 0 },
+		func(c *island.Config) { c.Migrants = 0 },
+		func(c *island.Config) { c.Migrants = c.Base.Width * c.Base.Height },
+		func(c *island.Config) { c.Base.Width = 0 },
 	}
 	for i, f := range bad {
-		cfg := DefaultConfig()
+		cfg := island.DefaultConfig()
 		f(&cfg)
-		if _, err := New(cfg); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+		if _, err := dist.NewInProcess(cfg); err == nil {
+			t.Errorf("case %d accepted by the engine", i)
+		}
 	}
-	if _, err := New(DefaultConfig()); err != nil {
+	if _, err := dist.NewInProcess(island.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunImprovesAndIsValid(t *testing.T) {
 	in := testInstance()
-	s, err := New(fastCfg())
+	s, err := dist.NewInProcess(fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +103,7 @@ func TestSegmentSharedPoolMatchesPrivate(t *testing.T) {
 
 func TestDeterministicDespiteParallelism(t *testing.T) {
 	in := testInstance()
-	s, _ := New(fastCfg())
+	s, _ := dist.NewInProcess(fastCfg())
 	a := s.Run(in, run.Budget{MaxIterations: 15}, 9, nil)
 	b := s.Run(in, run.Budget{MaxIterations: 15}, 9, nil)
 	if a.Fitness != b.Fitness || !a.Best.Equal(b.Best) {
@@ -109,7 +114,6 @@ func TestDeterministicDespiteParallelism(t *testing.T) {
 func TestMigrationSpreadsBestIndividuals(t *testing.T) {
 	in := testInstance()
 	cfg := fastCfg()
-	s, _ := New(cfg)
 	// Build synthetic populations: island 0 holds one excellent
 	// individual, the rest are terrible everywhere.
 	popSize := cfg.Base.Width * cfg.Base.Height
@@ -123,7 +127,7 @@ func TestMigrationSpreadsBestIndividuals(t *testing.T) {
 		}
 	}
 	pops[0][3] = good.Clone()
-	s.migrate(in, pops)
+	migrate(in, cfg, pops)
 	// Island 1 must now contain the good individual.
 	found := false
 	for _, p := range pops[1] {
@@ -150,7 +154,7 @@ func TestMigrationSpreadsBestIndividuals(t *testing.T) {
 
 func TestTimeBudgetRespected(t *testing.T) {
 	in := testInstance()
-	s, _ := New(fastCfg())
+	s, _ := dist.NewInProcess(fastCfg())
 	start := time.Now()
 	res := s.Run(in, run.Budget{MaxTime: 200 * time.Millisecond}, 1, nil)
 	if time.Since(start) > 3*time.Second {
@@ -163,7 +167,7 @@ func TestTimeBudgetRespected(t *testing.T) {
 
 func TestObserverMonotone(t *testing.T) {
 	in := testInstance()
-	s, _ := New(fastCfg())
+	s, _ := dist.NewInProcess(fastCfg())
 	var fits []float64
 	s.Run(in, run.Budget{MaxIterations: 20}, 3, func(p run.Progress) {
 		fits = append(fits, p.Fitness)
@@ -182,7 +186,7 @@ func TestIterationBudgetNotExceededPerIsland(t *testing.T) {
 	in := testInstance()
 	cfg := fastCfg()
 	cfg.MigrationEvery = 7
-	s, _ := New(cfg)
+	s, _ := dist.NewInProcess(cfg)
 	res := s.Run(in, run.Budget{MaxIterations: 10}, 1, nil) // not a multiple of 7
 	if res.Iterations != 10 {
 		t.Errorf("iterations %d, want exactly 10 (7 + truncated 3)", res.Iterations)
@@ -195,6 +199,6 @@ func TestUnboundedBudgetPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s, _ := New(fastCfg())
+	s, _ := dist.NewInProcess(fastCfg())
 	s.Run(testInstance(), run.Budget{}, 1, nil)
 }

@@ -1,60 +1,18 @@
-package island
+package island_test
 
 import (
 	"math"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"gridcma/internal/cma"
 	"gridcma/internal/etc"
 	"gridcma/internal/evalpool"
+	"gridcma/internal/island"
 	"gridcma/internal/rng"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
 )
-
-// TestStatesPathMatchesWholesale is the cache-aware migration pin: the
-// live-State resume path (Run: cma adopts warm States, migrants
-// applied via SetScheduleDiff) must be bit-identical to the historical
-// wholesale path (populations exported as schedules, every State rebuilt
-// per segment). Runs long enough for several exchanges, across seeds and
-// island counts.
-func TestStatesPathMatchesWholesale(t *testing.T) {
-	in := testInstance()
-	for _, tc := range []struct {
-		islands, every, migrants, iters int
-		seed                            uint64
-	}{
-		{2, 2, 1, 8, 1},
-		{4, 3, 2, 12, 7},
-		{5, 2, 3, 10, 42},
-	} {
-		cfg := DefaultConfig()
-		cfg.Islands = tc.islands
-		cfg.MigrationEvery = tc.every
-		cfg.Migrants = tc.migrants
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		budget := run.Budget{MaxIterations: tc.iters}
-		got := s.Run(in, budget, tc.seed, nil)
-		want := s.runWholesale(in, budget, tc.seed, nil)
-		if !got.Best.Equal(want.Best) {
-			t.Errorf("%+v: best schedules differ between states and wholesale paths", tc)
-		}
-		if got.Fitness != want.Fitness || got.Makespan != want.Makespan || got.Flowtime != want.Flowtime {
-			t.Errorf("%+v: metrics differ: states (%v %v %v) wholesale (%v %v %v)",
-				tc, got.Fitness, got.Makespan, got.Flowtime, want.Fitness, want.Makespan, want.Flowtime)
-		}
-		if got.Evals != want.Evals || got.Iterations != want.Iterations {
-			t.Errorf("%+v: evals/iters differ: %d/%d vs %d/%d",
-				tc, got.Evals, got.Iterations, want.Evals, want.Iterations)
-		}
-	}
-}
 
 // TestPlanMigrationMatchesLegacyRing checks the planner against the
 // historical exchange rule directly: with all islands alive, island i's m
@@ -65,8 +23,8 @@ func TestPlanMigrationMatchesLegacyRing(t *testing.T) {
 		{9, 7, 8, 6}, // ranked: 3,1,2,0
 		{5, 5, 5, 5}, // all tied
 	}
-	moves := PlanMigration(fits, 2, nil)
-	want := []Move{
+	moves := island.PlanMigration(fits, 2, nil)
+	want := []island.Move{
 		{Src: 0, SrcIdx: 1, Dst: 1, DstIdx: 0},
 		{Src: 0, SrcIdx: 2, Dst: 1, DstIdx: 2},
 		{Src: 1, SrcIdx: 3, Dst: 2, DstIdx: 3},
@@ -95,8 +53,8 @@ func TestPlanMigrationHealsRing(t *testing.T) {
 		{6, 5},
 	}
 	alive := []bool{true, false, true, true}
-	moves := PlanMigration(fits, 1, alive)
-	want := []Move{
+	moves := island.PlanMigration(fits, 1, alive)
+	want := []island.Move{
 		{Src: 0, SrcIdx: 0, Dst: 2, DstIdx: 0}, // 0 skips dead 1, lands on 2
 		{Src: 2, SrcIdx: 1, Dst: 3, DstIdx: 0},
 		{Src: 3, SrcIdx: 1, Dst: 0, DstIdx: 1},
@@ -110,43 +68,67 @@ func TestPlanMigrationHealsRing(t *testing.T) {
 		}
 	}
 
-	solo := PlanMigration([][]float64{{1, 2}, nil, nil}, 1, []bool{true, false, false})
+	solo := island.PlanMigration([][]float64{{1, 2}, nil, nil}, 1, []bool{true, false, false})
 	if len(solo) != 0 {
 		t.Fatalf("sole survivor produced moves %v", solo)
 	}
-	none := PlanMigration([][]float64{nil, nil}, 1, []bool{false, false})
+	none := island.PlanMigration([][]float64{nil, nil}, 1, []bool{false, false})
 	if len(none) != 0 {
 		t.Fatalf("empty ring produced moves %v", none)
 	}
 }
 
 // TestSegmentSeedMatchesHistoricalDerivation pins the wire-visible seed
-// rule to the constants the in-process scheduler has always used.
+// rule to the constants the island model has always used.
 func TestSegmentSeedMatchesHistoricalDerivation(t *testing.T) {
 	seed := uint64(12345)
 	for _, c := range []struct{ island, iters int }{{0, 0}, {3, 10}, {7, 95}} {
 		want := seed ^ (uint64(c.island)+1)*0x9e3779b97f4a7c15 ^ uint64(c.iters)*0xbf58476d1ce4e5b9
-		if got := SegmentSeed(seed, c.island, c.iters); got != want {
+		if got := island.SegmentSeed(seed, c.island, c.iters); got != want {
 			t.Errorf("SegmentSeed(%d,%d,%d) = %x, want %x", seed, c.island, c.iters, got, want)
 		}
 	}
 }
 
-// Segment runs one migration segment through the schedule path: segIters
-// iterations of the base cMA seeded from pop (nil for the first
-// segment's fresh mesh), returning the segment result, the evolved
-// population and each individual's fitness (fits[k] is bit-identical to
-// base.Objective.Evaluate of out[k], the ranking migrateStates uses). It
-// builds every cell from its schedule, as a distributed worker does
-// without a stashed mesh, so the tests below pin the stateless unit of
-// work the worker's cached path must reproduce.
+// Segment runs one migration segment from schedules: segIters
+// iterations of the base cMA on a mesh built cell by cell from pop
+// (NewState per schedule; nil for the first segment's fresh mesh),
+// returning the segment result, the evolved population and each
+// individual's fitness (fits[k] is bit-identical to
+// base.Objective.Evaluate of out[k], the ranking migration uses). It is
+// what a worker does without a stashed mesh, so the tests below pin the
+// stateless unit of work the worker's cached path must reproduce.
 func Segment(in *etc.Instance, base cma.Config, segIters int, islandSeed uint64, pop []schedule.Schedule, pool *evalpool.Pool) (res run.Result, out []schedule.Schedule, fits []float64, err error) {
 	inner, err := cma.New(base)
 	if err != nil {
 		return run.Result{}, nil, nil, err
 	}
-	res, out, fits = inner.RunWithPopulationPooled(in, run.Budget{MaxIterations: segIters}, islandSeed, nil, pop, pool)
+	var states []*schedule.State
+	for _, s := range pop {
+		states = append(states, schedule.NewState(in, s))
+	}
+	res, states = inner.RunWithStatesPooled(in, run.Budget{MaxIterations: segIters}, islandSeed, nil, states, pool)
+	out = make([]schedule.Schedule, len(states))
+	fits = make([]float64, len(states))
+	for k, st := range states {
+		out[k] = st.Schedule()
+		st.RefreshFlowtime()
+		fits[k] = base.Objective.Of(st)
+	}
 	return res, out, fits, nil
+}
+
+// migrate is the wholesale exchange: each island's Migrants best
+// individuals, ranked by a fresh Objective.Evaluate, replace its ring
+// successor's worst.
+func migrate(in *etc.Instance, cfg island.Config, pops [][]schedule.Schedule) {
+	fits := make([][]float64, len(pops))
+	for i, pop := range pops {
+		for _, s := range pop {
+			fits[i] = append(fits[i], cfg.Base.Objective.Evaluate(in, s))
+		}
+	}
+	island.ApplyMigration(pops, island.PlanMigration(fits, cfg.Migrants, nil))
 }
 
 // TestSegmentIsIdempotent: the distributed worker's unit of work must
@@ -156,7 +138,7 @@ func TestSegmentIsIdempotent(t *testing.T) {
 	in := testInstance()
 	cfg := cma.DefaultConfig()
 	pool := evalpool.New(in)
-	seed := SegmentSeed(99, 1, 5)
+	seed := island.SegmentSeed(99, 1, 5)
 	res1, pop1, fits1, err := Segment(in, cfg, 3, seed, nil, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -177,11 +159,11 @@ func TestSegmentIsIdempotent(t *testing.T) {
 		}
 	}
 	// And resuming from that population is idempotent too.
-	res3, _, fits3, err := Segment(in, cfg, 3, SegmentSeed(99, 1, 8), pop1, pool)
+	res3, _, fits3, err := Segment(in, cfg, 3, island.SegmentSeed(99, 1, 8), pop1, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res4, _, fits4, err := Segment(in, cfg, 3, SegmentSeed(99, 1, 8), pop2, pool)
+	res4, _, fits4, err := Segment(in, cfg, 3, island.SegmentSeed(99, 1, 8), pop2, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +197,7 @@ func TestSegmentFitsMatchEvaluate(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			var pop []schedule.Schedule
 			for seg := 0; seg < 2; seg++ {
-				_, out, fits, err := Segment(in, base, 2, SegmentSeed(seed, 0, 2*seg), pop, pool)
+				_, out, fits, err := Segment(in, base, 2, island.SegmentSeed(seed, 0, 2*seg), pop, pool)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,8 +215,7 @@ func TestSegmentFitsMatchEvaluate(t *testing.T) {
 	}
 }
 
-// --- Benchmarks: the before/after of cache-aware migration, and the
-// alloc-guarded migrant-apply hot path. ---
+// --- Benchmark: the alloc-guarded migrant-apply hot path. ---
 
 func benchInstance(b *testing.B) *etc.Instance {
 	spec, err := etc.ParseGenSpec("256x16:c_hihi:s3")
@@ -246,42 +227,6 @@ func benchInstance(b *testing.B) *etc.Instance {
 		b.Fatal(err)
 	}
 	return in
-}
-
-func benchConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Islands = 4
-	cfg.MigrationEvery = 2
-	cfg.Migrants = 2
-	return cfg
-}
-
-// BenchmarkIslandRunWholesale is the historical path: States rebuilt from
-// schedules at every segment boundary, scan caches cold after migration.
-func BenchmarkIslandRunWholesale(b *testing.B) {
-	in := benchInstance(b)
-	s, err := New(benchConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.runWholesale(in, run.Budget{MaxIterations: 8}, 11, nil)
-	}
-}
-
-// BenchmarkIslandRunDiff is the cache-aware path: live States adopted
-// across segments, migrants applied through SetScheduleDiff.
-func BenchmarkIslandRunDiff(b *testing.B) {
-	in := benchInstance(b)
-	s, err := New(benchConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(in, run.Budget{MaxIterations: 8}, 11, nil)
-	}
 }
 
 // BenchmarkMigrantApply is the alloc-guarded migrant-application hot
@@ -307,85 +252,4 @@ func BenchmarkMigrantApply(b *testing.B) {
 			st.SetScheduleDiff(orig)
 		}
 	}
-}
-
-// runWholesale is the historical schedule-resume loop: every segment
-// exports populations as plain schedules and the next rebuilds each State
-// from scratch. It is the reference the cache-aware Run is pinned
-// bit-identical against (TestStatesPathMatchesWholesale) and the baseline
-// of the migration benchmark; the distributed workers run the equivalent
-// of this path one segment at a time.
-func (s *Scheduler) runWholesale(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result {
-	if !budget.Bounded() {
-		panic("island: unbounded budget")
-	}
-	pool := evalpool.New(in)
-	start := time.Now()
-	n := s.cfg.Islands
-	pops := make([][]schedule.Schedule, n) // nil until first segment
-	results := make([]run.Result, n)
-
-	var best run.Result
-	totalIters := 0
-	var totalEvals int64
-
-	for !budget.Done(totalIters, start) {
-		segIters := s.cfg.MigrationEvery
-		if budget.MaxIterations > 0 && totalIters+segIters > budget.MaxIterations {
-			segIters = budget.MaxIterations - totalIters
-		}
-		segBudget := run.Budget{MaxIterations: segIters}.WithContext(budget.Context())
-		if budget.MaxTime > 0 {
-			remaining := budget.MaxTime - time.Since(start)
-			if remaining <= 0 {
-				break
-			}
-			segBudget.MaxTime = remaining
-		}
-
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				defer wg.Done()
-				islandSeed := SegmentSeed(seed, i, totalIters)
-				res, pop, _ := s.inner.RunWithPopulationPooled(in, segBudget, islandSeed, nil, pops[i], pool)
-				results[i] = res
-				pops[i] = pop
-			}(i)
-		}
-		wg.Wait()
-
-		for i := 0; i < n; i++ {
-			totalEvals += results[i].Evals
-			if results[i].Better(best) {
-				best = results[i]
-			}
-		}
-		totalIters += segIters
-		s.migrate(in, pops)
-	}
-
-	best.Iterations = totalIters
-	best.Evals = totalEvals
-	best.Elapsed = time.Since(start)
-	best.Algorithm = s.Name()
-	return best
-}
-
-// migrate copies each island's Migrants best individuals to its ring
-// successor, replacing the successor's worst individuals. This is the
-// wholesale-schedule form of the exchange, shared with the distributed
-// coordinator via PlanMigration/ApplyMigration.
-func (s *Scheduler) migrate(in *etc.Instance, pops [][]schedule.Schedule) {
-	o := s.cfg.Base.Objective
-	fits := make([][]float64, len(pops))
-	for i, pop := range pops {
-		f := make([]float64, len(pop))
-		for k, sched := range pop {
-			f[k] = o.Evaluate(in, sched)
-		}
-		fits[i] = f
-	}
-	ApplyMigration(pops, PlanMigration(fits, s.cfg.Migrants, nil))
 }

@@ -1,12 +1,14 @@
-// Segment primitives shared by the in-process Scheduler and the
-// distributed engine (internal/island/dist): the per-segment seed rule
-// and the ring exchange. A segment is a pure function of (instance, base
-// config, iteration count, seed, population). A distributed worker may
-// keep an island's live States between segments, but only as a cache it
+// Segment primitives of the island model's one round loop (the
+// coordinator of internal/island/dist): the per-segment seed rule and
+// the ring exchange. A segment is a pure function of (instance, base
+// config, iteration count, seed, population). A worker may keep an
+// island's live States between segments, but only as a cache it
 // re-targets at the shipped population, so re-running a segment — on a
 // restarted worker, after a duplicated delivery, on a different host —
 // always yields the same result, which is what makes retries and warm
-// restarts free of coordination.
+// restarts free of coordination. The test-only wholesale loop in the
+// dist package, which rebuilds every State from its schedule at every
+// segment, is the reference the round loop is pinned against.
 package island
 
 import (
@@ -16,9 +18,9 @@ import (
 )
 
 // SegmentSeed derives island i's RNG seed for the segment starting at
-// iteration totalIters. It is the one seed-derivation rule shared by the
-// in-process scheduler and every distributed worker: same (seed, island,
-// offset) → same stream, wherever the segment runs.
+// iteration totalIters. It is the one seed-derivation rule of every
+// segment: same (seed, island, offset) → same stream, wherever the
+// segment runs.
 func SegmentSeed(seed uint64, island, totalIters int) uint64 {
 	return seed ^ (uint64(island)+1)*0x9e3779b97f4a7c15 ^ uint64(totalIters)*0xbf58476d1ce4e5b9
 }
@@ -51,9 +53,8 @@ func rankByFitness(fits []float64) []int {
 // replacement). fits[i] holds island i's per-individual fitness values;
 // alive[i]==false (or a nil fits[i]) heals the ring around a dead island
 // — its population neither sends nor receives, and its neighbours splice
-// together. A nil alive slice means all islands are alive, which
-// reproduces the historical in-process exchange exactly. A sole survivor
-// exchanges with nobody.
+// together. A nil alive slice means all islands are alive. A sole
+// survivor exchanges with nobody.
 func PlanMigration(fits [][]float64, m int, alive []bool) []Move {
 	n := len(fits)
 	isAlive := func(i int) bool {
@@ -94,7 +95,7 @@ func PlanMigration(fits [][]float64, m int, alive []bool) []Move {
 
 // ApplyMigration executes a Move list over schedule populations: sources
 // are cloned first, then written over their victims. Shared by the
-// wholesale in-process path and the distributed coordinator.
+// coordinator and its test-only wholesale reference.
 func ApplyMigration(pops [][]schedule.Schedule, moves []Move) {
 	migs := make([]schedule.Schedule, len(moves))
 	for k, mv := range moves {

@@ -1,10 +1,10 @@
 // Package transport is the pluggable RPC layer of the distributed island
 // engine (internal/island/dist): a coordinator calls workers through the
 // Client interface, workers serve through Handler, and the two concrete
-// transports — the in-process Local client for tests and single-machine
-// determinism work, and the TCP JSONL connection for real multi-process
-// runs (cmd/islandd) — carry the exact same protocol, so a run's result
-// can never depend on which one it rode over.
+// transports — the in-process Local client, which the library's island
+// engine and the tests run on, and the TCP JSONL connection for real
+// multi-process runs (cmd/islandd) — carry the exact same protocol, so a
+// run's result can never depend on which one it rode over.
 //
 // The protocol is deliberately tiny: a ping (liveness) and a segment
 // call. A segment request is a pure function description — instance
