@@ -14,8 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"gridcma/internal/etc"
-	"gridcma/internal/island"
 	"gridcma/internal/rng"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
@@ -37,9 +35,9 @@ func testRig(t *testing.T) *tortureRig {
 // contract: over the in-process transport, a failure-free distributed run
 // is bit-identical to the wholesale reference loop for any worker count.
 // The library's island engine (InProcess) is the same loop over pinned
-// workers; it is held to the reference on the rig and on three island,
-// segment and migrant counts with the default cMA, runs long enough for
-// several exchanges.
+// workers; it is held to the reference on the rig here, and on three
+// island, segment and migrant counts by the island package's
+// TestStatesPathMatchesWholesale.
 func TestDistMatchesInProcessChannelTransport(t *testing.T) {
 	rig := testRig(t)
 	ref := inProcReference(t, rig, rig.iters, 1)
@@ -75,41 +73,16 @@ func TestDistMatchesInProcessChannelTransport(t *testing.T) {
 		}
 	}
 
-	rigCfg, err := islandConfig(rig.dcfg)
+	cfg, err := islandConfig(rig.dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := etc.Generate(etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High},
-		0, etc.GenerateOptions{Seed: 2, Jobs: 128, Machs: 8})
-	ring := func(islands, every, migrants int) island.Config {
-		cfg := island.DefaultConfig()
-		cfg.Islands, cfg.MigrationEvery, cfg.Migrants = islands, every, migrants
-		return cfg
+	p, err := NewInProcess(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		in    *etc.Instance
-		cfg   island.Config
-		iters int
-		seed  uint64
-	}{
-		{rig.in, rigCfg, rig.iters, 1},
-		{big, ring(2, 2, 1), 8, 1},
-		{big, ring(4, 3, 2), 12, 7},
-		{big, ring(5, 2, 3), 10, 42},
-	} {
-		want, err := runWholesale(tc.in, tc.cfg, tc.iters, tc.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewInProcess(tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := p.Run(tc.in, run.Budget{MaxIterations: tc.iters}, tc.seed, nil)
-		if err := sameResult(got, want); err != nil {
-			t.Errorf("in-process %d islands, every %d, %d migrants, seed %d: %v",
-				tc.cfg.Islands, tc.cfg.MigrationEvery, tc.cfg.Migrants, tc.seed, err)
-		}
+	if err := sameResult(p.Run(rig.in, run.Budget{MaxIterations: rig.iters}, 1, nil), ref); err != nil {
+		t.Errorf("in-process engine diverged from the reference loop: %v", err)
 	}
 }
 

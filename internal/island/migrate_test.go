@@ -9,10 +9,83 @@ import (
 	"gridcma/internal/etc"
 	"gridcma/internal/evalpool"
 	"gridcma/internal/island"
+	"gridcma/internal/island/dist"
 	"gridcma/internal/rng"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
 )
+
+// TestStatesPathMatchesWholesale is the cache-aware migration pin: the
+// island engine's live-State resume path (dist.InProcess: each island's
+// mesh kept by its worker across segments, migrants applied via
+// SetScheduleDiff) must be bit-identical to the wholesale path
+// (populations exported as schedules, every State rebuilt per segment by
+// Segment). Runs long enough for several exchanges, across seeds and
+// island counts.
+func TestStatesPathMatchesWholesale(t *testing.T) {
+	in := testInstance()
+	for _, tc := range []struct {
+		islands, every, migrants, iters int
+		seed                            uint64
+	}{
+		{2, 2, 1, 8, 1},
+		{4, 3, 2, 12, 7},
+		{5, 2, 3, 10, 42},
+	} {
+		cfg := island.DefaultConfig()
+		cfg.Islands = tc.islands
+		cfg.MigrationEvery = tc.every
+		cfg.Migrants = tc.migrants
+		s, err := dist.NewInProcess(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.Run(in, run.Budget{MaxIterations: tc.iters}, tc.seed, nil)
+		want := runWholesale(t, in, cfg, tc.iters, tc.seed)
+		if !got.Best.Equal(want.Best) {
+			t.Errorf("%+v: best schedules differ between states and wholesale paths", tc)
+		}
+		if got.Fitness != want.Fitness || got.Makespan != want.Makespan || got.Flowtime != want.Flowtime {
+			t.Errorf("%+v: metrics differ: states (%v %v %v) wholesale (%v %v %v)",
+				tc, got.Fitness, got.Makespan, got.Flowtime, want.Fitness, want.Makespan, want.Flowtime)
+		}
+		if got.Evals != want.Evals || got.Iterations != want.Iterations {
+			t.Errorf("%+v: evals/iters differ: %d/%d vs %d/%d",
+				tc, got.Evals, got.Iterations, want.Evals, want.Iterations)
+		}
+	}
+}
+
+// runWholesale runs the island model for iters iterations through the
+// schedule path: each round runs every island's segment with Segment,
+// then exchanges migrants with migrate.
+func runWholesale(t *testing.T, in *etc.Instance, cfg island.Config, iters int, seed uint64) run.Result {
+	t.Helper()
+	pool := evalpool.New(in)
+	pops := make([][]schedule.Schedule, cfg.Islands) // nil until the first segment
+	var best run.Result
+	var evals int64
+	done := 0
+	for done < iters {
+		segIters := min(cfg.MigrationEvery, iters-done)
+		for i := range pops {
+			res, out, _, err := Segment(in, cfg.Base, segIters, island.SegmentSeed(seed, i, done), pops[i], pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evals += res.Evals
+			if res.Better(best) {
+				best = res
+			}
+			pops[i] = out
+		}
+		done += segIters
+		migrate(in, cfg, pops)
+	}
+	best.Iterations = done
+	best.Evals = evals
+	return best
+}
 
 // TestPlanMigrationMatchesLegacyRing checks the planner against the
 // historical exchange rule directly: with all islands alive, island i's m
