@@ -167,7 +167,60 @@ func goldenRuns(t *testing.T) []goldenCase {
 		}
 		note(name, res)
 	}
+
+	// Each engine that the 3-iteration cases leave on its seed
+	// heuristic's schedule, at an equal evaluation budget: 19,200
+	// evaluations, which is 100 SA sweeps of 2×96 proposals. Each
+	// engine's iterations are that budget over its evaluations per
+	// iteration. By then every engine has left its seed except
+	// goldenSeedExceptions.
+	for _, e := range goldenEngines {
+		for _, seed := range []uint64{1, 7} {
+			s, err := gridcma.New(e.alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(context.Background(), small,
+				gridcma.WithMaxIterations(goldenEngineEvals/e.evalsPerIter), gridcma.WithSeed(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			note(goldenEngineCase(e.alg, seed), res)
+		}
+	}
 	return cases
+}
+
+// goldenEngineEvals is the evaluation budget of the appended engine cases.
+const goldenEngineEvals = 19200
+
+// goldenEngines lists the engines the appended cases run, with each one's
+// evaluations per iteration on 96×8 and the heuristic that seeds it. A
+// Braun GA generation evaluates its 200 offspring; a steady-state step
+// (gsa, ss-ga, struggle-ga) one; an SA sweep makes 2×96 proposals, and
+// an sa-sweep sweep scores the 7 other machines for each of its 192.
+var goldenEngines = []struct {
+	alg          string
+	evalsPerIter int
+	seed         string
+}{
+	{"braun-ga", 200, "minmin"},
+	{"gsa", 1, "minmin"},
+	{"sa", 2 * 96, "minmin"},
+	{"sa-sweep", 2 * 96 * 7, "minmin"},
+	{"ss-ga", 1, "ljfr-sjfr"},
+	{"struggle-ga", 1, "ljfr-sjfr"},
+}
+
+// goldenSeedExceptions names the appended cases allowed to equal their
+// seed heuristic's schedule. SA at seed 1 never accepts a walk that
+// beats Min-Min: its temperature starts at 0.1 of the seed's fitness and
+// cools by 0.9 a sweep, and no state it visits improves on Min-Min before
+// it freezes (the probe that found this ran 10,000 sweeps).
+var goldenSeedExceptions = map[string]bool{"sa/96x8/seed1/evals19200": true}
+
+func goldenEngineCase(alg string, seed uint64) string {
+	return alg + "/96x8/seed" + strconv.FormatUint(seed, 10) + "/evals" + strconv.Itoa(goldenEngineEvals)
 }
 
 // TestGoldenSchedules locks the exact output of every engine. Schedules
@@ -221,6 +274,47 @@ func TestGoldenSchedules(t *testing.T) {
 		if !closeRel(w.Fitness, g.Fitness) || !closeRel(w.Flowtime, g.Flowtime) {
 			t.Errorf("%s: fitness/flowtime (%v, %v), golden (%v, %v)",
 				w.Name, g.Fitness, g.Flowtime, w.Fitness, w.Flowtime)
+		}
+	}
+}
+
+// TestGoldenEnginesLeaveTheirSeed checks the recorded appended engine
+// cases: each engine's two seeds differ from each other, and each differs
+// from its seed heuristic's one-shot schedule unless goldenSeedExceptions
+// names it. A case that sat on its seed would pin only the heuristic.
+func TestGoldenEnginesLeaveTheirSeed(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded []goldenCase
+	if err := json.Unmarshal(data, &recorded); err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]gridcma.Schedule{}
+	for _, c := range recorded {
+		byName[c.Name] = c.Schedule
+	}
+	small := generate(t, 96, 8, 7)
+	for _, e := range goldenEngines {
+		h, err := gridcma.Heuristic(e.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeded := h(small)
+		s1, ok1 := byName[goldenEngineCase(e.alg, 1)]
+		s7, ok7 := byName[goldenEngineCase(e.alg, 7)]
+		if !ok1 || !ok7 {
+			t.Fatalf("%s: appended cases missing from the golden file", e.alg)
+		}
+		if s1.Equal(s7) {
+			t.Errorf("%s: seeds 1 and 7 record the same schedule", e.alg)
+		}
+		for seed, got := range map[uint64]gridcma.Schedule{1: s1, 7: s7} {
+			name := goldenEngineCase(e.alg, seed)
+			if got.Equal(seeded) != goldenSeedExceptions[name] {
+				t.Errorf("%s: equals its %s seed = %v, want %v", name, e.seed, got.Equal(seeded), goldenSeedExceptions[name])
+			}
 		}
 	}
 }
