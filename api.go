@@ -62,7 +62,7 @@ type (
 	GAVariant = ga.Variant
 	// LocalSearchMethod is a bounded improvement procedure (LM, SLM,
 	// LMCTS, ...). Implement it to plug a custom memetic component into
-	// the cMA (see examples/customop).
+	// the cMA (see ExampleNewCMA).
 	LocalSearchMethod = localsearch.Method
 	// Selector, Crossover and Mutator are the variation operators.
 	Selector  = operators.Selector

@@ -86,9 +86,7 @@
 // without mutating the state, bit-identical to applying the move,
 // evaluating and reverting. Sweep evaluation batches whole candidate
 // neighborhoods over shared partial results: FitnessAfterMoveSweep
-// scores moving one job to every machine in one pass, the step-level
-// swap scan (BeginSwapScan/BestPartner) emits the post-swap completions
-// of one job against every partner in a single pass, and the cached
+// scores moving one job to every machine in one pass, and the cached
 // move-probe context keeps the top completions so batches of unrelated
 // probes skip the per-probe tree walks. Every sweep value equals its
 // scalar probe bit for bit. Cached-scan evaluation (State.Scans →
@@ -107,8 +105,9 @@
 // bound, and a partner's own-machine cost is loaded only at the pairs a
 // row reaches. A lexicographic (value, SPT position, id) update keeps the
 // winner independent of the visiting order, so the pass is bit-identical
-// to the full sweep — an LMCTS commit-then-query costs about 3.4 µs at
-// 512×16, the full sweep about 58 µs. The local searches (LM, SLM,
+// to the full sweep the tests keep as its reference — an LMCTS
+// commit-then-query costs about 3.4 µs at 512×16, the full sweep about
+// 58 µs. The local searches (LM, SLM,
 // LMCTS), SA and tabu search score candidates with the hottest
 // applicable mode and commit only accepted steps — their hot loops
 // allocate nothing and run several times faster than the historical

@@ -46,7 +46,13 @@ func goldenRuns(t *testing.T) []goldenCase {
 		t.Fatal(err)
 	}
 	var cases []goldenCase
-	note := func(name string, res gridcma.Result) {
+	note := func(name string, in *gridcma.Instance, res gridcma.Result) {
+		// Whatever the stored metrics' last bits, an engine reports what
+		// its best schedule evaluates to.
+		if ms, ft, fit := gridcma.Evaluate(in, res.Best); ms != res.Makespan || ft != res.Flowtime || fit != res.Fitness {
+			t.Errorf("%s: reports (%v, %v, %v), its best evaluates to (%v, %v, %v)",
+				name, res.Makespan, res.Flowtime, res.Fitness, ms, ft, fit)
+		}
 		cases = append(cases, goldenCase{
 			Name:     name,
 			Schedule: res.Best,
@@ -78,7 +84,7 @@ func goldenRuns(t *testing.T) []goldenCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				note(alg+"/"+spec.name+"/seed"+strconv.FormatUint(seed, 10), res)
+				note(alg+"/"+spec.name+"/seed"+strconv.FormatUint(seed, 10), spec.in, res)
 			}
 		}
 	}
@@ -111,7 +117,7 @@ func goldenRuns(t *testing.T) []goldenCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		note("cma-par/96x8/seed3/w"+strconv.Itoa(workers), res)
+		note("cma-par/96x8/seed3/w"+strconv.Itoa(workers), small, res)
 	}
 
 	// Every local-search method through the sequential cMA, so the LM /
@@ -130,7 +136,7 @@ func goldenRuns(t *testing.T) []goldenCase {
 		// run.Result and the public Result are the same type, so the
 		// internal engine's output notes directly.
 		res := sched.Run(small, run.Budget{MaxIterations: 3}, 5, nil)
-		note("cma-ls-"+ls+"/96x8/seed5", res)
+		note("cma-ls-"+ls+"/96x8/seed5", small, res)
 	}
 
 	// Appended after the frozen 38: the trajectory-changing variants,
@@ -165,7 +171,7 @@ func goldenRuns(t *testing.T) []goldenCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		note(name, res)
+		note(name, small, res)
 	}
 
 	// Each engine that the 3-iteration cases leave on its seed
@@ -185,7 +191,7 @@ func goldenRuns(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			note(goldenEngineCase(e.alg, seed), res)
+			note(goldenEngineCase(e.alg, seed), small, res)
 		}
 	}
 	return cases
@@ -202,7 +208,7 @@ const goldenEngineEvals = 19200
 var goldenEngines = []struct {
 	alg          string
 	evalsPerIter int
-	seed         string
+	heuristic    string
 }{
 	{"braun-ga", 200, "minmin"},
 	{"gsa", 1, "minmin"},
@@ -225,9 +231,10 @@ func goldenEngineCase(alg string, seed uint64) string {
 
 // TestGoldenSchedules locks the exact output of every engine. Schedules
 // and makespans must match bit-for-bit; fitness and flowtime allow a
-// relative slack of 1e-12 (the best-tracker records them from a running
-// floating-point accumulator whose last-ulp history is not part of the
-// behavioral contract).
+// relative slack of 1e-12, because the stored values were recorded when
+// the best-tracker read them from a running floating-point accumulator.
+// A run now reports what its best schedule evaluates to, bit for bit
+// (goldenRuns checks that).
 func TestGoldenSchedules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is minutes of engine time under -race")
@@ -297,7 +304,7 @@ func TestGoldenEnginesLeaveTheirSeed(t *testing.T) {
 	}
 	small := generate(t, 96, 8, 7)
 	for _, e := range goldenEngines {
-		h, err := gridcma.Heuristic(e.seed)
+		h, err := gridcma.Heuristic(e.heuristic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +320,7 @@ func TestGoldenEnginesLeaveTheirSeed(t *testing.T) {
 		for seed, got := range map[uint64]gridcma.Schedule{1: s1, 7: s7} {
 			name := goldenEngineCase(e.alg, seed)
 			if got.Equal(seeded) != goldenSeedExceptions[name] {
-				t.Errorf("%s: equals its %s seed = %v, want %v", name, e.seed, got.Equal(seeded), goldenSeedExceptions[name])
+				t.Errorf("%s: equals its %s seed = %v, want %v", name, e.heuristic, got.Equal(seeded), goldenSeedExceptions[name])
 			}
 		}
 	}
@@ -348,13 +355,16 @@ func frontierDigest(res run.Result) string {
 // the wave executor, seed 1) for 2 iterations, on the float64 and the float32
 // backing, at Workers 1 and 2. The schedule, makespan and flowtime bits
 // must equal the recorded digest, so a change to the evaluation layer
-// that moves any bit of the search fails here.
+// that moves any bit of the search fails here. The flowtime is the fresh
+// evaluation's: the float64 digest was re-recorded when the best-tracker
+// stopped reporting its running accumulator, from the same schedule and
+// makespan.
 func TestFrontierGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 16384x256 instances and eight cMA iterations: seconds of engine time")
 	}
 	for _, c := range []struct{ spec, want string }{
-		{"16384x256:c_hihi:s1", "4f002fab6b80a8385b787f5bf35162a7ea555b1f4d68fa188c36026521e740b4"},
+		{"16384x256:c_hihi:s1", "9c1b8a9ced2ad12a93da0c3e7e90130505d631dcb75df8a163f1967657a35402"},
 		{"16384x256:c_hihi:s1:f32", "174dd0249d763be362d640531821985482510eb4f696f3eecd6ea70b53d0d4d2"},
 	} {
 		gs, err := etc.ParseGenSpec(c.spec)

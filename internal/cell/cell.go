@@ -178,8 +178,6 @@ type SweepOrder interface {
 	// sweep wraps to a new pass (regenerating itself if the policy says
 	// so).
 	Next() int
-	// Reset restarts the sweep from the beginning of a fresh pass.
-	Reset()
 	// Name returns the paper's acronym: FLS, FRS or NRS.
 	Name() string
 }
@@ -269,7 +267,6 @@ func (l *lineSweep) Next() int {
 	return i
 }
 
-func (l *lineSweep) Reset()       { l.pos = 0 }
 func (l *lineSweep) Name() string { return "FLS" }
 
 type randSweep struct {
@@ -290,13 +287,6 @@ func (s *randSweep) Next() int {
 		}
 	}
 	return i
-}
-
-func (s *randSweep) Reset() {
-	s.pos = 0
-	if !s.fixed {
-		s.perm = s.r.Perm(len(s.perm))
-	}
 }
 
 func (s *randSweep) Name() string {

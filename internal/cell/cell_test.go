@@ -226,16 +226,6 @@ func TestNRSChangesPermutation(t *testing.T) {
 	}
 }
 
-func TestSweepReset(t *testing.T) {
-	for _, o := range []Order{FLS, FRS, NRS} {
-		s := NewSweep(o, 9, rng.New(4))
-		s.Next()
-		s.Next()
-		s.Reset()
-		coversAll(t, s, 9) // full pass must still be a permutation
-	}
-}
-
 func TestPanmicticSharesOneSlice(t *testing.T) {
 	g := NewGrid(4, 4)
 	nb := NewNeighborhood(g, Panmictic)

@@ -246,25 +246,6 @@ func (pt *Partition) Order() []int {
 	return out
 }
 
-// Independent reports whether cells a and b may be updated concurrently:
-// neither lies in the other's neighborhood and they are distinct.
-func (pt *Partition) Independent(a, b int) bool {
-	if a == b {
-		return false
-	}
-	for _, c := range pt.nbOf[a] {
-		if c == b {
-			return false
-		}
-	}
-	for _, c := range pt.nbOf[b] {
-		if c == a {
-			return false
-		}
-	}
-	return true
-}
-
 // PlanWaves groups an ordered sequence of cell draws (repeats allowed)
 // into execution waves, reusing waves' backing storage. Each wave's draws
 // touch pairwise-independent cells, and a draw is always placed in a later

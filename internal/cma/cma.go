@@ -383,8 +383,8 @@ func (e *engine) initCell(i int, base schedule.Schedule, frac float64, r *rng.So
 
 func (e *engine) refreshBest() {
 	for i, f := range e.fit {
-		if !e.best.Ok() || f < e.best.Fitness() {
-			e.best.Note(e.pop[i], f)
+		if !e.best.Ok() || f < e.best.Threshold() {
+			e.best.Note(e.pop[i], e.cfg.Objective, f)
 		}
 	}
 }
@@ -512,7 +512,7 @@ func (e *engine) replace(c int, s *evalpool.Scratch, f float64) {
 	}
 	e.pop[c], s.St = s.St, e.pop[c]
 	e.fit[c] = f
-	e.best.Note(e.pop[c], f)
+	e.best.Note(e.pop[c], e.cfg.Objective, f)
 }
 
 // iterateAsync runs one asynchronous iteration per Algorithm 1: the

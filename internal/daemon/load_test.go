@@ -2,16 +2,13 @@ package daemon
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
 	"gridcma/internal/eventlog"
-	"gridcma/internal/retry"
 	"gridcma/internal/rng"
 )
 
@@ -52,48 +49,34 @@ type loadClient struct {
 	rej429 uint64
 }
 
-// errBackpressure tags a 429 so the retry policy keeps waiting it out.
-var errBackpressure = errors.New("daemon: backpressure (429)")
-
-// post sends one JSON request, honouring backpressure through the shared
-// retry policy: a 429 is waited out — the advertised Retry-After, capped
-// by Policy.Max so the driver keeps pace with short admission windows,
-// 100ms when the server names no delay — and retried without bound;
-// every other failure is permanent. The well-behaved-client half of the
-// bounded-queue contract.
+// post sends one JSON request and waits out backpressure: a 429 is
+// retried without bound after backpressureWait, and every other failure
+// is returned. The well-behaved-client half of the bounded-queue
+// contract.
 func (lc *loadClient) post(path string, body, out any) error {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	p := retry.Policy{
-		MaxAttempts: -1, // backpressure can outlast any fixed budget
-		Initial:     100 * time.Millisecond,
-		Max:         250 * time.Millisecond,
-		Jitter:      -1, // keep the driver's pacing deterministic
-	}
-	return p.Do(context.Background(), func(int) error {
+	for {
 		resp, err := http.Post(lc.base+path, "application/json", bytes.NewReader(b))
 		if err != nil {
-			return retry.Permanent(err)
+			return err
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			lc.rej429++
-			wait, ok := retry.ParseRetryAfter(resp.Header.Get("Retry-After"))
-			if !ok || wait <= 0 {
-				wait = 100 * time.Millisecond
+		if resp.StatusCode != http.StatusTooManyRequests {
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("POST %s: %s", path, resp.Status)
 			}
-			return retry.After(errBackpressure, wait)
+			if out == nil {
+				return nil
+			}
+			return json.NewDecoder(resp.Body).Decode(out)
 		}
-		if resp.StatusCode != http.StatusOK {
-			return retry.Permanent(fmt.Errorf("POST %s: %s", path, resp.Status))
-		}
-		if out == nil {
-			return nil
-		}
-		return retry.Permanent(json.NewDecoder(resp.Body).Decode(out))
-	})
+		resp.Body.Close()
+		lc.rej429++
+		time.Sleep(backpressureWait(resp.Header.Get("Retry-After")))
+	}
 }
 
 func (lc *loadClient) mustPost(path string, body, out any) {

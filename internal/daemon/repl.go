@@ -169,10 +169,6 @@ func (d *Daemon) Role() string {
 	return "primary"
 }
 
-// ReplicaLag returns the follower's last observed event lag behind its
-// primary (0 on a primary).
-func (d *Daemon) ReplicaLag() uint64 { return d.replLag.Load() }
-
 // fenceBy latches the read-only demotion after observing term t above
 // our own. The node does NOT adopt t — the term belongs to the new
 // primary; claiming it would recreate the split brain fencing exists to
@@ -295,12 +291,6 @@ func (d *Daemon) CommitReplicated() error {
 		return d.walFile.Sync()
 	}
 	return nil
-}
-
-// FlushWAL makes every applied event visible to WAL readers.
-func (d *Daemon) FlushWAL() error {
-	_, _, err := d.flushApplied(0)
-	return err
 }
 
 // flushApplied flushes the WAL and returns the applied sequence number

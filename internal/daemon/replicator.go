@@ -322,10 +322,6 @@ func (r *Replicator) bootstrapLocked(ctx context.Context) error {
 	return nil
 }
 
-// BootstrapSeq returns the applied sequence number of the last snapshot
-// bootstrap (0 = never bootstrapped; the follower's log starts at 1).
-func (r *Replicator) BootstrapSeq() uint64 { return r.bootSeq.Load() }
-
 // Run starts the pull loop: Step until stopped, sleeping Poll between
 // caught-up rounds and backing off (via the retry policy's schedule)
 // after errors. Divergence and other permanent errors latch the daemon

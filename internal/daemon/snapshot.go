@@ -113,12 +113,6 @@ func (g *Grid) Snapshot() *Snapshot {
 	return s
 }
 
-// WriteSnapshot writes the grid as one JSON document.
-func (g *Grid) WriteSnapshot(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(g.Snapshot())
-}
-
 // Restore rebuilds a grid from a snapshot and verifies the stored digest
 // against the rebuilt state — a restore that would diverge from the
 // snapshotted grid fails loudly instead of drifting silently. The check
@@ -283,13 +277,8 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 	return err
 }
 
-// WriteSnapshotFile atomically persists the grid's snapshot to path.
-func (g *Grid) WriteSnapshotFile(path string) error {
-	return SaveSnapshot(g.Snapshot(), path)
-}
-
 // LoadSnapshotFile restores a grid from a snapshot file written by
-// WriteSnapshotFile (digest-verified). A missing file returns
+// SaveSnapshot (digest-verified). A missing file returns
 // os.ErrNotExist, which restart logic treats as "replay the log from
 // scratch".
 func LoadSnapshotFile(path string) (*Grid, error) {

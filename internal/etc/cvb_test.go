@@ -78,7 +78,7 @@ func TestCVBGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := in.MatrixDigest(); hex.EncodeToString(got[:]) != c.want {
+		if got := matrixDigest(in); hex.EncodeToString(got[:]) != c.want {
 			t.Errorf("case %d: digest %x, want %s", i, got, c.want)
 		}
 	}
@@ -127,7 +127,7 @@ func TestCVBConsistencyTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cons.IsConsistent() {
+	if !isConsistent(cons) {
 		t.Error("consistent CVB instance not consistent")
 	}
 	semi, _ := GenerateCVB("s", CVBOptions{Jobs: 60, Machs: 8, TaskMean: 100,

@@ -14,7 +14,6 @@ package etc
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gridcma/internal/rng"
 )
@@ -159,7 +158,7 @@ func ParseClass(name string) (Class, int, error) {
 // evaluation kernels walk one machine's job list at a time, and the
 // sampled LMCTS reads random jobs' entries on the critical machine; both
 // then read one column instead of one row per job. Everything outside
-// the storage — At and Set, the text format, MatrixDigest, Validate's
+// the storage — At and Set, the text format, Validate's
 // messages and every generator's draw order — speaks of the logical
 // (job, machine) matrix, which is row-major.
 type Instance struct {
@@ -414,46 +413,6 @@ func checkEntries[E etcElem](etc []E, jobs, machs int, name string) error {
 		}
 	}
 	return nil
-}
-
-// IsConsistent reports whether the matrix is consistent: the machine speed
-// order is identical in every row.
-func (in *Instance) IsConsistent() bool {
-	if in.Jobs == 0 {
-		return true
-	}
-	order := make([]int, in.Machs)
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(a, b int) bool { return in.At(0, order[a]) < in.At(0, order[b]) })
-	for i := 1; i < in.Jobs; i++ {
-		for k := 0; k+1 < len(order); k++ {
-			if in.At(i, order[k]) > in.At(i, order[k+1]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Clone returns a deep copy of the instance (including derived fields).
-func (in *Instance) Clone() *Instance {
-	out := &Instance{Name: in.Name, Jobs: in.Jobs, Machs: in.Machs}
-	if in.ETC != nil {
-		out.ETC = append([]float64(nil), in.ETC...)
-	}
-	if in.ETC32 != nil {
-		out.ETC32 = append([]float32(nil), in.ETC32...)
-	}
-	out.Ready = append([]float64(nil), in.Ready...)
-	if in.workload != nil {
-		out.workload = append([]float64(nil), in.workload...)
-	}
-	if in.speed != nil {
-		out.speed = append([]float64(nil), in.speed...)
-	}
-	return out
 }
 
 // GenerateOptions controls instance generation.

@@ -1,10 +1,7 @@
 package etc
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -327,33 +324,4 @@ func BaseStream(seed uint64, het Heterogeneity) func() float64 {
 		}
 		return q
 	}
-}
-
-// MatrixDigest returns the SHA-256 of the ETC matrix's raw entries
-// (little-endian IEEE-754 bits) in logical row order — job 0's entries in
-// machine order, then job 1's, … — whatever the storage layout: the
-// byte-identity witness of the generator's determinism contract.
-func (in *Instance) MatrixDigest() [32]byte {
-	h := sha256.New()
-	var buf [4096]byte
-	n := 0
-	for i := 0; i < in.Jobs; i++ {
-		for j := 0; j < in.Machs; j++ {
-			if in.ETC != nil {
-				binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(in.ETC[j*in.Jobs+i]))
-				n += 8
-			} else {
-				binary.LittleEndian.PutUint32(buf[n:], math.Float32bits(in.ETC32[j*in.Jobs+i]))
-				n += 4
-			}
-			if n == len(buf) {
-				h.Write(buf[:])
-				n = 0
-			}
-		}
-	}
-	h.Write(buf[:n])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
 }

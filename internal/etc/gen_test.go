@@ -106,7 +106,7 @@ func TestGenSpecGoldenDigests(t *testing.T) {
 	}
 	for spec, want := range golden {
 		in := mustGen(t, mustSpec(t, spec))
-		got := in.MatrixDigest()
+		got := matrixDigest(in)
 		if hex.EncodeToString(got[:]) != want {
 			t.Errorf("%s: digest %x, want %s", spec, got, want)
 		}
@@ -123,7 +123,7 @@ func TestGenSpecDeterminism(t *testing.T) {
 	}
 	for _, s := range specs {
 		g := mustSpec(t, s)
-		ref := mustGen(t, g).MatrixDigest()
+		ref := matrixDigest(mustGen(t, g))
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -134,7 +134,7 @@ func TestGenSpecDeterminism(t *testing.T) {
 					t.Errorf("%s: %v", s, err)
 					return
 				}
-				if in.MatrixDigest() != ref {
+				if matrixDigest(in) != ref {
 					t.Errorf("%s: concurrent regeneration produced a different matrix", s)
 				}
 			}()
@@ -143,7 +143,7 @@ func TestGenSpecDeterminism(t *testing.T) {
 		// Different seed ⇒ different matrix.
 		g2 := g
 		g2.Seed++
-		if mustGen(t, g2).MatrixDigest() == ref {
+		if matrixDigest(mustGen(t, g2)) == ref {
 			t.Errorf("%s: seed change did not change the matrix", s)
 		}
 	}
@@ -159,7 +159,7 @@ func TestGenSpecInstanceProperties(t *testing.T) {
 		if err := in.Validate(); err != nil {
 			t.Errorf("%s: %v", s, err)
 		}
-		if !in.IsConsistent() {
+		if !isConsistent(in) {
 			t.Errorf("%s: consistent class generated an inconsistent matrix", s)
 		}
 		// Finalize ran: derived fields are usable.
@@ -203,7 +203,7 @@ func TestGenerateIntoReuse(t *testing.T) {
 	if out != in || unsafe.SliceData(out.ETC) != p0 {
 		t.Error("same-shape GenerateInto reallocated the matrix")
 	}
-	if out.MatrixDigest() != mustGen(t, gB).MatrixDigest() {
+	if matrixDigest(out) != matrixDigest(mustGen(t, gB)) {
 		t.Error("GenerateInto result differs from fresh Generate")
 	}
 	if out.Name != gB.InstanceName() {

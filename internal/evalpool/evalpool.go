@@ -84,17 +84,23 @@ func (p *Pool) Put(s *Scratch) {
 // The zero value is ready to use. Not safe for concurrent use; parallel
 // engines reduce into it from one goroutine.
 type Best struct {
-	sched    schedule.Schedule
-	fit      float64
-	makespan float64
-	flowtime float64
-	ok       bool
+	sched     schedule.Schedule
+	threshold float64 // the engine's own fitness of the best
+	fit       float64
+	makespan  float64
+	flowtime  float64
+	ok        bool
 }
 
-// Note records st (with fitness fit) if it improves the tracked best,
-// reporting whether it did.
-func (b *Best) Note(st *schedule.State, fit float64) bool {
-	if b.ok && fit >= b.fit {
+// Note records st if fit, the engine's own fitness of st, improves on the
+// tracked best's, reporting whether it did. The comparison stays on the
+// engine's values, so which state is recorded never depends on the
+// reported bits. The recorded makespan, flowtime and fitness under o are
+// a fresh evaluation's of the schedule, bit for bit: the flowtime is the
+// canonical fold (State.FoldedFlowtime), not the state's running
+// accumulator, whose last bits drift over long commit sequences.
+func (b *Best) Note(st *schedule.State, o schedule.Objective, fit float64) bool {
+	if b.ok && fit >= b.threshold {
 		return false
 	}
 	if b.sched == nil {
@@ -102,15 +108,22 @@ func (b *Best) Note(st *schedule.State, fit float64) bool {
 	} else {
 		b.sched.CopyFrom(st.ScheduleView())
 	}
-	b.fit, b.makespan, b.flowtime = fit, st.Makespan(), st.Flowtime()
+	b.threshold = fit
+	b.makespan, b.flowtime = st.Makespan(), st.FoldedFlowtime()
+	b.fit = o.Combine(b.makespan, b.flowtime/float64(st.Instance().Machs))
 	b.ok = true
 	return true
 }
 
+// Threshold returns the engine's own fitness of the tracked best: the
+// value a candidate must beat for Note to record it. It can differ from
+// Fitness in the last bits.
+func (b *Best) Threshold() float64 { return b.threshold }
+
 // Ok reports whether any solution has been noted.
 func (b *Best) Ok() bool { return b.ok }
 
-// Fitness returns the best fitness noted so far.
+// Fitness returns the fitness of the best solution.
 func (b *Best) Fitness() float64 { return b.fit }
 
 // Makespan returns the makespan of the best solution.

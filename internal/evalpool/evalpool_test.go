@@ -87,7 +87,6 @@ func TestFreshScratchIsWriteOnly(t *testing.T) {
 		"Move":             func() { s.St.Move(0, 1) },
 		"Swap":             func() { s.St.Swap(0, 1) },
 		"SetScheduleDiff":  func() { s.St.SetScheduleDiff(make(schedule.Schedule, in.Jobs)) },
-		"Clone":            func() { s.St.Clone() },
 		"CopyFrom source":  func() { schedule.NewState(in, make(schedule.Schedule, in.Jobs)).CopyFrom(s.St) },
 		"FitnessAfterMove": func() { s.St.FitnessAfterMove(o, 0, 1) },
 	} {
@@ -151,24 +150,24 @@ func TestBestTracksImprovementsInPlace(t *testing.T) {
 		t.Fatal("zero Best claims a solution")
 	}
 	f0 := o.Of(st)
-	if !b.Note(st, f0) {
+	if !b.Note(st, o, f0) {
 		t.Fatal("first note must improve")
 	}
 	firstBuf := b.Schedule()
 	if !firstBuf.Equal(st.ScheduleView()) {
 		t.Fatal("snapshot mismatch")
 	}
-	if b.Note(st, f0) {
+	if b.Note(st, o, f0) {
 		t.Fatal("equal fitness must not improve")
 	}
-	if b.Note(st, f0+1) {
+	if b.Note(st, o, f0+1) {
 		t.Fatal("worse fitness must not improve")
 	}
 
 	// Mutate the state to something better and note it: the same buffer
 	// must be updated in place (no allocation per improvement).
 	prevMS := b.Makespan()
-	for k := 0; k < 2000 && o.Of(st) >= b.Fitness(); k++ {
+	for k := 0; k < 2000 && o.Of(st) >= b.Threshold(); k++ {
 		j, m := r.Intn(in.Jobs), r.Intn(in.Machs)
 		before := o.Of(st)
 		from := st.Assign(j)
@@ -177,10 +176,10 @@ func TestBestTracksImprovementsInPlace(t *testing.T) {
 			st.Move(j, from)
 		}
 	}
-	if o.Of(st) >= b.Fitness() {
+	if o.Of(st) >= b.Threshold() {
 		t.Skip("could not construct an improvement")
 	}
-	if !b.Note(st, o.Of(st)) {
+	if !b.Note(st, o, o.Of(st)) {
 		t.Fatal("improvement not recorded")
 	}
 	if &b.Schedule()[0] != &firstBuf[0] {
@@ -191,5 +190,43 @@ func TestBestTracksImprovementsInPlace(t *testing.T) {
 	}
 	if !b.Schedule().Equal(st.ScheduleView()) {
 		t.Fatal("snapshot does not match the improved state")
+	}
+}
+
+// TestBestRecordsAFreshEvaluation walks a state through random moves,
+// noting every state at its running fitness, and requires the recorded
+// makespan, flowtime and fitness to be a fresh evaluation's of the
+// recorded schedule, bit for bit, while the comparisons stay on the
+// noted values. The walk must reach states whose running flowtime
+// accumulator has drifted from the canonical fold, or it proves nothing.
+func TestBestRecordsAFreshEvaluation(t *testing.T) {
+	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
+		0, etc.GenerateOptions{Seed: 5, Jobs: 96, Machs: 8})
+	r := rng.New(11)
+	st := schedule.NewState(in, schedule.NewRandom(in, r))
+	o := schedule.DefaultObjective
+	var b Best
+	drifted := 0
+	for k := 0; k < 5000; k++ {
+		st.Move(r.Intn(in.Jobs), r.Intn(in.Machs))
+		if st.Flowtime() != st.FoldedFlowtime() {
+			drifted++
+		}
+		fit := o.Of(st)
+		rejected := b.Ok() && fit >= b.Threshold()
+		if b.Note(st, o, fit) == rejected {
+			t.Fatalf("move %d: Note(%v) against threshold %v = %v", k, fit, b.Threshold(), rejected)
+		}
+		if !rejected && b.Threshold() != fit {
+			t.Fatalf("move %d: threshold %v, noted %v", k, b.Threshold(), fit)
+		}
+		fresh := schedule.NewState(in, b.Schedule())
+		if b.Makespan() != fresh.Makespan() || b.Flowtime() != fresh.Flowtime() || b.Fitness() != o.Of(fresh) {
+			t.Fatalf("move %d: recorded (%v, %v, %v), fresh evaluation (%v, %v, %v)", k,
+				b.Makespan(), b.Flowtime(), b.Fitness(), fresh.Makespan(), fresh.Flowtime(), o.Of(fresh))
+		}
+	}
+	if drifted == 0 {
+		t.Fatal("the running flowtime never drifted from the fold: the walk checks nothing")
 	}
 }

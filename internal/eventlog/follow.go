@@ -55,10 +55,6 @@ func Follow(path string, after uint64) (*Follower, error) {
 	return &Follower{f: f, skipTo: after}, nil
 }
 
-// Seq returns the sequence number of the last record parsed (returned
-// or skipped); 0 before the first.
-func (fl *Follower) Seq() uint64 { return fl.last }
-
 // Line returns the verified record of the event Next last returned, as
 // it stands in the log without its terminator. The bytes stay valid
 // until the next call to Next; the caller copies what it keeps.

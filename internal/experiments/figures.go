@@ -36,19 +36,6 @@ func (s Series) Final() float64 {
 	return s.Points[len(s.Points)-1].Makespan
 }
 
-// At returns the mean makespan after the given iteration (clamped).
-func (s Series) At(iter int) float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	for _, p := range s.Points {
-		if p.Iteration >= iter {
-			return p.Makespan
-		}
-	}
-	return s.Final()
-}
-
 // FigureInstance is the instance the tuning figures run on. The paper
 // tunes on random ETC instances; we fix the consistent hi-hi benchmark
 // instance, whose scale matches Fig. 2's y-axis.

@@ -30,12 +30,6 @@ type Options struct {
 	Workers int
 }
 
-// Quick returns the options used by tests and examples: iteration-bounded
-// (hence deterministic) and small.
-func Quick() Options {
-	return Options{Budget: run.Budget{MaxIterations: 40}, Runs: 3, Seed: 1}
-}
-
 // Full returns the paper's protocol: 90 s wall-clock, 10 runs.
 func Full() Options {
 	return Options{Budget: run.Budget{MaxTime: 90 * time.Second}, Runs: 10, Seed: 1}

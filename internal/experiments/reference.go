@@ -97,12 +97,3 @@ func Instance(name string) *etc.Instance {
 	}
 	return in
 }
-
-// Instances returns all 12 benchmark instances in publication order.
-func Instances() []*etc.Instance {
-	var out []*etc.Instance
-	for _, n := range gridcma.BenchmarkInstanceNames() {
-		out = append(out, Instance(n))
-	}
-	return out
-}

@@ -194,12 +194,6 @@ func New(cfg Config) (*Scheduler, error) {
 	return &Scheduler{cfg: cfg}, nil
 }
 
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
-// Name identifies the algorithm in results.
-func (s *Scheduler) Name() string { return s.cfg.Variant.String() }
-
 // Run executes the GA within budget.
 func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs run.Observer) run.Result {
 	if !budget.Bounded() {
@@ -243,11 +237,11 @@ func (g *gaState) init() {
 		g.pop[i] = schedule.NewState(g.in, s)
 		g.fit[i] = g.cfg.Objective.Of(g.pop[i])
 		g.evals++
-		g.best.Note(g.pop[i], g.fit[i])
+		g.best.Note(g.pop[i], g.cfg.Objective, g.fit[i])
 	}
 	g.scratch = evalpool.New(g.in).Get()
 	if g.cfg.Variant == GSA {
-		g.temp = g.cfg.InitialTempFactor * g.best.Fitness()
+		g.temp = g.cfg.InitialTempFactor * g.best.Threshold()
 	}
 }
 
@@ -341,7 +335,7 @@ func (g *gaState) generation(indices []int) {
 		f := g.breed(indices)
 		g.next[i].CopyFrom(g.scratch.St)
 		g.nextFit[i] = f
-		g.best.Note(g.next[i], f)
+		g.best.Note(g.next[i], g.cfg.Objective, f)
 	}
 	g.pop, g.next = g.next, g.pop
 	g.fit, g.nextFit = g.nextFit, g.fit
@@ -393,6 +387,6 @@ func (g *gaState) steadyStep(indices []int) {
 	if victim >= 0 {
 		g.pop[victim].CopyFrom(g.scratch.St)
 		g.fit[victim] = f
-		g.best.Note(g.scratch.St, f)
+		g.best.Note(g.scratch.St, g.cfg.Objective, f)
 	}
 }

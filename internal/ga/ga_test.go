@@ -39,7 +39,7 @@ func TestAllVariantsRunAndImprove(t *testing.T) {
 		}
 		// Must improve on its own seed's fitness.
 		cfg := smallCfg(v)
-		seedFit := schedule.DefaultObjective.Evaluate(in, cfg.SeedHeuristic(in))
+		seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
 		if res.Fitness >= seedFit {
 			t.Errorf("%v: fitness %v did not improve on seed %v", v, res.Fitness, seedFit)
 		}
@@ -175,7 +175,7 @@ func TestGSARunsAndImproves(t *testing.T) {
 	if err := res.Best.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	seedFit := schedule.DefaultObjective.Evaluate(in, cfg.SeedHeuristic(in))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
 	if res.Fitness >= seedFit {
 		t.Errorf("GSA %v did not improve on Min-Min %v", res.Fitness, seedFit)
 	}

@@ -62,24 +62,34 @@ func resumeFrom(t testing.TB, rig *tortureRig, data []byte, iters int) (run.Resu
 }
 
 // evaluatesTo reports whether res's best schedule is valid on the rig
-// and evaluates to res's makespan, flowtime and fitness: bit for bit
-// when exact, and otherwise with the makespan bit for bit and the
-// flowtime and fitness within the relative 1e-12 the golden tests allow
-// an engine's best tracker, which records flowtime from a running
-// accumulator.
-func evaluatesTo(rig *tortureRig, res run.Result, exact bool) bool {
+// and evaluates to res's makespan, flowtime and fitness, bit for bit.
+func evaluatesTo(rig *tortureRig, res run.Result) bool {
 	if res.Best.Validate(rig.in) != nil {
 		return false
 	}
 	st := schedule.NewState(rig.in, res.Best)
-	same := func(a, b float64) bool {
-		if exact {
-			return math.Float64bits(a) == math.Float64bits(b)
-		}
-		return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return same(st.Makespan(), res.Makespan) && same(st.Flowtime(), res.Flowtime) &&
+		same(schedule.DefaultObjective.Of(st), res.Fitness)
+}
+
+// TestBestEvaluatesBitForBit is the rig's 4-iteration run, whose best
+// once reported flowtime 89622.44495859017, read from an engine's running
+// accumulator, where its schedule evaluates to 89622.44495859016. Every
+// reported metric must be what the best schedule evaluates to.
+func TestBestEvaluatesBitForBit(t *testing.T) {
+	rig := testRig(t)
+	coord := checkpointCoord(t, rig, "")
+	defer coord.Close()
+	res, _, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters / 2}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return math.Float64bits(st.Makespan()) == math.Float64bits(res.Makespan) &&
-		same(st.Flowtime(), res.Flowtime) && same(schedule.DefaultObjective.Of(st), res.Fitness)
+	if !evaluatesTo(rig, res) {
+		st := schedule.NewState(rig.in, res.Best)
+		t.Fatalf("best reports makespan %v, flowtime %v, fitness %v; its schedule evaluates to %v, %v, %v",
+			res.Makespan, res.Flowtime, res.Fitness, st.Makespan(), st.Flowtime(), schedule.DefaultObjective.Of(st))
+	}
 }
 
 // TestCorruptCheckpointStartsFresh: a checkpoint whose populations or
@@ -138,7 +148,7 @@ func TestCorruptCheckpointStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.RoundMs) != 0 || !evaluatesTo(rig, res, true) {
+	if len(rep.RoundMs) != 0 || !evaluatesTo(rig, res) {
 		t.Fatalf("ran %d rounds and reported makespan %v, flowtime %v, fitness %v for its best", len(rep.RoundMs), res.Makespan, res.Flowtime, res.Fitness)
 	}
 }
@@ -147,10 +157,8 @@ func TestCorruptCheckpointStartsFresh(t *testing.T) {
 // with a real checkpoint the rig wrote halfway through its budget, and
 // resumed with that budget. The resumed run must either fail or return a
 // valid best schedule that evaluates to the reported makespan, flowtime
-// and fitness. A run that resumed and ran no round reports what the
-// checkpoint supplied, which must evaluate bit for bit; one that ran
-// rounds (a file it refused, or one with iterations left) may report a
-// segment's best, held to the tracker's slack (evaluatesTo).
+// and fitness bit for bit, whether the checkpoint supplied it or a
+// segment found it.
 func FuzzCheckpoint(f *testing.F) {
 	rig, err := newTortureRig()
 	if err != nil {
@@ -170,11 +178,11 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add(short)
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, rep, err := resumeFrom(t, rig, data, rig.iters/2)
+		res, _, err := resumeFrom(t, rig, data, rig.iters/2)
 		if err != nil {
 			return
 		}
-		if !evaluatesTo(rig, res, len(rep.RoundMs) == 0) {
+		if !evaluatesTo(rig, res) {
 			t.Fatalf("resumed best (makespan %v, flowtime %v, fitness %v) is not what its schedule evaluates to", res.Makespan, res.Flowtime, res.Fitness)
 		}
 	})

@@ -95,7 +95,7 @@ func startTCPWorker(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go transport.Serve(ln, NewWorker())
+	go transport.NewServer(NewWorker()).Serve(ln)
 	return ln.Addr().String()
 }
 

@@ -62,7 +62,7 @@ func runWholesale(in *etc.Instance, cfg island.Config, iters int, seed uint64) (
 		fits := make([][]float64, n)
 		for i, pop := range pops {
 			for _, s := range pop {
-				fits[i] = append(fits[i], cfg.Base.Objective.Evaluate(in, s))
+				fits[i] = append(fits[i], cfg.Base.Objective.Of(schedule.NewState(in, s)))
 			}
 		}
 		island.ApplyMigration(pops, island.PlanMigration(fits, cfg.Migrants, nil))

@@ -66,7 +66,7 @@ func TestRunImprovesAndIsValid(t *testing.T) {
 		t.Errorf("name %q", res.Algorithm)
 	}
 	// Should beat its own seed heuristic.
-	seedFit := schedule.DefaultObjective.Evaluate(in, cma.DefaultConfig().SeedHeuristic(in))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cma.DefaultConfig().SeedHeuristic(in)))
 	if res.Fitness >= seedFit {
 		t.Errorf("fitness %v did not beat seed %v", res.Fitness, seedFit)
 	}

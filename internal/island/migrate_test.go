@@ -198,7 +198,7 @@ func migrate(in *etc.Instance, cfg island.Config, pops [][]schedule.Schedule) {
 	fits := make([][]float64, len(pops))
 	for i, pop := range pops {
 		for _, s := range pop {
-			fits[i] = append(fits[i], cfg.Base.Objective.Evaluate(in, s))
+			fits[i] = append(fits[i], cfg.Base.Objective.Of(schedule.NewState(in, s)))
 		}
 	}
 	island.ApplyMigration(pops, island.PlanMigration(fits, cfg.Migrants, nil))
@@ -278,7 +278,7 @@ func TestSegmentFitsMatchEvaluate(t *testing.T) {
 					t.Fatalf("%s seed %d: %d fitness values for %d individuals", in.Name, seed, len(fits), len(out))
 				}
 				for k, s := range out {
-					if want := base.Objective.Evaluate(in, s); math.Float64bits(fits[k]) != math.Float64bits(want) {
+					if want := base.Objective.Of(schedule.NewState(in, s)); math.Float64bits(fits[k]) != math.Float64bits(want) {
 						t.Fatalf("%s seed %d segment %d individual %d: fit %v, Evaluate %v", in.Name, seed, seg, k, fits[k], want)
 					}
 				}

@@ -62,11 +62,6 @@ func ByName(s string) (Method, error) {
 	}
 }
 
-// Names lists the methods available through ByName.
-func Names() []string {
-	return []string{"LM", "SLM", "LMCTS", "LMCTS-sampled", "VND", "none"}
-}
-
 // None is the identity method: a cMA with None degenerates to a cellular
 // GA, which the ablation benches exploit.
 type None struct{}
@@ -201,10 +196,10 @@ func tryCommitSwap(st *schedule.State, o schedule.Objective, cur float64, a, b i
 // cachedCriticalSwap performs one steepest swap step of the full LMCTS
 // neighborhood through the state's scan cache: the bounded pass of
 // BestCriticalSwap finds the winner — value and (a, b) pair — that the
-// full sweep finds (sweepCriticalSwap, the test reference). The swap
-// must reduce the critical completion pair strictly, and the scalarised
-// fitness must improve (checked with the speculative probe before any
-// state churn).
+// full sweep finds (SwapScan, the reference in internal/schedule's
+// tests). The swap must reduce the critical completion pair strictly, and
+// the scalarised fitness must improve (checked with the speculative probe
+// before any state churn).
 func cachedCriticalSwap(st *schedule.State, sc *schedule.ScanCache, o schedule.Objective, cur float64) (float64, bool) {
 	v, a, b := sc.BestCriticalSwap()
 	if b < 0 || v >= st.Completion(st.MakespanMachine()) {

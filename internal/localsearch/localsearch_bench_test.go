@@ -158,28 +158,9 @@ func converge(st *schedule.State, o schedule.Objective) {
 	LMCTS{}.Improve(st, o, 1<<30, nil)
 }
 
-// BenchmarkLMCTSSweep measures one full-scan LMCTS step through the
-// step-level swap scan (BeginSwapScan, then BestPartner per critical
-// job) — the unpruned formulation, retained as the reference the bounded
-// scan is measured against. BenchmarkLMCTSCachedScan vs
-// BenchmarkLMCTSSweep (steady state, same converged state shape) is the
-// bounded scan's number; BenchmarkLMCTSSweep vs
-// BenchmarkLMCTSScalarProbe remains the sweep layer's swap-side number.
-func BenchmarkLMCTSSweep(b *testing.B) {
-	st, _ := benchState(b)
-	o := schedule.DefaultObjective
-	converge(st, o)
-	lmctsSweepScan(st, o, 1) // warm the state-owned swap-scan buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lmctsSweepScan(st, o, 1)
-	}
-}
-
 // BenchmarkLMCTSCachedScan measures the shipped LMCTS through the
 // bounded critical-swap scan on the same converged 512×16 state
-// BenchmarkLMCTSSweep scans. Must report 0 allocs/op — CI runs every
+// BenchmarkLMCTSSweep (internal/schedule) scans. Must report 0 allocs/op — CI runs every
 // CachedScan benchmark with -benchtime=1x and fails otherwise.
 func BenchmarkLMCTSCachedScan(b *testing.B) {
 	st, _ := benchState(b)
@@ -192,23 +173,9 @@ func BenchmarkLMCTSCachedScan(b *testing.B) {
 	}
 }
 
-// BenchmarkLMCTSSweepLarge is the sweep reference at the 2048×64 scale,
-// where the O(critical jobs × jobs) full scan is ~65k pair evaluations
-// per iteration.
-func BenchmarkLMCTSSweepLarge(b *testing.B) {
-	st := benchStateShape(b, 2048, 64)
-	o := schedule.DefaultObjective
-	converge(st, o)
-	lmctsSweepScan(st, o, 1) // warm the state-owned swap-scan buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lmctsSweepScan(st, o, 1)
-	}
-}
-
 // BenchmarkLMCTSCachedScanLarge is the bounded scan at 2048×64, against
-// BenchmarkLMCTSSweepLarge's ~65k pairs per step, at 0 allocs/op.
+// BenchmarkLMCTSSweepLarge's (internal/schedule) ~65k pairs per step, at
+// 0 allocs/op.
 func BenchmarkLMCTSCachedScanLarge(b *testing.B) {
 	st := benchStateShape(b, 2048, 64)
 	o := schedule.DefaultObjective

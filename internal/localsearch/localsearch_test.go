@@ -112,7 +112,7 @@ func TestNoneIsIdentity(t *testing.T) {
 }
 
 func TestByNameRoundTrip(t *testing.T) {
-	for _, n := range Names() {
+	for _, n := range []string{"LM", "SLM", "LMCTS", "LMCTS-sampled", "VND", "none"} {
 		m, err := ByName(n)
 		if err != nil {
 			t.Errorf("%s: %v", n, err)

@@ -141,76 +141,6 @@ func TestLMCTSSweepMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLMCTSCachedMatchesSweepReference is the bounded scan's trajectory
-// differential: the shipped LMCTS (ScanCache.BestCriticalSwap) must walk
-// the exact trajectory of the retained unpruned full-sweep formulation —
-// every committed swap the same — across generic and tie-heavy
-// instances. Together with TestLMCTSSweepMatchesScalar this chains
-// cached == sweep == scalar.
-func TestLMCTSCachedMatchesSweepReference(t *testing.T) {
-	o := schedule.DefaultObjective
-	for i, in := range diffInstances() {
-		start := schedule.NewRandom(in, rng.New(uint64(i)+70))
-		a := schedule.NewState(in, start)
-		b := schedule.NewState(in, start.Clone())
-		for step := 0; step < 80; step++ {
-			LMCTS{}.Improve(a, o, 1, nil)
-			lmctsSweepScan(b, o, 1)
-			if !a.Schedule().Equal(b.Schedule()) {
-				t.Fatalf("instance %d step %d: cached LMCTS diverged from sweep reference", i, step)
-			}
-		}
-	}
-}
-
-// lmctsSweepScan is the pre-cache LMCTS formulation — a full batched
-// sweep of the critical neighborhood every iteration — kept as the
-// reference the cached rewrite is differentially tested and benchmarked
-// against.
-func lmctsSweepScan(st *schedule.State, o schedule.Objective, iters int) {
-	cur := o.Of(st)
-	for k := 0; k < iters; k++ {
-		f, ok := sweepCriticalSwap(st, o, cur)
-		if !ok {
-			return
-		}
-		cur = f
-	}
-}
-
-// sweepCriticalSwap performs one steepest swap step of the full LMCTS
-// neighborhood without the scan cache: the partner-side invariants are
-// captured once per step (BeginSwapScan) and every critical job folds its
-// best partner from the flat capture.
-//
-// The historical full scan walked every partner job in ascending id order
-// with a strict-< fold, so among candidates tied on max(aC, bC) the first
-// critical job in SPT order won, and for that job the smallest partner id.
-// The batched scan reproduces that winner exactly: per critical job it
-// keeps the minimum with an explicit smallest-id tie-break across the
-// machine-grouped sweeps, then folds per-job minima strictly — pinned by
-// the tie-heavy trajectory differentials in localsearch_test.go.
-func sweepCriticalSwap(st *schedule.State, o schedule.Objective, cur float64) (float64, bool) {
-	crit := st.MakespanMachine()
-	critJobs := st.JobsOn(crit)
-	if len(critJobs) == 0 {
-		return cur, false
-	}
-	bestA, bestB := -1, -1
-	bestMax := st.Completion(crit) // any accepted swap must reduce the critical completion pair
-	scan := st.BeginSwapScan(crit)
-	for _, a := range critJobs {
-		v, b := scan.BestPartner(int(a))
-		if b >= 0 && v < bestMax {
-			bestMax, bestA, bestB = v, int(a), b
-		}
-	}
-	if bestA < 0 {
-		return cur, false
-	}
-	return tryCommitSwap(st, o, cur, bestA, bestB)
-}
-
 // TestLocalSearchAllocationFree asserts the rewritten methods' hot loops
 // stay allocation-free after the state's sweep buffers warm up.
 func TestLocalSearchAllocationFree(t *testing.T) {

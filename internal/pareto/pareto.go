@@ -172,21 +172,3 @@ func (f *Front) Hypervolume(ref Vec) float64 {
 	}
 	return hv
 }
-
-// Coverage returns the fraction of solutions in g that are dominated by
-// (or equal to) at least one solution of f — the C-metric C(f, g).
-func Coverage(f, g *Front) float64 {
-	if g.Len() == 0 {
-		return 0
-	}
-	covered := 0
-	for _, b := range g.sols {
-		for _, a := range f.sols {
-			if a.Obj.Dominates(b.Obj) || a.Obj.Equal(b.Obj) {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(covered) / float64(g.Len())
-}

@@ -150,23 +150,6 @@ func TestHypervolume(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	a := NewFront(10)
-	a.Add(sched(2), Vec{1, 1})
-	b := NewFront(10)
-	b.Add(sched(2), Vec{2, 2})
-	b.Add(sched(2), Vec{0.5, 3}) // not dominated by a
-	if c := Coverage(a, b); c != 0.5 {
-		t.Fatalf("coverage %v, want 0.5", c)
-	}
-	if c := Coverage(b, a); c != 0 {
-		t.Fatalf("reverse coverage %v, want 0", c)
-	}
-	if Coverage(a, NewFront(4)) != 0 {
-		t.Fatal("empty g should give 0")
-	}
-}
-
 func testInstance() *etc.Instance {
 	return etc.Generate(etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High},
 		0, etc.GenerateOptions{Seed: 5, Jobs: 96, Machs: 8})

@@ -87,9 +87,6 @@ func NewMOCellMA(cfg MOConfig) (*MOCellMA, error) {
 	return &MOCellMA{cfg: cfg}, nil
 }
 
-// Name identifies the algorithm.
-func (m *MOCellMA) Name() string { return "MOCellMA" }
-
 // Run executes the multi-objective search within budget.
 func (m *MOCellMA) Run(in *etc.Instance, budget run.Budget, seed uint64) MOResult {
 	if !budget.Bounded() {

@@ -1,9 +1,8 @@
 // Package retry provides the context-aware retry policy shared by every
 // client-side call path that must survive transient failure: the
-// daemon's load-test client honouring 429 backpressure and the
-// distributed island engine's RPC transport. One vocabulary covers both: capped attempts,
-// jittered exponential backoff between them, and server-advertised delays
-// (Retry-After) that override the computed backoff for one round.
+// replication follower's pulls and the distributed island engine's RPC
+// transport. One vocabulary covers both: capped attempts and jittered
+// exponential backoff between them.
 //
 // Retry timing never feeds an algorithmic decision — callers' results are
 // functions of what the calls eventually return, not of when — but the
@@ -15,8 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
 	"time"
 
 	"gridcma/internal/rng"
@@ -27,13 +24,11 @@ import (
 type Policy struct {
 	// MaxAttempts bounds the total number of calls. 0 means the default
 	// (4); a negative value retries without bound (the caller's context
-	// is then the only way out — the daemon's load test uses this to
-	// wait out backpressure however long an admission window takes).
+	// is then the only way out).
 	MaxAttempts int
 	// Initial is the backoff before the second attempt (0 = 50ms).
 	Initial time.Duration
-	// Max caps every wait, computed backoff and server-advertised alike
-	// (0 = 2s).
+	// Max caps every wait (0 = 2s).
 	Max time.Duration
 	// Multiplier grows the backoff between attempts (0 = 2).
 	Multiplier float64
@@ -107,75 +102,6 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// afterError carries a server-advertised delay (Retry-After) alongside a
-// retryable error.
-type afterError struct {
-	err   error
-	after time.Duration
-}
-
-func (e *afterError) Error() string { return e.err.Error() }
-func (e *afterError) Unwrap() error { return e.err }
-
-// After marks err retryable with an explicit wait: the next backoff is
-// the advertised delay (still capped at Policy.Max) instead of the
-// exponential schedule. The 429 + Retry-After contract of the gridd API
-// maps onto it directly.
-func After(err error, wait time.Duration) error {
-	if err == nil {
-		return nil
-	}
-	return &afterError{err: err, after: wait}
-}
-
-// maxRetryAfterDate caps waits derived from Retry-After, in either form.
-// A date far in the future is overwhelmingly clock skew or a
-// misconfigured server rather than a genuine "come back in a week" —
-// honouring it literally would park a client forever on bad input. The
-// integer form gets the same cap, which also keeps a huge seconds count
-// from overflowing time.Duration into a negative wait. Policy.Max
-// applies on top of this.
-const maxRetryAfterDate = time.Hour
-
-// ParseRetryAfter parses a Retry-After header in either standard form:
-// integer seconds, or an HTTP-date (RFC 1123 and the obsolete RFC 850 /
-// ANSI C formats, per RFC 9110). A date in the past — the server wants
-// an immediate retry, or clocks are skewed the other way — reports
-// (0, true); a wait unreasonably far in the future, in either form, is
-// clamped to maxRetryAfterDate. Malformed values report ok=false like an
-// absent header, leaving the caller on its computed backoff.
-func ParseRetryAfter(header string) (time.Duration, bool) {
-	return parseRetryAfterAt(header, time.Now())
-}
-
-// parseRetryAfterAt is ParseRetryAfter against an injected clock.
-func parseRetryAfterAt(header string, now time.Time) (time.Duration, bool) {
-	if header == "" {
-		return 0, false
-	}
-	if s, err := strconv.Atoi(header); err == nil {
-		if s < 0 {
-			return 0, false
-		}
-		if s > int(maxRetryAfterDate/time.Second) {
-			return maxRetryAfterDate, true
-		}
-		return time.Duration(s) * time.Second, true
-	}
-	t, err := http.ParseTime(header)
-	if err != nil {
-		return 0, false
-	}
-	d := t.Sub(now)
-	if d < 0 {
-		return 0, true
-	}
-	if d > maxRetryAfterDate {
-		return maxRetryAfterDate, true
-	}
-	return d, true
-}
-
 // jitterSchedule returns the jittered waits the policy's seeded stream
 // would produce for n consecutive one-second base waits; tests use it to
 // pin that the stream is a pure function of Seed.
@@ -221,14 +147,9 @@ func (p Policy) Do(ctx context.Context, f func(attempt int) error) error {
 			return fmt.Errorf("retry: %d attempts exhausted: %w", attempts, err)
 		}
 		wait := backoff
-		var ae *afterError
-		if errors.As(err, &ae) {
-			wait = ae.after
-		} else {
-			backoff = time.Duration(float64(backoff) * p.multiplier())
-			if backoff > maxWait {
-				backoff = maxWait
-			}
+		backoff = time.Duration(float64(backoff) * p.multiplier())
+		if backoff > maxWait {
+			backoff = maxWait
 		}
 		if jf > 0 {
 			if jrng == nil {

@@ -139,11 +139,6 @@ func (r *Source) IntnInto(dst []int, n int) {
 	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -165,18 +160,7 @@ func (r *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
-
-// Pick returns a uniformly chosen element index from a non-empty slice
-// length n, as a convenience mirror of Intn with clearer call sites.
-func (r *Source) Pick(n int) int { return r.Intn(n) }

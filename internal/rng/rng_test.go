@@ -132,23 +132,6 @@ func TestPermPropertyQuick(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(13)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: %v", xs)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(21)
 	child := parent.Split()
@@ -186,15 +169,6 @@ func TestBoolProbability(t *testing.T) {
 	p := float64(hits) / trials
 	if math.Abs(p-0.3) > 0.01 {
 		t.Errorf("Bool(0.3) frequency %v", p)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(77)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
 	}
 }
 

@@ -111,7 +111,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	o := s.cfg.Objective
 	curFit := o.Of(cur)
 	var best evalpool.Best
-	best.Note(cur, curFit)
+	best.Note(cur, o, curFit)
 	temp := s.cfg.InitialTempFactor * curFit
 	sweep := s.cfg.SweepLength
 	if sweep == 0 {
@@ -162,7 +162,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 				if accept {
 					cur.Move(j, bestTo)
 					curFit = bestF
-					best.Note(cur, bestF)
+					best.Note(cur, o, bestF)
 				}
 				continue
 			}
@@ -180,7 +180,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 			if accept {
 				cur.Move(j, to)
 				curFit = f
-				best.Note(cur, f)
+				best.Note(cur, o, f)
 			}
 		}
 		temp *= s.cfg.Cooling

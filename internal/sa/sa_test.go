@@ -24,7 +24,7 @@ func TestRunImprovesOnSeed(t *testing.T) {
 	if err := res.Best.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	seedFit := schedule.DefaultObjective.Evaluate(in, cfg.SeedHeuristic(in))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
 	if res.Fitness >= seedFit {
 		t.Errorf("SA %v did not improve on Min-Min %v", res.Fitness, seedFit)
 	}
@@ -79,7 +79,7 @@ func TestSweepProposalsRunAndImprove(t *testing.T) {
 	if s.Name() != "SA-sweep" {
 		t.Fatalf("Name() = %q", s.Name())
 	}
-	seedFit := schedule.DefaultObjective.Evaluate(in, cfg.SeedHeuristic(in))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
 	a := s.Run(in, run.Budget{MaxIterations: 20}, 5, nil)
 	b := s.Run(in, run.Budget{MaxIterations: 20}, 5, nil)
 	if a.Fitness > seedFit {

@@ -1,7 +1,5 @@
 package schedule
 
-import "gridcma/internal/etc"
-
 // DefaultLambda is the makespan weight the paper fixed after tuning
 // (Table 1): fitness = 0.75·makespan + 0.25·mean_flowtime.
 const DefaultLambda = 0.75
@@ -26,11 +24,4 @@ func (o Objective) Of(st *State) float64 {
 // Combine scalarises explicit makespan and mean flowtime values.
 func (o Objective) Combine(makespan, meanFlowtime float64) float64 {
 	return o.Lambda*makespan + (1-o.Lambda)*meanFlowtime
-}
-
-// Evaluate computes the fitness of schedule s on instance in from scratch.
-// It allocates a throwaway State; algorithms with hot loops should keep a
-// State and use Of instead.
-func (o Objective) Evaluate(in *etc.Instance, s Schedule) float64 {
-	return o.Of(NewState(in, s))
 }

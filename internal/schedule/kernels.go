@@ -9,7 +9,9 @@ import "math"
 // machine's column once and indexes it by job. Entries are widened to
 // float64 at the load; all arithmetic downstream of the load is
 // identical for both backings. Everything else reads through At, whose
-// backing branch is one perfectly predicted test per call.
+// backing branch is one perfectly predicted test per call. The reference
+// swap scan's partner gather, gatherPartners, lives with it in
+// swapscan_test.go.
 
 type etcElem interface{ ~float32 | ~float64 }
 
@@ -17,19 +19,6 @@ type etcElem interface{ ~float32 | ~float64 }
 // jobs.
 func column[E etcElem](etc []E, n, m int) []E {
 	return etc[m*n : (m+1)*n]
-}
-
-// gatherPartners captures the partner side of critical-machine swaps
-// for partner machine m's list: u[k] = ETC[b][crit] and v[k] =
-// completion[m] − ETC[b][m] for the job b at slot k. It reads two
-// columns, crit's and m's. BeginSwapScan gathers each machine's segment
-// with it.
-func gatherPartners[E etcElem](etc []E, n, crit, m int, cm float64, jobs []int32, u, v []float64) {
-	colC, colM := column(etc, n, crit), column(etc, n, m)
-	for k, b := range jobs {
-		u[k] = float64(colC[b])
-		v[k] = cm - float64(colM[b])
-	}
 }
 
 // gatherColumn gathers u[k] = ETC[b][col] for the job b at slot k of

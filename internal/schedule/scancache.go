@@ -158,11 +158,11 @@ func (sc *ScanCache) BestCriticalSwap() (float64, int, int) {
 // jobs a, at SPT position aPos, and jobs b on m — the completion pair of
 // swapping a with b.
 //
-// Exactness. Every pair that is scored uses the arithmetic of
-// SwapScan.BestPartner's flat scan, aC = (critC − ETC[a][crit]) +
-// ETC[b][crit] and bC = (cm − ETC[b][m]) + ETC[a][m], with the same
-// operands in the same order, so every emitted float is bit-identical to
-// the full-sweep path. The historical scan folds strict-< across
+// Exactness. Every pair that is scored uses the arithmetic of the
+// reference full scan (SwapScan.BestPartner in swapscan_test.go),
+// aC = (critC − ETC[a][crit]) + ETC[b][crit] and
+// bC = (cm − ETC[b][m]) + ETC[a][m], with the same operands in the same
+// order, so every emitted float is bit-identical to the full-sweep path. The historical scan folds strict-< across
 // critical jobs (first a in SPT order wins a tie) and smallest-id within
 // one (per-a BestPartner), which is exactly the lexicographic minimum of
 // (value, aPos, b) over all pairs; folding machine after machine into

@@ -40,7 +40,7 @@ func scanInstances() []*etc.Instance {
 }
 
 // refCriticalSwap is the uncached reference: a fresh full sweep of the
-// critical neighborhood through BeginSwapScan/BestPartner (itself pinned
+// critical neighborhood through SwapScan (itself pinned
 // against the scalar pair query by sweep_test.go), folded with the
 // historical strict-< across critical jobs in SPT order.
 func refCriticalSwap(st *State) (float64, int, int) {
@@ -49,7 +49,8 @@ func refCriticalSwap(st *State) (float64, int, int) {
 	if len(critJobs) == 0 {
 		return math.Inf(1), -1, -1
 	}
-	scan := st.BeginSwapScan(crit)
+	var scan SwapScan
+	scan.Begin(st, crit)
 	best, bestA, bestB := math.Inf(1), -1, -1
 	for _, a := range critJobs {
 		if v, b := scan.BestPartner(int(a)); b >= 0 && v < best {
@@ -66,8 +67,8 @@ func refCriticalSwap(st *State) (float64, int, int) {
 // commit sequences — single moves, swaps, occasional wholesale
 // SetSchedule re-evaluations, repeated queries on an unchanged state —
 // and checks the query against the reference sweep after every step.
-// The reference runs on a mirror state so its BeginSwapScan cannot
-// share buffers with the query's scratch.
+// The reference runs on a mirror state so it shares no buffers with the
+// query's state.
 func TestCachedScanMatchesFullSweep(t *testing.T) {
 	o := DefaultObjective
 	for i, in := range scanInstances() {

@@ -267,18 +267,6 @@ func TestPerturbChangesSomething(t *testing.T) {
 	}
 }
 
-func TestObjectiveEvaluateMatchesState(t *testing.T) {
-	in := randInstance(15, 50, 6)
-	r := rng.New(16)
-	o := DefaultObjective
-	for k := 0; k < 20; k++ {
-		s := NewRandom(in, r)
-		if got, want := o.Evaluate(in, s), o.Of(NewState(in, s)); got != want {
-			t.Fatalf("Evaluate %v != Of %v", got, want)
-		}
-	}
-}
-
 // Property: after any random sequence of moves and swaps, the incremental
 // state matches a from-scratch evaluation.
 func TestIncrementalMatchesFullProperty(t *testing.T) {

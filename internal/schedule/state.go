@@ -57,7 +57,7 @@ type State struct {
 	// change to the machine's list, prefix sums, completion or flow —
 	// each refreshFrom, so Move, Swap, SetScheduleDiff and rebuild — and
 	// each InvalidateMachine draws a fresh one from the process-wide
-	// counter (nextVersion), and CopyFrom and Clone carry the source's.
+	// counter (nextVersion), and CopyFrom carries the source's.
 	// Equal versions therefore mean equal machine contents, across every
 	// State of one instance: CopyFrom copies only the machines whose
 	// versions differ, and the daemon's state digest re-hashes only the
@@ -68,10 +68,8 @@ type State struct {
 	// Output buffers of the batched sweep kernels (sweep.go), owned by
 	// the state so the stateless search methods stay allocation-free.
 	// Pure scratch: lazily grown, never read across calls, not part of
-	// the state's value (Clone starts them empty, CopyFrom leaves them
-	// alone).
+	// the state's value (CopyFrom leaves them alone).
 	sweepFit []float64
-	swapScan SwapScan
 	// scanCa holds the critical side of every pair of the critical-swap
 	// query (BestCriticalSwap), scanU the partner column of the partner
 	// machine it is scanning (bestOn).
@@ -113,8 +111,8 @@ type State struct {
 
 	// scanCache is the query layer over the sweep kernels
 	// (scancache.go), bound by Scans. Like the sweep scratch it is not
-	// part of the state's value: Clone starts it cold, and the epoch, which
-	// CopyFrom advances, makes a stale move context self-invalidating.
+	// part of the state's value: the epoch, which CopyFrom advances, makes
+	// a stale move context self-invalidating.
 	scanCache ScanCache
 }
 
@@ -362,8 +360,8 @@ func nextVersion() uint64 { return versions.Add(1) }
 // rescan over the non-exempt machines".
 //
 // The flag is part of the state's search configuration, not its value:
-// Clone carries it over, CopyFrom leaves the destination's flags alone,
-// and no epoch or version moves — the flag only narrows the scan.
+// CopyFrom leaves the destination's flags alone, and no epoch or version
+// moves — the flag only narrows the scan.
 func (st *State) SetScanExempt(m int, exempt bool) {
 	if st.scanExempt == nil {
 		if !exempt {
@@ -378,9 +376,9 @@ func (st *State) SetScanExempt(m int, exempt bool) {
 // CopyFrom and rebuild advances. MachEpoch returns machine m's content
 // version: it moves whenever the machine's contents change (or
 // InvalidateMachine is called), it is never handed out twice, and
-// CopyFrom and Clone carry it over from the source, so two machines at
-// the same index holding equal versions hold equal contents — also in
-// two different States of one instance. A cached per-machine result
+// CopyFrom carries it over from the source, so two machines at the same
+// index holding equal versions hold equal contents — also in two
+// different States of one instance. A cached per-machine result
 // computed at MachEpoch(m) stays exact while that value is unchanged.
 func (st *State) Epoch() uint64          { return st.epoch }
 func (st *State) MachEpoch(m int) uint64 { return st.machEpoch[m] }
@@ -659,25 +657,20 @@ func (st *State) InvalidateMachine(m int) {
 // advances so cached fitness contexts recapture; machine contents are
 // untouched, so no machine version moves.
 func (st *State) RefreshFlowtime() {
-	st.flowtime = 0
-	for m := range st.machFlow {
-		st.flowtime += st.machFlow[m]
-	}
+	st.flowtime = st.FoldedFlowtime()
 	st.epoch++
 }
 
-// Clone returns an independent copy of the state, carrying its epoch,
-// its machine versions and its scan-exempt flags. The per-machine lists
-// land in a freshly carved region backing — a handful of allocations
-// total, not three per machine.
-func (st *State) Clone() *State {
-	cp := NewBlankState(st.inst)
-	cp.CopyFrom(st)
-	cp.epoch = st.epoch
-	if st.scanExempt != nil {
-		cp.scanExempt = append([]bool(nil), st.scanExempt...)
+// FoldedFlowtime returns the canonical fold RefreshFlowtime stores, the
+// flowtime a fresh evaluation of the schedule reports bit for bit,
+// without touching the state: the running accumulator Flowtime reads,
+// and every probe built on it, keep their bits.
+func (st *State) FoldedFlowtime() float64 {
+	f := 0.0
+	for _, v := range st.machFlow {
+		f += v
 	}
-	return cp
+	return f
 }
 
 // CopyFrom makes st an exact copy of src (same instance), reusing

@@ -86,17 +86,18 @@ func BenchmarkFitnessAfterMoveSweep(b *testing.B) {
 }
 
 // BenchmarkSwapScanSweep measures one full critical-machine scan through
-// the step-level swap cache (BeginSwapScan + BestPartner per critical
+// the reference swap scan (SwapScan.Begin + BestPartner per critical
 // job) — the LMCTS full-neighborhood unit of work. Must report 0
 // allocs/op (enforced in CI).
 func BenchmarkSwapScanSweep(b *testing.B) {
 	st, _ := benchState(b, 512, 16)
-	st.BeginSwapScan(st.MakespanMachine()) // warm the state-owned cache
+	var scan SwapScan
+	scan.Begin(st, st.MakespanMachine()) // warm the scan's buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		crit := st.MakespanMachine()
-		scan := st.BeginSwapScan(crit)
+		scan.Begin(st, crit)
 		for _, a := range st.JobsOn(crit) {
 			scan.BestPartner(int(a))
 		}

@@ -17,10 +17,6 @@ import (
 //     are computed once and reused across all M targets, instead of once
 //     per target — the steepest local move (SLM) scans exactly this
 //     neighborhood.
-//   - SwapScan caches the partner-side terms of every swap against the
-//     critical machine, so BestPartner scores one critical job against
-//     every partner without gather loads — the reference full scan the
-//     cached critical-swap scan (scancache.go) is checked against.
 //   - moveScan caches the top machine completions of a frozen state so a
 //     batch of unrelated move probes (SA sweeps, tabu candidate scans,
 //     through ScanCache.FitnessAfterMove) skips the per-probe
@@ -31,7 +27,9 @@ import (
 // and therefore the historical apply→evaluate→revert number. The
 // differential fuzz tests in sweep_test.go pin this, including exact-tie
 // and no-op edges, and testdata/golden.json locks that no engine's accept
-// decisions moved.
+// decisions moved. The swap side of the LMCTS neighborhood has no sweep
+// here: the cached critical-swap scan (scancache.go) serves it, checked
+// against the reference full scan SwapScan in swapscan_test.go.
 //
 // The one inequality the move sweep relies on: replacing the tree query
 // "max excluding {from, to}" by "max excluding {from}" folded with the
@@ -99,112 +97,6 @@ func (st *State) FitnessAfterMoveSweep(o Objective, j int, out []float64) []floa
 		out[to] = o.Combine(mk, f/denom)
 	}
 	return out
-}
-
-// SwapScan is a frozen-state batch for critical-machine swap scans — the
-// LMCTS neighborhood, which pairs every job of the critical machine with
-// every job elsewhere. BeginSwapScan walks the non-critical machines once
-// and caches, machine-grouped, the partner-side invariants of the
-// completion pair a swap of critical job a with partner b on machine m
-// yields, aC = (completion[crit] − ETC[a][crit]) + ETC[b][crit] and
-// bC = (completion[m] − ETC[b][m]) + ETC[a][m]: u[k], the partner's cost
-// on the critical machine, and v[k], the partner machine's completion
-// with the partner removed. BestPartner then scans those flat arrays per
-// critical job — no gather loads, two additions and a max per candidate —
-// where the scalar scan re-derived both terms from the ETC matrix for
-// every (critical job, partner) pair. The scan is invalidated by any
-// mutation of the state; begin a fresh one after committing a swap.
-type SwapScan struct {
-	st   *State
-	crit int
-	u    []float64 // ETC[b_k][crit]: partner k's cost on the critical machine
-	v    []float64 // completion[m_k] − ETC[b_k][m_k]: partner k's machine without it
-	ids  []int32   // partner job ids, machine-grouped
-	segM []int32   // machine of each group
-	off  []int32   // group s covers ids[off[s]:off[s+1]]
-}
-
-// BeginSwapScan captures the partner-side swap invariants against the
-// critical machine crit. One pass over every non-critical job;
-// allocation-free after warm-up (the scan is owned by the state).
-func (st *State) BeginSwapScan(crit int) *SwapScan {
-	ss := &st.swapScan
-	ss.st, ss.crit = st, crit
-	machs := st.inst.Machs
-	u, v := ss.u[:0], ss.v[:0]
-	ids := ss.ids[:0]
-	segM, off := ss.segM[:0], ss.off[:0]
-	for m := 0; m < machs; m++ {
-		if m == crit {
-			continue
-		}
-		jobs := st.machJobs[m]
-		if len(jobs) == 0 {
-			continue
-		}
-		n := len(ids)
-		segM = append(segM, int32(m))
-		off = append(off, int32(n))
-		u = slices.Grow(u, len(jobs))[:n+len(jobs)]
-		v = slices.Grow(v, len(jobs))[:n+len(jobs)]
-		if etcs := st.inst.ETC; etcs != nil {
-			gatherPartners(etcs, st.inst.Jobs, crit, m, st.completion[m], jobs, u[n:], v[n:])
-		} else {
-			gatherPartners(st.inst.ETC32, st.inst.Jobs, crit, m, st.completion[m], jobs, u[n:], v[n:])
-		}
-		ids = append(ids, jobs...)
-	}
-	off = append(off, int32(len(ids)))
-	ss.u, ss.v, ss.ids, ss.segM, ss.off = u, v, ids, segM, off
-	return ss
-}
-
-// BestPartner returns, for critical job a, the minimum over all partner
-// jobs b of max(aC, bC) — the completion pair of swapping a with b —
-// together with the partner attaining it (-1 when no partner exists).
-// Among exact ties the smallest partner id wins, which reproduces the
-// historical ascending-id scalar scan's strict-< fold bit for bit. Each
-// emitted pair equals the scalar query's values exactly; only the max is
-// folded with a plain comparison, whose sole divergence from math.Max
-// (the sign of a zero when both halves are zeros) cannot affect any
-// comparison downstream.
-func (ss *SwapScan) BestPartner(a int) (float64, int) {
-	st := ss.st
-	best, bestB := math.Inf(1), -1
-	u, v, ids := ss.u, ss.v, ss.ids
-	if st.etc64 != nil {
-		ca := st.completion[ss.crit] - st.col(ss.crit)[a]
-		for s, m := range ss.segM {
-			w := st.col(int(m))[a]
-			for k := ss.off[s]; k < ss.off[s+1]; k++ {
-				x := ca + u[k]
-				if y := v[k] + w; y > x {
-					x = y
-				}
-				if x < best || (x == best && int(ids[k]) < bestB) {
-					best, bestB = x, int(ids[k])
-				}
-			}
-		}
-		return best, bestB
-	}
-	// Narrow backing: the critical job's entry is read once per partner
-	// machine (ca above, w below), so per-segment At dispatch costs
-	// nothing against the flat inner loop.
-	ca := st.completion[ss.crit] - st.inst.At(a, ss.crit)
-	for s, m := range ss.segM {
-		w := st.inst.At(a, int(m))
-		for k := ss.off[s]; k < ss.off[s+1]; k++ {
-			x := ca + u[k]
-			if y := v[k] + w; y > x {
-				x = y
-			}
-			if x < best || (x == best && int(ids[k]) < bestB) {
-				best, bestB = x, int(ids[k])
-			}
-		}
-	}
-	return best, bestB
 }
 
 // moveScan is a frozen-state batch of move probes: it caches the current

@@ -94,7 +94,7 @@ func TestMoveScanDifferential(t *testing.T) {
 	}
 }
 
-// TestSwapScanDifferential fuzzes the step-level swap cache against the
+// TestSwapScanDifferential fuzzes the reference swap scan against the
 // historical ascending-id scalar scan: for random critical jobs,
 // BestPartner must return the exact value and partner the strict-< fold
 // over completionAfterSwap in job-id order produced — ties included.
@@ -110,9 +110,10 @@ func TestSwapScanDifferential(t *testing.T) {
 			}
 			r := rng.New(uint64(11*sh.jobs + sh.machs))
 			st := NewState(in, NewRandom(in, r))
+			var scan SwapScan
 			for step := 0; step < 200; step++ {
 				crit := st.MakespanMachine()
-				scan := st.BeginSwapScan(crit)
+				scan.Begin(st, crit)
 				critJobs := st.JobsOn(crit)
 				for _, a := range critJobs {
 					gotV, gotB := scan.BestPartner(int(a))

@@ -65,15 +65,6 @@ func (s Summary) RelStd() float64 {
 	return s.Std / math.Abs(s.Mean)
 }
 
-// CI95 returns the half-width of the normal-approximation 95 % confidence
-// interval of the mean.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
-}
-
 // String formats the summary compactly.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f std=%.3f (%.2f%%) min=%.3f med=%.3f max=%.3f",

@@ -28,7 +28,7 @@ func TestSummarizeHandValues(t *testing.T) {
 
 func TestSummarizeSingleton(t *testing.T) {
 	s := Summarize([]float64{3})
-	if s.Mean != 3 || s.Std != 0 || s.Median != 3 || s.CI95() != 0 {
+	if s.Mean != 3 || s.Std != 0 || s.Median != 3 {
 		t.Errorf("singleton summary wrong: %+v", s)
 	}
 }
@@ -55,17 +55,6 @@ func TestRelStd(t *testing.T) {
 	}
 	if (Summary{}).RelStd() != 0 {
 		t.Error("zero mean should give 0")
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	a := Summary{N: 10, Std: 2}
-	b := Summary{N: 40, Std: 2}
-	if !(b.CI95() < a.CI95()) {
-		t.Error("CI should shrink with larger n")
-	}
-	if math.Abs(a.CI95()-1.96*2/math.Sqrt(10)) > 1e-12 {
-		t.Error("CI formula wrong")
 	}
 }
 

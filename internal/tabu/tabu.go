@@ -84,7 +84,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	o := s.cfg.Objective
 	curFit := o.Of(cur)
 	var best evalpool.Best
-	best.Note(cur, curFit)
+	best.Note(cur, o, curFit)
 
 	tenure := s.cfg.Tenure
 	if tenure == 0 {
@@ -128,7 +128,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 			f := scans.FitnessAfterMove(j, to)
 			evals++
 			tabu := tabuUntil[j*in.Machs+to] > iter
-			if tabu && f >= best.Fitness() { // aspiration only on global improvement
+			if tabu && f >= best.Threshold() { // aspiration only on global improvement
 				continue
 			}
 			if bestJ < 0 || f < bestF {
@@ -141,7 +141,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 			curFit = bestF
 			// Forbid moving the job straight back.
 			tabuUntil[bestJ*in.Machs+from] = iter + tenure
-			best.Note(cur, curFit)
+			best.Note(cur, o, curFit)
 		}
 		iter++
 		emit()

@@ -24,7 +24,7 @@ func TestRunImprovesOnSeed(t *testing.T) {
 	if err := res.Best.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	seedFit := schedule.DefaultObjective.Evaluate(in, cfg.SeedHeuristic(in))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
 	if res.Fitness >= seedFit {
 		t.Errorf("tabu %v did not improve on Min-Min %v", res.Fitness, seedFit)
 	}

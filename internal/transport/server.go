@@ -8,12 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// Server is Serve with a graceful shutdown: it tracks every accepted
-// connection and whether it is mid-call, so Shutdown can close the
-// listener, drop idle connections immediately, and let in-flight RPCs
-// finish instead of dying mid-frame. cmd/islandd fronts its worker with
-// one so SIGTERM drains segment calls rather than tearing the socket
-// out from under a coordinator.
+// Server serves a Handler over TCP with a graceful shutdown: it tracks
+// every accepted connection and whether it is mid-call, so Shutdown can
+// close the listener, drop idle connections immediately, and let
+// in-flight RPCs finish instead of dying mid-frame. cmd/islandd fronts
+// its worker with one so SIGTERM drains segment calls rather than
+// tearing the socket out from under a coordinator.
 type Server struct {
 	h Handler
 
@@ -71,9 +71,10 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// serveConn is ServeConn with per-request busy tracking and a drain
-// check between calls: once Shutdown has been requested, the connection
-// closes at the next request boundary instead of accepting more work.
+// serveConn answers requests on one connection until EOF or error, with
+// per-request busy tracking and a drain check between calls: once
+// Shutdown has been requested, the connection closes at the next request
+// boundary instead of accepting more work.
 func (s *Server) serveConn(sc *srvConn) {
 	defer sc.c.Close()
 	br := bufio.NewReader(sc.c)

@@ -225,21 +225,6 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	return line[:len(line)-1], nil
 }
 
-// Serve accepts connections until the listener closes, serving each on
-// its own goroutine with keepalives armed. It returns the accept error
-// (net.ErrClosed on a clean shutdown). For drain-on-shutdown semantics
-// use Server.
-func Serve(ln net.Listener, h Handler) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		enableKeepAlive(conn)
-		go ServeConn(conn, h)
-	}
-}
-
 // readRequest reads one framed request (header line + payload line).
 // io.EOF before the header means the peer closed cleanly between calls.
 func readRequest(br *bufio.Reader) (*Request, error) {
@@ -271,32 +256,4 @@ func writeResponse(bw *bufio.Writer, resp *Response, scratch []byte) ([]byte, er
 		pops = append(slices.Clip(resp.Seg.Pop), resp.Seg.Best)
 	}
 	return writeFrame(bw, resp, resp.Seg != nil, pops, resp.Repl, scratch)
-}
-
-// ServeConn answers requests on one connection until EOF or error. The
-// worker side of the TCP transport; cmd/islandd and the tests share it.
-func ServeConn(conn net.Conn, h Handler) error {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var scratch []byte
-	for {
-		req, err := readRequest(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		resp, herr := h.Handle(context.Background(), req)
-		if herr != nil {
-			resp = &Response{ID: req.ID, Err: herr.Error()}
-		}
-		if resp.ID == 0 {
-			resp.ID = req.ID
-		}
-		if scratch, err = writeResponse(bw, resp, scratch); err != nil {
-			return err
-		}
-	}
 }

@@ -221,7 +221,7 @@ func startServer(t *testing.T, h Handler) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go Serve(ln, h)
+	go NewServer(h).Serve(ln)
 	return ln.Addr().String()
 }
 
