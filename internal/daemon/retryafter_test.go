@@ -21,7 +21,12 @@ const (
 // 429 carrying the given Retry-After header: the advertised delay, capped
 // at loadMaxWait, or loadDefaultWait when the header names none.
 func backpressureWait(header string) time.Duration {
-	wait, ok := parseRetryAfter(header)
+	return backpressureWaitAt(header, time.Now())
+}
+
+// backpressureWaitAt is backpressureWait against an injected clock.
+func backpressureWaitAt(header string, now time.Time) time.Duration {
+	wait, ok := parseRetryAfterAt(header, now)
 	if !ok || wait <= 0 {
 		return loadDefaultWait
 	}
@@ -76,23 +81,38 @@ func parseRetryAfterAt(header string, now time.Time) (time.Duration, bool) {
 	return d, true
 }
 
-// TestBackpressureWaitHonorsRetryAfter: the advertised delay governs the
-// wait, capped at loadMaxWait however far off it is, and a header that is
-// absent, zero or malformed leaves the default wait.
+// TestBackpressureWaitHonorsRetryAfter: an advertised delay under the cap
+// is the wait, and a header that is absent, zero or malformed leaves the
+// default wait. The clock is fixed so an HTTP-date can name a delay
+// shorter than a second.
 func TestBackpressureWaitHonorsRetryAfter(t *testing.T) {
+	date := time.Date(2026, time.August, 8, 12, 0, 30, 0, time.UTC)
+	now := date.Add(-200 * time.Millisecond)
 	for _, c := range []struct {
 		header string
 		want   time.Duration
 	}{
+		{date.Format(http.TimeFormat), 200 * time.Millisecond},
 		{"", loadDefaultWait},
 		{"0", loadDefaultWait},
 		{"soon", loadDefaultWait},
-		{"1", loadMaxWait},
-		{"9999999999", loadMaxWait},
-		{time.Now().Add(time.Hour).UTC().Format(http.TimeFormat), loadMaxWait},
 	} {
-		if got := backpressureWait(c.header); got != c.want {
-			t.Errorf("backpressureWait(%q) = %v, want %v", c.header, got, c.want)
+		if got := backpressureWaitAt(c.header, now); got != c.want {
+			t.Errorf("backpressureWaitAt(%q) = %v, want %v", c.header, got, c.want)
+		}
+	}
+}
+
+// TestBackpressureWaitCapsRetryAfter: an advertised delay beyond
+// loadMaxWait is cut to it however far off it is, in either header form.
+func TestBackpressureWaitCapsRetryAfter(t *testing.T) {
+	for _, header := range []string{
+		"1",
+		"9999999999",
+		time.Now().Add(time.Hour).UTC().Format(http.TimeFormat),
+	} {
+		if got := backpressureWait(header); got != loadMaxWait {
+			t.Errorf("backpressureWait(%q) = %v, want %v", header, got, loadMaxWait)
 		}
 	}
 }
