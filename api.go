@@ -56,8 +56,6 @@ type (
 	// CMAConfig is the full configuration of the cellular memetic
 	// algorithm (the paper's Table 1 lives in DefaultCMAConfig).
 	CMAConfig = cma.Config
-	// GAConfig configures the baseline genetic algorithms.
-	GAConfig = ga.Config
 	// GAVariant selects Braun / steady-state / Struggle GA.
 	GAVariant = ga.Variant
 	// LocalSearchMethod is a bounded improvement procedure (LM, SLM,
@@ -169,7 +167,7 @@ func schedulerName(cfg CMAConfig) string {
 // NewGA builds one of the baseline genetic algorithms with its published
 // configuration.
 func NewGA(v GAVariant) (Scheduler, error) {
-	return newGAScheduler(ga.NewConfig(v).Variant.String(), v)
+	return newGAScheduler(v.String(), v)
 }
 
 // newGAScheduler is the shared GA builder: the facade names schedulers by

@@ -231,7 +231,7 @@ func serve(cfg daemon.ServerConfig, addr, snapPath string, ropts replOptions, st
 			d.Stop()
 			return err
 		}
-		go repl.Run()
+		repl.Run()
 		fmt.Fprintf(stderr, "gridd: following %s as %q (term %d, applied %d)\n",
 			ropts.Primary, id, d.Term(), d.AppliedSeq())
 	}

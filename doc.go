@@ -233,8 +233,8 @@
 // a bad one loses the island like a dead worker.
 // Every call to a worker process carries a timeout (an in-process
 // segment carries none) and a jittered exponential retry policy
-// (internal/retry, the same policy the daemon's load test uses to
-// honour 429 backpressure); transport failures mark the worker dead and the
+// (internal/retry, the policy gridd's replication follower also backs
+// off with); transport failures mark the worker dead and the
 // supervisor lazily restarts it through the worker factory at the next
 // call, re-sending the population. A heartbeat loop (detection only)
 // notices silently hung workers between rounds. When a worker exhausts

@@ -286,9 +286,10 @@ func TestGoldenSchedules(t *testing.T) {
 }
 
 // TestGoldenEnginesLeaveTheirSeed checks the recorded appended engine
-// cases: each engine's two seeds differ from each other, and each differs
-// from its seed heuristic's one-shot schedule unless goldenSeedExceptions
-// names it. A case that sat on its seed would pin only the heuristic.
+// cases and tabu's 96×8 matrix cases: each engine's two seeds differ from
+// each other, and each differs from its seed heuristic's one-shot
+// schedule unless goldenSeedExceptions names it. A case that sat on its
+// seed would pin only the heuristic.
 func TestGoldenEnginesLeaveTheirSeed(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
 	if err != nil {
@@ -302,25 +303,31 @@ func TestGoldenEnginesLeaveTheirSeed(t *testing.T) {
 	for _, c := range recorded {
 		byName[c.Name] = c.Schedule
 	}
-	small := generate(t, 96, 8, 7)
+	// Tabu has no appended cases: its 3-iteration matrix cases are
+	// checked instead.
+	type pair struct{ heuristic, seed1, seed7 string }
+	pairs := []pair{{"minmin", "tabu/96x8/seed1", "tabu/96x8/seed7"}}
 	for _, e := range goldenEngines {
-		h, err := gridcma.Heuristic(e.heuristic)
+		pairs = append(pairs, pair{e.heuristic, goldenEngineCase(e.alg, 1), goldenEngineCase(e.alg, 7)})
+	}
+	small := generate(t, 96, 8, 7)
+	for _, p := range pairs {
+		h, err := gridcma.Heuristic(p.heuristic)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seeded := h(small)
-		s1, ok1 := byName[goldenEngineCase(e.alg, 1)]
-		s7, ok7 := byName[goldenEngineCase(e.alg, 7)]
+		s1, ok1 := byName[p.seed1]
+		s7, ok7 := byName[p.seed7]
 		if !ok1 || !ok7 {
-			t.Fatalf("%s: appended cases missing from the golden file", e.alg)
+			t.Fatalf("%s, %s: missing from the golden file", p.seed1, p.seed7)
 		}
 		if s1.Equal(s7) {
-			t.Errorf("%s: seeds 1 and 7 record the same schedule", e.alg)
+			t.Errorf("%s and %s record the same schedule", p.seed1, p.seed7)
 		}
-		for seed, got := range map[uint64]gridcma.Schedule{1: s1, 7: s7} {
-			name := goldenEngineCase(e.alg, seed)
-			if got.Equal(seeded) != goldenSeedExceptions[name] {
-				t.Errorf("%s: equals its %s seed = %v, want %v", name, e.heuristic, got.Equal(seeded), goldenSeedExceptions[name])
+		for _, name := range []string{p.seed1, p.seed7} {
+			if got := byName[name].Equal(seeded); got != goldenSeedExceptions[name] {
+				t.Errorf("%s: equals its %s seed = %v, want %v", name, p.heuristic, got, goldenSeedExceptions[name])
 			}
 		}
 	}

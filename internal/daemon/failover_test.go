@@ -327,10 +327,13 @@ func runFailoverCase(cfg failoverTestConfig, c int, res *failoverTestResult, log
 	}
 	// The follower's trajectory starts at its own bootstrap point, which
 	// can sit past the primary's (the bootstrap snapshot is whatever the
-	// primary had applied when the gap was detected).
+	// primary had applied when the gap was detected). The follower
+	// persists the snapshot it bootstrapped from beside its WAL.
 	fFrom := uint64(bootSeq) + 1
-	if b := repl.BootstrapSeq(); b > 0 {
-		fFrom = b + 1
+	if g, err := LoadSnapshotFile(filepath.Join(caseDir, "follower.log.snap")); err == nil {
+		fFrom = g.Applied() + 1
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("follower bootstrap snapshot: %w", err)
 	}
 
 	// Digest trajectories, bit for bit against the reference: the

@@ -157,11 +157,6 @@ type Config struct {
 	// JobCap is the initial number of job slots; the grid grows (doubling,
 	// with a full re-evaluation) when live + pending jobs exceed it.
 	JobCap int `json:"job_cap"`
-	// TaskRange and MachRange document the workload model for producers
-	// (bases in [1, TaskRange], multipliers in [1, MachRange]); the grid
-	// itself accepts any base ≥ 1 and mult ≥ 1.
-	TaskRange float64 `json:"task_range"`
-	MachRange float64 `json:"mach_range"`
 	// PairInconsistency ≥ 1 scales the deterministic per-(job, machine)
 	// ETC noise multiplier, gridsim's inconsistency knob.
 	PairInconsistency float64 `json:"pair_inconsistency"`
@@ -180,8 +175,6 @@ func DefaultConfig() Config {
 		Seed:              1,
 		MachCap:           64,
 		JobCap:            1024,
-		TaskRange:         8,
-		MachRange:         3,
 		PairInconsistency: 1.5,
 		LSIters:           5,
 		LSMethod:          "LMCTS",

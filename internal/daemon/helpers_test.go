@@ -1,8 +1,12 @@
 package daemon
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"time"
+
+	"gridcma/internal/retry"
 )
 
 // Test accessors of the daemon's state: no production caller needs them.
@@ -17,10 +21,6 @@ func (d *Daemon) FlushWAL() error {
 // primary (0 on a primary).
 func (d *Daemon) ReplicaLag() uint64 { return d.replLag.Load() }
 
-// BootstrapSeq returns the applied sequence number of the last snapshot
-// bootstrap (0 = never bootstrapped; the follower's log starts at 1).
-func (r *Replicator) BootstrapSeq() uint64 { return r.bootSeq.Load() }
-
 // WriteSnapshot writes the grid as one JSON document.
 func (g *Grid) WriteSnapshot(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -30,4 +30,15 @@ func (g *Grid) WriteSnapshot(w io.Writer) error {
 // WriteSnapshotFile atomically persists the grid's snapshot to path.
 func (g *Grid) WriteSnapshotFile(path string) error {
 	return SaveSnapshot(g.Snapshot(), path)
+}
+
+// permanent reports whether err is one the replicator's retry loop gives
+// up on at once, instead of backing off and calling again.
+func permanent(err error) bool {
+	calls := 0
+	retry.Policy{MaxAttempts: 2, Initial: time.Nanosecond}.Do(context.Background(), func(int) error {
+		calls++
+		return err
+	})
+	return calls == 1
 }

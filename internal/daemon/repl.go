@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 
+	"gridcma/internal/atomicfile"
 	"gridcma/internal/eventlog"
 	"gridcma/internal/transport"
 )
@@ -142,11 +143,11 @@ func loadTerm(path string) (uint64, error) {
 	return t, nil
 }
 
-// saveTerm persists a fencing term atomically (writeFileAtomic): a
+// saveTerm persists a fencing term atomically (atomicfile.Write): a
 // crash mid-write must never roll a term back, or a deposed primary
 // could be reborn believing it still leads.
 func saveTerm(path string, term uint64) error {
-	return writeFileAtomic(path, func(w io.Writer) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%d\n", term)
 		return err
 	})
@@ -425,11 +426,21 @@ type ReplServer struct {
 
 	mu      sync.Mutex
 	cursors map[string]*replCursor
+	reads   uint64 // read calls so far: the clock of each cursor's lastRead
 }
 
+// maxReplCursors caps the open WAL cursors of one ReplServer. Each holds
+// a file descriptor, and a follower that returns under a new ID, or any
+// client of the replication port, opens another; past the cap the least
+// recently read cursor is closed. An evicted follower's next pull
+// reopens its cursor at its position, so eviction costs a seek, never
+// correctness.
+const maxReplCursors = 32
+
 type replCursor struct {
-	fl   *eventlog.Follower
-	next uint64 // sequence number the cursor will read next
+	fl       *eventlog.Follower
+	next     uint64 // sequence number the cursor will read next
+	lastRead uint64 // ReplServer.reads at this cursor's latest read
 }
 
 // NewReplServer returns d's shipping handler; from then on d digests
@@ -569,13 +580,19 @@ func (s *ReplServer) read(id string, after uint64, max int) (recs [][]byte, firs
 		if c != nil {
 			c.fl.Close()
 		}
+		if c == nil && len(s.cursors) >= maxReplCursors {
+			s.evictLocked()
+		}
 		fl, err := eventlog.Follow(s.walPath, after)
 		if err != nil {
+			delete(s.cursors, id)
 			return nil, 0, fmt.Errorf("daemon: opening WAL cursor for %q: %w", id, err)
 		}
 		c = &replCursor{fl: fl, next: after + 1}
 		s.cursors[id] = c
 	}
+	s.reads++
+	c.lastRead = s.reads
 	var buf []byte
 	var ends []int
 	c.next = after + 1
@@ -609,6 +626,19 @@ func (s *ReplServer) read(id string, after uint64, max int) (recs [][]byte, firs
 		start = end
 	}
 	return recs, first, nil
+}
+
+// evictLocked closes the least recently read cursor; s.mu held.
+func (s *ReplServer) evictLocked() {
+	var oldest string
+	var c *replCursor
+	for id, cur := range s.cursors {
+		if c == nil || cur.lastRead < c.lastRead {
+			oldest, c = id, cur
+		}
+	}
+	c.fl.Close()
+	delete(s.cursors, oldest)
 }
 
 func (s *ReplServer) dropCursor(id string) {

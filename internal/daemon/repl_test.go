@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"gridcma/internal/eventlog"
-	"gridcma/internal/retry"
 	"gridcma/internal/transport"
 )
 
@@ -287,7 +286,7 @@ func TestReplicationDivergenceDetected(t *testing.T) {
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("step error %v, want ErrDiverged", err)
 	}
-	if !retry.IsPermanent(err) {
+	if !permanent(err) {
 		t.Fatalf("divergence error not permanent: %v", err)
 	}
 	if !follower.degraded.Load() {
@@ -379,7 +378,7 @@ func TestReplicationCorruptRecordRefused(t *testing.T) {
 	if err == nil {
 		t.Fatalf("corrupt batch applied (%d events)", n)
 	}
-	if !retry.IsPermanent(err) {
+	if !permanent(err) {
 		t.Fatalf("corrupt batch error not permanent: %v", err)
 	}
 	if !rig.follower.degraded.Load() {
@@ -648,6 +647,106 @@ func TestReplicatorRunLoopConverges(t *testing.T) {
 	}
 	if fd, pd := rig.follower.GridDigest(), rig.primary.GridDigest(); fd != pd {
 		t.Fatalf("digest mismatch after run loop: %s vs %s", fd, pd)
+	}
+}
+
+// TestReplicatorRunBacksOffAndStopsPromptly points the pull loop at a
+// dead primary, whose every dial fails. The gaps between dials must grow
+// along one retry schedule (each wait is at least its base: 50ms, then
+// 100ms, 200ms and 400ms), and Stop must return during the next wait (at
+// least 800ms) instead of waiting it out.
+func TestReplicatorRunBacksOffAndStopsPromptly(t *testing.T) {
+	follower, err := NewDaemon(ServerConfig{Grid: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Stop()
+	dials := make(chan time.Time, 16)
+	repl, err := NewReplicator(follower, ReplicatorConfig{
+		ID: "dead-primary",
+		Dial: func() (transport.Client, error) {
+			dials <- time.Now()
+			return nil, errors.New("connection refused")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl.Run()
+	prev := <-dials
+	for _, base := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond} {
+		at := <-dials
+		if gap := at.Sub(prev); gap < base {
+			t.Fatalf("dial %v after the last one, want a backoff of at least %v", gap, base)
+		}
+		prev = at
+	}
+	start := time.Now()
+	repl.Stop()
+	if took := time.Since(start); took >= 800*time.Millisecond {
+		t.Fatalf("Stop took %v: it waited out the backoff", took)
+	}
+	if n := len(dials); n != 0 {
+		t.Fatalf("%d dials after Stop", n)
+	}
+	if got := repl.Stats().Reconnects; got != 5 {
+		t.Fatalf("%d failed dials counted, want 5", got)
+	}
+}
+
+// TestReplServerBoundsCursors pulls under more follower IDs than the
+// primary keeps WAL cursors for. At most maxReplCursors stay open, the
+// least recently read is the one closed, and a follower whose cursor was
+// closed pulls on from where it was.
+func TestReplServerBoundsCursors(t *testing.T) {
+	rig := newReplRig(t, ReplicatorConfig{ID: "f1"})
+	rig.drive(t, rig.script(5, 80))
+	pull := func(id string, after uint64) *ReplBatch {
+		t.Helper()
+		b, err := rig.srv.pull(&ReplPull{ID: id, Term: rig.primary.Term(), After: after, Max: 1})
+		if err != nil || b.Reject != "" || b.NeedSnapshot || len(b.Records) != 1 {
+			t.Fatalf("pull %q after %d: %+v, %v", id, after, b, err)
+		}
+		return b
+	}
+	// openLogs counts this process's descriptors open on the primary's
+	// WAL: its own writer plus one per cursor.
+	openLogs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		n := 0
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == rig.pLog {
+				n++
+			}
+		}
+		return n
+	}
+	pull("kept", 0)
+	kept := rig.srv.cursors["kept"]
+	const extra = 5
+	for i := 0; i < maxReplCursors+extra; i++ {
+		pull(fmt.Sprintf("f-%d", i), 0)
+		pull("kept", uint64(i+1)) // read after every newcomer: never the least recent
+		if n := len(rig.srv.cursors); n > maxReplCursors {
+			t.Fatalf("%d cursors cached after %d followers, cap %d", n, i+2, maxReplCursors)
+		}
+		if n := openLogs(); n > maxReplCursors+1 {
+			t.Fatalf("%d descriptors open on the WAL after %d followers, want at most %d", n, i+2, maxReplCursors+1)
+		}
+	}
+	if rig.srv.cursors["kept"] != kept {
+		t.Fatal("the most recently read cursor was closed")
+	}
+	for i := 0; i < extra+1; i++ {
+		if _, ok := rig.srv.cursors[fmt.Sprintf("f-%d", i)]; ok {
+			t.Fatalf("cursor f-%d, among the least recently read, still open", i)
+		}
+	}
+	if e := shippedEvents(t, pull("f-0", 1), 1); e[0].Seq != 2 {
+		t.Fatalf("evicted follower resumed at seq %d, want 2", e[0].Seq)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,15 +44,14 @@ type ReplicatorConfig struct {
 	// so a restart can recover locally (empty = LogPath+".snap" when the
 	// follower has a WAL, else no persistence).
 	SnapPath string
-	// CallTimeout bounds each pull RPC (0 = 10s).
-	CallTimeout time.Duration
-	// Retry governs reconnection to a dead primary.
-	Retry retry.Policy
 	// OnApply, when set, observes every replicated event after it is
 	// applied (outside the daemon lock); the bench uses it to timestamp
 	// arrivals for lag percentiles.
 	OnApply func(e eventlog.Event)
 }
+
+// replCallTimeout bounds each pull RPC of the pull loop, and the dial.
+const replCallTimeout = 10 * time.Second
 
 // Replicator drives a follower daemon: it pulls WAL batches from the
 // primary, applies them verbatim, checks the primary's digest against
@@ -68,10 +68,10 @@ type Replicator struct {
 	nextID  uint64
 	decoded []eventlog.Event // Step's reused decode buffer
 
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-	running  atomic.Bool
+	ctx     context.Context // cancelled by Stop: ends Run's pulls and waits
+	cancel  context.CancelFunc
+	done    chan struct{}
+	running atomic.Bool
 
 	// Counters (observability).
 	pulls      atomic.Uint64
@@ -79,7 +79,6 @@ type Replicator struct {
 	snapshots  atomic.Uint64
 	reconnects atomic.Uint64
 	rejects    atomic.Uint64
-	bootSeq    atomic.Uint64 // applied seq of the last snapshot bootstrap
 }
 
 // NewReplicator demotes d to follower and returns its pull loop
@@ -100,18 +99,15 @@ func NewReplicator(d *Daemon, cfg ReplicatorConfig) (*Replicator, error) {
 	if cfg.MaxLag == 0 {
 		cfg.MaxLag = 4096
 	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
 	if cfg.SnapPath == "" && d.cfg.LogPath != "" {
 		cfg.SnapPath = d.cfg.LogPath + ".snap"
 	}
 	r := &Replicator{
 		d:    d,
 		cfg:  cfg,
-		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
 	d.setFollower(r.Promote, cfg.MaxLag)
 	return r, nil
 }
@@ -120,24 +116,22 @@ func (r *Replicator) dial() (transport.Client, error) {
 	if r.cfg.Dial != nil {
 		return r.cfg.Dial()
 	}
-	return transport.Dial(r.cfg.Primary, r.cfg.CallTimeout)
+	return transport.Dial(r.cfg.Primary, replCallTimeout)
 }
 
-// connectLocked ensures a live client, reconnecting through the retry
-// policy's backoff schedule; r.mu held.
-func (r *Replicator) connectLocked(ctx context.Context) error {
+// connectLocked ensures a live client, dialing once if there is none;
+// r.mu held. Backing off between failed dials is the caller's: Run's.
+func (r *Replicator) connectLocked() error {
 	if r.client != nil {
 		return nil
 	}
-	return r.cfg.Retry.Do(ctx, func(int) error {
-		c, err := r.dial()
-		if err != nil {
-			r.reconnects.Add(1)
-			return err
-		}
-		r.client = c
-		return nil
-	})
+	c, err := r.dial()
+	if err != nil {
+		r.reconnects.Add(1)
+		return err
+	}
+	r.client = c
+	return nil
 }
 
 func (r *Replicator) dropClientLocked() {
@@ -172,7 +166,7 @@ func (r *Replicator) call(ctx context.Context, kind string, pull *ReplPull) ([]b
 func (r *Replicator) Step(ctx context.Context) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.connectLocked(ctx); err != nil {
+	if err := r.connectLocked(); err != nil {
 		return 0, err
 	}
 	pull := &ReplPull{
@@ -191,8 +185,8 @@ func (r *Replicator) Step(ctx context.Context) (int, error) {
 	}
 	if err != nil {
 		// Transport failure: the connection is suspect, drop it so the
-		// next Step redials (with backoff) rather than reusing a socket
-		// in an unknown framing state.
+		// next Step redials rather than reusing a socket in an unknown
+		// framing state.
 		r.dropClientLocked()
 		return 0, err
 	}
@@ -318,82 +312,53 @@ func (r *Replicator) bootstrapLocked(ctx context.Context) error {
 		}
 	}
 	r.snapshots.Add(1)
-	r.bootSeq.Store(r.d.AppliedSeq())
 	return nil
 }
 
-// Run starts the pull loop: Step until stopped, sleeping Poll between
-// caught-up rounds and backing off (via the retry policy's schedule)
-// after errors. Divergence and other permanent errors latch the daemon
-// degraded and end the loop — a replica that cannot trust its state
-// must stop, not retry.
+// Run starts the pull loop in its own goroutine: Step until stopped,
+// sleeping Poll after a caught-up round and pulling again at once after a
+// round that applied events. A failed round backs off through the retry
+// policy's schedule, without bound, and a round that succeeds resets it.
+// Divergence and other permanent errors latch the daemon degraded and end
+// the loop — a replica that cannot trust its state must stop, not retry.
 func (r *Replicator) Run() {
 	if !r.running.CompareAndSwap(false, true) {
 		return
 	}
+	h := fnv.New64a()
+	h.Write([]byte(r.cfg.ID))
+	policy := retry.Policy{MaxAttempts: -1, Seed: h.Sum64()}
 	go func() {
 		defer close(r.done)
-		var wait, backoff time.Duration
 		for {
-			if wait > 0 {
-				select {
-				case <-r.stop:
-					return
-				case <-time.After(wait):
-				}
-			} else {
-				select {
-				case <-r.stop:
-					return
-				default:
-				}
+			var n int
+			err := policy.Do(r.ctx, func(int) error {
+				ctx, cancel := context.WithTimeout(r.ctx, replCallTimeout)
+				defer cancel()
+				var err error
+				n, err = r.Step(ctx)
+				return err
+			})
+			if err != nil {
+				// Stopped, or a permanent error: retrying cannot make
+				// this replica trustworthy again.
+				return
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.CallTimeout)
-			n, err := r.Step(ctx)
-			cancel()
-			switch {
-			case err != nil:
-				if retry.IsPermanent(err) {
-					// Divergence, degraded apply, irreconcilable positions:
-					// retrying cannot make this replica trustworthy again.
+			if n == 0 {
+				select {
+				case <-r.ctx.Done():
 					return
+				case <-time.After(r.cfg.Poll):
 				}
-				backoff = r.nextBackoff(backoff)
-				wait = backoff
-			case n == 0:
-				backoff, wait = 0, r.cfg.Poll
-			default:
-				backoff, wait = 0, 0
 			}
 		}
 	}()
 }
 
-// nextBackoff advances the loop's error backoff along the retry
-// policy's schedule (initial, doubling, capped at max).
-func (r *Replicator) nextBackoff(cur time.Duration) time.Duration {
-	initial := r.cfg.Retry.Initial
-	if initial <= 0 {
-		initial = 50 * time.Millisecond
-	}
-	max := r.cfg.Retry.Max
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	if cur < initial {
-		return initial
-	}
-	cur *= 2
-	if cur > max {
-		cur = max
-	}
-	return cur
-}
-
-// Stop ends the pull loop and waits for it; safe to call repeatedly
-// and without a prior Run.
+// Stop ends the pull loop, cancelling a pull or wait in progress, and
+// waits for it; safe to call repeatedly and without a prior Run.
 func (r *Replicator) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
+	r.cancel()
 	if r.running.Load() {
 		<-r.done
 	}

@@ -376,7 +376,9 @@ func (d *Daemon) applyLocked(e eventlog.Event) (eventlog.Event, error) {
 			}
 		}
 		if d.wal != nil {
-			d.wal.Flush()
+			if err := d.wal.Flush(); err != nil {
+				d.walErrors.Add(1)
+			}
 		}
 	}
 	return e, nil

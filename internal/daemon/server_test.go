@@ -522,6 +522,30 @@ func TestServerLogFailureReportsWhatTheGridHolds(t *testing.T) {
 	}
 }
 
+// TestServerCountsFailedAdmissionFlush pins that the flush closing an
+// admission window counts in wal_errors when the log fails, as every
+// other flush does. The admission ticker applies admits and commits
+// nothing after them, so this flush is the only one that can see it.
+func TestServerCountsFailedAdmissionFlush(t *testing.T) {
+	d, err := NewDaemon(ServerConfig{Grid: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	d.wal = eventlog.NewWriter(failWriter{})
+	// Both records fit the log's buffer, so only the flush writes.
+	d.mu.Lock()
+	_, serr := d.applyLocked(eventlog.Event{Type: eventlog.Submit, Job: d.g.NextJobID(), Base: 2})
+	_, aerr := d.applyLocked(eventlog.Event{Type: eventlog.Admit})
+	d.mu.Unlock()
+	if serr != nil || aerr != nil {
+		t.Fatalf("submit: %v; admit: %v", serr, aerr)
+	}
+	if got := d.StatsNow().WALErrors; got != 1 {
+		t.Fatalf("wal_errors = %d after a failed admission flush, want 1", got)
+	}
+}
+
 // TestServerRepliesMatchEncodingJSON pins the reply encoders to the
 // replies encoding/json wrote before them: /submit byte for byte, and
 // /event value for value.

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"gridcma/internal/atomicfile"
 	"gridcma/internal/schedule"
 )
 
@@ -232,49 +232,13 @@ func ReadSnapshot(r io.Reader) (*Grid, error) {
 	return Restore(&s)
 }
 
-// SaveSnapshot writes s to path atomically (writeFileAtomic), which is
+// SaveSnapshot writes s to path atomically (atomicfile.Write), which is
 // what lets restore trust a snapshot file that exists at all (its
 // digest self-verification catches the rest).
 func SaveSnapshot(s *Snapshot, path string) error {
-	return writeFileAtomic(path, func(w io.Writer) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(s)
 	})
-}
-
-// writeFileAtomic replaces path with what write produces: the bytes go
-// to a temp file in path's directory, which is fsynced, closed and only
-// then renamed over path, and the directory is fsynced so the rename
-// itself is durable. A crash at any point leaves either the old file or
-// the new one, never a torn half.
-func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = write(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		err = d.Sync()
-		d.Close()
-	}
-	return err
 }
 
 // LoadSnapshotFile restores a grid from a snapshot file written by

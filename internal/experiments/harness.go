@@ -133,7 +133,7 @@ func evalsPerIteration(name string) int {
 		cfg := cma.DefaultConfig()
 		return cfg.Recombinations + cfg.Mutations
 	case "braun-ga":
-		return ga.NewConfig(ga.Braun).PopSize
+		return ga.Braun.PopSize()
 	case "sa":
 		return 1024 // one sweep ≈ 2×512 proposals
 	case "tabu":

@@ -15,7 +15,7 @@
 // All three optimise the same scalarised fitness as the cMA and share the
 // run.Budget / run.Result vocabulary, so the experiment harness can drive
 // them interchangeably. Parameters follow the published descriptions where
-// stated and are documented defaults otherwise (see NewConfig).
+// stated and are documented defaults otherwise (see variantParams).
 package ga
 
 import (
@@ -65,118 +65,63 @@ func (v Variant) String() string {
 	}
 }
 
-// Config parameterises a GA run. NewConfig returns per-variant defaults.
+// Config selects a GA variant and the fitness it optimises. Every other
+// parameter is fixed per variant (variantParams).
 type Config struct {
-	Variant Variant
-
-	PopSize int
-	// CrossoverProb and MutationProb gate the two operators per
-	// offspring (Braun: 0.6 / 0.4).
-	CrossoverProb float64
-	MutationProb  float64
-
-	Selector  operators.Selector
-	Crossover operators.Crossover
-	Mutator   operators.Mutator
-
+	Variant   Variant
 	Objective schedule.Objective
-
-	// Elitism keeps the best individual across generations (generational
-	// variant only; steady-state variants are implicitly elitist).
-	Elitism bool
-
-	// SeedHeuristic initialises one individual; the rest are random.
-	// Braun et al. seed with Min-Min.
-	SeedHeuristic func(*etc.Instance) schedule.Schedule
-
-	// InitialTempFactor and Cooling drive the GSA variant's Metropolis
-	// acceptance (ignored by the other variants): the temperature starts
-	// at InitialTempFactor × the seed fitness and is multiplied by
-	// Cooling after every step.
-	InitialTempFactor float64
-	Cooling           float64
 }
 
-// NewConfig returns the published/default configuration of a variant.
+// NewConfig returns variant v under the default objective.
 func NewConfig(v Variant) Config {
-	switch v {
-	case Braun:
-		return Config{
-			Variant:       Braun,
-			PopSize:       200,
-			CrossoverProb: 0.6,
-			MutationProb:  0.4,
-			Selector:      operators.LinearRank{},
-			Crossover:     operators.OnePoint{},
-			Mutator:       operators.Move{},
-			Objective:     schedule.DefaultObjective,
-			Elitism:       true,
-			SeedHeuristic: heuristics.MinMin,
-		}
-	case SteadyState:
-		return Config{
-			Variant:       SteadyState,
-			PopSize:       60,
-			CrossoverProb: 1.0,
-			MutationProb:  0.4,
-			Selector:      operators.NewTournament(3),
-			Crossover:     operators.OnePoint{},
-			Mutator:       operators.Move{},
-			Objective:     schedule.DefaultObjective,
-			SeedHeuristic: heuristics.LJFRSJFR,
-		}
-	case Struggle:
-		return Config{
-			Variant:       Struggle,
-			PopSize:       60,
-			CrossoverProb: 1.0,
-			MutationProb:  0.4,
-			Selector:      operators.NewTournament(3),
-			Crossover:     operators.OnePoint{},
-			Mutator:       operators.Move{},
-			Objective:     schedule.DefaultObjective,
-			SeedHeuristic: heuristics.LJFRSJFR,
-		}
-	case GSA:
-		return Config{
-			Variant:           GSA,
-			PopSize:           60,
-			CrossoverProb:     1.0,
-			MutationProb:      0.4,
-			Selector:          operators.NewTournament(3),
-			Crossover:         operators.OnePoint{},
-			Mutator:           operators.Move{},
-			Objective:         schedule.DefaultObjective,
-			SeedHeuristic:     heuristics.MinMin,
-			InitialTempFactor: 0.1,
-			Cooling:           0.99,
-		}
-	default:
-		panic(fmt.Sprintf("ga: unknown variant %v", v))
-	}
+	return Config{Variant: v, Objective: schedule.DefaultObjective}
 }
+
+// params are one variant's fixed parameters. Every variant breeds with
+// one-point crossover and move mutation, and the generational Braun GA
+// always carries its best individual into the next generation.
+type params struct {
+	popSize int
+	// crossoverProb and mutationProb gate the two operators per
+	// offspring.
+	crossoverProb float64
+	mutationProb  float64
+	selector      operators.Selector
+	// seed builds the one seeded individual; the rest are random.
+	seed func(*etc.Instance) schedule.Schedule
+	// initialTempFactor and cooling drive GSA's Metropolis acceptance:
+	// the temperature starts at initialTempFactor × the seed fitness and
+	// is multiplied by cooling after every step.
+	initialTempFactor float64
+	cooling           float64
+}
+
+// variantParams holds the published settings of each variant (Braun et
+// al.: population 200, crossover 0.6, mutation 0.4, rank selection,
+// elitism, a Min-Min seed) and documented defaults where a paper gives
+// none.
+var variantParams = [...]params{
+	Braun: {popSize: 200, crossoverProb: 0.6, mutationProb: 0.4,
+		selector: operators.LinearRank{}, seed: heuristics.MinMin},
+	SteadyState: {popSize: 60, crossoverProb: 1.0, mutationProb: 0.4,
+		selector: operators.NewTournament(3), seed: heuristics.LJFRSJFR},
+	Struggle: {popSize: 60, crossoverProb: 1.0, mutationProb: 0.4,
+		selector: operators.NewTournament(3), seed: heuristics.LJFRSJFR},
+	GSA: {popSize: 60, crossoverProb: 1.0, mutationProb: 0.4,
+		selector: operators.NewTournament(3), seed: heuristics.MinMin,
+		initialTempFactor: 0.1, cooling: 0.99},
+}
+
+// PopSize is the variant's population size.
+func (v Variant) PopSize() int { return variantParams[v].popSize }
 
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
 	switch {
-	case c.PopSize < 2:
-		return fmt.Errorf("ga: population size %d", c.PopSize)
-	case c.CrossoverProb < 0 || c.CrossoverProb > 1:
-		return fmt.Errorf("ga: crossover probability %v", c.CrossoverProb)
-	case c.MutationProb < 0 || c.MutationProb > 1:
-		return fmt.Errorf("ga: mutation probability %v", c.MutationProb)
-	case c.Selector == nil || c.Crossover == nil || c.Mutator == nil:
-		return fmt.Errorf("ga: nil operator")
+	case c.Variant < 0 || int(c.Variant) >= len(variantParams):
+		return fmt.Errorf("ga: unknown variant %v", c.Variant)
 	case c.Objective.Lambda < 0 || c.Objective.Lambda > 1:
 		return fmt.Errorf("ga: lambda %v", c.Objective.Lambda)
-	}
-	if c.Variant == GSA {
-		if c.InitialTempFactor <= 0 {
-			return fmt.Errorf("ga: GSA needs InitialTempFactor > 0, got %v", c.InitialTempFactor)
-		}
-		if c.Cooling <= 0 || c.Cooling >= 1 {
-			return fmt.Errorf("ga: GSA cooling %v outside (0,1)", c.Cooling)
-		}
 	}
 	return nil
 }
@@ -199,7 +144,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	if !budget.Bounded() {
 		panic("ga: unbounded budget")
 	}
-	g := &gaState{in: in, cfg: s.cfg, r: rng.New(seed)}
+	g := &gaState{in: in, cfg: s.cfg, p: variantParams[s.cfg.Variant], r: rng.New(seed)}
 	g.init()
 	return g.run(budget, obs)
 }
@@ -208,6 +153,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 type gaState struct {
 	in  *etc.Instance
 	cfg Config
+	p   params
 	r   *rng.Source
 
 	pop []*schedule.State
@@ -225,12 +171,12 @@ type gaState struct {
 }
 
 func (g *gaState) init() {
-	g.pop = make([]*schedule.State, g.cfg.PopSize)
-	g.fit = make([]float64, g.cfg.PopSize)
+	g.pop = make([]*schedule.State, g.p.popSize)
+	g.fit = make([]float64, g.p.popSize)
 	for i := range g.pop {
 		var s schedule.Schedule
-		if i == 0 && g.cfg.SeedHeuristic != nil {
-			s = g.cfg.SeedHeuristic(g.in)
+		if i == 0 {
+			s = g.p.seed(g.in)
 		} else {
 			s = schedule.NewRandom(g.in, g.r)
 		}
@@ -241,7 +187,7 @@ func (g *gaState) init() {
 	}
 	g.scratch = evalpool.New(g.in).Get()
 	if g.cfg.Variant == GSA {
-		g.temp = g.cfg.InitialTempFactor * g.best.Threshold()
+		g.temp = g.p.initialTempFactor * g.best.Threshold()
 	}
 }
 
@@ -250,16 +196,16 @@ func (g *gaState) init() {
 // fitness.
 func (g *gaState) breed(indices []int) float64 {
 	fitAt := func(i int) float64 { return g.fit[i] }
-	p1 := g.cfg.Selector.Select(indices, fitAt, g.r)
-	p2 := g.cfg.Selector.Select(indices, fitAt, g.r)
-	if g.r.Float64() < g.cfg.CrossoverProb {
-		g.cfg.Crossover.Cross(g.pop[p1].ScheduleView(), g.pop[p2].ScheduleView(), g.scratch.Buf, g.r)
+	p1 := g.p.selector.Select(indices, fitAt, g.r)
+	p2 := g.p.selector.Select(indices, fitAt, g.r)
+	if g.r.Float64() < g.p.crossoverProb {
+		operators.OnePoint{}.Cross(g.pop[p1].ScheduleView(), g.pop[p2].ScheduleView(), g.scratch.Buf, g.r)
 		g.scratch.St.SetSchedule(g.scratch.Buf)
 	} else {
 		g.scratch.St.CopyFrom(g.pop[p1])
 	}
-	if g.r.Float64() < g.cfg.MutationProb {
-		g.cfg.Mutator.Mutate(g.scratch.St, g.r)
+	if g.r.Float64() < g.p.mutationProb {
+		operators.Move{}.Mutate(g.scratch.St, g.r)
 	}
 	g.evals++
 	return g.cfg.Objective.Of(g.scratch.St)
@@ -280,7 +226,7 @@ func (g *gaState) run(budget run.Budget, obs run.Observer) run.Result {
 		}
 	}
 	emit()
-	indices := make([]int, g.cfg.PopSize)
+	indices := make([]int, g.p.popSize)
 	for i := range indices {
 		indices[i] = i
 	}
@@ -310,7 +256,7 @@ func (g *gaState) run(budget run.Budget, obs run.Observer) run.Result {
 // The two populations are double-buffered: offspring are copied into the
 // standby population, which is then swapped in — no per-offspring clone.
 func (g *gaState) generation(indices []int) {
-	n := g.cfg.PopSize
+	n := g.p.popSize
 	if g.next == nil {
 		g.next = make([]*schedule.State, n)
 		g.nextFit = make([]float64, n)
@@ -318,20 +264,16 @@ func (g *gaState) generation(indices []int) {
 			g.next[i] = schedule.NewState(g.in, g.pop[i].ScheduleView())
 		}
 	}
-	startIdx := 0
-	if g.cfg.Elitism {
-		// Carry over the best current individual unchanged.
-		bi := 0
-		for i := 1; i < n; i++ {
-			if g.fit[i] < g.fit[bi] {
-				bi = i
-			}
+	// Elitism: carry over the best current individual unchanged.
+	bi := 0
+	for i := 1; i < n; i++ {
+		if g.fit[i] < g.fit[bi] {
+			bi = i
 		}
-		g.next[0].CopyFrom(g.pop[bi])
-		g.nextFit[0] = g.fit[bi]
-		startIdx = 1
 	}
-	for i := startIdx; i < n; i++ {
+	g.next[0].CopyFrom(g.pop[bi])
+	g.nextFit[0] = g.fit[bi]
+	for i := 1; i < n; i++ {
 		f := g.breed(indices)
 		g.next[i].CopyFrom(g.scratch.St)
 		g.nextFit[i] = f
@@ -350,7 +292,7 @@ func (g *gaState) steadyStep(indices []int) {
 	case SteadyState:
 		// Replace the worst individual if the child improves on it.
 		worst := 0
-		for i := 1; i < g.cfg.PopSize; i++ {
+		for i := 1; i < g.p.popSize; i++ {
 			if g.fit[i] > g.fit[worst] {
 				worst = i
 			}
@@ -362,7 +304,7 @@ func (g *gaState) steadyStep(indices []int) {
 		// Replace the most similar individual if the child improves on it.
 		child := g.scratch.St.ScheduleView()
 		closest, bestD := 0, g.in.Jobs+1
-		for i := 0; i < g.cfg.PopSize; i++ {
+		for i := 0; i < g.p.popSize; i++ {
 			if d := child.Hamming(g.pop[i].ScheduleView()); d < bestD {
 				closest, bestD = i, d
 			}
@@ -372,7 +314,7 @@ func (g *gaState) steadyStep(indices []int) {
 		}
 	case GSA:
 		// Metropolis acceptance against a random victim, then cool.
-		cand := g.r.Intn(g.cfg.PopSize)
+		cand := g.r.Intn(g.p.popSize)
 		accept := f < g.fit[cand]
 		if !accept && g.temp > 0 {
 			accept = g.r.Float64() < math.Exp((g.fit[cand]-f)/g.temp)
@@ -380,7 +322,7 @@ func (g *gaState) steadyStep(indices []int) {
 		if accept {
 			victim = cand
 		}
-		g.temp *= g.cfg.Cooling
+		g.temp *= g.p.cooling
 	default:
 		panic(fmt.Sprintf("ga: steadyStep on variant %v", g.cfg.Variant))
 	}

@@ -14,18 +14,10 @@ func testInstance(seed uint64) *etc.Instance {
 		0, etc.GenerateOptions{Seed: seed, Jobs: 96, Machs: 8})
 }
 
-func smallCfg(v Variant) Config {
-	cfg := NewConfig(v)
-	if v == Braun {
-		cfg.PopSize = 40 // keep generational tests fast
-	}
-	return cfg
-}
-
 func TestAllVariantsRunAndImprove(t *testing.T) {
 	in := testInstance(1)
 	for _, v := range []Variant{Braun, SteadyState, Struggle} {
-		s, err := New(smallCfg(v))
+		s, err := New(NewConfig(v))
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -38,8 +30,7 @@ func TestAllVariantsRunAndImprove(t *testing.T) {
 			t.Fatalf("%v: %v", v, err)
 		}
 		// Must improve on its own seed's fitness.
-		cfg := smallCfg(v)
-		seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
+		seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, variantParams[v].seed(in)))
 		if res.Fitness >= seedFit {
 			t.Errorf("%v: fitness %v did not improve on seed %v", v, res.Fitness, seedFit)
 		}
@@ -52,7 +43,7 @@ func TestAllVariantsRunAndImprove(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	in := testInstance(2)
 	for _, v := range []Variant{Braun, SteadyState, Struggle} {
-		s, _ := New(smallCfg(v))
+		s, _ := New(NewConfig(v))
 		iters := 300
 		if v == Braun {
 			iters = 10
@@ -68,7 +59,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 func TestBestIsMonotone(t *testing.T) {
 	in := testInstance(3)
 	for _, v := range []Variant{Braun, SteadyState, Struggle} {
-		s, _ := New(smallCfg(v))
+		s, _ := New(NewConfig(v))
 		var fits []float64
 		iters := 200
 		if v == Braun {
@@ -87,10 +78,8 @@ func TestBestIsMonotone(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.PopSize = 1 },
-		func(c *Config) { c.CrossoverProb = -0.1 },
-		func(c *Config) { c.MutationProb = 1.1 },
-		func(c *Config) { c.Selector = nil },
+		func(c *Config) { c.Variant = GSA + 1 },
+		func(c *Config) { c.Variant = -1 },
 		func(c *Config) { c.Objective.Lambda = 2 },
 	}
 	for i, f := range bad {
@@ -116,12 +105,10 @@ func TestStruggleKeepsMoreDiversityThanSteadyState(t *testing.T) {
 	// populations reconstructed from multiple runs' bests being distinct.
 	in := testInstance(4)
 	div := func(v Variant) float64 {
-		cfg := smallCfg(v)
-		cfg.PopSize = 20
-		s, _ := New(cfg)
-		g := &gaState{in: in, cfg: s.cfg, r: rng.New(9)}
+		g := &gaState{in: in, cfg: NewConfig(v), p: variantParams[v], r: rng.New(9)}
 		g.init()
-		indices := make([]int, cfg.PopSize)
+		n := v.PopSize()
+		indices := make([]int, n)
 		for i := range indices {
 			indices[i] = i
 		}
@@ -129,8 +116,8 @@ func TestStruggleKeepsMoreDiversityThanSteadyState(t *testing.T) {
 			g.steadyStep(indices)
 		}
 		total, pairs := 0, 0
-		for i := 0; i < cfg.PopSize; i++ {
-			for j := i + 1; j < cfg.PopSize; j++ {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
 				total += g.pop[i].ScheduleView().Hamming(g.pop[j].ScheduleView())
 				pairs++
 			}
@@ -138,6 +125,7 @@ func TestStruggleKeepsMoreDiversityThanSteadyState(t *testing.T) {
 		return float64(total) / float64(pairs)
 	}
 	ss, st := div(SteadyState), div(Struggle)
+	t.Logf("mean pairwise Hamming distance: struggle %.1f, steady-state %.1f", st, ss)
 	if st <= ss {
 		t.Errorf("struggle diversity %v should exceed steady-state %v", st, ss)
 	}
@@ -145,8 +133,7 @@ func TestStruggleKeepsMoreDiversityThanSteadyState(t *testing.T) {
 
 func TestBraunElitismPreservesBest(t *testing.T) {
 	in := testInstance(5)
-	cfg := smallCfg(Braun)
-	s, _ := New(cfg)
+	s, _ := New(NewConfig(Braun))
 	res1 := s.Run(in, run.Budget{MaxIterations: 5}, 3, nil)
 	res2 := s.Run(in, run.Budget{MaxIterations: 25}, 3, nil)
 	if res2.Fitness > res1.Fitness {
@@ -166,8 +153,7 @@ func TestUnboundedBudgetPanics(t *testing.T) {
 
 func TestGSARunsAndImproves(t *testing.T) {
 	in := testInstance(7)
-	cfg := NewConfig(GSA)
-	s, err := New(cfg)
+	s, err := New(NewConfig(GSA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +161,7 @@ func TestGSARunsAndImproves(t *testing.T) {
 	if err := res.Best.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, variantParams[GSA].seed(in)))
 	if res.Fitness >= seedFit {
 		t.Errorf("GSA %v did not improve on Min-Min %v", res.Fitness, seedFit)
 	}
@@ -194,19 +180,6 @@ func TestGSADeterministic(t *testing.T) {
 	}
 }
 
-func TestGSAValidation(t *testing.T) {
-	cfg := NewConfig(GSA)
-	cfg.InitialTempFactor = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("zero temp factor accepted")
-	}
-	cfg = NewConfig(GSA)
-	cfg.Cooling = 1
-	if _, err := New(cfg); err == nil {
-		t.Error("cooling = 1 accepted")
-	}
-}
-
 // TestFreshScratchIsWrittenFirst audits the GA's pool.Get caller: its
 // offspring workspace comes out of a fresh pool blank, and any read of a
 // blank State panics, so a run of every variant proves breed writes the
@@ -214,7 +187,7 @@ func TestGSAValidation(t *testing.T) {
 func TestFreshScratchIsWrittenFirst(t *testing.T) {
 	in := testInstance(3)
 	for _, v := range []Variant{Braun, SteadyState, Struggle, GSA} {
-		s, err := New(smallCfg(v))
+		s, err := New(NewConfig(v))
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

@@ -3,9 +3,10 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
+	"gridcma/internal/atomicfile"
 	"gridcma/internal/etc"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
@@ -166,29 +167,8 @@ func (c *Coordinator) saveCheckpoint(seed uint64, rep *Report, pops [][]schedule
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(c.cfg.CheckpointPath)
-	tmp, err := os.CreateTemp(dir, ".dist-checkpoint-*")
-	if err != nil {
+	return atomicfile.Write(c.cfg.CheckpointPath, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), c.cfg.CheckpointPath); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	})
 }

@@ -19,8 +19,13 @@ import (
 	"gridcma/internal/rng"
 )
 
+// jitter is the fraction of each wait drawn uniformly at random and
+// added on top, de-synchronising retry storms across clients.
+const jitter = 0.2
+
 // Policy parameterises Do. The zero value is usable: 4 attempts, 50ms
-// initial backoff doubling to a 2s cap, 20% jitter.
+// initial backoff doubling to a 2s cap. Each wait grows by up to 20%
+// seeded jitter, within the cap.
 type Policy struct {
 	// MaxAttempts bounds the total number of calls. 0 means the default
 	// (4); a negative value retries without bound (the caller's context
@@ -30,12 +35,6 @@ type Policy struct {
 	Initial time.Duration
 	// Max caps every wait (0 = 2s).
 	Max time.Duration
-	// Multiplier grows the backoff between attempts (0 = 2).
-	Multiplier float64
-	// Jitter is the fraction of each wait drawn uniformly at random and
-	// added on top, de-synchronising retry storms across clients. 0 means
-	// the default 0.2; negative disables jitter entirely.
-	Jitter float64
 	// Seed drives the jitter stream; distinct callers should pass
 	// distinct seeds so their retries do not march in lockstep.
 	Seed uint64
@@ -48,35 +47,36 @@ func (p Policy) attempts() int {
 	return p.MaxAttempts
 }
 
-func (p Policy) initial() time.Duration {
-	if p.Initial <= 0 {
-		return 50 * time.Millisecond
+// schedule returns the policy's wait schedule, positioned before the
+// first wait.
+func (p Policy) schedule() backoff {
+	b := backoff{next: p.Initial, max: p.Max, seed: p.Seed}
+	if b.next <= 0 {
+		b.next = 50 * time.Millisecond
 	}
-	return p.Initial
+	if b.max <= 0 {
+		b.max = 2 * time.Second
+	}
+	return b
 }
 
-func (p Policy) max() time.Duration {
-	if p.Max <= 0 {
-		return 2 * time.Second
-	}
-	return p.Max
+// backoff is Do's wait schedule: the base wait doubles from Initial up to
+// Max, and each wait adds jitter on top of its base, capped at Max.
+type backoff struct {
+	next, max time.Duration
+	seed      uint64
+	jr        *rng.Source // made at the first wait: a call that succeeds at once draws none
 }
 
-func (p Policy) multiplier() float64 {
-	if p.Multiplier <= 0 {
-		return 2
+// wait returns the next wait and advances the schedule.
+func (b *backoff) wait() time.Duration {
+	w := b.next
+	b.next = min(2*b.next, b.max)
+	if b.jr == nil {
+		b.jr = rng.New(b.seed ^ 0xba110fba110f)
 	}
-	return p.Multiplier
-}
-
-func (p Policy) jitter() float64 {
-	switch {
-	case p.Jitter < 0:
-		return 0
-	case p.Jitter == 0:
-		return 0.2
-	}
-	return p.Jitter
+	w += time.Duration(jitter * float64(w) * b.jr.Float64())
+	return min(w, b.max)
 }
 
 // permanentError stops Do: the wrapped error is not worth retrying.
@@ -94,37 +94,13 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err (anywhere in its chain) was marked by
-// Permanent. Callers running their own retry loops instead of Do use it
-// to honour the same give-up signal.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
-// jitterSchedule returns the jittered waits the policy's seeded stream
-// would produce for n consecutive one-second base waits; tests use it to
-// pin that the stream is a pure function of Seed.
-func (p Policy) jitterSchedule(n int) []time.Duration {
-	jr := rng.New(p.Seed ^ 0xba110fba110f)
-	jf := p.jitter()
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = time.Second + time.Duration(jf*float64(time.Second)*jr.Float64())
-	}
-	return out
-}
-
 // Do calls f until it succeeds, returns a Permanent error, exhausts the
 // attempt budget, or ctx is cancelled (including while waiting out a
 // backoff). f receives the zero-based attempt index. The last error is
 // returned, annotated with the attempt count when the budget ran out.
 func (p Policy) Do(ctx context.Context, f func(attempt int) error) error {
 	attempts := p.attempts()
-	backoff := p.initial()
-	maxWait := p.max()
-	jf := p.jitter()
-	var jrng *rng.Source
+	b := p.schedule()
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -146,23 +122,7 @@ func (p Policy) Do(ctx context.Context, f func(attempt int) error) error {
 		if attempts > 0 && attempt+1 >= attempts {
 			return fmt.Errorf("retry: %d attempts exhausted: %w", attempts, err)
 		}
-		wait := backoff
-		backoff = time.Duration(float64(backoff) * p.multiplier())
-		if backoff > maxWait {
-			backoff = maxWait
-		}
-		if jf > 0 {
-			if jrng == nil {
-				jrng = rng.New(p.Seed ^ 0xba110fba110f)
-			}
-			wait += time.Duration(jf * float64(wait) * jrng.Float64())
-		}
-		if wait > maxWait {
-			wait = maxWait
-		}
-		if wait <= 0 {
-			continue
-		}
+		wait := b.wait()
 		if timer == nil {
 			timer = time.NewTimer(wait)
 		} else {

@@ -9,7 +9,7 @@ import (
 )
 
 func fastPolicy() Policy {
-	return Policy{Initial: time.Microsecond, Max: 10 * time.Microsecond, Jitter: -1}
+	return Policy{Initial: time.Microsecond, Max: 10 * time.Microsecond}
 }
 
 func TestDoSucceedsFirstTry(t *testing.T) {
@@ -79,7 +79,7 @@ func TestPermanentNil(t *testing.T) {
 }
 
 func TestDoContextCancelDuringBackoff(t *testing.T) {
-	p := Policy{MaxAttempts: -1, Initial: time.Hour, Max: time.Hour, Jitter: -1}
+	p := Policy{MaxAttempts: -1, Initial: time.Hour, Max: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -124,27 +124,27 @@ func TestDoUnlimitedAttempts(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	// White-box check of the schedule itself: doubling from Initial,
-	// clamped at Max, unaffected by call outcomes.
-	p := Policy{Initial: 10 * time.Millisecond, Max: 35 * time.Millisecond, Jitter: -1}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 35 * time.Millisecond, 35 * time.Millisecond}
-	backoff := p.initial()
-	for i, w := range want {
-		if backoff != w {
-			t.Fatalf("backoff[%d] = %v, want %v", i, backoff, w)
-		}
-		backoff = time.Duration(float64(backoff) * p.multiplier())
-		if backoff > p.max() {
-			backoff = p.max()
+	// White-box check of the schedule Do waits on: the base doubles from
+	// Initial, each wait adds up to 20% jitter, and Max caps both.
+	p := Policy{Initial: 10 * time.Millisecond, Max: 35 * time.Millisecond}
+	base := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 35 * time.Millisecond, 35 * time.Millisecond}
+	b := p.schedule()
+	for i, lo := range base {
+		hi := min(lo+lo/5, p.Max)
+		if w := b.wait(); w < lo || w > hi {
+			t.Fatalf("wait[%d] = %v, want within [%v, %v]", i, w, lo, hi)
 		}
 	}
 }
 
 func TestJitterIsDeterministicPerSeed(t *testing.T) {
 	sample := func(seed uint64) []time.Duration {
-		p := Policy{Initial: time.Second, Max: time.Hour, Jitter: 0.5, Seed: seed}
-		jr := p.jitterSchedule(4)
-		return jr
+		b := Policy{Initial: time.Second, Max: time.Hour, Seed: seed}.schedule()
+		waits := make([]time.Duration, 4)
+		for i := range waits {
+			waits[i] = b.wait()
+		}
+		return waits
 	}
 	a, b := sample(1), sample(1)
 	for i := range a {
@@ -166,7 +166,7 @@ func TestJitterIsDeterministicPerSeed(t *testing.T) {
 
 func ExamplePolicy_Do() {
 	calls := 0
-	p := Policy{MaxAttempts: 5, Initial: time.Microsecond, Jitter: -1}
+	p := Policy{MaxAttempts: 5, Initial: time.Microsecond}
 	_ = p.Do(context.Background(), func(attempt int) error {
 		calls++
 		if attempt < 2 {

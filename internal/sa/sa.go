@@ -21,22 +21,22 @@ import (
 	"gridcma/internal/schedule"
 )
 
-// Config parameterises the annealer.
-type Config struct {
-	// InitialTempFactor scales the starting temperature relative to the
+// The annealer's fixed parameters, after Braun et al. adapted to the
+// scalarised objective. The search starts from Min-Min, and each budget
+// iteration is one temperature step of 2×nb_jobs proposals.
+const (
+	// initialTempFactor scales the starting temperature relative to the
 	// initial fitness (Braun et al. start at the initial makespan; 0.1 of
 	// the fitness is a practical equivalent for the scalarised objective).
-	InitialTempFactor float64
-	// Cooling is the geometric factor applied after every sweep
-	// (Braun et al. use 0.9).
-	Cooling float64
-	// SweepLength is the number of proposals per temperature step; 0
-	// defaults to 2×nb_jobs.
-	SweepLength int
+	initialTempFactor = 0.1
+	// cooling is the geometric factor applied after every sweep.
+	cooling = 0.9
+)
+
+// Config parameterises the annealer.
+type Config struct {
 	// Objective is the scalarised fitness (λ = 0.75 by default).
 	Objective schedule.Objective
-	// SeedHeuristic builds the starting solution; nil starts random.
-	SeedHeuristic func(*etc.Instance) schedule.Schedule
 	// SweepProposals switches the proposal distribution from one uniform
 	// (job, machine) candidate per step to a per-machine sweep: each step
 	// draws a job and scores moving it to *every* machine in one
@@ -47,27 +47,14 @@ type Config struct {
 	SweepProposals bool
 }
 
-// DefaultConfig mirrors the Braun et al. annealer adapted to the
-// scalarised objective.
+// DefaultConfig returns the classic annealer under the default objective.
 func DefaultConfig() Config {
-	return Config{
-		InitialTempFactor: 0.1,
-		Cooling:           0.9,
-		Objective:         schedule.DefaultObjective,
-		SeedHeuristic:     heuristics.MinMin,
-	}
+	return Config{Objective: schedule.DefaultObjective}
 }
 
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
-	switch {
-	case c.InitialTempFactor <= 0:
-		return fmt.Errorf("sa: InitialTempFactor %v", c.InitialTempFactor)
-	case c.Cooling <= 0 || c.Cooling >= 1:
-		return fmt.Errorf("sa: Cooling %v outside (0,1)", c.Cooling)
-	case c.SweepLength < 0:
-		return fmt.Errorf("sa: negative SweepLength")
-	case c.Objective.Lambda < 0 || c.Objective.Lambda > 1:
+	if c.Objective.Lambda < 0 || c.Objective.Lambda > 1 {
 		return fmt.Errorf("sa: lambda %v", c.Objective.Lambda)
 	}
 	return nil
@@ -101,22 +88,13 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 		panic("sa: unbounded budget")
 	}
 	r := rng.New(seed)
-	var init schedule.Schedule
-	if s.cfg.SeedHeuristic != nil {
-		init = s.cfg.SeedHeuristic(in)
-	} else {
-		init = schedule.NewRandom(in, r)
-	}
-	cur := schedule.NewState(in, init)
+	cur := schedule.NewState(in, heuristics.MinMin(in))
 	o := s.cfg.Objective
 	curFit := o.Of(cur)
 	var best evalpool.Best
 	best.Note(cur, o, curFit)
-	temp := s.cfg.InitialTempFactor * curFit
-	sweep := s.cfg.SweepLength
-	if sweep == 0 {
-		sweep = 2 * in.Jobs
-	}
+	temp := initialTempFactor * curFit
+	sweep := 2 * in.Jobs
 
 	start := time.Now()
 	iter := 0
@@ -183,7 +161,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 				best.Note(cur, o, f)
 			}
 		}
-		temp *= s.cfg.Cooling
+		temp *= cooling
 		iter++
 		emit()
 	}

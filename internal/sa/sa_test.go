@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gridcma/internal/etc"
+	"gridcma/internal/heuristics"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
 )
@@ -15,8 +16,7 @@ func testInstance(seed uint64) *etc.Instance {
 
 func TestRunImprovesOnSeed(t *testing.T) {
 	in := testInstance(1)
-	cfg := DefaultConfig()
-	s, err := New(cfg)
+	s, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestRunImprovesOnSeed(t *testing.T) {
 	if err := res.Best.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, heuristics.MinMin(in)))
 	if res.Fitness >= seedFit {
 		t.Errorf("SA %v did not improve on Min-Min %v", res.Fitness, seedFit)
 	}
@@ -37,16 +37,6 @@ func TestDeterministic(t *testing.T) {
 	b := s.Run(in, run.Budget{MaxIterations: 20}, 7, nil)
 	if !a.Best.Equal(b.Best) {
 		t.Fatal("same seed, different results")
-	}
-}
-
-func TestRandomStartWithoutSeedHeuristic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SeedHeuristic = nil
-	s, _ := New(cfg)
-	res := s.Run(testInstance(3), run.Budget{MaxIterations: 10}, 1, nil)
-	if res.Best == nil {
-		t.Fatal("no result")
 	}
 }
 
@@ -79,7 +69,7 @@ func TestSweepProposalsRunAndImprove(t *testing.T) {
 	if s.Name() != "SA-sweep" {
 		t.Fatalf("Name() = %q", s.Name())
 	}
-	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, heuristics.MinMin(in)))
 	a := s.Run(in, run.Budget{MaxIterations: 20}, 5, nil)
 	b := s.Run(in, run.Budget{MaxIterations: 20}, 5, nil)
 	if a.Fitness > seedFit {
@@ -98,10 +88,8 @@ func TestSweepProposalsRunAndImprove(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{InitialTempFactor: 0, Cooling: 0.9, Objective: schedule.DefaultObjective},
-		{InitialTempFactor: 0.1, Cooling: 1.0, Objective: schedule.DefaultObjective},
-		{InitialTempFactor: 0.1, Cooling: 0.9, SweepLength: -1, Objective: schedule.DefaultObjective},
-		{InitialTempFactor: 0.1, Cooling: 0.9, Objective: schedule.Objective{Lambda: -1}},
+		{Objective: schedule.Objective{Lambda: -1}},
+		{Objective: schedule.Objective{Lambda: 1.5}, SweepProposals: true},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

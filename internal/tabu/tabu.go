@@ -5,7 +5,7 @@
 // Each step examines a sample of single-job moves, picks the best
 // non-tabu move (with aspiration: a tabu move is allowed when it improves
 // the global best) and marks the reverse (job, machine) pair tabu for
-// Tenure steps.
+// tenure steps.
 package tabu
 
 import (
@@ -20,33 +20,22 @@ import (
 	"gridcma/internal/schedule"
 )
 
-// Config parameterises the search.
+// Config parameterises the search. The search starts from Min-Min; a
+// step examines 8×nb_machines sampled moves, and a reversed move stays
+// forbidden for nb_jobs/4 steps (at least 4).
 type Config struct {
-	// Tenure is how many steps a reversed move stays forbidden; 0
-	// defaults to nb_jobs / 4.
-	Tenure int
-	// Samples is the number of candidate moves examined per step; 0
-	// defaults to 8×nb_machines.
-	Samples int
 	// Objective is the scalarised fitness.
 	Objective schedule.Objective
-	// SeedHeuristic builds the starting solution; nil starts random.
-	SeedHeuristic func(*etc.Instance) schedule.Schedule
 }
 
-// DefaultConfig returns a documented default configuration.
+// DefaultConfig returns the search under the default objective.
 func DefaultConfig() Config {
-	return Config{Objective: schedule.DefaultObjective, SeedHeuristic: heuristics.MinMin}
+	return Config{Objective: schedule.DefaultObjective}
 }
 
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
-	switch {
-	case c.Tenure < 0:
-		return fmt.Errorf("tabu: negative Tenure")
-	case c.Samples < 0:
-		return fmt.Errorf("tabu: negative Samples")
-	case c.Objective.Lambda < 0 || c.Objective.Lambda > 1:
+	if c.Objective.Lambda < 0 || c.Objective.Lambda > 1 {
 		return fmt.Errorf("tabu: lambda %v", c.Objective.Lambda)
 	}
 	return nil
@@ -74,29 +63,14 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 		panic("tabu: unbounded budget")
 	}
 	r := rng.New(seed)
-	var init schedule.Schedule
-	if s.cfg.SeedHeuristic != nil {
-		init = s.cfg.SeedHeuristic(in)
-	} else {
-		init = schedule.NewRandom(in, r)
-	}
-	cur := schedule.NewState(in, init)
+	cur := schedule.NewState(in, heuristics.MinMin(in))
 	o := s.cfg.Objective
 	curFit := o.Of(cur)
 	var best evalpool.Best
 	best.Note(cur, o, curFit)
 
-	tenure := s.cfg.Tenure
-	if tenure == 0 {
-		tenure = in.Jobs / 4
-		if tenure < 4 {
-			tenure = 4
-		}
-	}
-	samples := s.cfg.Samples
-	if samples == 0 {
-		samples = 8 * in.Machs
-	}
+	tenure := max(in.Jobs/4, 4)
+	samples := 8 * in.Machs
 	// tabuUntil[j*machs+m] is the first step at which moving job j to
 	// machine m is allowed again.
 	tabuUntil := make([]int, in.Jobs*in.Machs)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gridcma/internal/etc"
+	"gridcma/internal/heuristics"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
 )
@@ -15,8 +16,7 @@ func testInstance(seed uint64) *etc.Instance {
 
 func TestRunImprovesOnSeed(t *testing.T) {
 	in := testInstance(1)
-	cfg := DefaultConfig()
-	s, err := New(cfg)
+	s, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestRunImprovesOnSeed(t *testing.T) {
 	if err := res.Best.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, cfg.SeedHeuristic(in)))
+	seedFit := schedule.DefaultObjective.Of(schedule.NewState(in, heuristics.MinMin(in)))
 	if res.Fitness >= seedFit {
 		t.Errorf("tabu %v did not improve on Min-Min %v", res.Fitness, seedFit)
 	}
@@ -41,15 +41,13 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestTabuListBlocksImmediateReversal(t *testing.T) {
-	// Indirect but deterministic check: with a huge tenure and sampling
-	// of all moves the search must still make progress (aspiration) and
-	// never crash; with tenure 0 default applies.
+	// Indirect but deterministic check: with a tenure (4000/4 steps)
+	// longer than the run, every reversed move stays tabu to the end,
+	// and the search must still make progress (aspiration) and never
+	// crash.
 	in := etc.Generate(etc.Class{Consistency: etc.Inconsistent, JobHet: etc.Low, MachineHet: etc.Low},
-		0, etc.GenerateOptions{Seed: 3, Jobs: 24, Machs: 4})
-	cfg := DefaultConfig()
-	cfg.Tenure = 1000
-	cfg.Samples = 24 * 4
-	s, _ := New(cfg)
+		0, etc.GenerateOptions{Seed: 3, Jobs: 4000, Machs: 4})
+	s, _ := New(DefaultConfig())
 	res := s.Run(in, run.Budget{MaxIterations: 200}, 5, nil)
 	if err := res.Best.Validate(in); err != nil {
 		t.Fatal(err)
@@ -72,8 +70,7 @@ func TestBestMonotone(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	for i, cfg := range []Config{
-		{Tenure: -1, Objective: schedule.DefaultObjective},
-		{Samples: -1, Objective: schedule.DefaultObjective},
+		{Objective: schedule.Objective{Lambda: -1}},
 		{Objective: schedule.Objective{Lambda: 7}},
 	} {
 		if _, err := New(cfg); err == nil {

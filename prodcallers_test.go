@@ -32,9 +32,11 @@ var testOnlyAllowlist = map[string]string{
 // call out of the production build. It type-checks every non-test package
 // of the library, cmd/ and the benchmark module and fails on each exported
 // function or method in internal/ that none of their files uses, unless
-// testOnlyAllowlist names it. A method that implements an interface is
-// exempt: its callers reach it through the interface. internal/chaos is
-// test support, neither scanned nor counted as a caller.
+// testOnlyAllowlist names it, and on each unexported function or method
+// in the library or cmd/ that no file of its own package uses. A method
+// that implements an interface is exempt: its callers reach it through
+// the interface. internal/chaos is test support, neither scanned nor
+// counted as a caller.
 func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks every production package and its imports from source")
@@ -80,14 +82,23 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 	ifaces := interfaces(pkgs)
 	unused := map[string]bool{}
 	for _, pkg := range pkgs {
-		if !strings.HasPrefix(pkg.Path(), "gridcma/internal/") {
+		internal := strings.HasPrefix(pkg.Path(), "gridcma/internal/")
+		if !internal && strings.HasPrefix(pkg.Path(), "gridcma/benchmark") {
 			continue
+		}
+		// Only internal/ exports are checked: the root package's are the
+		// library's API, and no other package exports to a caller.
+		checked := func(fn *types.Func) bool {
+			if fn.Exported() {
+				return internal
+			}
+			return fn.Name() != "main"
 		}
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			switch obj := scope.Lookup(name).(type) {
 			case *types.Func:
-				if obj.Exported() && !used[funcKey(obj)] {
+				if checked(obj) && !used[funcKey(obj)] {
 					unused[funcKey(obj)] = true
 				}
 			case *types.TypeName:
@@ -97,7 +108,7 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 				}
 				for i := 0; i < named.NumMethods(); i++ {
 					m := named.Method(i)
-					if m.Exported() && !used[funcKey(m)] && !implementsAny(named, m.Name(), ifaces) {
+					if checked(m) && !used[funcKey(m)] && !implementsAny(named, m.Name(), ifaces) {
 						unused[funcKey(m)] = true
 					}
 				}
@@ -118,7 +129,7 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 	}
 	sort.Strings(bad)
 	for _, key := range bad {
-		t.Errorf("%s: exported, but no production file calls it; move it into a _test.go file or delete it", key)
+		t.Errorf("%s: no production file calls it; move it into a _test.go file or delete it", key)
 	}
 	t.Logf("%d production packages scanned, %d allowlisted", len(pkgs), len(testOnlyAllowlist))
 }
