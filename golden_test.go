@@ -175,7 +175,8 @@ func goldenRuns(t *testing.T) []goldenCase {
 	}
 
 	// Each engine that the 3-iteration cases leave on its seed
-	// heuristic's schedule, at an equal evaluation budget: 19,200
+	// heuristic's schedule, and tabu, whose tenure those cases never
+	// reach, at an equal evaluation budget: 19,200
 	// evaluations, which is 100 SA sweeps of 2×96 proposals. Each
 	// engine's iterations are that budget over its evaluations per
 	// iteration. By then every engine has left its seed except
@@ -204,7 +205,9 @@ const goldenEngineEvals = 19200
 // evaluations per iteration on 96×8 and the heuristic that seeds it. A
 // Braun GA generation evaluates its 200 offspring; a steady-state step
 // (gsa, ss-ga, struggle-ga) one; an SA sweep makes 2×96 proposals, and
-// an sa-sweep sweep scores the 7 other machines for each of its 192.
+// an sa-sweep sweep scores the 7 other machines for each of its 192. A
+// tabu step samples 8×8 moves, so its 300 steps outlast the tenure of
+// 96/4 = 24 steps and pin it.
 var goldenEngines = []struct {
 	alg          string
 	evalsPerIter int
@@ -216,6 +219,7 @@ var goldenEngines = []struct {
 	{"sa-sweep", 2 * 96 * 7, "minmin"},
 	{"ss-ga", 1, "ljfr-sjfr"},
 	{"struggle-ga", 1, "ljfr-sjfr"},
+	{"tabu", 8 * 8, "minmin"},
 }
 
 // goldenSeedExceptions names the appended cases allowed to equal their
@@ -303,8 +307,8 @@ func TestGoldenEnginesLeaveTheirSeed(t *testing.T) {
 	for _, c := range recorded {
 		byName[c.Name] = c.Schedule
 	}
-	// Tabu has no appended cases: its 3-iteration matrix cases are
-	// checked instead.
+	// Tabu's 3-iteration matrix cases are checked beside its appended
+	// ones.
 	type pair struct{ heuristic, seed1, seed7 string }
 	pairs := []pair{{"minmin", "tabu/96x8/seed1", "tabu/96x8/seed7"}}
 	for _, e := range goldenEngines {

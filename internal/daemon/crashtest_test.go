@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gridcma/internal/chaos"
@@ -39,8 +41,9 @@ type crashTestResult struct {
 }
 
 // crashTest is the durability torture: a reference run records a
-// deterministic event script, its WAL bytes and the digest after every
-// event; then, for each fault in a seeded plan, the same script is
+// deterministic event script, its admits stamped with their search
+// outcomes as the daemon logs them, its WAL bytes and the digest after
+// every event; then, for each fault in a seeded plan, the same script is
 // written through a fault-injecting file handle until the fault kills
 // the write path, the file is recovered exactly as a restarting daemon
 // would (torn tail truncated, clean prefix replayed), the digest
@@ -73,18 +76,22 @@ func crashTest(cfg crashTestConfig) (*crashTestResult, error) {
 	w := eventlog.NewWriter(&refBuf)
 	bounds := []int64{0}
 	for i := 0; i < cfg.Events; i++ {
-		stamped, err := w.Append(gen.next())
+		// Apply, then log, as the daemon does: an admit is logged with
+		// its search's outcome, so every recovery below applies it.
+		e := gen.next()
+		if err := ref.Apply(e); err != nil {
+			return nil, fmt.Errorf("crashtest: reference apply %d (%+v): %w", i, e, err)
+		}
+		if e.Type == eventlog.Admit {
+			e.Moves = slices.Clone(ref.LastOutcome())
+			gen.used = len(gen.alive)
+		}
+		stamped, err := w.Append(e)
 		if err != nil {
 			return nil, fmt.Errorf("crashtest: reference append %d: %w", i, err)
 		}
 		if err := w.Flush(); err != nil {
 			return nil, err
-		}
-		if err := ref.Apply(stamped); err != nil {
-			return nil, fmt.Errorf("crashtest: reference apply %d (%+v): %w", i, stamped, err)
-		}
-		if stamped.Type == eventlog.Admit {
-			gen.used = len(gen.alive)
 		}
 		script = append(script, stamped)
 		digests = append(digests, ref.Digest())
@@ -190,7 +197,7 @@ func runOneKill(grid Config, dir string, fi int, f chaos.Fault,
 		return err
 	}
 	for i, e := range events {
-		if e != script[i] {
+		if !reflect.DeepEqual(e, script[i]) {
 			return fmt.Errorf("recovered event %d = %+v, want %+v", i, e, script[i])
 		}
 		if err := g.Apply(e); err != nil {
@@ -244,7 +251,7 @@ func runOneKill(grid Config, dir string, fi int, f chaos.Fault,
 			file.Close()
 			return fmt.Errorf("resuming append %d: %w", i, err)
 		}
-		if stamped != script[i] {
+		if !reflect.DeepEqual(stamped, script[i]) {
 			file.Close()
 			return fmt.Errorf("resumed event %d restamped to %+v, want %+v", i, stamped, script[i])
 		}

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -84,10 +85,10 @@ const (
 	opLeave           // machine machs[arg%len], alive or not
 	opFail            // likewise
 	opComplete        // arg&0x80: raw job id arg&0x7f; else live[arg%len]
-	opAdmit
-	opSubmit   // 1 + arg&3 submits of base 1 + (arg>>4)&7
-	opInvalid  // a skipped job id or a wrong sequence number (rejected)
-	opSnapshot // replace the grid by Restore(Snapshot())
+	opAdmit           // arg 0: plain; else with a drawn search outcome (drawOutcome)
+	opSubmit          // 1 + arg&3 submits of base 1 + (arg>>4)&7
+	opInvalid         // a skipped job id or a wrong sequence number (rejected)
+	opSnapshot        // replace the grid by Restore(Snapshot())
 	numOps
 )
 
@@ -130,7 +131,11 @@ func runGridProgram(t testing.TB, data []byte) {
 			}
 			events = append(events, eventlog.Event{Type: eventlog.Complete, Job: id})
 		case opAdmit:
-			events = append(events, eventlog.Event{Type: eventlog.Admit})
+			e := eventlog.Event{Type: eventlog.Admit}
+			if arg != 0 {
+				e.Moves = drawOutcome(arg, live, machs)
+			}
+			events = append(events, e)
 		case opSubmit:
 			for k := 0; k <= int(arg&3); k++ {
 				events = append(events, eventlog.Event{Type: eventlog.Submit, Job: g.NextJobID() + uint64(k), Base: 1 + float64(arg>>4&7)})
@@ -185,6 +190,30 @@ func runGridProgram(t testing.TB, data []byte) {
 	}
 }
 
+// drawOutcome draws an admit's search outcome of arg&3 moves, possibly
+// none: job ids from live (raw ids when arg&0x80 is set), machine ids
+// from machs, every joined machine, alive or not. Unless arg&0x40 is
+// set the moves are sorted by job id, so most outcomes are well formed
+// and fail, if at all, on the grid's own checks.
+func drawOutcome(arg byte, live, machs []uint64) []eventlog.Move {
+	moves := make([]eventlog.Move, arg&3)
+	for k := range moves {
+		job := uint64(arg>>2&0xf) + uint64(k)
+		if arg&0x80 == 0 && len(live) > 0 {
+			job = live[(int(arg>>2)+7*k)%len(live)]
+		}
+		mach := uint64(k + 1)
+		if len(machs) > 0 {
+			mach = machs[(int(arg>>4)+3*k)%len(machs)]
+		}
+		moves[k] = eventlog.Move{Job: job, Mach: mach}
+	}
+	if arg&0x40 == 0 {
+		slices.SortFunc(moves, func(a, b eventlog.Move) int { return cmp.Compare(a.Job, b.Job) })
+	}
+	return moves
+}
+
 // encodeScript turns an event script into a grid program that replays it
 // exactly, with a snapshot round trip every snapEvery events.
 func encodeScript(events []eventlog.Event, snapEvery int) []byte {
@@ -226,7 +255,9 @@ func encodeScript(events []eventlog.Event, snapEvery int) []byte {
 
 // FuzzGridApply is the grid state-machine fuzz: arbitrary bytes decode
 // into event sequences — invalid joins, leaves, fails, completes and
-// sequence numbers among them, and submit bursts that force grow — and
+// sequence numbers among them, submit bursts that force grow, and
+// admits carrying arbitrary search outcomes, which the grid refuses
+// unchanged or commits in place of its search — and
 // every accepted event must keep the invariants and the incremental
 // digest equal to the from-scratch fold. The seeds replay daemon.Script,
 // so tier-1 runs them as ordinary tests.
@@ -235,6 +266,9 @@ func FuzzGridApply(f *testing.F) {
 		f.Add(encodeScript(Script(seed, fuzzGridConfig().MachCap, 150), 50))
 	}
 	f.Add([]byte{opSubmit, 0xff, opJoin, 0x80, opLeave, 9, opFail, 0, opComplete, 0x85, opAdmit, 0, opInvalid, 1, opSnapshot, 0})
+	f.Add([]byte{opJoin, 0, opJoin, 1, opSubmit, 0x13, opAdmit, 0, opAdmit, 0x01, opAdmit, 0x16, opAdmit, 0x42,
+		opSubmit, 0x22, opFail, 1, opAdmit, 0x11, opAdmit, 0x23, opAdmit, 0x83, opAdmit, 0xbd, opAdmit, 0x04,
+		opSnapshot, 0, opAdmit, 0x35})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return // a longer program grows the grid past what a fold per event can check quickly

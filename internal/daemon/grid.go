@@ -38,6 +38,14 @@
 // snapshot + same event log ⇒ bit-identical schedule trajectory, the
 // operational form of the repo's trajectory-compatibility discipline.
 //
+// The same fact lets an admission skip its search. The grid's value at
+// an event boundary is a function of its assignment, so an admit that
+// carries the search's outcome (eventlog.Event.Moves: the jobs the
+// search moved and where to) reaches the searched state by committing
+// those moves through SetScheduleDiff. The daemon logs every admission
+// with its outcome (LastOutcome), so followers and recovery apply it and
+// only the primary searches; an admit without one still searches.
+//
 // # State digest
 //
 // Grid.Digest names the whole value state in 64 hex characters: a
@@ -115,8 +123,10 @@
 package daemon
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"gridcma/internal/etc"
 	"gridcma/internal/eventlog"
@@ -304,6 +314,15 @@ type Grid struct {
 	// daemon reads it for latency accounting and API responses. Not part
 	// of the replayed state.
 	lastPlaced []Placement
+	// moves is the most recent admission's search outcome, the list the
+	// daemon logs on its admit record; never nil. cand is the admission's schedule
+	// scratch: after the placement commits it holds the assignment the
+	// search starts from, which the outcome is the diff against, and
+	// machVer the machine versions the search starts from, so only the
+	// machines the search edited are diffed.
+	moves   []eventlog.Move
+	cand    schedule.Schedule
+	machVer []uint64
 
 	// dig is the incremental state digest (digest.go): nil until the
 	// first Digest call and again after grow. Transitions mark the
@@ -326,6 +345,7 @@ func NewGrid(cfg Config) (*Grid, error) {
 		machs:    make([]machSlot, cfg.MachCap),
 		byID:     make(map[uint64]int32),
 		machByID: make(map[uint64]int),
+		moves:    []eventlog.Move{},
 	}
 	g.inst = g.blankInstance(cfg.JobCap)
 	g.parkKeys = make([]uint64, cfg.JobCap)
@@ -390,6 +410,13 @@ func (g *Grid) Counters() Counters { return g.counters }
 // LastPlacements returns the placements committed by the most recent
 // admission window. The slice is reused across admissions.
 func (g *Grid) LastPlacements() []Placement { return g.lastPlaced }
+
+// LastOutcome returns the most recent admission's search outcome, in
+// ascending job id: each job whose machine the search changed, with the
+// machine it ended on (the outcome it applied, when its admit carried
+// one). It is never nil, so an admit stamped with it always carries the
+// field. The slice is reused across admissions.
+func (g *Grid) LastOutcome() []eventlog.Move { return g.moves }
 
 // Live returns the number of placed jobs, pending jobs and alive
 // machines.
@@ -484,7 +511,7 @@ func (g *Grid) Apply(e eventlog.Event) error {
 	case eventlog.Complete:
 		err = g.applyComplete(e)
 	case eventlog.Admit:
-		err = g.applyAdmit()
+		err = g.applyAdmit(e.Moves)
 	}
 	if err != nil {
 		return err
@@ -639,10 +666,16 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 // departed machines, place every pending job (greedy MCT on a scratch
 // completion view, lowest-index ties), commit the whole batch through
 // SetScheduleDiff — dirtying only the touched machines — and run the
-// bounded warm-start improvement pass over the live state.
-func (g *Grid) applyAdmit() error {
+// bounded warm-start improvement pass over the live state. A non-nil
+// outcome, the logged result of that pass, is checked before anything
+// changes and committed in its place.
+func (g *Grid) applyAdmit(outcome []eventlog.Move) error {
+	if err := g.checkOutcome(outcome); err != nil {
+		return err
+	}
 	g.counters.Admits++
 	g.lastPlaced = g.lastPlaced[:0]
+	g.moves = g.moves[:0]
 	g.blockFreed()
 
 	// Re-pool: jobs on departed machines go back to pending, in list
@@ -680,8 +713,9 @@ func (g *Grid) applyAdmit() error {
 
 	// Greedy MCT placement over a scratch completion view.
 	placed := g.pending
+	g.cand = append(g.cand[:0], g.st.ScheduleView()...)
+	cand := g.cand
 	if len(g.pending) > 0 {
-		cand := g.st.Schedule()
 		comp := make([]float64, len(g.machs))
 		for _, m := range aliveMachs {
 			comp[m] = g.st.Completion(m)
@@ -731,11 +765,14 @@ func (g *Grid) applyAdmit() error {
 		g.st.InvalidateMachine(m)
 	}
 
-	// Warm-start improvement from the live state (the parking column is
-	// scan-exempt, so LMCTS's critical-swap pass skips it).
-	if g.cfg.LSIters > 0 {
-		g.r.Reseed(g.cfg.Seed ^ g.counters.Admits*0x9e3779b97f4a7c15)
-		g.ls.Improve(g.st, g.obj, g.cfg.LSIters, &g.r)
+	if outcome != nil {
+		for _, mv := range outcome {
+			cand[g.byID[mv.Job]] = g.machByID[mv.Mach]
+		}
+		g.st.SetScheduleDiff(cand)
+		g.moves = append(g.moves, outcome...)
+	} else {
+		g.improve(cand)
 	}
 	g.st.RefreshFlowtime()
 	// Report placements as they stand after the improvement pass — the
@@ -748,6 +785,57 @@ func (g *Grid) applyAdmit() error {
 	}
 	g.pending = placed[:0]
 	return nil
+}
+
+// checkOutcome refuses an admit's search outcome that moves a job
+// which is not live or onto a machine which is not alive: a dead or
+// departed one, the parking column, or an id never joined. Validate has
+// refused a job named twice. Every live job is placed by the time the
+// outcome applies: the admission places every pending job when any
+// machine is alive, and with none alive every machine named is refused.
+// The check runs before the admission changes anything, so a refused
+// outcome leaves the grid unchanged.
+func (g *Grid) checkOutcome(outcome []eventlog.Move) error {
+	for _, mv := range outcome {
+		if _, ok := g.byID[mv.Job]; !ok {
+			return fmt.Errorf("daemon: admit outcome moves job %d, which is not live", mv.Job)
+		}
+		if _, ok := g.machByID[mv.Mach]; !ok {
+			return fmt.Errorf("daemon: admit outcome moves job %d to machine %d, which is not alive", mv.Job, mv.Mach)
+		}
+	}
+	return nil
+}
+
+// improve runs the warm-start improvement pass from the live state (the
+// parking column is scan-exempt, so LMCTS's critical-swap pass skips
+// it) and records its outcome in g.moves: the jobs on the machines
+// whose version the search moved whose machine differs from cand, the
+// assignment it started from. A job the search moved sits on a machine
+// it edited, so no other machine needs a look.
+func (g *Grid) improve(cand schedule.Schedule) {
+	if g.cfg.LSIters == 0 {
+		return
+	}
+	if len(g.machVer) != len(g.machs) {
+		g.machVer = make([]uint64, len(g.machs))
+	}
+	for m := range g.machVer {
+		g.machVer[m] = g.st.MachEpoch(m)
+	}
+	g.r.Reseed(g.cfg.Seed ^ g.counters.Admits*0x9e3779b97f4a7c15)
+	g.ls.Improve(g.st, g.obj, g.cfg.LSIters, &g.r)
+	for m, v := range g.machVer {
+		if g.st.MachEpoch(m) == v {
+			continue
+		}
+		for _, s := range g.st.JobsOn(m) {
+			if cand[s] != m {
+				g.moves = append(g.moves, eventlog.Move{Job: g.jobs[s].id, Mach: g.machs[m].id})
+			}
+		}
+	}
+	slices.SortFunc(g.moves, func(a, b eventlog.Move) int { return cmp.Compare(a.Job, b.Job) })
 }
 
 // blockFreed writes blockETC on every real machine for each slot freed

@@ -234,7 +234,7 @@ func (d *Daemon) SnapshotNow() (*Snapshot, error) {
 // (WAL, the digest fold of a serving primary, group commit) and returns
 // the stamped event. It is the programmatic twin of POST /event, used
 // by the failover torture and the replication bench to drive a primary
-// without HTTP.
+// without HTTP. A returned admit's Moves hold until the next admission.
 func (d *Daemon) ApplyEvent(e eventlog.Event) (eventlog.Event, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

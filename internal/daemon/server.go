@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -324,6 +325,12 @@ var errNotPersisted = errors.New("applied but not persisted")
 // grid unchanged on error, so the pre-stamped sequence number stays free
 // for the next event. Admission events additionally record wall-clock
 // metrics: window latency and per-job submit→placement latency.
+//
+// An admission is logged with its search's outcome (Grid.LastOutcome),
+// so a follower or a recovery applies it instead of searching again.
+// The returned admit's Moves alias the grid's buffer and hold until the
+// next admission. An admit that arrives with an outcome is refused: the
+// primary runs its own search.
 func (d *Daemon) applyLocked(e eventlog.Event) (eventlog.Event, error) {
 	if d.closed {
 		return e, errors.New("daemon: stopped")
@@ -342,10 +349,16 @@ func (d *Daemon) applyLocked(e eventlog.Event) (eventlog.Event, error) {
 	}
 	var t0 time.Time
 	if e.Type == eventlog.Admit {
+		if e.Moves != nil {
+			return e, errors.New("daemon: admit carries a search outcome; only a replicated record may")
+		}
 		t0 = time.Now()
 	}
 	if err := d.g.Apply(e); err != nil {
 		return e, err
+	}
+	if e.Type == eventlog.Admit {
+		e.Moves = d.g.LastOutcome()
 	}
 	if d.wal != nil {
 		if _, err := d.wal.Append(e); err != nil {
@@ -410,9 +423,11 @@ func (d *Daemon) maybeAdmitLocked() bool {
 // Bodies in the event log's canonical form decode in one pass
 // (eventlog.ParseEvents, parseBases); any other body decodes through
 // encoding/json as it always has. The /event reply is the stamped events
-// as canonical log records (eventlog.Event.AppendJSON, no crc): the same
-// values encoding/json would write, with floats outside [1e-4, 1e6) in
-// exponent form. A batch rejected at event k commits the k events
+// as canonical log records (eventlog.Event.AppendJSON, no crc), an admit
+// with the search outcome it was logged with: the same values
+// encoding/json would write, with floats outside [1e-4, 1e6) in
+// exponent form. An admit that carries an outcome of its own is a 400.
+// A batch rejected at event k commits the k events
 // before it and lists them in the 400 body under "applied". A log write
 // failing mid-batch is a 500 whose "ids" (/submit) or "applied" (/event)
 // list every event the grid took, the one the write failed on included.
@@ -924,6 +939,8 @@ func (d *Daemon) applyEvents(events []eventlog.Event) (n, code int, err error) {
 			}
 			break
 		}
+		// The reply lists the outcome; a later admit reuses its buffer.
+		e.Moves = slices.Clone(e.Moves)
 	}
 	if n > 0 || err == nil {
 		d.maybeAdmitLocked()

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -407,7 +408,7 @@ func TestServerEventBatchCommitsAppliedPrefix(t *testing.T) {
 	for i, e := range reply.Applied {
 		want := logged[i]
 		want.Crc = 0
-		if e != want {
+		if !reflect.DeepEqual(e, want) {
 			t.Fatalf("applied[%d] = %+v, logged %+v", i, e, want)
 		}
 	}
@@ -566,13 +567,15 @@ func TestServerRepliesMatchEncodingJSON(t *testing.T) {
 		{Seq: 2, T: 1000000.1, Type: eventlog.Submit, Job: 1, Base: 12345678.9},
 		{Seq: 3, T: 2, Type: eventlog.Complete, Job: 1},
 		{Seq: 4, Type: eventlog.Admit},
+		{Seq: 5, Type: eventlog.Admit, Moves: []eventlog.Move{}},
+		{Seq: 6, Type: eventlog.Admit, Moves: []eventlog.Move{{Job: 1, Mach: 2}, {Job: 3, Mach: 1}}},
 	}
 	for _, evs := range [][]eventlog.Event{events, events[:1], {}} {
 		var got []eventlog.Event
 		if err := json.Unmarshal(appendEvents(nil, evs), &got); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, evs) {
+		if !equalEvents(got, evs) {
 			t.Errorf("event reply decodes to %+v, want %+v", got, evs)
 		}
 	}
@@ -603,6 +606,8 @@ func BenchmarkEventReply(b *testing.B) {
 // to the same value, and every /event reply that reports events (a 200,
 // or a 400 with "applied") must decode to the events the request
 // appended to the WAL, but for the admission their submits may close.
+// A batch holding an admit that carries a search outcome is a 400 (or a
+// 429 or 413, refused before any event applies).
 func FuzzHTTPBodies(f *testing.F) {
 	for _, b := range [][2]string{
 		{`[{"type":"join","mult":1},{"type":"join","mult":2}]`, `{"bases":[2,3,4,5]}`},
@@ -617,6 +622,10 @@ func FuzzHTTPBodies(f *testing.F) {
 		{`[{"type":"join","mach":3,"mult":1},{"type":"complete","job":1},{"type":"leave","mach":3}]`, `{"bases":[1e+06,1]}`},
 		{`{"seq":9,"t":0.5,"type":"join","mult":3,"crc":12345}`, `{"bases":[2]}`},
 		{`[{"type":"submit","base":2},{"type":"submit","base":2},{"type":"complete","job":2},{"type":"complete","job":9}]`, `{"bases":[]}`},
+		// Admits carrying a search outcome: a 400, the events before them applied.
+		{`{"type":"admit","moves":[]}`, `{"bases":[2]}`},
+		{`[{"type":"join","mult":1},{"type":"submit","base":2},{"type":"admit","moves":[[1,1]]},{"type":"complete","job":1}]`, `{"bases":[3]}`},
+		{`[{"type":"join","mult":1}, {"type":"admit","moves":[[1,1]]}]`, `{}`},
 	} {
 		f.Add([]byte(b[0]), []byte(b[1]))
 	}
@@ -630,7 +639,7 @@ func FuzzHTTPBodies(f *testing.F) {
 				ref = make([]eventlog.Event, 1)
 				err = json.Unmarshal(event, &ref[0])
 			}
-			if err != nil || !slices.Equal(evs, ref) {
+			if err != nil || !equalEvents(evs, ref) {
 				t.Fatalf("ParseEvents(%q) = %+v, encoding/json %+v (%v)", event, evs, ref, err)
 			}
 		}
@@ -694,9 +703,45 @@ func FuzzHTTPBodies(f *testing.F) {
 			logged = all
 			if req.path == "/event" {
 				checkEventReply(t, rec, req.body, appended)
+				if clientOutcome(req.body) && rec.Code != http.StatusBadRequest &&
+					rec.Code != http.StatusTooManyRequests && rec.Code != http.StatusRequestEntityTooLarge {
+					t.Fatalf("POST /event %q: an admit carrying a search outcome answered %d, want 400", req.body, rec.Code)
+				}
 			}
 		}
 	})
+}
+
+// clientOutcome reports whether an /event body decodes, as the handler
+// decodes it, to a batch holding an admit that carries a search outcome:
+// a record only the primary's own log may hold.
+func clientOutcome(body []byte) bool {
+	evs, ok := eventlog.ParseEvents(body, nil)
+	if !ok {
+		var err error
+		if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
+			evs = nil
+			err = json.Unmarshal(body, &evs)
+		} else {
+			evs = make([]eventlog.Event, 1)
+			err = json.Unmarshal(body, &evs[0])
+		}
+		if err != nil {
+			return false
+		}
+	}
+	for _, e := range evs {
+		if e.Type == eventlog.Admit && e.Moves != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// equalEvents reports whether a and b hold equal events, a nil search
+// outcome unequal to an empty one.
+func equalEvents(a, b []eventlog.Event) bool {
+	return slices.EqualFunc(a, b, func(x, y eventlog.Event) bool { return reflect.DeepEqual(x, y) })
 }
 
 // checkEventReply checks that an /event reply which reports events
@@ -728,7 +773,7 @@ func checkEventReply(t *testing.T, rec *httptest.ResponseRecorder, body []byte, 
 	if n := len(reply); n+1 == len(want) && want[n].Type == eventlog.Admit {
 		want = want[:n]
 	}
-	if !slices.Equal(reply, want) {
+	if !equalEvents(reply, want) {
 		t.Fatalf("POST /event %q: %d reply %q, the WAL gained %+v", body, rec.Code, rec.Body, appended)
 	}
 }

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"gridcma/internal/etc"
@@ -111,7 +112,7 @@ func TestSimTraceDeterministic(t *testing.T) {
 		t.Fatalf("stream lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("event %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}

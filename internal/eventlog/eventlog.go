@@ -5,12 +5,15 @@
 // the daemon and a daemon incident replays from a snapshot plus its log.
 //
 // The log is JSON lines — one event per line, in application order, each
-// stamped with a strictly increasing sequence number. Events carry only
-// the inputs of the scheduler's deterministic state transition (job ids
-// and workloads, machine ids and speeds); the timestamp field is
-// informational (simulated or wall-clock time of the producer) and never
-// feeds a transition, which is what makes "same snapshot + same log →
-// bit-identical trajectory" a contract rather than an aspiration.
+// stamped with a strictly increasing sequence number. Events carry the
+// inputs of the scheduler's deterministic state transition (job ids and
+// workloads, machine ids and speeds) and, on an admission the daemon
+// logged, the outcome of its local search (Event.Moves), so a replaying
+// consumer applies the search's result instead of running it again. The
+// timestamp field is informational (simulated or wall-clock time of the
+// producer) and never feeds a transition, which is what makes "same
+// snapshot + same log → bit-identical trajectory" a contract rather than
+// an aspiration.
 //
 // # Durability format
 //
@@ -40,6 +43,7 @@ package eventlog
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -72,7 +76,9 @@ const (
 	// elsewhere.
 	Complete Type = "complete"
 	// Admit closes an admission window: the scheduler places every
-	// pending job and runs its warm-start improvement pass.
+	// pending job and runs its warm-start improvement pass. Moves, when
+	// present, is that pass's outcome, which a consumer applies in place
+	// of the search.
 	Admit Type = "admit"
 )
 
@@ -86,10 +92,48 @@ type Event struct {
 	Base float64 `json:"base,omitempty"`
 	Mach uint64  `json:"mach,omitempty"`
 	Mult float64 `json:"mult,omitempty"`
+	// Moves is an admit's search outcome: each job whose machine the
+	// admission's local search changed, with the machine the search left
+	// it on, in strictly ascending job id. nil means absent, and the consumer
+	// runs the search itself (gridsim traces, scripts, logs written
+	// before the field existed); a non-nil empty list means the search
+	// moved nothing. Only admit events carry it. The daemon stamps it on
+	// every admit it logs.
+	Moves []Move `json:"moves,omitzero"`
 	// Crc is the IEEE CRC-32 of the record's canonical encoding with this
 	// field excluded, stamped by the Writer. Zero means absent (old logs,
 	// or hand-written events) and skips verification on read.
 	Crc uint32 `json:"crc,omitempty"`
+}
+
+// Move is one entry of an admit's search outcome: job Job ended the
+// admission on machine Mach. Its JSON form is the pair [job,mach].
+type Move struct {
+	Job, Mach uint64
+}
+
+// MarshalJSON writes m as [job,mach].
+func (m Move) MarshalJSON() ([]byte, error) { return m.appendJSON(nil), nil }
+
+// UnmarshalJSON reads the [job,mach] pair MarshalJSON writes.
+func (m *Move) UnmarshalJSON(b []byte) error {
+	var pair []uint64
+	if err := json.Unmarshal(b, &pair); err != nil {
+		return err
+	}
+	if len(pair) != 2 {
+		return fmt.Errorf("eventlog: move %s, want [job,mach]", b)
+	}
+	m.Job, m.Mach = pair[0], pair[1]
+	return nil
+}
+
+func (m Move) appendJSON(b []byte) []byte {
+	b = append(b, '[')
+	b = strconv.AppendUint(b, m.Job, 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, m.Mach, 10)
+	return append(b, ']')
 }
 
 // Validate reports the first structural error of e: unknown type, or a
@@ -123,9 +167,18 @@ func (e Event) Validate() error {
 			return fmt.Errorf("eventlog: complete without job id")
 		}
 	case Admit:
-		// no payload
+		var last uint64
+		for i, mv := range e.Moves {
+			if mv.Job <= last || mv.Mach == 0 {
+				return fmt.Errorf("eventlog: admit outcome entry %d [%d,%d]: want job ids strictly ascending from 1 and a machine id", i, mv.Job, mv.Mach)
+			}
+			last = mv.Job
+		}
 	default:
 		return fmt.Errorf("eventlog: unknown event type %q", e.Type)
+	}
+	if e.Moves != nil && e.Type != Admit {
+		return fmt.Errorf("eventlog: %s with a search outcome", e.Type)
 	}
 	if math.IsNaN(e.T) || math.IsInf(e.T, 0) {
 		return fmt.Errorf("eventlog: %s with non-finite timestamp %v", e.Type, e.T)
@@ -168,6 +221,16 @@ func (e Event) AppendJSON(b []byte) []byte {
 	if e.Mult != 0 {
 		b = append(b, `,"mult":`...)
 		b = strconv.AppendFloat(b, e.Mult, 'g', -1, 64)
+	}
+	if e.Moves != nil {
+		b = append(b, `,"moves":[`...)
+		for i, mv := range e.Moves {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = mv.appendJSON(b)
+		}
+		b = append(b, ']')
 	}
 	return append(b, '}')
 }
@@ -279,7 +342,8 @@ func ParseRecord(line []byte, last uint64) (Event, error) {
 // then applies the checks only a log record needs: Validate, the crc
 // and the sequence order. Anything else is an error, so every accepted
 // record is JSON that encoding/json decodes to the same Event.
-// Steady-state calls do not allocate.
+// Steady-state calls do not allocate, except for an admit's non-empty
+// search outcome, whose list is allocated once.
 //
 // seqHard reports whether a failure is a sequencing violation on an
 // otherwise sound record — never attributable to a torn write, so
@@ -322,7 +386,8 @@ func parseRecord(rec []byte, last uint64) (e Event, seqHard bool, err error) {
 // accepts, encoding/json decodes to the same events. Unlike a log
 // record, an event need not Validate and its crc is not checked: the
 // batch is a request, and its consumer validates what it applies.
-// Steady-state calls do not allocate.
+// Steady-state calls do not allocate, except for an event's non-empty
+// search outcome.
 func ParseEvents(b []byte, dst []Event) (events []Event, ok bool) {
 	dst = dst[:0]
 	s := recScanner{b: b}
@@ -370,9 +435,12 @@ func (s *recScanner) event() (Event, bool) {
 //
 //	record = "{" [ `"seq":` uint "," ] [ `"t":` num "," ] `"type":"` word `"`
 //	         [ `,"job":` uint ] [ `,"base":` num ] [ `,"mach":` uint ]
-//	         [ `,"mult":` num ] [ `,"crc":` uint32 ] "}"
+//	         [ `,"mult":` num ] [ `,"moves":[` [ move { "," move } ] "]" ]
+//	         [ `,"crc":` uint32 ] "}"
+//	move   = "[" uint "," uint "]"
 //
-// with no whitespace and word one of the six event types. body is the
+// with no whitespace and word one of the six event types; a move is a
+// (job id, machine id) pair of an admit's search outcome. body is the
 // offset where the crc field, or the closing brace, starts: the record
 // up to there is what canonical checks and what the crc covers.
 func (s *recScanner) record() (e Event, body int, hasCRC bool) {
@@ -399,6 +467,9 @@ func (s *recScanner) record() (e Event, body int, hasCRC bool) {
 	}
 	if s.lit(`,"mult":`) {
 		e.Mult = s.float()
+	}
+	if s.lit(`,"moves":[`) {
+		e.Moves = s.moves()
 	}
 	body = s.i
 	hasCRC = s.lit(`,"crc":`)
@@ -491,6 +562,36 @@ func (s *recScanner) float() float64 {
 		s.fail("want a finite number")
 	}
 	return v
+}
+
+// moves reads the moves of a search outcome and the list's closing
+// bracket. The list is allocated once, at its length, and an empty one
+// is non-nil: it is present.
+func (s *recScanner) moves() []Move {
+	if s.lit(`]`) {
+		return []Move{}
+	}
+	n := 0
+	if end := bytes.Index(s.b[s.i:], []byte("]]")); end >= 0 {
+		n = bytes.Count(s.b[s.i:s.i+end], []byte("["))
+	}
+	mv := make([]Move, 0, n)
+	for {
+		s.want(`[`)
+		job := s.uint()
+		s.want(`,`)
+		mach := s.uint()
+		s.want(`]`)
+		if s.err != nil {
+			return nil
+		}
+		mv = append(mv, Move{Job: job, Mach: mach})
+		if !s.lit(`,`) {
+			break
+		}
+	}
+	s.want(`]`)
+	return mv
 }
 
 // word reads an event type up to its closing quote, mapped to its

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,6 +20,8 @@ func TestRoundTrip(t *testing.T) {
 		{Type: Submit, Job: 1, Base: 3.141592653589793, T: 0.25},
 		{Type: Submit, Job: 2, Base: 1},
 		{Type: Admit, T: 1},
+		{Type: Admit, Moves: []Move{}},
+		{Type: Admit, Moves: []Move{{Job: 1, Mach: 2}, {Job: 2, Mach: 1}}},
 		{Type: Complete, Job: 1, Mach: 2},
 		{Type: Fail, Mach: 2},
 		{Type: Leave, Mach: 1},
@@ -54,7 +57,8 @@ func TestRoundTrip(t *testing.T) {
 		if e.Type != want.Type || e.Job != want.Job || e.Mach != want.Mach ||
 			math.Float64bits(e.Base) != math.Float64bits(want.Base) ||
 			math.Float64bits(e.Mult) != math.Float64bits(want.Mult) ||
-			math.Float64bits(e.T) != math.Float64bits(want.T) {
+			math.Float64bits(e.T) != math.Float64bits(want.T) ||
+			!reflect.DeepEqual(e.Moves, want.Moves) {
 			t.Errorf("event %d: got %+v, want %+v", i, e, want)
 		}
 	}
@@ -70,6 +74,8 @@ func TestCanonicalEncodingIsValidJSON(t *testing.T) {
 		{Seq: 43, Type: Submit, Job: 8, Base: 1e18, T: 1e21},
 		{Seq: 44, Type: Join, Mach: 3, Mult: 1.0000000000000002},
 		{Seq: 45, Type: Complete, Job: 7, Mach: 3, T: 0.1234567890123456},
+		{Seq: 46, Type: Admit, Moves: []Move{}},
+		{Seq: 47, Type: Admit, T: 3, Moves: []Move{{Job: 7, Mach: 3}, {Job: 1 << 63, Mach: 1}}},
 	}
 	for _, want := range cases {
 		raw := want.AppendJSON(nil)
@@ -80,7 +86,8 @@ func TestCanonicalEncodingIsValidJSON(t *testing.T) {
 		if got.Seq != want.Seq || got.Type != want.Type || got.Job != want.Job || got.Mach != want.Mach ||
 			math.Float64bits(got.Base) != math.Float64bits(want.Base) ||
 			math.Float64bits(got.Mult) != math.Float64bits(want.Mult) ||
-			math.Float64bits(got.T) != math.Float64bits(want.T) {
+			math.Float64bits(got.T) != math.Float64bits(want.T) ||
+			!reflect.DeepEqual(got.Moves, want.Moves) {
 			t.Errorf("round trip of %+v through %s came back %+v", want, raw, got)
 		}
 	}
@@ -100,6 +107,14 @@ func TestValidateRejects(t *testing.T) {
 		{Type: Complete},                               // no job id
 		{Type: Admit, T: math.Inf(-1)},                 // non-finite timestamp
 		{Type: Submit, Job: 1, Base: 2, T: math.NaN()}, // NaN timestamp
+		// Search outcomes: only on an admit, job ids strictly ascending
+		// from 1, machine ids from 1.
+		{Type: Submit, Job: 1, Base: 2, Moves: []Move{}},
+		{Type: Join, Mach: 1, Mult: 1, Moves: []Move{{Job: 1, Mach: 1}}},
+		{Type: Admit, Moves: []Move{{Job: 2, Mach: 1}, {Job: 1, Mach: 1}}},
+		{Type: Admit, Moves: []Move{{Job: 1, Mach: 1}, {Job: 1, Mach: 2}}},
+		{Type: Admit, Moves: []Move{{Job: 0, Mach: 1}}},
+		{Type: Admit, Moves: []Move{{Job: 1, Mach: 0}}},
 	}
 	for _, e := range bad {
 		if err := e.Validate(); err == nil {
@@ -131,7 +146,21 @@ func TestReadRejectsNonCanonical(t *testing.T) {
 			t.Fatalf("canonical %s rejected: %v", ok, err)
 		}
 	}
+	const admit = `{"seq":1,"type":"admit","moves":[[3,1],[5,2]]}`
+	if _, err := ParseRecord([]byte(admit), 0); err != nil {
+		t.Fatalf("canonical %s rejected: %v", admit, err)
+	}
 	bad := map[string]string{
+		"space in moves":      `{"seq":1,"type":"admit","moves":[[3,1], [5,2]]}`,
+		"space in a move":     `{"seq":1,"type":"admit","moves":[[3, 1],[5,2]]}`,
+		"leading zero move":   `{"seq":1,"type":"admit","moves":[[03,1],[5,2]]}`,
+		"move triple":         `{"seq":1,"type":"admit","moves":[[3,1,4],[5,2]]}`,
+		"move object":         `{"seq":1,"type":"admit","moves":[{"job":3,"mach":1}]}`,
+		"trailing move comma": `{"seq":1,"type":"admit","moves":[[3,1],]}`,
+		"null moves":          `{"seq":1,"type":"admit","moves":null}`,
+		"moves before mult":   `{"seq":1,"type":"join","mach":1,"moves":[],"mult":1}`,
+		"moves on a join":     `{"seq":1,"type":"join","mach":1,"mult":1,"moves":[]}`,
+		"descending moves":    `{"seq":1,"type":"admit","moves":[[5,2],[3,1]]}`,
 		"space after comma":   `{"seq":1, "t":0.5,"type":"submit","job":3,"base":1.5}`,
 		"space after brace":   `{ "seq":1,"t":0.5,"type":"submit","job":3,"base":1.5}`,
 		"space after colon":   `{"seq": 1,"t":0.5,"type":"submit","job":3,"base":1.5}`,
@@ -204,8 +233,9 @@ func testLog(t testing.TB) ([]byte, []int64) {
 		{Type: Join, Mach: 1, Mult: 2},
 		{Type: Submit, Job: 1, Base: 3.5, T: 0.125},
 		{Type: Submit, Job: 2, Base: 1},
-		{Type: Admit},
+		{Type: Admit, Moves: []Move{{Job: 2, Mach: 1}}},
 		{Type: Complete, Job: 1},
+		{Type: Admit, Moves: []Move{}},
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -492,6 +522,7 @@ func TestParseEvents(t *testing.T) {
 		{`[]`, nil},
 		{`{"type":"admit"}`, []Event{{Type: Admit}}},
 		{`[{"type":"join","mult":1},{"type":"complete","job":7}]`, []Event{{Type: Join, Mult: 1}, {Type: Complete, Job: 7}}},
+		{`[{"type":"admit","moves":[]},{"type":"admit","moves":[[9,2],[4,1]]}]`, []Event{{Type: Admit, Moves: []Move{}}, {Type: Admit, Moves: []Move{{Job: 9, Mach: 2}, {Job: 4, Mach: 1}}}}},
 		{`{"seq":3,"t":0.5,"type":"submit","job":2,"base":1e+06,"crc":12}`, []Event{{Seq: 3, T: 0.5, Type: Submit, Job: 2, Base: 1e6, Crc: 12}}},
 		// A structurally invalid event decodes: its consumer rejects it.
 		{`[{"type":"submit","base":0.5}]`, []Event{{Type: Submit, Base: 0.5}}},
@@ -503,7 +534,7 @@ func TestParseEvents(t *testing.T) {
 			continue
 		}
 		for i := range got {
-			if got[i] != c.want[i] {
+			if !reflect.DeepEqual(got[i], c.want[i]) {
 				t.Errorf("ParseEvents(%s)[%d] = %+v, want %+v", c.body, i, got[i], c.want[i])
 			}
 		}
@@ -524,6 +555,12 @@ func TestParseEvents(t *testing.T) {
 		`{"type":"admit","crc":4294967296}`,
 		`{"type":"bogus"}`,
 		`{"type":"admit","extra":1}`,
+		`{"type":"admit","moves":null}`,
+		`{"type":"admit","moves":[ ]}`,
+		`{"type":"admit","moves":[[1,2],]}`,
+		`{"type":"admit","moves":[[1,02]]}`,
+		`{"type":"admit","moves":[[1]]}`,
+		`{"type":"admit","moves":[[1,2]}`,
 	} {
 		if got, ok := ParseEvents([]byte(body), nil); ok {
 			t.Errorf("ParseEvents(%q) accepted %+v", body, got)

@@ -3,6 +3,7 @@ package eventlog
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -46,7 +47,7 @@ func TestFollowFromStart(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("event %d: ok=%v err=%v", i, ok, err)
 		}
-		if got != want {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("event %d = %+v, want %+v", i, got, want)
 		}
 	}
@@ -130,7 +131,7 @@ func TestFollowWaitsOnUnterminatedTail(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("completed tail: ok=%v err=%v", ok, err)
 	}
-	if got != events[2] {
+	if !reflect.DeepEqual(got, events[2]) {
 		t.Fatalf("completed tail = %+v, want %+v", got, events[2])
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -20,7 +21,9 @@ import (
 // bytes as the first left them; a first Recover that fails must leave
 // the file untouched. The corpus is seeded with the logs of
 // TestTornTailEveryCut (every cut of the test log) and of the
-// TestFlippedByte tests, plus a crc-less log and a non-canonical record.
+// TestFlippedByte tests, plus a crc-less log, a non-canonical record and
+// crc-less admits carrying search outcomes; the test log's admits carry
+// them too.
 func FuzzEventlogRead(f *testing.F) {
 	logBytes, bounds := testLog(f)
 	for cut := range len(logBytes) + 1 {
@@ -40,6 +43,7 @@ func FuzzEventlogRead(f *testing.F) {
 
 	f.Add([]byte(`{"seq":1,"type":"join","mach":1,"mult":1.5}` + "\n" + `{"seq":2,"type":"submit","job":1,"base":2}`))
 	f.Add([]byte(`{"seq":1, "type":"admit"}`))
+	f.Add([]byte(`{"seq":1,"type":"admit","moves":[[1,2],[30,1]]}` + "\n" + `{"seq":2,"type":"admit","moves":[]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := Read(bytes.NewReader(data))
@@ -81,7 +85,7 @@ func FuzzEventlogRead(f *testing.F) {
 		if err != nil || torn {
 			t.Fatalf("second Recover: torn %v, err %v", torn, err)
 		}
-		if !slices.Equal(first, second) {
+		if !equalEvents(first, second) {
 			t.Fatalf("second Recover returned %d events, first %d", len(second), len(first))
 		}
 		again, rerr := os.ReadFile(path)
@@ -144,7 +148,7 @@ func FuzzEventlogFollow(f *testing.F) {
 					break
 				}
 				back, err := ParseRecord(fl.Line(), 0)
-				if err != nil || back != e {
+				if err != nil || !reflect.DeepEqual(back, e) {
 					t.Fatalf("after %d: Line %q decodes to %+v (%v), Next returned %+v", after, fl.Line(), back, err, e)
 				}
 				got = append(got, e)
@@ -156,11 +160,17 @@ func FuzzEventlogFollow(f *testing.F) {
 					wantAfter = append(wantAfter, e)
 				}
 			}
-			if !slices.Equal(got, wantAfter) {
+			if !equalEvents(got, wantAfter) {
 				t.Fatalf("after %d: Follow returned %+v, Read %+v", after, got, wantAfter)
 			}
 		}
 	})
+}
+
+// equalEvents reports whether a and b hold equal events, a nil search
+// outcome unequal to an empty one.
+func equalEvents(a, b []Event) bool {
+	return slices.EqualFunc(a, b, func(x, y Event) bool { return reflect.DeepEqual(x, y) })
 }
 
 // records splits a log into records the way Read does: one per line,
@@ -185,7 +195,7 @@ func checkCanonical(t *testing.T, e Event, line []byte) {
 	if err := json.Unmarshal(line, &ref); err != nil {
 		t.Fatalf("accepted %q, encoding/json rejects it: %v", line, err)
 	}
-	if ref != e {
+	if !reflect.DeepEqual(ref, e) {
 		t.Fatalf("%q decoded to %+v, encoding/json %+v", line, e, ref)
 	}
 	enc := e.AppendJSON(nil)

@@ -2,6 +2,7 @@ package gridsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"gridcma/internal/etc"
@@ -170,7 +171,7 @@ func TestArrivalsIndependentOfPolicy(t *testing.T) {
 		t.Fatalf("arrivals %d / %d, want 60", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("arrival %d differs across policies: %+v vs %+v", i, a[i], b[i])
 		}
 	}
