@@ -245,18 +245,7 @@ type (
 	ParetoFront = pareto.Front
 	// ParetoVec is one point in objective space.
 	ParetoVec = pareto.Vec
-	// MOCellConfig configures the cellular multi-objective algorithm.
-	MOCellConfig = pareto.MOConfig
-	// MOCellResult is the outcome of a multi-objective run.
-	MOCellResult = pareto.MOResult
 )
-
-// NewMOCellMA builds the cellular multi-objective memetic algorithm.
-func NewMOCellMA(cfg MOCellConfig) (*pareto.MOCellMA, error) { return pareto.NewMOCellMA(cfg) }
-
-// DefaultMOCellConfig returns the paper-tuned cellular structure with a
-// 100-solution archive.
-func DefaultMOCellConfig() MOCellConfig { return pareto.DefaultMOConfig() }
 
 // LambdaSweep runs the scalarised cMA across a λ grid and merges the
 // results into one non-dominated front.
@@ -288,15 +277,6 @@ func NewIsland(cfg IslandConfig) (Scheduler, error) {
 		}
 		return dist.NewInProcess(c)
 	})
-}
-
-// CVBOptions parameterises the coefficient-of-variation-based instance
-// generator (for custom-size grids beyond the 512×16 benchmark).
-type CVBOptions = etc.CVBOptions
-
-// GenerateCVBInstance builds an instance with the CVB (gamma) method.
-func GenerateCVBInstance(name string, o CVBOptions) (*Instance, error) {
-	return etc.GenerateCVB(name, o)
 }
 
 // Dynamic grid simulation.

@@ -18,7 +18,6 @@ import (
 	"gridcma/internal/island"
 	"gridcma/internal/island/dist"
 	"gridcma/internal/localsearch"
-	"gridcma/internal/pareto"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
 	"gridcma/internal/stats"
@@ -258,20 +257,13 @@ func BenchmarkCMAWallClock(b *testing.B) {
 // --- Extensions (paper future work) ---
 
 // BenchmarkLargeInstances exercises the "larger size grid instances"
-// future-work direction: CVB-generated grids beyond the 512×16 benchmark,
+// future-work direction: GenSpec grids beyond the 512×16 benchmark,
 // scheduled with the sampled-LMCTS cMA. Besides the sequential engine it
 // runs the block-parallel engine at Workers = 1 and Workers = GOMAXPROCS
 // on an 8×8 population grid — the speedup of par-wN over par-w1 is the
 // parallel engine's headline number on multicore hardware, and both rungs
 // produce byte-identical schedules.
 func BenchmarkLargeInstances(b *testing.B) {
-	sizes := []struct {
-		name        string
-		jobs, machs int
-	}{
-		{"1024x32", 1024, 32},
-		{"2048x64", 2048, 64},
-	}
 	variants := []struct {
 		name    string
 		workers int // -1 = sequential engine
@@ -280,16 +272,19 @@ func BenchmarkLargeInstances(b *testing.B) {
 		{"par-w1", 1},
 		{fmt.Sprintf("par-w%d", runtime.GOMAXPROCS(0)), runtime.GOMAXPROCS(0)},
 	}
-	for _, sz := range sizes {
-		sz := sz
-		in, err := etc.GenerateCVB(sz.name, etc.CVBOptions{
-			Jobs: sz.jobs, Machs: sz.machs, TaskMean: 500, Vtask: 0.6, Vmach: 0.6, Seed: 1})
+	for _, spec := range []string{"1024x32:i_hihi:s1", "2048x64:i_hihi:s1"} {
+		g, err := etc.ParseGenSpec(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
+		in, err := g.Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		size := fmt.Sprintf("%dx%d", g.Jobs, g.Machs)
 		for _, v := range variants {
 			v := v
-			b.Run(sz.name+"/"+v.name, func(b *testing.B) {
+			b.Run(size+"/"+v.name, func(b *testing.B) {
 				cfg := cma.DefaultConfig()
 				cfg.LocalSearch = localsearch.SampledLMCTS{Samples: 64}
 				if v.workers >= 0 {
@@ -334,20 +329,4 @@ func BenchmarkIslandVsSingle(b *testing.B) {
 		}
 		b.ReportMetric(last.Fitness, "fitness")
 	})
-}
-
-// BenchmarkMOCellFront measures the multi-objective extension: front size
-// and hypervolume per run on the benchmark instance.
-func BenchmarkMOCellFront(b *testing.B) {
-	in := experiments.Instance("u_i_hihi.0")
-	mo, err := pareto.NewMOCellMA(pareto.DefaultMOConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref := pareto.Vec{Makespan: 1e9, Flowtime: 1e12}
-	for i := 0; i < b.N; i++ {
-		res := mo.Run(in, run.Budget{MaxIterations: 8}, uint64(i))
-		b.ReportMetric(float64(res.Front.Len()), "front-size")
-		b.ReportMetric(res.Front.Hypervolume(ref)/1e18, "hv-E18")
-	}
 }

@@ -38,6 +38,11 @@
 // the goroutines evaluating offspring. Options passed to New become
 // defaults for every Run of that scheduler.
 //
+// The multi-objective extension the paper's conclusions call for is
+// LambdaSweep: it runs the cMA unchanged at each weight of a λ grid and
+// merges the best schedules into one ParetoFront of non-dominated
+// (makespan, flowtime) points.
+//
 // # Parallelism and determinism
 //
 // cma-par is the block-parallel asynchronous engine: the population grid

@@ -178,8 +178,6 @@ type SweepOrder interface {
 	// sweep wraps to a new pass (regenerating itself if the policy says
 	// so).
 	Next() int
-	// Name returns the paper's acronym: FLS, FRS or NRS.
-	Name() string
 }
 
 // Order names a sweep policy.
@@ -247,11 +245,11 @@ func NewSweep(o Order, size int, r *rng.Source) SweepOrder {
 // NewPermSweep builds a fixed sweep visiting cells in the given order
 // every pass. The block-parallel cMA uses it with a Partition's wave
 // order, so its sweeps stay aligned with the independent cell sets.
-func NewPermSweep(name string, perm []int) SweepOrder {
+func NewPermSweep(perm []int) SweepOrder {
 	if len(perm) == 0 {
 		panic("cell: sweep over empty permutation")
 	}
-	return &randSweep{perm: perm, fixed: true, name: name}
+	return &randSweep{perm: perm, fixed: true}
 }
 
 type lineSweep struct {
@@ -267,14 +265,11 @@ func (l *lineSweep) Next() int {
 	return i
 }
 
-func (l *lineSweep) Name() string { return "FLS" }
-
 type randSweep struct {
 	perm  []int
 	pos   int
 	fixed bool
 	r     *rng.Source
-	name  string // optional display-name override (perm sweeps)
 }
 
 func (s *randSweep) Next() int {
@@ -287,14 +282,4 @@ func (s *randSweep) Next() int {
 		}
 	}
 	return i
-}
-
-func (s *randSweep) Name() string {
-	if s.name != "" {
-		return s.name
-	}
-	if s.fixed {
-		return "FRS"
-	}
-	return "NRS"
 }

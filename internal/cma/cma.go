@@ -232,18 +232,6 @@ func (s *Scheduler) RunWithStatesPooled(in *etc.Instance, budget run.Budget, see
 	return res, e.pop
 }
 
-// CellComponents exposes the cellular plumbing of a configuration — the
-// population size, per-cell neighbor lists and the two sweep orders — so
-// extension algorithms (e.g. the multi-objective variant in
-// internal/pareto) can share the exact population structure without
-// depending on the engine's internals. It consumes two values from r.
-func CellComponents(cfg Config, r *rng.Source) (size int, neighborhoods [][]int, recOrder, mutOrder cell.SweepOrder) {
-	g := cell.NewGrid(cfg.Width, cfg.Height)
-	nb := cell.NewNeighborhood(g, cfg.Pattern)
-	n := g.Size()
-	return n, nb.Of, cell.NewSweep(cfg.RecombOrder, n, r.Split()), cell.NewSweep(cfg.MutOrder, n, r.Split())
-}
-
 // engine is the mutable state of one run.
 type engine struct {
 	in     *etc.Instance
@@ -306,8 +294,8 @@ func newEngine(in *etc.Instance, cfg Config, seed uint64, adopt []*schedule.Stat
 		// order, so consecutive draws form wide independent waves.
 		e.part = cell.NewPartition(e.grid, cfg.Pattern)
 		ord := e.part.Order()
-		e.recOrd = cell.NewPermSweep("WAVE", ord)
-		e.mutOrd = cell.NewPermSweep("WAVE", append([]int(nil), ord...))
+		e.recOrd = cell.NewPermSweep(ord)
+		e.mutOrd = cell.NewPermSweep(append([]int(nil), ord...))
 	} else {
 		e.recOrd = cell.NewSweep(cfg.RecombOrder, n, e.r.Split())
 		e.mutOrd = cell.NewSweep(cfg.MutOrder, n, e.r.Split())

@@ -31,8 +31,9 @@
 // seed) exactly as in gridsim, admission placement is greedy MCT with
 // lowest-index tie-breaks, committed through State.SetScheduleDiff, and
 // the improvement pass seeds its RNG from (seed, admission counter). Wall
-// clock never feeds a transition. The state flowtime is re-folded
-// canonically (State.RefreshFlowtime) at every event boundary, so a state
+// clock never feeds a transition. The state flowtime is folded
+// canonically at every event boundary (State.RefreshFlowtime after a move
+// or a search; SetScheduleDiff refolds on its own), so a state
 // restored from a snapshot — which rebuilds and therefore folds — is
 // bit-identical to the live state the snapshot was taken from: same
 // snapshot + same event log ⇒ bit-identical schedule trajectory, the
@@ -769,12 +770,15 @@ func (g *Grid) applyAdmit(outcome []eventlog.Move) error {
 		for _, mv := range outcome {
 			cand[g.byID[mv.Job]] = g.machByID[mv.Mach]
 		}
+		// No refold: SetScheduleDiff refolds the flowtime canonically,
+		// and an empty diff keeps the bits the placement's commit, or the
+		// last event boundary, left canonical.
 		g.st.SetScheduleDiff(cand)
 		g.moves = append(g.moves, outcome...)
 	} else {
 		g.improve(cand)
+		g.st.RefreshFlowtime()
 	}
-	g.st.RefreshFlowtime()
 	// Report placements as they stand after the improvement pass — the
 	// search may have moved a job off its greedy machine.
 	for _, s := range placed {

@@ -1,7 +1,6 @@
 package etc
 
 import (
-	"fmt"
 	"math"
 
 	"gridcma/internal/rng"
@@ -11,59 +10,11 @@ import (
 // Siegel et al. is the second standard way of building ETC matrices,
 // complementing the range-based method the benchmark uses. Heterogeneity
 // is expressed as coefficients of variation rather than range bounds:
-// a per-task mean is drawn from a gamma distribution with mean TaskMean
-// and CV Vtask, then each row is filled with gamma draws around that mean
-// with CV Vmach. The paper's future work calls for "larger size grid
-// instances"; CVB plus free dimensions is how the library generates them.
-
-// CVBOptions parameterises CVB generation.
-type CVBOptions struct {
-	Jobs  int // default 512
-	Machs int // default 16
-	// TaskMean is the mean task execution time (must be > 0).
-	TaskMean float64
-	// Vtask and Vmach are the task and machine coefficients of variation
-	// (must be > 0; the literature uses ~0.1 for low and ~0.6+ for high
-	// heterogeneity).
-	Vtask, Vmach float64
-	Consistency  Consistency
-	Seed         uint64
-}
-
-// Validate reports the first option error.
-func (o CVBOptions) Validate() error {
-	switch {
-	case o.Jobs < 0 || o.Machs < 0:
-		return fmt.Errorf("etc: negative CVB dimensions")
-	case o.TaskMean <= 0:
-		return fmt.Errorf("etc: CVB TaskMean %v must be > 0", o.TaskMean)
-	case o.Vtask <= 0 || o.Vmach <= 0:
-		return fmt.Errorf("etc: CVB coefficients of variation must be > 0")
-	}
-	return nil
-}
-
-// GenerateCVB builds an instance with the CVB method.
-func GenerateCVB(name string, o CVBOptions) (*Instance, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if o.Jobs == 0 {
-		o.Jobs = BenchmarkJobs
-	}
-	if o.Machs == 0 {
-		o.Machs = BenchmarkMachs
-	}
-	in := New(name, o.Jobs, o.Machs)
-	// Gamma shape/scale from mean μ and CV v: shape = 1/v², scale = μ·v².
-	alphaTask := 1 / (o.Vtask * o.Vtask)
-	alphaMach := 1 / (o.Vmach * o.Vmach)
-	// A CVB instance is never regenerated in place, so it keeps no scratch.
-	var stage []float64
-	var s rowSorter
-	fillColumns(in, in.ETC, &stage, &s, o.Consistency, cvbRow[float64](rng.New(o.Seed), o.TaskMean, alphaTask, alphaMach))
-	return in, nil
-}
+// a per-task mean is drawn from a gamma distribution, then each row is
+// filled with gamma draws around that mean. The paper's future work calls
+// for "larger size grid instances"; GenSpec (gen.go), CVB over free
+// dimensions, is how the library generates them. This file holds the two
+// samplers it draws with.
 
 // gamma draws from Gamma(shape, scale) with the Marsaglia–Tsang method
 // (with the standard boost for shape < 1).

@@ -1,7 +1,6 @@
 package etc
 
 import (
-	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,37 +8,30 @@ import (
 	"gridcma/internal/rng"
 )
 
+// GenSpec is the CVB generator: these tests hold its distribution to the
+// method's shape, where TestGenSpecGoldenDigests pins its bytes.
+
 func TestCVBValidation(t *testing.T) {
-	bad := []CVBOptions{
-		{TaskMean: 0, Vtask: 0.5, Vmach: 0.5},
-		{TaskMean: 100, Vtask: 0, Vmach: 0.5},
-		{TaskMean: 100, Vtask: 0.5, Vmach: -1},
-		{Jobs: -1, TaskMean: 100, Vtask: 0.5, Vmach: 0.5},
-	}
-	for i, o := range bad {
-		if _, err := GenerateCVB("t", o); err == nil {
-			t.Errorf("case %d accepted", i)
+	for _, g := range []GenSpec{{Jobs: 0, Machs: 4}, {Jobs: 4, Machs: 0}, {Jobs: -1, Machs: 4}} {
+		if _, err := g.Generate(); err == nil {
+			t.Errorf("%d×%d accepted", g.Jobs, g.Machs)
 		}
 	}
 }
 
 func TestCVBDefaultsAndValidity(t *testing.T) {
-	in, err := GenerateCVB("cvb", CVBOptions{TaskMean: 100, Vtask: 0.6, Vmach: 0.6, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	g := mustSpec(t, "512x16")
+	if want := (Class{Consistency: Inconsistent, JobHet: High, MachineHet: High}); g.Class != want || g.Seed != 1 {
+		t.Fatalf("defaults: class %v seed %d, want i_hihi seed 1", g.Class, g.Seed)
 	}
-	if in.Jobs != BenchmarkJobs || in.Machs != BenchmarkMachs {
-		t.Fatalf("dims %d×%d", in.Jobs, in.Machs)
-	}
-	if err := in.Validate(); err != nil {
+	if err := mustGen(t, g).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCVBDeterministic(t *testing.T) {
-	o := CVBOptions{Jobs: 32, Machs: 8, TaskMean: 50, Vtask: 0.3, Vmach: 0.3, Seed: 9}
-	a, _ := GenerateCVB("a", o)
-	b, _ := GenerateCVB("b", o)
+	g := mustSpec(t, "32x8:s_lohi:s9")
+	a, b := mustGen(t, g), mustGen(t, g)
 	for i := range a.ETC {
 		if a.ETC[i] != b.ETC[i] {
 			t.Fatal("CVB not deterministic")
@@ -47,91 +39,50 @@ func TestCVBDeterministic(t *testing.T) {
 	}
 }
 
-// TestCVBGoldenDigests pins CVB matrices byte for byte, like
-// TestGenSpecGoldenDigests: GenerateCVB shares its row loop with the
-// GenSpec generator, and every consistency, default dimensions and a
-// task CV above 1 (the gamma shape < 1 branch) must keep their draws.
-func TestCVBGoldenDigests(t *testing.T) {
-	cases := []struct {
-		o    CVBOptions
-		want string
-	}{
-		{CVBOptions{Jobs: 40, Machs: 7, TaskMean: 50, Vtask: 0.3, Vmach: 0.6, Consistency: Inconsistent, Seed: 5},
-			"a82b94f29d3800b12c0ae8ae919e62917f1ff60f1f7079f3b7052665077b1082"},
-		{CVBOptions{Jobs: 40, Machs: 7, TaskMean: 50, Vtask: 0.3, Vmach: 0.6, Consistency: Consistent, Seed: 5},
-			"5cbd945f092b8cfd9daa4e687c5077fc64c9924ade288f44053eacfb23902543"},
-		{CVBOptions{Jobs: 40, Machs: 7, TaskMean: 50, Vtask: 0.3, Vmach: 0.6, Consistency: SemiConsistent, Seed: 5},
-			"b799f8a8c5db6bc5ea14171617e47b8084b258fa26c8d2973490b44017d086fc"},
-		{CVBOptions{TaskMean: 1000, Vtask: 1.5, Vmach: 0.1, Consistency: SemiConsistent, Seed: 11},
-			"12a31717c5a46ad8c3bb4522ea9fad5ebed1bb3a453335634f180560a2770b3d"},
-		{CVBOptions{TaskMean: 1000, Vtask: 2, Vmach: 1.2, Consistency: Consistent, Seed: 2},
-			"7fa015c8b2ab67cbed120851428fa3e99fdc23db914be6c500b9a2f80b27d2f4"},
-		// A small task mean under a machine CV of 3 clamps most entries
-		// to 1.0: rows of long equal runs beside a few spread values.
-		{CVBOptions{Jobs: 30, Machs: 9, TaskMean: 2, Vtask: 0.5, Vmach: 3, Consistency: Consistent, Seed: 3},
-			"600188b7af90133657f39ed6d28cf1266891714f6f52ed9f125fa0d787e00615"},
-		{CVBOptions{Jobs: 30, Machs: 9, TaskMean: 2, Vtask: 0.5, Vmach: 3, Consistency: SemiConsistent, Seed: 3},
-			"0273260045b707af0309b2dffc853c313c7ec836ed08fa15f2528ffb7813f8e3"},
-	}
-	for i, c := range cases {
-		in, err := GenerateCVB("cvb", c.o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := matrixDigest(in); hex.EncodeToString(got[:]) != c.want {
-			t.Errorf("case %d: digest %x, want %s", i, got, c.want)
-		}
-	}
-}
-
-func TestCVBMeanTracksTaskMean(t *testing.T) {
-	o := CVBOptions{Jobs: 400, Machs: 16, TaskMean: 1000, Vtask: 0.3, Vmach: 0.3, Seed: 3}
-	in, err := GenerateCVB("t", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
+// etcMeanCV returns the mean of the instance's entries and their
+// coefficient of variation.
+func etcMeanCV(in *Instance) (mean, cv float64) {
+	sum, n := 0.0, float64(len(in.ETC))
 	for _, v := range in.ETC {
 		sum += v
 	}
-	mean := sum / float64(len(in.ETC))
-	if mean < 700 || mean > 1300 {
-		t.Errorf("overall mean %v far from TaskMean 1000", mean)
+	mean = sum / n
+	ss := 0.0
+	for _, v := range in.ETC {
+		d := v - mean
+		ss += d * d
+	}
+	return mean, math.Sqrt(ss/n) / mean
+}
+
+func TestCVBMeanTracksTaskMean(t *testing.T) {
+	for _, s := range []string{"400x16:i_lolo:s3", "400x16:i_hihi:s3"} {
+		if mean, _ := etcMeanCV(mustGen(t, mustSpec(t, s))); mean < 0.7*GenTaskMean || mean > 1.3*GenTaskMean {
+			t.Errorf("%s: overall mean %v far from GenTaskMean %v", s, mean, GenTaskMean)
+		}
 	}
 }
 
 func TestCVBHeterogeneityScalesWithCV(t *testing.T) {
-	lo, _ := GenerateCVB("lo", CVBOptions{Jobs: 300, Machs: 8, TaskMean: 100, Vtask: 0.1, Vmach: 0.1, Seed: 5})
-	hi, _ := GenerateCVB("hi", CVBOptions{Jobs: 300, Machs: 8, TaskMean: 100, Vtask: 0.9, Vmach: 0.9, Seed: 5})
-	cv := func(in *Instance) float64 {
-		sum, n := 0.0, float64(len(in.ETC))
-		for _, v := range in.ETC {
-			sum += v
-		}
-		mean := sum / n
-		ss := 0.0
-		for _, v := range in.ETC {
-			d := v - mean
-			ss += d * d
-		}
-		return math.Sqrt(ss/n) / mean
+	_, lo := etcMeanCV(mustGen(t, mustSpec(t, "300x8:i_lolo:s5")))
+	_, hi := etcMeanCV(mustGen(t, mustSpec(t, "300x8:i_hihi:s5")))
+	if hi <= 2*lo {
+		t.Errorf("high-heterogeneity instance (CV %v) should be much more spread than low (CV %v)", hi, lo)
 	}
-	if cv(hi) <= 2*cv(lo) {
-		t.Errorf("high-CV instance (%v) should be much more spread than low-CV (%v)", cv(hi), cv(lo))
+	// Each level moves its own axis: job heterogeneity spreads the rows'
+	// means, machine heterogeneity the entries within a row.
+	_, hilo := etcMeanCV(mustGen(t, mustSpec(t, "300x8:i_hilo:s5")))
+	_, lohi := etcMeanCV(mustGen(t, mustSpec(t, "300x8:i_lohi:s5")))
+	if hilo <= lo || lohi <= lo || hi <= hilo || hi <= lohi {
+		t.Errorf("CV lolo %v, hilo %v, lohi %v, hihi %v: not ordered by heterogeneity", lo, hilo, lohi, hi)
 	}
 }
 
 func TestCVBConsistencyTransforms(t *testing.T) {
-	cons, err := GenerateCVB("c", CVBOptions{Jobs: 60, Machs: 8, TaskMean: 100,
-		Vtask: 0.5, Vmach: 0.5, Consistency: Consistent, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isConsistent(cons) {
+	if !isConsistent(mustGen(t, mustSpec(t, "60x8:c_hihi:s7"))) {
 		t.Error("consistent CVB instance not consistent")
 	}
-	semi, _ := GenerateCVB("s", CVBOptions{Jobs: 60, Machs: 8, TaskMean: 100,
-		Vtask: 0.5, Vmach: 0.5, Consistency: SemiConsistent, Seed: 7})
+	semi := mustGen(t, mustSpec(t, "60x8:s_hihi:s7"))
 	for i := 0; i < semi.Jobs; i++ {
 		prev := math.Inf(-1)
 		for j := 0; j < semi.Machs; j += 2 {
@@ -140,6 +91,9 @@ func TestCVBConsistencyTransforms(t *testing.T) {
 			}
 			prev = semi.At(i, j)
 		}
+	}
+	if isConsistent(mustGen(t, mustSpec(t, "60x8:i_hihi:s7"))) {
+		t.Error("inconsistent CVB instance is consistent")
 	}
 }
 
@@ -203,10 +157,13 @@ func TestNormalMoments(t *testing.T) {
 }
 
 func TestCVBProperty(t *testing.T) {
-	f := func(seed uint64, consIdx uint8) bool {
-		o := CVBOptions{Jobs: 16, Machs: 4, TaskMean: 80, Vtask: 0.4, Vmach: 0.4,
-			Consistency: Consistency(consIdx % 3), Seed: seed}
-		in, err := GenerateCVB("p", o)
+	f := func(seed uint64, classIdx uint8) bool {
+		g := GenSpec{Jobs: 16, Machs: 4, Seed: seed, Class: Class{
+			Consistency: Consistency(classIdx % 3),
+			JobHet:      Heterogeneity(classIdx / 3 % 2),
+			MachineHet:  Heterogeneity(classIdx / 6 % 2),
+		}}
+		in, err := g.Generate()
 		return err == nil && in.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

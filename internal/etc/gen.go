@@ -203,9 +203,9 @@ func (g GenSpec) GenerateInto(dst *Instance) (*Instance, error) {
 	alphaTask := 1 / (vt * vt)
 	alphaMach := 1 / (vm * vm)
 	if g.Float32 {
-		fillColumns(dst, dst.ETC32, &gs.stage32, &gs.sorter, g.Class.Consistency, cvbRow[float32](&r, GenTaskMean, alphaTask, alphaMach))
+		fillColumns(dst, dst.ETC32, &gs.stage32, &gs.sorter, g.Class.Consistency, cvbRow[float32](&r, alphaTask, alphaMach))
 	} else {
-		fillColumns(dst, dst.ETC, &gs.stage, &gs.sorter, g.Class.Consistency, cvbRow[float64](&r, GenTaskMean, alphaTask, alphaMach))
+		fillColumns(dst, dst.ETC, &gs.stage, &gs.sorter, g.Class.Consistency, cvbRow[float64](&r, alphaTask, alphaMach))
 	}
 	return dst, nil
 }
@@ -222,15 +222,14 @@ type genState struct {
 }
 
 // cvbRow returns the CVB draw of one row: a task mean q drawn around
-// taskMean, then one draw around q per machine, each clamped to at least
-// 1. GenSpec and GenerateCVB share it; only the task mean differs. Draws
-// happen in float64 (the stream is backing-independent) and are narrowed
-// on store; the consistency sort then runs on the stored element type,
-// which for float32 gives the same order as sorting before narrowing
-// because the conversion is monotone.
-func cvbRow[E etcElem](r *rng.Source, taskMean, alphaTask, alphaMach float64) func(row []E) {
+// GenTaskMean, then one draw around q per machine, each clamped to at
+// least 1. Draws happen in float64 (the stream is backing-independent)
+// and are narrowed on store; the consistency sort then runs on the stored
+// element type, which for float32 gives the same order as sorting before
+// narrowing because the conversion is monotone.
+func cvbRow[E etcElem](r *rng.Source, alphaTask, alphaMach float64) func(row []E) {
 	return func(row []E) {
-		q := gamma(r, alphaTask, taskMean/alphaTask)
+		q := gamma(r, alphaTask, GenTaskMean/alphaTask)
 		if q < 1 {
 			q = 1 // keep execution times sensible and strictly positive
 		}

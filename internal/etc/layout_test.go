@@ -41,12 +41,12 @@ func (rm *rowMajor[E]) refFinalize() {
 	}
 }
 
-// refFillRows is the CVB fill of GenSpec and GenerateCVB, row by row.
-func refFillRows[E etcElem](r *rng.Source, jobs, machs int, taskMean, alphaTask, alphaMach float64, cons Consistency) *rowMajor[E] {
+// refFillRows is GenSpec's CVB fill, row by row.
+func refFillRows[E etcElem](r *rng.Source, jobs, machs int, alphaTask, alphaMach float64, cons Consistency) *rowMajor[E] {
 	rm := &rowMajor[E]{jobs: jobs, machs: machs, etc: make([]E, jobs*machs)}
 	var s rowSorter
 	for i := 0; i < jobs; i++ {
-		q := gamma(r, alphaTask, taskMean/alphaTask)
+		q := gamma(r, alphaTask, GenTaskMean/alphaTask)
 		if q < 1 {
 			q = 1
 		}
@@ -68,11 +68,7 @@ func refGenSpec[E etcElem](g GenSpec) *rowMajor[E] {
 	var r rng.Source
 	r.Reseed(g.Seed)
 	vt, vm := cv(g.Class.JobHet), cv(g.Class.MachineHet)
-	return refFillRows[E](&r, g.Jobs, g.Machs, GenTaskMean, 1/(vt*vt), 1/(vm*vm), g.Class.Consistency)
-}
-
-func refCVB(o CVBOptions) *rowMajor[float64] {
-	return refFillRows[float64](rng.New(o.Seed), o.Jobs, o.Machs, o.TaskMean, 1/(o.Vtask*o.Vtask), 1/(o.Vmach*o.Vmach), o.Consistency)
+	return refFillRows[E](&r, g.Jobs, g.Machs, 1/(vt*vt), 1/(vm*vm), g.Class.Consistency)
 }
 
 // refBraun is the range-based Generate, row by row.
@@ -159,14 +155,6 @@ func TestMachineMajorMatchesRowMajor(t *testing.T) {
 					sameAsRef(t, g.String(), in, refGenSpec[float64](g))
 				}
 			}
-		}
-		for _, cons := range []Consistency{Consistent, SemiConsistent, Inconsistent} {
-			o := CVBOptions{Jobs: jobs, Machs: machs, TaskMean: 250, Vtask: 0.3, Vmach: 0.8, Consistency: cons, Seed: 5}
-			in, err := GenerateCVB("cvb", o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameAsRef(t, fmt.Sprintf("cvb %d×%d %s", jobs, machs, cons), in, refCVB(o))
 		}
 		for _, class := range []Class{{Consistent, High, Low}, {SemiConsistent, Low, High}, {Inconsistent, High, High}} {
 			opt := GenerateOptions{Jobs: jobs, Machs: machs, Seed: 11}

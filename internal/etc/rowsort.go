@@ -8,17 +8,16 @@ import (
 // Braun's consistency classes are built by sorting rows: every entry of a
 // consistent row, the even columns of a semi-consistent one. A row holds
 // one entry per machine, each finite and ≥ 1, so one counting-sort kernel
-// orders it for every generator (GenSpec, GenerateCVB and the range-based
-// Generate). For non-negative floats math.Float64bits is monotone in the
-// value, so a prefix of the bits is a bucket index that orders the
-// buckets; an insertion pass then orders the few entries that share a
-// bucket. A multiset has only one ascending order, so the kernel writes
+// orders it for both generators (GenSpec and the range-based Generate).
+// For non-negative floats math.Float64bits is monotone in the value, so
+// a prefix of the bits is a bucket index that orders the buckets; an
+// insertion pass then orders the few entries that share a bucket. A multiset has only one ascending order, so the kernel writes
 // exactly what a comparison sort would, byte for byte.
 
 // rowSorter is the kernel's scratch: the row's entries as float bits and
 // the bucket counts. A GenSpec instance keeps its own, so a same-shape
-// GenerateInto reuses it and allocates nothing; the Braun and CVB
-// generators, which always build a fresh instance, use one per call.
+// GenerateInto reuses it and allocates nothing; the Braun generator,
+// which always builds a fresh instance, uses one per call.
 type rowSorter struct {
 	keys   []uint64
 	counts []int

@@ -125,18 +125,6 @@ func TestRepeatAggregates(t *testing.T) {
 	}
 }
 
-func TestRepeatDeterministicAcrossWorkerCounts(t *testing.T) {
-	o := Options{Budget: run.Budget{MaxIterations: 5}, Runs: 4, Seed: 2, Workers: 1}
-	a := noErr[Sample](t)(Repeat(newAlg(t, "cma"), Instance("u_c_lolo.0"), o))
-	o.Workers = 4
-	b := noErr[Sample](t)(Repeat(newAlg(t, "cma"), Instance("u_c_lolo.0"), o))
-	for i := range a.Runs {
-		if a.Runs[i].Fitness != b.Runs[i].Fitness {
-			t.Fatal("worker count changed per-seed results")
-		}
-	}
-}
-
 func TestFairBudgetsEqualiseEvals(t *testing.T) {
 	evals := 3700
 	for _, name := range []string{"cma", "braun-ga", "ss-ga", "struggle-ga", "sa", "tabu"} {

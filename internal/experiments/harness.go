@@ -25,9 +25,6 @@ type Options struct {
 	Budget run.Budget
 	Runs   int // independent runs per (algorithm, instance)
 	Seed   uint64
-	// Workers caps concurrent runs (they parallelise trivially); 0 means
-	// GOMAXPROCS.
-	Workers int
 }
 
 // Full returns the paper's protocol: 90 s wall-clock, 10 runs.
@@ -42,8 +39,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("experiments: unbounded budget")
 	case o.Runs < 1:
 		return fmt.Errorf("experiments: Runs = %d", o.Runs)
-	case o.Workers < 0:
-		return fmt.Errorf("experiments: negative Workers")
 	}
 	return nil
 }
@@ -78,7 +73,6 @@ func Repeat(alg Algorithm, in *etc.Instance, o Options) (Sample, error) {
 		Algorithms: []Algorithm{alg},
 		Budget:     o.Budget,
 		Seeds:      seeds,
-		Workers:    o.Workers,
 	})
 	if failed(err) {
 		return Sample{}, err

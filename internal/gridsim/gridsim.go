@@ -61,8 +61,6 @@ type Config struct {
 	Horizon float64
 	// ArrivalRate is the expected number of job arrivals per time unit.
 	ArrivalRate float64
-	// MaxJobs caps total arrivals (0 = unlimited within the horizon).
-	MaxJobs int
 	// InitialMachines is the number of machines alive at time 0.
 	InitialMachines int
 	// TaskRange bounds the per-job base workload draw U[1, TaskRange].
@@ -131,8 +129,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gridsim: non-positive activation interval")
 	case c.JoinRate < 0 || c.LeaveRate < 0:
 		return fmt.Errorf("gridsim: negative churn rate")
-	case c.MaxJobs < 0:
-		return fmt.Errorf("gridsim: negative MaxJobs")
 	}
 	return nil
 }
@@ -367,19 +363,17 @@ func (s *Sim) Run() Metrics {
 // onArrival admits a job of the Poisson process, drawing its workload,
 // and schedules the next arrival.
 func (s *Sim) onArrival() {
-	if s.cfg.MaxJobs == 0 || len(s.jobs) < s.cfg.MaxJobs {
-		base := s.r.Uniform(1, s.cfg.TaskRange)
-		j := &job{
-			id:      len(s.jobs),
-			base:    base,
-			arrived: s.now,
-			state:   jobPending,
-			mach:    -1,
-		}
-		s.jobs = append(s.jobs, j)
-		s.metrics.JobsArrived++
-		s.record(eventlog.Event{T: s.now, Type: eventlog.Submit, Job: uint64(j.id) + 1, Base: base})
+	base := s.r.Uniform(1, s.cfg.TaskRange)
+	j := &job{
+		id:      len(s.jobs),
+		base:    base,
+		arrived: s.now,
+		state:   jobPending,
+		mach:    -1,
 	}
+	s.jobs = append(s.jobs, j)
+	s.metrics.JobsArrived++
+	s.record(eventlog.Event{T: s.now, Type: eventlog.Submit, Job: uint64(j.id) + 1, Base: base})
 	s.push(s.exp(s.cfg.ArrivalRate), evArrival, 0, 0)
 }
 

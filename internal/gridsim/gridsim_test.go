@@ -42,7 +42,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.PairInconsistency = 0.9 },
 		func(c *Config) { c.ActivationInterval = 0 },
 		func(c *Config) { c.JoinRate = -1 },
-		func(c *Config) { c.MaxJobs = -1 },
 	}
 	for i, f := range bad {
 		cfg := DefaultConfig()
@@ -100,18 +99,6 @@ func TestDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestMaxJobsCap(t *testing.T) {
-	cfg := staticCfg()
-	cfg.MaxJobs = 25
-	m, _ := Simulate(cfg, minMinPolicy())
-	if m.JobsArrived != 25 {
-		t.Errorf("arrived %d, want cap 25", m.JobsArrived)
-	}
-	if m.JobsCompleted != 25 {
-		t.Errorf("completed %d of 25 despite idle grid", m.JobsCompleted)
-	}
-}
-
 // submits runs cfg under p and returns its admitted arrivals, as the
 // Record hook reports them.
 func submits(t *testing.T, cfg Config, p Policy) []eventlog.Event {
@@ -130,10 +117,10 @@ func submits(t *testing.T, cfg Config, p Policy) []eventlog.Event {
 
 func TestPoissonArrivalsWithinBounds(t *testing.T) {
 	cfg := staticCfg()
-	cfg.MaxJobs = 50
+	cfg.Horizon = 50
 	arrivals := submits(t, cfg, minMinPolicy())
-	if len(arrivals) != 50 {
-		t.Fatalf("%d arrivals, want cap 50", len(arrivals))
+	if len(arrivals) == 0 {
+		t.Fatal("no arrivals within the horizon")
 	}
 	prev := 0.0
 	for i, a := range arrivals {
@@ -164,11 +151,11 @@ func TestPoissonArrivalCountMatchesRate(t *testing.T) {
 // policies are compared on the same workload.
 func TestArrivalsIndependentOfPolicy(t *testing.T) {
 	cfg := staticCfg()
-	cfg.MaxJobs = 60
+	cfg.Horizon = 60
 	a := submits(t, cfg, minMinPolicy())
 	b := submits(t, cfg, randomPolicy())
-	if len(a) != 60 || len(b) != 60 {
-		t.Fatalf("arrivals %d / %d, want 60", len(a), len(b))
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("arrivals %d / %d, want the same non-zero count", len(a), len(b))
 	}
 	for i := range a {
 		if !reflect.DeepEqual(a[i], b[i]) {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -75,8 +76,10 @@ func (cp *checkpoint) best(in *etc.Instance, o schedule.Objective) run.Result {
 
 // check reports the first way cp cannot be this run's state on in with
 // a mesh of cells individuals: a negative counter, a round count its
-// digests do not match, an alive island without a full population, or a
-// population or best schedule that is not a valid schedule of in.
+// digests do not match, an alive island without a full population, a
+// population or best schedule that is not a valid schedule of in, or no
+// best at all (a checkpoint is written after a round, which always finds
+// one).
 func (cp *checkpoint) check(in *etc.Instance, cells int) error {
 	if cp.Round < 0 || cp.TotalIters < 0 || cp.TotalEvals < 0 || len(cp.Digests) != cp.Round {
 		return fmt.Errorf("round %d, %d iterations, %d evaluations, %d digests", cp.Round, cp.TotalIters, cp.TotalEvals, len(cp.Digests))
@@ -94,18 +97,18 @@ func (cp *checkpoint) check(in *etc.Instance, cells int) error {
 			}
 		}
 	}
-	if cp.BestSched != nil {
-		if err := schedule.Schedule(cp.BestSched).Validate(in); err != nil {
-			return fmt.Errorf("best: %w", err)
-		}
+	if cp.BestSched == nil {
+		return errors.New("no best schedule")
+	}
+	if err := schedule.Schedule(cp.BestSched).Validate(in); err != nil {
+		return fmt.Errorf("best: %w", err)
 	}
 	return nil
 }
 
 // loadCheckpoint reads the configured checkpoint file and returns it only
-// when it belongs to this exact run (seed, islands, workers) and holds
-// valid schedules of in. A missing, unreadable, mismatched or invalid
-// file is not an error — the run simply starts fresh.
+// when decodeCheckpoint accepts it. A missing, unreadable, mismatched or
+// invalid file is not an error — the run simply starts fresh.
 func (c *Coordinator) loadCheckpoint(in *etc.Instance, seed uint64) (*checkpoint, bool) {
 	if c.cfg.CheckpointPath == "" {
 		return nil, false
@@ -114,22 +117,31 @@ func (c *Coordinator) loadCheckpoint(in *etc.Instance, seed uint64) (*checkpoint
 	if err != nil {
 		return nil, false
 	}
+	cp, err := decodeCheckpoint(data, in, seed, c.cfg.Islands, c.cfg.Workers, c.base.Width*c.base.Height)
+	if err != nil {
+		c.logf("dist: checkpoint %v, starting fresh", err)
+		return nil, false
+	}
+	return cp, true
+}
+
+// decodeCheckpoint parses data and returns it only when it belongs to
+// this exact run (seed, islands, workers) and holds valid schedules of
+// in for meshes of cells individuals.
+func decodeCheckpoint(data []byte, in *etc.Instance, seed uint64, islands, workers, cells int) (*checkpoint, error) {
 	var cp checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
-		c.logf("dist: checkpoint unreadable, starting fresh: %v", err)
-		return nil, false
+		return nil, fmt.Errorf("unreadable: %w", err)
 	}
 	if cp.Version != checkpointVersion || cp.Seed != seed ||
-		cp.Islands != c.cfg.Islands || cp.Workers != c.cfg.Workers ||
-		len(cp.Alive) != c.cfg.Islands || len(cp.Pops) != c.cfg.Islands {
-		c.logf("dist: checkpoint belongs to a different run, starting fresh")
-		return nil, false
+		cp.Islands != islands || cp.Workers != workers ||
+		len(cp.Alive) != islands || len(cp.Pops) != islands {
+		return nil, errors.New("belongs to a different run")
 	}
-	if err := cp.check(in, c.base.Width*c.base.Height); err != nil {
-		c.logf("dist: checkpoint invalid, starting fresh: %v", err)
-		return nil, false
+	if err := cp.check(in, cells); err != nil {
+		return nil, fmt.Errorf("invalid: %w", err)
 	}
-	return &cp, true
+	return &cp, nil
 }
 
 // saveCheckpoint atomically replaces the checkpoint file with the state

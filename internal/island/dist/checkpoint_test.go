@@ -126,6 +126,7 @@ func TestCorruptCheckpointStartsFresh(t *testing.T) {
 		{"alive island without a population", edit(func(cp *checkpoint) { cp.Pops[3] = nil })},
 		{"digest missing", edit(func(cp *checkpoint) { cp.Digests = cp.Digests[1:] })},
 		{"negative iterations", edit(func(cp *checkpoint) { cp.TotalIters = -4 })},
+		{"best missing", edit(func(cp *checkpoint) { cp.BestSched = nil })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, rep, err := resumeFrom(t, rig, tc.cp, rig.iters)
@@ -153,36 +154,55 @@ func TestCorruptCheckpointStartsFresh(t *testing.T) {
 	}
 }
 
-// FuzzCheckpoint resumes the rig from arbitrary checkpoint bytes, seeded
-// with a real checkpoint the rig wrote halfway through its budget, and
-// resumed with that budget. The resumed run must either fail or return a
-// valid best schedule that evaluates to the reported makespan, flowtime
-// and fitness bit for bit, whether the checkpoint supplied it or a
-// segment found it.
+// FuzzCheckpoint decodes arbitrary checkpoint bytes against the rig's
+// run, seeded with a real checkpoint the rig wrote halfway through its
+// budget, one whose best schedule is 3 jobs long and one without a best.
+// A checkpoint decodeCheckpoint accepts is what a resume runs from: every
+// alive island's population must be a full mesh of valid schedules, and
+// the best it resumes with must be a valid schedule that evaluates to
+// the makespan, flowtime and fitness reported for it, bit for bit.
 func FuzzCheckpoint(f *testing.F) {
 	rig, err := newTortureRig()
 	if err != nil {
 		f.Fatal(err)
 	}
+	cells := *rig.dcfg.Spec.Width * *rig.dcfg.Spec.Height
 	saved := halfCheckpoint(f, rig)
 	f.Add(saved)
-	var cp checkpoint
-	if err := json.Unmarshal(saved, &cp); err != nil {
-		f.Fatal(err)
+	edit := func(edit func(cp *checkpoint)) []byte {
+		var cp checkpoint
+		if err := json.Unmarshal(saved, &cp); err != nil {
+			f.Fatal(err)
+		}
+		edit(&cp)
+		out, err := json.Marshal(&cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return out
 	}
-	cp.BestSched, cp.BestFitness, cp.BestMakespan = cp.BestSched[:3], -1, -1
-	short, err := json.Marshal(&cp)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(short)
+	f.Add(edit(func(cp *checkpoint) { cp.BestSched, cp.BestFitness, cp.BestMakespan = cp.BestSched[:3], -1, -1 }))
+	f.Add(edit(func(cp *checkpoint) { cp.BestSched = nil }))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, _, err := resumeFrom(t, rig, data, rig.iters/2)
+		cp, err := decodeCheckpoint(data, rig.in, 1, rig.dcfg.Islands, rig.dcfg.Workers, cells)
 		if err != nil {
 			return
 		}
-		if !evaluatesTo(rig, res) {
+		for i, pop := range cp.pops() {
+			if !cp.Alive[i] {
+				continue
+			}
+			if len(pop) != cells {
+				t.Fatalf("alive island %d resumes with %d individuals, want %d", i, len(pop), cells)
+			}
+			for k, s := range pop {
+				if err := s.Validate(rig.in); err != nil {
+					t.Fatalf("island %d individual %d: %v", i, k, err)
+				}
+			}
+		}
+		if res := cp.best(rig.in, schedule.DefaultObjective); !evaluatesTo(rig, res) {
 			t.Fatalf("resumed best (makespan %v, flowtime %v, fitness %v) is not what its schedule evaluates to", res.Makespan, res.Flowtime, res.Fitness)
 		}
 	})

@@ -122,7 +122,7 @@ func TestLinearRankPrefersFit(t *testing.T) {
 func TestSelectDistinct(t *testing.T) {
 	r := rng.New(13)
 	cands := []int{1, 2, 3, 4, 5}
-	got := SelectDistinct(NewTournament(3), 3, cands, linearFitness, r)
+	got := SelectDistinctInto(NewTournament(3), 3, cands, linearFitness, r, nil)
 	if len(got) != 3 {
 		t.Fatalf("got %d, want 3", len(got))
 	}
@@ -134,7 +134,7 @@ func TestSelectDistinct(t *testing.T) {
 		seen[g] = true
 	}
 	// k larger than pool clamps.
-	got = SelectDistinct(NewTournament(3), 10, cands, linearFitness, r)
+	got = SelectDistinctInto(NewTournament(3), 10, cands, linearFitness, r, nil)
 	if len(got) != len(cands) {
 		t.Fatalf("clamp failed: %d", len(got))
 	}

@@ -129,19 +129,13 @@ func (LinearRank) Select(candidates []int, fitness func(int) float64, r *rng.Sou
 // Name implements Selector.
 func (LinearRank) Name() string { return "LinearRank" }
 
-// SelectDistinct selects k distinct candidates using sel, retrying on
-// collisions (up to a bound, then filling with unused candidates in order).
-// It is the "SelectToRecombine S ⊆ N_P" step of Algorithm 1: the paper sets
-// |S| = nb_solutions_to_recombine = 3. It allocates the result; hot loops
-// use SelectDistinctInto with a reusable buffer.
-func SelectDistinct(sel Selector, k int, candidates []int, fitness func(int) float64, r *rng.Source) []int {
-	return SelectDistinctInto(sel, k, candidates, fitness, r, nil)
-}
-
-// SelectDistinctInto is SelectDistinct writing into out's backing array
-// (grown if needed), so a caller-kept buffer makes selection
-// allocation-free. k is small (the paper uses 3), so distinctness is
-// checked by linear scan rather than a set.
+// SelectDistinctInto selects k distinct candidates using sel, retrying on
+// collisions (up to a bound, then filling with unused candidates in
+// order). It is the "SelectToRecombine S ⊆ N_P" step of Algorithm 1: the
+// paper sets |S| = nb_solutions_to_recombine = 3. It writes into out's
+// backing array (grown if needed), so a caller-kept buffer makes
+// selection allocation-free. k is small, so distinctness is checked by
+// linear scan rather than a set.
 func SelectDistinctInto(sel Selector, k int, candidates []int, fitness func(int) float64, r *rng.Source, out []int) []int {
 	if k > len(candidates) {
 		k = len(candidates)

@@ -3,11 +3,9 @@
 // algorithm in order to find a set of non-dominated solutions".
 //
 // It provides bi-objective (makespan, flowtime) Pareto dominance, a
-// bounded non-dominated archive with crowding-distance pruning, and two
-// solvers: a λ-sweep over the scalarised cMA (running the paper's
-// algorithm across a grid of weights) and a cellular multi-objective
-// memetic algorithm (dominance-based replacement on the same toroidal
-// population, in the spirit of MOCell).
+// bounded non-dominated archive with crowding-distance pruning, and one
+// solver: a λ-sweep over the scalarised cMA, which runs the paper's
+// algorithm unchanged across a grid of weights.
 package pareto
 
 import (

@@ -198,94 +198,3 @@ func TestLambdaSweepValidation(t *testing.T) {
 		t.Error("lambda out of range accepted")
 	}
 }
-
-func TestMOCellMARunsAndImproves(t *testing.T) {
-	in := testInstance()
-	cfg := DefaultMOConfig()
-	cfg.Base = fastBase()
-	m, err := NewMOCellMA(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := m.Run(in, run.Budget{MaxIterations: 15}, 3)
-	if res.Front.Len() == 0 {
-		t.Fatal("empty front")
-	}
-	if res.Iterations != 15 || res.Evals == 0 {
-		t.Fatalf("iterations %d evals %d", res.Iterations, res.Evals)
-	}
-	// The front must dominate a random schedule comfortably.
-	rand := schedule.NewState(in, make(schedule.Schedule, in.Jobs)) // all on machine 0: terrible
-	bad := Vec{Makespan: rand.Makespan(), Flowtime: rand.Flowtime()}
-	dominated := false
-	for _, s := range res.Front.Solutions() {
-		if s.Obj.Dominates(bad) {
-			dominated = true
-			break
-		}
-	}
-	if !dominated {
-		t.Error("no front solution dominates the all-on-one-machine schedule")
-	}
-}
-
-func TestMOCellMAValidation(t *testing.T) {
-	cfg := DefaultMOConfig()
-	cfg.ArchiveCapacity = 0
-	if _, err := NewMOCellMA(cfg); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	cfg = DefaultMOConfig()
-	cfg.Base.Width = 0
-	if _, err := NewMOCellMA(cfg); err == nil {
-		t.Error("bad base config accepted")
-	}
-}
-
-func TestMOCellMADeterministic(t *testing.T) {
-	in := testInstance()
-	cfg := DefaultMOConfig()
-	cfg.Base = fastBase()
-	m, _ := NewMOCellMA(cfg)
-	a := m.Run(in, run.Budget{MaxIterations: 8}, 7)
-	b := m.Run(in, run.Budget{MaxIterations: 8}, 7)
-	as, bs := a.Front.Solutions(), b.Front.Solutions()
-	if len(as) != len(bs) {
-		t.Fatal("front sizes differ across identical runs")
-	}
-	for i := range as {
-		if !as[i].Obj.Equal(bs[i].Obj) {
-			t.Fatal("front contents differ across identical runs")
-		}
-	}
-}
-
-func TestMOCellMABeatsSingleLambdaOnHypervolume(t *testing.T) {
-	// The dominance-based search should cover the objective space at
-	// least as well as a single scalarised run archived into a front.
-	in := testInstance()
-	cfg := DefaultMOConfig()
-	cfg.Base = fastBase()
-	m, _ := NewMOCellMA(cfg)
-	mo := m.Run(in, run.Budget{MaxIterations: 20}, 11)
-
-	single, err := LambdaSweep(in, fastBase(), []float64{0.75}, run.Budget{MaxIterations: 20}, 11, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := Vec{Makespan: 1e9, Flowtime: 1e12}
-	if mo.Front.Hypervolume(ref) < single.Hypervolume(ref) {
-		t.Errorf("MO front hypervolume %v below single-λ %v",
-			mo.Front.Hypervolume(ref), single.Hypervolume(ref))
-	}
-}
-
-func TestUnboundedBudgetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m, _ := NewMOCellMA(DefaultMOConfig())
-	m.Run(testInstance(), run.Budget{}, 1)
-}

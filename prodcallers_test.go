@@ -10,33 +10,50 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// testOnlyAllowlist names the exported functions and methods in internal/
-// that no production file calls but that stay in the production build,
-// keyed as TestEveryInternalExportHasAProductionCaller keys them, each
-// with the reason it cannot move into a _test.go file.
+// testOnlyAllowlist names the exported functions and methods, the
+// struct fields and the interface methods in internal/ that production
+// never uses but that stay in the production build, keyed as
+// TestEveryInternalExportHasAProductionCaller keys them, each with the
+// reason it stays.
 var testOnlyAllowlist = map[string]string{
-	"gridcma/internal/pareto.MOCellMA.Run": "the library's multi-objective engine, handed out by gridcma.NewMOCellMA; " +
-		"ExampleNewMOCellMA (gridcma_test) and internal/pareto's tests run it",
-	"gridcma/internal/pareto.Front.Len": "reads the fronts gridcma.NewMOCellMA's engine and gridcma.LambdaSweep return; " +
-		"ExampleNewMOCellMA (gridcma_test) and internal/pareto's tests call it",
-	"gridcma/internal/pareto.Front.Hypervolume": "scores the fronts gridcma.NewMOCellMA's engine and gridcma.LambdaSweep return; " +
-		"ExampleNewMOCellMA (gridcma_test) and internal/pareto's tests call it",
+	"gridcma/internal/pareto.Front.Len": "reads the front gridcma.LambdaSweep returns; " +
+		"ExampleLambdaSweep (gridcma_test) and internal/pareto's tests call it",
+	"gridcma/internal/pareto.Front.Hypervolume": "scores the front gridcma.LambdaSweep returns; " +
+		"ExampleLambdaSweep (gridcma_test) and internal/pareto's tests call it",
+	"gridcma/internal/island/dist.Config.Heartbeat":        distSupervision,
+	"gridcma/internal/island/dist.Config.HeartbeatTimeout": distSupervision,
+	"gridcma/internal/island/dist.Config.CheckpointPath":   distSupervision,
+	"gridcma/internal/island/dist.Config.Logf":             distSupervision,
 }
 
+// distSupervision is the reason the coordinator's supervision knobs stay:
+// no binary runs a coordinator that sets them yet.
+const distSupervision = "item 16 wires or deletes (ROADMAP: a production client for the distributed island engine)"
+
 // TestEveryInternalExportHasAProductionCaller keeps code that only tests
-// call out of the production build. It type-checks every non-test package
-// of the library, cmd/ and the benchmark module and fails on each exported
-// function or method in internal/ that none of their files uses, unless
-// testOnlyAllowlist names it, and on each unexported function or method
-// in the library or cmd/ that no file of its own package uses. A method
-// that implements an interface is exempt: its callers reach it through
-// the interface. internal/chaos is test support, neither scanned nor
-// counted as a caller.
+// use out of the production build. It type-checks every non-test package
+// of the library, cmd/ and the benchmark module, and fails on each of
+// these that none of their files uses, unless testOnlyAllowlist names it:
+//   - an exported function or method in internal/;
+//   - an unexported function or method in the library or cmd/ that no
+//     file of its own package uses;
+//   - an exported field of an internal/ struct that production never
+//     sets: no assignment, increment, address, keyed or positional
+//     literal, or pointer-method call through it. A struct with JSON tags
+//     is decoded from bytes and exempt;
+//   - a method of an internal/ interface that production calls neither
+//     through the interface nor on a type that implements it.
+//
+// A method that implements an interface is exempt from the first two:
+// the last one covers it. The root package's fields are the library's
+// API: the ones production never sets are logged, not failed.
+// internal/chaos is test support, neither scanned nor counted as a user.
 func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks every production package and its imports from source")
@@ -45,6 +62,10 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 	imp := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	var pkgs []*types.Package
 	used := map[string]bool{}
+	// set holds the fields production sets, keyed by declaration
+	// position: the source importer checks a package again for each
+	// importer, so one field has a *types.Var per check.
+	set := map[string]bool{}
 	for _, root := range []string{".", "benchmark"} {
 		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
@@ -62,7 +83,7 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 			if path == "gridcma/internal/chaos" {
 				return filepath.SkipDir
 			}
-			pkg, info, err := checkDir(fset, imp, dir, path)
+			pkg, files, info, err := checkDir(fset, imp, dir, path)
 			if pkg == nil {
 				return err
 			}
@@ -72,6 +93,9 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 					used[funcKey(fn.Origin())] = true
 				}
 			}
+			for _, f := range files {
+				markSetFields(fset, info, f, set)
+			}
 			return nil
 		})
 		if err != nil {
@@ -80,7 +104,7 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 	}
 
 	ifaces := interfaces(pkgs)
-	unused := map[string]bool{}
+	unused := map[string]string{}
 	for _, pkg := range pkgs {
 		internal := strings.HasPrefix(pkg.Path(), "gridcma/internal/")
 		if !internal && strings.HasPrefix(pkg.Path(), "gridcma/benchmark") {
@@ -99,21 +123,40 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 			switch obj := scope.Lookup(name).(type) {
 			case *types.Func:
 				if checked(obj) && !used[funcKey(obj)] {
-					unused[funcKey(obj)] = true
+					unused[funcKey(obj)] = "no production file calls it"
 				}
 			case *types.TypeName:
 				named, ok := obj.Type().(*types.Named)
-				if !ok {
+				if !ok || obj.IsAlias() {
 					continue
 				}
 				for i := 0; i < named.NumMethods(); i++ {
 					m := named.Method(i)
 					if checked(m) && !used[funcKey(m)] && !implementsAny(named, m.Name(), ifaces) {
-						unused[funcKey(m)] = true
+						unused[funcKey(m)] = "no production file calls it"
+					}
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok || hasJSONTags(st) {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					f := st.Field(i)
+					if !f.Exported() || f.Embedded() || set[fset.Position(f.Pos()).String()] {
+						continue
+					}
+					key := pkg.Path() + "." + obj.Name() + "." + f.Name()
+					if internal {
+						unused[key] = "no production file sets it"
+					} else if pkg.Path() == "gridcma" {
+						t.Logf("API field %s: no production file sets it", key)
 					}
 				}
 			}
 		}
+	}
+	for key := range uncalledInterfaceMethods(t, imp, pkgs, used) {
+		unused[key] = "no production file calls it, through the interface or on an implementation"
 	}
 
 	var bad []string
@@ -123,43 +166,220 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 		}
 	}
 	for key := range testOnlyAllowlist {
-		if !unused[key] {
-			t.Errorf("allowlisted %s is gone or has a production caller: drop it from testOnlyAllowlist", key)
+		if _, ok := unused[key]; !ok {
+			t.Errorf("allowlisted %s is gone or has a production user: drop it from testOnlyAllowlist", key)
 		}
 	}
 	sort.Strings(bad)
 	for _, key := range bad {
-		t.Errorf("%s: no production file calls it; move it into a _test.go file or delete it", key)
+		t.Errorf("%s: %s; move it into a _test.go file or delete it", key, unused[key])
 	}
 	t.Logf("%d production packages scanned, %d allowlisted", len(pkgs), len(testOnlyAllowlist))
 }
 
+// markSetFields adds to set the declaration position of every field f
+// sets: as an assignment or increment target, by taking its address
+// (explicitly, or implicitly to call a pointer method), or in a keyed or
+// positional composite literal. Setting x.a.b, or an element of an array
+// field, sets the value fields on the way as well.
+func markSetFields(fset *token.FileSet, info *types.Info, f *ast.File, set map[string]bool) {
+	mark := func(v *types.Var) { set[fset.Position(v.Pos()).String()] = true }
+	var target func(ast.Expr)
+	target = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			sel := info.Selections[e]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			mark(sel.Obj().(*types.Var))
+			if _, ptr := info.TypeOf(e.X).Underlying().(*types.Pointer); !ptr {
+				target(e.X)
+			}
+		case *ast.IndexExpr:
+			if _, arr := info.TypeOf(e.X).Underlying().(*types.Array); arr {
+				target(e.X)
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				target(n.Key)
+				target(n.Value)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				return true
+			}
+			recv := sel.Obj().(*types.Func).Signature().Recv()
+			_, ptrRecv := recv.Type().(*types.Pointer)
+			_, ptrX := info.TypeOf(n.X).Underlying().(*types.Pointer)
+			if ptrRecv && !ptrX {
+				target(n.X)
+			}
+		case *ast.CompositeLit:
+			tv, ok := info.Types[n]
+			if !ok {
+				return true
+			}
+			typ := tv.Type
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			st, ok := typ.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						mark(v)
+					}
+				} else if i < st.NumFields() {
+					mark(st.Field(i))
+				}
+			}
+		}
+		return true
+	})
+}
+
+// hasJSONTags reports whether a field of st carries a json tag: the
+// struct is decoded from bytes, which sets its fields.
+func hasJSONTags(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// uncalledInterfaceMethods returns the methods of the interfaces declared
+// in internal/ that production calls neither through the interface nor,
+// by used, on a named type that implements it. The interfaces and their
+// implementations are taken from one importer's packages, so that
+// implementation is checked among types of one type-check.
+func uncalledInterfaceMethods(t *testing.T, imp types.ImporterFrom, pkgs []*types.Package, used map[string]bool) map[string]bool {
+	abs, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var named []*types.Named
+	var decl []*types.TypeName
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			if _, ok := n.Underlying().(*types.Interface); ok {
+				if strings.HasPrefix(p.Path(), "gridcma/internal/") {
+					decl = append(decl, tn)
+				}
+			} else {
+				named = append(named, n)
+			}
+		}
+		for _, dep := range p.Imports() {
+			visit(dep)
+		}
+	}
+	for _, p := range pkgs {
+		if p.Name() == "main" {
+			continue
+		}
+		ip, err := imp.ImportFrom(p.Path(), abs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(ip)
+	}
+
+	out := map[string]bool{}
+	for _, tn := range decl {
+		it := tn.Type().Underlying().(*types.Interface)
+		for i := 0; i < it.NumExplicitMethods(); i++ {
+			m := it.ExplicitMethod(i)
+			if !used[funcKey(m)] && !calledOnImplementation(it, m, named, used) {
+				out[funcKey(m)] = true
+			}
+		}
+	}
+	return out
+}
+
+// calledOnImplementation reports whether used holds method m of a named
+// type (or its pointer) that implements it.
+func calledOnImplementation(it *types.Interface, m *types.Func, named []*types.Named, used map[string]bool) bool {
+	for _, n := range named {
+		for _, typ := range []types.Type{n, types.NewPointer(n)} {
+			if !types.Implements(typ, it) {
+				continue
+			}
+			sel := types.NewMethodSet(typ).Lookup(m.Pkg(), m.Name())
+			if sel != nil && used[funcKey(sel.Obj().(*types.Func).Origin())] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // checkDir type-checks the non-test Go files of dir as package path. It
 // returns a nil package, and no error, for a directory without Go files.
-func checkDir(fset *token.FileSet, imp types.ImporterFrom, dir, path string) (*types.Package, *types.Info, error) {
+func checkDir(fset *token.FileSet, imp types.ImporterFrom, dir, path string) (*types.Package, []*ast.File, *types.Info, error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		var noGo *build.NoGoError
 		if errors.As(err, &noGo) {
-			return nil, nil, nil
+			return nil, nil, nil, nil
 		}
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var files []*ast.File
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(abs, name), nil, 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
-	return pkg, info, err
+	return pkg, files, info, err
 }
 
 // funcKey names a function as "pkgpath.Name" and a method as
