@@ -248,8 +248,12 @@ type (
 )
 
 // LambdaSweep runs the scalarised cMA across a λ grid and merges the
-// results into one non-dominated front.
+// results into one non-dominated front. The budget bounds each λ's run;
+// it must be bounded and not negative, as for BatchPolicy.
 func LambdaSweep(in *Instance, base CMAConfig, lambdas []float64, budget Budget, seed uint64, capacity int) (*ParetoFront, error) {
+	if err := checkBudget("lambda sweep", budget); err != nil {
+		return nil, err
+	}
 	return pareto.LambdaSweep(in, base, lambdas, budget, seed, capacity)
 }
 
@@ -309,13 +313,11 @@ func Simulate(cfg SimConfig, p SimPolicy) (SimMetrics, error) { return gridsim.S
 // that produces no schedule at all panics, as the simulator has no error
 // path and a policy that silently drops jobs would corrupt its metrics.
 func BatchPolicy(name string, alg Scheduler, budget Budget) (SimPolicy, error) {
-	switch {
-	case alg == nil:
+	if alg == nil {
 		return nil, fmt.Errorf("gridcma: batch policy %s: nil algorithm", name)
-	case budget.MaxTime < 0 || budget.MaxIterations < 0:
-		return nil, fmt.Errorf("gridcma: batch policy %s: negative budget", name)
-	case !budget.Bounded():
-		return nil, fmt.Errorf("gridcma: batch policy %s: %w", name, ErrUnbounded)
+	}
+	if err := checkBudget("batch policy "+name, budget); err != nil {
+		return nil, err
 	}
 	return gridsim.PolicyFunc{PolicyName: name, Fn: func(in *Instance, seed uint64) Schedule {
 		res, err := alg.Run(budget.Context(), in, WithBudget(budget), WithSeed(seed))
@@ -324,6 +326,17 @@ func BatchPolicy(name string, alg Scheduler, budget Budget) (SimPolicy, error) {
 		}
 		return res.Best
 	}}, nil
+}
+
+// checkBudget refuses a budget that is negative or bounds nothing.
+func checkBudget(what string, budget Budget) error {
+	switch {
+	case budget.MaxTime < 0 || budget.MaxIterations < 0:
+		return fmt.Errorf("gridcma: %s: negative budget", what)
+	case !budget.Bounded():
+		return fmt.Errorf("gridcma: %s: %w", what, ErrUnbounded)
+	}
+	return nil
 }
 
 // HeuristicPolicy wraps a constructive heuristic as a dynamic policy.

@@ -252,6 +252,21 @@ func TestBatchPolicyRefusesBadBudget(t *testing.T) {
 	}
 }
 
+// LambdaSweep runs the cMA once per λ, and the cMA panics on a budget
+// that bounds nothing, so the sweep refuses such a budget up front.
+func TestLambdaSweepRefusesBadBudget(t *testing.T) {
+	in := smallInstance(t)
+	lambdas := []float64{0, 1}
+	if _, err := gridcma.LambdaSweep(in, gridcma.DefaultCMAConfig(), lambdas, gridcma.Budget{}, 1, 8); !errors.Is(err, gridcma.ErrUnbounded) {
+		t.Errorf("unbounded budget: err = %v, want ErrUnbounded", err)
+	}
+	for _, b := range []gridcma.Budget{{MaxIterations: -2}, {MaxIterations: 3, MaxTime: -time.Second}} {
+		if f, err := gridcma.LambdaSweep(in, gridcma.DefaultCMAConfig(), lambdas, b, 1, 8); err == nil || f != nil {
+			t.Errorf("budget %+v accepted", b)
+		}
+	}
+}
+
 func TestBudgetSemantics(t *testing.T) {
 	b := gridcma.Budget{MaxTime: time.Millisecond}
 	if !b.Bounded() {

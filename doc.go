@@ -239,11 +239,11 @@
 // Every call to a worker process carries a timeout (an in-process
 // segment carries none) and a jittered exponential retry policy
 // (internal/retry, the policy gridd's replication follower also backs
-// off with); transport failures mark the worker dead and the
+// off with); a failed or timed-out call marks the worker dead, so a
+// silently hung worker is found by the call it hangs, and the
 // supervisor lazily restarts it through the worker factory at the next
-// call, re-sending the population. A heartbeat loop (detection only)
-// notices silently hung workers between rounds. When a worker exhausts
-// its restart budget it is declared permanently down, its islands are
+// attempt, re-sending the population. When a worker exhausts its
+// restart budget it is declared permanently down, its islands are
 // recorded dead, the migration ring heals around them, and the run
 // finishes on the survivors — graceful degradation, never a hung
 // barrier.

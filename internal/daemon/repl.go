@@ -467,8 +467,6 @@ func NewReplServer(d *Daemon, cfg ReplConfig) (*ReplServer, error) {
 // Handle implements transport.Handler.
 func (s *ReplServer) Handle(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	switch req.Kind {
-	case transport.KindPing:
-		return &transport.Response{ID: req.ID}, nil
 	case transport.KindReplPull:
 		var pull ReplPull
 		if err := json.Unmarshal(req.Repl, &pull); err != nil {

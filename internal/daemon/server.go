@@ -373,7 +373,7 @@ func (d *Daemon) applyLocked(e eventlog.Event) (eventlog.Event, error) {
 		// costs one seal under d.mu. This also keeps the write path the
 		// one benchmark/repl.go's bare replay models, a digest per
 		// event; leaving the fold to the pull waits on changing that
-		// model first (ROADMAP item 3).
+		// model first (ROADMAP items 4 and 1).
 		d.g.Digest()
 	}
 	switch e.Type {

@@ -21,11 +21,11 @@
 // them at the shipped population (see worker.go), so losing or
 // mismatching the cache changes what a segment costs, never what it
 // returns. Supervision is then simple: per-call timeouts with jittered
-// exponential retry (internal/retry), heartbeat pings for liveness, lazy
-// restarts through a worker factory, and when a worker stays dead past
-// its restart budget, its islands are declared lost, the migration ring
-// heals around them (island.PlanMigration with the alive mask), and the
-// run completes on the survivors instead of hanging the barrier.
+// exponential retry (internal/retry), lazy restarts through a worker
+// factory, and when a worker stays dead past its restart budget, its
+// islands are declared lost, the migration ring heals around them
+// (island.PlanMigration with the alive mask), and the run completes on
+// the survivors instead of hanging the barrier.
 package dist
 
 import (
@@ -74,12 +74,6 @@ type Config struct {
 	// MaxRestarts is the consecutive failed-restart budget per worker
 	// before it is abandoned for good (0 = 3).
 	MaxRestarts int
-	// Heartbeat enables liveness pings at this period (0 = disabled).
-	// Heartbeats only accelerate failure detection; they never change a
-	// trajectory.
-	Heartbeat time.Duration
-	// HeartbeatTimeout bounds each ping (0 = CallTimeout).
-	HeartbeatTimeout time.Duration
 	// CheckpointPath, when set, persists coordinator state (populations,
 	// alive set, best, digests) after every round with the WAL/snapshot
 	// atomic-rename idiom, and Run resumes from a matching checkpoint.
@@ -93,13 +87,6 @@ func (c Config) callTimeout() time.Duration {
 		return 30 * time.Second
 	}
 	return c.CallTimeout
-}
-
-func (c Config) heartbeatTimeout() time.Duration {
-	if c.HeartbeatTimeout <= 0 {
-		return c.callTimeout()
-	}
-	return c.HeartbeatTimeout
 }
 
 func (c Config) maxRestarts() int {
@@ -150,15 +137,14 @@ type Report struct {
 	Deaths    []Death  `json:"deaths,omitempty"`
 	Digests   []string `json:"digests"`
 
-	Restarts        int       `json:"restarts"`
-	HeartbeatMisses int       `json:"heartbeat_misses"`
-	RoundMs         []float64 `json:"round_ms"`
-	RecoveryMs      []float64 `json:"recovery_ms,omitempty"`
+	Restarts   int       `json:"restarts"`
+	RoundMs    []float64 `json:"round_ms"`
+	RecoveryMs []float64 `json:"recovery_ms,omitempty"`
 }
 
 // handle supervises one worker: its live client, liveness flags and
 // restart budget. The mutex serialises every RPC to the worker (segment
-// calls from its pinned islands, restarts, heartbeats).
+// calls from its pinned islands) and its restarts.
 type handle struct {
 	idx int
 
@@ -182,7 +168,6 @@ type Coordinator struct {
 
 	statsMu    sync.Mutex
 	restarts   int
-	hbMisses   int
 	recoveries []float64
 }
 
@@ -206,7 +191,7 @@ func newCoordinator(cfg Config, base cma.Config, timeout time.Duration, factory 
 	for w := 0; w < cfg.Workers; w++ {
 		cl, err := factory(w)
 		if err != nil {
-			c.closeAll()
+			c.Close()
 			return nil, fmt.Errorf("dist: start worker %d: %w", w, err)
 		}
 		c.workers = append(c.workers, &handle{idx: w, client: cl})
@@ -215,9 +200,7 @@ func newCoordinator(cfg Config, base cma.Config, timeout time.Duration, factory 
 }
 
 // Close releases every worker client.
-func (c *Coordinator) Close() { c.closeAll() }
-
-func (c *Coordinator) closeAll() {
+func (c *Coordinator) Close() {
 	for _, h := range c.workers {
 		h.mu.Lock()
 		if h.client != nil {
@@ -288,21 +271,6 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 		rep.Deaths = cp.Deaths
 		rep.Rounds = cp.Round
 		c.logf("dist: resumed from checkpoint at round %d (iters %d)", cp.Round, totalIters)
-	}
-
-	// Heartbeats: detection only — a missed ping marks the worker dead so
-	// the next segment call restarts it first.
-	var hbWG sync.WaitGroup
-	hbCtx, hbCancel := context.WithCancel(context.Background())
-	defer func() {
-		hbCancel()
-		hbWG.Wait()
-	}()
-	if c.cfg.Heartbeat > 0 {
-		for _, h := range c.workers {
-			hbWG.Add(1)
-			go c.heartbeatLoop(hbCtx, h, &hbWG)
-		}
 	}
 
 	results := make([]*transport.Response, n)
@@ -407,7 +375,6 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 	}
 	c.statsMu.Lock()
 	rep.Restarts = c.restarts
-	rep.HeartbeatMisses = c.hbMisses
 	rep.RecoveryMs = append([]float64(nil), c.recoveries...)
 	c.statsMu.Unlock()
 	return finish(), rep, ctx.Err()
@@ -582,42 +549,6 @@ func (c *Coordinator) restartLocked(h *handle) error {
 	c.statsMu.Unlock()
 	c.logf("dist: worker %d restarted (coordinator re-sends populations)", h.idx)
 	return nil
-}
-
-// heartbeatLoop pings one worker at the configured period. TryLock keeps
-// pings from queueing behind a long segment call (a worker busy serving
-// us is alive by definition); a failed ping marks the worker dead so the
-// next segment call restarts it before dispatching.
-func (c *Coordinator) heartbeatLoop(ctx context.Context, h *handle, wg *sync.WaitGroup) {
-	defer wg.Done()
-	t := time.NewTicker(c.cfg.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		if !h.mu.TryLock() {
-			continue
-		}
-		if h.down || h.dead {
-			h.mu.Unlock()
-			continue
-		}
-		req := &transport.Request{ID: c.callID.Add(1), Kind: transport.KindPing}
-		cctx, cancel := context.WithTimeout(ctx, c.cfg.heartbeatTimeout())
-		_, err := h.client.Call(cctx, req)
-		cancel()
-		if err != nil && ctx.Err() == nil {
-			c.markDeadLocked(h)
-			c.statsMu.Lock()
-			c.hbMisses++
-			c.statsMu.Unlock()
-			c.logf("dist: worker %d failed heartbeat: %v", h.idx, err)
-		}
-		h.mu.Unlock()
-	}
 }
 
 // roundDigest folds one round's post-migration state — round index,

@@ -10,7 +10,6 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -140,7 +139,7 @@ func TestKillRestartRecovery(t *testing.T) {
 	rig := testRig(t)
 	ref := inProcReference(t, rig, rig.iters, 1)
 	plan := []MsgFault{{Worker: 1, Round: 1, Kind: MsgKill, Count: 1}}
-	res, rep, err := rig.runOnce(newFaultPlan(plan, time.Millisecond), 1, false, time.Minute)
+	res, rep, err := rig.runOnce(newFaultPlan(plan, time.Millisecond), 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestKillRestartRecovery(t *testing.T) {
 func TestPermanentDeathDegradesGracefully(t *testing.T) {
 	rig := testRig(t)
 	plan := []MsgFault{{Worker: 1, Round: 1, Kind: MsgDown, Count: 1}}
-	res, rep, err := rig.runOnce(newFaultPlan(plan, time.Millisecond), 1, false, time.Minute)
+	res, rep, err := rig.runOnce(newFaultPlan(plan, time.Millisecond), 1, time.Minute)
 	if err != nil {
 		t.Fatalf("degraded run should complete, got %v", err)
 	}
@@ -185,6 +184,58 @@ func TestPermanentDeathDegradesGracefully(t *testing.T) {
 	}
 	if len(rep.Digests) != rig.rounds {
 		t.Fatalf("expected %d round digests, got %d", rig.rounds, len(rep.Digests))
+	}
+}
+
+// TestDefaultRestartBudget pins MaxRestarts' default of 3. Worker 1
+// starts, is dead by its first call, and then fails the given number of
+// restarts before the next one succeeds: 3 failed restarts abandon it
+// and lose its islands, 2 leave the run bit-identical to a clean one.
+func TestDefaultRestartBudget(t *testing.T) {
+	rig := testRig(t)
+	ref := inProcReference(t, rig, rig.iters, 1)
+	for _, tc := range []struct {
+		failedRestarts int
+		survivors      []int
+		restarts       int
+	}{
+		{failedRestarts: 3, survivors: []int{0, 2}, restarts: 0},
+		{failedRestarts: 2, survivors: []int{0, 1, 2, 3}, restarts: 1},
+	} {
+		cfg := rig.dcfg
+		cfg.MaxRestarts = 0
+		starts := 0 // of worker 1, under the handle's lock
+		coord, err := New(cfg, func(w int) (transport.Client, error) {
+			l := transport.NewLocal(NewPinnedWorker(rig.in))
+			if w != 1 {
+				return l, nil
+			}
+			starts++
+			switch {
+			case starts == 1:
+				l.Close() // the process dies before its first call
+			case starts <= 1+tc.failedRestarts:
+				return nil, errors.New("worker will not start")
+			}
+			return l, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, rep, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters}, 1)
+		coord.Close()
+		if err != nil {
+			t.Fatalf("%d failed restarts: %v", tc.failedRestarts, err)
+		}
+		if !sameInts(rep.Survivors, tc.survivors) || rep.Restarts != tc.restarts || starts != 1+tc.failedRestarts+tc.restarts {
+			t.Fatalf("%d failed restarts: survivors %v, %d restarts, %d starts; want %v, %d, %d",
+				tc.failedRestarts, rep.Survivors, rep.Restarts, starts, tc.survivors, tc.restarts, 1+tc.failedRestarts+tc.restarts)
+		}
+		if len(tc.survivors) == rig.dcfg.Islands {
+			if err := sameResult(res, ref); err != nil {
+				t.Fatalf("a recovered worker changed the result: %v", err)
+			}
+		}
 	}
 }
 
@@ -245,47 +296,6 @@ func TestBadSegmentReplyLosesIsland(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestHeartbeatMarksDeadWorker unit-tests the liveness loop: a worker
-// whose client is gone is flagged within a few periods, without any
-// segment traffic.
-func TestHeartbeatMarksDeadWorker(t *testing.T) {
-	rig := testRig(t)
-	cfg := rig.dcfg
-	cfg.Heartbeat = 2 * time.Millisecond
-	pinned := NewPinnedWorker(rig.in)
-	coord, err := New(cfg, func(w int) (transport.Client, error) {
-		return transport.NewLocal(pinned), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	h := coord.workers[1]
-	h.mu.Lock()
-	h.client.Close() // the worker process dies
-	h.mu.Unlock()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go coord.heartbeatLoop(ctx, h, &wg)
-	defer wg.Wait()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		h.mu.Lock()
-		dead := h.dead
-		h.mu.Unlock()
-		if dead {
-			cancel()
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("heartbeat never marked the dead worker")
 }
 
 // TestCheckpointResume: interrupt a checkpointed run halfway, resume with
@@ -410,7 +420,7 @@ func TestCancelledRunReturnsBestSoFar(t *testing.T) {
 func TestWorkerRestartBetweenRounds(t *testing.T) {
 	rig := testRig(t)
 	ref := inProcReference(t, rig, rig.iters, 1)
-	clean, cleanRep, err := rig.runOnce(nil, 1, false, time.Minute)
+	clean, cleanRep, err := rig.runOnce(nil, 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

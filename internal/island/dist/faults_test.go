@@ -36,7 +36,7 @@ const (
 	MsgDrop MsgKind = iota
 	// MsgDelay: the call is held for Count delay units before being
 	// delivered. A delay longer than the caller's per-call timeout is the
-	// heartbeat-timeout case: the caller gives up, the reply is discarded.
+	// hung-worker case: the caller gives up, the reply is discarded.
 	MsgDelay
 	// MsgDup: the request is delivered twice; the caller uses the last
 	// reply. Probes that segment execution is idempotent (a reply is a
@@ -222,7 +222,7 @@ func (p *faultPlan) wrap(factory WorkerFactory) WorkerFactory {
 }
 
 // faultyClient injects its worker's faults into segment calls, keyed on
-// (worker, req.Seg.Round); pings pass through untouched.
+// (worker, req.Seg.Round).
 type faultyClient struct {
 	plan   *faultPlan
 	worker int

@@ -87,19 +87,14 @@ func newTortureRig() (*tortureRig, error) {
 // Every call of the worker factory builds a fresh Worker, as restarting a
 // real islandd process does: a restarted worker has lost its stash and
 // must rebuild its islands' meshes from the shipped populations.
-func (r *tortureRig) runOnce(faults *faultPlan, seed uint64, heartbeat bool, timeout time.Duration) (run.Result, *Report, error) {
-	cfg := r.dcfg
-	if heartbeat {
-		cfg.Heartbeat = 5 * time.Millisecond
-		cfg.HeartbeatTimeout = 100 * time.Millisecond
-	}
+func (r *tortureRig) runOnce(faults *faultPlan, seed uint64, timeout time.Duration) (run.Result, *Report, error) {
 	factory := func(int) (transport.Client, error) {
 		return transport.NewLocal(NewPinnedWorker(r.in)), nil
 	}
 	if faults != nil {
 		factory = faults.wrap(factory)
 	}
-	coord, err := New(cfg, factory)
+	coord, err := New(r.dcfg, factory)
 	if err != nil {
 		return run.Result{}, nil, err
 	}
@@ -113,17 +108,18 @@ func (r *tortureRig) runOnce(faults *faultPlan, seed uint64, heartbeat bool, tim
 // runFaulted is runOnce under a fresh interpreter of plan; it adds the
 // faults that fired to fired. Every drop or transient kill that fires
 // fails a call, and the supervisor restarts the worker before the next
-// attempt (a heartbeat miss may add one more restart), so a run whose
-// restarts do not cover its fired failures did not really inject them.
-func (r *tortureRig) runFaulted(plan []MsgFault, seed uint64, heartbeat bool, timeout time.Duration, fired *[numMsgKinds]int) (run.Result, *Report, error) {
+// attempt, so a run's restarts must equal its fired failures: fewer
+// means a fault was not really injected, more means a worker was
+// restarted that no fault hurt.
+func (r *tortureRig) runFaulted(plan []MsgFault, seed uint64, timeout time.Duration, fired *[numMsgKinds]int) (run.Result, *Report, error) {
 	fp := newFaultPlan(plan, time.Millisecond)
-	res, rep, err := r.runOnce(fp, seed, heartbeat, timeout)
+	res, rep, err := r.runOnce(fp, seed, timeout)
 	if err != nil {
 		return res, rep, err
 	}
 	failed := fp.fired[MsgDrop] + fp.fired[MsgKill]
-	if rep.Restarts < failed || rep.Restarts > failed+rep.HeartbeatMisses {
-		return res, rep, fmt.Errorf("%d restarts after %d injected failures and %d heartbeat misses", rep.Restarts, failed, rep.HeartbeatMisses)
+	if rep.Restarts != failed {
+		return res, rep, fmt.Errorf("%d restarts after %d injected failures", rep.Restarts, failed)
 	}
 	for k, n := range fp.fired {
 		fired[k] += n
@@ -173,7 +169,7 @@ func torture(tc tortureConfig) (*tortureReport, error) {
 
 	// Reference 2: the failure-free distributed run and its digest
 	// trajectory.
-	cleanRes, cleanRep, err := rig.runOnce(nil, runSeed, false, tc.Timeout)
+	cleanRes, cleanRep, err := rig.runOnce(nil, runSeed, tc.Timeout)
 	if err != nil {
 		return nil, fmt.Errorf("torture: failure-free run: %w", err)
 	}
@@ -189,16 +185,15 @@ func torture(tc tortureConfig) (*tortureReport, error) {
 		plan := MsgPlan(planSeed, faultsPerCase, rig.dcfg.Workers, rig.rounds)
 		degraded := hasPermanentDeath(plan)
 		want := predictSurvivors(plan, rig.dcfg.Islands, rig.dcfg.Workers, rig.rounds)
-		hb := caseIdx%2 == 1
 
 		for _, f := range plan {
 			drawn[f.Kind] = true
 		}
-		res1, rep1, err := rig.runFaulted(plan, runSeed, hb, tc.Timeout, &rep.Fired)
+		res1, rep1, err := rig.runFaulted(plan, runSeed, tc.Timeout, &rep.Fired)
 		if err != nil {
 			return nil, fmt.Errorf("torture: case %d (plan %v): %w", caseIdx, plan, err)
 		}
-		res2, rep2, err := rig.runFaulted(plan, runSeed, hb, tc.Timeout, &rep.Fired)
+		res2, rep2, err := rig.runFaulted(plan, runSeed, tc.Timeout, &rep.Fired)
 		if err != nil {
 			return nil, fmt.Errorf("torture: case %d replay (plan %v): %w", caseIdx, plan, err)
 		}

@@ -35,8 +35,8 @@ import (
 // room for a new spec.
 const maxInstances = 4
 
-// Worker serves ping and segment calls. Safe for concurrent calls (a
-// coordinator may pin several islands to one worker).
+// Worker serves segment calls. Safe for concurrent calls (a coordinator
+// may pin several islands to one worker).
 type Worker struct {
 	pinned *etc.Instance  // serve every spec with this instance (in-proc use)
 	inner  *cma.Scheduler // serve every config with this engine (in-proc use)
@@ -126,8 +126,6 @@ func (w *Worker) store(wi *workerInstance, island int, states []*schedule.State)
 // Handle implements transport.Handler.
 func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	switch req.Kind {
-	case transport.KindPing:
-		return &transport.Response{ID: req.ID}, nil
 	case transport.KindSegment:
 		seg, err := w.segment(ctx, req.Seg)
 		if err != nil {

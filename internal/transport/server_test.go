@@ -8,15 +8,16 @@ import (
 	"time"
 )
 
-// pingHandler answers pings; an optional gate blocks each call until
-// released so tests can hold a call in flight.
-type pingHandler struct {
+// countHandler counts calls and answers each with an empty response; an
+// optional gate blocks each call until released so tests can hold a
+// call in flight.
+type countHandler struct {
 	mu    sync.Mutex
 	gate  chan struct{}
 	calls int
 }
 
-func (h *pingHandler) Handle(ctx context.Context, req *Request) (*Response, error) {
+func (h *countHandler) Handle(ctx context.Context, req *Request) (*Response, error) {
 	h.mu.Lock()
 	h.calls++
 	gate := h.gate
@@ -27,7 +28,7 @@ func (h *pingHandler) Handle(ctx context.Context, req *Request) (*Response, erro
 	return &Response{ID: req.ID}, nil
 }
 
-func (h *pingHandler) count() int {
+func (h *countHandler) count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.calls
@@ -77,7 +78,7 @@ func TestIdleConnectionSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &pingHandler{}
+	h := &countHandler{}
 	srv := NewServer(h)
 	go srv.Serve(ln)
 	defer srv.Shutdown(context.Background())
@@ -88,11 +89,11 @@ func TestIdleConnectionSurvives(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	if _, err := c.Call(ctx, &Request{ID: 1, Kind: KindPing}); err != nil {
+	if _, err := c.Call(ctx, &Request{ID: 1, Kind: kindBare}); err != nil {
 		t.Fatalf("first call: %v", err)
 	}
 	time.Sleep(250 * time.Millisecond) // idle gap
-	if _, err := c.Call(ctx, &Request{ID: 2, Kind: KindPing}); err != nil {
+	if _, err := c.Call(ctx, &Request{ID: 2, Kind: kindBare}); err != nil {
 		t.Fatalf("call after idle gap: %v", err)
 	}
 	if h.count() != 2 {
@@ -108,7 +109,7 @@ func TestServerDrainsInFlightCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	h := &pingHandler{gate: gate}
+	h := &countHandler{gate: gate}
 	srv := NewServer(h)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
@@ -121,7 +122,7 @@ func TestServerDrainsInFlightCall(t *testing.T) {
 
 	callDone := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), &Request{ID: 7, Kind: KindPing})
+		_, err := c.Call(context.Background(), &Request{ID: 7, Kind: kindBare})
 		callDone <- err
 	}()
 	// Wait until the handler holds the call.
@@ -163,7 +164,7 @@ func TestServerDropsIdleConnsOnShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &pingHandler{}
+	h := &countHandler{}
 	srv := NewServer(h)
 	go srv.Serve(ln)
 
@@ -172,7 +173,7 @@ func TestServerDropsIdleConnsOnShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(context.Background(), &Request{ID: 1, Kind: KindPing}); err != nil {
+	if _, err := c.Call(context.Background(), &Request{ID: 1, Kind: kindBare}); err != nil {
 		t.Fatal(err)
 	}
 

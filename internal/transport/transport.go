@@ -6,11 +6,11 @@
 // multi-process runs (cmd/islandd) — carry the exact same protocol, so a
 // run's result can never depend on which one it rode over.
 //
-// The protocol is deliberately tiny: a ping (liveness) and a segment
-// call. A segment request is a pure function description — instance
-// spec, base cMA configuration, seed, iteration count, population — and
-// a reply depends on nothing else: whatever a worker keeps between calls
-// is a cache it re-targets at the request. That is what makes the
+// The island protocol is deliberately tiny: one call, the segment. A
+// segment request is a pure function description — instance spec, base
+// cMA configuration, seed, iteration count, population — and a reply
+// depends on nothing else: whatever a worker keeps between calls is a
+// cache it re-targets at the request. That is what makes the
 // robustness story cheap: retrying a call, delivering it twice, or
 // replaying it against a freshly restarted worker all produce the same
 // bytes.
@@ -37,8 +37,8 @@
 // both directions and never scanned as JSON here: a replication pull
 // response ships WAL records on it exactly as the primary's log holds
 // them. A message with no payload writes "[]", the empty population, so
-// ping and error frames keep the segment protocol's form; a Repl payload
-// is therefore one line and never "[]".
+// error frames keep the segment protocol's form; a Repl payload is
+// therefore one line and never "[]".
 package transport
 
 import (
@@ -52,7 +52,6 @@ import (
 
 // Call kinds.
 const (
-	KindPing    = "ping"
 	KindSegment = "segment"
 	// KindReplPull asks a replication primary for the WAL events after a
 	// sequence number; KindReplSnapshot bootstraps a follower too far

@@ -20,11 +20,15 @@ import (
 	"gridcma/internal/schedule"
 )
 
+// kindBare is a call kind that carries no payload. Kind is opaque to the
+// transport, so the tests use it wherever a call needs no body.
+const kindBare = "bare"
+
 // echoHandler returns a canned segment response carrying the request's
 // population back, so round-trip tests can check byte fidelity end to end.
 func echoHandler() Handler {
 	return HandlerFunc(func(ctx context.Context, req *Request) (*Response, error) {
-		if req.Kind == KindPing {
+		if req.Kind == kindBare {
 			return &Response{ID: req.ID}, nil
 		}
 		return &Response{
@@ -196,7 +200,7 @@ func TestLocalRoundTrip(t *testing.T) {
 func TestLocalClosedFailsFast(t *testing.T) {
 	c := NewLocal(echoHandler())
 	c.Close()
-	if _, err := c.Call(context.Background(), &Request{ID: 1, Kind: KindPing}); !errors.Is(err, ErrClosed) {
+	if _, err := c.Call(context.Background(), &Request{ID: 1, Kind: kindBare}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }
@@ -208,7 +212,7 @@ func TestLocalKilledMidCallLosesReply(t *testing.T) {
 		return &Response{ID: req.ID}, nil
 	})
 	c = NewLocal(h)
-	if _, err := c.Call(context.Background(), &Request{ID: 1, Kind: KindPing}); !errors.Is(err, ErrClosed) {
+	if _, err := c.Call(context.Background(), &Request{ID: 1, Kind: kindBare}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed (reply must die with the worker)", err)
 	}
 }
@@ -261,7 +265,7 @@ func TestTCPHandlerErrorBecomesResponseErr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Call(context.Background(), &Request{ID: 5, Kind: KindPing})
+	resp, err := c.Call(context.Background(), &Request{ID: 5, Kind: kindBare})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +288,11 @@ func TestTCPDeadlinePoisonsConnection(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, err := c.Call(ctx, &Request{ID: 1, Kind: KindPing}); err == nil {
+	if _, err := c.Call(ctx, &Request{ID: 1, Kind: kindBare}); err == nil {
 		t.Fatal("expected a deadline error")
 	}
 	// The stream died mid-frame: every later call must fail fast.
-	if _, err := c.Call(context.Background(), &Request{ID: 2, Kind: KindPing}); !errors.Is(err, ErrClosed) {
+	if _, err := c.Call(context.Background(), &Request{ID: 2, Kind: kindBare}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("poisoned connection still accepted a call: %v", err)
 	}
 }
@@ -306,7 +310,7 @@ func TestTCPPartialFrameIsUnexpectedEOF(t *testing.T) {
 	c := NewConn(cli)
 	defer c.Close()
 	go func() {
-		_, err := c.Call(context.Background(), &Request{ID: 1, Kind: KindPing})
+		_, err := c.Call(context.Background(), &Request{ID: 1, Kind: kindBare})
 		done <- err
 	}()
 	select {
@@ -319,9 +323,10 @@ func TestTCPPartialFrameIsUnexpectedEOF(t *testing.T) {
 	}
 }
 
-// TestFrameBytes pins the wire form of each frame kind. Segment, ping
-// and error frames are the ones islandd has always exchanged; a
-// replication frame carries its payload verbatim on the payload line.
+// TestFrameBytes pins the wire form of each frame kind. Segment and
+// error frames are the ones islandd has always exchanged; a frame with
+// no payload writes the empty population; a replication frame carries
+// its payload verbatim on the payload line.
 func TestFrameBytes(t *testing.T) {
 	batch := replBatchPayload(t)
 	for _, tc := range []struct {
@@ -332,7 +337,7 @@ func TestFrameBytes(t *testing.T) {
 			"{\"id\":3,\"kind\":\"segment\",\"seg\":{\"instance\":\"x\",\"config\":{},\"island\":0,\"round\":0,\"iters\":2,\"seed\":9}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1]]\n"},
 		{encodeRequest(t, &Request{ID: 5, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Island: 1, Round: 3, Seed: 9, Iters: 2, Final: true, Pop: []schedule.Schedule{{10, 99, 100, 7, 0}}}}),
 			"{\"id\":5,\"kind\":\"segment\",\"seg\":{\"instance\":\"x\",\"config\":{},\"island\":1,\"round\":3,\"iters\":2,\"seed\":9,\"final\":true}}\n[[10,99,100,7,0]]\n"},
-		{encodeRequest(t, &Request{ID: 1, Kind: KindPing}), "{\"id\":1,\"kind\":\"ping\"}\n[]\n"},
+		{encodeRequest(t, &Request{ID: 1, Kind: kindBare}), "{\"id\":1,\"kind\":\"bare\"}\n[]\n"},
 		{encodeResponse(t, &Response{ID: 7, Seg: &SegmentResponse{Fitness: 3.25, Makespan: 17, Flowtime: 101.5, Evals: 42, Best: schedule.Schedule{2, 0, 1}, Fits: []float64{1.5, 2}, Pop: testPops()}}),
 			"{\"id\":7,\"seg\":{\"fitness\":3.25,\"makespan\":17,\"flowtime\":101.5,\"evals\":42,\"fits\":[1.5,2]}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1],[2,0,1]]\n"},
 		{encodeResponse(t, &Response{ID: 2, Err: "dist: unknown instance"}), "{\"id\":2,\"err\":\"dist: unknown instance\"}\n[]\n"},
@@ -401,7 +406,7 @@ func encodeRequest(t testing.TB, req *Request) []byte {
 // and a multi-record batch), a torn header and a garbage payload.
 func FuzzReadRequest(f *testing.F) {
 	for _, req := range []*Request{
-		{ID: 1, Kind: KindPing},
+		{ID: 1, Kind: kindBare},
 		{ID: 7, Kind: KindSegment, Seg: &SegmentRequest{Pop: testPops()}},
 		{ID: 3, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Seed: 9, Pop: testPops()}},
 		{ID: 4, Kind: KindReplPull, Repl: json.RawMessage(`{"after":12,"max":64}`)},
@@ -457,7 +462,7 @@ func encodeResponse(t testing.TB, resp *Response) []byte {
 // it accepts must re-encode through writeResponse and read back equal —
 // same header, same population, same best schedule — with the
 // re-encoding a fixed point. The corpus is seeded with a segment result,
-// a ping reply, a worker error, two replication payloads (one a real
+// a bare reply, a worker error, two replication payloads (one a real
 // multi-record batch), a torn header and a garbage payload.
 func FuzzReadResponse(f *testing.F) {
 	for _, resp := range []*Response{

@@ -26,10 +26,8 @@ var testOnlyAllowlist = map[string]string{
 		"ExampleLambdaSweep (gridcma_test) and internal/pareto's tests call it",
 	"gridcma/internal/pareto.Front.Hypervolume": "scores the front gridcma.LambdaSweep returns; " +
 		"ExampleLambdaSweep (gridcma_test) and internal/pareto's tests call it",
-	"gridcma/internal/island/dist.Config.Heartbeat":        distSupervision,
-	"gridcma/internal/island/dist.Config.HeartbeatTimeout": distSupervision,
-	"gridcma/internal/island/dist.Config.CheckpointPath":   distSupervision,
-	"gridcma/internal/island/dist.Config.Logf":             distSupervision,
+	"gridcma/internal/island/dist.Config.CheckpointPath": distSupervision,
+	"gridcma/internal/island/dist.Config.Logf":           distSupervision,
 }
 
 // distSupervision is the reason the coordinator's supervision knobs stay:
