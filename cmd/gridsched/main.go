@@ -146,7 +146,7 @@ type source struct{ name, file, gen string }
 func (s *source) flags(fs *flag.FlagSet) {
 	fs.StringVar(&s.name, "instance", "", "benchmark instance name (e.g. u_c_hihi.0)")
 	fs.StringVar(&s.file, "file", "", "instance file in benchmark text format")
-	fs.StringVar(&s.gen, "gen", "", "synthetic instance spec <jobs>x<machs>[:<class>][:s<seed>][:f32], e.g. 100000x1000:c_hihi:s7")
+	fs.StringVar(&s.gen, "gen", "", "synthetic instance spec <jobs>x<machs>[:<class>][:s<seed>], e.g. 100000x1000:c_hihi:s7")
 }
 
 // loader checks the selection without generating or reading anything

@@ -46,6 +46,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			{[]string{"-instance", "u_x_hihi.0"}, "unknown consistency"},
 			{[]string{"-instance", "u_c_hihi.0", "-gen", "8x2"}, "only one of -instance, -file and -gen"},
 			{[]string{"-gen", "8x0"}, "dimensions 8×0"},
+			{[]string{"-gen", "64x8:c_hihi:s1:f32", "-alg", "minmin", "-export", out}, `unknown class code "f32"`},
 			{[]string{"-alg", "minmin", "-export", out, "extra"}, "unexpected argument \"extra\""},
 			{[]string{"bogus", "-alg", "minmin"}, "unknown subcommand \"bogus\""},
 		}},
@@ -60,6 +61,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			{[]string{"gen", "-all", "-dir", dir, "-class", "u_c_hihi"}, "need exactly one of"},
 			{[]string{"gen", "-name", "u_c_hihi.0"}, "not defined: -name"},
 			{[]string{"gen", "-gen", "8x0", "-o", out}, "dimensions 8×0"},
+			{[]string{"gen", "-gen", "64x8:c_hihi:s1:f32", "-o", out}, `unknown class code "f32"`},
 		}},
 		{"sim", []struct {
 			args []string

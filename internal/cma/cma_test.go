@@ -286,43 +286,6 @@ func TestTunedOperatorsArePaperChoices(t *testing.T) {
 	}
 }
 
-// TestRunOnFloat32GenSpec runs the paper's cMA end to end on a streamed
-// GenSpec instance with the float32 ETC backing: the reported objectives
-// must be those of the returned schedule, the run must be a pure
-// function of its seed, and it must not end worse than the LJFR-SJFR
-// seed schedule.
-func TestRunOnFloat32GenSpec(t *testing.T) {
-	g, err := etc.ParseGenSpec("512x32:c_hihi:s1:f32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := g.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.ETC32 == nil {
-		t.Fatal("f32 spec built no float32 backing")
-	}
-	s, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := s.Run(in, run.Budget{MaxIterations: 3}, 1, nil)
-	b := s.Run(in, run.Budget{MaxIterations: 3}, 1, nil)
-	if !a.Best.Equal(b.Best) || a.Fitness != b.Fitness || a.Evals != b.Evals {
-		t.Fatalf("same seed, different runs: fitness %v vs %v", a.Fitness, b.Fitness)
-	}
-	st := schedule.NewState(in, a.Best)
-	if st.Makespan() != a.Makespan || st.Flowtime() != a.Flowtime {
-		t.Fatalf("reported makespan %v flowtime %v, schedule has %v %v",
-			a.Makespan, a.Flowtime, st.Makespan(), st.Flowtime())
-	}
-	seed := schedule.DefaultObjective.Of(schedule.NewState(in, heuristics.LJFRSJFR(in)))
-	if a.Fitness > seed {
-		t.Fatalf("cMA fitness %v worse than its LJFR-SJFR seed %v", a.Fitness, seed)
-	}
-}
-
 // cutCross is one-point crossover at a fixed cut — the head of the
 // first parent, the tail of the second — that records its parents.
 type cutCross struct {

@@ -695,10 +695,12 @@ func TestReplicatorRunBacksOffAndStopsPromptly(t *testing.T) {
 }
 
 // TestReplServerBoundsCursors pulls under more follower IDs than the
-// primary keeps WAL cursors for. At most maxReplCursors stay open, the
+// primary keeps WAL cursors for. Exactly the documented 32 stay open, the
 // least recently read is the one closed, and a follower whose cursor was
-// closed pulls on from where it was.
+// closed pulls on from where it was. The cap is written out rather than
+// read from maxReplCursors, so a change to the constant fails here.
 func TestReplServerBoundsCursors(t *testing.T) {
+	const limit = 32
 	rig := newReplRig(t, ReplicatorConfig{ID: "f1"})
 	rig.drive(t, rig.script(5, 80))
 	pull := func(id string, after uint64) *ReplBatch {
@@ -727,15 +729,18 @@ func TestReplServerBoundsCursors(t *testing.T) {
 	pull("kept", 0)
 	kept := rig.srv.cursors["kept"]
 	const extra = 5
-	for i := 0; i < maxReplCursors+extra; i++ {
+	for i := 0; i < limit+extra; i++ {
 		pull(fmt.Sprintf("f-%d", i), 0)
 		pull("kept", uint64(i+1)) // read after every newcomer: never the least recent
-		if n := len(rig.srv.cursors); n > maxReplCursors {
-			t.Fatalf("%d cursors cached after %d followers, cap %d", n, i+2, maxReplCursors)
+		if n := len(rig.srv.cursors); n > limit {
+			t.Fatalf("%d cursors cached after %d followers, cap %d", n, i+2, limit)
 		}
-		if n := openLogs(); n > maxReplCursors+1 {
-			t.Fatalf("%d descriptors open on the WAL after %d followers, want at most %d", n, i+2, maxReplCursors+1)
+		if n := openLogs(); n > limit+1 {
+			t.Fatalf("%d descriptors open on the WAL after %d followers, want at most %d", n, i+2, limit+1)
 		}
+	}
+	if n := len(rig.srv.cursors); n != limit {
+		t.Fatalf("%d cursors cached after %d followers, want the cap %d", n, limit+extra+1, limit)
 	}
 	if rig.srv.cursors["kept"] != kept {
 		t.Fatal("the most recently read cursor was closed")

@@ -170,13 +170,6 @@ type Instance struct {
 	// flat slice keeps the hot evaluation loops cache-friendly and
 	// allocation-free.
 	ETC []float64
-	// ETC32 is the opt-in narrow backing for frontier-scale matrices
-	// (GenSpec.Float32): the same machine-major layout in float32,
-	// halving the matrix footprint (100k×1k drops from 800MB to 400MB).
-	// Exactly one of ETC and ETC32 is non-nil; At dispatches on which,
-	// and every evaluation kernel reads entries as float64 after a single
-	// widening conversion, so all downstream arithmetic stays in float64.
-	ETC32 []float32
 	// Ready[j] is the time machine j becomes available. The Braun
 	// benchmark uses all-zero ready times; the dynamic simulator supplies
 	// non-zero ones.
@@ -187,15 +180,15 @@ type Instance struct {
 	gen      *genState // GenerateInto's state; nil unless a GenSpec filled the instance
 }
 
-// maxEntries caps jobs × machines: 2^31 matrix entries (16 GiB under the
-// float64 backing), far past the 100k × 1k frontier's 1e8. Dimensions
-// from outside the program — instance file headers, generator specs —
-// are checked against it before anything is allocated.
+// maxEntries caps jobs × machines: 2^31 matrix entries (16 GiB), far
+// past the 100k × 1k frontier's 1e8. Dimensions from outside the program
+// — instance file headers, generator specs — are checked against it
+// before anything is allocated.
 const maxEntries = 1 << 31
 
 // CheckDims rejects dimensions that are not positive or whose product
-// exceeds maxEntries (an overflowing product included): the check New and
-// New32 panic on, for callers that must turn it into an error first.
+// exceeds maxEntries (an overflowing product included): the check New
+// panics on, for callers that must turn it into an error first.
 func CheckDims(jobs, machs int) error {
 	if jobs <= 0 || machs <= 0 {
 		return fmt.Errorf("etc: dimensions %d×%d must be positive", jobs, machs)
@@ -221,48 +214,19 @@ func New(name string, jobs, machs int) *Instance {
 	}
 }
 
-// New32 allocates an Instance with the float32 ETC backing (see ETC32),
-// zero entries and zero ready times. Call Finalize after filling ETC32.
-func New32(name string, jobs, machs int) *Instance {
-	if err := CheckDims(jobs, machs); err != nil {
-		panic(err)
-	}
-	return &Instance{
-		Name:  name,
-		Jobs:  jobs,
-		Machs: machs,
-		ETC32: make([]float32, jobs*machs),
-		Ready: make([]float64, machs),
-	}
-}
+// At returns ETC[job][mach].
+func (in *Instance) At(job, mach int) float64 { return in.ETC[mach*in.Jobs+job] }
 
-// At returns ETC[job][mach], widened to float64 under the narrow backing.
-// The backing branch is a single perfectly predicted test per call; the
-// float64 path is unchanged from the single-backing implementation.
-func (in *Instance) At(job, mach int) float64 {
-	if in.ETC != nil {
-		return in.ETC[mach*in.Jobs+job]
-	}
-	return float64(in.ETC32[mach*in.Jobs+job])
-}
-
-// Set assigns ETC[job][mach] = v (narrowed under the float32 backing). It
-// must not be called after the instance is shared with schedulers.
-func (in *Instance) Set(job, mach int, v float64) {
-	if in.ETC != nil {
-		in.ETC[mach*in.Jobs+job] = v
-		return
-	}
-	in.ETC32[mach*in.Jobs+job] = float32(v)
-}
+// Set assigns ETC[job][mach] = v. It must not be called after the
+// instance is shared with schedulers.
+func (in *Instance) Set(job, mach int, v float64) { in.ETC[mach*in.Jobs+job] = v }
 
 // Bytes returns the instance's resident memory footprint in bytes: the
-// ETC matrix (whichever backing), ready times and the derived workload
-// and speed arrays. The struct header and name are ignored — at frontier
-// scale they are noise against the matrix.
+// ETC matrix, ready times and the derived workload and speed arrays. The
+// struct header and name are ignored — at frontier scale they are noise
+// against the matrix.
 func (in *Instance) Bytes() int {
-	return len(in.ETC)*8 + len(in.ETC32)*4 +
-		(len(in.Ready)+len(in.workload)+len(in.speed))*8
+	return (len(in.ETC) + len(in.Ready) + len(in.workload) + len(in.speed)) * 8
 }
 
 // Finalize computes the derived per-job workloads and per-machine speeds
@@ -275,17 +239,13 @@ func (in *Instance) Bytes() int {
 // cycle. Column sums accumulate directly into the speed array (then invert
 // in place), so a re-call allocates nothing at all.
 //
-// Each job's sum folds in machine order and each machine's in job order,
-// whatever the storage: the pass walks tiles of finalizeTile jobs, and
-// within a tile every column in machine order, so the tile's running row
-// sums stay in L1 while the columns stream.
+// Each job's sum folds in machine order and each machine's in job order:
+// the pass walks tiles of finalizeTile jobs, and within a tile every
+// column in machine order, so the tile's running row sums stay in L1
+// while the columns stream.
 func (in *Instance) Finalize() {
 	workload, colSum := in.resetDerived()
-	if in.ETC != nil {
-		sumColumns(in.ETC, in.Jobs, workload, colSum)
-	} else {
-		sumColumns(in.ETC32, in.Jobs, workload, colSum)
-	}
+	sumColumns(in.ETC, in.Jobs, workload, colSum)
 	in.finishDerived()
 }
 
@@ -295,16 +255,15 @@ const finalizeTile = 512
 
 // sumColumns adds each job's entries, in machine order, to workload and
 // each machine's, in job order, to colSum.
-func sumColumns[E etcElem](etc []E, jobs int, workload, colSum []float64) {
+func sumColumns(etc []float64, jobs int, workload, colSum []float64) {
 	for i0 := 0; i0 < jobs; i0 += finalizeTile {
 		i1 := min(i0+finalizeTile, jobs)
 		w := workload[i0:i1]
 		for m := range colSum {
 			cs := colSum[m]
 			for k, v := range etc[m*jobs+i0 : m*jobs+i1] {
-				x := float64(v)
-				w[k] += x
-				cs += x
+				w[k] += v
+				cs += v
 			}
 			colSum[m] = cs
 		}
@@ -372,26 +331,13 @@ func (in *Instance) Validate() error {
 	if in.Jobs <= 0 || in.Machs <= 0 {
 		return fmt.Errorf("etc: non-positive dimensions %d×%d", in.Jobs, in.Machs)
 	}
-	switch {
-	case in.ETC != nil && in.ETC32 != nil:
-		return fmt.Errorf("etc: both float64 and float32 ETC backings set")
-	case in.ETC32 != nil:
-		if len(in.ETC32) != in.Jobs*in.Machs {
-			return fmt.Errorf("etc: ETC32 length %d, want %d", len(in.ETC32), in.Jobs*in.Machs)
-		}
-	case len(in.ETC) != in.Jobs*in.Machs:
+	if len(in.ETC) != in.Jobs*in.Machs {
 		return fmt.Errorf("etc: ETC length %d, want %d", len(in.ETC), in.Jobs*in.Machs)
 	}
 	if len(in.Ready) != in.Machs {
 		return fmt.Errorf("etc: Ready length %d, want %d", len(in.Ready), in.Machs)
 	}
-	var err error
-	if in.ETC32 != nil {
-		err = checkEntries(in.ETC32, in.Jobs, in.Machs, "ETC32")
-	} else {
-		err = checkEntries(in.ETC, in.Jobs, in.Machs, "ETC")
-	}
-	if err != nil {
+	if err := checkEntries(in.ETC, in.Jobs, in.Machs); err != nil {
 		return err
 	}
 	for j, v := range in.Ready {
@@ -404,11 +350,11 @@ func (in *Instance) Validate() error {
 
 // checkEntries reports the first entry, in logical (job, machine) order,
 // that is not finite and strictly positive.
-func checkEntries[E etcElem](etc []E, jobs, machs int, name string) error {
+func checkEntries(etc []float64, jobs, machs int) error {
 	for i := 0; i < jobs; i++ {
 		for j := 0; j < machs; j++ {
-			if v := etc[j*jobs+i]; !(v > 0) || math.IsInf(float64(v), 1) {
-				return fmt.Errorf("etc: %s[%d][%d] = %v, want finite > 0", name, i, j, v)
+			if v := etc[j*jobs+i]; !(v > 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("etc: ETC[%d][%d] = %v, want finite > 0", i, j, v)
 			}
 		}
 	}
@@ -453,7 +399,7 @@ func Generate(class Class, k int, opt GenerateOptions) *Instance {
 	// A Braun instance is never regenerated in place, so it keeps no scratch.
 	var stage []float64
 	var s rowSorter
-	fillColumns(in, in.ETC, &stage, &s, class.Consistency, func(row []float64) {
+	fillColumns(in, &stage, &s, class.Consistency, func(row []float64) {
 		b := r.Uniform(1, rTask)
 		for j := range row {
 			row[j] = b * r.Uniform(1, rMach)

@@ -34,20 +34,17 @@ const (
 )
 
 // GenSpec describes a synthetic instance: dimensions, Braun-style class
-// (consistency × job het × machine het), RNG seed, and the optional
-// float32 matrix backing for frontier sizes. The canonical string form is
+// (consistency × job het × machine het) and RNG seed. The canonical
+// string form is
 //
-//	<jobs>x<machs>[:<class>][:s<seed>][:f32]
+//	<jobs>x<machs>[:<class>][:s<seed>]
 //
-// e.g. "100000x1000:c_hihi:s7:f32" — class defaults to i_hihi, seed to 1.
+// e.g. "100000x1000:c_hihi:s7" — class defaults to i_hihi, seed to 1.
 type GenSpec struct {
 	Jobs  int
 	Machs int
 	Class Class
 	Seed  uint64
-	// Float32 selects the narrow ETC backing (Instance.ETC32): half the
-	// matrix bytes, entries quantized to float32 at generation time.
-	Float32 bool
 }
 
 // ParseGenSpec parses the canonical spec string form.
@@ -56,7 +53,7 @@ func ParseGenSpec(s string) (GenSpec, error) {
 	parts := strings.Split(s, ":")
 	dims := strings.Split(parts[0], "x")
 	if len(dims) != 2 {
-		return g, fmt.Errorf("etc: gen spec %q: want <jobs>x<machs>[:<class>][:s<seed>][:f32]", s)
+		return g, fmt.Errorf("etc: gen spec %q: want <jobs>x<machs>[:<class>][:s<seed>]", s)
 	}
 	var err error
 	if g.Jobs, err = strconv.Atoi(dims[0]); err != nil {
@@ -67,8 +64,6 @@ func ParseGenSpec(s string) (GenSpec, error) {
 	}
 	for _, p := range parts[1:] {
 		switch {
-		case p == "f32":
-			g.Float32 = true
 		case len(p) > 1 && p[0] == 's' && p[1] >= '0' && p[1] <= '9':
 			seed, err := strconv.ParseUint(p[1:], 10, 64)
 			if err != nil {
@@ -130,22 +125,13 @@ func (c Class) code() string {
 
 // String returns the canonical spec form, parseable by ParseGenSpec.
 func (g GenSpec) String() string {
-	s := fmt.Sprintf("%dx%d:%s:s%d", g.Jobs, g.Machs, g.Class.code(), g.Seed)
-	if g.Float32 {
-		s += ":f32"
-	}
-	return s
+	return fmt.Sprintf("%dx%d:%s:s%d", g.Jobs, g.Machs, g.Class.code(), g.Seed)
 }
 
 // InstanceName is the name Generate stamps on the instance, unique per
-// spec: "gen_c_hihi_100000x1000_s7" (plus "_f32" under the narrow
-// backing).
+// spec: "gen_c_hihi_100000x1000_s7".
 func (g GenSpec) InstanceName() string {
-	n := fmt.Sprintf("gen_%s_%dx%d_s%d", g.Class.code(), g.Jobs, g.Machs, g.Seed)
-	if g.Float32 {
-		n += "_f32"
-	}
-	return n
+	return fmt.Sprintf("gen_%s_%dx%d_s%d", g.Class.code(), g.Jobs, g.Machs, g.Seed)
 }
 
 // Validate reports the first spec error: dimensions that are not
@@ -167,19 +153,14 @@ func (g GenSpec) Generate() (*Instance, error) {
 }
 
 // GenerateInto is Generate reusing dst's backing arrays when dst has the
-// same shape and matrix backing (the frontier bench ladder regenerates
-// instances in place; a same-shape regeneration performs zero
-// allocations). A nil or shape-mismatched dst allocates fresh.
+// same shape (the frontier bench ladder regenerates instances in place;
+// a same-shape regeneration performs zero allocations). A nil or shape-mismatched dst allocates fresh.
 func (g GenSpec) GenerateInto(dst *Instance) (*Instance, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if dst == nil || dst.Jobs != g.Jobs || dst.Machs != g.Machs || g.Float32 != (dst.ETC32 != nil) {
-		if g.Float32 {
-			dst = New32(g.InstanceName(), g.Jobs, g.Machs)
-		} else {
-			dst = New(g.InstanceName(), g.Jobs, g.Machs)
-		}
+	if dst == nil || dst.Jobs != g.Jobs || dst.Machs != g.Machs {
+		dst = New(g.InstanceName(), g.Jobs, g.Machs)
 	} else {
 		// The spec that last filled this instance: a same-spec
 		// regeneration skips the name restamp (the only string-building
@@ -202,33 +183,24 @@ func (g GenSpec) GenerateInto(dst *Instance) (*Instance, error) {
 	// Gamma shape/scale from mean μ and CV v: shape = 1/v², scale = μ·v².
 	alphaTask := 1 / (vt * vt)
 	alphaMach := 1 / (vm * vm)
-	if g.Float32 {
-		fillColumns(dst, dst.ETC32, &gs.stage32, &gs.sorter, g.Class.Consistency, cvbRow[float32](&r, alphaTask, alphaMach))
-	} else {
-		fillColumns(dst, dst.ETC, &gs.stage, &gs.sorter, g.Class.Consistency, cvbRow[float64](&r, alphaTask, alphaMach))
-	}
+	fillColumns(dst, &gs.stage, &gs.sorter, g.Class.Consistency, cvbRow(&r, alphaTask, alphaMach))
 	return dst, nil
 }
 
 // genState is what an instance a GenSpec filled keeps for the next
 // same-shape GenerateInto: the spec, the consistency sort's scratch and
-// the staging block of its backing, so that the regeneration allocates
-// nothing.
+// the staging block, so that the regeneration allocates nothing.
 type genState struct {
-	spec    GenSpec
-	sorter  rowSorter
-	stage   []float64
-	stage32 []float32
+	spec   GenSpec
+	sorter rowSorter
+	stage  []float64
 }
 
 // cvbRow returns the CVB draw of one row: a task mean q drawn around
 // GenTaskMean, then one draw around q per machine, each clamped to at
-// least 1. Draws happen in float64 (the stream is backing-independent)
-// and are narrowed on store; the consistency sort then runs on the stored
-// element type, which for float32 gives the same order as sorting before
-// narrowing because the conversion is monotone.
-func cvbRow[E etcElem](r *rng.Source, alphaTask, alphaMach float64) func(row []E) {
-	return func(row []E) {
+// least 1.
+func cvbRow(r *rng.Source, alphaTask, alphaMach float64) func(row []float64) {
+	return func(row []float64) {
 		q := gamma(r, alphaTask, GenTaskMean/alphaTask)
 		if q < 1 {
 			q = 1 // keep execution times sensible and strictly positive
@@ -238,41 +210,37 @@ func cvbRow[E etcElem](r *rng.Source, alphaTask, alphaMach float64) func(row []E
 			if v < 1 {
 				v = 1
 			}
-			row[j] = E(v)
+			row[j] = v
 		}
 	}
 }
 
-// etcElem is the element type of either matrix backing.
-type etcElem interface{ ~float32 | ~float64 }
-
 // stageRows is the staging block's height: a full block writes each
-// column a run of 8 entries, one 64-byte cache line under the float64
-// backing. Blocks up to 64 rows high wrote no faster, and the block is
-// kept on the instance, so its height is heap the instance holds for
-// good.
+// column a run of 8 entries, one 64-byte cache line. Blocks up to 64
+// rows high wrote no faster, and the block is kept on the instance, so
+// its height is heap the instance holds for good.
 const stageRows = 8
 
-// fillColumns fills in's matrix dst (its ETC or ETC32) with the rows draw
-// produces, in job order, and finalizes the instance. Each row is drawn
-// and consistified (with the sort scratch s) in the row-major staging
-// block *stage; once the block is full (or the jobs run out) every
-// column's run is written in one go. That write reads the block, which
-// stays in cache, across its rows and writes each column contiguously,
-// where a row-at-a-time fill would touch one line per machine for every
-// job. Finalize's sums fold on the way, in Finalize's own loop: each
-// staged row adds to its job's sum in machine order and to every
-// column's sum, so each column sums in job order. The derived workloads
-// and speeds are therefore bit-identical to a separate pass, and that
-// pass over the matrix goes away. Besides the destination only the
-// block and the sort scratch are touched: the per-row work allocates
-// nothing, so matrix size is bounded by the destination alone.
-func fillColumns[E etcElem](in *Instance, dst []E, stage *[]E, s *rowSorter, cons Consistency, draw func(row []E)) {
+// fillColumns fills in's matrix with the rows draw produces, in job
+// order, and finalizes the instance. Each row is drawn and consistified
+// (with the sort scratch s) in the row-major staging block *stage; once
+// the block is full (or the jobs run out) every column's run is written
+// in one go. That write reads the block, which stays in cache, across
+// its rows and writes each column contiguously, where a row-at-a-time
+// fill would touch one line per machine for every job. Finalize's sums
+// fold on the way, in Finalize's own loop: each staged row adds to its
+// job's sum in machine order and to every column's sum, so each column
+// sums in job order. The derived workloads and speeds are therefore
+// bit-identical to a separate pass, and that pass over the matrix goes
+// away. Besides the destination only the block and the sort scratch are
+// touched: the per-row work allocates nothing, so matrix size is bounded
+// by the destination alone.
+func fillColumns(in *Instance, stage *[]float64, s *rowSorter, cons Consistency, draw func(row []float64)) {
 	jobs, machs := in.Jobs, in.Machs
 	workload, colSum := in.resetDerived()
 	n := min(jobs, stageRows) * machs
 	if cap(*stage) < n {
-		*stage = make([]E, n)
+		*stage = make([]float64, n)
 	}
 	block := (*stage)[:n]
 	for i0 := 0; i0 < jobs; i0 += stageRows {
@@ -283,12 +251,12 @@ func fillColumns[E etcElem](in *Instance, dst []E, stage *[]E, s *rowSorter, con
 			consistify(row, cons, s)
 			sum := 0.0
 			for m, v := range row {
-				sum += float64(v)
-				colSum[m] += float64(v)
+				sum += v
+				colSum[m] += v
 			}
 			workload[i0+k] = sum
 		}
-		writeRuns(dst, block[:rows*machs], rows, jobs, i0)
+		writeRuns(in.ETC, block[:rows*machs], rows, jobs, i0)
 	}
 	in.finishDerived()
 }
@@ -296,7 +264,7 @@ func fillColumns[E etcElem](in *Instance, dst []E, stage *[]E, s *rowSorter, con
 // writeRuns writes the staged block (row-major: rows jobs, each a row of
 // the matrix) into the machine-major dst as the jobs from i0 on, one
 // contiguous run per column.
-func writeRuns[E etcElem](dst, block []E, rows, jobs, i0 int) {
+func writeRuns(dst, block []float64, rows, jobs, i0 int) {
 	machs := len(block) / rows
 	for m := 0; m < machs; m++ {
 		run := dst[m*jobs+i0:][:rows]

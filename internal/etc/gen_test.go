@@ -30,10 +30,10 @@ func TestParseGenSpec(t *testing.T) {
 		in   string
 		want GenSpec
 	}{
-		{"512x16", GenSpec{512, 16, Class{Inconsistent, High, High}, 1, false}},
-		{"100000x1000:c_hihi:s7:f32", GenSpec{100000, 1000, Class{Consistent, High, High}, 7, true}},
-		{"48x6:s_lohi:s3", GenSpec{48, 6, Class{SemiConsistent, Low, High}, 3, false}},
-		{"8192x128:i_lolo", GenSpec{8192, 128, Class{Inconsistent, Low, Low}, 1, false}},
+		{"512x16", GenSpec{512, 16, Class{Inconsistent, High, High}, 1}},
+		{"100000x1000:c_hihi:s7", GenSpec{100000, 1000, Class{Consistent, High, High}, 7}},
+		{"48x6:s_lohi:s3", GenSpec{48, 6, Class{SemiConsistent, Low, High}, 3}},
+		{"8192x128:i_lolo", GenSpec{8192, 128, Class{Inconsistent, Low, Low}, 1}},
 	}
 	for _, c := range cases {
 		got, err := ParseGenSpec(c.in)
@@ -50,7 +50,7 @@ func TestParseGenSpec(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "512", "0x16", "512x0", "512x16:q_hihi", "512x16:c_hi", "512x16:sx",
-		"3037000500x3037000500", "100000000000x100000000", "2147483649x1"} {
+		"3037000500x3037000500", "100000000000x100000000", "2147483649x1", "100000x1000:c_hihi:s7:f32"} {
 		if _, err := ParseGenSpec(bad); err == nil {
 			t.Errorf("ParseGenSpec(%q): want error", bad)
 		}
@@ -65,9 +65,9 @@ func TestParseGenSpec(t *testing.T) {
 // canonical String form parses back to an equal GenSpec. The corpus is
 // the accepted and rejected specs TestParseGenSpec pins.
 func FuzzParseGenSpec(f *testing.F) {
-	for _, s := range []string{"512x16", "100000x1000:c_hihi:s7:f32", "48x6:s_lohi:s3", "8192x128:i_lolo",
+	for _, s := range []string{"512x16", "100000x1000:c_hihi:s7", "48x6:s_lohi:s3", "8192x128:i_lolo",
 		"", "512", "0x16", "512x0", "512x16:q_hihi", "512x16:c_hi", "512x16:sx",
-		"3037000500x3037000500", "100000000000x100000000", "2147483649x1"} {
+		"3037000500x3037000500", "100000000000x100000000", "2147483649x1", "100000x1000:c_hihi:s7:f32"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -88,21 +88,17 @@ func FuzzParseGenSpec(f *testing.F) {
 // frontier benchmark row describes a different instance.
 func TestGenSpecGoldenDigests(t *testing.T) {
 	golden := map[string]string{
-		"64x8:c_hihi:s1":     "6a0492f0fa5ce4d40cacdbeefbf364c08d92cecf2554d18eabd38b512948484c",
-		"64x8:c_hihi:s1:f32": "11635da466eafb73d47fe7a544f825bcdd889d82d629172c5c66dc0e852fc4fa",
-		"48x6:s_lohi:s3":     "aa12b2f20e96157fdbee52beececf00a80a4bca0b7179c1d3d62c0823047f19b",
+		"64x8:c_hihi:s1": "6a0492f0fa5ce4d40cacdbeefbf364c08d92cecf2554d18eabd38b512948484c",
+		"48x6:s_lohi:s3": "aa12b2f20e96157fdbee52beececf00a80a4bca0b7179c1d3d62c0823047f19b",
 		// Every path of the consistency sort: low heterogeneity, an odd
-		// machine count (a last even column with no odd partner), the
-		// even-column sort on the float32 backing, and rows of one and
-		// two machines (the kernel's trivial and smallest inputs).
-		"64x8:c_lolo:s2":     "4e30e9fe9c200325120b4425a1763f4e3e2ec735a3f226f3f6095666f0015b0e",
-		"33x7:s_hihi:s4":     "ee91ca8c871d7c67ba1c49c8ffecead214ae3b165455690a94d42e05b023bc14",
-		"48x6:s_lohi:s3:f32": "1a02444656c3dce5eec4d8877d5acfa41aac26fb1ccffe448a81244cd018881f",
-		"33x7:s_hilo:s5:f32": "b9c99a810c8464cc22003974784d6dff418a56f98d8ac007c53cc931d0badf4c",
-		"40x1:c_hihi:s5":     "da366fa01a31924e13e713bfeb963d5834b721c9be8029c6351e8f5de4f58bb5",
-		"40x1:s_lolo:s6":     "641a238ded854d763e100e8208393bbeb6a34ee95d8e054ef7cd0ac349ac3778",
-		"40x2:c_lolo:s7:f32": "120d9c29627f7cb79b124e23d9ff6ecee122a9123dd2735516f54d8330ead476",
-		"40x2:s_hihi:s8":     "5f5b730258c8d722ed0341cb2865916ebfcc38c192d5ddc5dc37b10dfee346f3",
+		// machine count (a last even column with no odd partner), and
+		// rows of one and two machines (the kernel's trivial and
+		// smallest inputs).
+		"64x8:c_lolo:s2": "4e30e9fe9c200325120b4425a1763f4e3e2ec735a3f226f3f6095666f0015b0e",
+		"33x7:s_hihi:s4": "ee91ca8c871d7c67ba1c49c8ffecead214ae3b165455690a94d42e05b023bc14",
+		"40x1:c_hihi:s5": "da366fa01a31924e13e713bfeb963d5834b721c9be8029c6351e8f5de4f58bb5",
+		"40x1:s_lolo:s6": "641a238ded854d763e100e8208393bbeb6a34ee95d8e054ef7cd0ac349ac3778",
+		"40x2:s_hihi:s8": "5f5b730258c8d722ed0341cb2865916ebfcc38c192d5ddc5dc37b10dfee346f3",
 	}
 	for spec, want := range golden {
 		in := mustGen(t, mustSpec(t, spec))
@@ -119,7 +115,7 @@ func TestGenSpecGoldenDigests(t *testing.T) {
 func TestGenSpecDeterminism(t *testing.T) {
 	specs := []string{
 		"200x16:c_hihi:s1", "200x16:i_hilo:s2", "200x16:s_lohi:s3",
-		"200x16:i_lolo:s4", "200x16:c_hihi:s1:f32",
+		"200x16:i_lolo:s4", "200x16:s_hilo:s5",
 	}
 	for _, s := range specs {
 		g := mustSpec(t, s)
@@ -150,7 +146,7 @@ func TestGenSpecDeterminism(t *testing.T) {
 }
 
 func TestGenSpecInstanceProperties(t *testing.T) {
-	for _, s := range []string{"300x24:c_hihi:s5", "300x24:c_lolo:s5:f32"} {
+	for _, s := range []string{"300x24:c_hihi:s5", "300x24:c_lolo:s5"} {
 		g := mustSpec(t, s)
 		in := mustGen(t, g)
 		if in.Name != g.InstanceName() {
@@ -167,23 +163,8 @@ func TestGenSpecInstanceProperties(t *testing.T) {
 			t.Errorf("%s: bad derived fields", s)
 		}
 		wantBytes := in.Jobs*in.Machs*8 + in.Machs*8 + in.Jobs*8 + in.Machs*8
-		if g.Float32 {
-			wantBytes = in.Jobs*in.Machs*4 + in.Machs*8 + in.Jobs*8 + in.Machs*8
-		}
 		if in.Bytes() != wantBytes {
 			t.Errorf("%s: Bytes() = %d, want %d", s, in.Bytes(), wantBytes)
-		}
-	}
-	// Float32 entries are the narrowed float64 draws: widening the f32
-	// matrix must agree with the f64 matrix to float32 precision.
-	g64 := mustSpec(t, "100x12:i_hihi:s9")
-	g32 := mustSpec(t, "100x12:i_hihi:s9:f32")
-	in64, in32 := mustGen(t, g64), mustGen(t, g32)
-	for i := 0; i < in64.Jobs; i++ {
-		for j := 0; j < in64.Machs; j++ {
-			if float32(in64.At(i, j)) != float32(in32.At(i, j)) {
-				t.Fatalf("entry (%d,%d): f64 %v vs f32 %v", i, j, in64.At(i, j), in32.At(i, j))
-			}
 		}
 	}
 }
@@ -209,15 +190,6 @@ func TestGenerateIntoReuse(t *testing.T) {
 	if out.Name != gB.InstanceName() {
 		t.Errorf("name %q not restamped", out.Name)
 	}
-	// Backing mismatch reallocates rather than corrupting.
-	g32 := mustSpec(t, "128x16:c_hihi:s1:f32")
-	out32, err := g32.GenerateInto(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out32 == out {
-		t.Error("backing change must allocate a fresh instance")
-	}
 }
 
 // TestFinalizeReuse: re-finalizing a same-shape instance must not allocate
@@ -242,10 +214,9 @@ func TestFinalizeReuse(t *testing.T) {
 
 // BenchmarkGenerateInto guards the steady-state generator: regenerating a
 // same-shape instance performs zero allocations in every consistency
-// class and on both backings (CI's allocation guard runs this at
-// -benchtime 1x).
+// class (CI's allocation guard runs this at -benchtime 1x).
 func BenchmarkGenerateInto(b *testing.B) {
-	for _, class := range []string{"c_hihi", "s_hihi", "i_hihi", "c_hihi:f32"} {
+	for _, class := range []string{"c_hihi", "s_hihi", "i_hihi"} {
 		b.Run(class, func(b *testing.B) {
 			g, err := ParseGenSpec("1024x64:" + class + ":s1")
 			if err != nil {

@@ -17,13 +17,8 @@ func matrixDigest(in *Instance) [32]byte {
 	n := 0
 	for i := 0; i < in.Jobs; i++ {
 		for j := 0; j < in.Machs; j++ {
-			if in.ETC != nil {
-				binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(in.ETC[j*in.Jobs+i]))
-				n += 8
-			} else {
-				binary.LittleEndian.PutUint32(buf[n:], math.Float32bits(in.ETC32[j*in.Jobs+i]))
-				n += 4
-			}
+			binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(in.ETC[j*in.Jobs+i]))
+			n += 8
 			if n == len(buf) {
 				h.Write(buf[:])
 				n = 0

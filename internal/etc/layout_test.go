@@ -14,22 +14,22 @@ import (
 // the workloads and speeds Finalize derives from it. The machine-major
 // instance must reproduce all three bit for bit.
 
-type rowMajor[E etcElem] struct {
+type rowMajor struct {
 	jobs, machs     int
-	etc             []E
+	etc             []float64
 	workload, speed []float64
 }
 
 // refFinalize is Finalize over a row-major matrix: each job's row summed
 // in machine order, each machine's column in job order.
-func (rm *rowMajor[E]) refFinalize() {
+func (rm *rowMajor) refFinalize() {
 	rm.workload = make([]float64, rm.jobs)
 	colSum := make([]float64, rm.machs)
 	for i := 0; i < rm.jobs; i++ {
 		s := 0.0
 		for j, v := range rm.etc[i*rm.machs : (i+1)*rm.machs] {
-			s += float64(v)
-			colSum[j] += float64(v)
+			s += v
+			colSum[j] += v
 		}
 		rm.workload[i] = s / float64(rm.machs)
 	}
@@ -42,8 +42,8 @@ func (rm *rowMajor[E]) refFinalize() {
 }
 
 // refFillRows is GenSpec's CVB fill, row by row.
-func refFillRows[E etcElem](r *rng.Source, jobs, machs int, alphaTask, alphaMach float64, cons Consistency) *rowMajor[E] {
-	rm := &rowMajor[E]{jobs: jobs, machs: machs, etc: make([]E, jobs*machs)}
+func refFillRows(r *rng.Source, jobs, machs int, alphaTask, alphaMach float64, cons Consistency) *rowMajor {
+	rm := &rowMajor{jobs: jobs, machs: machs, etc: make([]float64, jobs*machs)}
 	var s rowSorter
 	for i := 0; i < jobs; i++ {
 		q := gamma(r, alphaTask, GenTaskMean/alphaTask)
@@ -56,7 +56,7 @@ func refFillRows[E etcElem](r *rng.Source, jobs, machs int, alphaTask, alphaMach
 			if v < 1 {
 				v = 1
 			}
-			row[j] = E(v)
+			row[j] = v
 		}
 		consistify(row, cons, &s)
 	}
@@ -64,15 +64,15 @@ func refFillRows[E etcElem](r *rng.Source, jobs, machs int, alphaTask, alphaMach
 	return rm
 }
 
-func refGenSpec[E etcElem](g GenSpec) *rowMajor[E] {
+func refGenSpec(g GenSpec) *rowMajor {
 	var r rng.Source
 	r.Reseed(g.Seed)
 	vt, vm := cv(g.Class.JobHet), cv(g.Class.MachineHet)
-	return refFillRows[E](&r, g.Jobs, g.Machs, 1/(vt*vt), 1/(vm*vm), g.Class.Consistency)
+	return refFillRows(&r, g.Jobs, g.Machs, 1/(vt*vt), 1/(vm*vm), g.Class.Consistency)
 }
 
 // refBraun is the range-based Generate, row by row.
-func refBraun(class Class, opt GenerateOptions) *rowMajor[float64] {
+func refBraun(class Class, opt GenerateOptions) *rowMajor {
 	r := rng.New(opt.Seed)
 	rTask := float64(TaskHeterogeneityLow)
 	if class.JobHet == High {
@@ -82,7 +82,7 @@ func refBraun(class Class, opt GenerateOptions) *rowMajor[float64] {
 	if class.MachineHet == High {
 		rMach = MachineHeterogeneityHigh
 	}
-	rm := &rowMajor[float64]{jobs: opt.Jobs, machs: opt.Machs, etc: make([]float64, opt.Jobs*opt.Machs)}
+	rm := &rowMajor{jobs: opt.Jobs, machs: opt.Machs, etc: make([]float64, opt.Jobs*opt.Machs)}
 	var s rowSorter
 	for i := 0; i < opt.Jobs; i++ {
 		b := r.Uniform(1, rTask)
@@ -99,7 +99,7 @@ func refBraun(class Class, opt GenerateOptions) *rowMajor[float64] {
 // sameAsRef fails unless in's At, Workload and Speed equal the
 // reference's bit for bit, then checks that a re-Finalize (the tiled
 // column walk Read and the daemon use) keeps the derived fields.
-func sameAsRef[E etcElem](t *testing.T, name string, in *Instance, ref *rowMajor[E]) {
+func sameAsRef(t *testing.T, name string, in *Instance, ref *rowMajor) {
 	t.Helper()
 	check := func(stage string) {
 		t.Helper()
@@ -108,7 +108,7 @@ func sameAsRef[E etcElem](t *testing.T, name string, in *Instance, ref *rowMajor
 		}
 		for i := 0; i < ref.jobs; i++ {
 			for j := 0; j < ref.machs; j++ {
-				if got, want := in.At(i, j), float64(ref.etc[i*ref.machs+j]); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := in.At(i, j), ref.etc[i*ref.machs+j]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s %s: At(%d, %d) = %v, want %v", name, stage, i, j, got, want)
 				}
 			}
@@ -145,16 +145,8 @@ func TestMachineMajorMatchesRowMajor(t *testing.T) {
 	for _, shape := range shapes {
 		jobs, machs := shape[0], shape[1]
 		for _, class := range []string{"c_hihi", "s_lohi", "i_hilo"} {
-			for _, f32 := range []bool{false, true} {
-				g := mustSpec(t, fmt.Sprintf("%dx%d:%s:s%d", jobs, machs, class, jobs+machs))
-				g.Float32 = f32
-				in := mustGen(t, g)
-				if f32 {
-					sameAsRef(t, g.String(), in, refGenSpec[float32](g))
-				} else {
-					sameAsRef(t, g.String(), in, refGenSpec[float64](g))
-				}
-			}
+			g := mustSpec(t, fmt.Sprintf("%dx%d:%s:s%d", jobs, machs, class, jobs+machs))
+			sameAsRef(t, g.String(), mustGen(t, g), refGenSpec(g))
 		}
 		for _, class := range []Class{{Consistent, High, Low}, {SemiConsistent, Low, High}, {Inconsistent, High, High}} {
 			opt := GenerateOptions{Jobs: jobs, Machs: machs, Seed: 11}

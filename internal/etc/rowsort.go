@@ -26,7 +26,7 @@ type rowSorter struct {
 // consistify applies cons to a freshly drawn row: a consistent row is
 // sorted ascending, a semi-consistent row has its even columns sorted in
 // place and its odd columns left as drawn.
-func consistify[E interface{ ~float32 | ~float64 }](row []E, cons Consistency, s *rowSorter) {
+func consistify(row []float64, cons Consistency, s *rowSorter) {
 	switch cons {
 	case Consistent:
 		sortRow(row, 1, s)
@@ -38,7 +38,7 @@ func consistify[E interface{ ~float32 | ~float64 }](row []E, cons Consistency, s
 // sortRow sorts row[0], row[stride], row[2·stride], … ascending in place
 // and leaves every other entry untouched. The entries must be finite and
 // non-negative (never -0), where their bits order them as their values do.
-func sortRow[E interface{ ~float32 | ~float64 }](row []E, stride int, s *rowSorter) {
+func sortRow(row []float64, stride int, s *rowSorter) {
 	n := (len(row) + stride - 1) / stride
 	if cap(s.keys) < n {
 		s.keys = make([]uint64, n)
@@ -47,7 +47,7 @@ func sortRow[E interface{ ~float32 | ~float64 }](row []E, stride int, s *rowSort
 	keys := s.keys[:n]
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for k := range keys {
-		b := math.Float64bits(float64(row[k*stride]))
+		b := math.Float64bits(row[k*stride])
 		keys[k] = b
 		lo, hi = min(lo, b), max(hi, b)
 	}
@@ -67,7 +67,7 @@ func sortRow[E interface{ ~float32 | ~float64 }](row []E, stride int, s *rowSort
 	}
 	for _, b := range keys {
 		c := &counts[(b-lo)>>shift]
-		row[*c*stride] = E(math.Float64frombits(b))
+		row[*c*stride] = math.Float64frombits(b)
 		*c++
 	}
 	// The buckets are in order; sort within each.

@@ -221,27 +221,15 @@ func bestCriticalSwap(st *schedule.State, o schedule.Objective, cur float64, sam
 	return tryCommitSwap(st, o, cur, a, b)
 }
 
-// etcElem is the element type of either ETC backing: float64, or the
-// float32 of etc.GenSpec.Float32.
-type etcElem interface{ ~float32 | ~float64 }
+// sampleBatch is the number of partners sampledCriticalSwap draws and
+// loads before it folds them: the default Samples, so one batch covers a
+// critical job at the default setting.
+const sampleBatch = 64
 
 // sampledCriticalSwap scans samples random partners per critical job and
 // returns the best completion pair max(aC, bC) found below the critical
 // completion with its swap (a, b), or a < 0 when none is. Candidates fold
-// strict-<, so among ties the first draw wins.
-func sampledCriticalSwap(st *schedule.State, samples int, r *rng.Source) (bestMax float64, a, b int) {
-	if etcs := st.Instance().ETC; etcs != nil {
-		return sampleSwaps(st, etcs, samples, r)
-	}
-	return sampleSwaps(st, st.Instance().ETC32, samples, r)
-}
-
-// sampleBatch is the number of partners sampleSwaps draws and loads
-// before it folds them: the default Samples, so one batch covers a
-// critical job at the default setting.
-const sampleBatch = 64
-
-// sampleSwaps is the sampled scan over one ETC backing. A candidate's
+// strict-<, so among ties the first draw wins. A candidate's
 // critical side aC = (completion[crit] − ETC[a][crit]) + ETC[b][crit]
 // needs one matrix load from the critical machine's column — a's base is
 // hoisted per critical job — and it screens the sample: only a partner
@@ -266,17 +254,17 @@ const sampleBatch = 64
 // values a loop of Intn would and leaves the same generator state, but
 // keeps the xoshiro words in registers instead of paying a call and four
 // loads and stores per partner.
-func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Source) (bestMax float64, bestA, bestB int) {
-	jobs := st.Instance().Jobs
+func sampledCriticalSwap(st *schedule.State, samples int, r *rng.Source) (bestMax float64, bestA, bestB int) {
+	jobs, etc := st.Instance().Jobs, st.Instance().ETC
 	assign := st.ScheduleView()
 	crit := st.MakespanMachine()
 	cc := st.Completion(crit)
 	colC := etc[crit*jobs : (crit+1)*jobs]
 	bestMax, bestA, bestB = cc, -1, -1 // any accepted swap must reduce the critical completion pair
 	var bs [sampleBatch]int
-	var us [sampleBatch]E
+	var us [sampleBatch]float64
 	for _, a := range st.JobsOn(crit) {
-		base := cc - float64(colC[a])
+		base := cc - colC[a]
 		for left := samples; left > 0; left -= sampleBatch {
 			n := min(left, sampleBatch)
 			drawn, loaded := bs[:n], us[:n]
@@ -285,7 +273,7 @@ func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Sou
 				loaded[k] = colC[b]
 			}
 			for k, b := range drawn {
-				aC := base + float64(loaded[k])
+				aC := base + loaded[k]
 				if !(aC < bestMax) {
 					continue
 				}
@@ -293,7 +281,7 @@ func sampleSwaps[E etcElem](st *schedule.State, etc []E, samples int, r *rng.Sou
 				if mb == crit {
 					continue
 				}
-				bC := (st.Completion(mb) - float64(etc[mb*jobs+b])) + float64(etc[mb*jobs+int(a)])
+				bC := (st.Completion(mb) - etc[mb*jobs+b]) + etc[mb*jobs+int(a)]
 				if !(bC < bestMax) {
 					continue
 				}

@@ -109,24 +109,18 @@ func BenchmarkLMCTSProbe(b *testing.B) {
 // before it screens any of them. Must report 0 allocs/op — CI runs every
 // Sampled benchmark with -benchtime=1x and fails otherwise.
 func BenchmarkSampledLMCTSLarge(b *testing.B) {
-	benchSampledLarge(b, 64, false)
-}
-
-// BenchmarkSampledLMCTSLarge32 is the same step on the narrow float32
-// backing (16384×256 :f32), the frontier configuration's other matrix.
-func BenchmarkSampledLMCTSLarge32(b *testing.B) {
-	benchSampledLarge(b, 64, true)
+	benchSampledLarge(b, 64)
 }
 
 // BenchmarkSampledLMCTSLargeMultiBatch is the large step at 200 samples
 // per critical job: three full batches and a partial one, so the CI
 // allocation guard covers the multi-batch path too.
 func BenchmarkSampledLMCTSLargeMultiBatch(b *testing.B) {
-	benchSampledLarge(b, 200, false)
+	benchSampledLarge(b, 200)
 }
 
-func benchSampledLarge(b *testing.B, samples int, f32 bool) {
-	in, err := etc.GenSpec{Jobs: 16384, Machs: 256, Class: etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 1, Float32: f32}.Generate()
+func benchSampledLarge(b *testing.B, samples int) {
+	in, err := etc.GenSpec{Jobs: 16384, Machs: 256, Class: etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 1}.Generate()
 	if err != nil {
 		b.Fatal(err)
 	}

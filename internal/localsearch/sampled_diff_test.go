@@ -41,34 +41,21 @@ func sampledCriticalSwapOracle(st *schedule.State, samples int, r *rng.Source) (
 	return bestMax, bestA, bestB
 }
 
-// tieInstance32 is tieInstance over the float32 backing.
-func tieInstance32(jobs, machs int, seed uint64) *etc.Instance {
-	in := etc.New32("tie32", jobs, machs)
-	r := rng.New(seed)
-	for j := 0; j < jobs; j++ {
-		for m := 0; m < machs; m++ {
-			in.Set(j, m, float64(1+r.Intn(4))*25)
-		}
-	}
-	in.Finalize()
-	return in
-}
-
 // TestSampledCriticalSwapMatchesOracle pins the screened sampled scan to
 // the unscreened one: from equal states and equal RNG streams every call
 // must return the same swap, the same bestMax bits and leave the same RNG
 // state, along trajectories that commit each found swap. The mix covers
-// both ETC backings, tie-heavy integer matrices, a start with every job
+// range-based and CVB-generated matrices, tie-heavy integer ones, a start with every job
 // on one machine, and sample counts below, at, just under, just over and
 // several times the scan's batch size — partial last batches and scans
 // that span batches.
 func TestSampledCriticalSwapMatchesOracle(t *testing.T) {
 	o := schedule.DefaultObjective
-	f32, err := etc.GenSpec{Jobs: 96, Machs: 8, Class: etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 5, Float32: true}.Generate()
+	cvb, err := etc.GenSpec{Jobs: 96, Machs: 8, Class: etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High}, Seed: 5}.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	instances := append(diffInstances(), f32, tieInstance32(48, 6, 26))
+	instances := append(diffInstances(), cvb, tieInstance(48, 6, 26))
 	for i, in := range instances {
 		starts := []schedule.Schedule{
 			schedule.NewRandom(in, rng.New(uint64(i)+80)),

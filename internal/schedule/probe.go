@@ -107,16 +107,9 @@ func (st *State) completionFlowWithout(m int, j int32) (completion, flow float64
 	jobs := st.machJobs[m]
 	s := int(st.slot[j])
 	t, f := st.prefix(m, s)
-	if st.etc64 != nil {
-		col := st.col(m)
-		for _, x := range jobs[s+1:] {
-			t += col[x]
-			f += t
-		}
-		return t, f
-	}
+	col := st.col(m)
 	for _, x := range jobs[s+1:] {
-		t += st.inst.At(int(x), m)
+		t += col[x]
 		f += t
 	}
 	return t, f
@@ -130,20 +123,11 @@ func (st *State) completionFlowWith(m int, j int32) (completion, flow float64) {
 	jobs := st.machJobs[m]
 	p := st.insertPos(m, j)
 	t, f := st.prefix(m, p)
-	if st.etc64 != nil {
-		col := st.col(m)
-		t += col[j]
-		f += t
-		for _, x := range jobs[p:] {
-			t += col[x]
-			f += t
-		}
-		return t, f
-	}
-	t += st.inst.At(int(j), m)
+	col := st.col(m)
+	t += col[j]
 	f += t
 	for _, x := range jobs[p:] {
-		t += st.inst.At(int(x), m)
+		t += col[x]
 		f += t
 	}
 	return t, f
@@ -154,13 +138,11 @@ func (st *State) completionFlowWith(m int, j int32) (completion, flow float64) {
 // the remaining jobs — the per-machine half of a Swap. The resummation
 // starts at the first affected slot.
 //
-// The float64 body loads each survivor's entry once from machine m's
-// column and inlines the (ETC, id) comparison against it — the same
-// two-term predicate less evaluates, over the same loaded values, so the
-// splice point and every emitted float are bit-identical to the
-// accessor-based replay. This is the hottest replay in the engine (every
-// cached-scan iteration probes its candidate swap through it), which is
-// why it gets the hand-tuned path rather than leaning on At.
+// The body loads each survivor's entry once from machine m's column and
+// inlines the (ETC, id) comparison against it — the same two-term
+// predicate less evaluates, over the same loaded values. This is the
+// hottest replay in the engine (every cached-scan iteration probes its
+// candidate swap through it), which is why it does not call less.
 func (st *State) completionFlowReplace(m int, out, in int32) (completion, flow float64) {
 	jobs := st.machJobs[m]
 	start := int(st.slot[out])
@@ -169,39 +151,19 @@ func (st *State) completionFlowReplace(m int, out, in int32) (completion, flow f
 	}
 	t, f := st.prefix(m, start)
 	inserted := false
-	if st.etc64 != nil {
-		col := st.col(m)
-		e := col[in]
-		for _, x := range jobs[start:] {
-			if x == out {
-				continue
-			}
-			xe := col[x]
-			if !inserted && !(xe < e || (xe == e && x < in)) {
-				t += e
-				f += t
-				inserted = true
-			}
-			t += xe
-			f += t
-		}
-		if !inserted {
-			t += e
-			f += t
-		}
-		return t, f
-	}
-	e := st.inst.At(int(in), m)
+	col := st.col(m)
+	e := col[in]
 	for _, x := range jobs[start:] {
 		if x == out {
 			continue
 		}
-		if !inserted && !st.less(x, in, m) {
+		xe := col[x]
+		if !inserted && !(xe < e || (xe == e && x < in)) {
 			t += e
 			f += t
 			inserted = true
 		}
-		t += st.inst.At(int(x), m)
+		t += xe
 		f += t
 	}
 	if !inserted {

@@ -87,29 +87,19 @@ func checkAgainstRef(t *testing.T, tag string, in *etc.Instance, s Schedule, st 
 }
 
 // TestRebuildBucketDifferential pins the bucket rebuild against the
-// reference evaluation across random, tie-heavy and float32-backed
+// reference evaluation across random, tie-heavy and CVB-generated
 // instances, and across SetSchedule transitions that drift the per-machine
 // counts (including a full pile-up on one machine, which forces regions
 // far beyond the balanced slack).
 func TestRebuildBucketDifferential(t *testing.T) {
-	f32 := func(jobs, machs int, seed uint64) *etc.Instance {
-		g := etc.GenSpec{Jobs: jobs, Machs: machs,
-			Class: etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
-			Seed:  seed, Float32: true}
-		in, err := g.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
 	instances := []*etc.Instance{
 		randInstance(11, 64, 8),
 		randInstance(12, 96, 5),
 		randInstance(13, 30, 1),
 		tieInstance(60, 8, 14), // integer ETC: the id tie-break binds
 		tieInstance(48, 4, 15),
-		f32(64, 8, 16),
-		f32(40, 6, 17),
+		cvbInstance(64, 8, 16),
+		cvbInstance(40, 6, 17),
 	}
 	for i, in := range instances {
 		r := rng.New(uint64(100 + i))
@@ -155,11 +145,8 @@ func TestRebuildBucketDifferential(t *testing.T) {
 // ready times and either tie-heavy integer or random ETCs, plus a parking
 // column (the last) holding a distinct tiny key per job, so the parking
 // machine's list is in key order.
-func parkInstance(jobs, machs int, seed uint64, tie, narrow bool) *etc.Instance {
+func parkInstance(jobs, machs int, seed uint64, tie bool) *etc.Instance {
 	in := etc.New("park", jobs, machs+1)
-	if narrow {
-		in = etc.New32("park32", jobs, machs+1)
-	}
 	r := rng.New(seed)
 	for j := 0; j < jobs; j++ {
 		for m := 0; m < machs; m++ {
@@ -186,18 +173,18 @@ func parkInstance(jobs, machs int, seed uint64, tie, narrow bool) *etc.Instance 
 // appends to (the job's parking cell is first rewritten to a fresh,
 // largest key while the job is elsewhere, as the daemon does) and drains
 // LIFO from the tail, beside real machines with tie-heavy integer or
-// random ETCs, under both ETC backings. The state flowtime is refolded
+// random ETCs. The state flowtime is refolded
 // before each check: Move and Swap maintain it incrementally, and the
 // per-machine flows the suffix resum produces are what the check pins.
 func TestCommitSuffixDifferential(t *testing.T) {
 	const jobs, machs = 1536, 6
 	const park = machs
 	cases := []struct {
-		name        string
-		tie, narrow bool
-	}{{"tie", true, false}, {"tie32", true, true}, {"rand", false, false}}
+		name string
+		tie  bool
+	}{{"tie", true}, {"tie2", true}, {"rand", false}}
 	for i, c := range cases {
-		in := parkInstance(jobs, machs, uint64(21+i), c.tie, c.narrow)
+		in := parkInstance(jobs, machs, uint64(21+i), c.tie)
 		r := rng.New(uint64(31 + i))
 		key := float64(jobs)
 		parkKey := func(j int) {

@@ -157,24 +157,24 @@ func checkBruteCriticalSwap(t *testing.T, st *State, what string) {
 	}
 }
 
-// f32Instance is a generated instance on the float32 ETC backing.
-func f32Instance(jobs, machs int, seed uint64) *etc.Instance {
+// cvbInstance is an inconsistent hi-hi instance from the CVB generator.
+func cvbInstance(jobs, machs int, seed uint64) *etc.Instance {
 	in, err := etc.GenSpec{Jobs: jobs, Machs: machs,
 		Class: etc.Class{Consistency: etc.Inconsistent, JobHet: etc.High, MachineHet: etc.High},
-		Seed:  seed, Float32: true}.Generate()
+		Seed:  seed}.Generate()
 	if err != nil {
 		panic(err)
 	}
 	return in
 }
 
-// bruteInstances is scanInstances plus float32-backed and tiny ones; the
+// bruteInstances is scanInstances plus CVB-generated and tiny ones; the
 // tiny shapes make empty, single-job and one-job-critical machines
 // common.
 func bruteInstances() []*etc.Instance {
 	return append(scanInstances(),
-		f32Instance(64, 8, 87),
-		f32Instance(7, 5, 88),
+		cvbInstance(64, 8, 87),
+		cvbInstance(7, 5, 88),
 		tieInstance(6, 5, 89),
 		tieInstance(12, 6, 90),
 	)
@@ -283,16 +283,16 @@ func braunInstance(name string) *etc.Instance {
 }
 
 // lmctsInstances are the shapes the benchmark's LMCTS traffic runs on:
-// three of the Braun instances and a float32 frontier-style one.
+// three of the Braun instances and a CVB frontier-style one.
 func lmctsInstances() []*etc.Instance {
 	return []*etc.Instance{braunInstance("u_c_hihi.0"), braunInstance("u_i_lolo.0"),
-		braunInstance("u_s_hilo.0"), f32Instance(2048, 64, 93)}
+		braunInstance("u_s_hilo.0"), cvbInstance(2048, 64, 93)}
 }
 
 // TestBestCriticalSwapMatchesBruteForce pins the bounded scan against
 // the brute-force oracle: random byte programs over random, consistent,
 // semi-consistent, tie-heavy integer (duplicate partner invariants, where
-// the (aPos, b) tie-break binds) and float32-backed instances; hand-built
+// the (aPos, b) tie-break binds) and CVB-generated instances; hand-built
 // schedules with empty machines, single-job machines and a critical
 // machine holding one job; and LMCTS runs to convergence from cMA cell
 // starts on the Braun and frontier shapes, the traffic the benchmark

@@ -24,15 +24,12 @@ import (
 // FitnessAfterMove / FitnessAfterSwap probes (probe.go).
 type State struct {
 	inst *etc.Instance
-	// etc64 is inst.ETC, hoisted at construction: the per-element replay
+	// matrix is inst.ETC, hoisted at construction: the per-element replay
 	// loops (probe.go, refreshFrom, rebuild's key fill) take machine m's
-	// column from it once (col) and index that by job when the instance
-	// has the float64 backing, falling back to the At accessor under the
-	// narrow float32 backing — one predictable branch per call instead of
-	// one per matrix read, which measurably matters in the
-	// sub-microsecond cached-scan path. The matrix is machine-major, so a
-	// replay over m's job list reads one contiguous column.
-	etc64    []float64
+	// column from it once (col) and index that by job. The matrix is
+	// machine-major, so a replay over m's job list reads one contiguous
+	// column.
+	matrix   []float64
 	assign   Schedule
 	machJobs [][]int32 // per machine, job ids sorted by (ETC, id)
 	slot     []int32   // slot[j] = index of job j within machJobs[assign[j]]
@@ -138,13 +135,13 @@ func NewState(in *etc.Instance, s Schedule) *State {
 // exist yet. evalpool hands out fresh scratches this way, since every
 // engine overwrites a scratch before it reads one.
 func NewBlankState(in *etc.Instance) *State {
-	return &State{inst: in, etc64: in.ETC}
+	return &State{inst: in, matrix: in.ETC}
 }
 
-// col returns machine m's ETC column under the float64 backing, indexed
-// by job. Only valid while etc64 is non-nil.
+// col returns machine m's ETC column, indexed by job.
 func (st *State) col(m int) []float64 {
-	return column(st.etc64, st.inst.Jobs, m)
+	n := st.inst.Jobs
+	return st.matrix[m*n : (m+1)*n]
 }
 
 // alloc sizes the tables of a blank State for its instance.
@@ -229,15 +226,9 @@ func (st *State) rebuild() {
 	}
 	key := st.jobKey[:jobs]
 	for m, bucket := range st.machJobs {
-		if st.etc64 != nil {
-			col := st.col(m)
-			for _, j := range bucket {
-				key[j] = col[j]
-			}
-		} else {
-			for _, j := range bucket {
-				key[j] = st.inst.At(int(j), m)
-			}
+		col := st.col(m)
+		for _, j := range bucket {
+			key[j] = col[j]
 		}
 	}
 	st.flowtime = 0
@@ -288,14 +279,8 @@ func sortByKey(jobs []int32, key []float64) {
 // less orders jobs on machine m by (ETC, job id); the id tiebreak makes the
 // per-machine order — and therefore flowtime — deterministic.
 func (st *State) less(a, b int32, m int) bool {
-	var ea, eb float64
-	if st.etc64 != nil {
-		col := st.col(m)
-		ea, eb = col[a], col[b]
-	} else {
-		ea, eb = st.inst.At(int(a), m), st.inst.At(int(b), m)
-	}
-	if ea != eb {
+	col := st.col(m)
+	if ea, eb := col[a], col[b]; ea != eb {
 		return ea < eb
 	}
 	return a < b
@@ -315,21 +300,12 @@ func (st *State) refreshFrom(m, k int) {
 	cumC := st.machCumC[m][:k]
 	cumF := st.machCumF[m][:k]
 	t, flow := st.prefix(m, k)
-	if st.etc64 != nil {
-		col := st.col(m)
-		for _, j := range jobs[k:] {
-			t += col[j]
-			flow += t
-			cumC = append(cumC, t)
-			cumF = append(cumF, flow)
-		}
-	} else {
-		for _, j := range jobs[k:] {
-			t += st.inst.At(int(j), m)
-			flow += t
-			cumC = append(cumC, t)
-			cumF = append(cumF, flow)
-		}
+	col := st.col(m)
+	for _, j := range jobs[k:] {
+		t += col[j]
+		flow += t
+		cumC = append(cumC, t)
+		cumF = append(cumF, flow)
 	}
 	st.machCumC[m] = cumC
 	st.machCumF[m] = cumF

@@ -10,11 +10,11 @@ import (
 
 // copyInstances are the instances FuzzStateCopy runs on: integer ETC
 // with many ties at three shapes (the 9×6 one leaves machines empty
-// often) and the float32 backing at two.
+// often) and CVB-generated ETC at two.
 func copyInstances() []*etc.Instance {
 	return []*etc.Instance{
 		diffTestInstance(24, 4, 51), diffTestInstance(9, 6, 52), diffTestInstance(96, 8, 53),
-		f32Instance(64, 8, 54), f32Instance(7, 5, 55),
+		cvbInstance(64, 8, 54), cvbInstance(7, 5, 55),
 	}
 }
 

@@ -283,14 +283,14 @@ func TestInvalidateMachine(t *testing.T) {
 // Children cover one-point crossover, a single changed job, no change, a
 // full rewrite, a machine drained to empty and every job crowded onto one
 // machine (a list past the insertion sort's cut-off), on integer ETC with
-// many ties, on the float32 backing and on generated float64 ETC. The
-// parents run commits first; on the float64 instance their incrementally
-// updated flowtime bits then differ from the canonical fold, which an
-// unchanged child must not inherit, and the test checks that case occurs.
+// many ties and on two generated instances, CVB and range-based. The
+// parents run commits first; on generated ETC their incrementally updated
+// flowtime bits then differ from the canonical fold, which an unchanged
+// child must not inherit, and the test checks that case occurs.
 func TestSetScheduleFromMatchesSetSchedule(t *testing.T) {
 	drifted := 0
 	for _, in := range []*etc.Instance{
-		diffTestInstance(24, 4, 1), diffTestInstance(96, 8, 2), diffTestInstance(200, 16, 3), f32Instance(64, 8, 4),
+		diffTestInstance(24, 4, 1), diffTestInstance(96, 8, 2), diffTestInstance(200, 16, 3), cvbInstance(64, 8, 4),
 		randInstance(9, 96, 8),
 	} {
 		r := rng.New(5)

@@ -54,11 +54,7 @@ func (ss *SwapScan) Begin(st *State, crit int) {
 		off = append(off, int32(n))
 		u = slices.Grow(u, len(jobs))[:n+len(jobs)]
 		v = slices.Grow(v, len(jobs))[:n+len(jobs)]
-		if etcs := st.inst.ETC; etcs != nil {
-			gatherPartners(etcs, st.inst.Jobs, crit, m, st.completion[m], jobs, u[n:], v[n:])
-		} else {
-			gatherPartners(st.inst.ETC32, st.inst.Jobs, crit, m, st.completion[m], jobs, u[n:], v[n:])
-		}
+		gatherPartners(st.inst.ETC, st.inst.Jobs, crit, m, st.completion[m], jobs, u[n:], v[n:])
 		ids = append(ids, jobs...)
 	}
 	off = append(off, int32(len(ids)))
@@ -78,28 +74,9 @@ func (ss *SwapScan) BestPartner(a int) (float64, int) {
 	st := ss.st
 	best, bestB := math.Inf(1), -1
 	u, v, ids := ss.u, ss.v, ss.ids
-	if st.etc64 != nil {
-		ca := st.completion[ss.crit] - st.col(ss.crit)[a]
-		for s, m := range ss.segM {
-			w := st.col(int(m))[a]
-			for k := ss.off[s]; k < ss.off[s+1]; k++ {
-				x := ca + u[k]
-				if y := v[k] + w; y > x {
-					x = y
-				}
-				if x < best || (x == best && int(ids[k]) < bestB) {
-					best, bestB = x, int(ids[k])
-				}
-			}
-		}
-		return best, bestB
-	}
-	// Narrow backing: the critical job's entry is read once per partner
-	// machine (ca above, w below), so per-segment At dispatch costs
-	// nothing against the flat inner loop.
-	ca := st.completion[ss.crit] - st.inst.At(a, ss.crit)
+	ca := st.completion[ss.crit] - st.col(ss.crit)[a]
 	for s, m := range ss.segM {
-		w := st.inst.At(a, int(m))
+		w := st.col(int(m))[a]
 		for k := ss.off[s]; k < ss.off[s+1]; k++ {
 			x := ca + u[k]
 			if y := v[k] + w; y > x {
@@ -118,11 +95,11 @@ func (ss *SwapScan) BestPartner(a int) (float64, int) {
 // completion[m] − ETC[b][m] for the job b at slot k. It reads two
 // columns, crit's and m's. SwapScan.Begin gathers each machine's segment
 // with it.
-func gatherPartners[E etcElem](etc []E, n, crit, m int, cm float64, jobs []int32, u, v []float64) {
-	colC, colM := column(etc, n, crit), column(etc, n, m)
+func gatherPartners(etc []float64, n, crit, m int, cm float64, jobs []int32, u, v []float64) {
+	colC, colM := etc[crit*n:(crit+1)*n], etc[m*n:(m+1)*n]
 	for k, b := range jobs {
-		u[k] = float64(colC[b])
-		v[k] = cm - float64(colM[b])
+		u[k] = colC[b]
+		v[k] = cm - colM[b]
 	}
 }
 
