@@ -51,11 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8437", "HTTP listen address")
-		seed     = fs.Uint64("seed", 1, "grid seed (ETC noise, search streams)")
+		seed     = fs.Uint64("seed", 1, "grid seed (ETC noise)")
 		machCap  = fs.Int("mach-cap", 64, "machine slot capacity (at most 1024)")
 		jobCap   = fs.Int("job-cap", 4096, "initial job slot capacity")
-		lsIters  = fs.Int("ls-iters", 5, "local search iterations per admission")
-		lsMethod = fs.String("ls-method", "LMCTS", "local search method for admissions")
+		lsIters  = fs.Int("ls-iters", 5, "LMCTS iterations per admission")
 		window   = fs.Duration("window", 250*time.Millisecond, "admission ticker period (0 disables)")
 		admitAt  = fs.Int("admit-pending", 256, "admit when this many jobs are pending (0 disables)")
 		logPath  = fs.String("log", "", "write-ahead event log path")
@@ -84,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gcfg.MachCap = *machCap
 	gcfg.JobCap = *jobCap
 	gcfg.LSIters = *lsIters
-	gcfg.LSMethod = *lsMethod
 	scfg := daemon.ServerConfig{
 		Grid:           gcfg,
 		Window:         *window,

@@ -31,7 +31,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-log", logPath, "-mach-cap", "0"}, "MachCap 0"},
 		{[]string{"-log", logPath, "-job-cap", "0"}, "JobCap 0"},
 		{[]string{"-log", logPath, "-ls-iters", "-1"}, "negative LSIters"},
-		{[]string{"-log", logPath, "-ls-method", "annealing"}, "annealing"},
 		{[]string{"-log", logPath, "-replicate-listen", addr, "-replica-of", addr}, "mutually exclusive"},
 		{[]string{"-replicate-listen", addr}, "requires -log"},
 		{[]string{"-log", logPath, "-window", "soon"}, "invalid value"},

@@ -4,14 +4,12 @@ import (
 	"time"
 
 	"gridcma/internal/heuristics"
-	"gridcma/internal/rng"
 	"gridcma/internal/schedule"
 )
 
 // ColdCheck compares the live warm-started schedule against a cold
 // re-solve of the same job/machine set: extract a clean instance, seed
-// with MCT, improve with the daemon's own method run to its local
-// optimum. WallMs is the full cold cost — matrix extraction, seeding,
+// with MCT, improve with LMCTS run to its local optimum. WallMs is the full cold cost — matrix extraction, seeding,
 // state construction and converged search — i.e. what a scheduler
 // without the warm-start path would pay to reschedule the grid from
 // scratch at an admission. The asymmetric budget is the point of the
@@ -40,17 +38,15 @@ func (g *Grid) ColdResolve() (ColdCheck, bool) {
 		return ColdCheck{}, false
 	}
 	st := schedule.NewState(in, heuristics.MCT(in))
-	// One swap per live job caps the convergence run; LMCTS (and every
-	// descent method here) stops on its own at the first iteration with
-	// no improving candidate, so the cap only bites on pathological
-	// plateaus.
+	// One swap per live job caps the convergence run; LMCTS stops on its
+	// own at the first iteration with no improving candidate, so the cap
+	// only bites on pathological plateaus.
 	iters := in.Jobs
 	if iters < g.cfg.LSIters {
 		iters = g.cfg.LSIters
 	}
 	if g.cfg.LSIters > 0 {
-		r := rng.New(g.cfg.Seed ^ 0xc01dca11 ^ g.counters.Admits)
-		g.ls.Improve(st, g.obj, iters, r)
+		g.ls.Improve(st, g.obj, iters, nil)
 	} else {
 		iters = 0
 	}

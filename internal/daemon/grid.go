@@ -11,12 +11,14 @@
 // A Grid owns one etc.Instance sized for capacity: jobCap job slots by
 // (machine capacity + 1) columns, where the extra column is the parking
 // machine. Every job slot is always assigned somewhere — free and pending
-// slots sit on the parking machine with a tiny ETC there and a huge ETC
-// on every real machine, live jobs the reverse — so the full-neighborhood
-// search methods can run unmodified over the capacity instance: any move
-// or swap that would drag a job onto the parking machine, a dead machine
-// slot, or a free slot into the working set is worse by construction and
-// is rejected by the searches' own accept gates. Slots recycle: a
+// slots sit on the parking machine with a tiny ETC there, live jobs on an
+// alive machine — so LMCTS runs unmodified over the capacity instance.
+// Its critical swap only pairs jobs on machines that are not scan-exempt,
+// and the parking column is; when it runs, dead machines hold no jobs
+// (the admission re-pools and places stranded jobs first). Every cell a
+// swap reads is therefore a live job's value on an alive machine, which
+// the admission (fillRows) and each join (applyJoin) keep real; the
+// cells of free slots and dead machines are never read. Slots recycle: a
 // completed job's slot parks and is reclaimed by a later submission, with
 // its ETC row rewritten while the state cannot observe it (the row of a
 // parked job only feeds the state through the parking column, which never
@@ -30,8 +32,8 @@
 // are assigned sequentially, ETC values derive from (job id, machine id,
 // seed) exactly as in gridsim, admission placement is greedy MCT with
 // lowest-index tie-breaks, committed through State.SetScheduleDiff, and
-// the improvement pass seeds its RNG from (seed, admission counter). Wall
-// clock never feeds a transition. The state flowtime is folded
+// the improvement pass (LMCTS) draws no random numbers. Wall clock never
+// feeds a transition. The state flowtime is folded
 // canonically at every event boundary (State.RefreshFlowtime after a move
 // or a search; SetScheduleDiff refolds on its own), so a state
 // restored from a snapshot — which rebuilds and therefore folds — is
@@ -132,7 +134,6 @@ import (
 	"gridcma/internal/etc"
 	"gridcma/internal/eventlog"
 	"gridcma/internal/localsearch"
-	"gridcma/internal/rng"
 	"gridcma/internal/schedule"
 )
 
@@ -149,47 +150,35 @@ const (
 	// parked slot stays far below any real machine's completion, so the
 	// parking machine can never become critical while jobs are placed.
 	parkEps = 1e-12
-	// blockETC is the "never go there" ETC: parked slots on real
-	// machines (from the admission after they were freed on), live jobs
-	// on the parking column and every dead machine column. Any candidate
-	// involving such an entry scores at least blockETC worse than doing
-	// nothing, so improvement-gated searches cannot select it; sums of a
-	// few thousand of these stay far below overflow.
-	blockETC = 1e18
+	// pairInconsistency scales the deterministic per-(job, machine) ETC
+	// noise multiplier, gridsim's inconsistency knob.
+	pairInconsistency = 1.5
 )
 
 // Config parameterises a Grid. The zero value is not valid; use
-// DefaultConfig and override.
+// DefaultConfig and override. Every admission improves with LMCTS, the
+// paper-tuned local search, under the paper's objective weight
+// (schedule.DefaultLambda).
 type Config struct {
-	// Seed drives ETC pair noise and the per-admission search streams.
+	// Seed drives the ETC pair noise.
 	Seed uint64 `json:"seed"`
 	// MachCap is the number of real machine slots (live machines ≤ this).
 	MachCap int `json:"mach_cap"`
 	// JobCap is the initial number of job slots; the grid grows (doubling,
 	// with a full re-evaluation) when live + pending jobs exceed it.
 	JobCap int `json:"job_cap"`
-	// PairInconsistency ≥ 1 scales the deterministic per-(job, machine)
-	// ETC noise multiplier, gridsim's inconsistency knob.
-	PairInconsistency float64 `json:"pair_inconsistency"`
-	// LSIters is the local search budget of each admission window.
+	// LSIters is the LMCTS budget of each admission window.
 	LSIters int `json:"ls_iters"`
-	// LSMethod names the warm improvement pass (localsearch.ByName).
-	LSMethod string `json:"ls_method"`
-	// Lambda is the makespan weight of the scalarised objective.
-	Lambda float64 `json:"lambda"`
 }
 
-// DefaultConfig returns a 64-machine grid with the paper-tuned LMCTS
-// improvement pass and objective.
+// DefaultConfig returns a 64-machine grid with five LMCTS iterations per
+// admission.
 func DefaultConfig() Config {
 	return Config{
-		Seed:              1,
-		MachCap:           64,
-		JobCap:            1024,
-		PairInconsistency: 1.5,
-		LSIters:           5,
-		LSMethod:          "LMCTS",
-		Lambda:            schedule.DefaultLambda,
+		Seed:    1,
+		MachCap: 64,
+		JobCap:  1024,
+		LSIters: 5,
 	}
 }
 
@@ -208,18 +197,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("daemon: MachCap %d, want <= %d", c.MachCap, MaxMachCap)
 	case c.JobCap < 1:
 		return fmt.Errorf("daemon: JobCap %d, want >= 1", c.JobCap)
-	case c.PairInconsistency < 1:
-		return fmt.Errorf("daemon: PairInconsistency %v, want >= 1", c.PairInconsistency)
 	case c.LSIters < 0:
 		return fmt.Errorf("daemon: negative LSIters")
-	case c.Lambda < 0 || c.Lambda > 1:
-		return fmt.Errorf("daemon: Lambda %v outside [0, 1]", c.Lambda)
 	}
-	if err := checkCapacity(c.JobCap, c.MachCap); err != nil {
-		return err
-	}
-	_, err := localsearch.ByName(c.LSMethod)
-	return err
+	return checkCapacity(c.JobCap, c.MachCap)
 }
 
 // checkCapacity rejects a job capacity whose ETC matrix — one row per job
@@ -278,8 +259,7 @@ type Grid struct {
 	inst *etc.Instance
 	st   *schedule.State
 	obj  schedule.Objective
-	ls   localsearch.Method
-	r    rng.Source
+	ls   localsearch.Method // LMCTS; a field so a test can swap in a failing search
 
 	jobs     []jobSlot
 	free     []int32 // free slot stack; pop from the end (most recently parked first)
@@ -288,17 +268,7 @@ type Grid struct {
 	machs    []machSlot
 	machByID map[uint64]int
 
-	// unfilled and unblocked are the slots whose real-machine cells an
-	// admission writes: slots submitted since the last placing admission
-	// get their row when it places them (fillRows), slots freed since
-	// the last admission get blockETC (blockFreed). A slot is parked in
-	// between, so only its parking cell is visible to the live state, and
-	// writing the rows column by column at the admission walks the
-	// machine-major matrix in storage order instead of striding across
-	// every column once per event.
-	unfilled  []int32
-	unblocked []int32
-	mctRows   []float64 // admission scratch: up to mctChunk pending jobs' alive-machine values
+	mctRows []float64 // admission scratch: up to mctChunk pending jobs' alive-machine values
 
 	nextJobID  uint64
 	nextMachID uint64
@@ -337,18 +307,17 @@ func NewGrid(cfg Config) (*Grid, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ls, _ := localsearch.ByName(cfg.LSMethod)
 	g := &Grid{
 		cfg:      cfg,
-		obj:      schedule.Objective{Lambda: cfg.Lambda},
-		ls:       ls,
+		obj:      schedule.Objective{Lambda: schedule.DefaultLambda},
+		ls:       localsearch.LMCTS{},
 		jobs:     make([]jobSlot, cfg.JobCap),
 		machs:    make([]machSlot, cfg.MachCap),
 		byID:     make(map[uint64]int32),
 		machByID: make(map[uint64]int),
 		moves:    []eventlog.Move{},
 	}
-	g.inst = g.blankInstance(cfg.JobCap)
+	g.inst = etc.New("gridd", cfg.JobCap, cfg.MachCap+1)
 	g.parkKeys = make([]uint64, cfg.JobCap)
 	p := g.park()
 	for s := 0; s < cfg.JobCap; s++ {
@@ -371,22 +340,6 @@ func (g *Grid) parkVal(seq uint64) float64 { return float64(seq) * parkEps }
 // park is the parking machine's column index.
 func (g *Grid) park() int { return g.cfg.MachCap }
 
-// blankInstance allocates a capacity instance with blockETC on every real
-// column. The parking column is left zero — every caller assigns each
-// row's park cell (the slot's park key or blockETC) before the instance
-// reaches a State. The fill runs column by column, the matrix's storage
-// order.
-func (g *Grid) blankInstance(jobCap int) *etc.Instance {
-	in := etc.New("gridd", jobCap, g.cfg.MachCap+1)
-	p := g.park()
-	for m := 0; m < p; m++ {
-		for s := 0; s < jobCap; s++ {
-			in.Set(s, m, blockETC)
-		}
-	}
-	return in
-}
-
 func (g *Grid) parkedSchedule(jobCap int) schedule.Schedule {
 	sched := make(schedule.Schedule, jobCap)
 	p := g.park()
@@ -399,7 +352,7 @@ func (g *Grid) parkedSchedule(jobCap int) schedule.Schedule {
 // etcOf is the deterministic expected time of a job on a machine: base
 // workload × machine slowness × the pair noise gridsim draws too.
 func (g *Grid) etcOf(jobID uint64, base float64, m *machSlot) float64 {
-	return base * m.mult * etc.PairNoise(jobID, m.id, g.cfg.Seed, g.cfg.PairInconsistency)
+	return base * m.mult * etc.PairNoise(jobID, m.id, g.cfg.Seed, pairInconsistency)
 }
 
 // Applied returns the sequence number of the last applied event.
@@ -543,10 +496,9 @@ func (g *Grid) applySubmit(e eventlog.Event) error {
 	g.byID[e.Job] = s
 	g.touchPending(len(g.pending))
 	g.pending = append(g.pending, s)
-	// The row is written by the next admission, which is the first to
-	// read it. The parking column keeps the slot's park key until
-	// placement.
-	g.unfilled = append(g.unfilled, s)
+	// The row is written by the admission that places the job, the first
+	// to read it. The parking column keeps the slot's park key until
+	// then.
 	g.counters.Submitted++
 	return nil
 }
@@ -652,9 +604,6 @@ func (g *Grid) applyComplete(e eventlog.Event) error {
 			g.st.RefreshFlowtime()
 		}
 	}
-	// The next admission blocks the freed row, unless a submission has
-	// taken the slot again by then.
-	g.unblocked = append(g.unblocked, s)
 	delete(g.byID, e.Job)
 	g.jobs[s] = jobSlot{}
 	g.touchFree(len(g.free))
@@ -677,7 +626,6 @@ func (g *Grid) applyAdmit(outcome []eventlog.Move) error {
 	g.counters.Admits++
 	g.lastPlaced = g.lastPlaced[:0]
 	g.moves = g.moves[:0]
-	g.blockFreed()
 
 	// Re-pool: jobs on departed machines go back to pending, in list
 	// order (JobsOn is (ETC, id)-ordered — deterministic). A job already
@@ -739,31 +687,19 @@ func (g *Grid) applyAdmit(outcome []eventlog.Move) error {
 			}
 			g.fillRows(chunk, aliveMachs, rows)
 		}
-		g.blockUnfilled()
 		g.st.SetScheduleDiff(cand)
-		// Placed jobs must not be parkable by the search.
-		p := g.park()
-		for _, s := range g.pending {
-			g.inst.Set(int(s), p, blockETC)
-		}
 		g.counters.Placed += uint64(len(g.pending))
 		g.pending = nil // placed aliases the old backing array until the window ends
 		g.touchPending(0)
 	}
-	g.unfilled = g.unfilled[:0]
 
-	// Departed slots are empty now; block their columns and invalidate.
+	// Departed slots are empty now: they can take a joining machine, and
+	// the flag change re-hashes them.
 	for m := range g.machs {
-		if !g.machs[m].departed {
-			continue
+		if g.machs[m].departed {
+			g.machs[m].departed = false
+			g.st.InvalidateMachine(m)
 		}
-		for s := range g.jobs {
-			if g.jobs[s].state != slotFree {
-				g.inst.Set(s, m, blockETC)
-			}
-		}
-		g.machs[m].departed = false
-		g.st.InvalidateMachine(m)
 	}
 
 	if outcome != nil {
@@ -827,8 +763,7 @@ func (g *Grid) improve(cand schedule.Schedule) {
 	for m := range g.machVer {
 		g.machVer[m] = g.st.MachEpoch(m)
 	}
-	g.r.Reseed(g.cfg.Seed ^ g.counters.Admits*0x9e3779b97f4a7c15)
-	g.ls.Improve(g.st, g.obj, g.cfg.LSIters, &g.r)
+	g.ls.Improve(g.st, g.obj, g.cfg.LSIters, nil) // LMCTS draws no random numbers
 	for m, v := range g.machVer {
 		if g.st.MachEpoch(m) == v {
 			continue
@@ -840,28 +775,6 @@ func (g *Grid) improve(cand schedule.Schedule) {
 		}
 	}
 	slices.SortFunc(g.moves, func(a, b eventlog.Move) int { return cmp.Compare(a.Job, b.Job) })
-}
-
-// blockFreed writes blockETC on every real machine for each slot freed
-// since the last admission and still free, column by column.
-func (g *Grid) blockFreed() {
-	free := g.unblocked[:0]
-	for _, s := range g.unblocked {
-		if g.jobs[s].state == slotFree {
-			free = append(free, s)
-		}
-	}
-	g.unblocked = g.unblocked[:0]
-	if len(free) == 0 {
-		return
-	}
-	jobs := g.inst.Jobs
-	for m := 0; m < g.park(); m++ {
-		col := g.inst.ETC[m*jobs:][:jobs]
-		for _, s := range free {
-			col[s] = blockETC
-		}
-	}
 }
 
 // mctChunk is how many pending jobs the admission places per pass: their
@@ -903,25 +816,6 @@ func (g *Grid) fillRows(chunk []int32, alive []int, rows []float64) {
 	}
 }
 
-// blockUnfilled writes blockETC on every dead real machine for each job
-// submitted since the last placing admission and still live. A
-// re-pooled job keeps its cells there: it still sits on its departed
-// machine until the placement commits.
-func (g *Grid) blockUnfilled() {
-	jobs := g.inst.Jobs
-	for m := 0; m < g.park(); m++ {
-		if g.machs[m].alive {
-			continue
-		}
-		col := g.inst.ETC[m*jobs:][:jobs]
-		for _, s := range g.unfilled {
-			if g.jobs[s].state != slotFree {
-				col[s] = blockETC
-			}
-		}
-	}
-}
-
 // grow doubles the job capacity: a new instance and state carrying the
 // current assignment, every new slot free and parked. This is the one
 // cold restart in the grid's life (the next Digest folds from scratch);
@@ -930,11 +824,11 @@ func (g *Grid) blockUnfilled() {
 func (g *Grid) grow() {
 	oldCap := len(g.jobs)
 	newCap := oldCap * 2
-	inst := g.blankInstance(newCap)
+	inst := etc.New("gridd", newCap, g.cfg.MachCap+1)
 	p := g.park()
-	// Copy column by column. Park cells carry the slot's park key (or
-	// blockETC when placed) for free and occupied slots alike — the
-	// parking list order is part of the trajectory.
+	// Copy column by column. Park cells carry the slot's park key for
+	// free and occupied slots alike — the parking list order is part of
+	// the trajectory.
 	for s := 0; s < oldCap; s++ {
 		inst.Set(s, p, g.inst.At(s, p))
 	}

@@ -93,7 +93,7 @@ func TestGridLifecycle(t *testing.T) {
 		}
 	}
 	mk, fl := g.Quality()
-	if mk <= 0 || fl <= 0 || mk >= blockETC/2 || fl >= blockETC/2 {
+	if mk <= 0 || fl <= 0 || mk >= 1e3 || fl >= 1e3 {
 		t.Fatalf("quality makespan=%v flowtime=%v out of range", mk, fl)
 	}
 
@@ -270,11 +270,11 @@ func TestGridSlotReuseAndGrowth(t *testing.T) {
 	}
 }
 
-// TestAdmissionSettlesRows: submissions and completions leave their rows
-// to the next admission, which must write them before it places or
-// searches. After every admission each free slot is blockETC on every
-// real machine and each occupied slot holds its job's value on every
-// alive one — the rows an eager per-event write would have left.
+// TestAdmissionSettlesRows: submissions leave their rows to the next
+// admission, which must write them before it places or searches. After
+// every admission each occupied slot holds its job's value on every
+// alive machine — the rows an eager per-event write would have left.
+// These are the cells LMCTS reads.
 func TestAdmissionSettlesRows(t *testing.T) {
 	for _, jobCap := range []int{4, 32} {
 		cfg := testConfig()
@@ -297,17 +297,15 @@ func TestAdmissionSettlesRows(t *testing.T) {
 			admits++
 			for s := range g.jobs {
 				js := &g.jobs[s]
+				if js.state == slotFree {
+					continue
+				}
 				for m := range g.machs {
-					got := g.inst.At(s, m)
-					switch {
-					case js.state == slotFree:
-						if got != blockETC {
-							t.Fatalf("jobCap %d admission %d: free slot %d reads %v on machine %d, want blockETC", jobCap, admits, s, got, m)
-						}
-					case g.machs[m].alive:
-						if want := g.etcOf(js.id, js.base, &g.machs[m]); got != want {
-							t.Fatalf("jobCap %d admission %d: job %d reads %v on machine %d, want %v", jobCap, admits, js.id, got, m, want)
-						}
+					if !g.machs[m].alive {
+						continue
+					}
+					if got, want := g.inst.At(s, m), g.etcOf(js.id, js.base, &g.machs[m]); got != want {
+						t.Fatalf("jobCap %d admission %d: job %d reads %v on machine %d, want %v", jobCap, admits, js.id, got, m, want)
 					}
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"gridcma/internal/atomicfile"
+	"gridcma/internal/etc"
 	"gridcma/internal/schedule"
 )
 
@@ -120,14 +121,16 @@ func (g *Grid) Snapshot() *Snapshot {
 // digest cache: its later digests cost O(changed) like the live grid's.
 //
 // The ETC matrix is reconstructed from the deterministic value formula:
-// occupied rows get real values on every alive column and on the row's
-// own (possibly departed) machine slot, blockETC elsewhere. A live grid
-// may still hold real values in cells a departed machine left behind,
-// and stale ones in the rows of slots submitted or freed since its last
-// admission (blockFreed, fillRows). The next admission writes those
-// cells in both grids and neither reads them before, so cells the
-// scheduler can observe — and therefore the digest trajectory — match
-// bit for bit even where the raw matrices do not.
+// every row's park cell from its park key, and occupied rows' real values
+// on every alive column and on the row's own (possibly departed) machine
+// slot. The other cells stay zero. A live grid may hold stale values
+// there — cells a departed machine or a freed slot left behind, the rows
+// of slots submitted since its last admission — but the scheduler never
+// reads them: an admission writes a job's row on every alive machine
+// when it places it (fillRows), a join writes its column, and LMCTS
+// reads no other cell. So cells the scheduler can observe — and
+// therefore the digest trajectory — match bit for bit even where the raw
+// matrices do not.
 func Restore(s *Snapshot) (*Grid, error) {
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("daemon: snapshot version %d, want %d", s.Version, snapshotVersion)
@@ -153,7 +156,7 @@ func Restore(s *Snapshot) (*Grid, error) {
 		if err := checkCapacity(s.JobCap, g.cfg.MachCap); err != nil {
 			return nil, err
 		}
-		g.inst = g.blankInstance(s.JobCap)
+		g.inst = etc.New("gridd", s.JobCap, g.cfg.MachCap+1)
 		g.jobs = make([]jobSlot, s.JobCap)
 	}
 	g.parkSeq = s.ParkSeq
@@ -191,9 +194,6 @@ func Restore(s *Snapshot) (*Grid, error) {
 				return nil, fmt.Errorf("daemon: job %d on never-used machine slot %d", sj.ID, m)
 			}
 		}
-		if sj.Mach != p {
-			g.inst.Set(int(sj.Slot), p, blockETC)
-		}
 	}
 	// Fill the jobs' rows column by column, the matrix's storage order.
 	for m := 0; m < p; m++ {
@@ -201,8 +201,6 @@ func Restore(s *Snapshot) (*Grid, error) {
 		for _, sj := range s.Jobs {
 			if ms.alive || m == sj.Mach {
 				g.inst.Set(int(sj.Slot), m, g.etcOf(sj.ID, sj.Base, ms))
-			} else {
-				g.inst.Set(int(sj.Slot), m, blockETC)
 			}
 		}
 	}
