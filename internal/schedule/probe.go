@@ -139,10 +139,12 @@ func (st *State) completionFlowWith(m int, j int32) (completion, flow float64) {
 // starts at the first affected slot.
 //
 // The body loads each survivor's entry once from machine m's column and
-// inlines the (ETC, id) comparison against it — the same two-term
-// predicate less evaluates, over the same loaded values. This is the
-// hottest replay in the engine (every cached-scan iteration probes its
-// candidate swap through it), which is why it does not call less.
+// splices in before the first survivor whose entry is not smaller. less
+// would break a tie of equal entries by id, but either order adds the
+// same values in the same sequence, so completion and flowtime keep
+// their bits without the tie-break. This is the hottest replay in the
+// engine (every cached-scan iteration probes its candidate swap through
+// it), which is why it does not call less.
 func (st *State) completionFlowReplace(m int, out, in int32) (completion, flow float64) {
 	jobs := st.machJobs[m]
 	start := int(st.slot[out])
@@ -158,7 +160,7 @@ func (st *State) completionFlowReplace(m int, out, in int32) (completion, flow f
 			continue
 		}
 		xe := col[x]
-		if !inserted && !(xe < e || (xe == e && x < in)) {
+		if !inserted && xe >= e {
 			t += e
 			f += t
 			inserted = true
