@@ -40,10 +40,6 @@ type ReplicatorConfig struct {
 	// MaxLag is the /readyz "replica-lag" threshold in events
 	// (0 = 4096).
 	MaxLag uint64
-	// SnapPath persists a bootstrap snapshot next to the follower's WAL
-	// so a restart can recover locally (empty = LogPath+".snap" when the
-	// follower has a WAL, else no persistence).
-	SnapPath string
 	// OnApply, when set, observes every replicated event after it is
 	// applied (outside the daemon lock); the bench uses it to timestamp
 	// arrivals for lag percentiles.
@@ -98,9 +94,6 @@ func NewReplicator(d *Daemon, cfg ReplicatorConfig) (*Replicator, error) {
 	}
 	if cfg.MaxLag == 0 {
 		cfg.MaxLag = 4096
-	}
-	if cfg.SnapPath == "" && d.cfg.LogPath != "" {
-		cfg.SnapPath = d.cfg.LogPath + ".snap"
 	}
 	r := &Replicator{
 		d:    d,
@@ -306,8 +299,10 @@ func (r *Replicator) bootstrapLocked(ctx context.Context) error {
 	if err := r.d.ReplaceGrid(g); err != nil {
 		return retry.Permanent(err)
 	}
-	if r.cfg.SnapPath != "" {
-		if err := SaveSnapshot(snap.Snapshot, r.cfg.SnapPath); err != nil {
+	// A follower with a WAL persists the bootstrap snapshot beside it, at
+	// LogPath+".snap", so a restart can recover locally.
+	if log := r.d.cfg.LogPath; log != "" {
+		if err := SaveSnapshot(snap.Snapshot, log+".snap"); err != nil {
 			return fmt.Errorf("daemon: persisting bootstrap snapshot: %w", err)
 		}
 	}

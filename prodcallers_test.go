@@ -26,6 +26,11 @@ var testOnlyAllowlist = map[string]string{
 		"ExampleLambdaSweep (gridcma_test) and internal/pareto's tests call it",
 	"gridcma/internal/pareto.Front.Hypervolume": "scores the front gridcma.LambdaSweep returns; " +
 		"ExampleLambdaSweep (gridcma_test) and internal/pareto's tests call it",
+	"gridcma/internal/daemon.ReplConfig.Batch": "every production caller leaves the cap at its default; " +
+		"the failover torture sets it to cut responses short",
+	"gridcma/internal/daemon.ReplicatorConfig.Batch": "every production caller leaves the cap at its default; " +
+		"TestReplicationCatchUp, TestReplPullDigestStamp, TestReadyzFollowerReasons, " +
+		"TestReplicatorRunLoopConverges and the failover torture set it to cut pulls short",
 	"gridcma/internal/island/dist.Config.CheckpointPath": distSupervision,
 	"gridcma/internal/island/dist.Config.Logf":           distSupervision,
 }
@@ -43,8 +48,10 @@ const distSupervision = "item 16 wires or deletes (ROADMAP: a production client 
 //     file of its own package uses;
 //   - an exported field of an internal/ struct that production never
 //     sets: no assignment, increment, address, keyed or positional
-//     literal, or pointer-method call through it. A struct with JSON tags
-//     is decoded from bytes and exempt;
+//     literal, or pointer-method call through it. A field's own default,
+//     an assignment to x.F directly inside an if that compares x.F with
+//     a zero literal, is not a set. A struct with JSON tags is decoded
+//     from bytes and exempt;
 //   - a method of an internal/ interface that production calls neither
 //     through the interface nor on a type that implements it.
 //
@@ -179,9 +186,11 @@ func TestEveryInternalExportHasAProductionCaller(t *testing.T) {
 // sets: as an assignment or increment target, by taking its address
 // (explicitly, or implicitly to call a pointer method), or in a keyed or
 // positional composite literal. Setting x.a.b, or an element of an array
-// field, sets the value fields on the way as well.
+// field, sets the value fields on the way as well. A defaulting
+// assignment (defaults) sets nothing.
 func markSetFields(fset *token.FileSet, info *types.Info, f *ast.File, set map[string]bool) {
 	mark := func(v *types.Var) { set[fset.Position(v.Pos()).String()] = true }
+	skip := defaults(info, f)
 	var target func(ast.Expr)
 	target = func(e ast.Expr) {
 		switch e := ast.Unparen(e).(type) {
@@ -203,6 +212,9 @@ func markSetFields(fset *token.FileSet, info *types.Info, f *ast.File, set map[s
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
+			if skip[n] {
+				return true
+			}
 			for _, lhs := range n.Lhs {
 				target(lhs)
 			}
@@ -253,6 +265,142 @@ func markSetFields(fset *token.FileSet, info *types.Info, f *ast.File, set map[s
 		}
 		return true
 	})
+}
+
+// defaults returns f's defaulting assignments: each assignment to a
+// field x.F that is a statement of an if's body whose condition compares
+// x.F with a zero literal (0, "" or nil), alone or as one term of an &&
+// chain, as in `if cfg.Batch <= 0 { cfg.Batch = 512 }`. A field whose
+// only sets are its own defaults is one no caller sets.
+func defaults(info *types.Info, f *ast.File) map[*ast.AssignStmt]bool {
+	zero := func(e ast.Expr) bool {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.BasicLit:
+			return e.Value == "0" || e.Value == `""`
+		case *ast.Ident:
+			return info.Uses[e] == types.Universe.Lookup("nil")
+		}
+		return false
+	}
+	field := func(e ast.Expr) (string, bool) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok || info.Selections[sel] == nil || info.Selections[sel].Kind() != types.FieldVal {
+			return "", false
+		}
+		return types.ExprString(sel), true
+	}
+	// compared adds to xs each field the condition e compares with a
+	// zero literal.
+	var compared func(e ast.Expr, xs map[string]bool)
+	compared = func(e ast.Expr, xs map[string]bool) {
+		b, ok := ast.Unparen(e).(*ast.BinaryExpr)
+		if !ok {
+			return
+		}
+		switch b.Op {
+		case token.LAND:
+			compared(b.X, xs)
+			compared(b.Y, xs)
+		case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+			for _, pair := range [2][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
+				if x, ok := field(pair[0]); ok && zero(pair[1]) {
+					xs[x] = true
+				}
+			}
+		}
+	}
+	out := map[*ast.AssignStmt]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		xs := map[string]bool{}
+		compared(ifs.Cond, xs)
+		for _, st := range ifs.Body.List {
+			if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
+				if x, ok := field(as.Lhs[0]); ok && xs[x] {
+					out[as] = true
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestDefaultsAreNotSets pins the guard's rule for a field's own
+// default: the assignments marked "default" below are the only ones
+// defaults returns. A running maximum and an assignment to another field
+// than the one compared are sets.
+func TestDefaultsAreNotSets(t *testing.T) {
+	const src = `package p
+
+type C struct {
+	N    int
+	S    string
+	P    *int
+	Best float64
+}
+
+func f(c *C, v float64) {
+	if c.N <= 0 {
+		c.N = 512 // default
+	}
+	if c.S == "" && c.N > 1 {
+		c.S = "x" // default
+	}
+	if 0 == c.N {
+		c.N = 1 // default
+	}
+	if c.P == nil {
+		c.P = new(int) // default
+	}
+	if v > c.Best {
+		c.Best = v
+	}
+	if c.N <= 0 {
+		c.S = "y"
+	}
+	if c.S == "" || v > 0 {
+		c.S = "z"
+	}
+	c.N = 3
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]bool{}
+	for _, c := range f.Comments {
+		if c.Text() == "default\n" {
+			want[fset.Position(c.Pos()).Line] = true
+		}
+	}
+	got := defaults(info, f)
+	assigns := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			assigns++
+			if line := fset.Position(as.Pos()).Line; got[as] != want[line] {
+				t.Errorf("line %d: defaults says %v, want %v", line, got[as], want[line])
+			}
+		}
+		return true
+	})
+	if assigns != 8 || len(want) != 4 {
+		t.Fatalf("%d assignments, %d marked defaults; want 8 and 4", assigns, len(want))
+	}
 }
 
 // hasJSONTags reports whether a field of st carries a json tag: the
