@@ -28,38 +28,41 @@ type ColdCheck struct {
 	WarmFlowtime float64 `json:"warm_flowtime"`
 }
 
-// ColdResolve runs the cold baseline against the current live set. The
-// grid is read, never mutated. Returns false when there is nothing to
-// solve (no live jobs or no alive machines).
-func (g *Grid) ColdResolve() (ColdCheck, bool) {
+// ColdResolve takes the cold baseline's input from the current live set
+// — the extracted instance and the warm schedule's quality — and returns
+// the solve, which reads nothing of the grid. A caller that serialises
+// access to the grid calls ColdResolve under its lock and runs the solve
+// after releasing it; WallMs still counts from the extraction. The grid
+// is read, never mutated. Returns false when there is nothing to solve
+// (no live jobs or no alive machines).
+func (g *Grid) ColdResolve() (solve func() ColdCheck, ok bool) {
 	t0 := time.Now()
 	in, _ := g.LiveInstance()
 	if in == nil {
-		return ColdCheck{}, false
+		return nil, false
 	}
-	st := schedule.NewState(in, heuristics.MCT(in))
-	// One swap per live job caps the convergence run; LMCTS stops on its
-	// own at the first iteration with no improving candidate, so the cap
-	// only bites on pathological plateaus.
-	iters := in.Jobs
-	if iters < g.cfg.LSIters {
-		iters = g.cfg.LSIters
-	}
-	if g.cfg.LSIters > 0 {
-		g.ls.Improve(st, g.obj, iters, nil)
-	} else {
-		iters = 0
-	}
-	wall := time.Since(t0)
 	wmk, wfl := g.Quality()
-	return ColdCheck{
-		Jobs:         in.Jobs,
-		Machines:     in.Machs,
-		Iters:        iters,
-		WallMs:       wall.Seconds() * 1e3,
-		ColdMakespan: st.Makespan(),
-		ColdFlowtime: st.Flowtime(),
-		WarmMakespan: wmk,
-		WarmFlowtime: wfl,
+	ls, obj, lsIters := g.ls, g.obj, g.cfg.LSIters
+	return func() ColdCheck {
+		st := schedule.NewState(in, heuristics.MCT(in))
+		// One swap per live job caps the convergence run; LMCTS stops on
+		// its own at the first iteration with no improving candidate, so
+		// the cap only bites on pathological plateaus.
+		iters := max(in.Jobs, lsIters)
+		if lsIters > 0 {
+			ls.Improve(st, obj, iters, nil)
+		} else {
+			iters = 0
+		}
+		return ColdCheck{
+			Jobs:         in.Jobs,
+			Machines:     in.Machs,
+			Iters:        iters,
+			WallMs:       time.Since(t0).Seconds() * 1e3,
+			ColdMakespan: st.Makespan(),
+			ColdFlowtime: st.Flowtime(),
+			WarmMakespan: wmk,
+			WarmFlowtime: wfl,
+		}
 	}, true
 }

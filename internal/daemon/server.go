@@ -662,10 +662,16 @@ func decodeJSON(w http.ResponseWriter, body []byte, what string, v any) bool {
 	return true
 }
 
+// handleColdCheck holds d.mu only while it extracts the live set: the
+// cold solve runs outside the lock, so writes proceed meanwhile.
 func (d *Daemon) handleColdCheck(w http.ResponseWriter, r *http.Request) {
 	d.mu.Lock()
-	cc, _ := d.g.ColdResolve()
+	solve, ok := d.g.ColdResolve()
 	d.mu.Unlock()
+	var cc ColdCheck
+	if ok {
+		cc = solve()
+	}
 	writeJSON(w, cc)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,9 @@ import (
 	"time"
 
 	"gridcma/internal/eventlog"
+	"gridcma/internal/localsearch"
+	"gridcma/internal/rng"
+	"gridcma/internal/schedule"
 )
 
 func newTestDaemon(t *testing.T, cfg ServerConfig) (*Daemon, *httptest.Server) {
@@ -356,6 +360,98 @@ func TestServerColdCheck(t *testing.T) {
 	if d.g.Digest() != before {
 		t.Fatal("cold re-solve mutated the live grid")
 	}
+}
+
+// gateLS is LMCTS behind a gate: Improve signals entered, waits for
+// release, then searches. It holds a cold solve at a known point.
+type gateLS struct{ entered, release chan struct{} }
+
+func (l gateLS) Improve(st *schedule.State, o schedule.Objective, iters int, r *rng.Source) {
+	close(l.entered)
+	<-l.release
+	localsearch.LMCTS{}.Improve(st, o, iters, r)
+}
+func (gateLS) Name() string { return "gated LMCTS" }
+
+// TestColdCheckDoesNotStallWrites: /coldcheck holds the daemon's lock
+// only while it extracts the live set. On a grid of 20k live jobs the
+// cold solve is held at its search, and submits issued meanwhile must
+// each return before it goes on, in well under the check's WallMs,
+// which spans them all. A solve that held the lock would stall them until the
+// client gives up. The gate makes the overlap certain: a bound on
+// timings alone would compare the submits with the extraction, which
+// stays under the lock and takes a fifth to a third of WallMs.
+func TestColdCheckDoesNotStallWrites(t *testing.T) {
+	const machs, jobs = 64, 20000
+	grid := DefaultConfig()
+	grid.JobCap = 32768
+	d, srv := newTestDaemon(t, ServerConfig{Grid: grid})
+	apply := func(e eventlog.Event) {
+		t.Helper()
+		if _, err := d.ApplyEvent(e); err != nil {
+			t.Fatalf("%+v: %v", e, err)
+		}
+	}
+	for m := 1; m <= machs; m++ {
+		apply(eventlog.Event{Type: eventlog.Join, Mach: uint64(m), Mult: float64(1 + m%3)})
+	}
+	for j := 1; j <= jobs; j++ {
+		apply(eventlog.Event{Type: eventlog.Submit, Job: uint64(j), Base: float64(1 + j%8)})
+	}
+	apply(eventlog.Event{Type: eventlog.Admit})
+
+	gate := gateLS{entered: make(chan struct{}), release: make(chan struct{})}
+	d.g.ls = gate
+	type coldResult struct {
+		cc  ColdCheck
+		err error
+	}
+	done := make(chan coldResult, 1)
+	go func() {
+		var res coldResult
+		resp, err := http.Get(srv.URL + "/coldcheck")
+		if err != nil {
+			res.err = err
+		} else {
+			res.err = json.NewDecoder(resp.Body).Decode(&res.cc)
+			resp.Body.Close()
+		}
+		done <- res
+	}()
+	<-gate.entered
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	var slowest time.Duration
+	var stalled error
+	for i := 0; i < 10 && stalled == nil; i++ {
+		t0 := time.Now()
+		resp, err := client.Post(srv.URL+"/submit", "application/json", strings.NewReader(`{"bases":[1]}`))
+		if err != nil {
+			stalled = err
+			break
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			stalled = fmt.Errorf("status %s", resp.Status)
+		}
+		slowest = max(slowest, time.Since(t0))
+	}
+	close(gate.release)
+	res := <-done
+	if stalled != nil {
+		t.Fatalf("a submit issued while the cold solve ran failed: %v", stalled)
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.cc.Jobs != jobs {
+		t.Fatalf("coldcheck saw %d jobs, want %d", res.cc.Jobs, jobs)
+	}
+	wall := time.Duration(res.cc.WallMs * float64(time.Millisecond))
+	if slowest >= wall/2 {
+		t.Fatalf("the slowest submit took %v, the cold check %v", slowest, wall)
+	}
+	t.Logf("10 submits during a %v cold check, the slowest %v", wall, slowest)
 }
 
 // TestServerEventBatchCommitsAppliedPrefix pins the partial-batch
