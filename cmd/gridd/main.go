@@ -1,7 +1,8 @@
 // Command gridd runs the online rolling-horizon scheduler daemon: a
 // long-running service that keeps one live schedule per grid, admits
-// streamed submissions in batch windows, and warm-starts local search
-// from the live state instead of re-solving from scratch.
+// streamed submissions in batch windows, and warm-starts LMCTS, the
+// paper's tuned local search, from the live state instead of re-solving
+// from scratch. -ls-iters sets its budget per admission.
 //
 //	gridd -addr :8437                          # serve the HTTP API
 //	gridd -addr :8437 -log gridd.log           # with a write-ahead event log

@@ -980,12 +980,9 @@ func (g *Grid) LiveInstance() (*etc.Instance, schedule.Schedule) {
 		return nil, nil
 	}
 	in := etc.New(fmt.Sprintf("gridd-live-%d", g.counters.Admits), len(slots), len(machs))
-	jobs := g.inst.Jobs
 	for k, m := range machs {
-		src := g.inst.ETC[m*jobs:][:jobs]
-		dst := in.ETC[k*len(slots):][:len(slots)]
 		for i, s := range slots {
-			dst[i] = src[s]
+			in.Set(i, k, g.inst.At(int(s), m))
 		}
 	}
 	sched := make(schedule.Schedule, len(slots))

@@ -418,7 +418,11 @@ func TestColdCheckDoesNotStallWrites(t *testing.T) {
 		}
 		done <- res
 	}()
-	<-gate.entered
+	select {
+	case <-gate.entered:
+	case res := <-done:
+		t.Fatalf("coldcheck answered (%+v) without searching", res)
+	}
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	var slowest time.Duration
