@@ -9,10 +9,10 @@ import (
 
 // ColdCheck compares the live warm-started schedule against a cold
 // re-solve of the same job/machine set: extract a clean instance, seed
-// with MCT, improve with LMCTS run to its local optimum. WallMs is the full cold cost — matrix extraction, seeding,
-// state construction and converged search — i.e. what a scheduler
-// without the warm-start path would pay to reschedule the grid from
-// scratch at an admission. The asymmetric budget is the point of the
+// with MCT, improve with LMCTS run to its local optimum. WallMs is the
+// full cold cost — matrix extraction, seeding, state construction and
+// converged search — i.e. what a scheduler without the warm-start path
+// would pay to reschedule the grid from scratch at an admission. The asymmetric budget is the point of the
 // comparison: a re-solve that stops after a handful of swaps is not a
 // re-solve, while the warm path is always near its local optimum and
 // absorbs each admission delta with a constant-bounded touch-up — the

@@ -326,12 +326,12 @@ func nextVersion() uint64 { return versions.Add(1) }
 
 // SetScanExempt excludes machine m from (or re-admits it to) the
 // critical-swap scan: BestCriticalSwap never scans an exempt machine's
-// jobs and never proposes a swap involving them. The caller asserts that
-// no such swap can ever be accepted anyway — the use case is a host
-// keeping placeholder jobs on a dedicated machine whose swap candidates
-// are all blocked by construction (huge ETC entries), as the online
-// scheduler daemon does with its parking column. Exempting a machine
-// whose jobs could win an improving swap silently narrows the search
+// jobs and never proposes a swap involving them. The use case is a host
+// keeping placeholder jobs on a dedicated machine the search must leave
+// alone, as the online scheduler daemon does with its parking column:
+// the placeholders' cells on the other machines carry no real costs, so
+// the exemption is what keeps a swap off them. Exempting a machine
+// whose jobs could win an improving swap narrows the search
 // neighborhood; the bit-identity contract then reads "equals a full
 // rescan over the non-exempt machines".
 //
