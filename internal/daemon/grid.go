@@ -268,7 +268,12 @@ type Grid struct {
 	machs    []machSlot
 	machByID map[uint64]int
 
-	mctRows []float64 // admission scratch: up to mctChunk pending jobs' alive-machine values
+	// Admission scratch: the alive machine slots, each machine slot's
+	// completion as the placement fills it (read only at alive slots),
+	// and up to mctChunk pending jobs' alive-machine values.
+	aliveMachs []int
+	comp       []float64
+	mctRows    []float64
 
 	nextJobID  uint64
 	nextMachID uint64
@@ -316,6 +321,7 @@ func NewGrid(cfg Config) (*Grid, error) {
 		byID:     make(map[uint64]int32),
 		machByID: make(map[uint64]int),
 		moves:    []eventlog.Move{},
+		comp:     make([]float64, cfg.MachCap),
 	}
 	g.inst = etc.New("gridd", cfg.JobCap, cfg.MachCap+1)
 	g.parkKeys = make([]uint64, cfg.JobCap)
@@ -520,12 +526,18 @@ func (g *Grid) applyJoin(e eventlog.Event) error {
 	g.nextMachID++
 	g.machs[slot] = machSlot{id: e.Mach, mult: e.Mult, alive: true}
 	g.machByID[e.Mach] = slot
-	// Rewrite the column for every occupied row. The machine is empty, so
-	// no list order depends on the old column; invalidating the machine
-	// makes the digest re-hash it and the move-probe context recapture.
-	for s := range g.jobs {
-		if g.jobs[s].state != slotFree {
-			g.inst.Set(s, slot, g.etcOf(g.jobs[s].id, g.jobs[s].base, &g.machs[slot]))
+	// Rewrite the column for every placed row: the jobs on real machines,
+	// alive or departed, found through their machines' lists, so a join
+	// costs O(placed + MachCap), not O(JobCap). A parked job's row is
+	// written by the admission that places it (fillRows), the first to
+	// read it. The machine is empty, so no list order depends on the old
+	// column; invalidating the machine makes the digest re-hash it and
+	// the move-probe context recapture.
+	ms := &g.machs[slot]
+	col := g.inst.ETC[slot*g.inst.Jobs:][:g.inst.Jobs]
+	for m := 0; m < g.park(); m++ {
+		for _, s := range g.st.JobsOn(m) {
+			col[s] = g.etcOf(g.jobs[s].id, g.jobs[s].base, ms)
 		}
 	}
 	g.st.InvalidateMachine(slot)
@@ -647,12 +659,13 @@ func (g *Grid) applyAdmit(outcome []eventlog.Move) error {
 		}
 	}
 
-	aliveMachs := make([]int, 0, len(g.machs))
+	aliveMachs := g.aliveMachs[:0]
 	for m := range g.machs {
 		if g.machs[m].alive {
 			aliveMachs = append(aliveMachs, m)
 		}
 	}
+	g.aliveMachs = aliveMachs
 	if len(aliveMachs) == 0 {
 		// Nothing to place against; pending jobs wait (their rows with
 		// them), departed slots keep their stranded jobs until a machine
@@ -665,7 +678,7 @@ func (g *Grid) applyAdmit(outcome []eventlog.Move) error {
 	g.cand = append(g.cand[:0], g.st.ScheduleView()...)
 	cand := g.cand
 	if len(g.pending) > 0 {
-		comp := make([]float64, len(g.machs))
+		comp := g.comp
 		for _, m := range aliveMachs {
 			comp[m] = g.st.Completion(m)
 		}

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -271,47 +272,122 @@ func TestGridSlotReuseAndGrowth(t *testing.T) {
 }
 
 // TestAdmissionSettlesRows: submissions leave their rows to the next
-// admission, which must write them before it places or searches. After
-// every admission each occupied slot holds its job's value on every
-// alive machine — the rows an eager per-event write would have left.
-// These are the cells LMCTS reads.
+// admission, which must write them before it places or searches, and a
+// join writes its column for the jobs on real machines only, a parked
+// job's row waiting for the admission that places it. After every join
+// each job on a real machine, alive or departed, reads its value in the
+// joined column (LMCTS reads the alive machines' jobs, LiveInstance
+// every placed job, stranded ones too), and after every admission each
+// occupied slot holds its job's value on every alive machine: the rows
+// an eager per-event write would have left. The streams are Script's at
+// two job capacities, Script's on the three shapes of the grid goldens,
+// and a scripted one that joins while jobs are pending and while jobs
+// are stranded on departed machines, with and without a machine alive.
 func TestAdmissionSettlesRows(t *testing.T) {
+	type stream struct {
+		name   string
+		cfg    Config
+		events []eventlog.Event
+	}
+	var streams []stream
 	for _, jobCap := range []int{4, 32} {
 		cfg := testConfig()
 		cfg.JobCap = jobCap
-		g, err := NewGrid(cfg)
-		if err != nil {
-			t.Fatal(err)
+		streams = append(streams, stream{fmt.Sprintf("jobCap%d", jobCap), cfg, Script(7, cfg.MachCap, 1500)})
+	}
+	for _, shape := range []struct{ machCap, jobCap int }{{4, 4}, {8, 8}, {64, 16}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := DefaultConfig()
+			cfg.Seed, cfg.MachCap, cfg.JobCap = seed, shape.machCap, shape.jobCap
+			streams = append(streams, stream{fmt.Sprintf("%dx%d/seed%d", shape.machCap, shape.jobCap, seed), cfg, Script(seed, cfg.MachCap, 600)})
 		}
-		d := newDriver(7, cfg.MachCap)
-		admits := 0
-		for i := 0; i < 1500; i++ {
-			e := d.next()
-			if err := g.Apply(e); err != nil {
-				t.Fatalf("event %d (%+v): %v", i, e, err)
+	}
+	join := func(id uint64, mult float64) eventlog.Event {
+		return eventlog.Event{Type: eventlog.Join, Mach: id, Mult: mult}
+	}
+	leave := func(id uint64) eventlog.Event { return eventlog.Event{Type: eventlog.Leave, Mach: id} }
+	var hand []eventlog.Event
+	var nextJob uint64
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			nextJob++
+			hand = append(hand, eventlog.Event{Type: eventlog.Submit, Job: nextJob, Base: float64(1 + i%4)})
+		}
+	}
+	hand = append(hand, join(1, 1), join(2, 2))
+	submit(6)
+	hand = append(hand, admitEvent())
+	submit(3)
+	hand = append(hand, join(3, 3), admitEvent()) // joins with jobs pending
+	submit(2)
+	hand = append(hand, leave(1), join(4, 1)) // with jobs stranded on machine 1 and two pending
+	hand = append(hand, leave(2), leave(3), leave(4), admitEvent())
+	submit(2)
+	hand = append(hand, join(5, 2), admitEvent()) // with stranded jobs pending and no machine alive before
+	streams = append(streams, stream{"scripted", testConfig(), hand})
+
+	for _, sm := range streams {
+		t.Run(sm.name, func(t *testing.T) {
+			g, err := NewGrid(sm.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if e.Type != eventlog.Admit {
-				continue
-			}
-			d.used = len(d.alive)
-			admits++
-			for s := range g.jobs {
-				js := &g.jobs[s]
-				if js.state == slotFree {
-					continue
-				}
-				for m := range g.machs {
-					if !g.machs[m].alive {
-						continue
+			p := g.park()
+			var admits, pendingJoins, strandedJoins int
+			for i, e := range sm.events {
+				if e.Type == eventlog.Join {
+					for _, s := range g.pending {
+						if g.st.Assign(int(s)) == p {
+							pendingJoins++
+							break
+						}
 					}
-					if got, want := g.inst.At(s, m), g.etcOf(js.id, js.base, &g.machs[m]); got != want {
-						t.Fatalf("jobCap %d admission %d: job %d reads %v on machine %d, want %v", jobCap, admits, js.id, got, m, want)
+					for m := range g.machs {
+						if g.machs[m].departed && len(g.st.JobsOn(m)) > 0 {
+							strandedJoins++
+							break
+						}
+					}
+				}
+				if err := g.Apply(e); err != nil {
+					t.Fatalf("event %d (%+v): %v", i, e, err)
+				}
+				switch e.Type {
+				case eventlog.Join:
+					slot := g.machByID[e.Mach]
+					for m := 0; m < p; m++ {
+						for _, s := range g.st.JobsOn(m) {
+							js := &g.jobs[s]
+							if got, want := g.inst.At(int(s), slot), g.etcOf(js.id, js.base, &g.machs[slot]); got != want {
+								t.Fatalf("event %d: job %d on machine slot %d reads %v on joined machine %d, want %v", i, js.id, m, got, e.Mach, want)
+							}
+						}
+					}
+				case eventlog.Admit:
+					admits++
+					for s := range g.jobs {
+						js := &g.jobs[s]
+						if js.state == slotFree {
+							continue
+						}
+						for m := range g.machs {
+							if !g.machs[m].alive {
+								continue
+							}
+							if got, want := g.inst.At(s, m), g.etcOf(js.id, js.base, &g.machs[m]); got != want {
+								t.Fatalf("admission %d: job %d reads %v on machine %d, want %v", admits, js.id, got, g.machs[m].id, want)
+							}
+						}
 					}
 				}
 			}
-		}
-		if admits < 50 || g.Counters().Completed == 0 || (jobCap == 4 && g.Counters().Grows == 0) {
-			t.Fatalf("jobCap %d: stream too thin: %d admissions, counters %+v", jobCap, admits, g.Counters())
-		}
+			if sm.name == "scripted" {
+				if pendingJoins == 0 || strandedJoins == 0 {
+					t.Fatalf("joined %d times with jobs pending and %d with jobs stranded, want both", pendingJoins, strandedJoins)
+				}
+			} else if admits < 50 || g.Counters().Completed == 0 || (sm.cfg.JobCap < 32 && g.Counters().Grows == 0) {
+				t.Fatalf("stream too thin: %d admissions, counters %+v", admits, g.Counters())
+			}
+		})
 	}
 }

@@ -117,6 +117,16 @@ var killedMutants = []mutant{
 	{"internal/daemon/grid.go", "\t\tLSIters: 5,\n", "\t\tLSIters: 4,\n",
 		"./internal/daemon", "^TestGridGoldenDigests$", "gridd's default admission budget"},
 
+	// A join's column write: every job on a real machine reads its value
+	// in the joined column. LMCTS reads the alive machines' jobs, which
+	// the goldens pin; LiveInstance also reads the jobs stranded on
+	// departed machines, which TestAdmissionSettlesRows checks.
+	{"internal/daemon/grid.go", "\t\t\tcol[s] = g.etcOf(g.jobs[s].id, g.jobs[s].base, ms)\n", "\t\t\t_, _ = col[s], ms\n",
+		"./internal/daemon", "^TestGridGoldenDigests$", "a join writes the placed jobs' rows"},
+	{"internal/daemon/grid.go", "\t\tfor _, s := range g.st.JobsOn(m) {\n\t\t\tcol[s]",
+		"\t\tfor _, s := range g.st.JobsOn(m) {\n\t\t\tif !g.machs[m].alive {\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\tcol[s]",
+		"./internal/daemon", "^TestAdmissionSettlesRows$", "a join writes the rows of jobs stranded on departed machines"},
+
 	// The distributed island coordinator and the retry policy.
 	{"internal/island/dist/dist.go", "\tif c.MaxRestarts == 0 {\n\t\treturn 3\n", "\tif c.MaxRestarts == 0 {\n\t\treturn 2\n",
 		"./internal/island/dist", "^TestDefaultRestartBudget$", "the default restart budget, from below"},
