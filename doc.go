@@ -171,11 +171,13 @@
 // internal/etc's GenSpec ("<jobs>x<machs>[:<class>][:s<seed>]",
 // e.g. "100000x1000:c_hihi:s7") is a deterministic streaming CVB
 // generator: the same spec yields a byte-identical ETC matrix in every
-// process, each job's row is drawn into a small staging block and the
-// block is written out one column run at a time, with no per-row
-// allocations, consistent rows are ordered by an allocation-free
-// counting sort on the entries' float bits (byte-identical to a
-// comparison sort); the matrix is the only jobs×machines structure.
+// process on one architecture (pinned on amd64), each job's row is drawn
+// into a small staging block and the block is written out one column
+// run at a time, with no per-row allocations, consistent rows are
+// ordered on the entries' float bits by an allocation-free sorting
+// network (rows of at most 16 entries) or counting sort (longer rows),
+// both byte-identical to a comparison sort; the matrix is the only
+// jobs×machines structure.
 // Everything the
 // evaluator's State owns is O(jobs + machines): its per-machine lists
 // and prefix sums live in shared backing arrays and are rebuilt by an

@@ -401,8 +401,11 @@ func Generate(class Class, k int, opt GenerateOptions) *Instance {
 	var s rowSorter
 	fillColumns(in, &stage, &s, class.Consistency, func(row []float64) {
 		b := r.Uniform(1, rTask)
-		for j := range row {
-			row[j] = b * r.Uniform(1, rMach)
+		// b * r.Uniform(1, rMach) per entry, operation for operation,
+		// with the row's draws made in one batch.
+		r.Float64Into(row)
+		for j, u := range row {
+			row[j] = b * (1 + (rMach-1)*u)
 		}
 	})
 	return in
@@ -410,7 +413,9 @@ func Generate(class Class, k int, opt GenerateOptions) *Instance {
 
 // GenerateByName parses a benchmark instance name and generates the
 // corresponding instance with a seed derived from the name, so that
-// "u_c_hihi.0" is the same instance in every process.
+// "u_c_hihi.0" is the same instance in every process on one
+// architecture; TestBraunGoldenDigests pins its bytes on amd64 (see
+// GenSpec.Generate for other architectures).
 func GenerateByName(name string) (*Instance, error) {
 	class, k, err := ParseClass(name)
 	if err != nil {

@@ -533,3 +533,20 @@ func TestPairNoiseStableAndBounded(t *testing.T) {
 		t.Errorf("PairNoise(12345, 7, 42, 1.5) = %v, want 1.334145458781086", got)
 	}
 }
+
+// BenchmarkGenerateBraun builds the 12 Braun instances of the paper's
+// tables, as the batch-braun benchmark's set-up does: one op is all 12.
+func BenchmarkGenerateBraun(b *testing.B) {
+	var names []string
+	for _, c := range AllClasses() {
+		names = append(names, c.Name(0))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, name := range names {
+			if _, err := GenerateByName(name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -15,14 +15,15 @@ import (
 // (jobs, machines, heterogeneity) points, CVB-style (gamma draws around a
 // gamma-drawn per-task mean). Draws come row by row (one job's entries in
 // machine order) into a small row-major staging block; a consistent or
-// semi-consistent row goes through the package's counting-sort kernel
-// (rowsort.go) there, and each full block is written out into the
-// machine-major matrix one column run at a time (fillColumns). The filled
-// instance keeps the sort scratch and the block, so a same-shape
-// GenerateInto allocates nothing in any class. The same GenSpec always
-// produces a byte-identical matrix: the xoshiro stream is a pure function
-// of Seed, every draw is consumed in a fixed order, and a sorted row has
-// only one ascending order.
+// semi-consistent row is sorted there (rowsort.go: a sorting network for
+// rows of at most 16 sorted entries, a counting sort above), and each
+// full block is written out into the machine-major matrix one column run
+// at a time (fillColumns). The filled instance keeps the sort scratch and
+// the block, so a same-shape GenerateInto allocates nothing in any class.
+// The same GenSpec always produces the same matrix on one architecture:
+// the xoshiro stream is a pure function of Seed, every draw is consumed
+// in a fixed order, and a sorted row has only one ascending order. Across
+// architectures see Generate.
 
 // CVB parameters used by GenSpec generation: one fixed task mean, and the
 // coefficient-of-variation pair the literature uses for low/high
@@ -146,8 +147,13 @@ func cv(h Heterogeneity) float64 {
 	return GenCVLow
 }
 
-// Generate builds the instance the spec describes. Same spec ⇒
-// byte-identical matrix, in any process, on any platform.
+// Generate builds the instance the spec describes. The same spec gives
+// a byte-identical matrix in every process on one architecture, and on
+// amd64, where the golden digests run, the bytes are pinned
+// (TestGenSpecGoldenDigests). Other architectures are not promised the
+// same bytes: arm64 compiles a multiply and an add into one fused,
+// singly rounded instruction in the gamma and normal draws and in
+// math.Log's pure-Go kernel.
 func (g GenSpec) Generate() (*Instance, error) {
 	return g.GenerateInto(nil)
 }

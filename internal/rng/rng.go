@@ -13,12 +13,14 @@
 // independent streams with Split, which is cheap and gives statistically
 // independent sequences.
 //
-// IntnInto is the batched form of Intn for hot loops that draw many
-// bounded values at once (the sampled LMCTS partner pass): it fills a
-// slice with exactly the values that many Intn calls would return and
-// leaves the Source in exactly the state they would, so swapping a loop
-// of Intn for it never changes a trajectory. Both run the one xoshiro256**
-// step function; IntnInto keeps the state in registers across the batch.
+// IntnInto and Float64Into are the batched forms of Intn and Float64 for
+// hot loops that draw many values at once (the sampled LMCTS partner
+// pass, a Braun instance's rows): each fills a slice with exactly the
+// values that many single calls would return and leaves the Source in
+// exactly the state they would, so swapping a loop of single draws for
+// one batch never changes a trajectory. All of them run the one
+// xoshiro256** step function; the batched forms keep the state in
+// registers across the batch.
 package rng
 
 import "math/bits"
@@ -64,8 +66,8 @@ func (r *Source) Reseed(seed uint64) {
 
 // step is one xoshiro256** step over the four state words held in
 // locals: it returns the output and the advanced words. It is the only
-// copy of the generator's arithmetic; Uint64 and IntnInto both inline it,
-// so IntnInto's loop keeps the state in registers.
+// copy of the generator's arithmetic; Uint64, IntnInto and Float64Into
+// all inline it, so the batched loops keep the state in registers.
 func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
 	out = bits.RotateLeft64(s1*5, 7) * 9
 	t := s1 << 17
@@ -139,9 +141,27 @@ func (r *Source) IntnInto(dst []int, n int) {
 	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
+// unit maps 64 random bits to a uniform float64 in [0, 1): the top 53
+// bits over 2^53. Float64 and Float64Into share it.
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unit(r.Uint64())
+}
+
+// Float64Into fills dst with uniform float64s in [0, 1): exactly the
+// values len(dst) successive calls to Float64 would return, leaving r in
+// the same final state. As in IntnInto, the state stays in registers
+// across the loop; a Braun row of 16 draws takes one call.
+func (r *Source) Float64Into(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x uint64
+	for i := range dst {
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		dst[i] = unit(x)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Uniform returns a uniform float64 in [lo, hi).

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -272,6 +273,45 @@ func TestIntnIntoKnownState(t *testing.T) {
 	}
 }
 
+// TestFloat64IntoKnownAnswers pins the batched uniform draw as
+// TestKnownAnswers and TestIntnIntoKnownState pin IntnInto. At lengths
+// 0, 1, 2 and 7 its values are the prefix of each seed's transcribed
+// Float64 answers. From seed 42, the last value and the state it leaves
+// are pinned at lengths 0, 1, 2, 7 and 64; after 64 draws the state is
+// the one 64 non-rejecting IntnInto draws leave, as it must be.
+func TestFloat64IntoKnownAnswers(t *testing.T) {
+	for _, ka := range knownAnswers {
+		for _, k := range []int{0, 1, 2, 7} {
+			dst := make([]float64, k)
+			New(ka.seed).Float64Into(dst)
+			if !slices.Equal(dst, ka.f64[:k]) {
+				t.Errorf("seed %#x: Float64Into(len %d) = %v, want %v", ka.seed, k, dst, ka.f64[:k])
+			}
+		}
+	}
+	for _, c := range []struct {
+		k     int
+		last  float64
+		state [4]uint64
+	}{
+		{0, 0, [4]uint64{0xbdd732262feb6e95, 0x28efe333b266f103, 0x47526757130f9f52, 0x581ce1ff0e4ae394}},
+		{1, 0.08386297105988216, [4]uint64{0xcd2430ea93c77c02, 0xd26ab6428e8200c4, 0x3ce231bcdee2f1c7, 0x8252ee1e60599785}},
+		{2, 0.3789802506626686, [4]uint64{0x9d1c68b67d1ceb43, 0x23acb714c3a78d01, 0x9d431c524cad8dc5, 0x72e82a070b0b9ddb}},
+		{7, 0.7192585778779156, [4]uint64{0x9173a4db713bbbd5, 0x62bcdf65e0a7c00, 0x92e16d82bc7f193d, 0xa8ab3d377a169b66}},
+		{64, 0.7873661687252003, [4]uint64{0xc86293d1bd747d90, 0xc128a36191fceff7, 0xfc0ab8286004d961, 0xcd254a8abf0077a5}},
+	} {
+		r := New(42)
+		dst := make([]float64, c.k)
+		r.Float64Into(dst)
+		if c.k > 0 && dst[c.k-1] != c.last {
+			t.Errorf("Float64Into(len %d): last value %v, want %v", c.k, dst[c.k-1], c.last)
+		}
+		if r.s != c.state {
+			t.Errorf("Float64Into(len %d): state %#x, want %#x", c.k, r.s, c.state)
+		}
+	}
+}
+
 // intnIntoPanics reports whether IntnInto(dst, n) panicked, and with what.
 func intnIntoPanics(r *Source, dst []int, n int) (v any) {
 	defer func() { v = recover() }()
@@ -321,6 +361,30 @@ func FuzzIntnInto(f *testing.F) {
 	})
 }
 
+// FuzzFloat64Into is the differential check of the batched uniform draw
+// against a loop of Float64: for every seed and length, the values and
+// the final generator state must match.
+func FuzzFloat64Into(f *testing.F) {
+	f.Add(uint64(1), uint16(16))
+	f.Add(uint64(42), uint16(64))
+	f.Add(uint64(0), uint16(0))
+	f.Add(uint64(0xdeadbeef), uint16(300))
+	f.Fuzz(func(t *testing.T, seed uint64, length uint16) {
+		k := int(length % 301)
+		got := make([]float64, k)
+		a, b := New(seed), New(seed)
+		a.Float64Into(got)
+		for i := range got {
+			if want := b.Float64(); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("seed %d: draw %d = %v, Float64 gave %v", seed, i, got[i], want)
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("seed %d len %d: final state %#x, Float64 loop left %#x", seed, k, a.s, b.s)
+		}
+	})
+}
+
 // BenchmarkIntnInto draws one sampled-LMCTS batch (64 partners out of
 // 16384 jobs) into a warm buffer; it must not allocate.
 func BenchmarkIntnInto(b *testing.B) {
@@ -330,5 +394,17 @@ func BenchmarkIntnInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.IntnInto(dst, 16384)
+	}
+}
+
+// BenchmarkFloat64Into draws one Braun row (16 uniforms) into a warm
+// buffer; it must not allocate.
+func BenchmarkFloat64Into(b *testing.B) {
+	r := New(1)
+	dst := make([]float64, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Float64Into(dst)
 	}
 }

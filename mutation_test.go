@@ -85,6 +85,21 @@ var killedMutants = []mutant{
 		"./internal/etc", "^TestGenSpecGoldenDigests$", "the CVB task-mean clamp"},
 	{"internal/etc/rowsort.go", "\tcase Consistent:\n\t\tsortRow(row, 1, s)\n", "\tcase Consistent:\n",
 		"./internal/etc", "^TestGenerateConsistency$", "the consistent row sort"},
+	// The short-row sorting networks: a missing compare–exchange leaves
+	// some 0–1 input unsorted, and some Braun row with it. The batched
+	// uniform draw must hand its state back, or the next draw repeats.
+	{"internal/etc/rowsort.go", "\ta0, a13 = min(a0, a13), max(a0, a13)\n", "",
+		"./internal/etc", "^TestSortRowZeroOne$", "the 16-input network's first comparator, by the 0–1 test"},
+	{"internal/etc/rowsort.go", "\ta0, a13 = min(a0, a13), max(a0, a13)\n", "",
+		"./internal/etc", "^TestBraunGoldenDigests$", "the 16-input network's first comparator, by the Braun digests"},
+	{"internal/etc/rowsort.go", "\ta1, a5 = min(a1, a5), max(a1, a5)\n", "",
+		"./internal/etc", "^TestSortRowZeroOne$", "a comparator of the 8-input network, by the 0–1 test"},
+	{"internal/etc/rowsort.go", "\ta1, a5 = min(a1, a5), max(a1, a5)\n", "",
+		"./internal/etc", "^TestBraunGoldenDigests$", "a comparator of the 8-input network, by the Braun digests"},
+	{"internal/rng/rng.go", "\t\tdst[i] = unit(x)\n\t}\n\tr.s = [4]uint64{s0, s1, s2, s3}\n", "\t\tdst[i] = unit(x)\n\t}\n",
+		"./internal/rng", "^TestFloat64IntoKnownAnswers$", "Float64Into writes its state back, by its known state"},
+	{"internal/rng/rng.go", "\t\tdst[i] = unit(x)\n\t}\n\tr.s = [4]uint64{s0, s1, s2, s3}\n", "\t\tdst[i] = unit(x)\n\t}\n",
+		"./internal/etc", "^TestBraunGoldenDigests$", "Float64Into writes its state back, by the Braun digests"},
 	{"internal/etc/etc.go", "\t\t\t\tcs += v\n", "",
 		"./internal/etc", "^TestMachineMajorMatchesRowMajor$", "Finalize's column sums"},
 	{"internal/etc/etc.go", "!(v > 0) || math.IsInf(v, 1)", "v < 0 || math.IsInf(v, 1)",
@@ -146,6 +161,12 @@ var equivalentMutants = []struct{ file, from, to, reason string }{
 		"when p equals start both branches leave start at the same slot"},
 	{"internal/schedule/kernels.go", "\t\tlo0 = min(lo0, u[k])\n", "\t\tlo1 = min(lo1, u[k])\n",
 		"the odd last entry may join either chain: both feed the returned minimum"},
+	{"internal/etc/rowsort.go", "\tcase n > 16:\n", "\tcase n > 8:\n",
+		"rows of 9 to 16 entries then take the counting kernel, which writes the same bytes: " +
+			"a sorted multiset has one order, and only BenchmarkSortRow sees the difference"},
+	{"internal/etc/rowsort.go", "\tif n > 8 {\n\t\tsize = 16\n", "\tif n > 0 {\n\t\tsize = 16\n",
+		"short rows then take the padded 16-input network instead of the 8-input one: the same bytes, " +
+			"and only BenchmarkSortRow sees the difference"},
 	{"internal/island/dist/checkpoint.go", "\tif cp.BestSched == nil {\n\t\treturn errors.New(", "\tif false && cp.BestSched == nil {\n\t\treturn errors.New(",
 		"the best schedule's Validate refuses a missing best by its length, so the checkpoint is refused either way; " +
 			"only the message differs"},
