@@ -269,9 +269,10 @@ func DefaultIslandConfig() IslandConfig { return island.DefaultConfig() }
 
 // NewIsland builds the parallel island-model scheduler: the
 // distributed engine's coordinator over in-process workers, one
-// goroutine per island. A time budget is checked between migration
-// rounds. WithWorkers propagates to each island's cMA, so the islands
-// themselves run the partitioned parallel engine.
+// goroutine per island. A time budget is checked only between migration
+// rounds, so a run can overshoot MaxTime by one round, which can be long
+// on a frontier instance. WithWorkers propagates to each island's cMA,
+// so the islands themselves run the partitioned parallel engine.
 func NewIsland(cfg IslandConfig) (Scheduler, error) {
 	return newEngineScheduler("island", func(p buildParams) (engineRunner, error) {
 		c := cfg

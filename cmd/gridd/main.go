@@ -8,6 +8,7 @@
 //	gridd -addr :8437 -log gridd.log           # with a write-ahead event log
 //	gridd -log gridd.log -fsync always         # durable acknowledgements
 //	gridd -snapshot snap.json -log gridd.log   # restore + replay, then serve
+//	gridd -log gridd.log                       # the same from gridd.log.snap, if it exists
 //
 // Replication (see the "Replication & failover" section of the README):
 //
@@ -59,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		window   = fs.Duration("window", 250*time.Millisecond, "admission ticker period (0 disables)")
 		admitAt  = fs.Int("admit-pending", 256, "admit when this many jobs are pending (0 disables)")
 		logPath  = fs.String("log", "", "write-ahead event log path")
-		snapPath = fs.String("snapshot", "", "restore from this snapshot before serving")
+		snapPath = fs.String("snapshot", "", "restore from this snapshot before serving (default: <log>.snap, where a bootstrapped follower keeps its snapshot)")
 
 		fsync      = fs.String("fsync", "never", "WAL fsync policy: always (sync per request ack), interval (background ticker), never")
 		fsyncEvery = fs.Duration("fsync-every", 100*time.Millisecond, "sync period for -fsync interval")
@@ -126,10 +127,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // buildDaemon constructs the daemon through the shared crash-recovery
-// entry point: restore the snapshot when one exists, truncate a torn
-// WAL tail, replay the surviving suffix. A log with no snapshot replays
-// cold from the start, so re-serving an existing -log resumes instead
-// of colliding with its sequence numbers.
+// entry point: restore the snapshot (-snapshot, else <log>.snap) when
+// one exists, truncate a torn WAL tail, replay the surviving suffix. A
+// log with no snapshot replays cold from the start, so re-serving an
+// existing -log resumes instead of colliding with its sequence numbers.
 func buildDaemon(cfg daemon.ServerConfig, snapPath string, stderr io.Writer) (*daemon.Daemon, error) {
 	g, info, err := daemon.RecoverGrid(cfg.Grid, snapPath, cfg.LogPath)
 	if err != nil {

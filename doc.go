@@ -261,9 +261,10 @@
 // permanent deaths reproduce a predictable survivor set and per-round
 // digest trajectory. A time budget is checked at round boundaries, so a
 // run ends after the round in which its time ran out, and a cancelled
-// run returns its best so far with the context's error. A checkpoint
-// whose schedules are not valid on the instance starts the run fresh.
-// The coordinator holds no fault-injection code: the
+// run returns its best so far with the context's error. The coordinator
+// keeps its state in memory only, so a coordinator crash loses the run;
+// under an iteration budget a rerun with the same seed reproduces its
+// bytes. The coordinator holds no fault-injection code: the
 // chaos torture (TestTortureSmall in internal/island/dist) wraps each
 // worker's transport client in a test-only injector that drops, delays,
 // duplicates or kills calls by (worker, round), replays seeded fault

@@ -1,7 +1,6 @@
 // Package atomicfile replaces a file so that a crash at any point leaves
 // either the old file or the new one, never a torn half. The daemon's
-// snapshots and fencing term and the island coordinator's checkpoint are
-// written through it.
+// snapshots and fencing term are written through it.
 package atomicfile
 
 import (

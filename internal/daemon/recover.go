@@ -47,13 +47,18 @@ func ReplayFile(g *Grid, path string) (int, bool, error) {
 // RecoverGrid rebuilds a grid from its durable artifacts: the snapshot
 // at snapPath (when the file exists — its digest self-verifies) plus
 // the WAL at logPath, whose torn tail, if any, is truncated before
-// replay. Either path may be empty or missing; with both absent the
-// result is a fresh grid. This is the one restart entry point — the
-// daemon binary and the crash-torture harness recover through the same
-// code so the torture run proves the path the operator relies on.
+// replay. An empty snapPath with a logPath means logSnapPath(logPath),
+// where a bootstrapped follower keeps its snapshot. Either path may be
+// empty or missing; with both absent the result is a fresh grid. This
+// is the one restart entry point — the daemon binary and the
+// crash-torture harness recover through the same code so the torture
+// run proves the path the operator relies on.
 func RecoverGrid(cfg Config, snapPath, logPath string) (*Grid, RecoverInfo, error) {
 	var info RecoverInfo
 	var g *Grid
+	if snapPath == "" && logPath != "" {
+		snapPath = logSnapPath(logPath)
+	}
 	if snapPath != "" {
 		sg, err := LoadSnapshotFile(snapPath)
 		switch {
@@ -82,3 +87,8 @@ func RecoverGrid(cfg Config, snapPath, logPath string) (*Grid, RecoverInfo, erro
 	}
 	return g, info, nil
 }
+
+// logSnapPath is the snapshot beside the WAL at logPath: a follower
+// persists its bootstrap snapshot there, and RecoverGrid restores from it
+// when no other snapshot is named.
+func logSnapPath(logPath string) string { return logPath + ".snap" }

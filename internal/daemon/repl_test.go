@@ -159,7 +159,8 @@ func TestReplicationCatchUp(t *testing.T) {
 // TestReplicationSnapshotBootstrap: a primary whose WAL starts past a
 // snapshot cannot log-ship a blank follower; the follower must detect
 // the gap, bootstrap from the primary's snapshot (persisting it), and
-// then stream the tail.
+// then stream the tail. Stopped, it restarts from the persisted snapshot
+// and its WAL with no snapshot path named.
 func TestReplicationSnapshotBootstrap(t *testing.T) {
 	dir := t.TempDir()
 	gcfg := DefaultConfig()
@@ -247,6 +248,21 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 	f, _ := os.ReadFile(filepath.Join(dir, "follower.log"))
 	if !bytes.Equal(p, f) {
 		t.Fatalf("post-bootstrap WALs differ: %d vs %d bytes", len(p), len(f))
+	}
+
+	// A restart with no snapshot named restores the bootstrap snapshot
+	// beside the WAL and replays the tail onto it.
+	want := follower.GridDigest()
+	repl.Stop()
+	if err := follower.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	rg, info, err := RecoverGrid(gcfg, "", filepath.Join(dir, "follower.log"))
+	if err != nil {
+		t.Fatalf("restarting the bootstrapped follower: %v", err)
+	}
+	if info.FromSnapshot != 60 || rg.Digest() != want {
+		t.Fatalf("restart from snapshot seq %d reached digest %s, want seq 60 and %s", info.FromSnapshot, rg.Digest(), want)
 	}
 }
 

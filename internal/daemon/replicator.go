@@ -300,9 +300,9 @@ func (r *Replicator) bootstrapLocked(ctx context.Context) error {
 		return retry.Permanent(err)
 	}
 	// A follower with a WAL persists the bootstrap snapshot beside it, at
-	// LogPath+".snap", so a restart can recover locally.
+	// logSnapPath, so a restart can recover locally.
 	if log := r.d.cfg.LogPath; log != "" {
-		if err := SaveSnapshot(snap.Snapshot, log+".snap"); err != nil {
+		if err := SaveSnapshot(snap.Snapshot, logSnapPath(log)); err != nil {
 			return fmt.Errorf("daemon: persisting bootstrap snapshot: %w", err)
 		}
 	}

@@ -14,18 +14,21 @@
 // every island's population, and each request carries all of it. A
 // segment RPC is a pure function (instance, config, seed, iterations,
 // population) → (result, evolved population), so the coordinator's copy
-// of the population *is* the checkpoint — retrying a timed-out call,
-// delivering it twice, or re-sending it to a freshly restarted worker
-// are all harmless by construction. A worker does keep each island's
-// live States between segments, but as a verified cache: it re-targets
-// them at the shipped population (see worker.go), so losing or
-// mismatching the cache changes what a segment costs, never what it
-// returns. Supervision is then simple: per-call timeouts with jittered
-// exponential retry (internal/retry), lazy restarts through a worker
-// factory, and when a worker stays dead past its restart budget, its
-// islands are declared lost, the migration ring heals around them
-// (island.PlanMigration with the alive mask), and the run completes on
-// the survivors instead of hanging the barrier.
+// of the population is the run's whole state — retrying a timed-out
+// call, delivering it twice, or re-sending it to a freshly restarted
+// worker are all harmless by construction. That state lives only in the
+// coordinator's memory: a coordinator crash loses the run, and under an
+// iteration budget a rerun with the same seed reproduces its bytes. A
+// worker does keep each island's live States between segments, but as a
+// verified cache: it re-targets them at the shipped population (see
+// worker.go), so losing or mismatching the cache changes what a segment
+// costs, never what it returns. Supervision is then simple: per-call
+// timeouts with jittered exponential retry (internal/retry), lazy
+// restarts through a worker factory, and when a worker stays dead past
+// its restart budget, its islands are declared lost, the migration ring
+// heals around them (island.PlanMigration with the alive mask), and the
+// run completes on the survivors instead of hanging the barrier. Report
+// records the supervision: deaths, restarts and recovery times.
 package dist
 
 import (
@@ -74,12 +77,6 @@ type Config struct {
 	// MaxRestarts is the consecutive failed-restart budget per worker
 	// before it is abandoned for good (0 = 3).
 	MaxRestarts int
-	// CheckpointPath, when set, persists coordinator state (populations,
-	// alive set, best, digests) after every round with the WAL/snapshot
-	// atomic-rename idiom, and Run resumes from a matching checkpoint.
-	CheckpointPath string
-	// Logf receives supervision diagnostics (nil = silent).
-	Logf func(format string, args ...any)
 }
 
 func (c Config) callTimeout() time.Duration {
@@ -210,12 +207,6 @@ func (c *Coordinator) Close() {
 	}
 }
 
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
 // Errors the supervision stack distinguishes.
 var (
 	errWorkerDown    = errors.New("dist: worker permanently down")
@@ -260,17 +251,6 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 		best.Elapsed = time.Since(start)
 		best.Algorithm = fmt.Sprintf("DistIslandCMA(%d/%d)", n, c.cfg.Workers)
 		return best
-	}
-
-	// Resume from a checkpoint when one matches this run.
-	if cp, ok := c.loadCheckpoint(in, seed); ok {
-		pops, alive = cp.pops(), cp.Alive
-		totalIters, totalEvals = cp.TotalIters, cp.TotalEvals
-		best = cp.best(in, c.base.Objective)
-		rep.Digests = cp.Digests
-		rep.Deaths = cp.Deaths
-		rep.Rounds = cp.Round
-		c.logf("dist: resumed from checkpoint at round %d (iters %d)", cp.Round, totalIters)
 	}
 
 	results := make([]*transport.Response, n)
@@ -324,7 +304,6 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 				}
 				alive[i] = false
 				rep.Deaths = append(rep.Deaths, Death{Island: i, Round: round, Reason: fails[i].Error()})
-				c.logf("dist: island %d lost in round %d: %v (ring heals around it)", i, round, fails[i])
 				continue
 			}
 			seg := results[i].Seg
@@ -342,7 +321,7 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 		}
 		if cancelled {
 			// A segment cut short still returned its best so far; the
-			// round's partial populations are neither migrated nor saved.
+			// round's partial populations are not migrated.
 			return finish(), rep, ctx.Err()
 		}
 		if !anyAlive(alive) {
@@ -352,11 +331,6 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 		c.migrate(pops, fits, alive)
 		rep.Rounds = round + 1
 		rep.Digests = append(rep.Digests, roundDigest(round, alive, pops))
-		if c.cfg.CheckpointPath != "" {
-			if err := c.saveCheckpoint(seed, rep, pops, alive, best, totalIters, totalEvals); err != nil {
-				c.logf("dist: checkpoint: %v", err)
-			}
-		}
 		if obs != nil && best.Best != nil {
 			obs(run.Progress{
 				Elapsed:   time.Since(start),
@@ -404,8 +378,7 @@ func (c *Coordinator) migrate(pops [][]schedule.Schedule, fits [][]float64, aliv
 // values that do not pair up with the population or are not finite, or
 // an invalid best. Nothing downstream evaluates a returned schedule, so
 // without this a buggy or hostile worker's out-of-range machine id would
-// reach the migration ranking, the digests, the checkpoint and the run's
-// result.
+// reach the migration ranking, the digests and the run's result.
 func (c *Coordinator) checkSegment(in *etc.Instance, seg *transport.SegmentResponse) error {
 	if cells := c.base.Width * c.base.Height; len(seg.Pop) != cells {
 		return fmt.Errorf("population of %d, want %d", len(seg.Pop), cells)
@@ -532,7 +505,6 @@ func (c *Coordinator) restartLocked(h *handle) error {
 		h.restartFails++
 		if h.restartFails >= c.cfg.maxRestarts() {
 			h.down = true
-			c.logf("dist: worker %d abandoned after %d failed restarts", h.idx, h.restartFails)
 			return errWorkerDown
 		}
 		return fmt.Errorf("%w: worker %d: %v", errRestartFailed, h.idx, reason)
@@ -547,7 +519,6 @@ func (c *Coordinator) restartLocked(h *handle) error {
 	c.statsMu.Lock()
 	c.restarts++
 	c.statsMu.Unlock()
-	c.logf("dist: worker %d restarted (coordinator re-sends populations)", h.idx)
 	return nil
 }
 

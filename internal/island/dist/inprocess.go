@@ -17,7 +17,7 @@ import (
 // reached through one in-process client per island. One client per
 // island runs the islands' segments in parallel, one goroutine each, and
 // the one Worker shares its scratch pool among them. Calls carry no
-// deadline, and checkpoints are off.
+// deadline.
 type InProcess struct {
 	cfg   island.Config
 	inner *cma.Scheduler

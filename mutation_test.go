@@ -109,13 +109,16 @@ var killedMutants = []mutant{
 	{"internal/cell/partition.go", "\t\t\tif !blocked[w][c] {", "\t\t\tif true {",
 		"./internal/cell", "^TestPartitionWavesCoverAndIndependent$", "a wave holds no interacting cells"},
 
-	// gridd's replay of logged admissions and its replication server.
+	// gridd's replay of logged admissions, its replication server and a
+	// bootstrapped follower's restart.
 	{"internal/daemon/grid.go", "\t\t\tcand[g.byID[mv.Job]] = g.machByID[mv.Mach]\n", "\t\t\t_ = mv\n",
 		"./internal/daemon", "^TestAdmitOutcomeDifferential$", "replay applies each admission's logged outcome"},
 	{"internal/daemon/repl.go", "const maxReplCursors = 32", "const maxReplCursors = 33",
 		"./internal/daemon", "^TestReplServerBoundsCursors$", "the documented cursor cap, from above"},
 	{"internal/daemon/repl.go", "const maxReplCursors = 32", "const maxReplCursors = 31",
 		"./internal/daemon", "^TestReplServerBoundsCursors$", "the documented cursor cap, from below"},
+	{"internal/daemon/recover.go", "\tif snapPath == \"\" && logPath != \"\" {\n\t\tsnapPath = logSnapPath(logPath)\n\t}\n", "",
+		"./internal/daemon", "^TestReplicationSnapshotBootstrap$", "a restart with no snapshot named restores the one beside the WAL"},
 
 	// The parking column's scan exemption, on every path that builds the
 	// grid's State: with LMCTS the only search, it alone keeps a swap off
@@ -147,8 +150,6 @@ var killedMutants = []mutant{
 		"./internal/island/dist", "^TestDefaultRestartBudget$", "the default restart budget, from below"},
 	{"internal/island/dist/dist.go", "\tif c.MaxRestarts == 0 {\n\t\treturn 3\n", "\tif c.MaxRestarts == 0 {\n\t\treturn 4\n",
 		"./internal/island/dist", "^TestDefaultRestartBudget$", "the default restart budget, from above"},
-	{"internal/island/dist/checkpoint.go", "return errors.New(\"no best schedule\")", "return nil",
-		"./internal/island/dist", "^TestCorruptCheckpointStartsFresh$", "a checkpoint without a best is refused"},
 	{"internal/retry/retry.go", "const jitter = 0.2", "const jitter = 0",
 		"./internal/retry", "^TestJitterIsDeterministicPerSeed$", "retry's jitter"},
 }
@@ -167,9 +168,6 @@ var equivalentMutants = []struct{ file, from, to, reason string }{
 	{"internal/etc/rowsort.go", "\tif n > 8 {\n\t\tsize = 16\n", "\tif n > 0 {\n\t\tsize = 16\n",
 		"short rows then take the padded 16-input network instead of the 8-input one: the same bytes, " +
 			"and only BenchmarkSortRow sees the difference"},
-	{"internal/island/dist/checkpoint.go", "\tif cp.BestSched == nil {\n\t\treturn errors.New(", "\tif false && cp.BestSched == nil {\n\t\treturn errors.New(",
-		"the best schedule's Validate refuses a missing best by its length, so the checkpoint is refused either way; " +
-			"only the message differs"},
 }
 
 // TestMutantsAreKilled applies each row of killedMutants to its own copy

@@ -31,13 +31,7 @@ var testOnlyAllowlist = map[string]string{
 	"gridcma/internal/daemon.ReplicatorConfig.Batch": "every production caller leaves the cap at its default; " +
 		"TestReplicationCatchUp, TestReplPullDigestStamp, TestReadyzFollowerReasons, " +
 		"TestReplicatorRunLoopConverges and the failover torture set it to cut pulls short",
-	"gridcma/internal/island/dist.Config.CheckpointPath": distSupervision,
-	"gridcma/internal/island/dist.Config.Logf":           distSupervision,
 }
-
-// distSupervision is the reason the coordinator's supervision knobs stay:
-// no binary runs a coordinator that sets them yet.
-const distSupervision = "item 16 wires or deletes (ROADMAP: a production client for the distributed island engine)"
 
 // TestEveryInternalExportHasAProductionCaller keeps code that only tests
 // use out of the production build. It type-checks every non-test package
