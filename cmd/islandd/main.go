@@ -1,6 +1,6 @@
-// Command islandd is a distributed-island worker: it serves segment RPCs
-// (internal/transport JSONL over TCP) for a coordinator running the
-// distributed island engine (internal/island/dist).
+// Command islandd is a distributed-island worker: it serves segment and
+// release RPCs (internal/transport JSONL over TCP) for a coordinator
+// running the distributed island engine (internal/island/dist).
 //
 //	islandd -listen :7411
 //
@@ -9,10 +9,11 @@
 // a crashed islandd can be restarted (by the coordinator's supervisor, a
 // process manager, or by hand) with zero recovery protocol: the next
 // segment call re-sends everything. What the process keeps is a verified
-// cache: a few materialised instances with their scratch pools, and per
-// island the live States its last segment ended with, which the next
-// segment re-targets at the shipped population instead of rebuilding
-// them. A restart only costs that warm-up.
+// cache: a few materialised instances, and during a run a scratch pool
+// and per island the live States its last segment ended with, which the
+// next segment re-targets at the shipped population instead of
+// rebuilding them. The release call that ends a run drops the pool and
+// the States. A restart only costs that warm-up.
 //
 // SIGINT/SIGTERM drain rather than kill: the listener closes, idle
 // connections drop, and in-flight segment calls get a grace period to

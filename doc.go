@@ -222,7 +222,10 @@
 // safe because the worker holds nothing the coordinator cannot re-send.
 // A worker keeps each island's live States between segments only as a
 // verified cache, re-targeted at the shipped population, so a lost or
-// stale cache costs a rebuild and never changes a reply.
+// stale cache costs a rebuild and never changes a reply. However a run
+// ends, the coordinator sends each live worker a release call, and the
+// worker drops the run's meshes and scratch pool, keeping only its
+// instances.
 //
 // Calls travel over a pluggable transport (internal/transport): an
 // in-process Local client for tests and single-host runs, and a TCP

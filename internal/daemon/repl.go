@@ -315,12 +315,23 @@ func (d *Daemon) flushApplied(reach uint64) (applied uint64, digest string, err 
 	return applied, digest, nil
 }
 
-// ReplaceGrid swaps in a bootstrap-restored grid and restarts the WAL
-// from its applied sequence number: the events below the snapshot are
-// gone from this node's log (they live in the snapshot file the caller
-// persists alongside), exactly like a primary that snapshotted and
-// rotated. Follower-only.
-func (d *Daemon) ReplaceGrid(g *Grid) error {
+// errBootstrapSave marks a ReplaceGrid that could not persist its
+// snapshot: nothing changed, so the bootstrap may be retried.
+var errBootstrapSave = errors.New("daemon: persisting bootstrap snapshot")
+
+// ReplaceGrid swaps in g, restored from the bootstrap snapshot snap, and
+// restarts the WAL from its applied sequence number: the events below
+// the snapshot are gone from this node's log, exactly like a primary
+// that snapshotted and rotated. Follower-only.
+//
+// A daemon with a WAL first saves snap beside it, at logSnapPath, so a
+// restart can recover locally. The save runs under d.mu after the role
+// check: done earlier, it could race Promote and leave a primary whose
+// snapshot is ahead of its own WAL. It runs before the truncation, so a
+// failed save returns an errBootstrapSave error with the grid and the
+// WAL untouched, and a crash between the two leaves old events that
+// ReplayFile skips as at or below the snapshot's seq.
+func (d *Daemon) ReplaceGrid(g *Grid, snap *Snapshot) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -332,6 +343,9 @@ func (d *Daemon) ReplaceGrid(g *Grid) error {
 	if d.wal != nil {
 		if err := d.wal.Flush(); err != nil {
 			return err
+		}
+		if err := SaveSnapshot(snap, logSnapPath(d.cfg.LogPath)); err != nil {
+			return fmt.Errorf("%w: %w", errBootstrapSave, err)
 		}
 		if err := d.walFile.Truncate(0); err != nil {
 			return fmt.Errorf("daemon: truncating WAL for bootstrap: %w", err)

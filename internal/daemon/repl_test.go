@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"gridcma/internal/eventlog"
+	"gridcma/internal/retry"
 	"gridcma/internal/transport"
 )
 
@@ -163,35 +164,7 @@ func TestReplicationCatchUp(t *testing.T) {
 // and its WAL with no snapshot path named.
 func TestReplicationSnapshotBootstrap(t *testing.T) {
 	dir := t.TempDir()
-	gcfg := DefaultConfig()
-	gcfg.Seed = 7
-	script := Script(7, gcfg.MachCap, 120)
-
-	g, err := NewGrid(gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		e := script[i]
-		e.Seq = uint64(i + 1)
-		if err := g.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pg, err := Restore(g.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary, err := NewDaemonWith(pg, ServerConfig{Grid: gcfg, LogPath: filepath.Join(dir, "primary.log")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Stop()
-	srv, err := NewReplServer(primary, ReplConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	gcfg, script, primary, srv := snapshotPrimary(t, dir)
 
 	follower, err := NewDaemon(ServerConfig{Grid: gcfg, LogPath: filepath.Join(dir, "follower.log")})
 	if err != nil {
@@ -258,6 +231,135 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rg, info, err := RecoverGrid(gcfg, "", filepath.Join(dir, "follower.log"))
+	if err != nil {
+		t.Fatalf("restarting the bootstrapped follower: %v", err)
+	}
+	if info.FromSnapshot != 60 || rg.Digest() != want {
+		t.Fatalf("restart from snapshot seq %d reached digest %s, want seq 60 and %s", info.FromSnapshot, rg.Digest(), want)
+	}
+}
+
+// snapshotPrimary starts a primary in dir whose grid was restored from
+// a snapshot at seq 60 of script, so its WAL, primary.log, starts at 61
+// and a blank follower must bootstrap. The primary and its replication
+// server stop with the test.
+func snapshotPrimary(t *testing.T, dir string) (Config, []eventlog.Event, *Daemon, *ReplServer) {
+	t.Helper()
+	gcfg := DefaultConfig()
+	gcfg.Seed = 7
+	script := Script(7, gcfg.MachCap, 120)
+	g, err := NewGrid(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		e := script[i]
+		e.Seq = uint64(i + 1)
+		if err := g.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pg, err := Restore(g.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := NewDaemonWith(pg, ServerConfig{Grid: gcfg, LogPath: filepath.Join(dir, "primary.log")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Stop() })
+	srv, err := NewReplServer(primary, ReplConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return gcfg, script, primary, srv
+}
+
+// TestBootstrapSaveFailureLeavesFollowerIntact: a follower whose WAL
+// holds 30 events must bootstrap from the primary's snapshot at 60, and
+// the snapshot cannot be saved beside the WAL (a directory sits at the
+// rename target). The step must fail with a retryable error and leave
+// the follower's seq and WAL as they were. Once the directory is gone,
+// the next step bootstraps, and a restart from the saved snapshot and
+// the WAL reaches the follower's digest.
+func TestBootstrapSaveFailureLeavesFollowerIntact(t *testing.T) {
+	dir := t.TempDir()
+	gcfg, script, primary, srv := snapshotPrimary(t, dir)
+	flog := filepath.Join(dir, "follower.log")
+	pre, err := NewDaemon(ServerConfig{Grid: gcfg, LogPath: flog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range script[:30] {
+		if _, err := pre.ApplyEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pre.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	fg, _, err := RecoverGrid(gcfg, "", flog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := NewDaemonWith(fg, ServerConfig{Grid: gcfg, LogPath: flog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Stop()
+	repl, err := NewReplicator(follower, ReplicatorConfig{
+		ID:   "boot",
+		Dial: func() (transport.Client, error) { return transport.NewLocal(srv), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repl.Stop()
+	walBefore, err := os.ReadFile(flog)
+	if err != nil || len(walBefore) == 0 {
+		t.Fatalf("the follower's WAL before the bootstrap: %d bytes, %v", len(walBefore), err)
+	}
+
+	blocker := logSnapPath(flog)
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Two attempts under the replicator's retry rule: a permanent error
+	// would stop after the first.
+	ctx := context.Background()
+	attempts := 0
+	err = retry.Policy{MaxAttempts: 2, Initial: time.Millisecond}.Do(ctx, func(int) error {
+		attempts++
+		_, err := repl.Step(ctx)
+		return err
+	})
+	if attempts != 2 || !errors.Is(err, errBootstrapSave) {
+		t.Fatalf("bootstrap steps with an unsavable snapshot: %d attempts, %v; want 2 attempts failing with %v", attempts, err, errBootstrapSave)
+	}
+	follower.FlushWAL()
+	if got := follower.AppliedSeq(); got != 30 {
+		t.Fatalf("follower applied %d after the failed bootstrap, want 30", got)
+	}
+	if walAfter, _ := os.ReadFile(flog); !bytes.Equal(walAfter, walBefore) {
+		t.Fatalf("the failed bootstrap changed the follower's WAL: %d bytes, was %d", len(walAfter), len(walBefore))
+	}
+
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repl.Step(ctx); err != nil {
+		t.Fatalf("bootstrap step: %v", err)
+	}
+	if got, want := follower.AppliedSeq(), primary.AppliedSeq(); got != 60 || want != 60 {
+		t.Fatalf("follower applied %d after the bootstrap, primary %d; want 60", got, want)
+	}
+	want := follower.GridDigest()
+	repl.Stop()
+	if err := follower.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	rg, info, err := RecoverGrid(gcfg, "", flog)
 	if err != nil {
 		t.Fatalf("restarting the bootstrapped follower: %v", err)
 	}

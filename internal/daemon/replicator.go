@@ -265,8 +265,9 @@ func (r *Replicator) Step(ctx context.Context) (int, error) {
 }
 
 // bootstrapLocked fetches the primary's snapshot, restores a grid from
-// it (the restore self-verifies against the embedded digest), swaps it
-// into the daemon and persists the snapshot file when configured.
+// it (the restore self-verifies against the embedded digest) and swaps
+// it into the daemon, which persists the snapshot when it has a WAL. A
+// save that failed is retried with the next step.
 func (r *Replicator) bootstrapLocked(ctx context.Context) error {
 	pull := &ReplPull{ID: r.cfg.ID, Term: r.d.Term()}
 	payload, err := r.call(ctx, transport.KindReplSnapshot, pull)
@@ -296,15 +297,11 @@ func (r *Replicator) bootstrapLocked(ctx context.Context) error {
 	if err != nil {
 		return retry.Permanent(fmt.Errorf("daemon: restoring bootstrap snapshot: %w", err))
 	}
-	if err := r.d.ReplaceGrid(g); err != nil {
-		return retry.Permanent(err)
-	}
-	// A follower with a WAL persists the bootstrap snapshot beside it, at
-	// logSnapPath, so a restart can recover locally.
-	if log := r.d.cfg.LogPath; log != "" {
-		if err := SaveSnapshot(snap.Snapshot, logSnapPath(log)); err != nil {
-			return fmt.Errorf("daemon: persisting bootstrap snapshot: %w", err)
+	if err := r.d.ReplaceGrid(g, snap.Snapshot); err != nil {
+		if errors.Is(err, errBootstrapSave) {
+			return err
 		}
+		return retry.Permanent(err)
 	}
 	r.snapshots.Add(1)
 	return nil

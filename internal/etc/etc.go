@@ -452,5 +452,8 @@ func PairNoise(jobID, machID, seed uint64, spread float64) float64 {
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	u := float64(x>>11) / (1 << 53)
-	return 1 + u*(spread-1)
+	// The explicit conversion rounds the product before the add, so no
+	// target fuses the two into one multiply–add and every architecture
+	// returns the same bits, which gridd's digests and goldens rely on.
+	return 1 + float64(u*(spread-1))
 }

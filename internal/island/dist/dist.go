@@ -22,7 +22,9 @@
 // worker does keep each island's live States between segments, but as a
 // verified cache: it re-targets them at the shipped population (see
 // worker.go), so losing or mismatching the cache changes what a segment
-// costs, never what it returns. Supervision is then simple: per-call
+// costs, never what it returns. However a run ends, the coordinator
+// then sends each live worker a release, and the worker drops that cache
+// and its scratch pool. Supervision is then simple: per-call
 // timeouts with jittered exponential retry (internal/retry), lazy
 // restarts through a worker factory, and when a worker stays dead past
 // its restart budget, its islands are declared lost, the migration ring
@@ -233,6 +235,7 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 		return run.Result{}, nil, errors.New("dist: the budget must bound the run (MaxIterations, MaxTime or a context deadline)")
 	}
 	ctx := budget.Context()
+	defer c.release(ctx)
 	n := c.cfg.Islands
 	start := time.Now()
 
@@ -283,7 +286,6 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 						Round:    round,
 						Iters:    segIters,
 						Seed:     island.SegmentSeed(seed, i, totalIters),
-						Final:    totalIters+segIters == budget.MaxIterations,
 						Pop:      pops[i],
 					},
 				}
@@ -352,6 +354,33 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 	rep.RecoveryMs = append([]float64(nil), c.recoveries...)
 	c.statsMu.Unlock()
 	return finish(), rep, ctx.Err()
+}
+
+// release ends the run on every worker that is neither dead nor down:
+// one KindRelease call each, so the worker drops the meshes and
+// scratches it keeps for a next segment. The calls run in parallel, so a
+// worker that hangs delays the run's return by one call timeout, not one
+// per worker. It is best effort. Each call keeps ctx's values but not
+// its cancellation, since the run's own context may be done, and only
+// the per-call timeout bounds it; nothing is retried, no worker is
+// restarted to reach it, errors are ignored and the Report records
+// nothing.
+func (c *Coordinator) release(ctx context.Context) {
+	ctx = context.WithoutCancel(ctx)
+	req := &transport.Request{Kind: transport.KindRelease, Instance: c.cfg.Instance}
+	var wg sync.WaitGroup
+	for _, h := range c.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			if !h.dead && !h.down {
+				c.callLocked(ctx, h, req)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func anyAlive(alive []bool) bool {
@@ -441,7 +470,9 @@ func (c *Coordinator) callSegment(ctx context.Context, in *etc.Instance, h *hand
 
 // invoke performs one attempt: restart the worker if it is marked dead,
 // then make the RPC under the per-call timeout. Any transport failure
-// marks the worker dead so the next attempt restarts it.
+// marks the worker dead so the next attempt restarts it, except one
+// that comes after the run's own context ended: the run's end cut the
+// call short, not the worker, which stays live for the run's release.
 func (c *Coordinator) invoke(ctx context.Context, h *handle, req *transport.Request) (*transport.Response, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -455,7 +486,9 @@ func (c *Coordinator) invoke(ctx context.Context, h *handle, req *transport.Requ
 	}
 	resp, err := c.callLocked(ctx, h, req)
 	if err != nil {
-		c.markDeadLocked(h)
+		if ctx.Err() == nil {
+			c.markDeadLocked(h)
+		}
 		return nil, err
 	}
 	// A full exchange after an outage: the worker is recovered.

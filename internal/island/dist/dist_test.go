@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -452,22 +453,35 @@ func TestWorkerRestartBetweenRounds(t *testing.T) {
 	}
 }
 
-// TestStashBounded: a run that completes leaves no States behind on its
-// workers (the final segment stores nothing), and a cancelled one leaves
-// at most one mesh per island the worker served.
+// TestStashBounded: however a run ends, its workers keep nothing of it.
+// A run under an iteration budget, one under a time budget and one
+// cancelled in its second round each end with a release call, after
+// which no worker holds a stashed mesh or a scratch pool. When each
+// release arrived, its worker held both, so the release had something
+// to drop. In the cancelled run, every second-round call that reaches a
+// worker fails with the cancellation, as a TCP call that starts after
+// it does: the worker must not be taken for dead, or it misses the
+// release.
 func TestStashBounded(t *testing.T) {
 	rig := testRig(t)
 	workers := []*Worker{NewPinnedWorker(rig.in), NewPinnedWorker(rig.in)}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cancelAt := -1
+	var releases, unheld atomic.Int32 // release calls, and those that found a worker holding nothing
 	coord, err := New(rig.dcfg, func(w int) (transport.Client, error) {
 		return transport.NewLocal(transport.HandlerFunc(func(ctx context.Context, req *transport.Request) (*transport.Response, error) {
-			resp, err := workers[w].Handle(ctx, req)
+			if req.Kind == transport.KindRelease {
+				releases.Add(1)
+				if meshes, pools := held(workers[w]); meshes == 0 || pools == 0 {
+					unheld.Add(1)
+				}
+			}
 			if req.Seg != nil && req.Seg.Round == cancelAt {
 				cancel()
+				return nil, context.Canceled
 			}
-			return resp, err
+			return workers[w].Handle(ctx, req)
 		})), nil
 	})
 	if err != nil {
@@ -475,30 +489,31 @@ func TestStashBounded(t *testing.T) {
 	}
 	defer coord.Close()
 
-	if _, _, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters}, 1); err != nil {
-		t.Fatal(err)
-	}
-	for w, wk := range workers {
-		if got := stashed(t, wk, 9); len(got) != 0 {
-			t.Fatalf("worker %d keeps %v after the run", w, got)
+	for _, tc := range []struct {
+		name     string
+		budget   run.Budget
+		cancelAt int
+	}{
+		{"iteration budget", run.Budget{MaxIterations: rig.iters}, -1},
+		{"time budget", run.Budget{MaxTime: 20 * time.Millisecond}, -1},
+		{"cancelled", run.Budget{MaxIterations: rig.iters}.WithContext(ctx), 1},
+	} {
+		releases.Store(0)
+		unheld.Store(0)
+		cancelAt = tc.cancelAt
+		_, _, err := coord.Run(rig.in, tc.budget, 1)
+		if cancelled := errors.Is(err, context.Canceled); cancelled != (tc.cancelAt >= 0) || err != nil && !cancelled {
+			t.Fatalf("%s: err %v", tc.name, err)
 		}
-	}
-
-	cancelAt = 1
-	if _, _, err := coord.Run(rig.in, run.Budget{MaxIterations: rig.iters}.WithContext(ctx), 1); err == nil {
-		t.Fatal("the cancelled run reported success")
-	}
-	kept := 0
-	for w, wk := range workers {
-		for island, n := range stashed(t, wk, 9) {
-			if island%len(workers) != w || n != 1 {
-				t.Fatalf("worker %d keeps %d meshes of island %d", w, n, island)
+		for w, wk := range workers {
+			if meshes, pools := held(wk); meshes != 0 || pools != 0 {
+				t.Fatalf("%s: worker %d keeps %d meshes and %d pools after the run", tc.name, w, meshes, pools)
 			}
-			kept++
 		}
-	}
-	if kept == 0 {
-		t.Fatal("the cancelled run stashed nothing: the bound was not exercised")
+		if releases.Load() != int32(len(workers)) || unheld.Load() != 0 {
+			t.Fatalf("%s: %d release calls, %d of them to a worker holding nothing; want %d, each to a worker holding a mesh and a pool",
+				tc.name, releases.Load(), unheld.Load(), len(workers))
+		}
 	}
 }
 

@@ -222,7 +222,9 @@ func (p *faultPlan) wrap(factory WorkerFactory) WorkerFactory {
 }
 
 // faultyClient injects its worker's faults into segment calls, keyed on
-// (worker, req.Seg.Round).
+// (worker, req.Seg.Round). Every other call, the run's closing release
+// included, passes through unfaulted, so a plan's faults and the
+// restarts they cost are the same whatever else the coordinator sends.
 type faultyClient struct {
 	plan   *faultPlan
 	worker int

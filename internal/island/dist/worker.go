@@ -5,15 +5,17 @@
 // nothing the coordinator cannot re-send, and a request delivered twice
 // computes the same bytes twice.
 //
-// What a worker keeps between calls is a verified cache. Per instance it
-// holds the materialised matrix and a scratch pool, and per island it
-// keeps the mesh of live States that island's last segment ended with.
-// The next segment re-targets those States at the shipped population
-// (SetScheduleDiff re-lists only the jobs that differ: the migrants)
-// instead of building every cell from its schedule. SetScheduleDiff
-// reproduces SetSchedule bit for bit from any valid State, so a missing,
-// stale or foreign cache entry changes the cost of a segment, never its
-// result.
+// What a worker keeps is a verified cache. Per instance it holds the
+// materialised matrix, up to maxInstances of them. Between the calls of
+// one run it also keeps a scratch pool and, per island, the mesh of live
+// States that island's last segment ended with. The next segment
+// re-targets those States at the shipped population (SetScheduleDiff
+// re-lists only the jobs that differ: the migrants) instead of building
+// every cell from its schedule. SetScheduleDiff reproduces SetSchedule
+// bit for bit from any valid State, so a missing, stale or foreign cache
+// entry changes the cost of a segment, never its result. The release
+// call that ends a run drops the meshes and the pool, so after a run the
+// worker keeps only its instances.
 package dist
 
 import (
@@ -31,12 +33,12 @@ import (
 
 // maxInstances bounds a worker's instance cache. A coordinator runs on
 // one instance, so a few entries cover a worker shared by successive or
-// concurrent runs; the least recently used one, stash included, makes
-// room for a new spec.
+// concurrent runs; the least recently used one, with whatever a run left
+// on it, makes room for a new spec.
 const maxInstances = 4
 
-// Worker serves segment calls. Safe for concurrent calls (a coordinator
-// may pin several islands to one worker).
+// Worker serves segment and release calls. Safe for concurrent calls (a
+// coordinator may pin several islands to one worker).
 type Worker struct {
 	pinned *etc.Instance  // serve every spec with this instance (in-proc use)
 	inner  *cma.Scheduler // serve every config with this engine (in-proc use)
@@ -48,10 +50,14 @@ type Worker struct {
 type workerInstance struct {
 	spec string
 	in   *etc.Instance
+	// pool and stash are the run's working set, guarded by Worker.mu and
+	// dropped by a release. take creates the pool when there is none; a
+	// segment keeps the pool it took, so one still in flight at a release
+	// returns its scratches to a pool nothing else holds.
 	pool *evalpool.Pool
-	// stash[i] is the mesh island i's last non-final segment ended with,
-	// each State's flowtime refolded (RefreshFlowtime). Guarded by
-	// Worker.mu; a segment takes its island's entry out while it runs.
+	// stash[i] is the mesh island i's last segment ended with, each
+	// State's flowtime refolded (RefreshFlowtime). A segment takes its
+	// island's entry out while it runs.
 	stash map[int][]*schedule.State
 }
 
@@ -99,28 +105,50 @@ func (w *Worker) instance(spec string) (*workerInstance, error) {
 	if len(w.instances) == maxInstances {
 		w.instances = append(w.instances[:0], w.instances[1:]...)
 	}
-	wi := &workerInstance{spec: spec, in: in, pool: evalpool.New(in), stash: make(map[int][]*schedule.State)}
+	wi := &workerInstance{spec: spec, in: in}
 	w.instances = append(w.instances, wi)
 	return wi, nil
 }
 
-// take removes and returns island's stashed mesh when it holds cells
-// States, and nil otherwise.
-func (w *Worker) take(wi *workerInstance, island, cells int) []*schedule.State {
+// take removes island's stashed mesh and returns it when it holds cells
+// States (nil otherwise), with the run's scratch pool.
+func (w *Worker) take(wi *workerInstance, island, cells int) ([]*schedule.State, *evalpool.Pool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if wi.pool == nil {
+		wi.pool = evalpool.New(wi.in)
+	}
 	states := wi.stash[island]
 	delete(wi.stash, island)
 	if len(states) != cells {
-		return nil
+		states = nil
 	}
-	return states
+	return states, wi.pool
 }
 
 func (w *Worker) store(wi *workerInstance, island int, states []*schedule.State) {
 	w.mu.Lock()
+	if wi.stash == nil {
+		wi.stash = make(map[int][]*schedule.State)
+	}
 	wi.stash[island] = states
 	w.mu.Unlock()
+}
+
+// release drops what the runs on spec keep between segments: every
+// stashed mesh and the scratch pool. The instance stays cached, and a
+// spec the worker does not hold is no error.
+func (w *Worker) release(spec string) {
+	if w.pinned != nil {
+		spec = ""
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, wi := range w.instances {
+		if wi.spec == spec {
+			wi.pool, wi.stash = nil, nil
+		}
+	}
 }
 
 // Handle implements transport.Handler.
@@ -132,6 +160,9 @@ func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport
 			return &transport.Response{ID: req.ID, Err: err.Error()}, nil
 		}
 		return &transport.Response{ID: req.ID, Seg: seg}, nil
+	case transport.KindRelease:
+		w.release(req.Instance)
+		return &transport.Response{ID: req.ID}, nil
 	default:
 		return &transport.Response{ID: req.ID, Err: fmt.Sprintf("unknown call kind %q", req.Kind)}, nil
 	}
@@ -143,8 +174,8 @@ func (w *Worker) Handle(ctx context.Context, req *transport.Request) (*transport
 // and each individual's fitness (Fits[k] is bit-identical to
 // Objective.Evaluate of Pop[k], the ranking the coordinator migrates
 // by). The mesh comes from the island's stash entry, re-targeted at
-// req.Pop, or is built from req.Pop when there is no usable entry; a
-// non-final segment stashes the mesh it ends with. A cancelled ctx cuts
+// req.Pop, or is built from req.Pop when there is no usable entry; the
+// segment stashes the mesh it ends with. A cancelled ctx cuts
 // the segment short, as it cuts any cMA run short: the reply is then the
 // segment's best so far.
 func (w *Worker) segment(ctx context.Context, req *transport.SegmentRequest) (*transport.SegmentResponse, error) {
@@ -179,7 +210,7 @@ func (w *Worker) segment(ctx context.Context, req *transport.SegmentRequest) (*t
 		return nil, fmt.Errorf("dist: population of %d for a %d-cell mesh", n, cells)
 	}
 
-	states := w.take(wi, req.Island, cells)
+	states, pool := w.take(wi, req.Island, cells)
 	switch {
 	case len(req.Pop) == 0:
 		states = nil // a fresh mesh
@@ -194,7 +225,7 @@ func (w *Worker) segment(ctx context.Context, req *transport.SegmentRequest) (*t
 			states[k].RefreshFlowtime()
 		}
 	}
-	res, states := inner.RunWithStatesPooled(wi.in, run.Budget{MaxIterations: req.Iters}.WithContext(ctx), req.Seed, nil, states, wi.pool)
+	res, states := inner.RunWithStatesPooled(wi.in, run.Budget{MaxIterations: req.Iters}.WithContext(ctx), req.Seed, nil, states, pool)
 	out := &transport.SegmentResponse{
 		Fitness:  res.Fitness,
 		Makespan: res.Makespan,
@@ -209,8 +240,6 @@ func (w *Worker) segment(ctx context.Context, req *transport.SegmentRequest) (*t
 		st.RefreshFlowtime()
 		out.Fits[k] = base.Objective.Of(st)
 	}
-	if !req.Final {
-		w.store(wi, req.Island, states)
-	}
+	w.store(wi, req.Island, states)
 	return out, nil
 }

@@ -89,9 +89,9 @@ func TestWorkerRejectsMalformedSegments(t *testing.T) {
 var fuzzSpecs = [maxInstances + 1]string{workerSpec, "16x4:c_hihi:s2", "16x4:i_lolo:s1", "16x4:s_hilo:s3", "16x4:i_hihi:s7"}
 
 // FuzzWorkerSegment drives Handle with arbitrary configuration JSON,
-// iteration counts, population payload lines, island indices, instances
-// and final flags. Whatever the bytes, the worker must answer (with a
-// result or with Response.Err) and never panic. Payloads go through
+// iteration counts, population payload lines, island indices and
+// instances. Whatever the bytes, the worker must answer (with a result
+// or with Response.Err) and never panic. Payloads go through
 // transport.ParsePops first, exactly as a TCP frame's population line
 // does.
 //
@@ -99,7 +99,10 @@ var fuzzSpecs = [maxInstances + 1]string{workerSpec, "16x4:c_hihi:s2", "16x4:i_l
 // whose stash carries across inputs (other islands, mesh sizes and
 // instances included), and through a fresh worker, which builds every
 // cell from the payload. Their replies must be identical: the stash is a
-// cache, and a reply is a pure function of its request.
+// cache, and a reply is a pure function of its request. An input with
+// its release flag set then ends the run on its instance, as a
+// coordinator does: the long-lived worker must answer the release with
+// an empty reply and keep no mesh and no pool for that instance.
 func FuzzWorkerSegment(f *testing.F) {
 	cfg := `{"width":2,"height":2,"ls_iterations":1}`
 	f.Add(cfg, 0, `[]`, 0, uint8(0), false)
@@ -110,9 +113,9 @@ func FuzzWorkerSegment(f *testing.F) {
 	f.Add(`{"width":3037000500,"height":3037000500}`, 1, `[]`, 0, uint8(0), false)
 	f.Add(cfg, 2, `[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3]]`, 0, uint8(0), false)
 	// Full meshes on island 1: a fresh mesh, then segments that find the
-	// stash the one before left and re-target it, a final segment, the
-	// island after it, a mesh of another size, another instance, and a
-	// parallel engine on island 2.
+	// stash the one before left and re-target it, a segment followed by a
+	// release, the island after it, a mesh of another size, another
+	// instance, and a parallel engine on island 2.
 	a := `[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3]`
 	b := `[3,3,2,2,1,1,0,0,3,3,2,2,1,1,0,0]`
 	c := `[1,1,1,1,2,2,2,2,3,3,3,3,0,0,0,0]`
@@ -126,7 +129,7 @@ func FuzzWorkerSegment(f *testing.F) {
 	f.Add(cfg, 1, `[`+a+`,`+b+`,`+c+`,`+a+`]`, 1, uint8(3), false)
 	f.Add(`{"width":2,"height":2,"workers":2}`, 2, `[`+a+`,`+b+`,`+c+`,`+a+`]`, 2, uint8(1), false)
 	long := NewWorker()
-	f.Fuzz(func(t *testing.T, cfgJSON string, iters int, payload string, island int, inst uint8, final bool) {
+	f.Fuzz(func(t *testing.T, cfgJSON string, iters int, payload string, island int, inst uint8, release bool) {
 		var spec config.Spec
 		if json.Unmarshal([]byte(cfgJSON), &spec) != nil {
 			return
@@ -160,7 +163,6 @@ func FuzzWorkerSegment(f *testing.F) {
 			Config:   spec,
 			Island:   island,
 			Iters:    iters,
-			Final:    final,
 			Pop:      pop,
 		}
 		got, err := long.Handle(context.Background(), &transport.Request{Kind: transport.KindSegment, Seg: &seg})
@@ -176,6 +178,20 @@ func FuzzWorkerSegment(f *testing.F) {
 		}
 		if err := sameReply(got, want); err != nil {
 			t.Fatalf("long-lived worker and fresh worker differ: %v", err)
+		}
+		if !release {
+			return
+		}
+		resp, err := long.Handle(context.Background(), &transport.Request{ID: 3, Kind: transport.KindRelease, Instance: seg.Instance})
+		if err != nil || resp.ID != 3 || resp.Err != "" || resp.Seg != nil || resp.Repl != nil {
+			t.Fatalf("release: reply %+v, err %v; want an empty reply", resp, err)
+		}
+		long.mu.Lock()
+		defer long.mu.Unlock()
+		for _, wi := range long.instances {
+			if wi.spec == seg.Instance && (wi.pool != nil || len(wi.stash) != 0) {
+				t.Fatalf("%s keeps %d meshes and a pool %v after its release", wi.spec, len(wi.stash), wi.pool != nil)
+			}
 		}
 	})
 }
@@ -209,6 +225,20 @@ func sameReply(a, b *transport.Response) error {
 		}
 	}
 	return nil
+}
+
+// held returns how many stashed meshes and scratch pools w holds over
+// every cached instance.
+func held(w *Worker) (meshes, pools int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, wi := range w.instances {
+		meshes += len(wi.stash)
+		if wi.pool != nil {
+			pools++
+		}
+	}
+	return meshes, pools
 }
 
 // stashed returns how many meshes w's stash holds per island index, over
@@ -266,8 +296,10 @@ func TestWorkerInstanceCacheBounded(t *testing.T) {
 // TestWorkerConcurrentSegments calls one worker from several goroutines
 // at once, as a coordinator serving several islands from one worker, or
 // two coordinators sharing it, may: each island's calls chain its own
-// segments, and two goroutines race on island 0's stash. Every reply
-// must equal a fresh worker's answer to the same request.
+// segments, two goroutines race on island 0's stash, and each goroutine
+// releases the instance after its third segment while the others'
+// segments run on the pool it drops. Every reply must equal a fresh
+// worker's answer to the same request.
 func TestWorkerConcurrentSegments(t *testing.T) {
 	w := NewWorker()
 	islands := []int{0, 0, 1, 2}
@@ -280,7 +312,7 @@ func TestWorkerConcurrentSegments(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				seg := transport.SegmentRequest{
 					Instance: workerSpec, Config: smallSegmentConfig(), Island: island,
-					Round: round, Iters: 2, Seed: uint64(10*g + round), Final: round == 3, Pop: pop,
+					Round: round, Iters: 2, Seed: uint64(10*g + round), Pop: pop,
 				}
 				got, err := w.Handle(context.Background(), &transport.Request{Kind: transport.KindSegment, Seg: &seg})
 				if err != nil {
@@ -294,6 +326,9 @@ func TestWorkerConcurrentSegments(t *testing.T) {
 				}
 				pop = got.Seg.Pop
 				pop[0], pop[1] = pop[1], pop[0] // a migration's worth of change
+				if round == 2 {
+					w.Handle(context.Background(), &transport.Request{Kind: transport.KindRelease, Instance: workerSpec})
+				}
 			}
 		}()
 	}

@@ -6,14 +6,16 @@
 // multi-process runs (cmd/islandd) — carry the exact same protocol, so a
 // run's result can never depend on which one it rode over.
 //
-// The island protocol is deliberately tiny: one call, the segment. A
-// segment request is a pure function description — instance spec, base
-// cMA configuration, seed, iteration count, population — and a reply
-// depends on nothing else: whatever a worker keeps between calls is a
-// cache it re-targets at the request. That is what makes the
-// robustness story cheap: retrying a call, delivering it twice, or
-// replaying it against a freshly restarted worker all produce the same
-// bytes.
+// The island protocol is deliberately tiny: two calls, the segment and
+// the release. A segment request is a pure function description —
+// instance spec, base cMA configuration, seed, iteration count,
+// population — and a reply depends on nothing else: whatever a worker
+// keeps between calls is a cache it re-targets at the request. That is
+// what makes the robustness story cheap: retrying a call, delivering it
+// twice, or replaying it against a freshly restarted worker all produce
+// the same bytes. A release names an instance spec and tells the worker
+// that a run on it has ended, so it may drop that cache; it changes no
+// later reply, only what the worker holds.
 //
 // Wire format (TCP): each message is two newline-terminated parts — a
 // JSON header (everything but the payload) and a payload line.
@@ -32,6 +34,13 @@
 // never through reflection. Its header carries Fits, the per-individual
 // fitness the worker computed on its final States, so the coordinator
 // ranks migrants without re-evaluating the population.
+//
+// A release frame is its header and the empty population:
+//
+//	{"id":9,"kind":"release","instance":"2048x64:c_hihi:s1"}
+//	[]
+//
+// and its reply is an empty Response.
 //
 // Any other message's payload line is its Repl bytes, moved verbatim in
 // both directions and never scanned as JSON here: a replication pull
@@ -53,6 +62,10 @@ import (
 // Call kinds.
 const (
 	KindSegment = "segment"
+	// KindRelease ends a run on Request.Instance: the worker drops what
+	// it keeps for the run's next segment. Best effort; the reply is an
+	// empty Response.
+	KindRelease = "release"
 	// KindReplPull asks a replication primary for the WAL events after a
 	// sequence number; KindReplSnapshot bootstraps a follower too far
 	// behind for the log alone. Payloads ride Request.Repl/Response.Repl
@@ -82,9 +95,6 @@ type SegmentRequest struct {
 	Round    int         `json:"round"`
 	Iters    int         `json:"iters"`
 	Seed     uint64      `json:"seed"`
-	// Final marks the segment that exhausts the run's budget: the worker
-	// keeps nothing of it for a next segment.
-	Final bool `json:"final,omitempty"`
 
 	// Pop rides the frame's payload line (AppendPops), not the header.
 	Pop []schedule.Schedule `json:"-"`
@@ -114,6 +124,8 @@ type Request struct {
 	ID   uint64          `json:"id"`
 	Kind string          `json:"kind"`
 	Seg  *SegmentRequest `json:"seg,omitempty"`
+	// Instance is the spec a KindRelease call names.
+	Instance string `json:"instance,omitempty"`
 	// Repl carries the replication kinds' payload opaquely: the schemas
 	// live with their only producer/consumer (internal/daemon), so the
 	// transport stays a dumb pipe and adding a replication message never

@@ -325,8 +325,9 @@ func TestTCPPartialFrameIsUnexpectedEOF(t *testing.T) {
 
 // TestFrameBytes pins the wire form of each frame kind. Segment and
 // error frames are the ones islandd has always exchanged; a frame with
-// no payload writes the empty population; a replication frame carries
-// its payload verbatim on the payload line.
+// no payload, such as a release and its reply, writes the empty
+// population; a replication frame carries its payload verbatim on the
+// payload line.
 func TestFrameBytes(t *testing.T) {
 	batch := replBatchPayload(t)
 	for _, tc := range []struct {
@@ -335,9 +336,11 @@ func TestFrameBytes(t *testing.T) {
 	}{
 		{encodeRequest(t, &Request{ID: 3, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Seed: 9, Iters: 2, Pop: testPops()}}),
 			"{\"id\":3,\"kind\":\"segment\",\"seg\":{\"instance\":\"x\",\"config\":{},\"island\":0,\"round\":0,\"iters\":2,\"seed\":9}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1]]\n"},
-		{encodeRequest(t, &Request{ID: 5, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Island: 1, Round: 3, Seed: 9, Iters: 2, Final: true, Pop: []schedule.Schedule{{10, 99, 100, 7, 0}}}}),
-			"{\"id\":5,\"kind\":\"segment\",\"seg\":{\"instance\":\"x\",\"config\":{},\"island\":1,\"round\":3,\"iters\":2,\"seed\":9,\"final\":true}}\n[[10,99,100,7,0]]\n"},
+		{encodeRequest(t, &Request{ID: 5, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Island: 1, Round: 3, Seed: 9, Iters: 2, Pop: []schedule.Schedule{{10, 99, 100, 7, 0}}}}),
+			"{\"id\":5,\"kind\":\"segment\",\"seg\":{\"instance\":\"x\",\"config\":{},\"island\":1,\"round\":3,\"iters\":2,\"seed\":9}}\n[[10,99,100,7,0]]\n"},
 		{encodeRequest(t, &Request{ID: 1, Kind: kindBare}), "{\"id\":1,\"kind\":\"bare\"}\n[]\n"},
+		{encodeRequest(t, &Request{ID: 6, Kind: KindRelease, Instance: "2048x64:c_hihi:s1"}), "{\"id\":6,\"kind\":\"release\",\"instance\":\"2048x64:c_hihi:s1\"}\n[]\n"},
+		{encodeResponse(t, &Response{ID: 6}), "{\"id\":6}\n[]\n"},
 		{encodeResponse(t, &Response{ID: 7, Seg: &SegmentResponse{Fitness: 3.25, Makespan: 17, Flowtime: 101.5, Evals: 42, Best: schedule.Schedule{2, 0, 1}, Fits: []float64{1.5, 2}, Pop: testPops()}}),
 			"{\"id\":7,\"seg\":{\"fitness\":3.25,\"makespan\":17,\"flowtime\":101.5,\"evals\":42,\"fits\":[1.5,2]}}\n[[0,1,2,3],[3,2,1,0],[1,1,1,1],[2,0,1]]\n"},
 		{encodeResponse(t, &Response{ID: 2, Err: "dist: unknown instance"}), "{\"id\":2,\"err\":\"dist: unknown instance\"}\n[]\n"},
@@ -403,7 +406,8 @@ func encodeRequest(t testing.TB, req *Request) []byte {
 // writeRequest and read back equal — same header, same population —
 // with the re-encoding a fixed point. The corpus is seeded with the
 // frames of the round-trip tests plus two replication payloads (a pull
-// and a multi-record batch), a torn header and a garbage payload.
+// and a multi-record batch), a release, a torn header and a garbage
+// payload.
 func FuzzReadRequest(f *testing.F) {
 	for _, req := range []*Request{
 		{ID: 1, Kind: kindBare},
@@ -411,6 +415,7 @@ func FuzzReadRequest(f *testing.F) {
 		{ID: 3, Kind: KindSegment, Seg: &SegmentRequest{Instance: "x", Seed: 9, Pop: testPops()}},
 		{ID: 4, Kind: KindReplPull, Repl: json.RawMessage(`{"after":12,"max":64}`)},
 		{ID: 5, Kind: KindReplPull, Repl: replBatchPayload(f)},
+		{ID: 6, Kind: KindRelease, Instance: "2048x64:c_hihi:s1"},
 	} {
 		f.Add(encodeRequest(f, req))
 	}

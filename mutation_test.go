@@ -119,6 +119,10 @@ var killedMutants = []mutant{
 		"./internal/daemon", "^TestReplServerBoundsCursors$", "the documented cursor cap, from below"},
 	{"internal/daemon/recover.go", "\tif snapPath == \"\" && logPath != \"\" {\n\t\tsnapPath = logSnapPath(logPath)\n\t}\n", "",
 		"./internal/daemon", "^TestReplicationSnapshotBootstrap$", "a restart with no snapshot named restores the one beside the WAL"},
+	{"internal/daemon/repl.go",
+		"\t\tif err := SaveSnapshot(snap, logSnapPath(d.cfg.LogPath)); err != nil {\n\t\t\treturn fmt.Errorf(\"%w: %w\", errBootstrapSave, err)\n\t\t}\n\t\tif err := d.walFile.Truncate(0); err != nil {\n\t\t\treturn fmt.Errorf(\"daemon: truncating WAL for bootstrap: %w\", err)\n\t\t}\n",
+		"\t\tif err := d.walFile.Truncate(0); err != nil {\n\t\t\treturn fmt.Errorf(\"daemon: truncating WAL for bootstrap: %w\", err)\n\t\t}\n\t\tif err := SaveSnapshot(snap, logSnapPath(d.cfg.LogPath)); err != nil {\n\t\t\treturn fmt.Errorf(\"%w: %w\", errBootstrapSave, err)\n\t\t}\n",
+		"./internal/daemon", "^TestBootstrapSaveFailureLeavesFollowerIntact$", "a follower saves its bootstrap snapshot before it truncates its WAL"},
 
 	// The parking column's scan exemption, on every path that builds the
 	// grid's State: with LMCTS the only search, it alone keeps a swap off
@@ -150,6 +154,16 @@ var killedMutants = []mutant{
 		"./internal/island/dist", "^TestDefaultRestartBudget$", "the default restart budget, from below"},
 	{"internal/island/dist/dist.go", "\tif c.MaxRestarts == 0 {\n\t\treturn 3\n", "\tif c.MaxRestarts == 0 {\n\t\treturn 4\n",
 		"./internal/island/dist", "^TestDefaultRestartBudget$", "the default restart budget, from above"},
+	// The release that ends every run: the coordinator sends it, the
+	// worker drops its stashed meshes and its scratch pool.
+	{"internal/island/dist/worker.go", "\t\tw.release(req.Instance)\n", "",
+		"./internal/island/dist", "^TestStashBounded$", "the worker honours a release"},
+	{"internal/island/dist/dist.go", "\tdefer c.release(ctx)\n", "",
+		"./internal/island/dist", "^TestStashBounded$", "the coordinator releases its workers at a run's end"},
+	{"internal/island/dist/worker.go", "\t\t\twi.pool, wi.stash = nil, nil\n", "\t\t\twi.stash = nil\n",
+		"./internal/island/dist", "^TestStashBounded$", "a release drops the scratch pool"},
+	{"internal/island/dist/dist.go", "\t\tif ctx.Err() == nil {\n\t\t\tc.markDeadLocked(h)\n\t\t}\n", "\t\tc.markDeadLocked(h)\n",
+		"./internal/island/dist", "^TestStashBounded$", "a call the run's cancellation cut short leaves its worker live for the release"},
 	{"internal/retry/retry.go", "const jitter = 0.2", "const jitter = 0",
 		"./internal/retry", "^TestJitterIsDeterministicPerSeed$", "retry's jitter"},
 }
