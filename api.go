@@ -47,7 +47,7 @@ type (
 	Result = run.Result
 	// Progress is one observation of a running search.
 	Progress = run.Progress
-	// Observer receives progress samples.
+	// Observer receives progress samples, when WithObserver says.
 	Observer = run.Observer
 )
 

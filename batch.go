@@ -204,10 +204,7 @@ func Race(ctx context.Context, in *Instance, algorithms []Scheduler, opts ...Run
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := newRunSettings()
-	for _, o := range opts {
-		o(&st)
-	}
+	st := newRunSettings(opts...)
 	// A context deadline alone is a legitimate bound, same as for a
 	// single Run.
 	if !st.budget.WithContext(ctx).Bounded() {

@@ -33,7 +33,9 @@
 // (Algorithms lists them; Register adds your own.) Run is configured with
 // functional options: WithBudget / WithMaxTime / WithMaxIterations bound
 // the search, WithSeed makes it reproducible, WithObserver streams
-// progress, WithLambda reweighs the bi-objective fitness
+// progress (once before the first iteration, then after every one; every
+// engine but the island model runs internal/run's one budget loop, Loop),
+// WithLambda reweighs the bi-objective fitness
 // λ·makespan + (1−λ)·mean_flowtime (default 0.75), and WithWorkers sets
 // the goroutines evaluating offspring. Options passed to New become
 // defaults for every Run of that scheduler.

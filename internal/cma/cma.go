@@ -31,7 +31,6 @@ package cma
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"gridcma/internal/cell"
 	"gridcma/internal/etc"
@@ -392,35 +391,9 @@ func (e *engine) releaseScratches() {
 func (e *engine) run(budget run.Budget, obs run.Observer, name string) run.Result {
 	defer e.stopWorkers()
 	defer e.releaseScratches()
-	start := time.Now()
-	iter := 0
-	emit := func() {
-		if obs != nil {
-			obs(run.Progress{
-				Elapsed:   time.Since(start),
-				Iteration: iter,
-				Fitness:   e.best.Fitness(),
-				Makespan:  e.best.Makespan(),
-				Flowtime:  e.best.Flowtime(),
-			})
-		}
-	}
-	emit()
-	for !budget.Done(iter, start) {
-		e.iterate(iter)
-		iter++
-		emit()
-	}
-	return run.Result{
-		Best:       e.best.Schedule(),
-		Fitness:    e.best.Fitness(),
-		Makespan:   e.best.Makespan(),
-		Flowtime:   e.best.Flowtime(),
-		Iterations: iter,
-		Evals:      e.evals,
-		Elapsed:    time.Since(start),
-		Algorithm:  name,
-	}
+	res := run.Loop(budget, obs, &e.best, e.iterate)
+	res.Evals, res.Algorithm = e.evals, name
+	return res
 }
 
 // iterate runs iteration iter under the configured updating discipline.

@@ -21,7 +21,6 @@ package ga
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"gridcma/internal/etc"
 	"gridcma/internal/evalpool"
@@ -212,44 +211,20 @@ func (g *gaState) breed(indices []int) float64 {
 }
 
 func (g *gaState) run(budget run.Budget, obs run.Observer) run.Result {
-	start := time.Now()
-	iter := 0
-	emit := func() {
-		if obs != nil {
-			obs(run.Progress{
-				Elapsed:   time.Since(start),
-				Iteration: iter,
-				Fitness:   g.best.Fitness(),
-				Makespan:  g.best.Makespan(),
-				Flowtime:  g.best.Flowtime(),
-			})
-		}
-	}
-	emit()
 	indices := make([]int, g.p.popSize)
 	for i := range indices {
 		indices[i] = i
 	}
-	for !budget.Done(iter, start) {
+	res := run.Loop(budget, obs, &g.best, func(int) {
 		switch g.cfg.Variant {
 		case Braun:
 			g.generation(indices)
 		default:
 			g.steadyStep(indices)
 		}
-		iter++
-		emit()
-	}
-	return run.Result{
-		Best:       g.best.Schedule(),
-		Fitness:    g.best.Fitness(),
-		Makespan:   g.best.Makespan(),
-		Flowtime:   g.best.Flowtime(),
-		Iterations: iter,
-		Evals:      g.evals,
-		Elapsed:    time.Since(start),
-		Algorithm:  g.cfg.Variant.String(),
-	}
+	})
+	res.Evals, res.Algorithm = g.evals, g.cfg.Variant.String()
+	return res
 }
 
 // generation performs one full generational replacement (Braun variant).

@@ -155,7 +155,9 @@ type handle struct {
 	failedAt     time.Time // first failure of the current outage
 }
 
-// Coordinator drives rounds against a fixed worker set.
+// Coordinator drives rounds against a fixed worker set. It serves one
+// run at a time; runs may follow one another, and each run's Report
+// counts only that run's restarts and recovery times.
 type Coordinator struct {
 	cfg     Config
 	base    cma.Config
@@ -234,6 +236,9 @@ func (c *Coordinator) run(in *etc.Instance, budget run.Budget, seed uint64, obs 
 	if budget.MaxIterations < 0 || budget.MaxTime < 0 || !budget.Bounded() {
 		return run.Result{}, nil, errors.New("dist: the budget must bound the run (MaxIterations, MaxTime or a context deadline)")
 	}
+	c.statsMu.Lock()
+	c.restarts, c.recoveries = 0, nil
+	c.statsMu.Unlock()
 	ctx := budget.Context()
 	defer c.release(ctx)
 	n := c.cfg.Islands

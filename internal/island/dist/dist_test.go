@@ -157,6 +157,32 @@ func TestKillRestartRecovery(t *testing.T) {
 	}
 }
 
+// TestReusedCoordinatorReportsItsOwnRun runs one coordinator twice: a
+// kill in round 1 of the first run costs it a restart and a recovery
+// sample, and the fault-free second run must report neither.
+func TestReusedCoordinatorReportsItsOwnRun(t *testing.T) {
+	rig := testRig(t)
+	plan := []MsgFault{{Worker: 1, Round: 1, Kind: MsgKill, Count: 1}}
+	coord, err := New(rig.dcfg, newFaultPlan(plan, time.Millisecond).wrap(func(int) (transport.Client, error) {
+		return transport.NewLocal(NewPinnedWorker(rig.in)), nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	budget := run.Budget{MaxIterations: rig.iters}
+	for i, want := range []int{1, 0} {
+		_, rep, err := coord.Run(rig.in, budget, 1)
+		if err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+		if rep.Restarts != want || len(rep.RecoveryMs) != want {
+			t.Fatalf("run %d reported %d restarts and recoveries %v, want %d of each",
+				i+1, rep.Restarts, rep.RecoveryMs, want)
+		}
+	}
+}
+
 // TestPermanentDeathDegradesGracefully: a worker that can never restart
 // takes its pinned islands down; the ring heals and the run completes on
 // the survivors, with the loss recorded.

@@ -3,13 +3,16 @@
 // Keeping these types in one leaf package lets the cMA, the baseline GAs,
 // simulated annealing and tabu search expose one uniform Run signature
 // that the experiment harness and the dynamic grid simulator can drive
-// interchangeably.
+// interchangeably. Loop is the one budget loop those engines share: it
+// decides when a run stops, when progress is reported and what a Result
+// carries.
 package run
 
 import (
 	"context"
 	"time"
 
+	"gridcma/internal/evalpool"
 	"gridcma/internal/schedule"
 )
 
@@ -107,9 +110,10 @@ type Progress struct {
 	Flowtime float64
 }
 
-// Observer receives progress samples. A nil Observer is legal everywhere
-// and means "don't observe". Observers are called from the search
-// goroutine; they must be fast.
+// Observer receives progress samples: once before the first iteration,
+// then once after every iteration. A nil Observer is legal everywhere and
+// means "don't observe". Observers are called from the search goroutine;
+// they must be fast.
 type Observer func(Progress)
 
 // Result is the outcome of one metaheuristic run.
@@ -134,4 +138,32 @@ func (r Result) Better(other Result) bool {
 		return true
 	}
 	return r.Fitness < other.Fitness
+}
+
+// Loop runs step until budget is done, passing the iteration index
+// 0, 1, 2, …, and returns the run's Result. The clock starts when Loop
+// is called, so an engine calls it after building its initial
+// population. If obs is set, it reports best once before the first
+// iteration and again after every one. The Result carries best's
+// schedule, fitness, makespan and flowtime, the iterations run and the
+// time elapsed; the caller sets Evals and Algorithm.
+func Loop(budget Budget, obs Observer, best *evalpool.Best, step func(iter int)) Result {
+	start := time.Now()
+	iter := 0
+	report := func() {
+		if obs != nil {
+			obs(Progress{Elapsed: time.Since(start), Iteration: iter,
+				Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime()})
+		}
+	}
+	report()
+	for !budget.Done(iter, start) {
+		step(iter)
+		iter++
+		report()
+	}
+	return Result{
+		Best: best.Schedule(), Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime(),
+		Iterations: iter, Elapsed: time.Since(start),
+	}
 }

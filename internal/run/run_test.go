@@ -7,6 +7,7 @@ import (
 
 	"gridcma/internal/cma"
 	"gridcma/internal/etc"
+	"gridcma/internal/evalpool"
 	"gridcma/internal/localsearch"
 	"gridcma/internal/run"
 	"gridcma/internal/schedule"
@@ -99,6 +100,111 @@ func TestResultBetter(t *testing.T) {
 	}
 	if !a.Better(b) || b.Better(a) {
 		t.Error("lower fitness must win")
+	}
+}
+
+// loopRig is a stub engine for Loop: its step moves one job and records
+// the result as the new incumbent, so every iteration leaves a different
+// best behind, and it logs the indices it is given.
+type loopRig struct {
+	st      *schedule.State
+	best    evalpool.Best
+	indices []int
+	after   []run.Progress // the incumbent after each step, and before the first
+}
+
+func newLoopRig() *loopRig {
+	in := etc.Generate(etc.Class{Consistency: etc.Consistent, JobHet: etc.High, MachineHet: etc.High},
+		0, etc.GenerateOptions{Seed: 7, Jobs: 16, Machs: 4})
+	r := &loopRig{st: schedule.NewState(in, make(schedule.Schedule, in.Jobs))}
+	r.note(0)
+	return r
+}
+
+// note records the state as the incumbent with the engine fitness
+// 100−iter, which always improves, and logs what an observer must see.
+func (r *loopRig) note(iter int) {
+	r.best.Note(r.st, schedule.DefaultObjective, float64(100-iter))
+	r.after = append(r.after, run.Progress{Iteration: iter,
+		Fitness: r.best.Fitness(), Makespan: r.best.Makespan(), Flowtime: r.best.Flowtime()})
+}
+
+func (r *loopRig) step(iter int) {
+	r.indices = append(r.indices, iter)
+	j := iter % r.st.Instance().Jobs
+	r.st.Move(j, (r.st.Assign(j)+1)%r.st.Instance().Machs)
+	r.note(iter + 1)
+}
+
+// Loop runs exactly MaxIterations steps with indices 0…n−1, reports the
+// incumbent once before the first step and once after each, and returns
+// the incumbent with the iteration count.
+func TestLoopReportsAndReturnsTheIncumbent(t *testing.T) {
+	const n = 5
+	r := newLoopRig()
+	var seen []run.Progress
+	res := run.Loop(run.Budget{MaxIterations: n}, func(p run.Progress) {
+		seen = append(seen, p)
+	}, &r.best, r.step)
+	if len(r.indices) != n {
+		t.Fatalf("ran %d steps, want %d", len(r.indices), n)
+	}
+	for i, got := range r.indices {
+		if got != i {
+			t.Fatalf("step %d was given index %d", i, got)
+		}
+	}
+	if len(seen) != n+1 {
+		t.Fatalf("observer saw %d reports, want %d", len(seen), n+1)
+	}
+	for i, p := range seen {
+		want := r.after[i]
+		if p.Iteration != want.Iteration || p.Fitness != want.Fitness ||
+			p.Makespan != want.Makespan || p.Flowtime != want.Flowtime {
+			t.Fatalf("report %d: got %+v, want the incumbent %+v", i, p, want)
+		}
+		if i > 0 && p.Elapsed < seen[i-1].Elapsed {
+			t.Fatalf("report %d: elapsed went backwards", i)
+		}
+	}
+	if seen[n-1].Fitness == seen[n].Fitness {
+		t.Fatal("the stub's last step did not change the incumbent")
+	}
+	last := r.after[n]
+	if res.Iterations != n || !res.Best.Equal(r.best.Schedule()) || !res.Best.Equal(r.st.ScheduleView()) ||
+		res.Fitness != last.Fitness || res.Makespan != last.Makespan || res.Flowtime != last.Flowtime {
+		t.Fatalf("result %+v does not carry the incumbent %+v after %d iterations", res, last, n)
+	}
+	if res.Elapsed < seen[n].Elapsed {
+		t.Fatalf("result elapsed %v is before the last report's %v", res.Elapsed, seen[n].Elapsed)
+	}
+	if res.Evals != 0 || res.Algorithm != "" {
+		t.Fatalf("Loop set the caller's fields: %+v", res)
+	}
+	// A nil observer is legal.
+	if res := run.Loop(run.Budget{MaxIterations: 2}, nil, &newLoopRig().best, func(int) {}); res.Iterations != 2 {
+		t.Fatalf("nil observer: %d iterations, want 2", res.Iterations)
+	}
+}
+
+// A context cancelled before the first budget check runs no step but
+// still reports the incumbent once and returns it.
+func TestLoopCancelledBeforeTheFirstStep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := newLoopRig()
+	var seen []run.Progress
+	res := run.Loop(run.Budget{MaxIterations: 5}.WithContext(ctx), func(p run.Progress) {
+		seen = append(seen, p)
+	}, &r.best, r.step)
+	if len(r.indices) != 0 {
+		t.Fatalf("a cancelled loop ran %d steps", len(r.indices))
+	}
+	if len(seen) != 1 || seen[0].Iteration != 0 || seen[0].Fitness != r.after[0].Fitness {
+		t.Fatalf("a cancelled loop reported %+v, want the initial incumbent once", seen)
+	}
+	if res.Iterations != 0 || res.Best == nil || res.Fitness != r.after[0].Fitness {
+		t.Fatalf("a cancelled loop returned %+v", res)
 	}
 }
 

@@ -11,7 +11,6 @@ package sa
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"gridcma/internal/etc"
 	"gridcma/internal/evalpool"
@@ -96,16 +95,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	temp := initialTempFactor * curFit
 	sweep := 2 * in.Jobs
 
-	start := time.Now()
-	iter := 0
 	var evals int64 = 1
-	emit := func() {
-		if obs != nil {
-			obs(run.Progress{Elapsed: time.Since(start), Iteration: iter,
-				Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime()})
-		}
-	}
-	emit()
 	// Probe-then-commit through the state's scan cache (scalar-proposal
 	// mode only — the sweep mode scores whole neighborhoods per call):
 	// the cache recaptures the top machine completions once per accepted
@@ -114,7 +104,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	// time. Its probes are bit-identical to the scalar ones, so the
 	// Metropolis trajectory is unchanged.
 	scans := cur.Scans(o)
-	for !budget.Done(iter, start) {
+	res := run.Loop(budget, obs, &best, func(int) {
 		for k := 0; k < sweep; k++ {
 			if s.cfg.SweepProposals {
 				// Sweep-native proposal: draw a job, score all M targets
@@ -162,11 +152,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 			}
 		}
 		temp *= cooling
-		iter++
-		emit()
-	}
-	return run.Result{
-		Best: best.Schedule(), Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime(),
-		Iterations: iter, Evals: evals, Elapsed: time.Since(start), Algorithm: s.Name(),
-	}
+	})
+	res.Evals, res.Algorithm = evals, s.Name()
+	return res
 }

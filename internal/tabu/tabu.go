@@ -10,7 +10,6 @@ package tabu
 
 import (
 	"fmt"
-	"time"
 
 	"gridcma/internal/etc"
 	"gridcma/internal/evalpool"
@@ -75,18 +74,9 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 	// machine m is allowed again.
 	tabuUntil := make([]int, in.Jobs*in.Machs)
 
-	start := time.Now()
-	iter := 0
 	var evals int64 = 1
-	emit := func() {
-		if obs != nil {
-			obs(run.Progress{Elapsed: time.Since(start), Iteration: iter,
-				Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime()})
-		}
-	}
-	emit()
 	scans := cur.Scans(o)
-	for !budget.Done(iter, start) {
+	res := run.Loop(budget, obs, &best, func(iter int) {
 		bestJ, bestTo := -1, -1
 		bestF := 0.0
 		// The state is frozen for the step, so the scan cache's probe
@@ -117,11 +107,7 @@ func (s *Scheduler) Run(in *etc.Instance, budget run.Budget, seed uint64, obs ru
 			tabuUntil[bestJ*in.Machs+from] = iter + tenure
 			best.Note(cur, o, curFit)
 		}
-		iter++
-		emit()
-	}
-	return run.Result{
-		Best: best.Schedule(), Fitness: best.Fitness(), Makespan: best.Makespan(), Flowtime: best.Flowtime(),
-		Iterations: iter, Evals: evals, Elapsed: time.Since(start), Algorithm: s.Name(),
-	}
+	})
+	res.Evals, res.Algorithm = evals, s.Name()
+	return res
 }

@@ -44,6 +44,13 @@ var killedMutants = []mutant{
 		".", goldenRun, "SA's cooling factor"},
 	{"internal/sa/sa.go", "\t\ttemp *= cooling\n", "",
 		".", goldenRun, "SA's cooling"},
+	// The one budget loop every engine runs.
+	{"internal/run/run.go", "\treport()\n\tfor !budget.Done(iter, start) {", "\tfor !budget.Done(iter, start) {",
+		"./internal/run", "^TestLoop", "the loop reports the incumbent before the first iteration"},
+	{"internal/run/run.go", "\t\tstep(iter)\n\t\titer++\n\t\treport()\n", "\t\treport()\n\t\tstep(iter)\n\t\titer++\n",
+		"./internal/run", "^TestLoop", "the loop reports after each iteration, not before it"},
+	{"internal/run/run.go", "\t\tIterations: iter, Elapsed: time.Since(start),", "\t\tElapsed: time.Since(start),",
+		"./internal/run", "^TestLoop", "the loop's result counts its iterations"},
 	{"internal/evalpool/evalpool.go", "b.makespan, b.flowtime = st.Makespan(), st.FoldedFlowtime()",
 		"b.makespan, b.flowtime = st.Makespan(), st.Flowtime()",
 		".", goldenRun, "the best-tracker records a fresh evaluation's flowtime"},
@@ -105,6 +112,10 @@ var killedMutants = []mutant{
 	{"internal/etc/etc.go", "!(v > 0) || math.IsInf(v, 1)", "v < 0 || math.IsInf(v, 1)",
 		"./internal/etc", "^TestValidateCatchesBadInstances$", "Validate refuses zero and NaN entries"},
 
+	// The arm64 fused multiply–add gate.
+	{"internal/etc/etc.go", "return 1 + float64(u*(spread-1))", "return 1 + u*(spread-1)",
+		".", "^TestFusedMultiplyAddAllowlist$", "PairNoise's rounded product, by the arm64 listing"},
+
 	// The block-parallel cMA's waves.
 	{"internal/cell/partition.go", "\t\t\tif !blocked[w][c] {", "\t\t\tif true {",
 		"./internal/cell", "^TestPartitionWavesCoverAndIndependent$", "a wave holds no interacting cells"},
@@ -164,6 +175,8 @@ var killedMutants = []mutant{
 		"./internal/island/dist", "^TestStashBounded$", "a release drops the scratch pool"},
 	{"internal/island/dist/dist.go", "\t\tif ctx.Err() == nil {\n\t\t\tc.markDeadLocked(h)\n\t\t}\n", "\t\tc.markDeadLocked(h)\n",
 		"./internal/island/dist", "^TestStashBounded$", "a call the run's cancellation cut short leaves its worker live for the release"},
+	{"internal/island/dist/dist.go", "\tc.restarts, c.recoveries = 0, nil\n", "",
+		"./internal/island/dist", "^TestReusedCoordinatorReportsItsOwnRun$", "a run's report counts only its own restarts and recoveries"},
 	{"internal/retry/retry.go", "const jitter = 0.2", "const jitter = 0",
 		"./internal/retry", "^TestJitterIsDeterministicPerSeed$", "retry's jitter"},
 }

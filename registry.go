@@ -60,17 +60,12 @@ func New(name string, opts ...RunOption) (Scheduler, error) {
 		return nil, err
 	}
 	if len(opts) > 0 {
-		// Validate default options eagerly: a bad λ or budget should
-		// fail here, not on the first Run deep inside a batch.
-		st := newRunSettings()
-		for _, o := range opts {
-			o(&st)
-		}
-		if st.lambdaSet && (st.lambda < 0 || st.lambda > 1) {
-			return nil, fmt.Errorf("gridcma: %s: lambda %v outside [0,1]", key, st.lambda)
-		}
-		if st.budget.MaxTime < 0 || st.budget.MaxIterations < 0 {
-			return nil, fmt.Errorf("gridcma: %s: negative budget", key)
+		// Validate default options eagerly: a bad λ, worker count or
+		// budget should fail here, not on the first Run deep inside a
+		// batch.
+		st := newRunSettings(opts...)
+		if err := st.validate(key); err != nil {
+			return nil, err
 		}
 		s = &withDefaults{Scheduler: s, defaults: opts}
 	}

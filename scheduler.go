@@ -42,7 +42,30 @@ type runSettings struct {
 	workersSet bool
 }
 
-func newRunSettings() runSettings { return runSettings{seed: 1} }
+// newRunSettings applies opts, in order, over the defaults.
+func newRunSettings(opts ...RunOption) runSettings {
+	st := runSettings{seed: 1}
+	for _, o := range opts {
+		o(&st)
+	}
+	return st
+}
+
+// validate reports the first setting no engine accepts, for the
+// scheduler called name: New checks its defaults with it, Run each
+// call's merged options.
+func (s *runSettings) validate(name string) error {
+	if s.lambdaSet && (s.lambda < 0 || s.lambda > 1) {
+		return fmt.Errorf("gridcma: %s: lambda %v outside [0,1]", name, s.lambda)
+	}
+	if s.workersSet && s.workers < 0 {
+		return fmt.Errorf("gridcma: %s: negative workers %d", name, s.workers)
+	}
+	if s.budget.MaxTime < 0 || s.budget.MaxIterations < 0 {
+		return fmt.Errorf("gridcma: %s: negative budget", name)
+	}
+	return nil
+}
 
 // RunOption configures one Run call. Options passed to New become the
 // scheduler's defaults; options passed to Run override them call by call.
@@ -67,7 +90,9 @@ func WithMaxIterations(n int) RunOption {
 // equal iteration budgets reproduce a run exactly.
 func WithSeed(seed uint64) RunOption { return func(s *runSettings) { s.seed = seed } }
 
-// WithObserver streams progress samples from the running search.
+// WithObserver streams progress samples from the running search: the
+// best so far once before the first iteration, then once after every
+// iteration. The island engine reports after every migration round.
 func WithObserver(obs Observer) RunOption { return func(s *runSettings) { s.observer = obs } }
 
 // WithLambda overrides the makespan weight of the scalarised objective
@@ -138,20 +163,11 @@ func (s *engineScheduler) Run(ctx context.Context, in *Instance, opts ...RunOpti
 	if in == nil {
 		return Result{}, fmt.Errorf("gridcma: %s: nil instance", s.name)
 	}
-	st := newRunSettings()
-	for _, o := range opts {
-		o(&st)
-	}
-	if st.lambdaSet && (st.lambda < 0 || st.lambda > 1) {
-		return Result{}, fmt.Errorf("gridcma: %s: lambda %v outside [0,1]", s.name, st.lambda)
-	}
-	if st.workersSet && st.workers < 0 {
-		return Result{}, fmt.Errorf("gridcma: %s: negative workers %d", s.name, st.workers)
+	st := newRunSettings(opts...)
+	if err := st.validate(s.name); err != nil {
+		return Result{}, err
 	}
 	b := st.budget
-	if b.MaxTime < 0 || b.MaxIterations < 0 {
-		return Result{}, fmt.Errorf("gridcma: %s: negative budget", s.name)
-	}
 	// A budget passed via WithBudget may carry its own context
 	// (Budget.WithContext); honour it alongside the Run context rather
 	// than overwriting it.

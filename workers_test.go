@@ -132,3 +132,11 @@ func TestWithWorkersNegativeRejected(t *testing.T) {
 		t.Fatal("negative WithWorkers accepted")
 	}
 }
+
+// New validates its default options as Run validates each call's: a
+// negative worker count fails at construction, not on the first Run.
+func TestNewRejectsNegativeWorkers(t *testing.T) {
+	if s, err := gridcma.New("cma", gridcma.WithWorkers(-3)); err == nil {
+		t.Fatalf("New accepted a negative worker count and returned %q", s.Name())
+	}
+}
